@@ -1,95 +1,28 @@
-"""Hot numeric kernels: sums of simple-pole terms over many evaluation points.
+"""Hot numeric kernel: sums of pole terms over many evaluation points.
 
-Two interchangeable implementations are provided: a numba ``@njit`` loop and a
-chunked pure-numpy fallback.  Selection happens once at import time via the
-``RANK1_KERNELS`` environment variable (``"numba"`` or ``"numpy"``; default is
-numba when importable).  ``benchmarks/bench_kernels.py`` compares both paths.
-
-Input arrays are expected pre-ordered from the largest |index| inward so that
-the smallest terms accumulate first.
+One chunked numpy broadcast.  Input arrays are expected pre-ordered from the
+largest |index| inward so that the smallest terms accumulate first.
 """
-
-import os
 
 import numpy as np
 
-_BACKEND = os.environ.get("RANK1_KERNELS", "numba").strip().lower()
-if _BACKEND not in ("numba", "numpy"):
-    raise ValueError(f"RANK1_KERNELS must be 'numba' or 'numpy', got {_BACKEND!r}")
+BACKEND = "numpy"
 
-# chunk size for the numpy path, in (terms x points) products
+# chunk size, in (terms x points) products
 _CHUNK = 4_000_000
 
 
-def _pole_sum_numpy(c, lam, z):
-    """sum_k c_k / (lam_k - z_j) for each point z_j."""
-    n = len(z)
-    out = np.zeros(n, dtype=np.complex128)
-    if len(c) == 0:
-        return out
-    step = max(1, _CHUNK // len(c))
-    for i in range(0, n, step):
-        zz = z[i : i + step]
-        out[i : i + step] = (c[np.newaxis, :] / (lam[np.newaxis, :] - zz[:, np.newaxis])).sum(axis=1)
-    return out
-
-
-def _pole_pow_sum_numpy(c, lam, z, p):
+def pole_sum(c, lam, z, p=1):
     """sum_k c_k / (lam_k - z_j)**p for each point z_j (p >= 1)."""
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     n = len(z)
     out = np.zeros(n, dtype=np.complex128)
     if len(c) == 0:
         return out
     step = max(1, _CHUNK // len(c))
     for i in range(0, n, step):
-        zz = z[i : i + step]
-        out[i : i + step] = (c[np.newaxis, :] / (lam[np.newaxis, :] - zz[:, np.newaxis]) ** p).sum(axis=1)
+        diff = lam[np.newaxis, :] - z[i : i + step, np.newaxis]
+        if p != 1:  # a complex power costs more than the division itself
+            diff = diff**p
+        out[i : i + step] = (c[np.newaxis, :] / diff).sum(axis=1)
     return out
-
-
-HAVE_NUMBA = False
-if _BACKEND == "numba":
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pole_sum_numba(c, lam, z):  # pragma: no cover - compiled
-        out = np.empty(len(z), dtype=np.complex128)
-        for j in range(len(z)):
-            s = 0.0 + 0.0j
-            for k in range(len(c)):
-                s += c[k] / (lam[k] - z[j])
-            out[j] = s
-        return out
-
-    @njit(cache=True)
-    def _pole_pow_sum_numba(c, lam, z, p):  # pragma: no cover - compiled
-        out = np.empty(len(z), dtype=np.complex128)
-        for j in range(len(z)):
-            s = 0.0 + 0.0j
-            for k in range(len(c)):
-                s += c[k] / (lam[k] - z[j]) ** p
-            out[j] = s
-        return out
-
-    pole_sum = _pole_sum_numba
-    pole_pow_sum = _pole_pow_sum_numba
-    BACKEND = "numba"
-else:
-    pole_sum = _pole_sum_numpy
-    pole_pow_sum = _pole_pow_sum_numpy
-    BACKEND = "numpy"
-
-
-def as_arrays(c, lam, z):
-    """Coerce kernel inputs to contiguous complex128 arrays."""
-    c = np.ascontiguousarray(c, dtype=np.complex128)
-    lam = np.ascontiguousarray(lam, dtype=np.complex128)
-    z = np.ascontiguousarray(np.atleast_1d(z), dtype=np.complex128)
-    return c, lam, z

@@ -109,13 +109,11 @@ class CharacteristicFunction:
 
     def values(self, z):
         """F at an array of points (no pole checking, no bounds)."""
-        c, lam, zz = _kernels.as_arrays(self.c1, self.lam1, z)
-        return 1.0 + _kernels.pole_sum(c, lam, zz)
+        return 1.0 + _kernels.pole_sum(self.c1, self.lam1, z)
 
     def derivative_values(self, z, order=1):
         """F^(order) at an array of points."""
-        c, lam, zz = _kernels.as_arrays(self.c1, self.lam1, z)
-        return math.factorial(order) * _kernels.pole_pow_sum(c, lam, zz, order + 1)
+        return math.factorial(order) * _kernels.pole_sum(self.c1, self.lam1, z, order + 1)
 
     def eval_F(self, z):
         """(F(z), tail error bound) at a single point."""
@@ -139,11 +137,8 @@ class CharacteristicFunction:
         full precision when |w| is many orders below |lambda_center|.
         """
         lam_c = self.spec.lambda_at(int(center_index))
-        lam_shift = self.lam1 - lam_c
-        c, lam, ww = _kernels.as_arrays(self.c1, lam_shift, w)
-        if order == 0:
-            return 1.0 + _kernels.pole_sum(c, lam, ww)
-        return math.factorial(order) * _kernels.pole_pow_sum(c, lam, ww, order + 1)
+        s = _kernels.pole_sum(self.c1, self.lam1 - lam_c, w, order + 1)
+        return 1.0 + s if order == 0 else math.factorial(order) * s
 
     def eval_Gk(self, k, z):
         """Single-term approximant G_k(z) = c_k/(lambda_k - z) + 1."""

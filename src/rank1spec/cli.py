@@ -7,7 +7,6 @@ shortest round-trip floats) written atomically.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -40,7 +39,6 @@ def _opts_from_args(args):
         window=args.trunc_window,
         n_trunc=args.trunc,
         quad=args.quad,
-        quad_cap=max(args.quad * 2, 4096),
         # the comparison tolerance may be arbitrarily strict, but the Newton
         # residual threshold cannot go below double precision
         tol=max(args.tol, 1e-14),
@@ -195,20 +193,7 @@ def build_parser():
     return parser
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("RANK1_THREADS")
-    if not cap:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(max(1, int(cap)))
-    except (ImportError, ValueError):
-        pass
-
-
 def main(argv=None):
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -25,6 +25,11 @@ from .model import (
 )
 
 CONTOUR_POLE_TOL = 1e-8  # minimum allowed pole distance to a contour
+QUAD_CAP_MIN = 4096  # winding quadrature doubles up to max(2 * quad, this)
+TRUNC_CAP = 32000  # n_trunc doubles up to this before localization gives up
+CLUSTER_RTOL = 1e-6  # zeros closer than this times d form one cluster
+MAX_DEPTH = 80  # quadrisection depth cap
+NEWTON_MAX_ITER = 80
 
 
 @dataclass(frozen=True)
@@ -73,13 +78,7 @@ class LocalizeOptions:
     window: int = 50
     n_trunc: int = 2000
     quad: int = 256
-    quad_cap: int = 4096
-    trunc_cap: int = 32000
     tol: float = 1e-10
-    eps: float = None  # default d/(2+d)
-    cluster_tol: float = None  # default 1e-6 * d
-    max_depth: int = 80
-    newton_max_iter: int = 80
 
 
 @dataclass
@@ -184,7 +183,7 @@ def _winding_once(cf, region, q):
 
 def winding_number(cf, region, quadrature_points):
     """Argument-principle count of zeros minus poles inside the region."""
-    scale = 1.0 + abs(region.center) if isinstance(region, Disk) else 1.0 + abs(region.center)
+    scale = 1.0 + abs(region.center)
     if _pole_distance_to_contour(region, cf.lam1) < CONTOUR_POLE_TOL * scale:
         raise errors.ContourThroughSingularity(
             f"a represented pole lies within {CONTOUR_POLE_TOL:g} of the contour"
@@ -211,6 +210,7 @@ def winding_number(cf, region, quadrature_points):
 def _certified_winding(cf, region, opts, poles_inside):
     """Winding with quadrature escalation; returns the number of zeros inside."""
     q = opts.quad
+    quad_cap = max(2 * q, QUAD_CAP_MIN)
     last = None
     while True:
         try:
@@ -221,7 +221,7 @@ def _certified_winding(cf, region, opts, poles_inside):
             last = res
             if res.certified:
                 return res.count + poles_inside, res
-        if q >= opts.quad_cap:
+        if q >= quad_cap:
             return None, last
         q *= 2
 
@@ -247,7 +247,7 @@ def _nearest_index(cf, z):
     return best
 
 
-def _newton(cf, seed, order, tol, max_iter):
+def _newton(cf, seed, order, tol, max_iter=NEWTON_MAX_ITER):
     """Newton on F^(order-1); returns (location, residual |F|) or None."""
     center = _nearest_index(cf, complex(seed))
     lam_c = cf.spec.lambda_at(center)
@@ -277,7 +277,7 @@ def _newton(cf, seed, order, tol, max_iter):
     return loc, resid
 
 
-def refine_zero(cf, seed, order_hint, tol, max_iter=80, confirm_radius=None, d=None):
+def refine_zero(cf, seed, order_hint, tol, max_iter=NEWTON_MAX_ITER, confirm_radius=None, d=None):
     """Polish a zero inside a certified region and confirm its order.
 
     For order_hint >= 2 Newton runs on F^(order_hint - 1); the order is
@@ -296,7 +296,11 @@ def refine_zero(cf, seed, order_hint, tol, max_iter=80, confirm_radius=None, d=N
     poles_in = int(np.sum(np.abs(cf.lam1 - loc) < confirm_radius))
     opts = LocalizeOptions()
     zeros, _ = _certified_winding(cf, circle, opts, poles_in)
-    if zeros is not None and zeros != order_hint:
+    if zeros is None:
+        raise errors.CertificationFailed(
+            f"order confirmation winding on radius {confirm_radius:g} could not be certified"
+        )
+    if zeros != order_hint:
         raise errors.OrderMismatch(
             f"winding on radius {confirm_radius:g} found {zeros} zeros, expected {order_hint}"
         )
@@ -352,8 +356,7 @@ def _try_multiple(cf, rect, m, opts, d):
     point can resolve (an order-m zero split by round-off scatters its roots
     at radius ~ noise^(1/m)).
     """
-    cluster_tol = opts.cluster_tol if opts.cluster_tol is not None else 1e-6 * d
-    got = _newton(cf, rect.center, m, opts.tol, opts.newton_max_iter)
+    got = _newton(cf, rect.center, m, opts.tol)
     if got is None:
         return None
     z0, _ = got
@@ -373,7 +376,7 @@ def _try_multiple(cf, rect, m, opts, d):
         else:
             coeff_j = cf.derivative_values(np.array([z0]), j)[0] / math.factorial(j)
         spread = max(spread, abs(coeff_j / coeff_m) ** (1.0 / (m - j)))
-    threshold = max(cluster_tol, 20.0 * (noise / abs(coeff_m)) ** (1.0 / m))
+    threshold = max(CLUSTER_RTOL * d, 20.0 * (noise / abs(coeff_m)) ** (1.0 / m))
     if spread > threshold:
         return None
     # confirm by winding on a circle covering the box
@@ -425,7 +428,7 @@ def _refine_simple(cf, rect, poles, opts, d):
     margin = 1e-9 * (1.0 + max(rect.width, rect.height))
     grown = Rectangle(rect.re_lo - margin, rect.re_hi + margin, rect.im_lo - margin, rect.im_hi + margin)
     for seed in seeds:
-        got = _newton(cf, seed, 1, opts.tol, opts.newton_max_iter)
+        got = _newton(cf, seed, 1, opts.tol)
         if got is not None and grown.contains(got[0]):
             return (got[0], 1, got[1])
     return None
@@ -435,9 +438,8 @@ def _isolate_rect(cf, rect, n_zeros, poles, opts, d, depth=0):
     """Recursively isolate and refine the n_zeros zeros inside rect."""
     if n_zeros == 0:
         return []
-    if depth > opts.max_depth:
+    if depth > MAX_DEPTH:
         raise errors.CertificationFailed("quadrisection exceeded the depth cap")
-    cluster_tol = opts.cluster_tol if opts.cluster_tol is not None else 1e-6 * d
     diam = max(rect.width, rect.height)
     if n_zeros == 1:
         got = _refine_simple(cf, rect, poles, opts, d)
@@ -449,10 +451,10 @@ def _isolate_rect(cf, rect, n_zeros, poles, opts, d, depth=0):
             got = _try_multiple(cf, rect, n_zeros, opts, d)
             if got is not None:
                 return [got]
-        if diam < cluster_tol:
+        if diam < CLUSTER_RTOL * d:
             # cannot separate further: declare an order-n cluster (documented
             # cluster tolerance; confirmed by the parent winding count)
-            got = _newton(cf, rect.center, n_zeros, opts.tol, opts.newton_max_iter)
+            got = _newton(cf, rect.center, n_zeros, opts.tol)
             z0 = got[0] if got is not None else rect.center
             resid = abs(cf.values(np.array([z0]))[0])
             return [(z0, n_zeros, resid)]
@@ -513,7 +515,7 @@ def _localize_disk(cf, k, opts, d):
         zeros = []
         if zeros_n == 1:
             seed = lam_k + c_k if in_i1 else complex(lam_k)
-            got = _newton(cf, seed, 1, opts.tol, opts.newton_max_iter)
+            got = _newton(cf, seed, 1, opts.tol)
             if got is None or not disk.contains(got[0]):
                 continue
             zeros = [(got[0], 1, got[1])]
@@ -532,7 +534,7 @@ def localize_spectrum(spec, coeffs, opts=None):
     if opts is None:
         opts = LocalizeOptions()
     d = spec.gap
-    eps = opts.eps if opts.eps is not None else d / (2.0 + d)
+    eps = d / (2.0 + d)
     n_trunc = opts.n_trunc
     last_err = None
     while True:
@@ -540,7 +542,7 @@ def localize_spectrum(spec, coeffs, opts=None):
             return _localize_attempt(spec, coeffs, opts, n_trunc, eps, d)
         except errors.CertificationFailed as exc:
             last_err = exc
-            if n_trunc * 2 > opts.trunc_cap:
+            if n_trunc * 2 > TRUNC_CAP:
                 raise errors.CertificationFailed(
                     f"escalation exhausted (n_trunc {n_trunc}): {last_err}"
                 )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rank1spec import cli, model
+from rank1spec import cli, direct, model
 from rank1spec.model import TargetSpectrum
 
 from conftest import finite_coeffs
@@ -46,6 +46,16 @@ def test_direct_output_is_deterministic(files):
              "--trunc", 30, "--trunc-window", 8, "--out", out]
         )
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_uncertified_direct_exits_two(files, monkeypatch, capsys):
+    monkeypatch.setattr(direct, "_certified_winding", lambda cf, region, opts, poles_inside: (None, None))
+    code = _run(
+        ["direct", "--spec", files["spec"], "--coeffs", files["coeffs"],
+         "--trunc", 30, "--trunc-window", 8]
+    )
+    assert code == 2
+    assert "NotCertified" in capsys.readouterr().err
 
 
 def test_inverse_reports_residue_certificate(files, capsys):

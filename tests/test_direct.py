@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from rank1spec import errors, oracle
+from rank1spec import direct, errors, oracle
 from rank1spec.charfn import CharacteristicFunction
 from rank1spec.direct import (
     Disk,
     LocalizeOptions,
     Rectangle,
+    assemble_spectrum,
     localize_spectrum,
     refine_zero,
     solve_direct,
@@ -84,6 +85,16 @@ def test_refine_rejects_wrong_order(double_cf):
         refine_zero(double_cf, 0.47, 3, tol=1e-12, confirm_radius=0.2, d=1.0)
 
 
+def _uncertified_winding(cf, region, opts, poles_inside):
+    return None, None
+
+
+def test_refine_rejects_uncertified_order_check(two_point_cf, monkeypatch):
+    monkeypatch.setattr(direct, "_certified_winding", _uncertified_winding)
+    with pytest.raises(errors.CertificationFailed, match="radius 0.2"):
+        refine_zero(two_point_cf, 0.2, 1, tol=1e-12, confirm_radius=0.2, d=1.0)
+
+
 # ---------------------------------------------------------------------------
 # full localization and assembly
 
@@ -148,6 +159,20 @@ def test_localization_reports_enclosure_structure(zspec):
     assert sum(len(r.zeros) for r in central) + sum(
         len(r.zeros) for r in disk_reports
     ) == 2
+
+
+def test_localize_raises_when_winding_uncertified(zspec, monkeypatch):
+    monkeypatch.setattr(direct, "_certified_winding", _uncertified_winding)
+    with pytest.raises(errors.CertificationFailed):
+        localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075}), OPTS)
+
+
+def test_assemble_rejects_a_missing_zero(zspec):
+    coeffs = finite_coeffs({0: 0.275, 1: 0.075})
+    loc = localize_spectrum(zspec, coeffs, OPTS)
+    next(r for r in loc.reports if r.zeros).zeros.pop()
+    with pytest.raises(errors.CountMismatch):
+        assemble_spectrum(zspec, coeffs, loc)
 
 
 def test_assemble_marks_common_point_zero_as_both(zspec):
