@@ -107,13 +107,24 @@ class CharacteristicFunction:
 
     # -- evaluation --------------------------------------------------------
 
+    def value_pair(self, z, order=0, shift=0.0):
+        """(F^(order), F^(order+1)) at the points shift + z from one kernel pass.
+
+        Denominators are formed as (lambda_n - shift) - z, which keeps full
+        precision when |z| is many orders below |shift|.
+        """
+        lam = self.lam1 - shift if shift else self.lam1
+        s, s1 = _kernels.pole_sum(self.c1, lam, z, order + 1)
+        f = 1.0 + s if order == 0 else math.factorial(order) * s
+        return f, math.factorial(order + 1) * s1
+
     def values(self, z):
         """F at an array of points (no pole checking, no bounds)."""
-        return 1.0 + _kernels.pole_sum(self.c1, self.lam1, z)
+        return 1.0 + _kernels.pole_sum(self.c1, self.lam1, z)[0]
 
     def derivative_values(self, z, order=1):
         """F^(order) at an array of points."""
-        return math.factorial(order) * _kernels.pole_sum(self.c1, self.lam1, z, order + 1)
+        return math.factorial(order) * _kernels.pole_sum(self.c1, self.lam1, z, order)[1]
 
     def eval_F(self, z):
         """(F(z), tail error bound) at a single point."""
@@ -131,14 +142,8 @@ class CharacteristicFunction:
         return complex(val), bound
 
     def shifted_values(self, center_index, w, order=0):
-        """F^(order) evaluated at lambda_center + w in shifted coordinates.
-
-        Denominators are formed as (lambda_n - lambda_center) - w, which keeps
-        full precision when |w| is many orders below |lambda_center|.
-        """
-        lam_c = self.spec.lambda_at(int(center_index))
-        s = _kernels.pole_sum(self.c1, self.lam1 - lam_c, w, order + 1)
-        return 1.0 + s if order == 0 else math.factorial(order) * s
+        """F^(order) evaluated at lambda_center + w in shifted coordinates."""
+        return self.value_pair(w, order, self.spec.lambda_at(int(center_index)))[0]
 
     def eval_Gk(self, k, z):
         """Single-term approximant G_k(z) = c_k/(lambda_k - z) + 1."""

@@ -8,6 +8,7 @@ follows the enclosure sigma(B) subset Q_{K'} union (disks of radius d/2).
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -103,12 +104,18 @@ class LocalizationResult:
 # contour integration
 
 
+@functools.lru_cache(maxsize=32)
+def _unit_roots(q):
+    e = np.exp(1j * (2.0 * np.pi * np.arange(q) / q))
+    e.flags.writeable = False
+    return e
+
+
 def _circle_nodes(center, radius, q):
-    theta = 2.0 * np.pi * np.arange(q) / q
-    e = np.exp(1j * theta)
+    e = _unit_roots(q)
     z = center + radius * e
     # dz weight for the trapezoidal rule: i r e^{i theta} * (2 pi / q)
-    w = 1j * radius * e * (2.0 * np.pi / q)
+    w = (1j * radius * (2.0 * np.pi / q)) * e
     return z, w
 
 
@@ -165,35 +172,48 @@ class WindingResult:
     count: int
     certified: bool
     integral: complex
+    integral_lo: complex  # the same integral at q/2 nodes (convergence check)
     min_abs_F: float
     max_err_bound: float
 
 
-def _winding_once(cf, region, q):
-    z, w = _contour_nodes(region, q)
-    F = cf.values(z)
-    Fp = cf.derivative_values(z, 1)
-    # F may vanish on a node; the caller treats the resulting non-finite
-    # integral as an uncertified count and retries on a perturbed contour
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integral = complex(np.sum(w * Fp / F) / (2j * np.pi))
-    bounds = cf.tail_bound_at(z)
-    return integral, float(np.min(np.abs(F))), float(np.max(bounds))
+def _argument_terms(cf, z, w):
+    """Terms w F'/F of the argument-principle sum, and F, at the nodes."""
+    F, Fp = cf.value_pair(z)
+    return w * Fp / F, F
 
 
 def winding_number(cf, region, quadrature_points):
-    """Argument-principle count of zeros minus poles inside the region."""
+    """Argument-principle count of zeros minus poles inside the region.
+
+    F, F' and the tail bound are evaluated once on q nodes (q rounded up to
+    an even number).  The q/2 convergence check reuses every second node on
+    a circle, where the trapezoid rule's q/2 nodes are exactly those; the
+    rectangle's Gauss-Legendre panels are not nested and take a second pass.
+    """
     scale = 1.0 + abs(region.center)
     if _pole_distance_to_contour(region, cf.lam1) < CONTOUR_POLE_TOL * scale:
         raise errors.ContourThroughSingularity(
             f"a represented pole lies within {CONTOUR_POLE_TOL:g} of the contour"
         )
     q = max(16, int(quadrature_points))
-    integral, min_f, max_err = _winding_once(cf, region, q)
-    integral_lo, _, _ = _winding_once(cf, region, max(8, q // 2))
+    q += q % 2
+    z, w = _contour_nodes(region, q)
+    # F may vanish on a node; the caller treats the resulting non-finite
+    # integral as an uncertified count and retries on a perturbed contour
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g, F = _argument_terms(cf, z, w)
+        integral = complex(g.sum() / (2j * np.pi))
+        if isinstance(region, Disk):
+            integral_lo = complex(2.0 * g[::2].sum() / (2j * np.pi))
+        else:
+            g_lo, _ = _argument_terms(cf, *_rect_nodes(region, q // 2))
+            integral_lo = complex(g_lo.sum() / (2j * np.pi))
+    min_f = float(np.abs(F).min())
+    max_err = float(cf.tail_bound_at(z).max())
     if not (np.isfinite(integral.real) and np.isfinite(integral_lo.real)):
         # a zero of F sits on (or numerically on) the contour
-        return WindingResult(0, False, integral, min_f, max_err)
+        return WindingResult(0, False, integral, integral_lo, min_f, max_err)
     count = int(round(integral.real))
     gap = abs(integral - count)
     converged = abs(integral - integral_lo) < 0.1
@@ -204,7 +224,7 @@ def winding_number(cf, region, quadrature_points):
         and min_f > 2.0 * max_err
         and min_f > 10.0 * noise
     )
-    return WindingResult(count, certified, integral, min_f, max_err)
+    return WindingResult(count, certified, integral, integral_lo, min_f, max_err)
 
 
 def _certified_winding(cf, region, opts, poles_inside):
@@ -249,14 +269,13 @@ def _nearest_index(cf, z):
 
 def _newton(cf, seed, order, tol, max_iter=NEWTON_MAX_ITER):
     """Newton on F^(order-1); returns (location, residual |F|) or None."""
-    center = _nearest_index(cf, complex(seed))
-    lam_c = cf.spec.lambda_at(center)
+    lam_c = cf.spec.lambda_at(_nearest_index(cf, complex(seed)))
     w = complex(seed) - lam_c
     deriv = order - 1
     step = math.inf
     for _ in range(max_iter):
-        g = cf.shifted_values(center, np.array([w]), deriv)[0]
-        gp = cf.shifted_values(center, np.array([w]), deriv + 1)[0]
+        g, gp = cf.value_pair(np.array([w]), deriv, lam_c)
+        g, gp = g[0], gp[0]
         if gp == 0:
             w += 1e-9 * (1.0 + abs(w))
             continue
@@ -271,18 +290,23 @@ def _newton(cf, seed, order, tol, max_iter=NEWTON_MAX_ITER):
         if abs(step) > 1e-12 * (1.0 + abs(lam_c)):
             return None
     loc = lam_c + w
-    resid = abs(cf.shifted_values(center, np.array([w]), 0)[0])
+    resid = abs(cf.value_pair(np.array([w]), 0, lam_c)[0][0])
     if deriv == 0 and resid > tol * (1.0 + float(np.sum(np.abs(cf.c1)))):
         return None
     return loc, resid
 
 
-def refine_zero(cf, seed, order_hint, tol, max_iter=NEWTON_MAX_ITER, confirm_radius=None, d=None):
+def refine_zero(
+    cf, seed, order_hint, tol, max_iter=NEWTON_MAX_ITER, confirm_radius=None, d=None, opts=None
+):
     """Polish a zero inside a certified region and confirm its order.
 
     For order_hint >= 2 Newton runs on F^(order_hint - 1); the order is
-    confirmed by the winding count on a small circle around the result.
+    confirmed by the winding count on a small circle around the result,
+    with the quadrature of ``opts`` (default ``LocalizeOptions()``).
     """
+    if opts is None:
+        opts = LocalizeOptions()
     if d is None:
         d = cf.spec.gap
     got = _newton(cf, seed, order_hint, tol, max_iter)
@@ -294,7 +318,6 @@ def refine_zero(cf, seed, order_hint, tol, max_iter=NEWTON_MAX_ITER, confirm_rad
         confirm_radius = min(confirm_radius, 0.25 * d)
     circle = Disk(loc, confirm_radius)
     poles_in = int(np.sum(np.abs(cf.lam1 - loc) < confirm_radius))
-    opts = LocalizeOptions()
     zeros, _ = _certified_winding(cf, circle, opts, poles_in)
     if zeros is None:
         raise errors.CertificationFailed(
@@ -490,22 +513,17 @@ def _isolate_rect(cf, rect, n_zeros, poles, opts, d, depth=0):
 
 
 def _central_rectangle(spec, k_prime, d):
-    if spec.index_kind == INDEX_Z:
-        lo = spec.lambda_at(-k_prime) - 0.5 * d
-    else:
-        lo = -spec.lambda_at(max(k_prime, spec.start)) - 0.5 * d
+    first = -k_prime if spec.index_kind == INDEX_Z else spec.start
+    lo = spec.lambda_at(first) - 0.5 * d
     hi = spec.lambda_at(k_prime) + 0.5 * d
-    # the prescription mirrors the real range into the imaginary direction;
-    # widen it when that range misses the real axis where the poles live
-    im_lo = min(lo, -0.5 * d)
-    im_hi = max(hi, 0.5 * d)
-    return Rectangle(lo, hi, im_lo, im_hi)
+    # the imaginary half-height mirrors the larger end of the real range,
+    # and is at least d/2 so that the contour keeps clear of the real axis
+    h = max(abs(lo), abs(hi), 0.5 * d)
+    return Rectangle(lo, hi, -h, h)
 
 
-def _localize_disk(cf, k, opts, d):
-    """One disk R_k; returns a ZeroReport or None when uncertified."""
-    lam_k = cf.spec.lambda_at(int(k))
-    c_k = cf.coeffs.c_at(int(k))
+def _localize_disk(cf, k, lam_k, c_k, opts, d):
+    """One disk R_k around lam_k, with coefficient c_k; a ZeroReport or None when uncertified."""
     in_i1 = c_k != 0
     for radius in (0.5 * d, 0.5 * d - d / 100.0, 0.5 * d - d / 50.0):
         disk = Disk(complex(lam_k), radius)
@@ -555,28 +573,34 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
     cf = CharacteristicFunction.build(spec, coeffs, max(n_trunc, window + 8))
     reports = []
 
-    # outer disks: exactly one zero per I1 index, none for I0
+    # lambda_n and c_n over the window, looked up once
     idx_all = spec.window_indices(window)
-    outer = idx_all[np.abs(idx_all) > k_prime]
-    for k in outer:
-        rep = _localize_disk(cf, int(k), opts, d)
+    terms = list(zip(
+        idx_all.tolist(),
+        np.atleast_1d(spec.lambda_at(idx_all)).tolist(),
+        np.atleast_1d(coeffs.c_at(idx_all)).tolist(),
+    ))
+    central = [t for t in terms if abs(t[0]) <= k_prime]
+
+    # outer disks: exactly one zero per I1 index, none for I0
+    for k, lam_k, c_k in terms:
+        if abs(k) <= k_prime:
+            continue
+        rep = _localize_disk(cf, k, lam_k, c_k, opts, d)
         if rep is None:
-            raise errors.CertificationFailed(f"disk around index {int(k)} failed to certify")
-        expected = 1 if cf.coeffs.c_at(int(k)) != 0 else 0
+            raise errors.CertificationFailed(f"disk around index {k} failed to certify")
+        expected = 1 if c_k != 0 else 0
         nz = sum(o for _, o, _ in rep.zeros)
         if nz != expected:
             raise errors.CertificationFailed(
-                f"disk around index {int(k)} holds {nz} zeros, expected {expected}"
+                f"disk around index {k} holds {nz} zeros, expected {expected}"
             )
         reports.append(rep)
 
     # central rectangle Q_{K'}
-    central = idx_all[np.abs(idx_all) <= k_prime]
-    c_central = np.atleast_1d(coeffs.c_at(central))
-    i1_central = central[c_central != 0]
-    poles_central = [complex(spec.lambda_at(int(n))) for n in i1_central]
+    poles_central = [complex(lam_n) for _, lam_n, c_n in central if c_n != 0]
     rect = _central_rectangle(spec, k_prime, d)
-    n_expected = len(i1_central)
+    n_expected = len(poles_central)
     total, _ = _certified_winding(cf, rect, opts, len(poles_central))
     if total is None:
         raise errors.CertificationFailed("central rectangle winding failed to certify")
@@ -600,13 +624,14 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
     )
 
 
-def _central_fast_path(cf, central_indices, n_expected, opts, d):
-    """Try per-index disks first; fall back to quadrisection on mismatch."""
+def _central_fast_path(cf, central, n_expected, opts, d):
+    """Try per-index disks over the (n, lambda_n, c_n) triples first; fall
+    back to quadrisection on mismatch."""
     zeros = []
     found = 0
-    for n in central_indices:
+    for n, lam_n, c_n in central:
         try:
-            rep = _localize_disk(cf, int(n), opts, d)
+            rep = _localize_disk(cf, n, lam_n, c_n, opts, d)
         except errors.CertificationFailed:
             return None
         if rep is None:
@@ -631,8 +656,9 @@ def assemble_spectrum(spec, coeffs, loc, match_tol=None):
         match_tol = 1e-7 * d
     idx_all = spec.window_indices(loc.window)
     c_all = np.atleast_1d(coeffs.c_at(idx_all))
-    i0 = [int(n) for n in idx_all[c_all == 0]]
-    i1 = [int(n) for n in idx_all[c_all != 0]]
+    lam_all = np.atleast_1d(spec.lambda_at(idx_all))
+    in_i0 = c_all == 0
+    i1 = [int(n) for n in idx_all[~in_i0]]
     zeros = list(loc.all_zeros())
 
     entries = []
@@ -640,8 +666,8 @@ def assemble_spectrum(spec, coeffs, loc, match_tol=None):
     # common eigenvalues; a zero of F sitting on one raises its multiplicity
     consumed = [False] * len(zeros)
     both = []
-    for n in i0:
-        lam_n = complex(spec.lambda_at(n))
+    for n, lam_n in zip(idx_all[in_i0].tolist(), lam_all[in_i0].tolist()):
+        lam_n = complex(lam_n)
         hit = None
         for j, (z, order, resid) in enumerate(zeros):
             if not consumed[j] and abs(z - lam_n) < match_tol * max(1.0, abs(lam_n)):

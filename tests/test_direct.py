@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rank1spec import direct, errors, oracle
-from rank1spec.charfn import CharacteristicFunction
+from rank1spec.charfn import CharacteristicFunction, compute_Keps
 from rank1spec.direct import (
     Disk,
     LocalizeOptions,
@@ -13,7 +13,14 @@ from rank1spec.direct import (
     solve_direct,
     winding_number,
 )
-from rank1spec.model import ORIGIN_BOTH, ORIGIN_COMMON, ORIGIN_ZERO
+from rank1spec.model import (
+    ORIGIN_BOTH,
+    ORIGIN_COMMON,
+    ORIGIN_ZERO,
+    AffineTail,
+    BaseSpectrum,
+    validate_base,
+)
 
 from conftest import finite_coeffs, random_finite_instance
 
@@ -62,6 +69,32 @@ def test_contour_through_pole_rejected(two_point_cf):
         winding_number(two_point_cf, Disk(0.5, 0.5), 128)
 
 
+def test_disk_half_rule_equals_independent_trapezoid(two_point_cf):
+    # the q/2 check reuses every second node; compare with a fresh q/2 rule
+    disk, q = Disk(0.3 + 0.05j, 0.2), 256
+    res = winding_number(two_point_cf, disk, q)
+    h = q // 2
+    e = np.exp(2j * np.pi * np.arange(h) / h)
+    z = disk.center + disk.radius * e
+    dz = 1j * disk.radius * e * (2 * np.pi / h)
+    F = two_point_cf.values(z)
+    Fp = two_point_cf.derivative_values(z)
+    ref = np.sum(dz * Fp / F) / (2j * np.pi)
+    assert abs(res.integral_lo - ref) < 1e-12
+    assert res.certified and res.count == 1
+
+
+def test_odd_quadrature_rounds_up_to_even(two_point_cf, double_cf):
+    for cf, region in (
+        (two_point_cf, Disk(0.3, 0.2)),
+        (two_point_cf, Rectangle(0.1, 0.45, -0.3, 0.3)),
+        (double_cf, Rectangle(0.2, 0.8, -0.25, 0.25)),
+    ):
+        odd, even = winding_number(cf, region, 257), winding_number(cf, region, 258)
+        assert (odd.count, odd.certified) == (even.count, even.certified)
+        assert odd.integral == even.integral and odd.certified
+
+
 # ---------------------------------------------------------------------------
 # refinement
 
@@ -93,6 +126,19 @@ def test_refine_rejects_uncertified_order_check(two_point_cf, monkeypatch):
     monkeypatch.setattr(direct, "_certified_winding", _uncertified_winding)
     with pytest.raises(errors.CertificationFailed, match="radius 0.2"):
         refine_zero(two_point_cf, 0.2, 1, tol=1e-12, confirm_radius=0.2, d=1.0)
+
+
+def test_refine_confirms_with_the_callers_options(two_point_cf, monkeypatch):
+    seen = []
+
+    def recording_winding(cf, region, opts, poles_inside):
+        seen.append(opts)
+        return 1, None
+
+    monkeypatch.setattr(direct, "_certified_winding", recording_winding)
+    opts = LocalizeOptions(quad=64)
+    refine_zero(two_point_cf, 0.2, 1, tol=1e-12, confirm_radius=0.2, d=1.0, opts=opts)
+    assert len(seen) == 1 and seen[0] is opts
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +186,24 @@ def test_matches_dense_oracle_on_random_instance(zspec):
     ps, loc = solve_direct(zspec, coeffs, OPTS)
     op = oracle.build_truncation(zspec, coeffs, loc.window)
     ref = oracle.dense_eigenvalues(op)
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-8 * (1 + np.max(np.abs(ref))))
+    assert ok, f"worst deviation {worst:.3e}"
+
+
+def test_central_rectangle_for_n_indexed_spectrum_below_zero():
+    # lambda_n = n - 100 over N: every central pole lies left of zero
+    spec = validate_base(
+        BaseSpectrum(index_kind="N", head_offset=0, head=(), tail=AffineTail(1.0, -100.0), gap=1.0)
+    )
+    coeffs = finite_coeffs({1: 0.2, 2: 0.1j, 3: -0.15})
+    k_prime = compute_Keps(spec, coeffs, 1.0 / 3.0)[1]  # eps = d / (2 + d)
+    rect = direct._central_rectangle(spec, k_prime, spec.gap)
+    assert rect.re_lo < rect.re_hi
+    for n in spec.window_indices(k_prime):
+        assert rect.contains(complex(spec.lambda_at(n)))
+    ps, loc = solve_direct(spec, coeffs, OPTS)
+    assert ps.certified
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(spec, coeffs, loc.window))
     ok, worst = oracle.compare_spectra(ps, ref, 1e-8 * (1 + np.max(np.abs(ref))))
     assert ok, f"worst deviation {worst:.3e}"
 
