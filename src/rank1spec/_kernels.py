@@ -13,7 +13,8 @@ _CHUNK = 4_000_000
 
 
 def _pair(c, lam, z, p):
-    # terms x points: each sum adds whole rows, term by term in input order
+    # terms x points: each sum adds whole rows, term by term in input order,
+    # so the smallest terms (largest |index|, first in the input) go first
     diff = lam[:, np.newaxis] - z
     t = c[:, np.newaxis] / diff
     for _ in range(p - 1):  # repeated quotients: a complex power costs more
@@ -35,8 +36,6 @@ def pole_sum(c, lam, z, p=1):
     if len(c) == 0:
         return np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128)
     step = max(1, _CHUNK // len(c))
-    if n <= step:
-        return _pair(c, lam, z, p)
     lo = np.empty(n, dtype=np.complex128)
     hi = np.empty(n, dtype=np.complex128)
     for i in range(0, n, step):

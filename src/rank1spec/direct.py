@@ -296,17 +296,12 @@ def _newton(cf, seed, order, tol, max_iter=NEWTON_MAX_ITER):
     return loc, resid
 
 
-def refine_zero(
-    cf, seed, order_hint, tol, max_iter=NEWTON_MAX_ITER, confirm_radius=None, d=None, opts=None
-):
+def refine_zero(cf, seed, order_hint, tol, max_iter=NEWTON_MAX_ITER, confirm_radius=None, d=None):
     """Polish a zero inside a certified region and confirm its order.
 
     For order_hint >= 2 Newton runs on F^(order_hint - 1); the order is
-    confirmed by the winding count on a small circle around the result,
-    with the quadrature of ``opts`` (default ``LocalizeOptions()``).
+    confirmed by the winding count on a small circle around the result.
     """
-    if opts is None:
-        opts = LocalizeOptions()
     if d is None:
         d = cf.spec.gap
     got = _newton(cf, seed, order_hint, tol, max_iter)
@@ -318,6 +313,7 @@ def refine_zero(
         confirm_radius = min(confirm_radius, 0.25 * d)
     circle = Disk(loc, confirm_radius)
     poles_in = int(np.sum(np.abs(cf.lam1 - loc) < confirm_radius))
+    opts = LocalizeOptions()
     zeros, _ = _certified_winding(cf, circle, opts, poles_in)
     if zeros is None:
         raise errors.CertificationFailed(
@@ -513,9 +509,15 @@ def _isolate_rect(cf, rect, n_zeros, poles, opts, d, depth=0):
 
 
 def _central_rectangle(spec, k_prime, d):
-    first = -k_prime if spec.index_kind == INDEX_Z else spec.start
-    lo = spec.lambda_at(first) - 0.5 * d
     hi = spec.lambda_at(k_prime) + 0.5 * d
+    if spec.index_kind == INDEX_Z:
+        lo = spec.lambda_at(-k_prime) - 0.5 * d
+    else:
+        # no outer disks lie left of lambda_start: reach as far left of it as
+        # lambda_{K'} lies right, so every point outside is (K' - K_eps) d or
+        # more from the head poles, as the enclosure needs
+        lam_s = spec.lambda_at(spec.start)
+        lo = min(lam_s, 2.0 * lam_s - spec.lambda_at(k_prime)) - 0.5 * d
     # the imaginary half-height mirrors the larger end of the real range,
     # and is at least d/2 so that the contour keeps clear of the real axis
     h = max(abs(lo), abs(hi), 0.5 * d)

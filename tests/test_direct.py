@@ -128,19 +128,6 @@ def test_refine_rejects_uncertified_order_check(two_point_cf, monkeypatch):
         refine_zero(two_point_cf, 0.2, 1, tol=1e-12, confirm_radius=0.2, d=1.0)
 
 
-def test_refine_confirms_with_the_callers_options(two_point_cf, monkeypatch):
-    seen = []
-
-    def recording_winding(cf, region, opts, poles_inside):
-        seen.append(opts)
-        return 1, None
-
-    monkeypatch.setattr(direct, "_certified_winding", recording_winding)
-    opts = LocalizeOptions(quad=64)
-    refine_zero(two_point_cf, 0.2, 1, tol=1e-12, confirm_radius=0.2, d=1.0, opts=opts)
-    assert len(seen) == 1 and seen[0] is opts
-
-
 # ---------------------------------------------------------------------------
 # full localization and assembly
 
@@ -204,6 +191,23 @@ def test_central_rectangle_for_n_indexed_spectrum_below_zero():
     ps, loc = solve_direct(spec, coeffs, OPTS)
     assert ps.certified
     ref = oracle.dense_eigenvalues(oracle.build_truncation(spec, coeffs, loc.window))
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-8 * (1 + np.max(np.abs(ref))))
+    assert ok, f"worst deviation {worst:.3e}"
+
+
+def test_central_rectangle_holds_a_far_zero_left_of_an_n_indexed_head():
+    # lambda_n = n over N and c_1 = -5: F = 1 - 5/(1 - z) vanishes at z = -4,
+    # left of every pole, so the rectangle must reach past lambda_start
+    spec = validate_base(
+        BaseSpectrum(index_kind="N", head_offset=0, head=(), tail=AffineTail(1.0, 0.0), gap=1.0)
+    )
+    coeffs = finite_coeffs({1: -5.0})
+    k_prime = compute_Keps(spec, coeffs, 1.0 / 3.0)[1]  # eps = d / (2 + d)
+    assert direct._central_rectangle(spec, k_prime, spec.gap).contains(-4.0 + 0j)
+    ps, loc = solve_direct(spec, coeffs, OPTS)
+    assert ps.certified
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(spec, coeffs, loc.window))
+    assert np.min(np.abs(ref + 4.0)) < 1e-10
     ok, worst = oracle.compare_spectra(ps, ref, 1e-8 * (1 + np.max(np.abs(ref))))
     assert ok, f"worst deviation {worst:.3e}"
 
