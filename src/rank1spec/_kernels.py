@@ -1,27 +1,33 @@
 """Hot numeric kernel: sums of pole terms over many evaluation points.
 
 One chunked numpy broadcast.  Input arrays are expected pre-ordered from the
-largest |index| inward so that the smallest terms accumulate first.
+largest |index| inward so that the smallest terms accumulate first; every
+point's sums run term by term in that order, however many points share a
+call.
 """
 
 import numpy as np
 
 BACKEND = "numpy"
 
-# chunk size, in (terms x points) products
-_CHUNK = 4_000_000
+# chunk size, in (terms x points) products: 1 MB complex temporaries
+_CHUNK = 2**16
 
 
 def _pair(c, lam, z, p):
-    # terms x points: each sum adds whole rows, term by term in input order,
-    # so the smallest terms (largest |index|, first in the input) go first
+    # terms x points: numpy reduces a wider array row by row, term by term in
+    # input order, but a single column pairwise; a lone point is therefore
+    # doubled so that its sums take the same order as any other point's
+    n = len(z)
+    if n == 1:
+        z = np.repeat(z, 2)
     diff = lam[:, np.newaxis] - z
     t = c[:, np.newaxis] / diff
     for _ in range(p - 1):  # repeated quotients: a complex power costs more
         t /= diff
     s = t.sum(axis=0)
     t /= diff
-    return s, t.sum(axis=0)
+    return s[:n], t.sum(axis=0)[:n]
 
 
 def pole_sum(c, lam, z, p=1):
@@ -35,7 +41,7 @@ def pole_sum(c, lam, z, p=1):
     n = len(z)
     if len(c) == 0:
         return np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128)
-    step = max(1, _CHUNK // len(c))
+    step = max(2, _CHUNK // len(c))  # two points or more, so a lone point is rare
     lo = np.empty(n, dtype=np.complex128)
     hi = np.empty(n, dtype=np.complex128)
     for i in range(0, n, step):

@@ -177,13 +177,19 @@ def compute_Keps(spec, coeffs, eps):
     if not (0 < eps < d / 2):
         raise errors.EpsOutOfRange(f"eps must satisfy 0 < eps < d/2 = {d / 2:.6g}")
     h = coeffs.head_radius()
-    k_eps = None
-    for n in range(0, h + 2):
-        if coeffs.c_tail_sum(n, spec.index_kind) < eps:
-            k_eps = n
-            break
+    # c_tail_sum(n) for n = 0..h from one c_at pass over the head: the sum
+    # of |c_k| over n < |k| <= h, formed from the outside in, plus the
+    # generator tail beyond h
+    k = np.arange(1, h + 1)
+    if spec.index_kind == INDEX_Z:
+        absc = np.abs(np.atleast_1d(coeffs.c_at(np.concatenate([-k, k])))).reshape(2, h).sum(axis=0)
+    else:
+        absc = np.abs(np.atleast_1d(coeffs.c_at(k)))
+    head = np.append(np.cumsum(absc[::-1])[::-1], 0.0)
+    below = np.flatnonzero(head + coeffs.c_tail_sum(h, spec.index_kind) < eps)
+    k_eps = int(below[0]) if len(below) else None
     if k_eps is None:
-        # head exhausted; only the generator tail remains
+        # head exhausted; only the generator tail remains (from radius h + 1)
         tail = coeffs.c_tail
         gamma = tail.beta
         sides = 2.0 if spec.index_kind == INDEX_Z else 1.0

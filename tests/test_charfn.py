@@ -3,7 +3,13 @@ import pytest
 
 from rank1spec import errors
 from rank1spec.charfn import CharacteristicFunction, compute_Keps
-from rank1spec.model import PerturbationCoefficients, PowerTail
+from rank1spec.model import (
+    AffineTail,
+    BaseSpectrum,
+    PerturbationCoefficients,
+    PowerTail,
+    validate_base,
+)
 
 from conftest import finite_coeffs
 
@@ -133,3 +139,54 @@ def test_zero_tail_instance_has_zero_bound(zspec, two_point):
 def test_large_z_limit_is_one(two_point):
     f, _ = two_point.eval_F(1e9 + 1e9j)
     assert abs(f - 1.0) < 1e-8
+
+
+def _keps_by_radius_loop(spec, coeffs, eps):
+    # the radius-by-radius search: one c_tail_sum (and c_at pass) per radius
+    h = coeffs.head_radius()
+    k_eps = next((n for n in range(h + 2) if coeffs.c_tail_sum(n, spec.index_kind) < eps), None)
+    if k_eps is None:
+        k_eps = h + 2
+        while coeffs.c_tail_sum(k_eps, spec.index_kind) >= eps:
+            k_eps += 1
+    head_sum = float(np.sum(np.abs(np.atleast_1d(coeffs.c_at(spec.window_indices(k_eps))))))
+    if head_sum == 0.0:
+        return k_eps, k_eps + 1
+    k_prime = k_eps + 1
+    while head_sum / ((k_prime - k_eps) * spec.gap) >= eps:
+        k_prime += 1
+    return k_eps, k_prime
+
+
+def test_compute_Keps_in_one_pass_matches_the_radius_loop(zspec):
+    nspec = validate_base(
+        BaseSpectrum(index_kind="N", head_offset=0, head=(), tail=AffineTail(1.0, 0.0), gap=1.0)
+    )
+    late = validate_base(  # N-indexed, first index 5
+        BaseSpectrum(index_kind="N", head_offset=5, head=(5.0, 6.0, 7.0), tail=AffineTail(1.0, 0.0), gap=1.0)
+    )
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        lo = int(rng.integers(-12, 0))
+        hi = int(rng.integers(5, 14))
+        c = rng.uniform(0.0, 0.6, hi - lo + 1) * np.exp(2j * np.pi * rng.uniform(size=hi - lo + 1))
+        c[rng.uniform(size=c.size) < 0.3] = 0.0
+        tail = PowerTail(beta=0.8 + rng.uniform(), scale=float(rng.uniform(0.1, 1.0)), phase=0.3)
+        for spec in (zspec, nspec, late):
+            off = lo if spec is zspec else spec.start
+            n = hi - off + 1
+            for t in (None, tail):
+                coeffs = PerturbationCoefficients(
+                    a_head_offset=off,
+                    a_head=(1.0,) * n,
+                    a_tail=t,
+                    b_head_offset=off,
+                    b_head=tuple(complex(v) for v in c[-n:]),
+                    b_tail=t,
+                )
+                # the last eps falls between the tail sums at radii h and h + 1
+                h = coeffs.head_radius()
+                edge = 0.5 * sum(coeffs.c_tail_sum(r, spec.index_kind) for r in (h, h + 1))
+                for eps in (0.3, 0.1, 0.02, edge):
+                    if 0.0 < eps < 0.5:
+                        assert compute_Keps(spec, coeffs, eps) == _keps_by_radius_loop(spec, coeffs, eps)

@@ -274,3 +274,126 @@ def test_tail_bound_positive_for_infinite_instance(zspec):
     assert ps.certified
     assert ps.tail_bound > 0.0
     assert np.isfinite(ps.offset_sum)
+
+
+def test_central_rectangle_for_an_empty_central_set():
+    # N-indexed, first index 5 beyond K' = 1: every pole has its own disk
+    spec = validate_base(
+        BaseSpectrum(index_kind="N", head_offset=5, head=(5.0, 6.0, 7.0), tail=AffineTail(1.0, 0.0), gap=1.0)
+    )
+    coeffs = finite_coeffs({5: 0.01, 6: 0.015j, 7: -0.02})
+    k_prime = compute_Keps(spec, coeffs, 1.0 / 3.0)[1]  # eps = d / (2 + d)
+    assert k_prime < spec.start
+    rect = direct._central_rectangle(spec, k_prime, spec.gap)
+    assert rect.re_lo < rect.re_hi and rect.im_lo < rect.im_hi
+    for n in spec.window_indices(12):
+        assert not rect.contains(complex(spec.lambda_at(n)))
+    ps, loc = solve_direct(spec, coeffs, OPTS)
+    assert ps.certified
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(spec, coeffs, loc.window))
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-8 * (1 + np.max(np.abs(ref))))
+    assert ok, f"worst deviation {worst:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# disks counted in blocks
+
+
+def _tail_cf(zspec):
+    from rank1spec.model import PerturbationCoefficients, PowerTail
+
+    tail = PowerTail(beta=1.5, scale=0.5, phase=0.2)
+    coeffs = PerturbationCoefficients(
+        a_head_offset=-2, a_head=(1.0,) * 5, a_tail=tail,
+        b_head_offset=-2, b_head=(0.1, 0.2j, 0.3, 0.0, -0.25), b_tail=tail,
+    )
+    return CharacteristicFunction.build(zspec, coeffs, 40)
+
+
+def test_disk_windings_equal_winding_number_field_by_field(zspec):
+    cf = _tail_cf(zspec)
+    assert cf.tail_total > 0.0
+    # 42 disks in several blocks at every q, complex centres, uncertified ones
+    centers = np.concatenate([np.arange(-20, 20) + 0.0, [0.3 + 0.2j, 1.5 - 0.1j]])
+    for radius, q in ((0.5, 256), (0.3, 64), (0.45, 17)):
+        batched = direct._disk_windings(cf, centers, radius, q)
+        assert len(batched) == len(centers)
+        for c, res in zip(centers, batched):
+            assert res == winding_number(cf, Disk(complex(c), radius), q)
+    assert not all(r.certified for r in direct._disk_windings(cf, centers, 0.45, 17))
+
+
+def test_disk_through_a_pole_is_marked_and_falls_back(two_point_cf):
+    # the circle |z - 1/2| = 1/2 passes through the poles 0 and 1
+    through, clear = direct._disk_windings(two_point_cf, [0.5, 0.3], 0.5, 128)
+    assert through is None
+    assert clear == winding_number(two_point_cf, Disk(0.3, 0.5), 128)
+    # a missing first result escalates instead of raising, to the same report
+    opts = LocalizeOptions()
+    first = direct._disk_windings(two_point_cf, [0.0], 0.5, opts.quad)[0]
+    got = direct._localize_disk(two_point_cf, 0, 0.0, 0.275, None, opts, 1.0)
+    assert got == direct._localize_disk(two_point_cf, 0, 0.0, 0.275, first, opts, 1.0)
+    assert got.winding_count == 0 and len(got.zeros) == 1
+
+
+def test_uncertified_batched_disk_escalates_from_twice_the_quadrature(zspec, monkeypatch):
+    # F = 1 - 0.45/z: the zero 0.45 lies 0.05 inside |z| = 1/2, which 16
+    # nodes do not resolve
+    cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.45}), 10)
+    opts = LocalizeOptions(quad=16)
+    first = direct._disk_windings(cf, [0.0], 0.5, opts.quad)[0]
+    assert not first.certified
+    expected, res = direct._certified_winding(cf, Disk(0j, 0.5), opts, 1)
+    quads = []
+
+    def spy(cf, region, q):
+        quads.append(q)
+        return winding_number(cf, region, q)
+
+    monkeypatch.setattr(direct, "winding_number", spy)
+    rep = direct._localize_disk(cf, 0, 0.0, 0.45, first, opts, 1.0)
+    assert quads[0] == 32
+    assert rep.winding_count == res.count and expected == 1
+    assert len(rep.zeros) == 1 and abs(rep.zeros[0][0] - 0.45) < 1e-12
+
+
+def test_wide_window_localization_memory_stays_bounded(zspec):
+    # 401 disks at q = 256 in one call peak at about 8 MB (102 656 nodes,
+    # 16 bytes each, in several node arrays); blocks of DISK_BLOCK_NODES
+    # peak at about 1 MB
+    import tracemalloc
+
+    coeffs = finite_coeffs({-7: 0.2, -3: 0.1j, -1: 0.05, 0: 0.25, 2: -0.1, 4: 0.3j, 9: 0.15, 11: -0.2})
+    tracemalloc.start()
+    try:
+        loc = localize_spectrum(zspec, coeffs, LocalizeOptions(window=200, n_trunc=210))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loc.window == 200
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_rect_nodes_equal_the_panel_loop():
+    def loop(rect, q):
+        corners = [
+            complex(rect.re_lo, rect.im_lo), complex(rect.re_hi, rect.im_lo),
+            complex(rect.re_hi, rect.im_hi), complex(rect.re_lo, rect.im_hi),
+            complex(rect.re_lo, rect.im_lo),
+        ]
+        gl_t, gl_w = np.polynomial.legendre.leggauss(8)
+        panels = max(2, int(np.ceil(q / 32)))
+        zs, ws = [], []
+        for a, b in zip(corners[:-1], corners[1:]):
+            edges = np.linspace(0.0, 1.0, panels + 1)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                zs.append(a + (b - a) * (mid + half * gl_t))
+                ws.append((b - a) * half * gl_w)
+        return np.concatenate(zs), np.concatenate(ws)
+
+    for rect in (Rectangle(0.1, 0.45, -0.3, 0.3), Rectangle(-17.5, 17.5, -17.5, 17.5), Rectangle(4.5, 7.3, -1e-3, 2.1)):
+        for q in (16, 64, 100, 128, 256, 1000, 4096):
+            z, w = direct._rect_nodes(rect, q)
+            z_ref, w_ref = loop(rect, q)
+            assert np.array_equal(z, z_ref) and np.array_equal(w, w_ref)

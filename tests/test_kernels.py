@@ -55,3 +55,27 @@ def test_numpy_chunking_matches_unchunked():
     full = _kernels.pole_sum(c, lam, z, 2)
     for a, b in zip(chunked, full):
         assert np.array_equal(a, b)
+
+
+def test_sums_do_not_depend_on_how_many_points_share_a_call():
+    # every point's sums run term by term, smallest first: batched, one-point
+    # and one-point trailing chunk results agree bit for bit, and with an
+    # explicit row-by-row accumulation of the same quotients
+    for n_terms in (1, 2, 7, 8, 9, 100, 4001):
+        c, lam, z = _random_inputs(n_terms=n_terms, n_points=17, seed=n_terms)
+        batched = _kernels.pole_sum(c, lam, z, 2)
+        for j in range(len(z)):
+            single = _kernels.pole_sum(c, lam, z[j : j + 1], 2)
+            assert all(np.array_equal(b[j : j + 1], s) for b, s in zip(batched, single))
+        t = c[:, None] / (lam[:, None] - z) / (lam[:, None] - z)
+        ref = t[0].copy()
+        for row in t[1:]:
+            ref += row
+        assert np.array_equal(batched[0], ref)
+        old = _kernels._CHUNK
+        try:
+            _kernels._CHUNK = 4 * n_terms  # chunks of 4 points: 17 = 4 * 4 + 1
+            chunked = _kernels.pole_sum(c, lam, z, 2)
+        finally:
+            _kernels._CHUNK = old
+        assert all(np.array_equal(a, b) for a, b in zip(chunked, batched))
