@@ -3,8 +3,8 @@
 F(z) = 1 + sum_{n in I1} c_n / (lambda_n - z) with c_n = conj(a_n) b_n.
 The sum is truncated to a principal-value window |n| <= N_trunc; every
 evaluation returns the value together with a certified bound on the
-discarded tail, T(N)/delta with delta the distance to the nearest
-unrepresented pole.
+discarded tail, T(N)/delta with delta the exact distance to the nearest
+pole outside the summation window, head eigenvalues included.
 """
 
 from dataclasses import dataclass
@@ -18,12 +18,27 @@ from .model import INDEX_Z
 POLE_RTOL = 1e-12  # |z - lambda_n| below this (times scale) counts as a pole hit
 
 
+def first_pole_hit(lam, z):
+    """(point, pole) positions of the first point z_j with |z_j - lambda_k|
+    < POLE_RTOL max(1, |lambda_k|), and of the first such pole; None if none."""
+    lam = lam[:, np.newaxis]
+    hit = np.abs(lam - z) < POLE_RTOL * np.maximum(1.0, np.abs(lam))
+    if not hit.any():
+        return None
+    j = int(np.flatnonzero(hit.any(axis=0))[0])
+    return j, int(np.argmax(hit[:, j]))
+
+
 @dataclass(frozen=True)
 class CharacteristicFunction:
     spec: object
     coeffs: object
     n_trunc: int
-    # derived arrays, ordered from the largest |index| inward
+    # every base eigenvalue of the window |n| <= n_trunc, ascending, and its
+    # I0 mask (c_n == 0)
+    lam: np.ndarray
+    i0: np.ndarray
+    # the I1 terms, ordered from the largest |index| inward
     idx1: np.ndarray
     lam1: np.ndarray
     c1: np.ndarray
@@ -35,66 +50,63 @@ class CharacteristicFunction:
             raise errors.WindowExceeded("n_trunc must be positive")
         idx = spec.window_indices(n_trunc)
         c = np.atleast_1d(coeffs.c_at(idx))
-        mask = c != 0
-        idx1 = idx[mask]
+        lam = np.asarray(spec.lambda_at(idx), dtype=float).reshape(-1)
+        i0 = c == 0
         # largest |n| first: the smallest terms accumulate before the big ones
-        order = np.argsort(-np.abs(idx1), kind="stable")
-        idx1 = idx1[order]
-        lam1 = np.asarray(spec.lambda_at(idx1), dtype=float).reshape(-1)
-        c1 = np.asarray(c[mask][order], dtype=complex)
+        order = np.argsort(-np.abs(idx[~i0]), kind="stable")
         tail = coeffs.c_tail_sum(n_trunc, spec.index_kind)
         return cls(
             spec=spec,
             coeffs=coeffs,
             n_trunc=int(n_trunc),
-            idx1=idx1,
-            lam1=lam1,
-            c1=c1,
+            lam=lam,
+            i0=i0,
+            idx1=idx[~i0][order],
+            lam1=lam[~i0][order],
+            c1=np.asarray(c[~i0][order], dtype=complex),
             tail_total=float(tail),
         )
 
     # -- geometry helpers --------------------------------------------------
 
-    def _pole_scale(self):
-        if len(self.lam1) == 0:
-            return 1.0
-        return max(1.0, float(np.max(np.abs(self.lam1))))
-
     def check_poles(self, z):
-        """Raise PoleHit if any point sits on a represented pole."""
-        if len(self.lam1) == 0:
-            return
+        """Raise PoleHit naming the first point that sits on a represented pole."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        for zz in z:
-            d = np.abs(self.lam1 - zz)
-            j = int(np.argmin(d))
-            if d[j] < POLE_RTOL * max(1.0, abs(self.lam1[j])):
-                raise errors.PoleHit(f"z = {zz} coincides with pole lambda at index {int(self.idx1[j])}")
+        hit = first_pole_hit(self.lam1, z)
+        if hit is not None:
+            j, k = hit
+            raise errors.PoleHit(f"z = {z[j]} coincides with pole lambda at index {int(self.idx1[k])}")
 
     def delta_unrepresented(self, z):
-        """Distance from z to the nearest pole beyond the truncation window."""
+        """Exact distance from each point to the nearest pole outside the window.
+
+        The poles outside are the affine tail beyond n_trunc on each side,
+        less the head's index range, and the head eigenvalues whose index
+        lies beyond n_trunc.  On each run of affine indices the nearest is
+        the floor or the ceiling of the point's affine projection, clipped
+        to the run; on the head the neighbours in ascending order.
+        """
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        spec = self.spec
-        cand = []
-        n = self.n_trunc
-        if spec.index_kind == INDEX_Z:
-            cand.extend([-(n + 2), -(n + 1), n + 1, n + 2])
-        else:
-            cand.extend([n + 1, n + 2])
+        spec, n = self.spec, self.n_trunc
         s, t = spec.tail.slope, spec.tail.intercept
-        proj = np.round((z.real - t) / s).astype(int)
-        dist = np.full(len(z), np.inf)
-        for j, zz in enumerate(z):
-            local = list(cand)
-            p = int(proj[j])
-            if spec.index_kind == INDEX_Z:
-                if abs(p) > n:
-                    local.extend([p - 1, p, p + 1])
-            else:
-                if p > n:
-                    local.extend([max(p - 1, n + 1), p, p + 1])
-            lam = np.asarray(spec.lambda_at(np.array(local)), dtype=float)
-            dist[j] = float(np.min(np.abs(lam - zz)))
+        h0, h1 = spec.head_offset, spec.head_offset + len(spec.head)
+        if spec.index_kind == INDEX_Z:
+            sides = [(-math.inf, -n - 1), (n + 1, math.inf)]
+        else:
+            sides = [(max(n + 1, spec.start), math.inf)]
+        runs = sides if not spec.head else [
+            run for lo, hi in sides for run in ((lo, min(hi, h0 - 1)), (max(lo, h1), hi))
+        ]
+        u = (z.real - t) / s
+        cand = [np.clip(r(u), lo, hi) for lo, hi in runs if lo <= hi for r in (np.floor, np.ceil)]
+        dist = np.abs((s * np.array(cand) + t) - z).min(axis=0)
+        head = np.asarray(spec.head, dtype=float)
+        k = np.arange(h0, h1)
+        far = head[(np.abs(k) if spec.index_kind == INDEX_Z else k) > n]
+        if len(far):
+            j = np.searchsorted(far, z.real)
+            near = far[np.clip([j - 1, j], 0, len(far) - 1)]
+            dist = np.minimum(dist, np.abs(near - z).min(axis=0))
         return dist
 
     def tail_bound_at(self, z, order=0):

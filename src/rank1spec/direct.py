@@ -38,6 +38,7 @@ TRUNC_CAP = 32000  # n_trunc doubles up to this before localization gives up
 CLUSTER_RTOL = 1e-6  # zeros closer than this times d form one cluster
 MAX_DEPTH = 80  # quadrisection depth cap
 NEWTON_MAX_ITER = 80
+MATCH_RTOL = 1e-7  # zeros within this times d max(1, |lambda_n|) land on a common lambda_n
 
 
 @dataclass(frozen=True)
@@ -320,30 +321,19 @@ def _certified_winding(cf, region, opts, poles_inside, q=None):
 # Newton refinement (in pole-shifted coordinates)
 
 
-def _nearest_index(cf, z):
-    spec = cf.spec
-    s, t = spec.tail.slope, spec.tail.intercept
-    n = int(round((z.real - t) / s))
-    if spec.index_kind != INDEX_Z:
-        n = max(n, spec.start)
-    # the head may be non-affine; probe a few neighbours
-    best, best_d = n, math.inf
-    for m in range(n - 2, n + 3):
-        if not spec.contains_index(m):
-            continue
-        d = abs(z - spec.lambda_at(m))
-        if d < best_d:
-            best, best_d = m, d
-    return best
+def _newton(cf, seed, order, tol):
+    """Newton on F^(order-1); returns (location, residual |F|) or None.
 
-
-def _newton(cf, seed, order, tol, max_iter=NEWTON_MAX_ITER):
-    """Newton on F^(order-1); returns (location, residual |F|) or None."""
-    lam_c = cf.spec.lambda_at(_nearest_index(cf, complex(seed)))
-    w = complex(seed) - lam_c
+    It runs in coordinates shifted by the window eigenvalue nearest the seed.
+    """
+    seed = complex(seed)
+    j = int(np.searchsorted(cf.lam, seed.real))
+    near = cf.lam[max(j - 1, 0) : j + 1]
+    lam_c = float(near[np.argmin(np.abs(seed - near))]) if len(near) else 0.0
+    w = seed - lam_c
     deriv = order - 1
     step = math.inf
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         g, gp = cf.value_pair(np.array([w]), deriv, lam_c)
         g, gp = g[0], gp[0]
         if gp == 0:
@@ -366,7 +356,7 @@ def _newton(cf, seed, order, tol, max_iter=NEWTON_MAX_ITER):
     return loc, resid
 
 
-def refine_zero(cf, seed, order_hint, tol, max_iter=NEWTON_MAX_ITER, confirm_radius=None, d=None):
+def refine_zero(cf, seed, order_hint, tol, confirm_radius=None, d=None):
     """Polish a zero inside a certified region and confirm its order.
 
     For order_hint >= 2 Newton runs on F^(order_hint - 1); the order is
@@ -374,7 +364,7 @@ def refine_zero(cf, seed, order_hint, tol, max_iter=NEWTON_MAX_ITER, confirm_rad
     """
     if d is None:
         d = cf.spec.gap
-    got = _newton(cf, seed, order_hint, tol, max_iter)
+    got = _newton(cf, seed, order_hint, tol)
     if got is None:
         raise errors.NoConvergence(f"Newton refinement from seed {seed} stagnated")
     loc, resid = got
@@ -480,9 +470,10 @@ def _try_multiple(cf, rect, m, opts, d):
     return (z0, m, resid)
 
 
-def _grid_seeds(cf, rect, k=7):
-    xs = np.linspace(rect.re_lo, rect.re_hi, k + 2)[1:-1]
-    ys = np.linspace(rect.im_lo, rect.im_hi, k + 2)[1:-1]
+def _grid_seeds(cf, rect):
+    # the three points of smallest |F| on a 7 x 7 interior grid
+    xs = np.linspace(rect.re_lo, rect.re_hi, 9)[1:-1]
+    ys = np.linspace(rect.im_lo, rect.im_hi, 9)[1:-1]
     X, Y = np.meshgrid(xs, ys)
     pts = (X + 1j * Y).ravel()
     if len(cf.lam1):
@@ -495,24 +486,21 @@ def _grid_seeds(cf, rect, k=7):
     return [complex(pts[j]) for j in order[:3]]
 
 
-def _refine_simple(cf, rect, poles, opts, d):
-    """Locate the unique zero in a certified count-1 box."""
-    seeds = []
-    for p in poles:
-        n = _nearest_index(cf, p)
-        c_n = cf.coeffs.c_at(n)
-        cand = p + c_n
-        if rect.contains(cand):
-            seeds.append(cand)
+def _refine_simple(cf, rect, opts):
+    """Locate the unique zero in a certified count-1 box.
+
+    Newton starts from lambda_n + c_n for each pole inside, then from the
+    common eigenvalues inside where F nearly vanishes, both by ascending
+    lambda, then from the grid points of smallest |F|.
+    """
+    on_axis = rect.im_lo < 0.0 < rect.im_hi
+    inside = on_axis & (rect.re_lo < cf.lam1) & (cf.lam1 < rect.re_hi)
+    order = np.argsort(cf.lam1[inside])
+    seeds = [z for z in (cf.lam1[inside] + cf.c1[inside])[order].tolist() if rect.contains(z)]
     # common eigenvalues where F happens to vanish
-    idx0 = [n for n in range(_nearest_index(cf, complex(rect.re_lo, 0)) - 1,
-                             _nearest_index(cf, complex(rect.re_hi, 0)) + 2)
-            if cf.spec.contains_index(n)]
-    for n in idx0:
-        lam_n = cf.spec.lambda_at(n)
-        if rect.contains(complex(lam_n)) and cf.coeffs.c_at(n) == 0:
-            if abs(cf.values(np.array([complex(lam_n)]))[0]) < 1e-3:
-                seeds.append(complex(lam_n))
+    lam0 = cf.lam[cf.i0]
+    lam0 = lam0[on_axis & (rect.re_lo < lam0) & (lam0 < rect.re_hi)].astype(complex)
+    seeds += lam0[np.abs(cf.values(lam0)) < 1e-3].tolist()
     seeds.extend(_grid_seeds(cf, rect))
     margin = 1e-9 * (1.0 + max(rect.width, rect.height))
     grown = Rectangle(rect.re_lo - margin, rect.re_hi + margin, rect.im_lo - margin, rect.im_hi + margin)
@@ -531,7 +519,7 @@ def _isolate_rect(cf, rect, n_zeros, poles, opts, d, depth=0):
         raise errors.CertificationFailed("quadrisection exceeded the depth cap")
     diam = max(rect.width, rect.height)
     if n_zeros == 1:
-        got = _refine_simple(cf, rect, poles, opts, d)
+        got = _refine_simple(cf, rect, opts)
         if got is not None:
             return [got]
         # Newton escaped the box: shrink it and retry
@@ -743,11 +731,10 @@ def _central_fast_path(cf, central, n_expected, opts, d):
 # assembly
 
 
-def assemble_spectrum(spec, coeffs, loc, match_tol=None):
+def assemble_spectrum(spec, coeffs, loc):
     """Merge located zeros with the common spectrum into a PerturbedSpectrum."""
     d = spec.gap
-    if match_tol is None:
-        match_tol = 1e-7 * d
+    match_tol = MATCH_RTOL * d
     idx_all = spec.window_indices(loc.window)
     c_all = np.atleast_1d(coeffs.c_at(idx_all))
     lam_all = np.atleast_1d(spec.lambda_at(idx_all))

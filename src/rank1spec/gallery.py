@@ -103,7 +103,11 @@ def power_family(beta, window):
 # zero location for the closed-form family
 
 
-def harmonic_zero(n, tol=1e-13, max_iter=60):
+HARMONIC_TOL = 1e-13  # relative Newton step at which harmonic_zero stops
+HARMONIC_MAX_ITER = 60
+
+
+def harmonic_zero(n):
     """Zero mu_n = n + eps_n of the closed form, from tan(pi z) = pi z/(z^2+1).
 
     Newton runs on h(w) = tan(pi w) (( n+w)^2 + 1) - pi (n + w) in the offset
@@ -113,14 +117,14 @@ def harmonic_zero(n, tol=1e-13, max_iter=60):
         raise ValueError("n = 0 has no associated zero in this family")
     # seed at the asymptotic offset 1/n, clipped away from the tan pole at 1/2
     w = max(-0.25, min(0.25, 1.0 / n))
-    for _ in range(max_iter):
+    for _ in range(HARMONIC_MAX_ITER):
         t = math.tan(math.pi * w)
         q = (n + w) ** 2 + 1.0
         h = t * q - math.pi * (n + w)
         hp = math.pi * (1.0 + t * t) * q + t * 2.0 * (n + w) - math.pi
         step = h / hp
         w -= step
-        if abs(step) < tol * (1.0 + abs(w)):
+        if abs(step) < HARMONIC_TOL * (1.0 + abs(w)):
             break
     return n + w
 

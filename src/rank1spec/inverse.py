@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import errors
-from .charfn import CharacteristicFunction
+from .charfn import CharacteristicFunction, first_pole_hit
 from .model import PerturbationCoefficients, PowerTail
 
 
@@ -25,18 +25,20 @@ class ProductFunction:
     lam1: tuple
 
     def eval_product(self, z):
-        """Exact finite product over the deviating indices."""
-        z = complex(z)
+        """Exact finite product over the deviating indices, at a point or an
+        array of points (a complex for a scalar)."""
+        zs = np.asarray(z, dtype=complex)
+        flat = zs.reshape(-1)
         lam = np.asarray(self.lam1, dtype=float)
-        if len(lam):
-            d = np.abs(lam - z)
-            j = int(np.argmin(d))
-            if d[j] < 1e-12 * max(1.0, abs(lam[j])):
-                raise errors.PoleHit(f"z = {z} coincides with pole at index {self.i1[j]}")
-        out = 1.0 + 0.0j
-        for nu_n, lam_n in zip(self.nu1, self.lam1):
-            out *= (nu_n - z) / (lam_n - z)
-        return out
+        hit = first_pole_hit(lam, flat)
+        if hit is not None:
+            j, k = hit
+            raise errors.PoleHit(f"z = {flat[j]} coincides with pole at index {self.i1[k]}")
+        # points x factors: each point's product is one contiguous row, so a
+        # scalar and an array multiply in the same order
+        col = flat[:, np.newaxis]
+        out = np.prod((np.asarray(self.nu1, dtype=complex) - col) / (lam - col), axis=1)
+        return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def split_target(spec, target):
@@ -100,7 +102,7 @@ def residues(pf):
     return out
 
 
-def synthesize_coefficients(spec, c, i0_window=None):
+def synthesize_coefficients(spec, c):
     """Coefficients with conj(a_n) b_n = c_n on I1 and b_n = 0 on I0.
 
     a_n = sqrt|c_n|, b_n = sqrt|c_n| e^{i arg c_n} (principal branch) for
@@ -110,9 +112,7 @@ def synthesize_coefficients(spec, c, i0_window=None):
     """
     idx1 = sorted(c)
     radius = max([abs(n) for n in idx1], default=0)
-    if i0_window is not None:
-        radius = max(radius, i0_window)
-    idx = spec.window_indices(radius) if radius > 0 else spec.window_indices(0)
+    idx = spec.window_indices(radius)
     a_vals, b_vals = [], []
     for n in idx:
         n = int(n)
@@ -174,46 +174,40 @@ def solve_inverse_fixed_phi(spec, target, phi_coeffs):
     return coeffs, pf
 
 
-def default_sample_points(spec, pf, count=25):
+SAMPLE_COUNT = 25
+
+
+def default_sample_points(spec, pf):
     """Deterministic sample points staying at least d/4 away from all poles."""
     d = spec.gap
     lam = np.asarray(pf.lam1, dtype=float)
     lo = float(lam.min()) - 2.0 * d if len(lam) else -2.0 * d
     hi = float(lam.max()) + 2.0 * d if len(lam) else 2.0 * d
-    res = np.linspace(lo, hi, count)
-    ims = 0.4 * d * (1.0 + (np.arange(count) % 3))
+    res = np.linspace(lo, hi, SAMPLE_COUNT)
+    ims = 0.4 * d * (1.0 + (np.arange(SAMPLE_COUNT) % 3))
     return [complex(r, i) for r, i in zip(res, ims)]
 
 
-def check_F_equals_product(coeffs, pf, sample_points, n_trunc=None):
-    """Max |F - F~| over the samples; the two functions agree identically."""
-    spec = pf.spec
+def _sampled_F(coeffs, pf, sample_points):
+    """F built on the deviating window plus eight indices (and the whole
+    coefficient head), and the samples as an array."""
     radius = max([abs(n) for n in pf.i1], default=1)
-    if n_trunc is None:
-        n_trunc = max(radius + 8, coeffs.head_radius() + 8)
-    cf = CharacteristicFunction.build(spec, coeffs, n_trunc)
-    worst = 0.0
-    for z in sample_points:
-        f, _ = cf.eval_F(z)
-        g = pf.eval_product(z)
-        worst = max(worst, abs(f - g))
-    return worst
+    cf = CharacteristicFunction.build(pf.spec, coeffs, max(radius + 8, coeffs.head_radius() + 8))
+    return cf, np.asarray(sample_points, dtype=complex).reshape(-1)
 
 
-def combined_discrepancy_bound(coeffs, pf, sample_points, n_trunc=None):
+def check_F_equals_product(coeffs, pf, sample_points):
+    """Max |F - F~| over the samples; the two functions agree identically."""
+    cf, z = _sampled_F(coeffs, pf, sample_points)
+    cf.check_poles(z)
+    return float(np.max(np.abs(cf.values(z) - pf.eval_product(z)), initial=0.0))
+
+
+def combined_discrepancy_bound(coeffs, pf, sample_points):
     """Certified bound on |F - F~| at the samples: tail truncation plus a
     floating-point allowance proportional to the summed term magnitudes."""
-    spec = pf.spec
-    radius = max([abs(n) for n in pf.i1], default=1)
-    if n_trunc is None:
-        n_trunc = max(radius + 8, coeffs.head_radius() + 8)
-    cf = CharacteristicFunction.build(spec, coeffs, n_trunc)
-    worst = 0.0
-    for z in sample_points:
-        tail = float(cf.tail_bound_at(z)[0])
-        dist = np.abs(cf.lam1 - z) if len(cf.lam1) else np.array([1.0])
-        fp = 4e-15 * (1.0 + float(np.sum(np.abs(cf.c1) / np.maximum(dist, 1e-300)))) * max(
-            1, len(cf.c1)
-        ) ** 0.5
-        worst = max(worst, tail + fp)
-    return worst
+    cf, z = _sampled_F(coeffs, pf, sample_points)
+    dist = np.abs(cf.lam1 - z[:, np.newaxis])
+    fp = 4e-15 * (1.0 + np.sum(np.abs(cf.c1) / np.maximum(dist, 1e-300), axis=1))
+    fp *= max(1, len(cf.c1)) ** 0.5
+    return float(np.max(cf.tail_bound_at(z) + fp, initial=0.0))

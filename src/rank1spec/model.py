@@ -20,9 +20,6 @@ from . import errors
 INDEX_Z = "Z"
 INDEX_N = "N"
 
-# indices used for I0/I1 membership compare c_n to zero exactly (entering I0
-# flips the multiplicity bookkeeping, so users must opt in explicitly)
-
 
 @dataclass(frozen=True)
 class AffineTail:
@@ -62,11 +59,6 @@ class BaseSpectrum:
             return None
         return self.head_offset if self.head else 1
 
-    def contains_index(self, n):
-        if self.index_kind == INDEX_Z:
-            return True
-        return n >= self.start
-
     def lambda_at(self, n):
         """Eigenvalue at index n (scalar or integer array)."""
         n = np.asarray(n)
@@ -101,9 +93,6 @@ def validate_base(spec):
         raise errors.NonReal("base eigenvalues must be finite reals")
     if not (math.isfinite(spec.tail.slope) and math.isfinite(spec.tail.intercept)):
         raise errors.NonReal("tail parameters must be finite reals")
-    if spec.index_kind == INDEX_N and not spec.head:
-        # pure generator over N starts at index 1 by convention
-        pass
 
     gaps = []
     if head.size >= 2:
@@ -223,6 +212,8 @@ class PerturbationCoefficients:
 
     def partition(self, indices):
         """Split the given indices into (I0, I1) by exact c_n == 0."""
+        # exact comparison with zero: entering I0 flips the multiplicity
+        # bookkeeping, so users must opt in explicitly
         indices = np.asarray(indices)
         c = self.c_at(indices)
         mask = c != 0

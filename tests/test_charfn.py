@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -59,6 +60,9 @@ def test_pole_detection(two_point):
     # lambda_5 is not a pole: c_5 = 0
     f, _ = two_point.eval_F(5.0)
     assert np.isfinite(f)
+    # among several points the first one on a pole is named
+    with pytest.raises(errors.PoleHit, match=r"z = \(1\+0j\) .* index 1$"):
+        two_point.check_poles(np.array([0.5 + 0.5j, 5.0, 1.0, 0.0]))
 
 
 def test_tail_bound_certifies_truncation_error(zspec):
@@ -99,6 +103,59 @@ def test_single_term_and_partial_sum_approximants(two_point):
         two_point.eval_Gk(3, z)
     with pytest.raises(errors.PoleHit):
         two_point.eval_Hk(1, 1.0)
+
+
+@st.composite
+def _head_spectra(draw):
+    """A spectrum whose non-affine head may reach past n_trunc, the window
+    n_trunc, and points on either side of and inside the head."""
+    kind = draw(st.sampled_from(["Z", "N"]))
+    slope = draw(st.sampled_from([0.5, 1.0, 2.5, 5.0]))
+    intercept = draw(st.floats(-3.0, 3.0))
+    n_trunc = draw(st.integers(1, 12))
+    length = draw(st.integers(1, 25))
+    h0 = draw(st.integers(-30, 20) if kind == "Z" else st.integers(1, 15))
+    # head values strictly between the affine lambda_{h0-1} and lambda_{h0+length},
+    # packed into a share `span` of that range (a clustered head when small)
+    lo, hi = slope * (h0 - 1) + intercept, slope * (h0 + length) + intercept
+    span = draw(st.sampled_from([1.0, 0.3, 0.05]))
+    start = draw(st.floats(0.0, 1.0 - span))
+    fracs = sorted(draw(st.lists(st.integers(1, 999), min_size=length, max_size=length, unique=True)))
+    head = tuple(lo + (hi - lo) * (start + span * f / 1000.0) for f in fracs)
+    spec = validate_base(BaseSpectrum(kind, h0, head, AffineTail(slope, intercept), 1e-9))
+    xs = draw(st.lists(st.floats(lo - 15.0, hi + 15.0), min_size=1, max_size=8))
+    ys = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(xs), max_size=len(xs)))
+    return spec, n_trunc, np.array(xs) + 1j * np.array(ys)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_head_spectra())
+def test_delta_unrepresented_is_the_nearest_pole_outside_the_window(case):
+    spec, n_trunc, z = case
+    cf = CharacteristicFunction.build(spec, finite_coeffs({spec.start or 0: 0.1}), n_trunc)
+    # brute force over every index outside the window: the points lie within
+    # 250 of zero and the slope is at least 1/2, so the nearest affine index
+    # lies within 510
+    n = np.arange(-1000, 1001) if spec.index_kind == "Z" else np.arange(spec.start, 1001)
+    outside = n[(np.abs(n) if spec.index_kind == "Z" else n) > n_trunc]
+    lam = spec.lambda_at(outside)
+    assert np.array_equal(cf.delta_unrepresented(z), np.abs(lam[:, None] - z).min(axis=0))
+
+
+def test_delta_unrepresented_sees_head_eigenvalues_beyond_the_window():
+    # lambda_n = n on the head and 5n beyond: the affine projection of 20.3
+    # (or 25.2) is index 4 (or 5), inside the window, but lambda_20 (or
+    # lambda_25) lies outside it
+    zhead = validate_base(
+        BaseSpectrum("Z", -30, tuple(float(n) for n in range(-30, 31)), AffineTail(5.0, 0.0), 1.0)
+    )
+    cf = CharacteristicFunction.build(zhead, finite_coeffs({3: 0.2}), 10)
+    assert cf.delta_unrepresented(20.3)[0] == pytest.approx(0.3, abs=1e-12)
+    nhead = validate_base(
+        BaseSpectrum("N", 1, tuple(float(n) for n in range(1, 41)), AffineTail(5.0, 0.0), 1.0)
+    )
+    cf = CharacteristicFunction.build(nhead, finite_coeffs({1: 0.3}), 10)
+    assert cf.delta_unrepresented(25.2)[0] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_compute_Keps_matches_brute_force(zspec):

@@ -212,6 +212,26 @@ def test_central_rectangle_holds_a_far_zero_left_of_an_n_indexed_head():
     assert ok, f"worst deviation {worst:.3e}"
 
 
+def test_clustered_head_matches_the_oracle():
+    # lambda_n = n for |n| <= 30 and 5n beyond: the affine projection of a
+    # zero near 20 is index 4, and Newton must still shift by lambda_20
+    spec = validate_base(
+        BaseSpectrum(
+            index_kind="Z",
+            head_offset=-30,
+            head=tuple(float(n) for n in range(-30, 31)),
+            tail=AffineTail(5.0, 0.0),
+            gap=1.0,
+        )
+    )
+    coeffs = finite_coeffs({3: 0.2, 20: 1e-8 * (1 + 1j)})
+    ps, loc = solve_direct(spec, coeffs)
+    assert ps.certified
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(spec, coeffs, loc.window))
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-8 * (1 + np.max(np.abs(ref))))
+    assert ok, f"worst deviation {worst:.3e}"
+
+
 def test_localization_reports_enclosure_structure(zspec):
     coeffs = finite_coeffs({0: 0.275, 1: 0.075})
     loc = localize_spectrum(zspec, coeffs, OPTS)

@@ -40,6 +40,17 @@ def test_product_hand_values(zspec, two_point_target):
         pf.eval_product(0.0)
 
 
+def test_eval_product_on_an_array_equals_the_scalar_calls(zspec):
+    pf = inverse.build_product(zspec, TargetSpectrum(-1, (-0.7 + 0.1j, 0.0j, 0.5 + 0j, 0.5 + 0j)))
+    z = np.array([[2.0 + 0.3j, -0.4 - 1.2j, 7.5 + 0j], [0.25 + 0.25j, 1e6j, -3.1 + 0j]])
+    values = pf.eval_product(z)
+    assert values.shape == z.shape
+    assert values.tolist() == [[pf.eval_product(v) for v in row] for row in z.tolist()]
+    assert isinstance(pf.eval_product(3.5), complex)
+    with pytest.raises(errors.PoleHit, match="index 1$"):
+        pf.eval_product(np.array([0.5j, 1.0, -1.0]))
+
+
 def test_residues_hand_values(zspec, two_point_target):
     pf = inverse.build_product(zspec, two_point_target)
     c = inverse.residues(pf)
