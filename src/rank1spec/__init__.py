@@ -13,7 +13,7 @@ from .model import (
     validate_target,
 )
 from .charfn import CharacteristicFunction, compute_Keps
-from .direct import LocalizeOptions, assemble_spectrum, localize_spectrum, refine_zero, solve_direct, winding_number
+from .direct import LocalizeOptions, assemble_spectrum, localize_spectrum, solve_direct, winding_number
 from .inverse import solve_inverse, solve_inverse_fixed_phi, check_F_equals_product
 from .oracle import build_truncation, compare_spectra, dense_eigenvalues
 
@@ -35,7 +35,6 @@ __all__ = [
     "compute_Keps",
     "dense_eigenvalues",
     "localize_spectrum",
-    "refine_zero",
     "solve_direct",
     "solve_inverse",
     "solve_inverse_fixed_phi",

@@ -1,10 +1,10 @@
 """Evaluation of the characteristic function F and its relatives.
 
 F(z) = 1 + sum_{n in I1} c_n / (lambda_n - z) with c_n = conj(a_n) b_n.
-The sum is truncated to a principal-value window |n| <= N_trunc; every
-evaluation returns the value together with a certified bound on the
-discarded tail, T(N)/delta with delta the exact distance to the nearest
-pole outside the summation window, head eigenvalues included.
+The sum is truncated to a principal-value window |n| <= N_trunc;
+tail_bound_at gives a certified bound on the discarded tail at any point,
+T(N)/delta with delta the exact distance to the nearest pole outside the
+summation window, head eigenvalues included.
 """
 
 from dataclasses import dataclass
@@ -138,44 +138,9 @@ class CharacteristicFunction:
         """F^(order) at an array of points."""
         return math.factorial(order) * _kernels.pole_sum(self.c1, self.lam1, z, order)[1]
 
-    def eval_F(self, z):
-        """(F(z), tail error bound) at a single point."""
-        self.check_poles(z)
-        val = self.values(np.array([z]))[0]
-        bound = float(self.tail_bound_at(z)[0])
-        return complex(val), bound
-
-    def eval_F_derivative(self, z, order=1):
-        if order < 1:
-            raise ValueError("order must be a positive integer")
-        self.check_poles(z)
-        val = self.derivative_values(np.array([z]), order)[0]
-        bound = float(self.tail_bound_at(z, order)[0])
-        return complex(val), bound
-
     def shifted_values(self, center_index, w, order=0):
         """F^(order) evaluated at lambda_center + w in shifted coordinates."""
         return self.value_pair(w, order, self.spec.lambda_at(int(center_index)))[0]
-
-    def eval_Gk(self, k, z):
-        """Single-term approximant G_k(z) = c_k/(lambda_k - z) + 1."""
-        c_k = self.coeffs.c_at(int(k))
-        if c_k == 0:
-            raise errors.IndexNotInI1(f"index {k} has c_k = 0")
-        lam_k = self.spec.lambda_at(int(k))
-        if abs(z - lam_k) < POLE_RTOL * max(1.0, abs(lam_k)):
-            raise errors.PoleHit(f"z = {z} coincides with lambda at index {k}")
-        return 1.0 + c_k / (lam_k - z)
-
-    def eval_Hk(self, k, z):
-        """Partial sum H_k(z) over the window |n| <= k (exact, finitely many terms)."""
-        mask = np.abs(self.idx1) <= int(k)
-        lam = self.lam1[mask]
-        c = self.c1[mask]
-        for lam_n, n in zip(lam, self.idx1[mask]):
-            if abs(z - lam_n) < POLE_RTOL * max(1.0, abs(lam_n)):
-                raise errors.PoleHit(f"z = {z} coincides with lambda at index {int(n)}")
-        return complex(1.0 + np.sum(c / (lam - np.complex128(z))))
 
 
 def compute_Keps(spec, coeffs, eps):

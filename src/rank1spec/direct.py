@@ -2,12 +2,16 @@
 
 Zeros of the characteristic function are counted by argument-principle
 contour integrals (trapezoidal rule on circles, composite Gauss-Legendre on
-rectangle sides), isolated by recursive quadrisection where necessary, and
-polished by Newton iteration in pole-shifted coordinates.  The localization
-follows the enclosure sigma(B) subset Q_{K'} union (disks of radius d/2).
-The per-index disks of one localization are counted together, at the
-starting quadrature in blocks of DISK_BLOCK_NODES nodes per kernel call;
-only the disks whose count is not certified there escalate, one at a time.
+rectangle sides) and polished by Newton iteration in pole-shifted
+coordinates.  The localization follows the enclosure sigma(B) subset Q_{K'}
+union (disks of radius d/2 around the outer indices |n| > K').  The outer
+disks of one localization are counted together, at the starting quadrature
+in blocks of DISK_BLOCK_NODES nodes per kernel call; only the disks whose
+count is not certified there escalate, one at a time.  The central
+rectangle Q_{K'} is counted by one winding; its zeros are seeded by the
+eigenvalues of the window's diagonal-plus-rank-one matrix, grouped into
+multiple zeros, and each zero's order is certified by a winding on a small
+circle of its own.
 """
 
 from dataclasses import dataclass
@@ -36,7 +40,6 @@ QUAD_CAP_MIN = 4096  # winding quadrature doubles up to max(2 * quad, this)
 DISK_BLOCK_NODES = 2048
 TRUNC_CAP = 32000  # n_trunc doubles up to this before localization gives up
 CLUSTER_RTOL = 1e-6  # zeros closer than this times d form one cluster
-MAX_DEPTH = 80  # quadrisection depth cap
 NEWTON_MAX_ITER = 80
 MATCH_RTOL = 1e-7  # zeros within this times d max(1, |lambda_n|) land on a common lambda_n
 
@@ -59,14 +62,6 @@ class Rectangle:
 
     def contains(self, z):
         return self.re_lo < z.real < self.re_hi and self.im_lo < z.imag < self.im_hi
-
-    @property
-    def width(self):
-        return self.re_hi - self.re_lo
-
-    @property
-    def height(self):
-        return self.im_hi - self.im_lo
 
     @property
     def center(self):
@@ -229,7 +224,8 @@ def _even_quad(quadrature_points):
 
 
 def _disk_windings(cf, centers, radius, quadrature_points):
-    """Argument-principle counts on the circles |z - c| = radius, one per centre.
+    """Argument-principle counts on the circles |z - c| = radius, one per
+    centre; radius is one number or one per centre.
 
     The disks are evaluated in blocks of at most DISK_BLOCK_NODES nodes, one
     value_pair call each.  F, F' and the tail bound are evaluated once on q
@@ -240,12 +236,14 @@ def _disk_windings(cf, centers, radius, quadrature_points):
     """
     q = _even_quad(quadrature_points)
     centers = np.atleast_1d(np.asarray(centers, dtype=complex))
+    radii = np.broadcast_to(np.asarray(radius, dtype=float), centers.shape)
     noise = _noise_floor(cf)
     out = []
     per_block = max(1, DISK_BLOCK_NODES // q)
     for i in range(0, len(centers), per_block):
         c = centers[i : i + per_block, np.newaxis]
-        z, w = _circle_nodes(c, radius, q)
+        r = radii[i : i + per_block, np.newaxis]
+        z, w = _circle_nodes(c, r, q)
         # F may vanish on a node; the caller treats the resulting non-finite
         # integral as an uncertified count and retries on a perturbed contour
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -256,7 +254,7 @@ def _disk_windings(cf, centers, radius, quadrature_points):
         max_err = cf.tail_bound_at(z.ravel()).reshape(z.shape).max(axis=1)
         res = _winding_results(integral, integral_lo, min_f, max_err, noise)
         if len(cf.lam1):
-            clearance = np.abs(np.abs(cf.lam1 - c) - radius).min(axis=1)
+            clearance = np.abs(np.abs(cf.lam1 - c) - r).min(axis=1)
             singular = clearance < CONTOUR_POLE_TOL * (1.0 + np.abs(c[:, 0]))
             res = [None if s else r for r, s in zip(res, singular)]
         out.extend(res)
@@ -356,67 +354,8 @@ def _newton(cf, seed, order, tol):
     return loc, resid
 
 
-def refine_zero(cf, seed, order_hint, tol, confirm_radius=None, d=None):
-    """Polish a zero inside a certified region and confirm its order.
-
-    For order_hint >= 2 Newton runs on F^(order_hint - 1); the order is
-    confirmed by the winding count on a small circle around the result.
-    """
-    if d is None:
-        d = cf.spec.gap
-    got = _newton(cf, seed, order_hint, tol)
-    if got is None:
-        raise errors.NoConvergence(f"Newton refinement from seed {seed} stagnated")
-    loc, resid = got
-    if confirm_radius is None:
-        confirm_radius = max(1e-4 * d, 16.0 * abs(loc - seed))
-        confirm_radius = min(confirm_radius, 0.25 * d)
-    circle = Disk(loc, confirm_radius)
-    poles_in = int(np.sum(np.abs(cf.lam1 - loc) < confirm_radius))
-    opts = LocalizeOptions()
-    zeros, _ = _certified_winding(cf, circle, opts, poles_in)
-    if zeros is None:
-        raise errors.CertificationFailed(
-            f"order confirmation winding on radius {confirm_radius:g} could not be certified"
-        )
-    if zeros != order_hint:
-        raise errors.OrderMismatch(
-            f"winding on radius {confirm_radius:g} found {zeros} zeros, expected {order_hint}"
-        )
-    return loc, order_hint, resid
-
-
 # ---------------------------------------------------------------------------
-# zero isolation inside a rectangle
-
-
-def _poles_inside_rect(poles, rect):
-    return [p for p in poles if rect.contains(p)]
-
-
-def _split_coordinate(cf, lo, hi, horizontal, other_lo, other_hi, poles, d):
-    """Pick a split position in (lo, hi) away from poles and zeros of F."""
-    best, best_score = None, -math.inf
-    width = hi - lo
-    for frac in (0.5, 0.46, 0.55, 0.41, 0.61, 0.34, 0.68, 0.27, 0.74):
-        x = lo + frac * width
-        t = np.linspace(other_lo, other_hi, 17)
-        pts = t + 1j * x if horizontal else x + 1j * t
-        if len(poles):
-            pole_d = float(
-                np.min(np.abs((np.asarray(poles).imag if horizontal else np.asarray(poles).real) - x))
-            )
-        else:
-            pole_d = math.inf
-        if pole_d < 1e-6 * d:
-            continue
-        min_f = float(np.min(np.abs(cf.values(pts))))
-        score = min(min_f, pole_d / d)
-        if score > best_score:
-            best, best_score = x, score
-    if best is None:
-        raise errors.CertificationFailed("could not find a pole-free split line")
-    return best
+# central zeros from the window's diagonal-plus-rank-one eigenvalues
 
 
 def _noise_scale(cf, z):
@@ -427,139 +366,140 @@ def _noise_scale(cf, z):
     return 1e-15 * (1.0 + float(np.sum(np.abs(cf.c1) / dist)))
 
 
-def _try_multiple(cf, rect, m, opts, d):
-    """Attempt to certify an order-m zero for a small box with m zeros.
+def _nearest_pole(cf, z):
+    """Distance from each point to the nearest represented pole (inf if none)."""
+    if len(cf.lam1) == 0:
+        return np.full(len(z), np.inf)
+    lam = np.sort(cf.lam1)
+    j = np.searchsorted(lam, z.real)
+    return np.abs(lam[np.clip([j - 1, j], 0, len(lam) - 1)] - z).min(axis=0)
 
-    Accepts when the local root spread estimated from the Taylor coefficients
-    at the F^(m-1) zero is below the cluster tolerance or below what floating
-    point can resolve (an order-m zero split by round-off scatters its roots
-    at radius ~ noise^(1/m)).
+
+def _try_multiple(cf, seed, m, tol, d):
+    """An order-m zero polished from a group's seed: (location, m, residual) or None.
+
+    Newton runs on F^(m-1).  The zero is accepted when the local root spread
+    estimated from the Taylor coefficients there is below the cluster
+    tolerance or below what floating point can resolve (an order-m zero
+    split by round-off scatters its roots at radius ~ noise^(1/m)).  The
+    caller certifies the order by a winding.
     """
-    got = _newton(cf, rect.center, m, opts.tol)
+    got = _newton(cf, seed, m, tol)
     if got is None:
         return None
-    z0, _ = got
-    diam = max(rect.width, rect.height)
-    if not Rectangle(
-        rect.re_lo - diam, rect.re_hi + diam, rect.im_lo - diam, rect.im_hi + diam
-    ).contains(z0):
+    z0 = np.array([got[0]])
+    coeff = [cf.values(z0)[0]]
+    coeff += [cf.derivative_values(z0, j)[0] / math.factorial(j) for j in range(1, m + 1)]
+    if coeff[m] == 0:
         return None
-    coeff_m = cf.derivative_values(np.array([z0]), m)[0] / math.factorial(m)
-    if coeff_m == 0:
-        return None
-    noise = _noise_scale(cf, z0)
-    spread = 0.0
-    for j in range(m):
-        if j == 0:
-            coeff_j = cf.values(np.array([z0]))[0]
-        else:
-            coeff_j = cf.derivative_values(np.array([z0]), j)[0] / math.factorial(j)
-        spread = max(spread, abs(coeff_j / coeff_m) ** (1.0 / (m - j)))
-    threshold = max(CLUSTER_RTOL * d, 20.0 * (noise / abs(coeff_m)) ** (1.0 / m))
+    spread = max(abs(coeff[j] / coeff[m]) ** (1.0 / (m - j)) for j in range(m))
+    noise = _noise_scale(cf, got[0])
+    threshold = max(CLUSTER_RTOL * d, 20.0 * (noise / abs(coeff[m])) ** (1.0 / m))
     if spread > threshold:
         return None
-    # confirm by winding on a circle covering the box
-    radius = max(2.0 * diam, 8.0 * threshold)
-    radius = min(radius, 0.45 * d)
-    circle = Disk(z0, radius)
-    poles_in = int(np.sum(np.abs(cf.lam1 - z0) < radius))
-    zeros, _ = _certified_winding(cf, circle, opts, poles_in)
-    if zeros != m:
-        return None
-    resid = abs(cf.values(np.array([z0]))[0])
-    return (z0, m, resid)
+    return got[0], m, got[1]
 
 
-def _grid_seeds(cf, rect):
-    # the three points of smallest |F| on a 7 x 7 interior grid
-    xs = np.linspace(rect.re_lo, rect.re_hi, 9)[1:-1]
-    ys = np.linspace(rect.im_lo, rect.im_hi, 9)[1:-1]
-    X, Y = np.meshgrid(xs, ys)
-    pts = (X + 1j * Y).ravel()
-    if len(cf.lam1):
-        dist = np.min(np.abs(pts[:, None] - cf.lam1[None, :]), axis=1)
-        pts = pts[dist > 1e-9 * (1.0 + np.abs(pts))]
-    if len(pts) == 0:
-        return []
-    vals = np.abs(cf.values(pts))
-    order = np.argsort(vals)
-    return [complex(pts[j]) for j in order[:3]]
+def _central_seeds(cf, rect, k_prime, tol, d):
+    """Points of the central rectangle near which F vanishes, and each one's
+    Newton residual (None where Newton did not converge).
 
-
-def _refine_simple(cf, rect, opts):
-    """Locate the unique zero in a certified count-1 box.
-
-    Newton starts from lambda_n + c_n for each pole inside, then from the
-    common eigenvalues inside where F nearly vanishes, both by ascending
-    lambda, then from the grid points of smallest |F|.
+    On |n| <= m, det(diag(lambda) + c 1^T - z) = prod(lambda_n - z) F_m(z)
+    (Golub's secular equation), so the eigenvalues of that matrix over the
+    I1 terms with |n| <= K' + 8 are the zeros of F cut to those terms.
+    Those within d/2 of the rectangle seed Newton on the full F; a seed
+    Newton does not polish (as near a multiple zero) is kept as it is.
     """
-    on_axis = rect.im_lo < 0.0 < rect.im_hi
-    inside = on_axis & (rect.re_lo < cf.lam1) & (cf.lam1 < rect.re_hi)
-    order = np.argsort(cf.lam1[inside])
-    seeds = [z for z in (cf.lam1[inside] + cf.c1[inside])[order].tolist() if rect.contains(z)]
-    # common eigenvalues where F happens to vanish
-    lam0 = cf.lam[cf.i0]
-    lam0 = lam0[on_axis & (rect.re_lo < lam0) & (lam0 < rect.re_hi)].astype(complex)
-    seeds += lam0[np.abs(cf.values(lam0)) < 1e-3].tolist()
-    seeds.extend(_grid_seeds(cf, rect))
-    margin = 1e-9 * (1.0 + max(rect.width, rect.height))
-    grown = Rectangle(rect.re_lo - margin, rect.re_hi + margin, rect.im_lo - margin, rect.im_hi + margin)
-    for seed in seeds:
-        got = _newton(cf, seed, 1, opts.tol)
-        if got is not None and grown.contains(got[0]):
-            return (got[0], 1, got[1])
-    return None
+    near = np.abs(cf.idx1) <= k_prime + 8
+    lam, c = cf.lam1[near], cf.c1[near]
+    eig = np.linalg.eigvals(np.diag(lam.astype(complex)) + c[:, np.newaxis])
+    h = 0.5 * d
+    grown = Rectangle(rect.re_lo - h, rect.re_hi + h, rect.im_lo - h, rect.im_hi + h)
+    points, resid = [], []
+    for seed in eig:
+        if grown.contains(seed):
+            got = _newton(cf, seed, 1, tol)
+            z = complex(seed) if got is None else got[0]
+            if rect.contains(z):
+                points.append(z)
+                resid.append(None if got is None else got[1])
+    return np.array(points, dtype=complex), resid
 
 
-def _isolate_rect(cf, rect, n_zeros, poles, opts, d, depth=0):
-    """Recursively isolate and refine the n_zeros zeros inside rect."""
-    if n_zeros == 0:
-        return []
-    if depth > MAX_DEPTH:
-        raise errors.CertificationFailed("quadrisection exceeded the depth cap")
-    diam = max(rect.width, rect.height)
-    if n_zeros == 1:
-        got = _refine_simple(cf, rect, opts)
-        if got is not None:
-            return [got]
-        # Newton escaped the box: shrink it and retry
-    else:
-        if diam < 1e-2 * d:
-            got = _try_multiple(cf, rect, n_zeros, opts, d)
-            if got is not None:
-                return [got]
-        if diam < CLUSTER_RTOL * d:
-            # cannot separate further: declare an order-n cluster (documented
-            # cluster tolerance; confirmed by the parent winding count)
-            got = _newton(cf, rect.center, n_zeros, opts.tol)
-            z0 = got[0] if got is not None else rect.center
-            resid = abs(cf.values(np.array([z0]))[0])
-            return [(z0, n_zeros, resid)]
-    x = _split_coordinate(cf, rect.re_lo, rect.re_hi, False, rect.im_lo, rect.im_hi, poles, d)
-    y = _split_coordinate(cf, rect.im_lo, rect.im_hi, True, rect.re_lo, rect.re_hi, poles, d)
-    subs = [
-        Rectangle(rect.re_lo, x, rect.im_lo, y),
-        Rectangle(x, rect.re_hi, rect.im_lo, y),
-        Rectangle(rect.re_lo, x, y, rect.im_hi),
-        Rectangle(x, rect.re_hi, y, rect.im_hi),
-    ]
+def _central_zeros(cf, rect, k_prime, n_zeros, opts, d):
+    """The zeros of F in the central rectangle, which holds n_zeros of them,
+    as (location, order, residual) sorted by location.
+
+    Seeds closer than CLUSTER_RTOL d, or than the round-off radius
+    20 (noise / |F''/2|)^(1/2) of a double zero at either of them, form a
+    group; a group of m > 1 is one order-m zero (_try_multiple).  Each
+    zero's order is certified by a winding on its own circle, all circles
+    in one _disk_windings call.  A circle's radius is at most d/4, a third
+    of the distance to the next zero and half the distance to the
+    rectangle's boundary, so the circles are disjoint and lie inside the
+    rectangle; a pole nearer than twice the radius but not within half of
+    it shrinks the radius to half its distance, so every pole keeps at
+    least half the radius clear of the circle.  The orders must add up to
+    n_zeros; anything else raises CertificationFailed.
+    """
+    points, resid = _central_seeds(cf, rect, k_prime, opts.tol, d)
+    link = CLUSTER_RTOL * d
+    if len(points) > 1:
+        with np.errstate(divide="ignore"):
+            f2 = np.abs(cf.derivative_values(points, 2)) / 2.0
+            noise = np.array([_noise_scale(cf, p) for p in points])
+            link = np.maximum(link, 20.0 * np.sqrt(noise / f2))
+        link = np.maximum(link[:, np.newaxis], link)
+    # each seed takes the smallest label among its linked seeds until no
+    # label changes: one label per connected group
+    close = np.abs(points[:, np.newaxis] - points) <= link
+    label, prev = np.arange(len(points)), None
+    while not np.array_equal(label, prev):
+        label, prev = np.where(close, label, len(points)).min(axis=1, initial=len(points)), label
     zeros = []
-    found = 0
-    for sub in subs:
-        sub_poles = _poles_inside_rect(poles, sub)
-        count, _ = _certified_winding(cf, sub, opts, len(sub_poles))
-        if count is None:
-            raise errors.CertificationFailed("sub-box winding could not be certified")
-        found += count
-        zeros.append((sub, count, sub_poles))
+    for g in np.unique(label):
+        members = np.flatnonzero(label == g)
+        m = len(members)
+        if m == 1 and resid[members[0]] is not None:
+            zeros.append((complex(points[members[0]]), 1, resid[members[0]]))
+            continue
+        seed = complex(points[members].mean())
+        got = _try_multiple(cf, seed, m, opts.tol, d) if m > 1 else None
+        if got is None:
+            raise errors.CertificationFailed(f"no zero of order {m} found near {seed:.6g}")
+        zeros.append(got)
+    zeros.sort(key=lambda t: (t[0].real, t[0].imag))
+    found = sum(o for _, o, _ in zeros)
     if found != n_zeros:
         raise errors.CertificationFailed(
-            f"quadrisection lost zeros: {found} found, {n_zeros} expected"
+            f"central zeros of total order {found} found, the rectangle holds {n_zeros}"
         )
-    out = []
-    for sub, count, sub_poles in zeros:
-        out.extend(_isolate_rect(cf, sub, count, sub_poles, opts, d, depth + 1))
-    return out
+
+    z = np.array([t[0] for t in zeros], dtype=complex)
+    sep = np.abs(z[:, np.newaxis] - z)
+    np.fill_diagonal(sep, np.inf)
+    edge = np.minimum.reduce(
+        [z.real - rect.re_lo, rect.re_hi - z.real, z.imag - rect.im_lo, rect.im_hi - z.imag]
+    )
+    radius = np.minimum(np.minimum(0.25 * d, sep.min(axis=1, initial=np.inf) / 3.0), 0.5 * edge)
+    pole = _nearest_pole(cf, z)
+    radius = np.where(pole > 0.5 * radius, np.minimum(radius, 0.5 * pole), radius)
+    if not np.all(radius > 0.0):
+        raise errors.CertificationFailed("two central zeros coincide")
+    poles_in = (pole < radius).astype(int)
+    firsts = _disk_windings(cf, z, radius, opts.quad)
+    for (z0, m, _), r, p, first in zip(zeros, radius, poles_in, firsts):
+        if first is not None and first.certified:
+            count = first.count + p
+        else:
+            count, _ = _certified_winding(cf, Disk(z0, float(r)), opts, p, 2 * opts.quad)
+        if count != m:
+            got = "could not be certified" if count is None else f"counts {count} zeros"
+            raise errors.CertificationFailed(
+                f"order winding on radius {r:.3g} around the central zero {z0:.6g} "
+                f"{got}, expected {m}"
+            )
+    return zeros
 
 
 # ---------------------------------------------------------------------------
@@ -590,40 +530,38 @@ def _central_rectangle(spec, k_prime, d):
 
 
 def _localize_disk(cf, k, lam_k, c_k, first, opts, d):
-    """One disk R_k around lam_k, with coefficient c_k; a ZeroReport or None when uncertified.
+    """The ZeroReport of the outer disk R_k around lam_k, with coefficient c_k.
 
-    `first` is the disk's winding at opts.quad on radius d/2 from
-    _disk_windings (None on a singular contour); only when it is not
-    certified does that radius escalate, from 2 opts.quad, before the
-    smaller radii are tried.
+    The disk holds exactly one zero when c_k != 0 and none otherwise; a
+    certified count that differs, or no certified radius, raises
+    CertificationFailed.  `first` is the disk's winding at opts.quad on
+    radius d/2 from _disk_windings (None on a singular contour); only when
+    it is not certified does that radius escalate, from 2 opts.quad, before
+    the smaller radii are tried.
     """
-    in_i1 = c_k != 0
-    n_poles = 1 if in_i1 else 0
+    expected = 1 if c_k != 0 else 0
     radii = (0.5 * d, 0.5 * d - d / 100.0, 0.5 * d - d / 50.0)
     for radius in radii:
         disk = Disk(complex(lam_k), radius)
         if radius == radii[0] and first is not None and first.certified:
-            zeros_n, res = first.count + n_poles, first
+            zeros_n, res = first.count + expected, first
         else:
             q = 2 * opts.quad if radius == radii[0] else opts.quad
-            zeros_n, res = _certified_winding(cf, disk, opts, n_poles, q)
+            zeros_n, res = _certified_winding(cf, disk, opts, expected, q)
         if zeros_n is None:
             continue
+        if zeros_n != expected:
+            raise errors.CertificationFailed(
+                f"disk around index {k} holds {zeros_n} zeros, expected {expected}"
+            )
         zeros = []
-        if zeros_n == 1:
-            seed = lam_k + c_k if in_i1 else complex(lam_k)
-            got = _newton(cf, seed, 1, opts.tol)
+        if expected:
+            got = _newton(cf, lam_k + c_k, 1, opts.tol)
             if got is None or not disk.contains(got[0]):
                 continue
             zeros = [(got[0], 1, got[1])]
-        elif zeros_n > 1:
-            box = Rectangle(
-                lam_k - radius, lam_k + radius, -radius, radius
-            )
-            poles = [complex(lam_k)] if in_i1 else []
-            zeros = _isolate_rect(cf, box, zeros_n, poles, opts, d)
         return ZeroReport(disk, int(k), res.count, True, zeros)
-    return None
+    raise errors.CertificationFailed(f"disk around index {k} failed to certify")
 
 
 def localize_spectrum(spec, coeffs, opts=None):
@@ -652,48 +590,28 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
     cf = CharacteristicFunction.build(spec, coeffs, max(n_trunc, window + 8))
     reports = []
 
-    # lambda_n and c_n over the window, looked up once, and every index's
-    # disk counted at opts.quad on radius d/2 in blocks
-    idx_all = spec.window_indices(window)
-    lam_all = np.atleast_1d(spec.lambda_at(idx_all))
-    terms = list(zip(
-        idx_all.tolist(),
-        lam_all.tolist(),
-        np.atleast_1d(coeffs.c_at(idx_all)).tolist(),
-        _disk_windings(cf, lam_all, 0.5 * d, opts.quad),
-    ))
-    central = [t for t in terms if abs(t[0]) <= k_prime]
+    # outer disks, lambda_n and c_n looked up once and every disk counted at
+    # opts.quad on radius d/2 in blocks
+    idx = spec.window_indices(window)
+    idx = idx[np.abs(idx) > k_prime]
+    lam = np.atleast_1d(spec.lambda_at(idx))
+    c = np.atleast_1d(coeffs.c_at(idx))
+    firsts = _disk_windings(cf, lam, 0.5 * d, opts.quad)
+    for k, lam_k, c_k, first in zip(idx.tolist(), lam.tolist(), c.tolist(), firsts):
+        reports.append(_localize_disk(cf, k, lam_k, c_k, first, opts, d))
 
-    # outer disks: exactly one zero per I1 index, none for I0
-    for k, lam_k, c_k, first in terms:
-        if abs(k) <= k_prime:
-            continue
-        rep = _localize_disk(cf, k, lam_k, c_k, first, opts, d)
-        if rep is None:
-            raise errors.CertificationFailed(f"disk around index {k} failed to certify")
-        expected = 1 if c_k != 0 else 0
-        nz = sum(o for _, o, _ in rep.zeros)
-        if nz != expected:
-            raise errors.CertificationFailed(
-                f"disk around index {k} holds {nz} zeros, expected {expected}"
-            )
-        reports.append(rep)
-
-    # central rectangle Q_{K'}
-    poles_central = [complex(lam_n) for _, lam_n, c_n, _ in central if c_n != 0]
+    # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
+    n_poles = int(np.count_nonzero(np.abs(cf.idx1) <= k_prime))
     rect = _central_rectangle(spec, k_prime, d)
-    n_expected = len(poles_central)
-    total, _ = _certified_winding(cf, rect, opts, len(poles_central))
+    total, _ = _certified_winding(cf, rect, opts, n_poles)
     if total is None:
         raise errors.CertificationFailed("central rectangle winding failed to certify")
-    if total != n_expected:
+    if total != n_poles:
         raise errors.CertificationFailed(
-            f"central rectangle holds {total} zeros, expected {n_expected}"
+            f"central rectangle holds {total} zeros, expected {n_poles}"
         )
-    central_zeros = _central_fast_path(cf, central, n_expected, opts, d)
-    if central_zeros is None:
-        central_zeros = _isolate_rect(cf, rect, n_expected, poles_central, opts, d)
-    reports.append(ZeroReport(rect, None, total - len(poles_central), True, central_zeros))
+    zeros = _central_zeros(cf, rect, k_prime, total, opts, d)
+    reports.append(ZeroReport(rect, None, total - n_poles, True, zeros))
     return LocalizationResult(
         reports=reports,
         k_eps=k_eps,
@@ -706,29 +624,23 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
     )
 
 
-def _central_fast_path(cf, central, n_expected, opts, d):
-    """Try per-index disks over the (n, lambda_n, c_n, first winding) tuples
-    first; fall back to quadrisection on mismatch."""
-    zeros = []
-    found = 0
-    for n, lam_n, c_n, first in central:
-        try:
-            rep = _localize_disk(cf, n, lam_n, c_n, first, opts, d)
-        except errors.CertificationFailed:
-            return None
-        if rep is None:
-            return None
-        zeros.extend(rep.zeros)
-        found += sum(o for _, o, _ in rep.zeros)
-        if found > n_expected:
-            return None
-    if found != n_expected:
-        return None
-    return zeros
-
-
 # ---------------------------------------------------------------------------
 # assembly
+
+
+def _common_hits(lam0, z, match_tol):
+    """For each common eigenvalue in turn, the position of the first zero
+    not taken before within match_tol max(1, |lambda_n|) of it, or -1."""
+    tol = match_tol * np.maximum(1.0, np.abs(lam0))
+    near = np.abs(lam0[:, np.newaxis] - z) < tol[:, np.newaxis]
+    hits = np.full(len(lam0), -1)
+    taken = np.zeros(len(z), dtype=bool)
+    for i in np.flatnonzero(near.any(axis=1)):
+        free = np.flatnonzero(near[i] & ~taken)
+        if len(free):
+            hits[i] = free[0]
+            taken[free[0]] = True
+    return hits
 
 
 def assemble_spectrum(spec, coeffs, loc):
@@ -742,27 +654,17 @@ def assemble_spectrum(spec, coeffs, loc):
     i1 = [int(n) for n in idx_all[~in_i0]]
     zeros = list(loc.all_zeros())
 
-    entries = []
-    pairing = []
     # common eigenvalues; a zero of F sitting on one raises its multiplicity
-    consumed = [False] * len(zeros)
-    both = []
-    for n, lam_n in zip(idx_all[in_i0].tolist(), lam_all[in_i0].tolist()):
-        lam_n = complex(lam_n)
-        hit = None
-        for j, (z, order, resid) in enumerate(zeros):
-            if not consumed[j] and abs(z - lam_n) < match_tol * max(1.0, abs(lam_n)):
-                hit = j
-                break
-        if hit is None:
-            entries.append(SpectrumEntry(lam_n, 1, n, ORIGIN_COMMON))
-            pairing.append((n, lam_n))
-        else:
-            consumed[hit] = True
-            order = zeros[hit][1]
-            both.append((n, lam_n, order))
-            pairing.append((n, lam_n))
-    free = [(z, order, resid) for j, (z, order, resid) in enumerate(zeros) if not consumed[j]]
+    n0, lam0 = idx_all[in_i0].tolist(), lam_all[in_i0].astype(complex)
+    hits = _common_hits(lam0, np.array([z for z, _, _ in zeros], dtype=complex), match_tol).tolist()
+    lam0 = lam0.tolist()
+    both = [(n, lam_n, zeros[h][1]) for n, lam_n, h in zip(n0, lam0, hits) if h >= 0]
+    entries = [
+        SpectrumEntry(lam_n, 1, n, ORIGIN_COMMON) for n, lam_n, h in zip(n0, lam0, hits) if h < 0
+    ]
+    pairing = list(zip(n0, lam0))
+    taken = set(hits)
+    free = [t for j, t in enumerate(zeros) if j not in taken]
 
     # remaining zeros (multiplicity-expanded) are assigned to I1 indices;
     # each slot carries the id of the group (entry) it belongs to

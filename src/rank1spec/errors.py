@@ -45,10 +45,6 @@ class PoleHit(Rank1Error):
     """Evaluation point coincides with a represented pole."""
 
 
-class IndexNotInI1(Rank1Error):
-    """Operation requires an index with a nonzero coefficient product."""
-
-
 class EpsOutOfRange(Rank1Error):
     """eps must lie strictly between 0 and d/2."""
 
@@ -59,14 +55,6 @@ class ContourThroughSingularity(Rank1Error):
 
 class CertificationFailed(Rank1Error):
     """Winding counts could not be certified after the escalation schedule."""
-
-
-class NoConvergence(Rank1Error):
-    """Newton refinement stagnated."""
-
-
-class OrderMismatch(Rank1Error):
-    """Shrunk-circle winding disagrees with the hypothesised zero order."""
 
 
 class CountMismatch(Rank1Error):

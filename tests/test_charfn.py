@@ -23,12 +23,11 @@ def two_point(zspec):
 
 
 def test_hand_zeros_and_derivative(two_point):
-    f, err = two_point.eval_F(0.25)
-    assert abs(f) < 1e-15 and err == 0.0
-    f, _ = two_point.eval_F(1.1)
-    assert abs(f) < 1e-14
+    f = two_point.values(np.array([0.25, 1.1]))
+    assert abs(f[0]) < 1e-15 and abs(f[1]) < 1e-14
+    assert np.all(two_point.tail_bound_at(np.array([0.25, 1.1])) == 0.0)
     # F'(1/4) = 0.275/(1/4)^2 + 0.075/(3/4)^2 = 4.4 + 2/15
-    fp, _ = two_point.eval_F_derivative(0.25)
+    fp = two_point.derivative_values(np.array([0.25]))[0]
     assert fp == pytest.approx(4.4 + 2.0 / 15.0, rel=1e-14)
 
 
@@ -54,12 +53,12 @@ def test_conjugate_symmetry_for_real_coefficients(two_point):
 
 def test_pole_detection(two_point):
     with pytest.raises(errors.PoleHit):
-        two_point.eval_F(0.0)
+        two_point.check_poles(0.0)
     with pytest.raises(errors.PoleHit):
-        two_point.eval_F(1.0 + 1e-16j)
+        two_point.check_poles(1.0 + 1e-16j)
     # lambda_5 is not a pole: c_5 = 0
-    f, _ = two_point.eval_F(5.0)
-    assert np.isfinite(f)
+    two_point.check_poles(5.0)
+    assert np.isfinite(two_point.values(np.array([5.0]))[0])
     # among several points the first one on a pole is named
     with pytest.raises(errors.PoleHit, match=r"z = \(1\+0j\) .* index 1$"):
         two_point.check_poles(np.array([0.5 + 0.5j, 5.0, 1.0, 0.0]))
@@ -76,11 +75,11 @@ def test_tail_bound_certifies_truncation_error(zspec):
     )
     coarse = CharacteristicFunction.build(zspec, coeffs, 40)
     fine = CharacteristicFunction.build(zspec, coeffs, 5000)
-    for z in (0.5 + 0.5j, -3.3 + 0.2j, 10.4 - 1.0j):
-        lo, bound = coarse.eval_F(z)
-        hi, fine_bound = fine.eval_F(z)
-        assert abs(lo - hi) <= bound
-        assert fine_bound < bound
+    z = np.array([0.5 + 0.5j, -3.3 + 0.2j, 10.4 - 1.0j])
+    lo, bound = coarse.values(z), coarse.tail_bound_at(z)
+    hi, fine_bound = fine.values(z), fine.tail_bound_at(z)
+    assert np.all(np.abs(lo - hi) <= bound)
+    assert np.all(fine_bound < bound)
 
 
 def test_shifted_evaluation_matches_direct(two_point):
@@ -92,17 +91,16 @@ def test_shifted_evaluation_matches_direct(two_point):
     assert abs(shifted - (1.0 + 0.275 / (-1.0 - w) + 0.075 / (-w))) < 1e-3 * abs(shifted)
 
 
-def test_single_term_and_partial_sum_approximants(two_point):
-    z = 0.5 + 0.25j
-    g0 = two_point.eval_Gk(0, z)
-    assert g0 == 1.0 + 0.275 / (0.0 - z)
-    h1 = two_point.eval_Hk(1, z)
-    full, _ = two_point.eval_F(z)
-    assert abs(h1 - full) < 1e-15
-    with pytest.raises(errors.IndexNotInI1):
-        two_point.eval_Gk(3, z)
+def test_single_term_and_partial_sum_approximants(zspec, two_point):
+    z = np.array([0.5 + 0.25j])
+    # the single-term approximant G_0 = 1 + c_0/(lambda_0 - z) is F of c_0 alone
+    g0 = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.275}), 10).values(z)[0]
+    assert g0 == 1.0 + 0.275 / (0.0 - z[0])
+    # the partial sum H_1 over |n| <= 1 holds every term of F
+    h1 = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.275, 1: 0.075}), 1).values(z)[0]
+    assert abs(h1 - two_point.values(z)[0]) < 1e-15
     with pytest.raises(errors.PoleHit):
-        two_point.eval_Hk(1, 1.0)
+        two_point.check_poles(1.0)
 
 
 @st.composite
@@ -194,7 +192,7 @@ def test_zero_tail_instance_has_zero_bound(zspec, two_point):
 
 
 def test_large_z_limit_is_one(two_point):
-    f, _ = two_point.eval_F(1e9 + 1e9j)
+    f = two_point.values(np.array([1e9 + 1e9j]))[0]
     assert abs(f - 1.0) < 1e-8
 
 

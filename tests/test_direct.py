@@ -9,7 +9,6 @@ from rank1spec.direct import (
     Rectangle,
     assemble_spectrum,
     localize_spectrum,
-    refine_zero,
     solve_direct,
     winding_number,
 )
@@ -96,36 +95,87 @@ def test_odd_quadrature_rounds_up_to_even(two_point_cf, double_cf):
 
 
 # ---------------------------------------------------------------------------
-# refinement
+# central zeros and their order windings
+
+# the central rectangle of two_point_cf and double_cf, whose poles are 0 and 1
+CENTRAL = Rectangle(-1.5, 2.5, -2.5, 2.5)
 
 
 def test_refine_simple_zero_to_full_precision(two_point_cf):
-    z, order, resid = refine_zero(two_point_cf, 0.2, 1, tol=1e-12, confirm_radius=0.2, d=1.0)
-    assert order == 1
+    (z, order, _), (z2, order2, _) = direct._central_zeros(two_point_cf, CENTRAL, 1, 2, OPTS, 1.0)
+    assert order == order2 == 1
     assert abs(z - 0.25) < 1e-13
-    z, _, _ = refine_zero(two_point_cf, 1.2, 1, tol=1e-12, confirm_radius=0.2, d=1.0)
-    assert abs(z - 1.1) < 1e-12
+    assert abs(z2 - 1.1) < 1e-12
 
 
 def test_refine_double_zero(double_cf):
-    z, order, resid = refine_zero(double_cf, 0.47 + 0.02j, 2, tol=1e-12, confirm_radius=0.2, d=1.0)
+    ((z, order, resid),) = direct._central_zeros(double_cf, CENTRAL, 1, 2, OPTS, 1.0)
     assert order == 2
     assert abs(z - 0.5) < 1e-10
 
 
-def test_refine_rejects_wrong_order(double_cf):
-    with pytest.raises((errors.OrderMismatch, errors.NoConvergence)):
-        refine_zero(double_cf, 0.47, 3, tol=1e-12, confirm_radius=0.2, d=1.0)
+def test_refine_rejects_wrong_order(double_cf, monkeypatch):
+    # a seed that claims a simple zero at the double zero: its winding counts 2
+    monkeypatch.setattr(direct, "_central_seeds", lambda *args: (np.array([0.5 + 0j]), [0.0]))
+    with pytest.raises(errors.CertificationFailed, match="counts 2 zeros, expected 1"):
+        direct._central_zeros(double_cf, CENTRAL, 1, 1, OPTS, 1.0)
+    # three seeds that claim a triple zero there: no order-3 zero passes
+    monkeypatch.setattr(direct, "_central_seeds", lambda *args: (np.full(3, 0.47 + 0j), [None] * 3))
+    with pytest.raises(errors.CertificationFailed):
+        direct._central_zeros(double_cf, CENTRAL, 1, 3, OPTS, 1.0)
 
 
-def _uncertified_winding(cf, region, opts, poles_inside):
+def _uncertified_winding(cf, region, opts, poles_inside, q=None):
     return None, None
 
 
 def test_refine_rejects_uncertified_order_check(two_point_cf, monkeypatch):
+    monkeypatch.setattr(direct, "_disk_windings", lambda cf, centers, radius, q: [None] * len(centers))
     monkeypatch.setattr(direct, "_certified_winding", _uncertified_winding)
-    with pytest.raises(errors.CertificationFailed, match="radius 0.2"):
-        refine_zero(two_point_cf, 0.2, 1, tol=1e-12, confirm_radius=0.2, d=1.0)
+    with pytest.raises(errors.CertificationFailed, match="radius 0.125 .* could not be certified"):
+        direct._central_zeros(two_point_cf, CENTRAL, 1, 2, OPTS, 1.0)
+
+
+def test_uncertified_order_winding_in_the_central_step_raises(zspec, monkeypatch):
+    # circles narrower than the outer disks' stay uncertified at every
+    # quadrature; the outer disks and the rectangle certify as before
+    disk_windings, certified_winding = direct._disk_windings, direct._certified_winding
+
+    def first_pass(cf, centers, radius, q):
+        res = disk_windings(cf, centers, radius, q)
+        return [None if r < 0.45 else w for r, w in zip(np.broadcast_to(radius, len(res)), res)]
+
+    def escalation(cf, region, opts, poles_inside, q=None):
+        if isinstance(region, Disk) and region.radius < 0.45:
+            return None, None
+        return certified_winding(cf, region, opts, poles_inside, q)
+
+    monkeypatch.setattr(direct, "_disk_windings", first_pass)
+    monkeypatch.setattr(direct, "_certified_winding", escalation)
+    with pytest.raises(errors.CertificationFailed, match="order winding on .* could not be certified"):
+        localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075}), OPTS)
+
+
+def test_order_circles_keep_clear_of_poles(zspec, monkeypatch):
+    # the triple point 1 + i/4 lies d/4 from the pole lambda_1: its circle
+    # shrinks to radius d/8 instead of passing through it
+    from rank1spec.inverse import solve_inverse
+    from rank1spec.model import TargetSpectrum, validate_coefficients
+
+    coeffs, _ = solve_inverse(zspec, TargetSpectrum(0, (1.0 + 0.25j,) * 3))
+    coeffs = validate_coefficients(coeffs, zspec)
+    radii = []
+    disk_windings = direct._disk_windings
+
+    def spy(cf, centers, radius, q):
+        radii.append(radius)
+        return disk_windings(cf, centers, radius, q)
+
+    monkeypatch.setattr(direct, "_disk_windings", spy)
+    loc = localize_spectrum(zspec, coeffs, OPTS)
+    ((z, order, _),) = next(r for r in loc.reports if r.region_index is None).zeros
+    assert order == 3 and abs(z - (1.0 + 0.25j)) < 1e-9
+    assert list(radii[-1]) == [0.125]
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +224,19 @@ def test_matches_dense_oracle_on_random_instance(zspec):
     op = oracle.build_truncation(zspec, coeffs, loc.window)
     ref = oracle.dense_eigenvalues(op)
     ok, worst = oracle.compare_spectra(ps, ref, 1e-8 * (1 + np.max(np.abs(ref))))
+    assert ok, f"worst deviation {worst:.3e}"
+
+
+def test_complex_central_zeros_match_the_oracle(zspec):
+    # non-self-adjoint: the zeros near -0.58 - 0.01i, 1.82 + 0.33i and
+    # -0.14 + 1.18i do not each sit in the d/2 disk of their own pole
+    coeffs = finite_coeffs({-1: 0.3 + 0.5j, 0: -0.2 + 0.6j, 2: 0.4j})
+    ps, loc = solve_direct(zspec, coeffs, OPTS)
+    central = next(r for r in loc.reports if r.region_index is None)
+    assert [o for _, o, _ in central.zeros] == [1, 1, 1]
+    assert sum(abs(z.imag) > 0.3 for z, _, _ in central.zeros) == 2
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-10 * (1 + np.max(np.abs(ref))))
     assert ok, f"worst deviation {worst:.3e}"
 
 
@@ -335,11 +398,13 @@ def test_disk_windings_equal_winding_number_field_by_field(zspec):
     assert cf.tail_total > 0.0
     # 42 disks in several blocks at every q, complex centres, uncertified ones
     centers = np.concatenate([np.arange(-20, 20) + 0.0, [0.3 + 0.2j, 1.5 - 0.1j]])
-    for radius, q in ((0.5, 256), (0.3, 64), (0.45, 17)):
+    # one radius for all, or one per disk
+    per_disk = np.linspace(0.1, 0.45, len(centers))
+    for radius, q in ((0.5, 256), (0.3, 64), (0.45, 17), (per_disk, 64)):
         batched = direct._disk_windings(cf, centers, radius, q)
         assert len(batched) == len(centers)
-        for c, res in zip(centers, batched):
-            assert res == winding_number(cf, Disk(complex(c), radius), q)
+        for c, r, res in zip(centers, np.broadcast_to(radius, centers.shape), batched):
+            assert res == winding_number(cf, Disk(complex(c), float(r)), q)
     assert not all(r.certified for r in direct._disk_windings(cf, centers, 0.45, 17))
 
 
@@ -417,3 +482,30 @@ def test_rect_nodes_equal_the_panel_loop():
             z, w = direct._rect_nodes(rect, q)
             z_ref, w_ref = loop(rect, q)
             assert np.array_equal(z, z_ref) and np.array_equal(w, w_ref)
+
+
+def _common_hits_by_loop(lam0, z, match_tol):
+    # the per-pair loop: each common eigenvalue in turn takes the first zero
+    # not taken before within the match tolerance
+    hits, taken = [], [False] * len(z)
+    for lam_n in lam0:
+        tol = match_tol * max(1.0, abs(lam_n))
+        hit = next((j for j, zj in enumerate(z) if not taken[j] and abs(zj - lam_n) < tol), -1)
+        if hit >= 0:
+            taken[hit] = True
+        hits.append(hit)
+    return hits
+
+
+def test_common_hits_equal_the_pair_loop():
+    rng = np.random.default_rng(5)
+    tol = direct.MATCH_RTOL
+    for _ in range(200):
+        lam0 = rng.choice(np.arange(-30.0, 31.0), int(rng.integers(0, 12)), replace=False) + 0j
+        # zeros on, just within, just beyond and far from the common
+        # eigenvalues, some of them twice near the same one
+        near = rng.choice(lam0, int(rng.integers(0, 8))) if len(lam0) else lam0
+        scale = rng.choice([0.0, 0.5, 0.99, 1.01, 3.0], len(near)) * np.exp(2j * np.pi * rng.uniform(size=len(near)))
+        z = near + tol * np.maximum(1.0, np.abs(near)) * scale
+        z = rng.permutation(np.concatenate([z, rng.uniform(-30, 30, 3)]))
+        assert direct._common_hits(lam0, z, tol).tolist() == _common_hits_by_loop(lam0, z, tol)
