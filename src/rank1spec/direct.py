@@ -40,6 +40,9 @@ QUAD_CAP_MIN = 4096  # winding quadrature doubles up to max(2 * quad, this)
 DISK_BLOCK_NODES = 2048
 TRUNC_CAP = 32000  # n_trunc doubles up to this before localization gives up
 CLUSTER_RTOL = 1e-6  # zeros closer than this times d form one cluster
+# round-off scatters an order-m zero's roots within this times the radius
+# (eta_j / |F^(m)/m!|)^(1/(m-j)) set by the noise eta_j of each F^(j)/j!
+ROUNDOFF = 20.0
 NEWTON_MAX_ITER = 80
 MATCH_RTOL = 1e-7  # zeros within this times d max(1, |lambda_n|) land on a common lambda_n
 
@@ -315,8 +318,29 @@ def _certified_winding(cf, region, opts, poles_inside, q=None):
         q *= 2
 
 
+def _first_or_escalated(cf, disk, first, opts, poles_inside):
+    """The zeros inside a disk from its blocked first winding `first` (from
+    _disk_windings at opts.quad) when that is certified, else from
+    _certified_winding escalating from 2 opts.quad; with the winding."""
+    if first is not None and first.certified:
+        return first.count + poles_inside, first
+    return _certified_winding(cf, disk, opts, poles_inside, 2 * opts.quad)
+
+
 # ---------------------------------------------------------------------------
 # Newton refinement (in pole-shifted coordinates)
+
+
+def _nearest(values, z):
+    """The entry of an ascending real array nearest each point (ties to the lower)."""
+    j = np.searchsorted(values, z.real)
+    near = values[np.clip([j - 1, j], 0, len(values) - 1)]
+    return np.take_along_axis(near, np.argmin(np.abs(near - z), axis=0)[np.newaxis], 0)[0]
+
+
+def _shift(cf, z):
+    """The window eigenvalue nearest z, the shift of Newton's coordinates (0 if none)."""
+    return float(_nearest(cf.lam, np.array([z]))[0]) if len(cf.lam) else 0.0
 
 
 def _newton(cf, seed, order, tol):
@@ -325,9 +349,7 @@ def _newton(cf, seed, order, tol):
     It runs in coordinates shifted by the window eigenvalue nearest the seed.
     """
     seed = complex(seed)
-    j = int(np.searchsorted(cf.lam, seed.real))
-    near = cf.lam[max(j - 1, 0) : j + 1]
-    lam_c = float(near[np.argmin(np.abs(seed - near))]) if len(near) else 0.0
+    lam_c = _shift(cf, seed)
     w = seed - lam_c
     deriv = order - 1
     step = math.inf
@@ -358,44 +380,73 @@ def _newton(cf, seed, order, tol):
 # central zeros from the window's diagonal-plus-rank-one eigenvalues
 
 
-def _noise_scale(cf, z):
-    """Estimated floating-point noise level of an F evaluation near z."""
-    if len(cf.lam1) == 0:
-        return 1e-15
-    dist = np.maximum(np.abs(cf.lam1 - z), 1e-300)
-    return 1e-15 * (1.0 + float(np.sum(np.abs(cf.c1) / dist)))
-
-
 def _nearest_pole(cf, z):
     """Distance from each point to the nearest represented pole (inf if none)."""
-    if len(cf.lam1) == 0:
+    poles = cf.lam[~cf.i0]
+    if len(poles) == 0:
         return np.full(len(z), np.inf)
-    lam = np.sort(cf.lam1)
-    j = np.searchsorted(lam, z.real)
-    return np.abs(lam[np.clip([j - 1, j], 0, len(lam) - 1)] - z).min(axis=0)
+    return np.abs(_nearest(poles, z) - z)
+
+
+def _spread(cf, z, m):
+    """The spread of an order-m zero's roots at z, as each Taylor coefficient
+    below m sets it, and the radius within which round-off of that
+    coefficient scatters them: arrays over j < m, or None if F^(m)(z) = 0.
+
+    With a_j = F^(j)(z)/j!, spread_j = |a_j / a_m|^(1/(m-j)) and radius_j =
+    ROUNDOFF (eta_j / |a_m|)^(1/(m-j)), where eta_j = 1e-15 ([j = 0] +
+    sum |c_n| / |lambda_n - z|^(j+1)) is the noise of a_j.  The a_j are
+    evaluated in _newton's shifted coordinates.  Below radius_0, set by
+    the noise of F's values, F alone cannot tell m nearby roots from one
+    order-m zero; the derivatives' radii still can.
+    """
+    lam_c = _shift(cf, z)
+    w = np.array([z - lam_c])
+    a = []
+    for k in range(0, m + 1, 2):
+        f, fp = cf.value_pair(w, k, lam_c)
+        a += [f[0] / math.factorial(k), fp[0] / math.factorial(k + 1)]
+    a = np.abs(np.array(a[: m + 1]))
+    if a[m] == 0:
+        return None
+    j = np.arange(m)
+    dist = np.maximum(np.abs(cf.lam1 - z), 1e-300)
+    eta = 1e-15 * ((j == 0) + (np.abs(cf.c1) / dist ** (j[:, np.newaxis] + 1)).sum(axis=1))
+    spread = (a[:m] / a[m]) ** (1.0 / (m - j))
+    radius = ROUNDOFF * (eta / a[m]) ** (1.0 / (m - j))
+    return spread, radius
+
+
+def _roundoff_link(cf, z):
+    """The radius within which another seed belongs to the same zero as the
+    seed z through round-off: radius_0 of an order-2 zero at z when z looks
+    like one (spread_0 and spread_1 both within that radius), else 0.
+
+    A seed Newton could not polish lies anywhere within radius_0 of its
+    zero, so both spreads are held to radius_0 here; _try_multiple then
+    holds the polished zero to each coefficient's own radius.
+    """
+    got = _spread(cf, z, 2)
+    if got is None or got[0].max() > got[1][0]:
+        return 0.0
+    return float(got[1][0])
 
 
 def _try_multiple(cf, seed, m, tol, d):
     """An order-m zero polished from a group's seed: (location, m, residual) or None.
 
-    Newton runs on F^(m-1).  The zero is accepted when the local root spread
-    estimated from the Taylor coefficients there is below the cluster
-    tolerance or below what floating point can resolve (an order-m zero
-    split by round-off scatters its roots at radius ~ noise^(1/m)).  The
-    caller certifies the order by a winding.
+    Newton runs on F^(m-1).  The zero is accepted when, for every Taylor
+    coefficient below m, the spread of the roots it sets is within the
+    cluster tolerance or within its own round-off radius (_spread): m
+    roots scattered by round-off pass, separate clusters closer than F's
+    value noise can resolve fail on a derivative.  The caller certifies the
+    order by a winding.
     """
     got = _newton(cf, seed, m, tol)
     if got is None:
         return None
-    z0 = np.array([got[0]])
-    coeff = [cf.values(z0)[0]]
-    coeff += [cf.derivative_values(z0, j)[0] / math.factorial(j) for j in range(1, m + 1)]
-    if coeff[m] == 0:
-        return None
-    spread = max(abs(coeff[j] / coeff[m]) ** (1.0 / (m - j)) for j in range(m))
-    noise = _noise_scale(cf, got[0])
-    threshold = max(CLUSTER_RTOL * d, 20.0 * (noise / abs(coeff[m])) ** (1.0 / m))
-    if spread > threshold:
+    sr = _spread(cf, got[0], m)
+    if sr is None or np.any(sr[0] > np.maximum(CLUSTER_RTOL * d, sr[1])):
         return None
     return got[0], m, got[1]
 
@@ -430,11 +481,11 @@ def _central_zeros(cf, rect, k_prime, n_zeros, opts, d):
     """The zeros of F in the central rectangle, which holds n_zeros of them,
     as (location, order, residual) sorted by location.
 
-    Seeds closer than CLUSTER_RTOL d, or than the round-off radius
-    20 (noise / |F''/2|)^(1/2) of a double zero at either of them, form a
-    group; a group of m > 1 is one order-m zero (_try_multiple).  Each
-    zero's order is certified by a winding on its own circle, all circles
-    in one _disk_windings call.  A circle's radius is at most d/4, a third
+    Seeds closer than CLUSTER_RTOL d, or than the round-off link
+    (_roundoff_link) of either of them, form a group; a group of m > 1 is
+    one order-m zero when _try_multiple accepts it, from the same _spread
+    radii.  Each zero's order is certified by a winding on its own circle,
+    all circles in one _disk_windings call.  A circle's radius is at most d/4, a third
     of the distance to the next zero and half the distance to the
     rectangle's boundary, so the circles are disjoint and lie inside the
     rectangle; a pole nearer than twice the radius but not within half of
@@ -445,10 +496,7 @@ def _central_zeros(cf, rect, k_prime, n_zeros, opts, d):
     points, resid = _central_seeds(cf, rect, k_prime, opts.tol, d)
     link = CLUSTER_RTOL * d
     if len(points) > 1:
-        with np.errstate(divide="ignore"):
-            f2 = np.abs(cf.derivative_values(points, 2)) / 2.0
-            noise = np.array([_noise_scale(cf, p) for p in points])
-            link = np.maximum(link, 20.0 * np.sqrt(noise / f2))
+        link = np.maximum(link, [_roundoff_link(cf, p) for p in points])
         link = np.maximum(link[:, np.newaxis], link)
     # each seed takes the smallest label among its linked seeds until no
     # label changes: one label per connected group
@@ -489,10 +537,7 @@ def _central_zeros(cf, rect, k_prime, n_zeros, opts, d):
     poles_in = (pole < radius).astype(int)
     firsts = _disk_windings(cf, z, radius, opts.quad)
     for (z0, m, _), r, p, first in zip(zeros, radius, poles_in, firsts):
-        if first is not None and first.certified:
-            count = first.count + p
-        else:
-            count, _ = _certified_winding(cf, Disk(z0, float(r)), opts, p, 2 * opts.quad)
+        count, _ = _first_or_escalated(cf, Disk(z0, float(r)), first, opts, p)
         if count != m:
             got = "could not be certified" if count is None else f"counts {count} zeros"
             raise errors.CertificationFailed(
@@ -543,11 +588,10 @@ def _localize_disk(cf, k, lam_k, c_k, first, opts, d):
     radii = (0.5 * d, 0.5 * d - d / 100.0, 0.5 * d - d / 50.0)
     for radius in radii:
         disk = Disk(complex(lam_k), radius)
-        if radius == radii[0] and first is not None and first.certified:
-            zeros_n, res = first.count + expected, first
+        if radius == radii[0]:
+            zeros_n, res = _first_or_escalated(cf, disk, first, opts, expected)
         else:
-            q = 2 * opts.quad if radius == radii[0] else opts.quad
-            zeros_n, res = _certified_winding(cf, disk, opts, expected, q)
+            zeros_n, res = _certified_winding(cf, disk, opts, expected)
         if zeros_n is None:
             continue
         if zeros_n != expected:

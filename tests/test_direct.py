@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rank1spec import direct, errors, oracle
+from rank1spec import direct, errors, inverse, oracle
 from rank1spec.charfn import CharacteristicFunction, compute_Keps
 from rank1spec.direct import (
     Disk,
@@ -18,6 +18,7 @@ from rank1spec.model import (
     ORIGIN_ZERO,
     AffineTail,
     BaseSpectrum,
+    TargetSpectrum,
     validate_base,
 )
 
@@ -159,10 +160,9 @@ def test_uncertified_order_winding_in_the_central_step_raises(zspec, monkeypatch
 def test_order_circles_keep_clear_of_poles(zspec, monkeypatch):
     # the triple point 1 + i/4 lies d/4 from the pole lambda_1: its circle
     # shrinks to radius d/8 instead of passing through it
-    from rank1spec.inverse import solve_inverse
-    from rank1spec.model import TargetSpectrum, validate_coefficients
+    from rank1spec.model import validate_coefficients
 
-    coeffs, _ = solve_inverse(zspec, TargetSpectrum(0, (1.0 + 0.25j,) * 3))
+    coeffs, _ = inverse.solve_inverse(zspec, TargetSpectrum(0, (1.0 + 0.25j,) * 3))
     coeffs = validate_coefficients(coeffs, zspec)
     radii = []
     disk_windings = direct._disk_windings
@@ -238,6 +238,36 @@ def test_complex_central_zeros_match_the_oracle(zspec):
     ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
     ok, worst = oracle.compare_spectra(ps, ref, 1e-10 * (1 + np.max(np.abs(ref))))
     assert ok, f"worst deviation {worst:.3e}"
+
+
+def test_simple_zero_at_an_inflection_point_stays_simple(zspec):
+    # F(1/2) = 0, F'(1/2) = 9 and F''(1/2) = 0: the double-zero round-off
+    # radius there is large, but the point does not look like a double zero,
+    # so it is not grouped with the zeros near -0.53 and 3.78
+    coeffs = finite_coeffs({-1: 27 / 16, 0: 1.0, 1: 17 / 16})
+    ps, loc = solve_direct(zspec, coeffs, OPTS)
+    central = next(r for r in loc.reports if r.region_index is None)
+    assert [o for _, o, _ in central.zeros] == [1, 1, 1]
+    assert abs(central.zeros[1][0] - 0.5) < 1e-14
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-10 * (1 + np.max(np.abs(ref))))
+    assert ok, f"worst deviation {worst:.3e}"
+
+
+def test_two_close_double_zeros_are_not_one_order_four_zero(zspec):
+    # F's values cannot tell these two double zeros 1.5e-3 apart from one
+    # order-4 zero between them, but F'' can: the solve returns the two
+    # double zeros or fails to certify, and never an order-4 zero
+    a, b, c = -1.135536401173598, -1.1369914450269683, 0.5014617185308676
+    target = TargetSpectrum(-1, (a, a, b, b, c, c, c))
+    coeffs, _ = inverse.solve_inverse(zspec, target)
+    try:
+        ps, _ = solve_direct(zspec, coeffs, LocalizeOptions(window=14, n_trunc=40))
+    except errors.CertificationFailed:
+        return
+    zeros = sorted((e.mult, e.mu.real) for e in ps.entries if e.origin == ORIGIN_ZERO)
+    assert [m for m, _ in zeros] == [2, 2, 3]
+    assert np.allclose([mu for _, mu in zeros[:2]], [b, a], atol=1e-6)
 
 
 def test_central_rectangle_for_n_indexed_spectrum_below_zero():
