@@ -122,11 +122,11 @@ class CharacteristicFunction:
     def value_pair(self, z, order=0, shift=0.0):
         """(F^(order), F^(order+1)) at the points shift + z from one kernel pass.
 
-        Denominators are formed as (lambda_n - shift) - z, which keeps full
-        precision when |z| is many orders below |shift|.
+        The shift is one number or one per point.  Denominators are formed
+        as (lambda_n - shift) - z, which keeps full precision when |z| is
+        many orders below |shift|.
         """
-        lam = self.lam1 - shift if shift else self.lam1
-        s, s1 = _kernels.pole_sum(self.c1, lam, z, order + 1)
+        s, s1 = _kernels.pole_sum(self.c1, self.lam1, z, order + 1, shift)
         f = 1.0 + s if order == 0 else math.factorial(order) * s
         return f, math.factorial(order + 1) * s1
 

@@ -1,17 +1,20 @@
 """Direct spectral problem: locate all eigenvalues of the perturbation.
 
-Zeros of the characteristic function are counted by argument-principle
-contour integrals (trapezoidal rule on circles, composite Gauss-Legendre on
-rectangle sides) and polished by Newton iteration in pole-shifted
-coordinates.  The localization follows the enclosure sigma(B) subset Q_{K'}
-union (disks of radius d/2 around the outer indices |n| > K').  The outer
-disks of one localization are counted together, at the starting quadrature
-in blocks of DISK_BLOCK_NODES nodes per kernel call; only the disks whose
-count is not certified there escalate, one at a time.  The central
-rectangle Q_{K'} is counted by one winding; its zeros are seeded by the
-eigenvalues of the window's diagonal-plus-rank-one matrix, grouped into
-multiple zeros, and each zero's order is certified by a winding on a small
-circle of its own.
+Zeros of the characteristic function are counted by the paper's Rouche
+inequality or by argument-principle contour integrals (trapezoidal rule on
+circles, composite Gauss-Legendre on rectangle sides), and polished by
+Newton iteration in pole-shifted coordinates, all seeds of a step in one
+kernel call.  The localization follows the enclosure sigma(B) subset
+Q_{K'} union (disks of radius d/2 around the outer indices |n| > K').
+Each outer disk is first certified by Rouche against G_k = 1 + c_k /
+(lambda_k - z), in closed form and for all disks in one broadcast; the
+disks it does not certify are counted together by windings at the starting
+quadrature, in blocks of DISK_BLOCK_NODES nodes per kernel call, and only
+those whose count is not certified there escalate, one at a time.  The
+central rectangle Q_{K'} is counted by one winding; its zeros are seeded
+by the eigenvalues of the window's diagonal-plus-rank-one matrix, grouped
+into multiple zeros, and each zero's order is certified by a winding on a
+small circle of its own.
 """
 
 from dataclasses import dataclass
@@ -38,6 +41,9 @@ QUAD_CAP_MIN = 4096  # winding quadrature doubles up to max(2 * quad, this)
 # to 8 terms the kernel's terms x nodes temporaries (16 B each) then stay
 # within 256 KB, which ran faster than 4096 nodes on this package's benchmark
 DISK_BLOCK_NODES = 2048
+# disks x terms products per block of the Rouche check: 512 KB float temporaries
+ROUCHE_BLOCK = 2**16
+UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
 TRUNC_CAP = 32000  # n_trunc doubles up to this before localization gives up
 CLUSTER_RTOL = 1e-6  # zeros closer than this times d form one cluster
 # round-off scatters an order-m zero's roots within this times the radius
@@ -64,7 +70,9 @@ class Rectangle:
     im_hi: float
 
     def contains(self, z):
-        return self.re_lo < z.real < self.re_hi and self.im_lo < z.imag < self.im_hi
+        """Whether each point lies strictly inside (a point or an array)."""
+        inside_re = (self.re_lo < z.real) & (z.real < self.re_hi)
+        return inside_re & (self.im_lo < z.imag) & (z.imag < self.im_hi)
 
     @property
     def center(self):
@@ -328,52 +336,143 @@ def _first_or_escalated(cf, disk, first, opts, poles_inside):
 
 
 # ---------------------------------------------------------------------------
+# Rouche certificate of the outer disks
+
+
+def _rouche(cf, idx, lam, c, r):
+    """Rouche margins |G_k| - S_k on the circles |z - lambda_k| = r around
+    the indices idx (lambda_k = lam, c_k = c), and whether each certifies
+    its disk: arrays over the disks.
+
+    On the circle G_k = 1 + c_k / (lambda_k - z) has min |G_k| = 1 - |c_k|/r,
+    and |F - G_k| <= S_k = sum_{n != k} |c_n| / (|lambda_n - lambda_k| - r)
+    + T / (delta_k - r), with T the discarded tail sum and delta_k =
+    delta_unrepresented(lambda_k), taken as tail_bound_at takes it.  When
+    S_k < |G_k|, F has as many zeros as poles inside, like G_k: one zero
+    when c_k != 0, none when c_k = 0.  The margin is -inf unless |c_k| < r,
+    every |lambda_n - lambda_k| > r for n != k and, with a tail, delta_k > r.
+
+    The check holds the float values to S_k (1 + gamma) < |G_k| (1 - gamma)
+    with Higham's gamma_m = m u / (1 - m u).  Each term of S_k carries 4
+    roundings and ceil(kappa_S) for the cancellation in |lambda_n -
+    lambda_k| - r (kappa_S = |lambda_n - lambda_k| / that difference), the
+    sum of non-negative terms one per term, |G_k| 2 and ceil(3 kappa_G) for
+    its cancellation (kappa_G = |c_k| / (r - |c_k|)), and the comparison
+    itself 4; m is their total plus 2 for kappa computed in floats.  The
+    disks are checked in blocks of ROUCHE_BLOCK disks x terms.
+    """
+    absc = np.abs(cf.c1)
+    tail = np.zeros(len(idx))
+    tail_ok = np.ones(len(idx), dtype=bool)
+    if cf.tail_total > 0.0:
+        gap = cf.delta_unrepresented(lam) - r
+        tail_ok = gap > 0.0
+        with np.errstate(divide="ignore"):
+            tail = cf.tail_total / np.where(tail_ok, gap, np.inf)
+    s = np.empty(len(idx))
+    nearest = np.empty(len(idx))
+    per_block = max(1, ROUCHE_BLOCK // max(1, len(absc)))
+    for i in range(0, len(idx), per_block):
+        b = slice(i, i + per_block)
+        den = np.abs(cf.lam1 - lam[b, np.newaxis]) - r
+        den[cf.idx1 == idx[b, np.newaxis]] = np.inf  # the k-th term is G_k's
+        nearest[b] = den.min(axis=1, initial=np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s[b] = (absc / den).sum(axis=1) + tail[b]
+    ok = (nearest > 0.0) & tail_ok & (np.abs(c) < r)
+    g = 1.0 - np.abs(c) / r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa_s = np.where(ok, 1.0 + r / nearest, np.inf)
+        kappa_g = np.where(ok, (1.0 - g) / g, np.inf)
+    m = len(absc) + 12.0 + np.ceil(kappa_s) + np.ceil(3.0 * kappa_g)
+    mu = np.where(ok, m * UNIT_ROUNDOFF, 1.0)
+    gamma = np.where(mu < 0.5, mu / (1.0 - mu), np.inf)
+    margin = np.where(ok, g - s, -np.inf)
+    return margin, ok & (s * (1.0 + gamma) < g * (1.0 - gamma))
+
+
+# ---------------------------------------------------------------------------
 # Newton refinement (in pole-shifted coordinates)
 
 
 def _nearest(values, z):
     """The entry of an ascending real array nearest each point (ties to the lower)."""
     j = np.searchsorted(values, z.real)
-    near = values[np.clip([j - 1, j], 0, len(values) - 1)]
-    return np.take_along_axis(near, np.argmin(np.abs(near - z), axis=0)[np.newaxis], 0)[0]
+    lo, hi = values[np.maximum(j - 1, 0)], values[np.minimum(j, len(values) - 1)]
+    return np.where(np.abs(hi - z) < np.abs(lo - z), hi, lo)
 
 
 def _shift(cf, z):
-    """The window eigenvalue nearest z, the shift of Newton's coordinates (0 if none)."""
-    return float(_nearest(cf.lam, np.array([z]))[0]) if len(cf.lam) else 0.0
+    """The window eigenvalue nearest each point, the shift of Newton's coordinates (0 if none)."""
+    return _nearest(cf.lam, z) if len(cf.lam) else np.zeros(len(z))
 
 
-def _newton(cf, seed, order, tol):
-    """Newton on F^(order-1); returns (location, residual |F|) or None.
+def _modulus(z):
+    """|z| as hypot(re, im): to the last bit the abs() of one complex number,
+    which np.abs on a complex array is not."""
+    return np.hypot(z.real, z.imag)
 
-    It runs in coordinates shifted by the window eigenvalue nearest the seed.
+
+def _noise(cf, z, orders):
+    """eta_j = 1e-15 ([j = 0] + sum |c_n| / |lambda_n - z|^(j+1)), the
+    round-off noise of F^(j)(z)/j!: an array over the points z by the orders j."""
+    dist = np.maximum(np.abs(cf.lam1 - z[:, np.newaxis]), 1e-300)
+    j = np.asarray(orders)
+    terms = np.abs(cf.c1) / dist[:, np.newaxis] ** (j[:, np.newaxis] + 1)
+    return 1e-15 * ((j == 0) + terms.sum(axis=-1))
+
+
+def _newton(cf, seeds, order, tol):
+    """Newton on F^(order-1) from every seed at once: (locations, residuals
+    |F|, converged mask), arrays over the seeds (residual nan where not).
+
+    Each point runs in coordinates shifted by the window eigenvalue nearest
+    its seed, and each step makes one kernel call for the points still
+    moving.  A point stops when its step falls below 1e-16 (1 + |shift| +
+    |w|).  It fails when a step grows past ten times the last one plus 1
+    (divergence); when after NEWTON_MAX_ITER steps its last step exceeds
+    both 1e-12 (1 + |shift|) and ROUNDOFF times the noise of F^(order-1)
+    over |F^(order)|, the step round-off alone makes (_noise); or, at
+    order 1, when its residual exceeds tol (1 + sum |c_n|).
     """
-    seed = complex(seed)
-    lam_c = _shift(cf, seed)
-    w = seed - lam_c
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=complex))
+    shift = _shift(cf, seeds)
+    w = seeds - shift
     deriv = order - 1
-    step = math.inf
+    step = np.full(len(w), np.inf, dtype=complex)
+    ok = np.ones(len(w), dtype=bool)
+    live = np.arange(len(w))
     for _ in range(NEWTON_MAX_ITER):
-        g, gp = cf.value_pair(np.array([w]), deriv, lam_c)
-        g, gp = g[0], gp[0]
-        if gp == 0:
-            w += 1e-9 * (1.0 + abs(w))
-            continue
-        new_step = g / gp
-        w = w - new_step
-        if abs(new_step) < 1e-16 * (1.0 + abs(lam_c) + abs(w)):
+        if not len(live):
             break
-        if abs(new_step) > 10.0 * (abs(step) + 1.0):
-            return None  # diverging
-        step = new_step
-    else:
-        if abs(step) > 1e-12 * (1.0 + abs(lam_c)):
-            return None
-    loc = lam_c + w
-    resid = abs(cf.value_pair(np.array([w]), 0, lam_c)[0][0])
-    if deriv == 0 and resid > tol * (1.0 + float(np.sum(np.abs(cf.c1)))):
-        return None
-    return loc, resid
+        wl, sl = w[live], shift[live]
+        g, gp = cf.value_pair(wl, deriv, sl)
+        # where F^(order) vanishes the point moves by 1e-9 (1 + |w|) instead,
+        # with no stop or divergence test and its last step kept
+        flat = gp == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new_step = np.where(flat, -1e-9 * (1.0 + _modulus(wl)), g / gp)
+        wl = wl - new_step
+        w[live] = wl
+        size = _modulus(new_step)
+        done = ~flat & (size < 1e-16 * (1.0 + np.abs(sl) + _modulus(wl)))
+        diverged = ~flat & ~done & (size > 10.0 * (_modulus(step[live]) + 1.0))
+        ok[live[diverged]] = False
+        step[live] = np.where(flat, step[live], new_step)
+        live = live[~done & ~diverged]
+    if len(live):
+        size = _modulus(step[live])
+        _, gp = cf.value_pair(w[live], deriv, shift[live])
+        noise = math.factorial(deriv) * _noise(cf, shift[live] + w[live], [deriv])[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            floor = ROUNDOFF * noise / _modulus(gp)
+        ok[live] = (size <= 1e-12 * (1.0 + np.abs(shift[live]))) | (size <= floor)
+    resid = np.full(len(w), np.nan)
+    resid[ok] = _modulus(cf.value_pair(w[ok], 0, shift[ok])[0])
+    if deriv == 0:
+        ok &= ~(resid > tol * (1.0 + float(np.sum(np.abs(cf.c1)))))
+        resid[~ok] = np.nan
+    return shift + w, resid, ok
 
 
 # ---------------------------------------------------------------------------
@@ -389,47 +488,44 @@ def _nearest_pole(cf, z):
 
 
 def _spread(cf, z, m):
-    """The spread of an order-m zero's roots at z, as each Taylor coefficient
-    below m sets it, and the radius within which round-off of that
-    coefficient scatters them: arrays over j < m, or None if F^(m)(z) = 0.
+    """The spread of an order-m zero's roots at each point z, as each Taylor
+    coefficient below m sets it, and the radius within which round-off of
+    that coefficient scatters them: arrays over the points by j < m.  Where
+    F^(m)(z) = 0 the spread is inf and the radius 0.
 
     With a_j = F^(j)(z)/j!, spread_j = |a_j / a_m|^(1/(m-j)) and radius_j =
-    ROUNDOFF (eta_j / |a_m|)^(1/(m-j)), where eta_j = 1e-15 ([j = 0] +
-    sum |c_n| / |lambda_n - z|^(j+1)) is the noise of a_j.  The a_j are
-    evaluated in _newton's shifted coordinates.  Below radius_0, set by
-    the noise of F's values, F alone cannot tell m nearby roots from one
-    order-m zero; the derivatives' radii still can.
+    ROUNDOFF (eta_j / |a_m|)^(1/(m-j)), where eta_j (_noise) is the noise
+    of a_j.  The a_j are evaluated in _newton's shifted coordinates.  Below
+    radius_0, set by the noise of F's values, F alone cannot tell m nearby
+    roots from one order-m zero; the derivatives' radii still can.
     """
-    lam_c = _shift(cf, z)
-    w = np.array([z - lam_c])
+    shift = _shift(cf, z)
+    w = z - shift
     a = []
     for k in range(0, m + 1, 2):
-        f, fp = cf.value_pair(w, k, lam_c)
-        a += [f[0] / math.factorial(k), fp[0] / math.factorial(k + 1)]
-    a = np.abs(np.array(a[: m + 1]))
-    if a[m] == 0:
-        return None
+        f, fp = cf.value_pair(w, k, shift)
+        a += [f / math.factorial(k), fp / math.factorial(k + 1)]
+    a = np.abs(np.array(a[: m + 1])).T
     j = np.arange(m)
-    dist = np.maximum(np.abs(cf.lam1 - z), 1e-300)
-    eta = 1e-15 * ((j == 0) + (np.abs(cf.c1) / dist ** (j[:, np.newaxis] + 1)).sum(axis=1))
-    spread = (a[:m] / a[m]) ** (1.0 / (m - j))
-    radius = ROUNDOFF * (eta / a[m]) ** (1.0 / (m - j))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = (a[:, :m] / a[:, m:]) ** (1.0 / (m - j))
+        radius = ROUNDOFF * (_noise(cf, z, j) / a[:, m:]) ** (1.0 / (m - j))
+    flat = a[:, m] == 0
+    spread[flat], radius[flat] = np.inf, 0.0
     return spread, radius
 
 
 def _roundoff_link(cf, z):
-    """The radius within which another seed belongs to the same zero as the
-    seed z through round-off: radius_0 of an order-2 zero at z when z looks
-    like one (spread_0 and spread_1 both within that radius), else 0.
+    """For each seed z, the radius within which another seed belongs to the
+    same zero through round-off: radius_0 of an order-2 zero at z when z
+    looks like one (spread_0 and spread_1 both within that radius), else 0.
 
     A seed Newton could not polish lies anywhere within radius_0 of its
     zero, so both spreads are held to radius_0 here; _try_multiple then
     holds the polished zero to each coefficient's own radius.
     """
-    got = _spread(cf, z, 2)
-    if got is None or got[0].max() > got[1][0]:
-        return 0.0
-    return float(got[1][0])
+    spread, radius = _spread(cf, z, 2)
+    return np.where(spread.max(axis=1) > radius[:, 0], 0.0, radius[:, 0])
 
 
 def _try_multiple(cf, seed, m, tol, d):
@@ -442,13 +538,13 @@ def _try_multiple(cf, seed, m, tol, d):
     value noise can resolve fail on a derivative.  The caller certifies the
     order by a winding.
     """
-    got = _newton(cf, seed, m, tol)
-    if got is None:
+    z, resid, ok = _newton(cf, [seed], m, tol)
+    if not ok[0]:
         return None
-    sr = _spread(cf, got[0], m)
-    if sr is None or np.any(sr[0] > np.maximum(CLUSTER_RTOL * d, sr[1])):
+    spread, radius = _spread(cf, z, m)
+    if np.any(spread > np.maximum(CLUSTER_RTOL * d, radius)):
         return None
-    return got[0], m, got[1]
+    return z[0], m, resid[0]
 
 
 def _central_seeds(cf, rect, k_prime, tol, d):
@@ -465,16 +561,11 @@ def _central_seeds(cf, rect, k_prime, tol, d):
     lam, c = cf.lam1[near], cf.c1[near]
     eig = np.linalg.eigvals(np.diag(lam.astype(complex)) + c[:, np.newaxis])
     h = 0.5 * d
-    grown = Rectangle(rect.re_lo - h, rect.re_hi + h, rect.im_lo - h, rect.im_hi + h)
-    points, resid = [], []
-    for seed in eig:
-        if grown.contains(seed):
-            got = _newton(cf, seed, 1, tol)
-            z = complex(seed) if got is None else got[0]
-            if rect.contains(z):
-                points.append(z)
-                resid.append(None if got is None else got[1])
-    return np.array(points, dtype=complex), resid
+    seeds = eig[Rectangle(rect.re_lo - h, rect.re_hi + h, rect.im_lo - h, rect.im_hi + h).contains(eig)]
+    z, resid, ok = _newton(cf, seeds, 1, tol)
+    z = np.where(ok, z, seeds)
+    keep = rect.contains(z)
+    return z[keep], [r if o else None for r, o in zip(resid[keep], ok[keep])]
 
 
 def _central_zeros(cf, rect, k_prime, n_zeros, opts, d):
@@ -496,7 +587,7 @@ def _central_zeros(cf, rect, k_prime, n_zeros, opts, d):
     points, resid = _central_seeds(cf, rect, k_prime, opts.tol, d)
     link = CLUSTER_RTOL * d
     if len(points) > 1:
-        link = np.maximum(link, [_roundoff_link(cf, p) for p in points])
+        link = np.maximum(link, _roundoff_link(cf, points))
         link = np.maximum(link[:, np.newaxis], link)
     # each seed takes the smallest label among its linked seeds until no
     # label changes: one label per connected group
@@ -600,12 +691,47 @@ def _localize_disk(cf, k, lam_k, c_k, first, opts, d):
             )
         zeros = []
         if expected:
-            got = _newton(cf, lam_k + c_k, 1, opts.tol)
-            if got is None or not disk.contains(got[0]):
+            z, resid, ok = _newton(cf, [lam_k + c_k], 1, opts.tol)
+            if not (ok[0] and disk.contains(z[0])):
                 continue
-            zeros = [(got[0], 1, got[1])]
+            zeros = [(z[0], 1, resid[0])]
         return ZeroReport(disk, int(k), res.count, True, zeros)
     raise errors.CertificationFailed(f"disk around index {k} failed to certify")
+
+
+def _outer_disks(cf, spec, coeffs, k_prime, window, opts, d):
+    """The ZeroReports of the outer disks R_k, radius d/2, |k| > K' in the window.
+
+    Every disk is first checked by Rouche (_rouche); a certified disk holds
+    one zero when c_k != 0, placed by Newton from lambda_k + c_k, all such
+    seeds in one _newton call, and none when c_k = 0.  Its report carries
+    winding count 0, zeros minus poles, as a winding gives.  The disks
+    Rouche does not certify, or whose Newton zero does not converge inside
+    the disk, are counted by _disk_windings at opts.quad in blocks and then
+    by _localize_disk; a failure there names the disk's Rouche margin.
+    """
+    idx = spec.window_indices(window)
+    idx = idx[np.abs(idx) > k_prime]
+    lam = np.atleast_1d(spec.lambda_at(idx)).astype(float)
+    c = np.atleast_1d(coeffs.c_at(idx)).astype(complex)
+    r = 0.5 * d
+    margin, certified = _rouche(cf, idx, lam, c, r)
+    reports = [None] * len(idx)
+    simple = np.flatnonzero(certified & (c != 0))
+    z, resid, ok = _newton(cf, lam[simple] + c[simple], 1, opts.tol)
+    ok &= np.abs(z - lam[simple]) < r
+    for j, zj, res in zip(simple[ok], z[ok], resid[ok]):
+        reports[j] = ZeroReport(Disk(complex(lam[j]), r), int(idx[j]), 0, True, [(zj, 1, res)])
+    for j in np.flatnonzero(certified & (c == 0)):
+        reports[j] = ZeroReport(Disk(complex(lam[j]), r), int(idx[j]), 0, True, [])
+    rest = [j for j, rep in enumerate(reports) if rep is None]
+    firsts = _disk_windings(cf, lam[rest], r, opts.quad)
+    for j, first in zip(rest, firsts):
+        try:
+            reports[j] = _localize_disk(cf, int(idx[j]), float(lam[j]), complex(c[j]), first, opts, d)
+        except errors.CertificationFailed as exc:
+            raise errors.CertificationFailed(f"{exc} (Rouche margin {margin[j]:.3g})") from None
+    return reports
 
 
 def localize_spectrum(spec, coeffs, opts=None):
@@ -632,17 +758,8 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
     k_eps, k_prime = compute_Keps(spec, coeffs, eps)
     window = max(opts.window, k_prime)
     cf = CharacteristicFunction.build(spec, coeffs, max(n_trunc, window + 8))
-    reports = []
 
-    # outer disks, lambda_n and c_n looked up once and every disk counted at
-    # opts.quad on radius d/2 in blocks
-    idx = spec.window_indices(window)
-    idx = idx[np.abs(idx) > k_prime]
-    lam = np.atleast_1d(spec.lambda_at(idx))
-    c = np.atleast_1d(coeffs.c_at(idx))
-    firsts = _disk_windings(cf, lam, 0.5 * d, opts.quad)
-    for k, lam_k, c_k, first in zip(idx.tolist(), lam.tolist(), c.tolist(), firsts):
-        reports.append(_localize_disk(cf, k, lam_k, c_k, first, opts, d))
+    reports = _outer_disks(cf, spec, coeffs, k_prime, window, opts, d)
 
     # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
     n_poles = int(np.count_nonzero(np.abs(cf.idx1) <= k_prime))

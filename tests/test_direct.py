@@ -539,3 +539,192 @@ def test_common_hits_equal_the_pair_loop():
         z = near + tol * np.maximum(1.0, np.abs(near)) * scale
         z = rng.permutation(np.concatenate([z, rng.uniform(-30, 30, 3)]))
         assert direct._common_hits(lam0, z, tol).tolist() == _common_hits_by_loop(lam0, z, tol)
+
+
+# ---------------------------------------------------------------------------
+# batched Newton
+
+
+def _newton_by_loop(cf, seed, order, tol):
+    # the one-seed loop, without the noise-floor acceptance at the iteration
+    # cap: (location, residual) or None
+    lam_c = float(direct._shift(cf, np.array([complex(seed)]))[0])
+    w, step = complex(seed) - lam_c, np.inf
+    for _ in range(direct.NEWTON_MAX_ITER):
+        g, gp = (v[0] for v in cf.value_pair(np.array([w]), order - 1, lam_c))
+        if gp == 0:
+            w += 1e-9 * (1.0 + abs(w))
+            continue
+        new_step = g / gp
+        w = w - new_step
+        if abs(new_step) < 1e-16 * (1.0 + abs(lam_c) + abs(w)):
+            break
+        if abs(new_step) > 10.0 * (abs(step) + 1.0):
+            return None
+        step = new_step
+    else:
+        if abs(step) > 1e-12 * (1.0 + abs(lam_c)):
+            return None
+    resid = abs(cf.value_pair(np.array([w]), 0, lam_c)[0][0])
+    if order == 1 and resid > tol * (1.0 + float(np.sum(np.abs(cf.c1)))):
+        return None
+    return lam_c + w, resid
+
+
+def test_batched_newton_equals_the_one_seed_loop(zspec, double_cf):
+    # seeds near simple zeros, on the double zero (F' = 0 there: the loop's
+    # nudge), near it at order 2, and far out where Newton diverges
+    rng = np.random.default_rng(3)
+    cf = CharacteristicFunction.build(zspec, random_finite_instance(rng, radius=10), 20)
+    cases = [(cf, 1, rng.uniform(-12, 12, 40) + 1j * rng.uniform(-1, 1, 40))]
+    cases += [(double_cf, 1, [0.5, 0.3, 0.7 + 0.1j, 1e6j]), (double_cf, 2, [0.47, 0.52 - 0.01j, 0.5])]
+    outcomes = set()
+    for cf, order, seeds in cases:
+        z, resid, ok = direct._newton(cf, seeds, order, 1e-10)
+        for j, seed in enumerate(seeds):
+            ref = _newton_by_loop(cf, seed, order, 1e-10)
+            assert ok[j] == (ref is not None)
+            if ok[j]:
+                assert (z[j], resid[j]) == ref
+            outcomes.add(bool(ok[j]))
+    assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Newton near its noise floor
+
+
+def test_noisy_simple_zero_stops_at_its_round_off_step(zspec):
+    # c_n up to 1620 and F'(1) = 1/720: Newton's last steps near the simple
+    # zero at 1 cycle around 1e-11, above 1e-12 (1 + |shift|) but within the
+    # step the noise of F allows; before, every n_trunc up to 20480 failed
+    # with "no zero of order 1 found near 1"
+    coeffs, _ = inverse.solve_inverse(zspec, TargetSpectrum(0, (0.0,) * 6 + (1.0,) * 2))
+    ps, _ = solve_direct(zspec, coeffs, LocalizeOptions(window=12, n_trunc=40))
+    near = [(e.mu, e.mult) for e in ps.entries if abs(e.mu) < 2.5]
+    assert [m for _, m in near] == [1, 1, 6, 2]
+    assert np.allclose([mu for mu, _ in near], [-2.0, -1.0, 0.0, 1.0], rtol=0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Rouche certificate of the outer disks
+
+
+def _disk_data(loc, coeffs):
+    """Indices, centres and coefficients of a localization's outer disks."""
+    idx = np.array([r.region_index for r in loc.reports if r.region_index is not None], dtype=int)
+    lam = np.array([r.region.center.real for r in loc.reports if r.region_index is not None])
+    return idx, lam, np.atleast_1d(coeffs.c_at(idx)).astype(complex)
+
+
+def _iv_rouche_holds(iv, cf, k, lam_k, c_k, r):
+    """S_k < |G_k| on |z - lambda_k| = r in interval arithmetic, from the
+    same float data (delta_k as tail_bound_at takes it)."""
+    def mod(v):
+        return iv.sqrt(iv.mpf(v.real) ** 2 + iv.mpf(v.imag) ** 2)
+
+    s = iv.mpf(0)
+    for n, lam_n, c_n in zip(cf.idx1, cf.lam1, cf.c1):
+        if n != k:
+            s += mod(complex(c_n)) / (abs(iv.mpf(float(lam_n)) - lam_k) - r)
+    if cf.tail_total:
+        s += iv.mpf(cf.tail_total) / (iv.mpf(float(cf.delta_unrepresented(lam_k)[0])) - r)
+    return s.b < (1 - mod(complex(c_k)) / r).a
+
+
+def test_rouche_certificate_holds_in_interval_arithmetic(zspec):
+    # random power-tail instances and radii; c_k of each disk on a grid of
+    # ulps around the boundary |c_k| = r (1 - S_k), where rounding decides
+    from mpmath import iv
+    from rank1spec.model import PerturbationCoefficients, PowerTail
+
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(4):
+        tail = PowerTail(beta=float(rng.uniform(1.2, 3.0)), scale=float(rng.uniform(0.05, 0.5)), phase=0.3)
+        head = rng.uniform(-0.2, 0.2, 21) + 1j * rng.uniform(-0.2, 0.2, 21)
+        coeffs = PerturbationCoefficients(
+            a_head_offset=-10, a_head=(1.0,) * 21, a_tail=tail,
+            b_head_offset=-10, b_head=tuple(head), b_tail=tail,
+        )  # fmt: skip
+        cf = CharacteristicFunction.build(zspec, coeffs, 24)
+        assert cf.tail_total > 0.0
+        r = float(rng.uniform(0.3, 0.5))
+        idx = np.arange(-24, 25)
+        lam = idx.astype(float)
+        margin, _ = direct._rouche(cf, idx, lam, np.zeros(len(idx), dtype=complex), r)
+        s = 1.0 - margin  # G_k = 1 when c_k = 0
+        for ulps in range(-48, 49, 6):
+            phase = np.exp(1j * rng.uniform(0, 2 * np.pi, len(idx)))
+            c = r * (1.0 - s) * (1.0 + ulps * direct.UNIT_ROUNDOFF) * phase
+            _, certified = direct._rouche(cf, idx, lam, c, r)
+            for j in np.flatnonzero(certified):
+                assert _iv_rouche_holds(iv, cf, idx[j], lam[j], c[j], r), (idx[j], ulps)
+                checked += 1
+    assert checked > 100
+
+
+def _rouche_and_winding_counts(cf, idx, lam, c, d, opts):
+    """Zeros in each outer disk by Rouche (None where it does not certify)
+    and by the winding on the same circle."""
+    _, certified = direct._rouche(cf, idx, lam, c, 0.5 * d)
+    firsts = direct._disk_windings(cf, lam, 0.5 * d, opts.quad)
+    rouche, winding = [], []
+    for lam_k, c_k, ok, first in zip(lam, c, certified, firsts):
+        expected = int(c_k != 0)
+        rouche.append(expected if ok else None)
+        got, _ = direct._first_or_escalated(cf, Disk(complex(lam_k), 0.5 * d), first, opts, expected)
+        winding.append(got)
+    return rouche, winding
+
+
+def test_rouche_count_equals_the_winding_count(zspec):
+    # every outer disk of the power family behind criteria 3 and 4 (windows
+    # 50 and 100 share the w = 200 disks: n_trunc is 600 for all three) and
+    # of random finite instances
+    from rank1spec import gallery
+    from rank1spec.model import validate_coefficients
+
+    power = validate_coefficients(gallery.power_family(2.0, 200), zspec)
+    cases = [(power, LocalizeOptions(window=200, n_trunc=600))]
+    rng = np.random.default_rng(2024)
+    finite = LocalizeOptions(window=41, n_trunc=49)
+    cases += [(random_finite_instance(rng, radius=40), finite) for _ in range(12)]
+    for coeffs, opts in cases:
+        loc = localize_spectrum(zspec, coeffs, opts)
+        idx, lam, c = _disk_data(loc, coeffs)
+        rouche, winding = _rouche_and_winding_counts(loc.cf, idx, lam, c, zspec.gap, opts)
+        assert None not in rouche and rouche == winding
+        assert all(r.winding_count == 0 for r in loc.reports if r.region_index is not None)
+
+
+def _without_rouche(monkeypatch):
+    rouche = direct._rouche
+
+    def reject(cf, idx, lam, c, r):
+        return rouche(cf, idx, lam, c, r)[0], np.zeros(len(idx), dtype=bool)
+
+    monkeypatch.setattr(direct, "_rouche", reject)
+
+
+def test_solve_without_rouche_gives_the_same_result(zspec, monkeypatch):
+    rng = np.random.default_rng(7)
+    opts = LocalizeOptions(window=20, n_trunc=30)
+    cases = [random_finite_instance(rng, radius=15, max_points=6) for _ in range(8)]
+    cases.append(_tail_cf(zspec).coeffs)
+    before = [solve_direct(zspec, coeffs, opts) for coeffs in cases]
+    _without_rouche(monkeypatch)
+    for coeffs, (ps, loc) in zip(cases, before):
+        ps2, loc2 = solve_direct(zspec, coeffs, opts)
+        assert ps2 == ps
+        assert loc2.reports == loc.reports
+
+
+def test_outer_disk_failure_names_its_rouche_margin(zspec, monkeypatch):
+    # the first outer disk, index -8: |G| = 1, S = 0.275/7.5 + 0.075/8.5
+    _without_rouche(monkeypatch)
+    monkeypatch.setattr(direct, "_disk_windings", lambda cf, centers, radius, q: [None] * len(centers))
+    monkeypatch.setattr(direct, "_certified_winding", _uncertified_winding)
+    failed = r"index -8 failed to certify \(Rouche margin 0.955\)"
+    with pytest.raises(errors.CertificationFailed, match=failed):
+        localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075}), OPTS)

@@ -79,3 +79,26 @@ def test_sums_do_not_depend_on_how_many_points_share_a_call():
         finally:
             _kernels._CHUNK = old
         assert all(np.array_equal(a, b) for a, b in zip(chunked, batched))
+
+
+def test_per_point_shift_equals_the_scalar_shift_calls():
+    # d_kj = (lam_k - s_j) - z_j: each point's sums equal those of a call with
+    # its own shift as one number, for a lone point and across chunks
+    for n_terms in (1, 5, 64):
+        c, lam, z = _random_inputs(n_terms=n_terms, n_points=17, seed=10 + n_terms)
+        shift = np.random.default_rng(n_terms).choice(lam, len(z))
+        z = z * 1e-3  # points near their shifts, as in Newton's coordinates
+        for p in (1, 2):
+            per_point = _kernels.pole_sum(c, lam, z, p, shift)
+            old = _kernels._CHUNK
+            try:
+                _kernels._CHUNK = 4 * n_terms  # chunks of 4 points: 17 = 4 * 4 + 1
+                chunked = _kernels.pole_sum(c, lam, z, p, shift)
+            finally:
+                _kernels._CHUNK = old
+            lone = _kernels.pole_sum(c, lam, z[:1], p, shift[:1])
+            for j in range(len(z)):
+                scalar = _kernels.pole_sum(c, lam, z[j : j + 1], p, shift[j])
+                for a, b, s in zip(per_point, chunked, scalar):
+                    assert a[j] == s[0] and b[j] == s[0]
+            assert all(a[0] == b[0] for a, b in zip(lone, per_point))
