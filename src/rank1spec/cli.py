@@ -19,8 +19,16 @@ def _load_spec(path):
     return model.validate_base(model.base_from_json(model.load_json(path)))
 
 
+def _read_coeffs(path):
+    """Coefficients from a file, less the certificate that `inverse` writes beside them."""
+    doc = model.load_json(path)
+    if isinstance(doc, dict):
+        doc.pop("certificate", None)
+    return model.coefficients_from_json(doc)
+
+
 def _load_coeffs(path, spec):
-    return model.validate_coefficients(model.coefficients_from_json(model.load_json(path)), spec)
+    return model.validate_coefficients(_read_coeffs(path), spec)
 
 
 def _load_target(path, spec):
@@ -57,7 +65,7 @@ def cmd_inverse(args):
     spec = _load_spec(args.spec)
     target = _load_target(args.target, spec)
     if args.fixed_phi:
-        phi = model.coefficients_from_json(model.load_json(args.fixed_phi))
+        phi = _read_coeffs(args.fixed_phi)
         coeffs, pf = inverse.solve_inverse_fixed_phi(spec, target, phi)
     else:
         coeffs, pf = inverse.solve_inverse(spec, target)

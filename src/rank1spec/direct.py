@@ -6,15 +6,15 @@ circles, composite Gauss-Legendre on rectangle sides), and polished by
 Newton iteration in pole-shifted coordinates, all seeds of a step in one
 kernel call.  The localization follows the enclosure sigma(B) subset
 Q_{K'} union (disks of radius d/2 around the outer indices |n| > K').
-Each outer disk is first certified by Rouche against G_k = 1 + c_k /
-(lambda_k - z), in closed form and for all disks in one broadcast; the
-disks it does not certify are counted together by windings at the starting
-quadrature, in blocks of DISK_BLOCK_NODES nodes per kernel call, and only
-those whose count is not certified there escalate, one at a time.  The
-central rectangle Q_{K'} is counted by one winding; its zeros are seeded
-by the eigenvalues of the window's diagonal-plus-rank-one matrix, grouped
-into multiple zeros, and each zero's order is certified by a winding on a
-small circle of its own.
+Each outer disk is certified, as in the paper's proof of the enclosure,
+by Rouche against G_k = 1 + c_k / (lambda_k - z), in closed form and for
+all disks in one broadcast, and its zero is placed by Newton; a disk that
+fails either step raises.  The central rectangle Q_{K'} is counted by one
+winding; its zeros are seeded by the eigenvalues of the window's
+diagonal-plus-rank-one matrix, grouped into multiple zeros, and each
+zero's order is certified by a winding on a small circle of its own, those
+circles counted together in blocks of DISK_BLOCK_NODES nodes per kernel
+call.
 """
 
 from dataclasses import dataclass
@@ -58,9 +58,6 @@ class Disk:
     center: complex
     radius: float
 
-    def contains(self, z):
-        return abs(z - self.center) < self.radius
-
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -83,7 +80,6 @@ class Rectangle:
 class ZeroReport:
     region: object
     region_index: object  # pairing index for disks, None for the rectangle
-    winding_count: int
     certified: bool
     zeros: list  # of (location, order, residual)
 
@@ -326,15 +322,6 @@ def _certified_winding(cf, region, opts, poles_inside, q=None):
         q *= 2
 
 
-def _first_or_escalated(cf, disk, first, opts, poles_inside):
-    """The zeros inside a disk from its blocked first winding `first` (from
-    _disk_windings at opts.quad) when that is certified, else from
-    _certified_winding escalating from 2 opts.quad; with the winding."""
-    if first is not None and first.certified:
-        return first.count + poles_inside, first
-    return _certified_winding(cf, disk, opts, poles_inside, 2 * opts.quad)
-
-
 # ---------------------------------------------------------------------------
 # Rouche certificate of the outer disks
 
@@ -429,7 +416,9 @@ def _newton(cf, seeds, order, tol):
     Each point runs in coordinates shifted by the window eigenvalue nearest
     its seed, and each step makes one kernel call for the points still
     moving.  A point stops when its step falls below 1e-16 (1 + |shift| +
-    |w|).  It fails when a step grows past ten times the last one plus 1
+    |w|) and, at order 1, |F| before the step is within tol (1 + sum
+    |c_n|): next to a pole such a step can still be a large share of |w|.
+    It fails when a step grows past ten times the last one plus 1
     (divergence); when after NEWTON_MAX_ITER steps its last step exceeds
     both 1e-12 (1 + |shift|) and ROUNDOFF times the noise of F^(order-1)
     over |F^(order)|, the step round-off alone makes (_noise); or, at
@@ -439,6 +428,7 @@ def _newton(cf, seeds, order, tol):
     shift = _shift(cf, seeds)
     w = seeds - shift
     deriv = order - 1
+    resid_tol = tol * (1.0 + float(np.sum(np.abs(cf.c1)))) if deriv == 0 else np.inf
     step = np.full(len(w), np.inf, dtype=complex)
     ok = np.ones(len(w), dtype=bool)
     live = np.arange(len(w))
@@ -455,7 +445,7 @@ def _newton(cf, seeds, order, tol):
         wl = wl - new_step
         w[live] = wl
         size = _modulus(new_step)
-        done = ~flat & (size < 1e-16 * (1.0 + np.abs(sl) + _modulus(wl)))
+        done = ~flat & (size < 1e-16 * (1.0 + np.abs(sl) + _modulus(wl))) & (_modulus(g) <= resid_tol)
         diverged = ~flat & ~done & (size > 10.0 * (_modulus(step[live]) + 1.0))
         ok[live[diverged]] = False
         step[live] = np.where(flat, step[live], new_step)
@@ -470,7 +460,7 @@ def _newton(cf, seeds, order, tol):
     resid = np.full(len(w), np.nan)
     resid[ok] = _modulus(cf.value_pair(w[ok], 0, shift[ok])[0])
     if deriv == 0:
-        ok &= ~(resid > tol * (1.0 + float(np.sum(np.abs(cf.c1)))))
+        ok &= ~(resid > resid_tol)
         resid[~ok] = np.nan
     return shift + w, resid, ok
 
@@ -576,13 +566,14 @@ def _central_zeros(cf, rect, k_prime, n_zeros, opts, d):
     (_roundoff_link) of either of them, form a group; a group of m > 1 is
     one order-m zero when _try_multiple accepts it, from the same _spread
     radii.  Each zero's order is certified by a winding on its own circle,
-    all circles in one _disk_windings call.  A circle's radius is at most d/4, a third
-    of the distance to the next zero and half the distance to the
-    rectangle's boundary, so the circles are disjoint and lie inside the
-    rectangle; a pole nearer than twice the radius but not within half of
-    it shrinks the radius to half its distance, so every pole keeps at
-    least half the radius clear of the circle.  The orders must add up to
-    n_zeros; anything else raises CertificationFailed.
+    all circles in one _disk_windings call at opts.quad; a count not
+    certified there escalates from 2 opts.quad.  A circle's radius is at
+    most d/4, a third of the distance to the next zero and half the
+    distance to the rectangle's boundary, so the circles are disjoint and
+    lie inside the rectangle; a pole nearer than twice the radius but not
+    within half of it shrinks the radius to half its distance, so every
+    pole keeps at least half the radius clear of the circle.  The orders
+    must add up to n_zeros; anything else raises CertificationFailed.
     """
     points, resid = _central_seeds(cf, rect, k_prime, opts.tol, d)
     link = CLUSTER_RTOL * d
@@ -628,7 +619,10 @@ def _central_zeros(cf, rect, k_prime, n_zeros, opts, d):
     poles_in = (pole < radius).astype(int)
     firsts = _disk_windings(cf, z, radius, opts.quad)
     for (z0, m, _), r, p, first in zip(zeros, radius, poles_in, firsts):
-        count, _ = _first_or_escalated(cf, Disk(z0, float(r)), first, opts, p)
+        if first is not None and first.certified:
+            count = first.count + p
+        else:
+            count, _ = _certified_winding(cf, Disk(z0, float(r)), opts, p, 2 * opts.quad)
         if count != m:
             got = "could not be certified" if count is None else f"counts {count} zeros"
             raise errors.CertificationFailed(
@@ -665,50 +659,17 @@ def _central_rectangle(spec, k_prime, d):
     return Rectangle(lo, hi, -h, h)
 
 
-def _localize_disk(cf, k, lam_k, c_k, first, opts, d):
-    """The ZeroReport of the outer disk R_k around lam_k, with coefficient c_k.
-
-    The disk holds exactly one zero when c_k != 0 and none otherwise; a
-    certified count that differs, or no certified radius, raises
-    CertificationFailed.  `first` is the disk's winding at opts.quad on
-    radius d/2 from _disk_windings (None on a singular contour); only when
-    it is not certified does that radius escalate, from 2 opts.quad, before
-    the smaller radii are tried.
-    """
-    expected = 1 if c_k != 0 else 0
-    radii = (0.5 * d, 0.5 * d - d / 100.0, 0.5 * d - d / 50.0)
-    for radius in radii:
-        disk = Disk(complex(lam_k), radius)
-        if radius == radii[0]:
-            zeros_n, res = _first_or_escalated(cf, disk, first, opts, expected)
-        else:
-            zeros_n, res = _certified_winding(cf, disk, opts, expected)
-        if zeros_n is None:
-            continue
-        if zeros_n != expected:
-            raise errors.CertificationFailed(
-                f"disk around index {k} holds {zeros_n} zeros, expected {expected}"
-            )
-        zeros = []
-        if expected:
-            z, resid, ok = _newton(cf, [lam_k + c_k], 1, opts.tol)
-            if not (ok[0] and disk.contains(z[0])):
-                continue
-            zeros = [(z[0], 1, resid[0])]
-        return ZeroReport(disk, int(k), res.count, True, zeros)
-    raise errors.CertificationFailed(f"disk around index {k} failed to certify")
-
-
 def _outer_disks(cf, spec, coeffs, k_prime, window, opts, d):
     """The ZeroReports of the outer disks R_k, radius d/2, |k| > K' in the window.
 
-    Every disk is first checked by Rouche (_rouche); a certified disk holds
-    one zero when c_k != 0, placed by Newton from lambda_k + c_k, all such
-    seeds in one _newton call, and none when c_k = 0.  Its report carries
-    winding count 0, zeros minus poles, as a winding gives.  The disks
-    Rouche does not certify, or whose Newton zero does not converge inside
-    the disk, are counted by _disk_windings at opts.quad in blocks and then
-    by _localize_disk; a failure there names the disk's Rouche margin.
+    This is the paper's proof of the enclosure.  Rouche (_rouche) certifies
+    every disk in one broadcast: a disk holds one zero when c_k != 0 and
+    none when c_k = 0.  compute_Keps chooses K' so that the margin |G_k| -
+    S_k exceeds eps / (2 (K' - K_eps) + 1) on every outer circle, far above
+    the check's rounding allowance.  Each zero is placed by Newton from
+    lambda_k + c_k, all seeds in one _newton call.  A disk that Rouche does
+    not certify raises CertificationFailed naming its margin; one whose
+    Newton zero does not converge inside it raises naming its seed.
     """
     idx = spec.window_indices(window)
     idx = idx[np.abs(idx) > k_prime]
@@ -716,22 +677,24 @@ def _outer_disks(cf, spec, coeffs, k_prime, window, opts, d):
     c = np.atleast_1d(coeffs.c_at(idx)).astype(complex)
     r = 0.5 * d
     margin, certified = _rouche(cf, idx, lam, c, r)
-    reports = [None] * len(idx)
-    simple = np.flatnonzero(certified & (c != 0))
-    z, resid, ok = _newton(cf, lam[simple] + c[simple], 1, opts.tol)
+    if not certified.all():
+        j = np.argmin(certified)
+        raise errors.CertificationFailed(
+            f"disk around index {idx[j]} failed to certify (Rouche margin {margin[j]:.3g})"
+        )
+    simple = np.flatnonzero(c != 0)
+    seeds = lam[simple] + c[simple]
+    z, resid, ok = _newton(cf, seeds, 1, opts.tol)
     ok &= np.abs(z - lam[simple]) < r
-    for j, zj, res in zip(simple[ok], z[ok], resid[ok]):
-        reports[j] = ZeroReport(Disk(complex(lam[j]), r), int(idx[j]), 0, True, [(zj, 1, res)])
-    for j in np.flatnonzero(certified & (c == 0)):
-        reports[j] = ZeroReport(Disk(complex(lam[j]), r), int(idx[j]), 0, True, [])
-    rest = [j for j, rep in enumerate(reports) if rep is None]
-    firsts = _disk_windings(cf, lam[rest], r, opts.quad)
-    for j, first in zip(rest, firsts):
-        try:
-            reports[j] = _localize_disk(cf, int(idx[j]), float(lam[j]), complex(c[j]), first, opts, d)
-        except errors.CertificationFailed as exc:
-            raise errors.CertificationFailed(f"{exc} (Rouche margin {margin[j]:.3g})") from None
-    return reports
+    if not ok.all():
+        j = np.argmin(ok)
+        raise errors.CertificationFailed(
+            f"Newton from {seeds[j]:.6g} found no zero in the disk around index {idx[simple[j]]}"
+        )
+    zeros = [[] for _ in idx]
+    for j, zj, res in zip(simple, z, resid):
+        zeros[j] = [(zj, 1, res)]
+    return [ZeroReport(Disk(complex(l), r), int(k), True, zs) for k, l, zs in zip(idx, lam, zeros)]
 
 
 def localize_spectrum(spec, coeffs, opts=None):
@@ -741,15 +704,16 @@ def localize_spectrum(spec, coeffs, opts=None):
     d = spec.gap
     eps = d / (2.0 + d)
     n_trunc = opts.n_trunc
-    last_err = None
     while True:
         try:
             return _localize_attempt(spec, coeffs, opts, n_trunc, eps, d)
         except errors.CertificationFailed as exc:
-            last_err = exc
+            # with every nonzero c_n summed, a larger n_trunc gives the same F
+            if coeffs.c_tail_sum(n_trunc, spec.index_kind) == 0.0:
+                raise
             if n_trunc * 2 > TRUNC_CAP:
                 raise errors.CertificationFailed(
-                    f"escalation exhausted (n_trunc {n_trunc}): {last_err}"
+                    f"escalation exhausted (n_trunc {n_trunc}): {exc}"
                 )
             n_trunc *= 2
 
@@ -772,7 +736,7 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
             f"central rectangle holds {total} zeros, expected {n_poles}"
         )
     zeros = _central_zeros(cf, rect, k_prime, total, opts, d)
-    reports.append(ZeroReport(rect, None, total - n_poles, True, zeros))
+    reports.append(ZeroReport(rect, None, True, zeros))
     return LocalizationResult(
         reports=reports,
         k_eps=k_eps,

@@ -69,6 +69,28 @@ def test_inverse_reports_residue_certificate(files, capsys):
     assert cert["max_F_vs_product_discrepancy"] < 1e-12
 
 
+def test_inverse_output_is_valid_coefficients_input(files, capsys):
+    # the certificate written beside the coefficients is dropped on reading;
+    # any other unknown field is still rejected
+    coeffs = files["dir"] / "inverse.json"
+    assert _run(["inverse", "--spec", files["spec"], "--target", files["target"], "--out", coeffs]) == 0
+    out = files["dir"] / "spectrum.json"
+    code = _run(
+        ["direct", "--spec", files["spec"], "--coeffs", coeffs,
+         "--trunc", 30, "--trunc-window", 8, "--out", out]
+    )
+    assert code == 0 and json.loads(out.read_text())["certified"] is True
+    assert _run(["oracle", "--spec", files["spec"], "--coeffs", coeffs, "--n", 5]) == 0
+    phi = ["inverse", "--spec", files["spec"], "--target", files["target"], "--fixed-phi", coeffs]
+    assert _run(phi) == 0
+    capsys.readouterr()
+    doc = json.loads(coeffs.read_text())
+    doc["extra_field"] = True
+    coeffs.write_text(json.dumps(doc))
+    assert _run(["oracle", "--spec", files["spec"], "--coeffs", coeffs, "--n", 5]) == 1
+    assert "unknown fields ['extra_field']" in capsys.readouterr().err
+
+
 def test_roundtrip_exit_codes(files, capsys):
     code = _run(
         ["roundtrip", "--spec", files["spec"], "--target", files["target"],

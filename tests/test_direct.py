@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -335,7 +337,7 @@ def test_localization_reports_enclosure_structure(zspec):
     for rep in disk_reports:
         assert rep.certified
         expected = 1 if rep.region_index in (0, 1) else 0
-        assert rep.winding_count == expected
+        assert len(rep.zeros) == expected
     central = [r for r in loc.reports if r.region_index is None]
     assert sum(len(r.zeros) for r in central) + sum(
         len(r.zeros) for r in disk_reports
@@ -346,6 +348,30 @@ def test_localize_raises_when_winding_uncertified(zspec, monkeypatch):
     monkeypatch.setattr(direct, "_certified_winding", _uncertified_winding)
     with pytest.raises(errors.CertificationFailed):
         localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075}), OPTS)
+
+
+def test_n_trunc_doubles_only_while_a_tail_is_left_out(zspec, monkeypatch):
+    # with every nonzero c_n summed, a doubled n_trunc repeats the attempt:
+    # a zero-tail failure is final at once, a power-tail one still doubles
+    attempt, tried = direct._localize_attempt, []
+
+    def spy(spec, coeffs, opts, n_trunc, eps, d):
+        tried.append(n_trunc)
+        return attempt(spec, coeffs, opts, n_trunc, eps, d)
+
+    def fail(*args):
+        raise errors.CertificationFailed("central zeros forced to fail")
+
+    monkeypatch.setattr(direct, "_localize_attempt", spy)
+    monkeypatch.setattr(direct, "_central_zeros", fail)
+    monkeypatch.setattr(direct, "TRUNC_CAP", 80)
+    with pytest.raises(errors.CertificationFailed, match="^central zeros forced to fail$"):
+        localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075}), OPTS)
+    assert tried == [20]
+    tried.clear()
+    with pytest.raises(errors.CertificationFailed, match=r"^escalation exhausted \(n_trunc 80\)"):
+        localize_spectrum(zspec, _tail_cf(zspec).coeffs, OPTS)
+    assert tried == [20, 40, 80]
 
 
 def test_assemble_rejects_a_missing_zero(zspec):
@@ -438,38 +464,45 @@ def test_disk_windings_equal_winding_number_field_by_field(zspec):
     assert not all(r.certified for r in direct._disk_windings(cf, centers, 0.45, 17))
 
 
-def test_disk_through_a_pole_is_marked_and_falls_back(two_point_cf):
+def test_disk_through_a_pole_is_marked_and_falls_back(two_point_cf, monkeypatch):
     # the circle |z - 1/2| = 1/2 passes through the poles 0 and 1
     through, clear = direct._disk_windings(two_point_cf, [0.5, 0.3], 0.5, 128)
     assert through is None
     assert clear == winding_number(two_point_cf, Disk(0.3, 0.5), 128)
-    # a missing first result escalates instead of raising, to the same report
-    opts = LocalizeOptions()
-    first = direct._disk_windings(two_point_cf, [0.0], 0.5, opts.quad)[0]
-    got = direct._localize_disk(two_point_cf, 0, 0.0, 0.275, None, opts, 1.0)
-    assert got == direct._localize_disk(two_point_cf, 0, 0.0, 0.275, first, opts, 1.0)
-    assert got.winding_count == 0 and len(got.zeros) == 1
+    # a missing first order winding escalates instead of raising, to the
+    # same zeros; the escalation's own windings (one centre each) still count
+    zeros = direct._central_zeros(two_point_cf, CENTRAL, 1, 2, OPTS, 1.0)
+    disk_windings = direct._disk_windings
+
+    def first_pass_missing(cf, centers, radius, q):
+        res = disk_windings(cf, centers, radius, q)
+        return [None] * len(res) if np.ndim(centers) else res
+
+    monkeypatch.setattr(direct, "_disk_windings", first_pass_missing)
+    assert direct._central_zeros(two_point_cf, CENTRAL, 1, 2, OPTS, 1.0) == zeros
 
 
-def test_uncertified_batched_disk_escalates_from_twice_the_quadrature(zspec, monkeypatch):
-    # F = 1 - 0.45/z: the zero 0.45 lies 0.05 inside |z| = 1/2, which 16
-    # nodes do not resolve
-    cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.45}), 10)
+def test_uncertified_batched_disk_escalates_from_twice_the_quadrature(two_point_cf, monkeypatch):
+    # every order winding of the first pass (all centres in one call) comes
+    # back uncertified: each circle is counted again on its own, from twice
+    # the starting quadrature
     opts = LocalizeOptions(quad=16)
-    first = direct._disk_windings(cf, [0.0], 0.5, opts.quad)[0]
-    assert not first.certified
-    expected, res = direct._certified_winding(cf, Disk(0j, 0.5), opts, 1)
+    zeros = direct._central_zeros(two_point_cf, CENTRAL, 1, 2, opts, 1.0)
+    disk_windings = direct._disk_windings
     quads = []
+
+    def uncertified(cf, centers, radius, q):
+        res = disk_windings(cf, centers, radius, q)
+        return [dataclasses.replace(r, certified=False) for r in res] if np.ndim(centers) else res
 
     def spy(cf, region, q):
         quads.append(q)
         return winding_number(cf, region, q)
 
+    monkeypatch.setattr(direct, "_disk_windings", uncertified)
     monkeypatch.setattr(direct, "winding_number", spy)
-    rep = direct._localize_disk(cf, 0, 0.0, 0.45, first, opts, 1.0)
-    assert quads[0] == 32
-    assert rep.winding_count == res.count and expected == 1
-    assert len(rep.zeros) == 1 and abs(rep.zeros[0][0] - 0.45) < 1e-12
+    assert direct._central_zeros(two_point_cf, CENTRAL, 1, 2, opts, 1.0) == zeros
+    assert quads == [32, 32]
 
 
 def test_wide_window_localization_memory_stays_bounded(zspec):
@@ -550,6 +583,7 @@ def _newton_by_loop(cf, seed, order, tol):
     # cap: (location, residual) or None
     lam_c = float(direct._shift(cf, np.array([complex(seed)]))[0])
     w, step = complex(seed) - lam_c, np.inf
+    resid_tol = tol * (1.0 + float(np.sum(np.abs(cf.c1))))
     for _ in range(direct.NEWTON_MAX_ITER):
         g, gp = (v[0] for v in cf.value_pair(np.array([w]), order - 1, lam_c))
         if gp == 0:
@@ -557,7 +591,7 @@ def _newton_by_loop(cf, seed, order, tol):
             continue
         new_step = g / gp
         w = w - new_step
-        if abs(new_step) < 1e-16 * (1.0 + abs(lam_c) + abs(w)):
+        if abs(new_step) < 1e-16 * (1.0 + abs(lam_c) + abs(w)) and (order > 1 or abs(g) <= resid_tol):
             break
         if abs(new_step) > 10.0 * (abs(step) + 1.0):
             return None
@@ -566,18 +600,21 @@ def _newton_by_loop(cf, seed, order, tol):
         if abs(step) > 1e-12 * (1.0 + abs(lam_c)):
             return None
     resid = abs(cf.value_pair(np.array([w]), 0, lam_c)[0][0])
-    if order == 1 and resid > tol * (1.0 + float(np.sum(np.abs(cf.c1)))):
+    if order == 1 and resid > resid_tol:
         return None
     return lam_c + w, resid
 
 
 def test_batched_newton_equals_the_one_seed_loop(zspec, double_cf):
     # seeds near simple zeros, on the double zero (F' = 0 there: the loop's
-    # nudge), near it at order 2, and far out where Newton diverges
+    # nudge), near it at order 2, far out where Newton diverges, and next
+    # to a zero 1e-12 from its pole
     rng = np.random.default_rng(3)
     cf = CharacteristicFunction.build(zspec, random_finite_instance(rng, radius=10), 20)
+    near_pole_cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3, 3: 1e-12}), 20)
     cases = [(cf, 1, rng.uniform(-12, 12, 40) + 1j * rng.uniform(-1, 1, 40))]
     cases += [(double_cf, 1, [0.5, 0.3, 0.7 + 0.1j, 1e6j]), (double_cf, 2, [0.47, 0.52 - 0.01j, 0.5])]
+    cases += [(near_pole_cf, 1, [3.0 + 1e-12, 3.0 + 2e-12j, 0.28])]
     outcomes = set()
     for cf, order, seeds in cases:
         z, resid, ok = direct._newton(cf, seeds, order, 1e-10)
@@ -604,6 +641,20 @@ def test_noisy_simple_zero_stops_at_its_round_off_step(zspec):
     near = [(e.mu, e.mult) for e in ps.entries if abs(e.mu) < 2.5]
     assert [m for _, m in near] == [1, 1, 6, 2]
     assert np.allclose([mu for mu, _ in near], [-2.0, -1.0, 0.0, 1.0], rtol=0, atol=1e-8)
+
+
+def test_simple_zero_next_to_its_pole_is_not_stopped_early(zspec):
+    # the zero 1e-12 from lambda_3 has |F'| about 1e12: a step below
+    # 1e-16 (1 + |shift| + |w|) still moved w by 1e-5 of itself and left a
+    # residual above tol, and every n_trunc up to 25600 failed to certify
+    coeffs = finite_coeffs({0: 0.3, 3: 1e-12})
+    ps, loc = solve_direct(zspec, coeffs, LocalizeOptions(window=40, n_trunc=50))
+    assert ps.certified
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-10 * (1 + np.max(np.abs(ref))))
+    assert ok, f"worst deviation {worst:.3e}"
+    (z,) = [z for z, _, _ in loc.all_zeros() if abs(z - 3.0) < 0.5]
+    assert abs(z - (3.0 + 1e-12 / 0.9)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -668,12 +719,11 @@ def _rouche_and_winding_counts(cf, idx, lam, c, d, opts):
     """Zeros in each outer disk by Rouche (None where it does not certify)
     and by the winding on the same circle."""
     _, certified = direct._rouche(cf, idx, lam, c, 0.5 * d)
-    firsts = direct._disk_windings(cf, lam, 0.5 * d, opts.quad)
     rouche, winding = [], []
-    for lam_k, c_k, ok, first in zip(lam, c, certified, firsts):
+    for lam_k, c_k, ok in zip(lam, c, certified):
         expected = int(c_k != 0)
         rouche.append(expected if ok else None)
-        got, _ = direct._first_or_escalated(cf, Disk(complex(lam_k), 0.5 * d), first, opts, expected)
+        got, _ = direct._certified_winding(cf, Disk(complex(lam_k), 0.5 * d), opts, expected)
         winding.append(got)
     return rouche, winding
 
@@ -695,36 +745,101 @@ def test_rouche_count_equals_the_winding_count(zspec):
         idx, lam, c = _disk_data(loc, coeffs)
         rouche, winding = _rouche_and_winding_counts(loc.cf, idx, lam, c, zspec.gap, opts)
         assert None not in rouche and rouche == winding
-        assert all(r.winding_count == 0 for r in loc.reports if r.region_index is not None)
+        assert [len(r.zeros) for r in loc.reports if r.region_index is not None] == rouche
 
 
-def _without_rouche(monkeypatch):
+def test_outer_disk_failure_names_its_rouche_margin(zspec, monkeypatch):
+    # the first outer disk, index -8: |G| = 1, S = 0.275/7.5 + 0.075/8.5;
+    # with the tail zero the failure is final, with no n_trunc doubling
     rouche = direct._rouche
 
     def reject(cf, idx, lam, c, r):
         return rouche(cf, idx, lam, c, r)[0], np.zeros(len(idx), dtype=bool)
 
     monkeypatch.setattr(direct, "_rouche", reject)
-
-
-def test_solve_without_rouche_gives_the_same_result(zspec, monkeypatch):
-    rng = np.random.default_rng(7)
-    opts = LocalizeOptions(window=20, n_trunc=30)
-    cases = [random_finite_instance(rng, radius=15, max_points=6) for _ in range(8)]
-    cases.append(_tail_cf(zspec).coeffs)
-    before = [solve_direct(zspec, coeffs, opts) for coeffs in cases]
-    _without_rouche(monkeypatch)
-    for coeffs, (ps, loc) in zip(cases, before):
-        ps2, loc2 = solve_direct(zspec, coeffs, opts)
-        assert ps2 == ps
-        assert loc2.reports == loc.reports
-
-
-def test_outer_disk_failure_names_its_rouche_margin(zspec, monkeypatch):
-    # the first outer disk, index -8: |G| = 1, S = 0.275/7.5 + 0.075/8.5
-    _without_rouche(monkeypatch)
-    monkeypatch.setattr(direct, "_disk_windings", lambda cf, centers, radius, q: [None] * len(centers))
-    monkeypatch.setattr(direct, "_certified_winding", _uncertified_winding)
-    failed = r"index -8 failed to certify \(Rouche margin 0.955\)"
+    failed = r"^disk around index -8 failed to certify \(Rouche margin 0.955\)$"
     with pytest.raises(errors.CertificationFailed, match=failed):
         localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075}), OPTS)
+
+
+def test_outer_disk_newton_failure_names_its_seed(zspec, monkeypatch):
+    # c_6 = 0.01 lies beyond K' = 1: its disk is certified, but its Newton
+    # zero is forced to fail
+    newton = direct._newton
+
+    def fail(cf, seeds, order, tol):
+        z, resid, ok = newton(cf, seeds, order, tol)
+        return z, resid, np.zeros_like(ok)
+
+    monkeypatch.setattr(direct, "_newton", fail)
+    failed = r"^Newton from 6.01\+0j found no zero in the disk around index 6$"
+    with pytest.raises(errors.CertificationFailed, match=failed):
+        localize_spectrum(zspec, finite_coeffs({0: 0.275, 6: 0.01}), OPTS)
+
+
+def _random_base(rng):
+    """A Z or N spectrum with gap d, a non-affine head and an affine tail."""
+    d = float(rng.uniform(0.5, 2.0))
+    slope = d * float(rng.uniform(1.6, 2.0))
+    n_head = int(rng.integers(2, 9))
+    kind = "Z" if rng.integers(2) else "N"
+    offset = -(n_head // 2) if kind == "Z" else int(rng.integers(0, 2))
+    head = float(rng.uniform(-5, 5)) + np.concatenate([[0.0], np.cumsum(rng.uniform(d, slope, n_head - 1))])
+    # the tail continues the head with gaps of at least d at both junctions
+    slack = slope * (n_head + 1) - (head[-1] - head[0]) - 2.0 * d
+    intercept = head[0] - d - 0.5 * slack - slope * (offset - 1)
+    if kind == "N":
+        intercept = head[-1] + d - slope * (offset + n_head)
+    return validate_base(
+        BaseSpectrum(kind, offset, tuple(head), AffineTail(slope, intercept), d * (1.0 - 1e-9))
+    )
+
+
+def _random_coeffs(rng, spec):
+    """Complex c_n with |c_n| up to 3d on a head, and in half the cases a power tail."""
+    from rank1spec.model import PerturbationCoefficients, PowerTail
+
+    lo = -int(rng.integers(0, 8)) if spec.index_kind == "Z" else spec.start
+    hi = int(rng.integers(max(lo, 0) + 1, 40))
+    size = int(rng.integers(1, 6))
+    c = np.zeros(hi - lo + 1, dtype=complex)
+    at = rng.choice(hi - lo + 1, min(size, hi - lo + 1), replace=False)
+    c[at] = 3.0 * spec.gap * rng.uniform(0, 1, len(at)) ** 2 * np.exp(2j * np.pi * rng.uniform(size=len(at)))
+    a_tail = b_tail = None
+    if rng.integers(2):
+        a_tail = PowerTail(beta=1.0, scale=1.0, phase=0.0)
+        b_tail = PowerTail(beta=float(rng.uniform(0.6, 2.0)), scale=float(rng.uniform(0.01, 0.3)), phase=1.0)
+    return PerturbationCoefficients(
+        a_head_offset=lo, a_head=(1.0,) * len(c), a_tail=a_tail,
+        b_head_offset=lo, b_head=tuple(c), b_tail=b_tail,
+    )  # fmt: skip
+
+
+def test_rouche_margin_exceeds_the_enclosure_bound():
+    # K_eps and K' of compute_Keps give |G_k| - S_k > eps / (2 (K' - K_eps) + 1)
+    # on every outer circle |z - lambda_k| = d/2: Rouche cannot fail there,
+    # whatever the index set, head, tail or phase of c_n
+    from rank1spec.model import validate_coefficients
+
+    rng = np.random.default_rng(8)
+    disks, count = set(), 0
+    for _ in range(60):
+        spec = _random_base(rng)
+        coeffs = validate_coefficients(_random_coeffs(rng, spec), spec)
+        d = spec.gap
+        eps = d / (2.0 + d)
+        k_eps, k_prime = compute_Keps(spec, coeffs, eps)
+        for window, n_trunc in ((k_prime + 20, k_prime + 28), (k_prime + 5, 2 * k_prime + 40)):
+            cf = CharacteristicFunction.build(spec, coeffs, n_trunc)
+            idx = spec.window_indices(window)
+            idx = idx[np.abs(idx) > k_prime]
+            lam = np.atleast_1d(spec.lambda_at(idx)).astype(float)
+            c = np.atleast_1d(coeffs.c_at(idx)).astype(complex)
+            margin, certified = direct._rouche(cf, idx, lam, c, 0.5 * d)
+            assert certified.all()
+            assert np.all(margin > eps / (2 * (k_prime - k_eps) + 1)), (spec, coeffs)
+            disks.update((spec.index_kind, cf.tail_total > 0, bool(c_k != 0)) for c_k in c)
+            count += len(idx)
+    # 2250 disks of every kind: both index sets, with and without a tail,
+    # with and without a zero inside
+    assert len(disks) == 8 and count == 2250
