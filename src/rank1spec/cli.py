@@ -20,10 +20,12 @@ def _load_spec(path):
 
 
 def _read_coeffs(path):
-    """Coefficients from a file, less the certificate that `inverse` writes beside them."""
+    """Coefficients from a file, less the certificate that `inverse` and the
+    report that `gallery --report` write beside them."""
     doc = model.load_json(path)
     if isinstance(doc, dict):
         doc.pop("certificate", None)
+        doc.pop("report", None)
     return model.coefficients_from_json(doc)
 
 

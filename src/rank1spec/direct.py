@@ -1,20 +1,19 @@
 """Direct spectral problem: locate all eigenvalues of the perturbation.
 
 Zeros of the characteristic function are counted by the paper's Rouche
-inequality or by argument-principle contour integrals (trapezoidal rule on
-circles, composite Gauss-Legendre on rectangle sides), and polished by
-Newton iteration in pole-shifted coordinates, all seeds of a step in one
-kernel call.  The localization follows the enclosure sigma(B) subset
-Q_{K'} union (disks of radius d/2 around the outer indices |n| > K').
-Each outer disk is certified, as in the paper's proof of the enclosure,
-by Rouche against G_k = 1 + c_k / (lambda_k - z), in closed form and for
-all disks in one broadcast, and its zero is placed by Newton; a disk that
-fails either step raises.  The central rectangle Q_{K'} is counted by one
-winding; its zeros are seeded by the eigenvalues of the window's
-diagonal-plus-rank-one matrix, grouped into multiple zeros, and each
-zero's order is certified by a winding on a small circle of its own, those
-circles counted together in blocks of DISK_BLOCK_NODES nodes per kernel
-call.
+inequality or by argument-principle integrals on circles (trapezoidal
+rule), and polished by Newton iteration in pole-shifted coordinates, all
+seeds of a step in one kernel call.  The localization follows the
+enclosure sigma(B) subset Q_{K'} union (disks of radius d/2 around the
+outer indices |n| > K').  Each outer disk is certified, as in the paper's
+proof of the enclosure, by Rouche against G_k = 1 + c_k / (lambda_k - z),
+in closed form and for all disks in one broadcast, and its zero is placed
+by Newton; a disk that fails either step raises.  The central rectangle
+Q_{K'} is counted by the same inequality against 1, in closed form; its
+zeros are seeded by the eigenvalues of the window's diagonal-plus-rank-one
+matrix, grouped into multiple zeros, and each zero's order is certified by
+a winding on a small circle of its own, those circles counted together in
+blocks of DISK_BLOCK_NODES nodes per kernel call.
 """
 
 from dataclasses import dataclass
@@ -71,10 +70,6 @@ class Rectangle:
         inside_re = (self.re_lo < z.real) & (z.real < self.re_hi)
         return inside_re & (self.im_lo < z.imag) & (z.imag < self.im_hi)
 
-    @property
-    def center(self):
-        return complex(0.5 * (self.re_lo + self.re_hi), 0.5 * (self.im_lo + self.im_hi))
-
 
 @dataclass
 class ZeroReport:
@@ -128,54 +123,6 @@ def _circle_nodes(center, radius, q):
     # dz weight for the trapezoidal rule: i r e^{i theta} * (2 pi / q)
     w = (1j * radius * (2.0 * np.pi / q)) * e
     return z, w
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-@functools.lru_cache(maxsize=32)
-def _unit_panels(q):
-    """Composite Gauss-Legendre nodes on [0, 1] and each panel's half width."""
-    panels = max(2, int(math.ceil(q / (4 * len(_GL_NODES)))))
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    lo, hi = edges[:-1, np.newaxis], edges[1:, np.newaxis]
-    half = 0.5 * (hi - lo)
-    t = (0.5 * (lo + hi) + half * _GL_NODES).ravel()
-    t.flags.writeable = False
-    half.flags.writeable = False
-    return t, half
-
-
-def _rect_nodes(rect, q):
-    t, half = _unit_panels(q)
-    # the four sides, counter-clockwise from the lower left corner
-    a = np.array([
-        complex(rect.re_lo, rect.im_lo),
-        complex(rect.re_hi, rect.im_lo),
-        complex(rect.re_hi, rect.im_hi),
-        complex(rect.re_lo, rect.im_hi),
-    ])
-    side = np.roll(a, -1) - a
-    z = a[:, np.newaxis] + side[:, np.newaxis] * t
-    w = (side[:, np.newaxis, np.newaxis] * half) * _GL_WEIGHTS
-    return z.ravel(), w.ravel()
-
-
-def _pole_distance_to_rect(rect, poles):
-    if len(poles) == 0:
-        return math.inf
-    poles = np.asarray(poles, dtype=complex)
-    dre = np.minimum(np.abs(poles.real - rect.re_lo), np.abs(poles.real - rect.re_hi))
-    dim = np.minimum(np.abs(poles.imag - rect.im_lo), np.abs(poles.imag - rect.im_hi))
-    inside_re = (rect.re_lo <= poles.real) & (poles.real <= rect.re_hi)
-    inside_im = (rect.im_lo <= poles.imag) & (poles.imag <= rect.im_hi)
-    # distance to the boundary of the rectangle
-    d = np.where(
-        inside_re & inside_im,
-        np.minimum(dre, dim),
-        np.where(inside_re, dim, np.where(inside_im, dre, np.hypot(dre, dim))),
-    )
-    return float(np.min(d))
 
 
 @dataclass
@@ -269,32 +216,9 @@ def _disk_windings(cf, centers, radius, quadrature_points):
 
 
 def winding_number(cf, region, quadrature_points):
-    """Argument-principle count of zeros minus poles inside the region.
-
-    A disk is the one-centre case of _disk_windings.  On a rectangle F, F'
-    and the tail bound are evaluated once on q nodes (q rounded up to an
-    even number); its Gauss-Legendre panels are not nested, so the q/2
-    convergence check takes a second pass.
-    """
-    if isinstance(region, Disk):
-        res = _disk_windings(cf, region.center, region.radius, quadrature_points)[0]
-    elif _pole_distance_to_rect(region, cf.lam1) < CONTOUR_POLE_TOL * (1.0 + abs(region.center)):
-        res = None
-    else:
-        q = _even_quad(quadrature_points)
-        z, w = _rect_nodes(region, q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g, F = _argument_terms(cf, z, w)
-            g_lo, _ = _argument_terms(cf, *_rect_nodes(region, q // 2))
-            integral = g.sum() / (2j * np.pi)
-            integral_lo = g_lo.sum() / (2j * np.pi)
-        res = _winding_results(
-            np.array([integral]),
-            np.array([integral_lo]),
-            np.abs(F).min(keepdims=True),
-            cf.tail_bound_at(z).max(keepdims=True),
-            _noise_floor(cf),
-        )[0]
+    """Argument-principle count of zeros minus poles inside a Disk: the
+    one-centre case of _disk_windings."""
+    res = _disk_windings(cf, region.center, region.radius, quadrature_points)[0]
     if res is None:
         raise errors.ContourThroughSingularity(
             f"a represented pole lies within {CONTOUR_POLE_TOL:g} of the contour"
@@ -323,7 +247,14 @@ def _certified_winding(cf, region, opts, poles_inside, q=None):
 
 
 # ---------------------------------------------------------------------------
-# Rouche certificate of the outer disks
+# Rouche certificates of the outer disks and the central rectangle
+
+
+def _gamma(m):
+    """Higham's gamma_m = m u / (1 - m u), inf where m u >= 1/2."""
+    mu = m * UNIT_ROUNDOFF
+    with np.errstate(invalid="ignore"):
+        return np.where(mu < 0.5, mu / (1.0 - mu), np.inf)
 
 
 def _rouche(cf, idx, lam, c, r):
@@ -371,11 +302,43 @@ def _rouche(cf, idx, lam, c, r):
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa_s = np.where(ok, 1.0 + r / nearest, np.inf)
         kappa_g = np.where(ok, (1.0 - g) / g, np.inf)
-    m = len(absc) + 12.0 + np.ceil(kappa_s) + np.ceil(3.0 * kappa_g)
-    mu = np.where(ok, m * UNIT_ROUNDOFF, 1.0)
-    gamma = np.where(mu < 0.5, mu / (1.0 - mu), np.inf)
+    gamma = _gamma(len(absc) + 12.0 + np.ceil(kappa_s) + np.ceil(3.0 * kappa_g))
     margin = np.where(ok, g - s, -np.inf)
     return margin, ok & (s * (1.0 + gamma) < g * (1.0 - gamma))
+
+
+def _pole_distance_to_rect(rect, poles):
+    """Distance from each real pole to the boundary of a rectangle that
+    straddles the real axis: to the nearer vertical side from outside its
+    real range, to the nearest side from inside."""
+    dre = np.minimum(np.abs(poles - rect.re_lo), np.abs(poles - rect.re_hi))
+    inside = (rect.re_lo < poles) & (poles < rect.re_hi)
+    return np.where(inside, np.minimum(dre, min(-rect.im_lo, rect.im_hi)), dre)
+
+
+def _rouche_rect(cf, rect):
+    """Rouche margin 1 - S_Q on the boundary of the central rectangle, and
+    whether it certifies that F has as many zeros as poles inside.
+
+    On the boundary |F - 1| <= S_Q = sum_n |c_n| / dist(lambda_n, boundary)
+    + T / delta_Q.  Every unrepresented pole is real and lies beyond the
+    real range (its index exceeds n_trunc >= K' + 8), so delta_Q is the
+    smaller of delta_unrepresented at the two real ends.  When S_Q < 1, F
+    winds around 0 as 1 does: zeros minus poles inside is 0.  K_eps and K'
+    give 1 - S_Q > eps / (2 (K' - K_eps) + 1), as on the outer circles.
+    The check is S_Q (1 + gamma) < 1 - gamma with _rouche's allowance, |G|
+    = 1 exact and kappa = (|lambda_n| + |edge|) / dist for the cancellation
+    in each pole's distance to the boundary, edge the farther real end.
+    """
+    with np.errstate(divide="ignore"):
+        dist = _pole_distance_to_rect(rect, cf.lam1)
+        s = float(np.sum(np.abs(cf.c1) / dist))
+        if cf.tail_total > 0.0:
+            s += cf.tail_total / float(cf.delta_unrepresented([rect.re_lo, rect.re_hi]).min())
+        edge = max(abs(rect.re_lo), abs(rect.re_hi))
+        kappa = np.max((np.abs(cf.lam1) + edge) / dist, initial=0.0)
+    gamma = float(_gamma(len(cf.c1) + 12.0 + np.ceil(kappa)))
+    return 1.0 - s, bool(s * (1.0 + gamma) < 1.0 - gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +528,8 @@ def _central_zeros(cf, rect, k_prime, n_zeros, opts, d):
     Seeds closer than CLUSTER_RTOL d, or than the round-off link
     (_roundoff_link) of either of them, form a group; a group of m > 1 is
     one order-m zero when _try_multiple accepts it, from the same _spread
-    radii.  Each zero's order is certified by a winding on its own circle,
+    radii, and a lone seed Newton did not polish is retried once from
+    lambda_k + c_k of its nearest pole.  Each zero's order is certified by a winding on its own circle,
     all circles in one _disk_windings call at opts.quad; a count not
     certified there escalates from 2 opts.quad.  A circle's radius is at
     most d/4, a third of the distance to the next zero and half the
@@ -594,7 +558,14 @@ def _central_zeros(cf, rect, k_prime, n_zeros, opts, d):
             zeros.append((complex(points[members[0]]), 1, resid[members[0]]))
             continue
         seed = complex(points[members].mean())
-        got = _try_multiple(cf, seed, m, opts.tol, d) if m > 1 else None
+        if m > 1:
+            got = _try_multiple(cf, seed, m, opts.tol, d)
+        else:
+            # a seed within a few ulps of its pole can land on the far side
+            # of it from the zero, where Newton does not converge
+            k = np.argmin(np.abs(cf.lam1 - seed))
+            z, res, ok = _newton(cf, [cf.lam1[k] + cf.c1[k]], 1, opts.tol)
+            got = (complex(z[0]), 1, res[0]) if ok[0] and rect.contains(z[0]) else None
         if got is None:
             raise errors.CertificationFailed(f"no zero of order {m} found near {seed:.6g}")
         zeros.append(got)
@@ -728,14 +699,12 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
     # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
     n_poles = int(np.count_nonzero(np.abs(cf.idx1) <= k_prime))
     rect = _central_rectangle(spec, k_prime, d)
-    total, _ = _certified_winding(cf, rect, opts, n_poles)
-    if total is None:
-        raise errors.CertificationFailed("central rectangle winding failed to certify")
-    if total != n_poles:
+    margin, certified = _rouche_rect(cf, rect)
+    if not certified:
         raise errors.CertificationFailed(
-            f"central rectangle holds {total} zeros, expected {n_poles}"
+            f"central rectangle failed to certify (Rouche margin {margin:.3g})"
         )
-    zeros = _central_zeros(cf, rect, k_prime, total, opts, d)
+    zeros = _central_zeros(cf, rect, k_prime, n_poles, opts, d)
     reports.append(ZeroReport(rect, None, True, zeros))
     return LocalizationResult(
         reports=reports,

@@ -49,7 +49,7 @@ def test_direct_output_is_deterministic(files):
 
 
 def test_uncertified_direct_exits_two(files, monkeypatch, capsys):
-    monkeypatch.setattr(direct, "_certified_winding", lambda cf, region, opts, poles_inside: (None, None))
+    monkeypatch.setattr(direct, "_rouche_rect", lambda cf, rect: (-1.0, False))
     code = _run(
         ["direct", "--spec", files["spec"], "--coeffs", files["coeffs"],
          "--trunc", 30, "--trunc-window", 8]
@@ -138,6 +138,24 @@ def test_gallery_power_coefficients(files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["a_tail"]["beta"] == 2.0
     assert len(doc["a_head"]["values"]) == 41
+
+
+def test_gallery_report_output_is_valid_coefficients_input(files, capsys):
+    # the report written beside the coefficients is dropped on reading, as
+    # inverse's certificate is; any other unknown field is still rejected
+    coeffs = files["dir"] / "power.json"
+    assert _run(["gallery", "--example", "power", "--window", 30, "--report", "--out", coeffs]) == 0
+    assert "report" in json.loads(coeffs.read_text())
+    assert "PASS" in capsys.readouterr().out
+    direct_argv = ["direct", "--spec", files["spec"], "--coeffs", coeffs, "--trunc", 80, "--trunc-window", 30]
+    assert _run(direct_argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certified"] is True
+    doc = json.loads(coeffs.read_text())
+    doc["extra_field"] = True
+    coeffs.write_text(json.dumps(doc))
+    assert _run(direct_argv) == 1
+    assert "SchemaError" in capsys.readouterr().err
 
 
 def test_invalid_json_exits_one(files, tmp_path, capsys):

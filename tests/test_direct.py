@@ -47,22 +47,22 @@ OPTS = LocalizeOptions(window=8, n_trunc=20)
 
 
 def test_winding_counts_zeros_minus_poles(two_point_cf):
-    # box around the zero 1/4 only
-    res = winding_number(two_point_cf, Rectangle(0.1, 0.45, -0.3, 0.3), 256)
+    # disk around the zero 1/4 only
+    res = winding_number(two_point_cf, Disk(0.25, 0.2), 256)
     assert res.certified and res.count == 1
     # disk containing the zero 1/4 and the pole 0
     res = winding_number(two_point_cf, Disk(0.125, 0.35), 256)
     assert res.certified and res.count == 0
-    # box containing both zeros and both poles
-    res = winding_number(two_point_cf, Rectangle(-0.5, 1.5, -1.0, 1.0), 256)
+    # disk containing both zeros and both poles
+    res = winding_number(two_point_cf, Disk(0.5, 1.0), 256)
     assert res.certified and res.count == 0
-    # empty box
-    res = winding_number(two_point_cf, Rectangle(2.2, 2.8, -0.2, 0.2), 256)
+    # empty disk
+    res = winding_number(two_point_cf, Disk(2.5, 0.3), 256)
     assert res.certified and res.count == 0
 
 
 def test_winding_counts_multiplicity(double_cf):
-    res = winding_number(double_cf, Rectangle(0.2, 0.8, -0.25, 0.25), 256)
+    res = winding_number(double_cf, Disk(0.5, 0.3), 256)
     assert res.certified and res.count == 2
 
 
@@ -89,8 +89,8 @@ def test_disk_half_rule_equals_independent_trapezoid(two_point_cf):
 def test_odd_quadrature_rounds_up_to_even(two_point_cf, double_cf):
     for cf, region in (
         (two_point_cf, Disk(0.3, 0.2)),
-        (two_point_cf, Rectangle(0.1, 0.45, -0.3, 0.3)),
-        (double_cf, Rectangle(0.2, 0.8, -0.25, 0.25)),
+        (two_point_cf, Disk(0.25, 0.2)),
+        (double_cf, Disk(0.5, 0.3)),
     ):
         odd, even = winding_number(cf, region, 257), winding_number(cf, region, 258)
         assert (odd.count, odd.certified) == (even.count, even.certified)
@@ -345,8 +345,12 @@ def test_localization_reports_enclosure_structure(zspec):
 
 
 def test_localize_raises_when_winding_uncertified(zspec, monkeypatch):
-    monkeypatch.setattr(direct, "_certified_winding", _uncertified_winding)
-    with pytest.raises(errors.CertificationFailed):
+    # the central rectangle [-1.5, 1.5] x [-1.5, 1.5] (K' = 1): S_Q =
+    # 0.275/1.5 + 0.075/0.5, forced to fail with its own margin
+    rouche_rect = direct._rouche_rect
+    monkeypatch.setattr(direct, "_rouche_rect", lambda cf, rect: (rouche_rect(cf, rect)[0], False))
+    failed = r"^central rectangle failed to certify \(Rouche margin 0.667\)$"
+    with pytest.raises(errors.CertificationFailed, match=failed):
         localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075}), OPTS)
 
 
@@ -522,31 +526,6 @@ def test_wide_window_localization_memory_stays_bounded(zspec):
     assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
-def test_rect_nodes_equal_the_panel_loop():
-    def loop(rect, q):
-        corners = [
-            complex(rect.re_lo, rect.im_lo), complex(rect.re_hi, rect.im_lo),
-            complex(rect.re_hi, rect.im_hi), complex(rect.re_lo, rect.im_hi),
-            complex(rect.re_lo, rect.im_lo),
-        ]
-        gl_t, gl_w = np.polynomial.legendre.leggauss(8)
-        panels = max(2, int(np.ceil(q / 32)))
-        zs, ws = [], []
-        for a, b in zip(corners[:-1], corners[1:]):
-            edges = np.linspace(0.0, 1.0, panels + 1)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                zs.append(a + (b - a) * (mid + half * gl_t))
-                ws.append((b - a) * half * gl_w)
-        return np.concatenate(zs), np.concatenate(ws)
-
-    for rect in (Rectangle(0.1, 0.45, -0.3, 0.3), Rectangle(-17.5, 17.5, -17.5, 17.5), Rectangle(4.5, 7.3, -1e-3, 2.1)):
-        for q in (16, 64, 100, 128, 256, 1000, 4096):
-            z, w = direct._rect_nodes(rect, q)
-            z_ref, w_ref = loop(rect, q)
-            assert np.array_equal(z, z_ref) and np.array_equal(w, w_ref)
-
-
 def _common_hits_by_loop(lam0, z, match_tol):
     # the per-pair loop: each common eigenvalue in turn takes the first zero
     # not taken before within the match tolerance
@@ -657,8 +636,20 @@ def test_simple_zero_next_to_its_pole_is_not_stopped_early(zspec):
     assert abs(z - (3.0 + 1e-12 / 0.9)) < 1e-15
 
 
+def test_lone_central_seed_next_to_its_pole_is_polished_from_the_pole(zspec):
+    # the zero about 2.2e-16 left of lambda_1 = 1: the eigenvalue seed lands
+    # on the far side of the pole, Newton from it does not converge, and the
+    # one-member group raised "no zero of order 1 found near 1+0j"
+    coeffs = finite_coeffs({0: 0.1, 1: -2e-16})
+    ps, loc = solve_direct(zspec, coeffs, OPTS)
+    assert ps.certified
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-15)
+    assert ok, f"worst deviation {worst:.3e}"
+
+
 # ---------------------------------------------------------------------------
-# Rouche certificate of the outer disks
+# Rouche certificates of the outer disks and the central rectangle
 
 
 def _disk_data(loc, coeffs):
@@ -668,19 +659,20 @@ def _disk_data(loc, coeffs):
     return idx, lam, np.atleast_1d(coeffs.c_at(idx)).astype(complex)
 
 
+def _iv_modulus(iv, v):
+    return iv.sqrt(iv.mpf(v.real) ** 2 + iv.mpf(v.imag) ** 2)
+
+
 def _iv_rouche_holds(iv, cf, k, lam_k, c_k, r):
     """S_k < |G_k| on |z - lambda_k| = r in interval arithmetic, from the
     same float data (delta_k as tail_bound_at takes it)."""
-    def mod(v):
-        return iv.sqrt(iv.mpf(v.real) ** 2 + iv.mpf(v.imag) ** 2)
-
     s = iv.mpf(0)
     for n, lam_n, c_n in zip(cf.idx1, cf.lam1, cf.c1):
         if n != k:
-            s += mod(complex(c_n)) / (abs(iv.mpf(float(lam_n)) - lam_k) - r)
+            s += _iv_modulus(iv, complex(c_n)) / (abs(iv.mpf(float(lam_n)) - lam_k) - r)
     if cf.tail_total:
         s += iv.mpf(cf.tail_total) / (iv.mpf(float(cf.delta_unrepresented(lam_k)[0])) - r)
-    return s.b < (1 - mod(complex(c_k)) / r).a
+    return s.b < (1 - _iv_modulus(iv, complex(c_k)) / r).a
 
 
 def test_rouche_certificate_holds_in_interval_arithmetic(zspec):
@@ -713,6 +705,52 @@ def test_rouche_certificate_holds_in_interval_arithmetic(zspec):
                 assert _iv_rouche_holds(iv, cf, idx[j], lam[j], c[j], r), (idx[j], ulps)
                 checked += 1
     assert checked > 100
+
+
+def _iv_rect_bound(iv, cf, rect):
+    """The upper end of S_Q on the rectangle's boundary in interval
+    arithmetic, from the same float data (delta_Q as _rouche_rect takes it)."""
+    s = iv.mpf(0)
+    for lam_n, c_n in zip(cf.lam1, cf.c1):
+        x = iv.mpf(float(lam_n))
+        sides = [abs(x - rect.re_lo), abs(x - rect.re_hi)]
+        if rect.re_lo < lam_n < rect.re_hi:
+            sides += [iv.mpf(-rect.im_lo), iv.mpf(rect.im_hi)]
+        s += _iv_modulus(iv, complex(c_n)) / min(side.a for side in sides)
+    if cf.tail_total:
+        delta = cf.delta_unrepresented([rect.re_lo, rect.re_hi]).min()
+        s += iv.mpf(cf.tail_total) / iv.mpf(float(delta))
+    return s.b
+
+
+def test_rect_rouche_certificate_holds_in_interval_arithmetic(zspec):
+    # random power-tail instances, every c_n and the tail scaled so that S_Q
+    # lies on a grid of ulps around 1, where rounding decides: the float
+    # check never certifies a rectangle whose interval S_Q reaches 1
+    from mpmath import iv
+    from rank1spec.model import PerturbationCoefficients, PowerTail
+
+    rng = np.random.default_rng(12)
+    rect = Rectangle(-10.5, 10.5, -10.5, 10.5)
+    outcomes = []
+    for _ in range(4):
+        tail = PowerTail(beta=float(rng.uniform(1.2, 3.0)), scale=float(rng.uniform(0.05, 0.5)), phase=0.3)
+        head = rng.uniform(-0.2, 0.2, 21) + 1j * rng.uniform(-0.2, 0.2, 21)
+        coeffs = PerturbationCoefficients(
+            a_head_offset=-10, a_head=(1.0,) * 21, a_tail=tail,
+            b_head_offset=-10, b_head=tuple(head), b_tail=tail,
+        )  # fmt: skip
+        cf = CharacteristicFunction.build(zspec, coeffs, 24)
+        assert cf.tail_total > 0.0
+        s = 1.0 - direct._rouche_rect(cf, rect)[0]
+        for ulps in range(-480, 49, 16):
+            f = (1.0 + ulps * direct.UNIT_ROUNDOFF) / s
+            scaled = dataclasses.replace(cf, c1=f * cf.c1, tail_total=f * cf.tail_total)
+            _, certified = direct._rouche_rect(scaled, rect)
+            if certified:
+                assert _iv_rect_bound(iv, scaled, rect) < 1, ulps
+            outcomes.append(certified)
+    assert 20 < sum(outcomes) < len(outcomes) - 20
 
 
 def _rouche_and_winding_counts(cf, idx, lam, c, d, opts):
@@ -838,6 +876,9 @@ def test_rouche_margin_exceeds_the_enclosure_bound():
             margin, certified = direct._rouche(cf, idx, lam, c, 0.5 * d)
             assert certified.all()
             assert np.all(margin > eps / (2 * (k_prime - k_eps) + 1)), (spec, coeffs)
+            # the central rectangle by the same inequality against 1
+            margin, certified = direct._rouche_rect(cf, direct._central_rectangle(spec, k_prime, d))
+            assert certified and margin > eps / (2 * (k_prime - k_eps) + 1), (spec, coeffs)
             disks.update((spec.index_kind, cf.tail_total > 0, bool(c_k != 0)) for c_k in c)
             count += len(idx)
     # 2250 disks of every kind: both index sets, with and without a tail,
