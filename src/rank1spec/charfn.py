@@ -31,14 +31,17 @@ def first_pole_hit(lam, z):
 
 @dataclass(frozen=True)
 class CharacteristicFunction:
+    """F cut to the window |n| <= n_trunc.  build evaluates the window's
+    indices idx (ascending), lambda_n and c_n once, for the direct solver
+    to slice; the I1 terms (c_n != 0) idx1, lam1, c1 run from the largest
+    |index| inward, so that the smallest terms accumulate first."""
+
     spec: object
     coeffs: object
     n_trunc: int
-    # every base eigenvalue of the window |n| <= n_trunc, ascending, and its
-    # I0 mask (c_n == 0)
+    idx: np.ndarray
     lam: np.ndarray
-    i0: np.ndarray
-    # the I1 terms, ordered from the largest |index| inward
+    c: np.ndarray
     idx1: np.ndarray
     lam1: np.ndarray
     c1: np.ndarray
@@ -52,15 +55,15 @@ class CharacteristicFunction:
         c = np.atleast_1d(coeffs.c_at(idx))
         lam = np.asarray(spec.lambda_at(idx), dtype=float).reshape(-1)
         i0 = c == 0
-        # largest |n| first: the smallest terms accumulate before the big ones
         order = np.argsort(-np.abs(idx[~i0]), kind="stable")
         tail = coeffs.c_tail_sum(n_trunc, spec.index_kind)
         return cls(
             spec=spec,
             coeffs=coeffs,
             n_trunc=int(n_trunc),
+            idx=idx,
             lam=lam,
-            i0=i0,
+            c=c,
             idx1=idx[~i0][order],
             lam1=lam[~i0][order],
             c1=np.asarray(c[~i0][order], dtype=complex),

@@ -2,18 +2,19 @@
 
 Zeros of the characteristic function are counted by the paper's Rouche
 inequality or by argument-principle integrals on circles (trapezoidal
-rule), and polished by Newton iteration in pole-shifted coordinates, all
-seeds of a step in one kernel call.  The localization follows the
-enclosure sigma(B) subset Q_{K'} union (disks of radius d/2 around the
-outer indices |n| > K').  Each outer disk is certified, as in the paper's
-proof of the enclosure, by Rouche against G_k = 1 + c_k / (lambda_k - z),
-in closed form and for all disks in one broadcast, and its zero is placed
-by Newton; a disk that fails either step raises.  The central rectangle
-Q_{K'} is counted by the same inequality against 1, in closed form; its
-zeros are seeded by the eigenvalues of the window's diagonal-plus-rank-one
-matrix, grouped into multiple zeros, and each zero's order is certified by
-a winding on a small circle of its own, those circles counted together in
-blocks of DISK_BLOCK_NODES nodes per kernel call.
+rule), and polished by Newton iteration in pole-shifted coordinates.  The
+localization follows the enclosure sigma(B) subset Q_{K'} union (disks of
+radius d/2 around the outer indices |n| > K').  Each outer disk is
+certified, as in the paper's proof of the enclosure, by Rouche against
+G_k = 1 + c_k / (lambda_k - z), in closed form and for all disks in one
+broadcast, and the central rectangle Q_{K'} by the same inequality against
+1.  One Newton pass, one kernel call a step, then polishes every simple
+zero: the outer disks' from lambda_k + c_k, the central ones from the
+eigenvalues of the window's diagonal-plus-rank-one matrix.  A disk whose
+zero fails raises; the central zeros are grouped into multiple zeros, and
+each one's order is certified by a winding on a small circle of its own,
+those circles counted together in blocks of DISK_BLOCK_NODES nodes per
+kernel call.
 """
 
 from dataclasses import dataclass
@@ -372,24 +373,28 @@ def _noise(cf, z, orders):
     return 1e-15 * ((j == 0) + terms.sum(axis=-1))
 
 
-def _newton(cf, seeds, order, tol):
+@np.errstate(divide="ignore", invalid="ignore")
+def _newton(cf, seeds, order, tol, shift=None):
     """Newton on F^(order-1) from every seed at once: (locations, residuals
     |F|, converged mask), arrays over the seeds (residual nan where not).
 
     Each point runs in coordinates shifted by the window eigenvalue nearest
-    its seed, and each step makes one kernel call for the points still
-    moving.  A point stops when its step falls below 1e-16 (1 + |shift| +
-    |w|) and, at order 1, |F| before the step is within tol (1 + sum
-    |c_n|): next to a pole such a step can still be a large share of |w|.
-    It fails when a step grows past ten times the last one plus 1
-    (divergence); when after NEWTON_MAX_ITER steps its last step exceeds
-    both 1e-12 (1 + |shift|) and ROUNDOFF times the noise of F^(order-1)
-    over |F^(order)|, the step round-off alone makes (_noise); or, at
-    order 1, when its residual exceeds tol (1 + sum |c_n|).
+    its seed, or by shift (one per seed, the seeds then offsets from it),
+    and each step makes one kernel call for the points still moving; no
+    point's steps depend on the others.  A point stops when its step falls
+    below 1e-16 (1 + |shift| + |w|) and, at order 1, |F| before the step is
+    within tol (1 + sum |c_n|): next to a pole such a step can still be a
+    large share of |w|.  It fails when a step is not finite (on a pole) or
+    grows past ten times the last one plus 1 (divergence); when after
+    NEWTON_MAX_ITER steps its last step exceeds both 1e-12 (1 + |shift|)
+    and ROUNDOFF times the noise of F^(order-1) over |F^(order)|, the step
+    round-off alone makes (_noise); or, at order 1, when its residual
+    exceeds tol (1 + sum |c_n|).
     """
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=complex))
-    shift = _shift(cf, seeds)
-    w = seeds - shift
+    w = np.atleast_1d(np.asarray(seeds, dtype=complex))
+    if shift is None:
+        shift = _shift(cf, w)
+        w = w - shift
     deriv = order - 1
     resid_tol = tol * (1.0 + float(np.sum(np.abs(cf.c1)))) if deriv == 0 else np.inf
     step = np.full(len(w), np.inf, dtype=complex)
@@ -403,13 +408,12 @@ def _newton(cf, seeds, order, tol):
         # where F^(order) vanishes the point moves by 1e-9 (1 + |w|) instead,
         # with no stop or divergence test and its last step kept
         flat = gp == 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new_step = np.where(flat, -1e-9 * (1.0 + _modulus(wl)), g / gp)
+        new_step = np.where(flat, -1e-9 * (1.0 + _modulus(wl)), g / gp)
         wl = wl - new_step
         w[live] = wl
         size = _modulus(new_step)
         done = ~flat & (size < 1e-16 * (1.0 + np.abs(sl) + _modulus(wl))) & (_modulus(g) <= resid_tol)
-        diverged = ~flat & ~done & (size > 10.0 * (_modulus(step[live]) + 1.0))
+        diverged = ~flat & ~done & ~(size <= 10.0 * (_modulus(step[live]) + 1.0))
         ok[live[diverged]] = False
         step[live] = np.where(flat, step[live], new_step)
         live = live[~done & ~diverged]
@@ -417,8 +421,7 @@ def _newton(cf, seeds, order, tol):
         size = _modulus(step[live])
         _, gp = cf.value_pair(w[live], deriv, shift[live])
         noise = math.factorial(deriv) * _noise(cf, shift[live] + w[live], [deriv])[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            floor = ROUNDOFF * noise / _modulus(gp)
+        floor = ROUNDOFF * noise / _modulus(gp)
         ok[live] = (size <= 1e-12 * (1.0 + np.abs(shift[live]))) | (size <= floor)
     resid = np.full(len(w), np.nan)
     resid[ok] = _modulus(cf.value_pair(w[ok], 0, shift[ok])[0])
@@ -434,12 +437,13 @@ def _newton(cf, seeds, order, tol):
 
 def _nearest_pole(cf, z):
     """Distance from each point to the nearest represented pole (inf if none)."""
-    poles = cf.lam[~cf.i0]
+    poles = cf.lam[cf.c != 0]
     if len(poles) == 0:
         return np.full(len(z), np.inf)
     return np.abs(_nearest(poles, z) - z)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _spread(cf, z, m):
     """The spread of an order-m zero's roots at each point z, as each Taylor
     coefficient below m sets it, and the radius within which round-off of
@@ -460,9 +464,8 @@ def _spread(cf, z, m):
         a += [f / math.factorial(k), fp / math.factorial(k + 1)]
     a = np.abs(np.array(a[: m + 1])).T
     j = np.arange(m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spread = (a[:, :m] / a[:, m:]) ** (1.0 / (m - j))
-        radius = ROUNDOFF * (_noise(cf, z, j) / a[:, m:]) ** (1.0 / (m - j))
+    spread = (a[:, :m] / a[:, m:]) ** (1.0 / (m - j))
+    radius = ROUNDOFF * (_noise(cf, z, j) / a[:, m:]) ** (1.0 / (m - j))
     flat = a[:, m] == 0
     spread[flat], radius[flat] = np.inf, 0.0
     return spread, radius
@@ -500,46 +503,46 @@ def _try_multiple(cf, seed, m, tol, d):
     return z[0], m, resid[0]
 
 
-def _central_seeds(cf, rect, k_prime, tol, d):
-    """Points of the central rectangle near which F vanishes, and each one's
-    Newton residual (None where Newton did not converge).
+def _central_seeds(cf, rect, k_prime, d):
+    """Seeds of the zeros of F in the central rectangle.
 
     On |n| <= m, det(diag(lambda) + c 1^T - z) = prod(lambda_n - z) F_m(z)
     (Golub's secular equation), so the eigenvalues of that matrix over the
-    I1 terms with |n| <= K' + 8 are the zeros of F cut to those terms.
-    Those within d/2 of the rectangle seed Newton on the full F; a seed
-    Newton does not polish (as near a multiple zero) is kept as it is.
+    I1 terms with |n| <= K' + 8 are the zeros of F cut to those terms; the
+    seeds are those within d/2 of the rectangle.
     """
     near = np.abs(cf.idx1) <= k_prime + 8
     lam, c = cf.lam1[near], cf.c1[near]
     eig = np.linalg.eigvals(np.diag(lam.astype(complex)) + c[:, np.newaxis])
     h = 0.5 * d
-    seeds = eig[Rectangle(rect.re_lo - h, rect.re_hi + h, rect.im_lo - h, rect.im_hi + h).contains(eig)]
-    z, resid, ok = _newton(cf, seeds, 1, tol)
-    z = np.where(ok, z, seeds)
-    keep = rect.contains(z)
-    return z[keep], [r if o else None for r, o in zip(resid[keep], ok[keep])]
+    return eig[Rectangle(rect.re_lo - h, rect.re_hi + h, rect.im_lo - h, rect.im_hi + h).contains(eig)]
 
 
-def _central_zeros(cf, rect, k_prime, n_zeros, opts, d):
+def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d):
     """The zeros of F in the central rectangle, which holds n_zeros of them,
     as (location, order, residual) sorted by location.
 
-    Seeds closer than CLUSTER_RTOL d, or than the round-off link
-    (_roundoff_link) of either of them, form a group; a group of m > 1 is
-    one order-m zero when _try_multiple accepts it, from the same _spread
-    radii, and a lone seed Newton did not polish is retried once from
-    lambda_k + c_k of its nearest pole.  Each zero's order is certified by a winding on its own circle,
-    all circles in one _disk_windings call at opts.quad; a count not
-    certified there escalates from 2 opts.quad.  A circle's radius is at
-    most d/4, a third of the distance to the next zero and half the
-    distance to the rectangle's boundary, so the circles are disjoint and
-    lie inside the rectangle; a pole nearer than twice the radius but not
-    within half of it shrinks the radius to half its distance, so every
-    pole keeps at least half the radius clear of the circle.  The orders
-    must add up to n_zeros; anything else raises CertificationFailed.
+    polished is _newton's (locations, residuals, converged) from the seeds;
+    a seed it did not polish (as near a multiple zero) is kept as it is.
+    Of the points inside the rectangle, those closer than CLUSTER_RTOL d,
+    or than the round-off link (_roundoff_link) of either, form a group; a
+    group of m > 1 is one order-m zero when _try_multiple accepts it, from
+    the same _spread radii, and a lone seed Newton did not polish is
+    retried once from c_k about the shift lambda_k of its nearest pole.
+    Each zero's order is certified by a winding on its own circle, all
+    circles in one _disk_windings call at opts.quad; a count not certified
+    there escalates from 2 opts.quad.  A circle's radius is at most d/4, a
+    third of the distance to the next zero and half the distance to the
+    rectangle's boundary, so the circles are disjoint and lie inside the
+    rectangle; a pole nearer than twice the radius but not within half of
+    it shrinks the radius to half its distance, so every pole keeps at
+    least half the radius clear of the circle.  The orders must add up to
+    n_zeros; anything else raises CertificationFailed.
     """
-    points, resid = _central_seeds(cf, rect, k_prime, opts.tol, d)
+    z, resid, ok = polished
+    points = np.where(ok, z, seeds)
+    keep = rect.contains(points)
+    points, resid, ok = points[keep], resid[keep], ok[keep]
     link = CLUSTER_RTOL * d
     if len(points) > 1:
         link = np.maximum(link, _roundoff_link(cf, points))
@@ -554,7 +557,7 @@ def _central_zeros(cf, rect, k_prime, n_zeros, opts, d):
     for g in np.unique(label):
         members = np.flatnonzero(label == g)
         m = len(members)
-        if m == 1 and resid[members[0]] is not None:
+        if m == 1 and ok[members[0]]:
             zeros.append((complex(points[members[0]]), 1, resid[members[0]]))
             continue
         seed = complex(points[members].mean())
@@ -562,10 +565,11 @@ def _central_zeros(cf, rect, k_prime, n_zeros, opts, d):
             got = _try_multiple(cf, seed, m, opts.tol, d)
         else:
             # a seed within a few ulps of its pole can land on the far side
-            # of it from the zero, where Newton does not converge
+            # of it from the zero, where Newton does not converge; so can
+            # lambda_k + c_k, rounded, when c_k is below an ulp of lambda_k
             k = np.argmin(np.abs(cf.lam1 - seed))
-            z, res, ok = _newton(cf, [cf.lam1[k] + cf.c1[k]], 1, opts.tol)
-            got = (complex(z[0]), 1, res[0]) if ok[0] and rect.contains(z[0]) else None
+            z, res, conv = _newton(cf, cf.c1[[k]], 1, opts.tol, cf.lam1[[k]])
+            got = (complex(z[0]), 1, res[0]) if conv[0] and rect.contains(z[0]) else None
         if got is None:
             raise errors.CertificationFailed(f"no zero of order {m} found near {seed:.6g}")
         zeros.append(got)
@@ -630,42 +634,27 @@ def _central_rectangle(spec, k_prime, d):
     return Rectangle(lo, hi, -h, h)
 
 
-def _outer_disks(cf, spec, coeffs, k_prime, window, opts, d):
-    """The ZeroReports of the outer disks R_k, radius d/2, |k| > K' in the window.
+def _outer_disks(cf, k_prime, window, d):
+    """The outer disks R_k, radius d/2, |k| > K' in the window: indices,
+    centres lambda_k and coefficients c_k, sliced from cf.
 
     This is the paper's proof of the enclosure.  Rouche (_rouche) certifies
     every disk in one broadcast: a disk holds one zero when c_k != 0 and
     none when c_k = 0.  compute_Keps chooses K' so that the margin |G_k| -
     S_k exceeds eps / (2 (K' - K_eps) + 1) on every outer circle, far above
-    the check's rounding allowance.  Each zero is placed by Newton from
-    lambda_k + c_k, all seeds in one _newton call.  A disk that Rouche does
-    not certify raises CertificationFailed naming its margin; one whose
-    Newton zero does not converge inside it raises naming its seed.
+    the check's rounding allowance; a disk that Rouche does not certify
+    raises CertificationFailed naming its margin.  _localize_attempt's one
+    Newton pass places the zeros, from lambda_k + c_k.
     """
-    idx = spec.window_indices(window)
-    idx = idx[np.abs(idx) > k_prime]
-    lam = np.atleast_1d(spec.lambda_at(idx)).astype(float)
-    c = np.atleast_1d(coeffs.c_at(idx)).astype(complex)
-    r = 0.5 * d
-    margin, certified = _rouche(cf, idx, lam, c, r)
+    keep = (np.abs(cf.idx) <= window) & (np.abs(cf.idx) > k_prime)
+    idx, lam, c = cf.idx[keep], cf.lam[keep], cf.c[keep]
+    margin, certified = _rouche(cf, idx, lam, c, 0.5 * d)
     if not certified.all():
         j = np.argmin(certified)
         raise errors.CertificationFailed(
             f"disk around index {idx[j]} failed to certify (Rouche margin {margin[j]:.3g})"
         )
-    simple = np.flatnonzero(c != 0)
-    seeds = lam[simple] + c[simple]
-    z, resid, ok = _newton(cf, seeds, 1, opts.tol)
-    ok &= np.abs(z - lam[simple]) < r
-    if not ok.all():
-        j = np.argmin(ok)
-        raise errors.CertificationFailed(
-            f"Newton from {seeds[j]:.6g} found no zero in the disk around index {idx[simple[j]]}"
-        )
-    zeros = [[] for _ in idx]
-    for j, zj, res in zip(simple, z, resid):
-        zeros[j] = [(zj, 1, res)]
-    return [ZeroReport(Disk(complex(l), r), int(k), True, zs) for k, l, zs in zip(idx, lam, zeros)]
+    return idx, lam, c
 
 
 def localize_spectrum(spec, coeffs, opts=None):
@@ -693,18 +682,33 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
     k_eps, k_prime = compute_Keps(spec, coeffs, eps)
     window = max(opts.window, k_prime)
     cf = CharacteristicFunction.build(spec, coeffs, max(n_trunc, window + 8))
-
-    reports = _outer_disks(cf, spec, coeffs, k_prime, window, opts, d)
-
+    idx, lam, c = _outer_disks(cf, k_prime, window, d)
     # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
-    n_poles = int(np.count_nonzero(np.abs(cf.idx1) <= k_prime))
     rect = _central_rectangle(spec, k_prime, d)
     margin, certified = _rouche_rect(cf, rect)
     if not certified:
         raise errors.CertificationFailed(
             f"central rectangle failed to certify (Rouche margin {margin:.3g})"
         )
-    zeros = _central_zeros(cf, rect, k_prime, n_poles, opts, d)
+    # one Newton pass for every simple zero: the outer disks' from
+    # lambda_k + c_k, then the central eigen-seeds
+    simple = np.flatnonzero(c != 0)
+    outer, seeds = lam[simple] + c[simple], _central_seeds(cf, rect, k_prime, d)
+    z, resid, ok = _newton(cf, np.concatenate([outer, seeds]), 1, opts.tol)
+    m, r = len(outer), 0.5 * d
+    inside = ok[:m] & (np.abs(z[:m] - lam[simple]) < r)
+    if not inside.all():
+        j = np.argmin(inside)
+        raise errors.CertificationFailed(
+            f"Newton from {outer[j]:.6g} found no zero in the disk around index {idx[simple[j]]}"
+        )
+    found = {j: [(zj, 1, res)] for j, zj, res in zip(simple, z, resid)}
+    reports = [
+        ZeroReport(Disk(complex(l), r), int(k), True, found.get(j, []))
+        for j, (k, l) in enumerate(zip(idx, lam))
+    ]
+    n_poles = int(np.count_nonzero(np.abs(cf.idx1) <= k_prime))
+    zeros = _central_zeros(cf, rect, seeds, (z[m:], resid[m:], ok[m:]), n_poles, opts, d)
     reports.append(ZeroReport(rect, None, True, zeros))
     return LocalizationResult(
         reports=reports,
@@ -741,9 +745,8 @@ def assemble_spectrum(spec, coeffs, loc):
     """Merge located zeros with the common spectrum into a PerturbedSpectrum."""
     d = spec.gap
     match_tol = MATCH_RTOL * d
-    idx_all = spec.window_indices(loc.window)
-    c_all = np.atleast_1d(coeffs.c_at(idx_all))
-    lam_all = np.atleast_1d(spec.lambda_at(idx_all))
+    window = np.abs(loc.cf.idx) <= loc.window
+    idx_all, c_all, lam_all = loc.cf.idx[window], loc.cf.c[window], loc.cf.lam[window]
     in_i0 = c_all == 0
     i1 = [int(n) for n in idx_all[~in_i0]]
     zeros = list(loc.all_zeros())
@@ -752,7 +755,6 @@ def assemble_spectrum(spec, coeffs, loc):
     n0, lam0 = idx_all[in_i0].tolist(), lam_all[in_i0].astype(complex)
     hits = _common_hits(lam0, np.array([z for z, _, _ in zeros], dtype=complex), match_tol).tolist()
     lam0 = lam0.tolist()
-    both = [(n, lam_n, zeros[h][1]) for n, lam_n, h in zip(n0, lam0, hits) if h >= 0]
     entries = [
         SpectrumEntry(lam_n, 1, n, ORIGIN_COMMON) for n, lam_n, h in zip(n0, lam0, hits) if h < 0
     ]
@@ -762,25 +764,16 @@ def assemble_spectrum(spec, coeffs, loc):
 
     # remaining zeros (multiplicity-expanded) are assigned to I1 indices;
     # each slot carries the id of the group (entry) it belongs to
-    groups = []  # (kind, location, order, anchor index or None)
-    for n, lam_n, order in both:
-        groups.append(("both", lam_n, order, n))
-    for z, order, resid in free:
-        groups.append(("zero", complex(z), order, None))
-    slots = []
-    slot_group = []
-    for g, (_, z, order, _) in enumerate(groups):
-        for _ in range(order):
-            slots.append(z)
-            slot_group.append(g)
+    # (kind, location, order, anchor index or None)
+    groups = [("both", lam_n, zeros[h][1], n) for n, lam_n, h in zip(n0, lam0, hits) if h >= 0]
+    groups += [("zero", complex(z), order, None) for z, order, _ in free]
+    slot_group = [g for g, (_, _, order, _) in enumerate(groups) for _ in range(order)]
+    slots = [groups[g][1] for g in slot_group]
     if len(slots) != len(i1):
-        raise errors.CountMismatch(
-            f"{len(slots)} zero slots for {len(i1)} perturbed indices"
-        )
+        raise errors.CountMismatch(f"{len(slots)} zero slots for {len(i1)} perturbed indices")
     group_indices = {g: [] for g in range(len(groups))}
     if slots:
-        lam_i1 = np.asarray(spec.lambda_at(np.array(i1)), dtype=float)
-        cost = np.abs(np.asarray(slots)[:, None] - lam_i1[None, :])
+        cost = np.abs(np.asarray(slots)[:, None] - lam_all[~in_i0][None, :])
         rows, cols = linear_sum_assignment(cost)
         for r, c in zip(rows, cols):
             group_indices[slot_group[r]].append(i1[c])
@@ -792,10 +785,10 @@ def assemble_spectrum(spec, coeffs, loc):
             entries.append(SpectrumEntry(z, order, min(group_indices[g]), ORIGIN_ZERO))
 
     entries.sort(key=lambda e: (e.mu.real, e.mu.imag))
+    # one slot per window index: sorted by index, the pairing runs as idx_all
     pairing.sort(key=lambda p: p[0])
-    lam_paired = np.asarray(spec.lambda_at(np.array([n for n, _ in pairing])), dtype=float)
     mu_paired = np.array([m for _, m in pairing])
-    offset_sum = float(np.sum(np.abs(mu_paired - lam_paired)))
+    offset_sum = float(np.sum(np.abs(mu_paired - lam_all)))
     tail_bound = (d / (2.0 * loc.eps)) * loc.tail_sum_bound
     return PerturbedSpectrum(
         entries=tuple(entries),

@@ -8,6 +8,7 @@ form.  Every type is immutable after validation.
 """
 
 from dataclasses import dataclass, replace
+import functools
 import json
 import math
 import os
@@ -59,20 +60,19 @@ class BaseSpectrum:
             return None
         return self.head_offset if self.head else 1
 
+    @functools.cached_property
+    def _head(self):
+        return np.asarray(self.head, dtype=float)
+
     def lambda_at(self, n):
         """Eigenvalue at index n (scalar or integer array)."""
         n = np.asarray(n)
         out = self.tail.slope * n.astype(float) + self.tail.intercept
         if self.head:
-            lo = self.head_offset
-            hi = self.head_offset + len(self.head)
-            in_head = (n >= lo) & (n < hi)
-            if np.any(in_head):
-                head = np.asarray(self.head, dtype=float)
-                out = np.where(in_head, head[np.clip(n - lo, 0, len(self.head) - 1)], out)
-        if out.ndim == 0:
-            return float(out)
-        return out
+            pos = n - self.head_offset
+            in_head = (pos >= 0) & (pos < len(self.head))
+            out = np.where(in_head, self._head[np.where(in_head, pos, 0)], out)
+        return float(out) if out.ndim == 0 else out
 
     def window_indices(self, radius):
         """Represented indices n with |n| <= radius, in increasing order."""
@@ -137,30 +137,33 @@ class PerturbationCoefficients:
     b_head: tuple
     b_tail: PowerTail
 
+    @functools.cached_property
+    def _a(self):
+        return np.asarray(self.a_head, dtype=complex)
+
+    @functools.cached_property
+    def _b(self):
+        return np.asarray(self.b_head, dtype=complex)
+
     @staticmethod
     def _eval(n, offset, head, tail):
         n = np.asarray(n)
         out = np.zeros(n.shape, dtype=complex)
-        if head:
-            arr = np.asarray(head, dtype=complex)
-            in_head = (n >= offset) & (n < offset + len(head))
-            out = np.where(in_head, arr[np.clip(n - offset, 0, len(head) - 1)], out)
-        else:
-            in_head = np.zeros(n.shape, dtype=bool)
+        pos = n - offset
+        in_head = (pos >= 0) & (pos < len(head))
+        out[in_head] = head[pos[in_head]]
         if tail is not None:
             outside = ~in_head
             if np.any(outside & (n == 0)):
                 raise errors.IndexMismatch("power-law tail undefined at index 0; cover it with the head")
             out = np.where(outside, tail.value(np.where(n == 0, 1, n)), out)
-        if out.ndim == 0:
-            return complex(out)
-        return out
+        return complex(out) if out.ndim == 0 else out
 
     def a_at(self, n):
-        return self._eval(n, self.a_head_offset, self.a_head, self.a_tail)
+        return self._eval(n, self.a_head_offset, self._a, self.a_tail)
 
     def b_at(self, n):
-        return self._eval(n, self.b_head_offset, self.b_head, self.b_tail)
+        return self._eval(n, self.b_head_offset, self._b, self.b_tail)
 
     def c_at(self, n):
         """c_n = conj(a_n) * b_n."""
@@ -274,17 +277,18 @@ class TargetSpectrum:
     nu_head_offset: int
     nu_head: tuple
 
+    @functools.cached_property
+    def _nu(self):
+        return np.asarray(self.nu_head, dtype=complex)
+
     def nu_at(self, n, spec):
         n = np.asarray(n)
         lam = np.asarray(spec.lambda_at(n), dtype=complex)
         if self.nu_head:
-            arr = np.asarray(self.nu_head, dtype=complex)
-            lo = self.nu_head_offset
-            in_head = (n >= lo) & (n < lo + len(self.nu_head))
-            lam = np.where(in_head, arr[np.clip(n - lo, 0, len(self.nu_head) - 1)], lam)
-        if lam.ndim == 0:
-            return complex(lam)
-        return lam
+            pos = n - self.nu_head_offset
+            in_head = (pos >= 0) & (pos < len(self.nu_head))
+            lam = np.where(in_head, self._nu[np.where(in_head, pos, 0)], lam)
+        return complex(lam) if lam.ndim == 0 else lam
 
 
 def validate_target(target, spec):

@@ -5,6 +5,7 @@ from rank1spec.model import (
     AffineTail,
     BaseSpectrum,
     PerturbationCoefficients,
+    PowerTail,
     validate_base,
 )
 
@@ -53,3 +54,39 @@ def random_finite_instance(rng, radius=40, max_points=8, c_cap=0.3, complex_c=Tr
         vals = mags * rng.choice([-1.0, 1.0], size=m)
     c = {int(n): complex(v) for n, v in zip(support, vals)}
     return finite_coeffs(c)
+
+
+def random_base(rng):
+    """A Z or N spectrum with gap d, a non-affine head and an affine tail."""
+    d = float(rng.uniform(0.5, 2.0))
+    slope = d * float(rng.uniform(1.6, 2.0))
+    n_head = int(rng.integers(2, 9))
+    kind = "Z" if rng.integers(2) else "N"
+    offset = -(n_head // 2) if kind == "Z" else int(rng.integers(0, 2))
+    head = float(rng.uniform(-5, 5)) + np.concatenate([[0.0], np.cumsum(rng.uniform(d, slope, n_head - 1))])
+    # the tail continues the head with gaps of at least d at both junctions
+    slack = slope * (n_head + 1) - (head[-1] - head[0]) - 2.0 * d
+    intercept = head[0] - d - 0.5 * slack - slope * (offset - 1)
+    if kind == "N":
+        intercept = head[-1] + d - slope * (offset + n_head)
+    return validate_base(
+        BaseSpectrum(kind, offset, tuple(head), AffineTail(slope, intercept), d * (1.0 - 1e-9))
+    )
+
+
+def random_coeffs(rng, spec):
+    """Complex c_n with |c_n| up to 3d on a head, and in half the cases a power tail."""
+    lo = -int(rng.integers(0, 8)) if spec.index_kind == "Z" else spec.start
+    hi = int(rng.integers(max(lo, 0) + 1, 40))
+    size = int(rng.integers(1, 6))
+    c = np.zeros(hi - lo + 1, dtype=complex)
+    at = rng.choice(hi - lo + 1, min(size, hi - lo + 1), replace=False)
+    c[at] = 3.0 * spec.gap * rng.uniform(0, 1, len(at)) ** 2 * np.exp(2j * np.pi * rng.uniform(size=len(at)))
+    a_tail = b_tail = None
+    if rng.integers(2):
+        a_tail = PowerTail(beta=1.0, scale=1.0, phase=0.0)
+        b_tail = PowerTail(beta=float(rng.uniform(0.6, 2.0)), scale=float(rng.uniform(0.01, 0.3)), phase=1.0)
+    return PerturbationCoefficients(
+        a_head_offset=lo, a_head=(1.0,) * len(c), a_tail=a_tail,
+        b_head_offset=lo, b_head=tuple(c), b_tail=b_tail,
+    )  # fmt: skip

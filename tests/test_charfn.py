@@ -10,9 +10,26 @@ from rank1spec.model import (
     PerturbationCoefficients,
     PowerTail,
     validate_base,
+    validate_coefficients,
 )
 
-from conftest import finite_coeffs
+from conftest import finite_coeffs, random_base, random_coeffs
+
+
+def test_build_keeps_the_window_data_of_the_model():
+    # the window's indices, eigenvalues and c_n, which the outer disks and
+    # the assembly slice, are the model's own bit for bit: Z and N, non-affine
+    # heads, power tails
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        spec = random_base(rng)
+        coeffs = validate_coefficients(random_coeffs(rng, spec), spec)
+        n_trunc = int(rng.integers(1, 60))
+        cf = CharacteristicFunction.build(spec, coeffs, n_trunc)
+        idx = spec.window_indices(n_trunc)
+        assert cf.idx.tobytes() == idx.tobytes()
+        assert cf.lam.tobytes() == np.asarray(spec.lambda_at(idx), dtype=float).tobytes()
+        assert cf.c.tobytes() == np.asarray(coeffs.c_at(idx), dtype=complex).tobytes()
 
 
 @pytest.fixture

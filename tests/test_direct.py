@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from rank1spec.model import (
     ORIGIN_ZERO,
     AffineTail,
     BaseSpectrum,
+    PerturbationCoefficients,
     TargetSpectrum,
     validate_base,
 )
 
-from conftest import finite_coeffs, random_finite_instance
+from conftest import finite_coeffs, random_base, random_coeffs, random_finite_instance
 
 
 @pytest.fixture
@@ -104,28 +106,38 @@ def test_odd_quadrature_rounds_up_to_even(two_point_cf, double_cf):
 CENTRAL = Rectangle(-1.5, 2.5, -2.5, 2.5)
 
 
+def _central_zeros(cf, n_zeros, opts=OPTS):
+    """The central step on CENTRAL (K' = 1, d = 1) from the eigen-seeds,
+    polished by one Newton pass as _localize_attempt polishes them."""
+    seeds = direct._central_seeds(cf, CENTRAL, 1, 1.0)
+    polished = direct._newton(cf, seeds, 1, opts.tol)
+    return direct._central_zeros(cf, CENTRAL, seeds, polished, n_zeros, opts, 1.0)
+
+
 def test_refine_simple_zero_to_full_precision(two_point_cf):
-    (z, order, _), (z2, order2, _) = direct._central_zeros(two_point_cf, CENTRAL, 1, 2, OPTS, 1.0)
+    (z, order, _), (z2, order2, _) = _central_zeros(two_point_cf, 2)
     assert order == order2 == 1
     assert abs(z - 0.25) < 1e-13
     assert abs(z2 - 1.1) < 1e-12
 
 
 def test_refine_double_zero(double_cf):
-    ((z, order, resid),) = direct._central_zeros(double_cf, CENTRAL, 1, 2, OPTS, 1.0)
+    ((z, order, resid),) = _central_zeros(double_cf, 2)
     assert order == 2
     assert abs(z - 0.5) < 1e-10
 
 
-def test_refine_rejects_wrong_order(double_cf, monkeypatch):
+def test_refine_rejects_wrong_order(double_cf):
     # a seed that claims a simple zero at the double zero: its winding counts 2
-    monkeypatch.setattr(direct, "_central_seeds", lambda *args: (np.array([0.5 + 0j]), [0.0]))
+    seed = np.array([0.5 + 0j])
+    polished = (seed, np.zeros(1), np.ones(1, dtype=bool))
     with pytest.raises(errors.CertificationFailed, match="counts 2 zeros, expected 1"):
-        direct._central_zeros(double_cf, CENTRAL, 1, 1, OPTS, 1.0)
-    # three seeds that claim a triple zero there: no order-3 zero passes
-    monkeypatch.setattr(direct, "_central_seeds", lambda *args: (np.full(3, 0.47 + 0j), [None] * 3))
+        direct._central_zeros(double_cf, CENTRAL, seed, polished, 1, OPTS, 1.0)
+    # three seeds, none polished, that claim a triple zero there: no order-3 zero passes
+    seeds = np.full(3, 0.47 + 0j)
+    polished = (np.full(3, np.nan + 0j), np.full(3, np.nan), np.zeros(3, dtype=bool))
     with pytest.raises(errors.CertificationFailed):
-        direct._central_zeros(double_cf, CENTRAL, 1, 3, OPTS, 1.0)
+        direct._central_zeros(double_cf, CENTRAL, seeds, polished, 3, OPTS, 1.0)
 
 
 def _uncertified_winding(cf, region, opts, poles_inside, q=None):
@@ -136,7 +148,7 @@ def test_refine_rejects_uncertified_order_check(two_point_cf, monkeypatch):
     monkeypatch.setattr(direct, "_disk_windings", lambda cf, centers, radius, q: [None] * len(centers))
     monkeypatch.setattr(direct, "_certified_winding", _uncertified_winding)
     with pytest.raises(errors.CertificationFailed, match="radius 0.125 .* could not be certified"):
-        direct._central_zeros(two_point_cf, CENTRAL, 1, 2, OPTS, 1.0)
+        _central_zeros(two_point_cf, 2)
 
 
 def test_uncertified_order_winding_in_the_central_step_raises(zspec, monkeypatch):
@@ -475,7 +487,7 @@ def test_disk_through_a_pole_is_marked_and_falls_back(two_point_cf, monkeypatch)
     assert clear == winding_number(two_point_cf, Disk(0.3, 0.5), 128)
     # a missing first order winding escalates instead of raising, to the
     # same zeros; the escalation's own windings (one centre each) still count
-    zeros = direct._central_zeros(two_point_cf, CENTRAL, 1, 2, OPTS, 1.0)
+    zeros = _central_zeros(two_point_cf, 2)
     disk_windings = direct._disk_windings
 
     def first_pass_missing(cf, centers, radius, q):
@@ -483,7 +495,7 @@ def test_disk_through_a_pole_is_marked_and_falls_back(two_point_cf, monkeypatch)
         return [None] * len(res) if np.ndim(centers) else res
 
     monkeypatch.setattr(direct, "_disk_windings", first_pass_missing)
-    assert direct._central_zeros(two_point_cf, CENTRAL, 1, 2, OPTS, 1.0) == zeros
+    assert _central_zeros(two_point_cf, 2) == zeros
 
 
 def test_uncertified_batched_disk_escalates_from_twice_the_quadrature(two_point_cf, monkeypatch):
@@ -491,7 +503,7 @@ def test_uncertified_batched_disk_escalates_from_twice_the_quadrature(two_point_
     # back uncertified: each circle is counted again on its own, from twice
     # the starting quadrature
     opts = LocalizeOptions(quad=16)
-    zeros = direct._central_zeros(two_point_cf, CENTRAL, 1, 2, opts, 1.0)
+    zeros = _central_zeros(two_point_cf, 2, opts)
     disk_windings = direct._disk_windings
     quads = []
 
@@ -505,7 +517,7 @@ def test_uncertified_batched_disk_escalates_from_twice_the_quadrature(two_point_
 
     monkeypatch.setattr(direct, "_disk_windings", uncertified)
     monkeypatch.setattr(direct, "winding_number", spy)
-    assert direct._central_zeros(two_point_cf, CENTRAL, 1, 2, opts, 1.0) == zeros
+    assert _central_zeros(two_point_cf, 2, opts) == zeros
     assert quads == [32, 32]
 
 
@@ -606,6 +618,46 @@ def test_batched_newton_equals_the_one_seed_loop(zspec, double_cf):
     assert outcomes == {True, False}
 
 
+def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
+    # c_6 = 0.01 puts a zero in the outer disk around index 6 (K' = 1), and
+    # c_0, c_1 two zeros in the central rectangle: all three seeds, the outer
+    # one first, are polished by one order-1 _newton call
+    newton, attempt, calls, attempts = direct._newton, direct._localize_attempt, [], []
+
+    def newton_spy(cf, seeds, order, tol, shift=None):
+        calls.append((order, np.round(seeds, 1).tolist()))
+        return newton(cf, seeds, order, tol, shift)
+
+    def attempt_spy(*args):
+        attempts.append(args)
+        return attempt(*args)
+
+    monkeypatch.setattr(direct, "_newton", newton_spy)
+    monkeypatch.setattr(direct, "_localize_attempt", attempt_spy)
+    loc = localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01}), OPTS)
+    assert len(attempts) == 1 and calls == [(1, [6.0, 0.2, 1.1])]
+    zeros = {r.region_index: [round(z.real, 2) for z, _, _ in r.zeros] for r in loc.reports if r.zeros}
+    assert zeros == {6: [6.01], None: [0.25, 1.1]}
+
+
+def test_outer_disks_and_assembly_slice_the_window_data(zspec, monkeypatch):
+    # neither evaluates lambda_n or c_n again: they slice the window that
+    # CharacteristicFunction.build evaluated
+    coeffs = finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01})
+    loc = localize_spectrum(zspec, coeffs, OPTS)
+    ps = assemble_spectrum(zspec, coeffs, loc)
+
+    def refuse(*args):
+        raise AssertionError("the model was evaluated again")
+
+    monkeypatch.setattr(PerturbationCoefficients, "c_at", refuse)
+    monkeypatch.setattr(BaseSpectrum, "lambda_at", refuse)
+    assert assemble_spectrum(zspec, coeffs, loc) == ps
+    idx, lam, c = direct._outer_disks(loc.cf, loc.k_prime, loc.window, zspec.gap)
+    assert idx.tolist() == [r.region_index for r in loc.reports if r.region_index is not None]
+    assert lam.tolist() == idx.tolist() and np.array_equal(c != 0, idx == 6)
+
+
 # ---------------------------------------------------------------------------
 # Newton near its noise floor
 
@@ -643,6 +695,21 @@ def test_lone_central_seed_next_to_its_pole_is_polished_from_the_pole(zspec):
     coeffs = finite_coeffs({0: 0.1, 1: -2e-16})
     ps, loc = solve_direct(zspec, coeffs, OPTS)
     assert ps.certified
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-15)
+    assert ok, f"worst deviation {worst:.3e}"
+
+
+@pytest.mark.parametrize("c_1", [1e-16, 3e-17])
+def test_lone_central_seed_within_half_an_ulp_of_its_pole(zspec, c_1):
+    # the zero lies c_1 / 0.9 right of lambda_1 = 1, within half an ulp of
+    # it: the retry seed lambda_1 + c_1 rounded to the pole itself, and the
+    # solve raised "no zero of order 1 found near 1+0j" after divide-by-zero
+    # warnings; the retry starts at w = c_1 about the shift lambda_1
+    coeffs = finite_coeffs({0: 0.1, 1: c_1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ps, loc = solve_direct(zspec, coeffs, OPTS)
     ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
     ok, worst = oracle.compare_spectra(ps, ref, 1e-15)
     assert ok, f"worst deviation {worst:.3e}"
@@ -815,44 +882,6 @@ def test_outer_disk_newton_failure_names_its_seed(zspec, monkeypatch):
         localize_spectrum(zspec, finite_coeffs({0: 0.275, 6: 0.01}), OPTS)
 
 
-def _random_base(rng):
-    """A Z or N spectrum with gap d, a non-affine head and an affine tail."""
-    d = float(rng.uniform(0.5, 2.0))
-    slope = d * float(rng.uniform(1.6, 2.0))
-    n_head = int(rng.integers(2, 9))
-    kind = "Z" if rng.integers(2) else "N"
-    offset = -(n_head // 2) if kind == "Z" else int(rng.integers(0, 2))
-    head = float(rng.uniform(-5, 5)) + np.concatenate([[0.0], np.cumsum(rng.uniform(d, slope, n_head - 1))])
-    # the tail continues the head with gaps of at least d at both junctions
-    slack = slope * (n_head + 1) - (head[-1] - head[0]) - 2.0 * d
-    intercept = head[0] - d - 0.5 * slack - slope * (offset - 1)
-    if kind == "N":
-        intercept = head[-1] + d - slope * (offset + n_head)
-    return validate_base(
-        BaseSpectrum(kind, offset, tuple(head), AffineTail(slope, intercept), d * (1.0 - 1e-9))
-    )
-
-
-def _random_coeffs(rng, spec):
-    """Complex c_n with |c_n| up to 3d on a head, and in half the cases a power tail."""
-    from rank1spec.model import PerturbationCoefficients, PowerTail
-
-    lo = -int(rng.integers(0, 8)) if spec.index_kind == "Z" else spec.start
-    hi = int(rng.integers(max(lo, 0) + 1, 40))
-    size = int(rng.integers(1, 6))
-    c = np.zeros(hi - lo + 1, dtype=complex)
-    at = rng.choice(hi - lo + 1, min(size, hi - lo + 1), replace=False)
-    c[at] = 3.0 * spec.gap * rng.uniform(0, 1, len(at)) ** 2 * np.exp(2j * np.pi * rng.uniform(size=len(at)))
-    a_tail = b_tail = None
-    if rng.integers(2):
-        a_tail = PowerTail(beta=1.0, scale=1.0, phase=0.0)
-        b_tail = PowerTail(beta=float(rng.uniform(0.6, 2.0)), scale=float(rng.uniform(0.01, 0.3)), phase=1.0)
-    return PerturbationCoefficients(
-        a_head_offset=lo, a_head=(1.0,) * len(c), a_tail=a_tail,
-        b_head_offset=lo, b_head=tuple(c), b_tail=b_tail,
-    )  # fmt: skip
-
-
 def test_rouche_margin_exceeds_the_enclosure_bound():
     # K_eps and K' of compute_Keps give |G_k| - S_k > eps / (2 (K' - K_eps) + 1)
     # on every outer circle |z - lambda_k| = d/2: Rouche cannot fail there,
@@ -862,8 +891,8 @@ def test_rouche_margin_exceeds_the_enclosure_bound():
     rng = np.random.default_rng(8)
     disks, count = set(), 0
     for _ in range(60):
-        spec = _random_base(rng)
-        coeffs = validate_coefficients(_random_coeffs(rng, spec), spec)
+        spec = random_base(rng)
+        coeffs = validate_coefficients(random_coeffs(rng, spec), spec)
         d = spec.gap
         eps = d / (2.0 + d)
         k_eps, k_prime = compute_Keps(spec, coeffs, eps)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from rank1spec.model import (
     validate_target,
 )
 
-from conftest import finite_coeffs
+from conftest import finite_coeffs, random_base, random_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +100,77 @@ def test_c_is_conj_a_times_b():
     # conj(1+2i) * (3-i) = (1-2i)(3-i) = 1 - 7i
     assert coeffs.c_at(0) == (1.0 - 7.0j)
     assert coeffs.c_at(5) == 0.0
+
+
+def _eval_by_clip(n, offset, head, tail):
+    # the head lookup as it was before the heads were cached as arrays
+    n = np.asarray(n)
+    out = np.zeros(n.shape, dtype=complex)
+    in_head = np.zeros(n.shape, dtype=bool)
+    if head:
+        in_head = (n >= offset) & (n < offset + len(head))
+        out = np.where(in_head, np.asarray(head, dtype=complex)[np.clip(n - offset, 0, len(head) - 1)], out)
+    if tail is not None:
+        out = np.where(~in_head, tail.value(np.where(n == 0, 1, n)), out)
+    return complex(out) if out.ndim == 0 else out
+
+
+def _lambda_by_clip(spec, n):
+    out = spec.tail.slope * n.astype(float) + spec.tail.intercept
+    in_head = (n >= spec.head_offset) & (n < spec.head_offset + len(spec.head))
+    head = np.asarray(spec.head, dtype=float)
+    return np.where(in_head, head[np.clip(n - spec.head_offset, 0, len(head) - 1)], out)
+
+
+def _nu_by_clip(target, n, spec):
+    lam = np.asarray(spec.lambda_at(n), dtype=complex)
+    if not target.nu_head:
+        return lam
+    lo, arr = target.nu_head_offset, np.asarray(target.nu_head, dtype=complex)
+    in_head = (n >= lo) & (n < lo + len(arr))
+    return np.where(in_head, arr[np.clip(n - lo, 0, len(arr) - 1)], lam)
+
+
+def test_cached_heads_evaluate_as_the_clip_lookup():
+    # a_at, b_at, c_at, lambda_at and nu_at give the clip lookup's values bit
+    # for bit, on arrays and on scalars (as Python complex or float), over
+    # Z and N, non-affine heads, complex heads and power tails
+    rng = np.random.default_rng(6)
+    for _ in range(40):
+        spec = random_base(rng)
+        coeffs = random_coeffs(rng, spec)
+        k = len(coeffs.a_head)
+        coeffs = dataclasses.replace(coeffs, a_head=tuple(rng.normal(size=k) + 1j * rng.normal(size=k)))
+        k = int(rng.integers(0, 6))
+        target = TargetSpectrum(int(rng.integers(-8, 8)), tuple(rng.normal(size=k) + 1j * rng.normal(size=k)))
+        n = spec.window_indices(60)
+        # a scalar index takes numpy's scalar power, which can differ from
+        # the array loop's in the last bit: each is held to its own reference
+        for m in [n] + [np.asarray(n[j]) for j in rng.choice(len(n), 5, replace=False)]:
+            a = _eval_by_clip(m, coeffs.a_head_offset, coeffs.a_head, coeffs.a_tail)
+            b = _eval_by_clip(m, coeffs.b_head_offset, coeffs.b_head, coeffs.b_tail)
+            expected = {
+                "a": a, "b": b, "c": np.conj(a) * b,
+                "lambda": _lambda_by_clip(spec, m), "nu": _nu_by_clip(target, m, spec),
+            }  # fmt: skip
+            k = m if m.ndim else int(m)
+            got = {
+                "a": coeffs.a_at(k), "b": coeffs.b_at(k), "c": coeffs.c_at(k),
+                "lambda": spec.lambda_at(k), "nu": target.nu_at(k, spec),
+            }  # fmt: skip
+            for name, v in got.items():
+                if not m.ndim:
+                    assert isinstance(v, float if name == "lambda" else complex), name
+                v, ref = np.asarray(v), np.asarray(expected[name])
+                assert v.dtype == ref.dtype and v.tobytes() == ref.tobytes(), name
+
+
+def test_power_tail_at_index_zero_outside_the_head_raises():
+    tail = PowerTail(beta=1.0, scale=1.0, phase=0.0)
+    coeffs = PerturbationCoefficients(1, (0.5,), tail, 1, (0.5j,), tail)
+    for n in (0, np.arange(-2, 3)):
+        with pytest.raises(errors.IndexMismatch):
+            coeffs.c_at(n)
 
 
 def test_c_tail_sum_bounds_brute_force(zspec):
