@@ -14,45 +14,57 @@ BACKEND = "numpy"
 _CHUNK = 2**16
 
 
-def _pair(c, lam, z, p, shift):
+def _sums(c, lam, z, p, shift, rho):
     # terms x points: numpy reduces a wider array row by row, term by term in
     # input order, but a single column pairwise; a lone point is therefore
     # doubled so that its sums take the same order as any other point's
     n = len(z)
     if n == 1:
-        z = np.repeat(z, 2)
-        shift = None if shift is None else np.repeat(shift, 2)
+        z, shift, rho = (None if x is None else np.repeat(x, 2) for x in (z, shift, rho))
     col = lam[:, np.newaxis]
     diff = (col if shift is None else col - shift) - z
     t = c[:, np.newaxis] / diff
-    for _ in range(p - 1):  # repeated quotients: a complex power costs more
+    rows = [t.sum(axis=0)[:n]]
+    for _ in range(p):  # repeated quotients: a complex power costs more
         t /= diff
-    s = t.sum(axis=0)
-    t /= diff
-    return s[:n], t.sum(axis=0)[:n]
+        rows.append(t.sum(axis=0)[:n])
+    if rho is not None:
+        dist = np.abs(diff)
+        h = np.abs(c)[:, np.newaxis] / (dist - rho)
+        q = rho / dist
+        power = q.copy()
+        for _ in range(p):
+            power *= q
+        rows += [h.sum(axis=0)[:n], (h * power).sum(axis=0)[:n], dist.min(axis=0, initial=np.inf)[:n]]
+    return rows
 
 
-def pole_sum(c, lam, z, p=1, shift=0.0):
-    """(sum_k c_k / d_kj**p, sum_k c_k / d_kj**(p+1)) with d_kj = (lam_k - s_j) - z_j.
+def taylor(c, lam, z, p, shift=0.0, rho=None):
+    """Rows S_i = sum_k c_k / d_kj**(i+1), i = 0..p, over the points, with
+    d_kj = (lam_k - s_j) - z_j: F^(i)/i! = [i = 0] + S_i at the points s + z.
 
-    One pass forms the differences d once and gives both sums for each
-    point z_j (p >= 1): F - 1 and F' at p = 1.  The quotients c/d are the
-    terms of F as written, without the extra rounding of a reciprocal.  The
-    shift s is one number or one per point; either way each d_kj is the
-    same two roundings, so a point's sums do not depend on the others'.
+    With rho (one per point) three rows follow: sum_k |c_k| / (|d_kj| -
+    rho_j), sum_k |c_k| (rho_j / |d_kj|)**(p+1) / (|d_kj| - rho_j) and min_k
+    |d_kj| (inf with no terms); a caller that may meet |d_kj| <= rho_j sets
+    np.errstate.  The terms c/d are F's as written, with no reciprocal's
+    extra rounding; the shift is one number or one per point, each d_kj two
+    roundings either way, so a point's sums do not depend on the others'.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    n = len(z)
-    if len(c) == 0:
-        return np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128)
     if np.ndim(shift):
         shift = np.asarray(shift, dtype=float)
     else:
         lam, shift = (lam - shift if shift else lam), None
-    step = max(2, _CHUNK // len(c))  # two points or more, so a lone point is rare
-    lo = np.empty(n, dtype=np.complex128)
-    hi = np.empty(n, dtype=np.complex128)
-    for i in range(0, n, step):
-        s = None if shift is None else shift[i : i + step]
-        lo[i : i + step], hi[i : i + step] = _pair(c, lam, z[i : i + step], p, s)
-    return lo, hi
+    step = max(2, _CHUNK // max(1, len(c)))  # two points or more, so a lone point is rare
+    chunks = [
+        _sums(c, lam, z[b], p, None if shift is None else shift[b], None if rho is None else rho[b])
+        for b in (slice(i, i + step) for i in range(0, max(len(z), 1), step))
+    ]
+    return [np.concatenate(r) for r in zip(*chunks)]
+
+
+def pole_sum(c, lam, z, p=1, shift=0.0):
+    """(sum_k c_k / d_kj**p, sum_k c_k / d_kj**(p+1)) with d_kj = (lam_k - s_j) - z_j:
+    the last two rows of taylor (p >= 1; a smaller p counts as 1), F - 1 and F' at p = 1."""
+    p = max(p, 1)
+    return tuple(taylor(c, lam, z, p, shift)[p - 1 :])

@@ -133,6 +133,14 @@ class CharacteristicFunction:
         f = 1.0 + s if order == 0 else math.factorial(order) * s
         return f, math.factorial(order + 1) * s1
 
+    def taylor(self, z, p, shift=0.0, rho=None):
+        """a_j = F^(j)/j!, j <= p, at the points shift + z: a (p + 1, points)
+        array from one kernel pass, with rho also its bounds (_kernels.taylor)."""
+        rows = _kernels.taylor(self.c1, self.lam1, z, p, shift, rho)
+        a = np.array(rows[: p + 1])
+        a[0] += 1.0
+        return a if rho is None else (a, np.array(rows[p + 1 :]))
+
     def values(self, z):
         """F at an array of points (no pole checking, no bounds)."""
         return 1.0 + _kernels.pole_sum(self.c1, self.lam1, z)[0]

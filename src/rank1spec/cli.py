@@ -48,7 +48,6 @@ def _opts_from_args(args):
     return LocalizeOptions(
         window=args.trunc_window,
         n_trunc=args.trunc,
-        quad=args.quad,
         # the comparison tolerance may be arbitrarily strict, but the Newton
         # residual threshold cannot go below double precision
         tol=max(args.tol, 1e-14),
@@ -164,7 +163,6 @@ def build_parser():
         p.add_argument("--trunc", type=int, default=2000, help="summation window radius")
         p.add_argument("--trunc-window", type=int, default=50, help="reported index window radius")
         p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--quad", type=int, default=256)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("direct", help="solve the direct spectral problem")

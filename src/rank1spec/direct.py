@@ -1,25 +1,26 @@
 """Direct spectral problem: locate all eigenvalues of the perturbation.
 
-Zeros of the characteristic function are counted by the paper's Rouche
-inequality or by argument-principle integrals on circles (trapezoidal
-rule), and polished by Newton iteration in pole-shifted coordinates.  The
-localization follows the enclosure sigma(B) subset Q_{K'} union (disks of
-radius d/2 around the outer indices |n| > K').  Each outer disk is
-certified, as in the paper's proof of the enclosure, by Rouche against
+Every count of zeros is a proof: the paper's Rouche inequality on the
+outer disks and the central rectangle, and a verified arc walk (Ying &
+Katz's reliable argument principle) on the order circles of the central
+zeros; Newton iteration in pole-shifted coordinates polishes the zeros.
+The localization follows the enclosure sigma(B) subset Q_{K'} union
+(disks of radius d/2 around the outer indices |n| > K').  Each outer disk
+is certified, as in the paper's proof of the enclosure, by Rouche against
 G_k = 1 + c_k / (lambda_k - z), in closed form and for all disks in one
 broadcast, and the central rectangle Q_{K'} by the same inequality against
 1.  One Newton pass, one kernel call a step, then polishes every simple
 zero: the outer disks' from lambda_k + c_k, the central ones from the
 eigenvalues of the window's diagonal-plus-rank-one matrix.  A disk whose
 zero fails raises; the central zeros are grouped into multiple zeros, and
-each one's order is certified by a winding on a small circle of its own,
-those circles counted together in blocks of DISK_BLOCK_NODES nodes per
-kernel call.
+each one's order is certified on a small circle of its own, all circles
+walked together.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
-import functools
 import math
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -35,12 +36,9 @@ from .model import (
     SpectrumEntry,
 )
 
-CONTOUR_POLE_TOL = 1e-8  # minimum allowed pole distance to a contour
-QUAD_CAP_MIN = 4096  # winding quadrature doubles up to max(2 * quad, this)
-# circle nodes per kernel call when many disks are counted at once; with up
-# to 8 terms the kernel's terms x nodes temporaries (16 B each) then stay
-# within 256 KB, which ran faster than 4096 nodes on this package's benchmark
-DISK_BLOCK_NODES = 2048
+CONTOUR_POLE_TOL = 1e-8  # minimum allowed pole distance to a counting circle
+ARC_START = 32  # equal arcs each circle of the arc walk starts from
+ARC_SPLITS = 16  # bisections of an arc before its circle counts as not certified
 # disks x terms products per block of the Rouche check: 512 KB float temporaries
 ROUCHE_BLOCK = 2**16
 UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
@@ -84,8 +82,8 @@ class ZeroReport:
 class LocalizeOptions:
     window: int = 50
     n_trunc: int = 2000
-    quad: int = 256
     tol: float = 1e-10
+    quad: ClassVar[int] = ARC_START  # not an option: the arcs an order circle starts from
 
 
 @dataclass
@@ -104,147 +102,6 @@ class LocalizationResult:
         for rep in self.reports:
             out.extend(rep.zeros)
         return out
-
-
-# ---------------------------------------------------------------------------
-# contour integration
-
-
-@functools.lru_cache(maxsize=32)
-def _unit_roots(q):
-    e = np.exp(1j * (2.0 * np.pi * np.arange(q) / q))
-    e.flags.writeable = False
-    return e
-
-
-def _circle_nodes(center, radius, q):
-    """Trapezoid nodes and dz weights; an (m, 1) array of centres gives (m, q) nodes."""
-    e = _unit_roots(q)
-    z = center + radius * e
-    # dz weight for the trapezoidal rule: i r e^{i theta} * (2 pi / q)
-    w = (1j * radius * (2.0 * np.pi / q)) * e
-    return z, w
-
-
-@dataclass
-class WindingResult:
-    count: int
-    certified: bool
-    integral: complex
-    integral_lo: complex  # the same integral at q/2 nodes (convergence check)
-    min_abs_F: float
-    max_err_bound: float
-
-
-def _argument_terms(cf, z, w):
-    """Terms w F'/F of the argument-principle sum, and F, at the nodes (any shape)."""
-    F, Fp = cf.value_pair(z.ravel())
-    F, Fp = F.reshape(z.shape), Fp.reshape(z.shape)
-    return w * Fp / F, F
-
-
-def _winding_results(integral, integral_lo, min_f, max_err, noise):
-    """One WindingResult per contour from its integrals at q and q/2 nodes,
-    min|F| and the largest tail bound on it (arrays, one entry per contour).
-
-    A count is certified when the integral lies within 0.2 of an integer,
-    agrees with the q/2 integral within 0.1, and min|F| exceeds both twice
-    the tail bound and ten times the evaluation noise.  A non-finite
-    integral (a zero of F on or numerically on the contour) gives an
-    uncertified count 0.
-    """
-    with np.errstate(invalid="ignore"):
-        finite = np.isfinite(integral.real) & np.isfinite(integral_lo.real)
-        count = np.where(finite, np.round(integral.real), 0.0)
-        certified = (
-            finite
-            & (np.abs(integral - count) < 0.2)
-            & (np.abs(integral - integral_lo) < 0.1)
-            & (min_f > 2.0 * max_err)
-            & (min_f > 10.0 * noise)
-        )
-    return [
-        WindingResult(int(n), bool(ok), complex(i), complex(i_lo), float(f), float(e))
-        for n, ok, i, i_lo, f, e in zip(count, certified, integral, integral_lo, min_f, max_err)
-    ]
-
-
-def _noise_floor(cf):
-    return 1e-13 * (1.0 + float(np.sum(np.abs(cf.c1))))
-
-
-def _even_quad(quadrature_points):
-    q = max(16, int(quadrature_points))
-    return q + q % 2
-
-
-def _disk_windings(cf, centers, radius, quadrature_points):
-    """Argument-principle counts on the circles |z - c| = radius, one per
-    centre; radius is one number or one per centre.
-
-    The disks are evaluated in blocks of at most DISK_BLOCK_NODES nodes, one
-    value_pair call each.  F, F' and the tail bound are evaluated once on q
-    nodes per circle (q rounded up to an even number); the q/2 convergence
-    check reuses every second node, where the trapezoid rule's q/2 nodes are
-    exactly those.  A circle that passes within CONTOUR_POLE_TOL (1 + |c|)
-    of a represented pole gives None in place of its result.
-    """
-    q = _even_quad(quadrature_points)
-    centers = np.atleast_1d(np.asarray(centers, dtype=complex))
-    radii = np.broadcast_to(np.asarray(radius, dtype=float), centers.shape)
-    noise = _noise_floor(cf)
-    out = []
-    per_block = max(1, DISK_BLOCK_NODES // q)
-    for i in range(0, len(centers), per_block):
-        c = centers[i : i + per_block, np.newaxis]
-        r = radii[i : i + per_block, np.newaxis]
-        z, w = _circle_nodes(c, r, q)
-        # F may vanish on a node; the caller treats the resulting non-finite
-        # integral as an uncertified count and retries on a perturbed contour
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g, F = _argument_terms(cf, z, w)
-            integral = g.sum(axis=1) / (2j * np.pi)
-            integral_lo = 2.0 * g[:, ::2].sum(axis=1) / (2j * np.pi)
-        min_f = np.abs(F).min(axis=1)
-        max_err = cf.tail_bound_at(z.ravel()).reshape(z.shape).max(axis=1)
-        res = _winding_results(integral, integral_lo, min_f, max_err, noise)
-        if len(cf.lam1):
-            clearance = np.abs(np.abs(cf.lam1 - c) - r).min(axis=1)
-            singular = clearance < CONTOUR_POLE_TOL * (1.0 + np.abs(c[:, 0]))
-            res = [None if s else r for r, s in zip(res, singular)]
-        out.extend(res)
-    return out
-
-
-def winding_number(cf, region, quadrature_points):
-    """Argument-principle count of zeros minus poles inside a Disk: the
-    one-centre case of _disk_windings."""
-    res = _disk_windings(cf, region.center, region.radius, quadrature_points)[0]
-    if res is None:
-        raise errors.ContourThroughSingularity(
-            f"a represented pole lies within {CONTOUR_POLE_TOL:g} of the contour"
-        )
-    return res
-
-
-def _certified_winding(cf, region, opts, poles_inside, q=None):
-    """Winding with quadrature escalation from q (default opts.quad); returns
-    the number of zeros inside."""
-    q = opts.quad if q is None else q
-    quad_cap = max(2 * opts.quad, QUAD_CAP_MIN)
-    last = None
-    while True:
-        try:
-            res = winding_number(cf, region, q)
-        except errors.ContourThroughSingularity:
-            res = None
-        if res is not None:
-            last = res
-            if res.certified:
-                return res.count + poles_inside, res
-        if q >= quad_cap:
-            return None, last
-        q *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +197,101 @@ def _rouche_rect(cf, rect):
         kappa = np.max((np.abs(cf.lam1) + edge) / dist, initial=0.0)
     gamma = float(_gamma(len(cf.c1) + 12.0 + np.ceil(kappa)))
     return 1.0 - s, bool(s * (1.0 + gamma) < 1.0 - gamma)
+
+
+# ---------------------------------------------------------------------------
+# verified arc walk: zeros minus poles inside a circle
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _arc_test(cf, w, shift, rho, p):
+    """Ying & Katz's test of the arcs from the nodes z = shift + w with
+    chords rho: (a_0, passed), arrays over the arcs.
+
+    With a_j = F^(j)(z)/j! (F cut to the window) and D_n = |lambda_n - z|,
+    |F - a_0| <= S = sum_{1<=j<=p} |a_j| rho^j + sum_n |c_n| (rho/D_n)^(p+1)
+    / (D_n - rho) + T / (delta - rho) within rho of z (Taylor terms, each
+    pole term's remainder, the tail; delta as tail_bound_at takes it), so
+    S < |a_0| keeps F off 0 there, when D_n and delta exceed rho.  The
+    check is S (1 + gamma) < |a_0| (1 - gamma), S with
+    gamma B added for the a_j's rounding (times rho^j it sums to at most
+    gamma B, B = sum_n |c_n| / (D_n - rho)); gamma counts 12 roundings a
+    complex quotient and ceil(kappa_d) a power for the cancellation in
+    (lambda_n - shift) - w (kappa_d = 2 + |w| / D_n), two a term for the
+    sums, ceil(kappa_g (kappa_d + 6)) for D_n - rho and delta - rho (kappa_g
+    = (D + rho) / (D - rho)), and 12 for |a_0|, rho^j and the comparison.
+    """
+    a, (b, rem, nearest) = cf.taylor(w, p, shift, rho)
+    ok = nearest > rho
+    kappa_g = (nearest + rho) / (nearest - rho)
+    s = (np.abs(a[1:]) * rho ** np.arange(1, p + 1)[:, np.newaxis]).sum(axis=0) + rem
+    if cf.tail_total > 0.0:
+        delta = cf.delta_unrepresented(shift + w)
+        ok &= delta > rho
+        s += cf.tail_total / (delta - rho)
+        kappa_g = np.maximum(kappa_g, (delta + rho) / (delta - rho))
+    kappa_d = np.ceil(2.0 + _modulus(w) / nearest)
+    gamma = _gamma(2 * len(cf.c1) + 2 * (p + 1) * (kappa_d + 12) + np.ceil(kappa_g * (kappa_d + 6)) + 12)
+    s += gamma * b
+    return a[0], ok & (s * (1.0 + gamma) < _modulus(a[0]) * (1.0 - gamma))
+
+
+def _arc_walk(cf, centers, radii, p, arcs=ARC_START):
+    """Zeros minus poles of F inside each circle |z - center| = radius by
+    Ying & Katz's (1988) reliable argument principle: a list of counts,
+    None for a circle not certified.
+
+    Each circle starts as `arcs` equal arcs, its nodes shifted by the window
+    eigenvalue nearest its centre.  An arc passes _arc_test at its first
+    node, its chord for rho (the disk of radius rho there holds the arc and
+    the chord); one that fails is bisected, ARC_SPLITS times at most.  When
+    all pass, F(z_next) / a_0 and F(z_next) / a_0_next both have positive
+    real parts, so F's argument changes along each arc by the principal
+    arg(a_0_next / a_0): their sum over 2 pi is the count.  One p serves
+    every circle, as |a_p| rho^p plus the remainder at p is at most the
+    remainder at p - 1.
+    """
+    centers = np.atleast_1d(np.asarray(centers, dtype=complex))
+    radii = np.broadcast_to(np.asarray(radii, dtype=float), centers.shape)
+    shift = _shift(cf, centers)
+    n = len(centers)
+    j = np.arange(n * arcs)
+    k, t0, dt = j // arcs, j % arcs / arcs, 1.0 / arcs
+    w0 = (centers - shift)[k] + radii[k] * np.exp(2j * np.pi * t0)
+    w1 = w0.reshape(n, arcs)[:, np.arange(1, arcs + 1) % arcs].ravel()  # where the next arc starts
+    passed, failed = [], np.zeros(n, dtype=bool)  # (circle, start, a_0) of the arcs that passed
+    for split in range(ARC_SPLITS + 1):
+        a0, ok = _arc_test(cf, w0, shift[k], _modulus(w1 - w0), p)
+        passed.append((k[ok], t0[ok], a0[ok]))
+        if ok.all() or split == ARC_SPLITS:
+            failed[k[~ok]] = True
+            break
+        k, t0, w0, w1, dt = k[~ok], t0[~ok], w0[~ok], w1[~ok], 0.5 * dt  # arcs of one length
+        wm = (centers - shift)[k] + radii[k] * np.exp(2j * np.pi * (t0 + dt))
+        k, t0 = np.tile(k, 2), np.concatenate([t0, t0 + dt])
+        w0, w1 = np.concatenate([w0, wm]), np.concatenate([wm, w1])
+    k, t0, a0 = (np.concatenate(x) for x in zip(*passed))
+    order = np.lexsort((t0, k))
+    k, a0 = k[order], a0[order]
+    turn = np.angle(np.append(a0[1:], a0[:1]) * np.conj(a0))
+    last = np.append(np.diff(k) != 0, True)[: len(k)]  # a circle's last arc ends at its first node
+    turn[last] = np.angle(a0[np.searchsorted(k, k[last])] * np.conj(a0[last]))
+    turns = np.bincount(k, turn, minlength=n) / (2.0 * np.pi)
+    return [None if bad else int(np.rint(x)) for x, bad in zip(turns, failed)]
+
+
+Winding = namedtuple("Winding", "count certified")  # count 0 when not certified
+
+
+def winding_number(cf, region, quadrature_points):
+    """Zeros minus poles of F inside a Disk, by _arc_walk on that circle
+    alone from quadrature_points arcs (3 or more) at p = 3; a circle within
+    CONTOUR_POLE_TOL (1 + |centre|) of a represented pole raises."""
+    clearance = np.abs(np.abs(cf.lam1 - region.center) - region.radius).min(initial=np.inf)
+    if clearance < CONTOUR_POLE_TOL * (1.0 + abs(region.center)):
+        raise errors.ContourThroughSingularity(f"a pole lies within {CONTOUR_POLE_TOL:g} of the circle")
+    (count,) = _arc_walk(cf, region.center, region.radius, 3, max(3, int(quadrature_points)))
+    return Winding(0 if count is None else count, count is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +409,7 @@ def _spread(cf, z, m):
     roots from one order-m zero; the derivatives' radii still can.
     """
     shift = _shift(cf, z)
-    w = z - shift
-    a = []
-    for k in range(0, m + 1, 2):
-        f, fp = cf.value_pair(w, k, shift)
-        a += [f / math.factorial(k), fp / math.factorial(k + 1)]
-    a = np.abs(np.array(a[: m + 1])).T
+    a = np.abs(cf.taylor(z - shift, m, shift)).T
     j = np.arange(m)
     spread = (a[:, :m] / a[:, m:]) ** (1.0 / (m - j))
     radius = ROUNDOFF * (_noise(cf, z, j) / a[:, m:]) ** (1.0 / (m - j))
@@ -492,7 +439,7 @@ def _try_multiple(cf, seed, m, tol, d):
     cluster tolerance or within its own round-off radius (_spread): m
     roots scattered by round-off pass, separate clusters closer than F's
     value noise can resolve fail on a derivative.  The caller certifies the
-    order by a winding.
+    order by the arc walk.
     """
     z, resid, ok = _newton(cf, [seed], m, tol)
     if not ok[0]:
@@ -529,9 +476,8 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d):
     group of m > 1 is one order-m zero when _try_multiple accepts it, from
     the same _spread radii, and a lone seed Newton did not polish is
     retried once from c_k about the shift lambda_k of its nearest pole.
-    Each zero's order is certified by a winding on its own circle, all
-    circles in one _disk_windings call at opts.quad; a count not certified
-    there escalates from 2 opts.quad.  A circle's radius is at most d/4, a
+    Each zero's order is certified on its own circle, all circles in one
+    _arc_walk at p = (largest order) + 2.  A circle's radius is at most d/4, a
     third of the distance to the next zero and half the distance to the
     rectangle's boundary, so the circles are disjoint and lie inside the
     rectangle; a pole nearer than twice the radius but not within half of
@@ -591,13 +537,9 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d):
     radius = np.where(pole > 0.5 * radius, np.minimum(radius, 0.5 * pole), radius)
     if not np.all(radius > 0.0):
         raise errors.CertificationFailed("two central zeros coincide")
-    poles_in = (pole < radius).astype(int)
-    firsts = _disk_windings(cf, z, radius, opts.quad)
-    for (z0, m, _), r, p, first in zip(zeros, radius, poles_in, firsts):
-        if first is not None and first.certified:
-            count = first.count + p
-        else:
-            count, _ = _certified_winding(cf, Disk(z0, float(r)), opts, p, 2 * opts.quad)
+    counts = _arc_walk(cf, z, radius, max((m for _, m, _ in zeros), default=0) + 2)
+    for (z0, m, _), r, inside, count in zip(zeros, radius, pole < radius, counts):
+        count = None if count is None else count + int(inside)
         if count != m:
             got = "could not be certified" if count is None else f"counts {count} zeros"
             raise errors.CertificationFailed(

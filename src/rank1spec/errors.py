@@ -50,11 +50,11 @@ class EpsOutOfRange(Rank1Error):
 
 
 class ContourThroughSingularity(Rank1Error):
-    """A quadrature contour passes through (or too close to) a pole."""
+    """A counting circle passes through (or too close to) a represented pole."""
 
 
 class CertificationFailed(Rank1Error):
-    """Winding counts could not be certified after the escalation schedule."""
+    """A count or a zero could not be certified, up to the largest n_trunc tried."""
 
 
 class CountMismatch(Rank1Error):

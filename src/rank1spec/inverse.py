@@ -47,7 +47,7 @@ def split_target(spec, target):
     head = list(target.nu_head)
     off = target.nu_head_offset
     n_idx = list(range(off, off + len(head)))
-    lam = [complex(spec.lambda_at(n)) for n in n_idx]
+    lam = [complex(v) for v in spec.lambda_at(np.array(n_idx, dtype=int))]
     changed = True
     while changed:
         changed = False
@@ -72,7 +72,7 @@ def split_target(spec, target):
 def build_product(spec, target):
     i0, i1, normalized = split_target(spec, target)
     nu1 = tuple(normalized[n] for n in i1)
-    lam1 = tuple(float(spec.lambda_at(n)) for n in i1)
+    lam1 = tuple(spec.lambda_at(np.array(i1, dtype=int)).tolist())
     return ProductFunction(spec=spec, target=target, i1=tuple(i1), nu1=nu1, lam1=lam1)
 
 

@@ -166,8 +166,20 @@ class PerturbationCoefficients:
         return self._eval(n, self.b_head_offset, self._b, self.b_tail)
 
     def c_at(self, n):
-        """c_n = conj(a_n) * b_n."""
-        return np.conj(self.a_at(n)) * self.b_at(n)
+        """c_n = conj(a_n) * b_n, a's power tail evaluated only where b_n != 0:
+        beyond a's head c_n is +0 where b_n = 0 (conj(a_n) b_n is a zero of
+        either sign there)."""
+        n, b = np.asarray(n), self.b_at(n)
+        if n.ndim == 0 or self.a_tail is None:
+            return np.conj(self.a_at(n)) * b
+        pos = n - self.a_head_offset
+        in_head = (pos >= 0) & (pos < len(self._a))
+        a = np.zeros(n.shape, dtype=complex)
+        a[in_head] = self._a[pos[in_head]]
+        tail = ~in_head & (b != 0)
+        if tail.any():
+            a[tail] = self.a_at(n[tail])
+        return np.conj(a) * b
 
     @property
     def c_tail(self):

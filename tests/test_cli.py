@@ -48,6 +48,18 @@ def test_direct_output_is_deterministic(files):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_quad_option_is_gone(files, capsys):
+    # the order circles start from a fixed number of arcs: --quad is an
+    # unknown option, and LocalizeOptions takes no quad
+    with pytest.raises(SystemExit) as exc:
+        _run(["direct", "--spec", files["spec"], "--coeffs", files["coeffs"], "--quad", 256])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quad 256" in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        direct.LocalizeOptions(quad=256)
+    assert direct.LocalizeOptions().quad == direct.ARC_START
+
+
 def test_uncertified_direct_exits_two(files, monkeypatch, capsys):
     monkeypatch.setattr(direct, "_rouche_rect", lambda cf, rect: (-1.0, False))
     code = _run(

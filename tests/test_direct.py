@@ -73,32 +73,6 @@ def test_contour_through_pole_rejected(two_point_cf):
         winding_number(two_point_cf, Disk(0.5, 0.5), 128)
 
 
-def test_disk_half_rule_equals_independent_trapezoid(two_point_cf):
-    # the q/2 check reuses every second node; compare with a fresh q/2 rule
-    disk, q = Disk(0.3 + 0.05j, 0.2), 256
-    res = winding_number(two_point_cf, disk, q)
-    h = q // 2
-    e = np.exp(2j * np.pi * np.arange(h) / h)
-    z = disk.center + disk.radius * e
-    dz = 1j * disk.radius * e * (2 * np.pi / h)
-    F = two_point_cf.values(z)
-    Fp = two_point_cf.derivative_values(z)
-    ref = np.sum(dz * Fp / F) / (2j * np.pi)
-    assert abs(res.integral_lo - ref) < 1e-12
-    assert res.certified and res.count == 1
-
-
-def test_odd_quadrature_rounds_up_to_even(two_point_cf, double_cf):
-    for cf, region in (
-        (two_point_cf, Disk(0.3, 0.2)),
-        (two_point_cf, Disk(0.25, 0.2)),
-        (double_cf, Disk(0.5, 0.3)),
-    ):
-        odd, even = winding_number(cf, region, 257), winding_number(cf, region, 258)
-        assert (odd.count, odd.certified) == (even.count, even.certified)
-        assert odd.integral == even.integral and odd.certified
-
-
 # ---------------------------------------------------------------------------
 # central zeros and their order windings
 
@@ -140,33 +114,22 @@ def test_refine_rejects_wrong_order(double_cf):
         direct._central_zeros(double_cf, CENTRAL, seeds, polished, 3, OPTS, 1.0)
 
 
-def _uncertified_winding(cf, region, opts, poles_inside, q=None):
-    return None, None
-
-
 def test_refine_rejects_uncertified_order_check(two_point_cf, monkeypatch):
-    monkeypatch.setattr(direct, "_disk_windings", lambda cf, centers, radius, q: [None] * len(centers))
-    monkeypatch.setattr(direct, "_certified_winding", _uncertified_winding)
+    monkeypatch.setattr(direct, "_arc_walk", lambda cf, centers, radii, p: [None] * len(centers))
     with pytest.raises(errors.CertificationFailed, match="radius 0.125 .* could not be certified"):
         _central_zeros(two_point_cf, 2)
 
 
 def test_uncertified_order_winding_in_the_central_step_raises(zspec, monkeypatch):
-    # circles narrower than the outer disks' stay uncertified at every
-    # quadrature; the outer disks and the rectangle certify as before
-    disk_windings, certified_winding = direct._disk_windings, direct._certified_winding
+    # circles narrower than the outer disks' stay uncertified; the outer
+    # disks and the rectangle certify as before
+    arc_walk = direct._arc_walk
 
-    def first_pass(cf, centers, radius, q):
-        res = disk_windings(cf, centers, radius, q)
-        return [None if r < 0.45 else w for r, w in zip(np.broadcast_to(radius, len(res)), res)]
+    def narrow_fail(cf, centers, radii, p):
+        res = arc_walk(cf, centers, radii, p)
+        return [None if r < 0.45 else w for r, w in zip(np.broadcast_to(radii, len(res)), res)]
 
-    def escalation(cf, region, opts, poles_inside, q=None):
-        if isinstance(region, Disk) and region.radius < 0.45:
-            return None, None
-        return certified_winding(cf, region, opts, poles_inside, q)
-
-    monkeypatch.setattr(direct, "_disk_windings", first_pass)
-    monkeypatch.setattr(direct, "_certified_winding", escalation)
+    monkeypatch.setattr(direct, "_arc_walk", narrow_fail)
     with pytest.raises(errors.CertificationFailed, match="order winding on .* could not be certified"):
         localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075}), OPTS)
 
@@ -179,13 +142,13 @@ def test_order_circles_keep_clear_of_poles(zspec, monkeypatch):
     coeffs, _ = inverse.solve_inverse(zspec, TargetSpectrum(0, (1.0 + 0.25j,) * 3))
     coeffs = validate_coefficients(coeffs, zspec)
     radii = []
-    disk_windings = direct._disk_windings
+    arc_walk = direct._arc_walk
 
-    def spy(cf, centers, radius, q):
+    def spy(cf, centers, radius, p):
         radii.append(radius)
-        return disk_windings(cf, centers, radius, q)
+        return arc_walk(cf, centers, radius, p)
 
-    monkeypatch.setattr(direct, "_disk_windings", spy)
+    monkeypatch.setattr(direct, "_arc_walk", spy)
     loc = localize_spectrum(zspec, coeffs, OPTS)
     ((z, order, _),) = next(r for r in loc.reports if r.region_index is None).zeros
     assert order == 3 and abs(z - (1.0 + 0.25j)) < 1e-9
@@ -451,7 +414,7 @@ def test_central_rectangle_for_an_empty_central_set():
 
 
 # ---------------------------------------------------------------------------
-# disks counted in blocks
+# the verified arc walk
 
 
 def _tail_cf(zspec):
@@ -465,66 +428,160 @@ def _tail_cf(zspec):
     return CharacteristicFunction.build(zspec, coeffs, 40)
 
 
-def test_disk_windings_equal_winding_number_field_by_field(zspec):
+def test_arc_walk_counts_the_eigenvalues_inside_each_circle(zspec):
+    # with finite coefficients the zeros of F are the eigenvalues of
+    # diag(lambda) + c 1^T: on random circles clear of every zero and pole,
+    # each certified count is zeros minus poles inside, the batched walk
+    # equals one walk per circle, and winding_number is the one-circle case
+    rng = np.random.default_rng(21)
+    certified = 0
+    for _ in range(6):
+        cf = CharacteristicFunction.build(zspec, random_finite_instance(rng, radius=6, max_points=5), 12)
+        zeros = np.linalg.eigvals(np.diag(cf.lam1.astype(complex)) + cf.c1[:, np.newaxis])
+        centers = rng.uniform(-7, 7, 40) + 1j * rng.uniform(-1, 1, 40)
+        radii = rng.uniform(0.05, 2.0, 40)
+        points = np.concatenate([zeros, cf.lam1])
+        clear = np.abs(np.abs(points - centers[:, np.newaxis]) - radii[:, np.newaxis]).min(axis=1) > 1e-3
+        centers, radii = centers[clear], radii[clear]
+        inside = lambda pts: (np.abs(pts - centers[:, np.newaxis]) < radii[:, np.newaxis]).sum(axis=1)
+        expected = inside(zeros) - inside(cf.lam1)
+        counts = direct._arc_walk(cf, centers, radii, 3)
+        for c, r, got, want in zip(centers, radii, counts, expected):
+            assert got in (None, want)
+            assert direct._arc_walk(cf, [c], [r], 3) == [got]
+            res = winding_number(cf, Disk(complex(c), float(r)), direct.ARC_START)
+            assert (res.count, res.certified) == (want if got is not None else 0, got is not None)
+            certified += got is not None
+    assert certified > 150
+    # with a discarded tail too, the batched walk equals one walk per circle
     cf = _tail_cf(zspec)
-    assert cf.tail_total > 0.0
-    # 42 disks in several blocks at every q, complex centres, uncertified ones
-    centers = np.concatenate([np.arange(-20, 20) + 0.0, [0.3 + 0.2j, 1.5 - 0.1j]])
-    # one radius for all, or one per disk
-    per_disk = np.linspace(0.1, 0.45, len(centers))
-    for radius, q in ((0.5, 256), (0.3, 64), (0.45, 17), (per_disk, 64)):
-        batched = direct._disk_windings(cf, centers, radius, q)
-        assert len(batched) == len(centers)
-        for c, r, res in zip(centers, np.broadcast_to(radius, centers.shape), batched):
-            assert res == winding_number(cf, Disk(complex(c), float(r)), q)
-    assert not all(r.certified for r in direct._disk_windings(cf, centers, 0.45, 17))
+    centers = np.concatenate([np.arange(-20, 20) + 0.25, [0.3 + 0.2j, 1.5 - 0.1j]])
+    radii = np.linspace(0.1, 0.45, len(centers))
+    counts = direct._arc_walk(cf, centers, radii, 3)
+    assert counts == [direct._arc_walk(cf, [c], [r], 3)[0] for c, r in zip(centers, radii)]
 
 
-def test_disk_through_a_pole_is_marked_and_falls_back(two_point_cf, monkeypatch):
-    # the circle |z - 1/2| = 1/2 passes through the poles 0 and 1
-    through, clear = direct._disk_windings(two_point_cf, [0.5, 0.3], 0.5, 128)
-    assert through is None
-    assert clear == winding_number(two_point_cf, Disk(0.3, 0.5), 128)
-    # a missing first order winding escalates instead of raising, to the
-    # same zeros; the escalation's own windings (one centre each) still count
-    zeros = _central_zeros(two_point_cf, 2)
-    disk_windings = direct._disk_windings
+def test_arc_walk_bisects_near_a_zero_and_gives_up_on_one(two_point_cf, monkeypatch):
+    # the zero 1/4 lies 8e-4 outside the first circle: the arcs near it are
+    # bisected until they pass; the second circle runs through it, and its
+    # arcs there fail at every one of the ARC_SPLITS bisections
+    arc_test, calls = direct._arc_test, []
 
-    def first_pass_missing(cf, centers, radius, q):
-        res = disk_windings(cf, centers, radius, q)
-        return [None] * len(res) if np.ndim(centers) else res
+    def spy(cf, w, shift, rho, p):
+        calls.append(len(w))
+        return arc_test(cf, w, shift, rho, p)
 
-    monkeypatch.setattr(direct, "_disk_windings", first_pass_missing)
-    assert _central_zeros(two_point_cf, 2) == zeros
+    monkeypatch.setattr(direct, "_arc_test", spy)
+    assert direct._arc_walk(two_point_cf, [0.5 + 0.02j], [0.25], 3) == [0]
+    assert 1 < len(calls) < direct.ARC_SPLITS and calls[0] == direct.ARC_START
+    calls.clear()
+    assert direct._arc_walk(two_point_cf, [0.5, 2.0], [0.25, 0.25], 3) == [None, 0]
+    assert len(calls) == direct.ARC_SPLITS + 1
 
 
-def test_uncertified_batched_disk_escalates_from_twice_the_quadrature(two_point_cf, monkeypatch):
-    # every order winding of the first pass (all centres in one call) comes
-    # back uncertified: each circle is counted again on its own, from twice
-    # the starting quadrature
-    opts = LocalizeOptions(quad=16)
-    zeros = _central_zeros(two_point_cf, 2, opts)
-    disk_windings = direct._disk_windings
-    quads = []
+def test_clustered_round_trip_certifies_every_order_circle(zspec):
+    # three points 1e-2 (1 + i) apart: the order circle of the middle one
+    # (radius 0.00471) was not certified by the trapezoid winding at any
+    # quadrature, and the solve raised CertificationFailed; the arc walk
+    # certifies every circle
+    from rank1spec.model import validate_coefficients
 
-    def uncertified(cf, centers, radius, q):
-        res = disk_windings(cf, centers, radius, q)
-        return [dataclasses.replace(r, certified=False) for r in res] if np.ndim(centers) else res
+    target = TargetSpectrum(
+        -4, (2.349236 - 0.101013j, 2.359236 - 0.091013j, 2.369236 - 0.081013j, 1.899736 + 0.001357j)
+    )
+    coeffs, _ = inverse.solve_inverse(zspec, target)
+    coeffs = validate_coefficients(coeffs, zspec)
+    ps, loc = solve_direct(zspec, coeffs, LocalizeOptions(window=12, n_trunc=40))
+    assert ps.certified and loc.window == 2435
+    mus = np.sort_complex(np.array([e.mu for e in ps.entries for _ in range(e.mult) if abs(e.mu) < 6]))
+    ref = np.sort_complex(np.atleast_1d(target.nu_at(np.arange(-5, 6), zspec)))
+    assert len(mus) == len(ref) and np.max(np.abs(mus - ref)) < 2e-7
 
-    def spy(cf, region, q):
-        quads.append(q)
-        return winding_number(cf, region, q)
 
-    monkeypatch.setattr(direct, "_disk_windings", uncertified)
-    monkeypatch.setattr(direct, "winding_number", spy)
-    assert _central_zeros(two_point_cf, 2, opts) == zeros
-    assert quads == [32, 32]
+def _iv_arc(iv, cf, w0, w1, shift, p):
+    """The upper end of _arc_test's S and the lower end of |a_0| at the node
+    shift + w0, for the arc to shift + w1, in interval arithmetic from the
+    same float data (delta as _arc_test takes it)."""
+    zr, zi = iv.mpf(float(shift)) + iv.mpf(w0.real), iv.mpf(w0.imag)
+    rho = iv.sqrt((iv.mpf(w1.real) - iv.mpf(w0.real)) ** 2 + (iv.mpf(w1.imag) - iv.mpf(w0.imag)) ** 2)
+    a = [[iv.mpf(j == 0), iv.mpf(0)] for j in range(p + 1)]
+    s = iv.mpf(0)
+    for lam_n, c_n in zip(cf.lam1, cf.c1):
+        dr, di = iv.mpf(float(lam_n)) - zr, -zi
+        den = dr * dr + di * di
+        dist = iv.sqrt(den)
+        tr, ti = iv.mpf(c_n.real), iv.mpf(c_n.imag)
+        for j in range(p + 1):  # t = c / d^(j+1), one quotient at a time
+            tr, ti = (tr * dr + ti * di) / den, (ti * dr - tr * di) / den
+            a[j][0] += tr
+            a[j][1] += ti
+        s += _iv_modulus(iv, complex(c_n)) * (rho / dist) ** (p + 1) / (dist - rho)
+    for j in range(1, p + 1):
+        s += iv.sqrt(a[j][0] ** 2 + a[j][1] ** 2) * rho**j
+    if cf.tail_total:
+        delta = cf.delta_unrepresented(np.array([shift + w0]))[0]
+        s += iv.mpf(cf.tail_total) / (iv.mpf(float(delta)) - rho)
+    return s.b, iv.sqrt(a[0][0] ** 2 + a[0][1] ** 2).a
+
+
+def test_arc_certificate_holds_in_interval_arithmetic(zspec):
+    # random power-tail instances and arcs; every c_n, turned so that F(z) =
+    # 1 - f |G(z)| at the arc's first node, and the tail scaled by f, with f
+    # on a grid of ulps around where the float check starts to accept: the
+    # check never accepts an arc whose interval S reaches |a_0|
+    from mpmath import iv
+
+    rng = np.random.default_rng(14)
+    outcomes = []
+    prec, iv.prec = iv.prec, 113  # intervals far narrower than the allowance
+    try:
+        _arc_checks(iv, zspec, rng, outcomes)
+    finally:
+        iv.prec = prec
+    assert 100 < sum(outcomes) < len(outcomes) - 100
+
+
+def _arc_checks(iv, zspec, rng, outcomes):
+    from rank1spec.model import PerturbationCoefficients, PowerTail
+
+    for _ in range(3):
+        tail = PowerTail(beta=float(rng.uniform(1.2, 3.0)), scale=float(rng.uniform(0.05, 0.5)), phase=0.3)
+        head = rng.uniform(-0.3, 0.3, 7) + 1j * rng.uniform(-0.3, 0.3, 7)
+        coeffs = PerturbationCoefficients(
+            a_head_offset=-3, a_head=(1.0,) * 7, a_tail=tail,
+            b_head_offset=-3, b_head=tuple(head), b_tail=tail,
+        )  # fmt: skip
+        cf = CharacteristicFunction.build(zspec, coeffs, 6)
+        assert cf.tail_total > 0.0
+        for _ in range(3):
+            center = np.array([rng.uniform(-3, 3) + 1j * rng.uniform(-0.3, 0.3)])
+            shift = direct._shift(cf, center)
+            theta, r = rng.uniform(0, 2 * np.pi), rng.uniform(0.05, 0.3)
+            w0, w1 = (center - shift) + r * np.exp(1j * (theta + np.array([0.0, 2 * np.pi / direct.ARC_START])))
+            w0, w1, rho = w0[None], w1[None], direct._modulus(w1 - w0)[None]
+            g = complex(cf.taylor(w0, 0, shift)[0, 0]) - 1.0
+            turn = -abs(g) / g
+
+            def scaled(f):
+                return dataclasses.replace(cf, c1=(f * turn) * cf.c1, tail_total=f * cf.tail_total)
+
+            lo, hi = 0.0, 1.0 / abs(g)  # F = 1 passes, F = 0 fails
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if direct._arc_test(scaled(mid), w0, shift, rho, 3)[1][0] else (lo, mid)
+            for ulps in range(-40, 41, 2):
+                sc = scaled(lo * (1.0 + ulps * direct.UNIT_ROUNDOFF))
+                accepted = bool(direct._arc_test(sc, w0, shift, rho, 3)[1][0])
+                if accepted:
+                    s_hi, a0_lo = _iv_arc(iv, sc, w0[0], w1[0], float(shift[0]), 3)
+                    assert s_hi < a0_lo, ulps
+                outcomes.append(accepted)
 
 
 def test_wide_window_localization_memory_stays_bounded(zspec):
-    # 401 disks at q = 256 in one call peak at about 8 MB (102 656 nodes,
-    # 16 bytes each, in several node arrays); blocks of DISK_BLOCK_NODES
-    # peak at about 1 MB
+    # 401 window indices; the Rouche checks run in blocks of ROUCHE_BLOCK
+    # disks x terms and the kernel in chunks of _CHUNK terms x points, and
+    # the localization peaks at about 0.4 MB
     import tracemalloc
 
     coeffs = finite_coeffs({-7: 0.2, -3: 0.1j, -1: 0.05, 0: 0.25, 2: -0.1, 4: 0.3j, 9: 0.15, 11: -0.2})
@@ -820,17 +877,14 @@ def test_rect_rouche_certificate_holds_in_interval_arithmetic(zspec):
     assert 20 < sum(outcomes) < len(outcomes) - 20
 
 
-def _rouche_and_winding_counts(cf, idx, lam, c, d, opts):
+def _rouche_and_winding_counts(cf, idx, lam, c, d):
     """Zeros in each outer disk by Rouche (None where it does not certify)
-    and by the winding on the same circle."""
+    and by the arc walk on the same circles (None where it does not)."""
     _, certified = direct._rouche(cf, idx, lam, c, 0.5 * d)
-    rouche, winding = [], []
-    for lam_k, c_k, ok in zip(lam, c, certified):
-        expected = int(c_k != 0)
-        rouche.append(expected if ok else None)
-        got, _ = direct._certified_winding(cf, Disk(complex(lam_k), 0.5 * d), opts, expected)
-        winding.append(got)
-    return rouche, winding
+    poles = (c != 0).astype(int)  # lambda_k is a pole of F when c_k != 0
+    rouche = [int(p) if ok else None for p, ok in zip(poles, certified)]
+    walk = direct._arc_walk(cf, lam.astype(complex), 0.5 * d, 3)
+    return rouche, [None if w is None else w + p for w, p in zip(walk, poles)]
 
 
 def test_rouche_count_equals_the_winding_count(zspec):
@@ -848,7 +902,7 @@ def test_rouche_count_equals_the_winding_count(zspec):
     for coeffs, opts in cases:
         loc = localize_spectrum(zspec, coeffs, opts)
         idx, lam, c = _disk_data(loc, coeffs)
-        rouche, winding = _rouche_and_winding_counts(loc.cf, idx, lam, c, zspec.gap, opts)
+        rouche, winding = _rouche_and_winding_counts(loc.cf, idx, lam, c, zspec.gap)
         assert None not in rouche and rouche == winding
         assert [len(r.zeros) for r in loc.reports if r.region_index is not None] == rouche
 

@@ -31,6 +31,24 @@ def test_split_target_swap_normalization(zspec):
     assert normalized == {0: 1.3, 1: 1.0}
 
 
+def test_split_target_and_build_product_take_lambda_in_one_array_call(monkeypatch):
+    # a non-affine head and a swap: one lambda_at call each, giving the
+    # per-index calls' values bit for bit
+    from rank1spec.model import AffineTail, BaseSpectrum, validate_base
+
+    spec = validate_base(BaseSpectrum("Z", -2, (-2.3, -0.9, 0.1, 1.15, 2.4), AffineTail(1.1, 0.05), 0.9))
+    target = TargetSpectrum(-3, (-3.2 + 0.1j, 1.15 + 0j, -0.9 + 0j, 0.3 + 0j, 0.3 + 0j, 2.4 + 0j, 2.9 - 0.2j))
+    calls, lambda_at = [], BaseSpectrum.lambda_at
+    monkeypatch.setattr(BaseSpectrum, "lambda_at", lambda sp, n: calls.append(n) or lambda_at(sp, n))
+    pf = inverse.build_product(spec, target)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    i0, i1, normalized = inverse.split_target(spec, target)
+    assert (list(pf.i1), i0) == (i1, [-1, 1, 2]) and pf.nu1 == tuple(normalized[n] for n in i1)
+    lam1 = tuple(float(spec.lambda_at(n)) for n in i1)
+    assert all(type(x) is float for x in pf.lam1) and np.array(pf.lam1).tobytes() == np.array(lam1).tobytes()
+
+
 def test_product_hand_values(zspec, two_point_target):
     pf = inverse.build_product(zspec, two_point_target)
     # (0.25-2)/(0-2) * (1.1-2)/(1-2) = 0.875 * 0.9

@@ -165,6 +165,30 @@ def test_cached_heads_evaluate_as_the_clip_lookup():
                 assert v.dtype == ref.dtype and v.tobytes() == ref.tobytes(), name
 
 
+def test_c_at_evaluates_a_only_where_b_is_nonzero(zspec, monkeypatch):
+    # a's power tail is evaluated only where b_n != 0 beyond a's head, and
+    # c_at still equals conj(a_at) b_at bit for bit, arrays and scalars, on
+    # inverse-synthesized coefficients (b_tail None) and the power family
+    from rank1spec import gallery, inverse
+
+    target = TargetSpectrum(-2, (-2.1 + 0.1j, -0.9 + 0j, 0.5 + 0j, 0.5 + 0j, 2.2 - 0.3j))
+    synthesized, _ = inverse.solve_inverse(zspec, target)
+    n = np.arange(-300, 301)
+    for coeffs in (synthesized, gallery.power_family(2.0, 30)):
+        ref = np.conj(coeffs.a_at(n)) * coeffs.b_at(n)
+        got = coeffs.c_at(n)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        for k in (-300, -1, 0, 2, 31, 300):
+            assert np.asarray(coeffs.c_at(k)).tobytes() == np.asarray(np.conj(coeffs.a_at(k)) * coeffs.b_at(k)).tobytes()
+    evaluated, value = [], PowerTail.value
+    monkeypatch.setattr(PowerTail, "value", lambda tail, m: evaluated.append(m) or value(tail, m))
+    synthesized.c_at(n)
+    assert evaluated == []
+    gallery.power_family(2.0, 30).c_at(n)
+    # b's tail over every index, a's only beyond the head |n| <= 30
+    assert sorted(np.size(m) for m in evaluated) == [len(n) - 61, len(n)]
+
+
 def test_power_tail_at_index_zero_outside_the_head_raises():
     tail = PowerTail(beta=1.0, scale=1.0, phase=0.0)
     coeffs = PerturbationCoefficients(1, (0.5,), tail, 1, (0.5j,), tail)
