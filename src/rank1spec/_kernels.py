@@ -60,7 +60,7 @@ def taylor(c, lam, z, p, shift=0.0, rho=None):
         _sums(c, lam, z[b], p, None if shift is None else shift[b], None if rho is None else rho[b])
         for b in (slice(i, i + step) for i in range(0, max(len(z), 1), step))
     ]
-    return [np.concatenate(r) for r in zip(*chunks)]
+    return chunks[0] if len(chunks) == 1 else [np.concatenate(r) for r in zip(*chunks)]
 
 
 def pole_sum(c, lam, z, p=1, shift=0.0):

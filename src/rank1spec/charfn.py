@@ -130,8 +130,9 @@ class CharacteristicFunction:
         many orders below |shift|.
         """
         s, s1 = _kernels.pole_sum(self.c1, self.lam1, z, order + 1, shift)
-        f = 1.0 + s if order == 0 else math.factorial(order) * s
-        return f, math.factorial(order + 1) * s1
+        if order == 0:
+            return 1.0 + s, s1
+        return math.factorial(order) * s, math.factorial(order + 1) * s1
 
     def taylor(self, z, p, shift=0.0, rho=None):
         """a_j = F^(j)/j!, j <= p, at the points shift + z: a (p + 1, points)
@@ -146,8 +147,8 @@ class CharacteristicFunction:
         return 1.0 + _kernels.pole_sum(self.c1, self.lam1, z)[0]
 
     def derivative_values(self, z, order=1):
-        """F^(order) at an array of points."""
-        return math.factorial(order) * _kernels.pole_sum(self.c1, self.lam1, z, order)[1]
+        """F^(order) at an array of points (F itself at order 0)."""
+        return self.value_pair(z, order)[0]
 
     def shifted_values(self, center_index, w, order=0):
         """F^(order) evaluated at lambda_center + w in shifted coordinates."""

@@ -1,20 +1,24 @@
 """Direct spectral problem: locate all eigenvalues of the perturbation.
 
 Every count of zeros is a proof: the paper's Rouche inequality on the
-outer disks and the central rectangle, and a verified arc walk (Ying &
-Katz's reliable argument principle) on the order circles of the central
-zeros; Newton iteration in pole-shifted coordinates polishes the zeros.
-The localization follows the enclosure sigma(B) subset Q_{K'} union
-(disks of radius d/2 around the outer indices |n| > K').  Each outer disk
-is certified, as in the paper's proof of the enclosure, by Rouche against
-G_k = 1 + c_k / (lambda_k - z), in closed form and for all disks in one
+per-index disks and the central rectangle, and a verified arc walk (Ying &
+Katz's reliable argument principle) on the order circles of the zeros the
+disks leave; Newton iteration in pole-shifted coordinates polishes the
+zeros.  The localization follows the enclosure sigma(B) subset Q_{K'}
+union (disks of radius d/2 around the outer indices |n| > K').  The disk
+of radius d/2 around each outer index and each perturbed central one is
+checked as in the paper's proof of the enclosure, by Rouche against G_k =
+1 + c_k / (lambda_k - z), in closed form and for all disks in one
 broadcast, and the central rectangle Q_{K'} by the same inequality against
-1.  One Newton pass, one kernel call a step, then polishes every simple
-zero: the outer disks' from lambda_k + c_k, the central ones from the
-eigenvalues of the window's diagonal-plus-rank-one matrix.  A disk whose
-zero fails raises; the central zeros are grouped into multiple zeros, and
-each one's order is certified on a small circle of its own, all circles
-walked together.
+1.  An outer disk must certify; a central one that does not is left to
+the eigen-seeds.  One Newton pass, one kernel call a step, then polishes
+every simple zero: each certified disk's from a seed about lambda_k,
+the rest from the eigenvalues of diagonal-plus-rank-one matrices over
+runs of central indices around the uncertified ones (once more from the
+whole window's when those miss a zero).  A disk whose zero fails raises; the zeros left
+in the rectangle are grouped into multiple zeros, and each one's order is
+certified on a small circle of its own, clear of the certified disks, all
+circles walked together.
 """
 
 from collections import namedtuple
@@ -48,6 +52,7 @@ CLUSTER_RTOL = 1e-6  # zeros closer than this times d form one cluster
 # (eta_j / |F^(m)/m!|)^(1/(m-j)) set by the noise eta_j of each F^(j)/j!
 ROUNDOFF = 20.0
 NEWTON_MAX_ITER = 80
+RUN_GAPS = 6.0  # central poles this many gaps d from a hard one, or nearer, join its seed run
 MATCH_RTOL = 1e-7  # zeros within this times d max(1, |lambda_n|) land on a common lambda_n
 
 
@@ -111,14 +116,15 @@ class LocalizationResult:
 def _gamma(m):
     """Higham's gamma_m = m u / (1 - m u), inf where m u >= 1/2."""
     mu = m * UNIT_ROUNDOFF
-    with np.errstate(invalid="ignore"):
-        return np.where(mu < 0.5, mu / (1.0 - mu), np.inf)
+    return np.where(mu < 0.5, mu / np.maximum(1.0 - mu, 0.5), np.inf)
 
 
 def _rouche(cf, idx, lam, c, r):
     """Rouche margins |G_k| - S_k on the circles |z - lambda_k| = r around
-    the indices idx (lambda_k = lam, c_k = c), and whether each certifies
-    its disk: arrays over the disks.
+    the indices idx (lambda_k = lam, c_k = c), whether each certifies its
+    disk, and the sums (beta_k, beta'_k) = sum_{n != k} c_n / (lambda_n -
+    lambda_k)^j, j = 1, 2, with 1 added to beta_k, formed in the same
+    broadcast for the seeds (_disks): arrays over the disks.
 
     On the circle G_k = 1 + c_k / (lambda_k - z) has min |G_k| = 1 - |c_k|/r,
     and |F - G_k| <= S_k = sum_{n != k} |c_n| / (|lambda_n - lambda_k| - r)
@@ -134,8 +140,9 @@ def _rouche(cf, idx, lam, c, r):
     lambda_k| - r (kappa_S = |lambda_n - lambda_k| / that difference), the
     sum of non-negative terms one per term, |G_k| 2 and ceil(3 kappa_G) for
     its cancellation (kappa_G = |c_k| / (r - |c_k|)), and the comparison
-    itself 4; m is their total plus 2 for kappa computed in floats.  The
-    disks are checked in blocks of ROUCHE_BLOCK disks x terms.
+    itself 4; m is their total plus 2 for kappa computed in floats.  A disk
+    that fails the preconditions takes kappa 0, so that its gamma stays
+    finite.  The disks are checked in blocks of ROUCHE_BLOCK disks x terms.
     """
     absc = np.abs(cf.c1)
     tail = np.zeros(len(idx))
@@ -147,22 +154,29 @@ def _rouche(cf, idx, lam, c, r):
             tail = cf.tail_total / np.where(tail_ok, gap, np.inf)
     s = np.empty(len(idx))
     nearest = np.empty(len(idx))
+    beta = np.empty(len(idx), dtype=complex)
+    slope = np.empty(len(idx), dtype=complex)
     per_block = max(1, ROUCHE_BLOCK // max(1, len(absc)))
     for i in range(0, len(idx), per_block):
         b = slice(i, i + per_block)
-        den = np.abs(cf.lam1 - lam[b, np.newaxis]) - r
-        den[cf.idx1 == idx[b, np.newaxis]] = np.inf  # the k-th term is G_k's
+        diff = cf.lam1 - lam[b, np.newaxis]
+        diff[cf.idx1 == idx[b, np.newaxis]] = np.inf  # the k-th term is G_k's
+        den = np.abs(diff) - r
         nearest[b] = den.min(axis=1, initial=np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             s[b] = (absc / den).sum(axis=1) + tail[b]
-    ok = (nearest > 0.0) & tail_ok & (np.abs(c) < r)
-    g = 1.0 - np.abs(c) / r
+        t = cf.c1 / diff
+        beta[b] = 1.0 + t.sum(axis=1)
+        slope[b] = (t / diff).sum(axis=1)
+    absc_k = np.abs(c)
+    ok = (nearest > 0.0) & tail_ok & (absc_k < r)
+    g = 1.0 - absc_k / r
     with np.errstate(divide="ignore", invalid="ignore"):
-        kappa_s = np.where(ok, 1.0 + r / nearest, np.inf)
-        kappa_g = np.where(ok, (1.0 - g) / g, np.inf)
+        kappa_s = np.where(ok, 1.0 + r / nearest, 0.0)
+        kappa_g = np.where(ok, (1.0 - g) / g, 0.0)
     gamma = _gamma(len(absc) + 12.0 + np.ceil(kappa_s) + np.ceil(3.0 * kappa_g))
     margin = np.where(ok, g - s, -np.inf)
-    return margin, ok & (s * (1.0 + gamma) < g * (1.0 - gamma))
+    return margin, ok & (s * (1.0 + gamma) < g * (1.0 - gamma)), (beta, slope)
 
 
 def _pole_distance_to_rect(rect, poles):
@@ -255,6 +269,8 @@ def _arc_walk(cf, centers, radii, p, arcs=ARC_START):
     radii = np.broadcast_to(np.asarray(radii, dtype=float), centers.shape)
     shift = _shift(cf, centers)
     n = len(centers)
+    if not n:
+        return []
     j = np.arange(n * arcs)
     k, t0, dt = j // arcs, j % arcs / arcs, 1.0 / arcs
     w0 = (centers - shift)[k] + radii[k] * np.exp(2j * np.pi * t0)
@@ -270,12 +286,17 @@ def _arc_walk(cf, centers, radii, p, arcs=ARC_START):
         wm = (centers - shift)[k] + radii[k] * np.exp(2j * np.pi * (t0 + dt))
         k, t0 = np.tile(k, 2), np.concatenate([t0, t0 + dt])
         w0, w1 = np.concatenate([w0, wm]), np.concatenate([wm, w1])
-    k, t0, a0 = (np.concatenate(x) for x in zip(*passed))
-    order = np.lexsort((t0, k))
-    k, a0 = k[order], a0[order]
-    turn = np.angle(np.append(a0[1:], a0[:1]) * np.conj(a0))
-    last = np.append(np.diff(k) != 0, True)[: len(k)]  # a circle's last arc ends at its first node
-    turn[last] = np.angle(a0[np.searchsorted(k, k[last])] * np.conj(a0[last]))
+    if len(passed) > 1:
+        k, t0, a0 = (np.concatenate(x) for x in zip(*passed))
+        order = np.lexsort((t0, k))
+        k, a0 = k[order], a0[order]
+    else:  # every arc passed at once, in circle and start order
+        k, _, a0 = passed[0]
+    ratio = np.concatenate([a0[1:], a0[:1]]) * np.conj(a0)
+    turn = np.arctan2(ratio.imag, ratio.real)
+    last = np.concatenate([k[1:] != k[:-1], [True]])[: len(k)]  # a circle's last arc ends at its first node
+    ratio = a0[np.searchsorted(k, k[last])] * np.conj(a0[last])
+    turn[last] = np.arctan2(ratio.imag, ratio.real)
     turns = np.bincount(k, turn, minlength=n) / (2.0 * np.pi)
     return [None if bad else int(np.rint(x)) for x, bad in zip(turns, failed)]
 
@@ -343,32 +364,40 @@ def _newton(cf, seeds, order, tol, shift=None):
     round-off alone makes (_noise); or, at order 1, when its residual
     exceeds tol (1 + sum |c_n|).
     """
-    w = np.atleast_1d(np.asarray(seeds, dtype=complex))
+    w = np.array(seeds, dtype=complex, ndmin=1)  # a copy: the steps write to it
     if shift is None:
         shift = _shift(cf, w)
         w = w - shift
     deriv = order - 1
     resid_tol = tol * (1.0 + float(np.sum(np.abs(cf.c1)))) if deriv == 0 else np.inf
+    scale = 1.0 + np.abs(shift)
     step = np.full(len(w), np.inf, dtype=complex)
     ok = np.ones(len(w), dtype=bool)
     live = np.arange(len(w))
     for _ in range(NEWTON_MAX_ITER):
         if not len(live):
             break
-        wl, sl = w[live], shift[live]
-        g, gp = cf.value_pair(wl, deriv, sl)
+        wl = w[live]
+        g, gp = cf.value_pair(wl, deriv, shift[live])
+        new_step = g / gp
         # where F^(order) vanishes the point moves by 1e-9 (1 + |w|) instead,
         # with no stop or divergence test and its last step kept
         flat = gp == 0
-        new_step = np.where(flat, -1e-9 * (1.0 + _modulus(wl)), g / gp)
-        wl = wl - new_step
+        any_flat = flat.any()
+        if any_flat:
+            new_step[flat] = -1e-9 * (1.0 + _modulus(wl[flat]))
+        wl -= new_step
         w[live] = wl
         size = _modulus(new_step)
-        done = ~flat & (size < 1e-16 * (1.0 + np.abs(sl) + _modulus(wl))) & (_modulus(g) <= resid_tol)
-        diverged = ~flat & ~done & ~(size <= 10.0 * (_modulus(step[live]) + 1.0))
+        done = (size < 1e-16 * (scale[live] + _modulus(wl))) & (_modulus(g) <= resid_tol)
+        diverged = ~done & ~(size <= 10.0 * (_modulus(step[live]) + 1.0))
+        if any_flat:
+            done &= ~flat
+            diverged &= ~flat
+            new_step[flat] = step[live[flat]]
         ok[live[diverged]] = False
-        step[live] = np.where(flat, step[live], new_step)
-        live = live[~done & ~diverged]
+        step[live] = new_step
+        live = live[~(done | diverged)]
     if len(live):
         size = _modulus(step[live])
         _, gp = cf.value_pair(w[live], deriv, shift[live])
@@ -385,6 +414,12 @@ def _newton(cf, seeds, order, tol, shift=None):
 
 # ---------------------------------------------------------------------------
 # central zeros from the window's diagonal-plus-rank-one eigenvalues
+
+
+def _clearance(z, centres, r):
+    """Distance from each point to the nearest disk of radius r about the
+    centres (inf if none)."""
+    return np.abs(z[:, np.newaxis] - centres).min(axis=1, initial=np.inf) - r
 
 
 def _nearest_pole(cf, z):
@@ -465,30 +500,65 @@ def _central_seeds(cf, rect, k_prime, d):
     return eig[Rectangle(rect.re_lo - h, rect.re_hi + h, rect.im_lo - h, rect.im_hi + h).contains(eig)]
 
 
-def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d):
-    """The zeros of F in the central rectangle, which holds n_zeros of them,
-    as (location, order, residual) sorted by location.
+def _run_seeds(lam, c, beta, d):
+    """Eigenvalue seeds of the zeros of F near the poles lam (ascending)
+    with coefficients c and beta_k (_rouche): the central I1 poles within
+    RUN_GAPS d of a pole whose disk Rouche did not certify.
+
+    The poles split into runs where consecutive ones lie more than RUN_GAPS
+    d apart.  Near a run R, F is about beta_R + sum_{n in R} c_n / (lambda_n
+    - z), with the rest beta_R = 1 + sum_{n not in R} c_n / (lambda_n - z)
+    frozen as its mean over the run's poles, beta_k less the run's other
+    terms; its zeros are the eigenvalues of diag(lambda_R) + (c_R / beta_R)
+    1^T, as in _central_seeds, one seed per pole.  All runs take one
+    eigenvalue solve, of the block-diagonal matrix of these blocks.  A run
+    holds the certified poles near it as well, so that beta_R leaves out
+    only terms that vary little across the run.
+    """
+    run = np.cumsum(np.concatenate([[False], lam[1:] - lam[:-1] > RUN_GAPS * d]))
+    same = run[:, np.newaxis] == run  # pairs of poles in one run
+    diff = lam - lam[:, np.newaxis]
+    diff.flat[:: len(lam) + 1] = np.inf  # beta_k already leaves out the k-th term
+    rest = beta - np.where(same, c / diff, 0.0).sum(axis=1)
+    matrix = np.where(same, (c * same.sum(axis=1) / (same @ rest))[:, np.newaxis], 0.0)
+    matrix.flat[:: len(lam) + 1] += lam
+    return np.linalg.eigvals(matrix)
+
+
+def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d, disks=()):
+    """The zeros of F in the central rectangle outside the certified disks
+    of radius d/2 about the centres disks, which hold n_zeros of them, as
+    (location, order, residual) sorted by location.
 
     polished is _newton's (locations, residuals, converged) from the seeds;
     a seed it did not polish (as near a multiple zero) is kept as it is.
-    Of the points inside the rectangle, those closer than CLUSTER_RTOL d,
-    or than the round-off link (_roundoff_link) of either, form a group; a
-    group of m > 1 is one order-m zero when _try_multiple accepts it, from
-    the same _spread radii, and a lone seed Newton did not polish is
-    retried once from c_k about the shift lambda_k of its nearest pole.
-    Each zero's order is certified on its own circle, all circles in one
-    _arc_walk at p = (largest order) + 2.  A circle's radius is at most d/4, a
-    third of the distance to the next zero and half the distance to the
-    rectangle's boundary, so the circles are disjoint and lie inside the
-    rectangle; a pole nearer than twice the radius but not within half of
-    it shrinks the radius to half its distance, so every pole keeps at
-    least half the radius clear of the circle.  The orders must add up to
-    n_zeros; anything else raises CertificationFailed.
+    Of the points inside the rectangle and outside the disks, those closer
+    than CLUSTER_RTOL d, or than the round-off link (_roundoff_link) of
+    either, form a group; a group of m > 1 is one order-m zero when
+    _try_multiple accepts it, from the same _spread radii, and a lone seed
+    Newton did not polish is retried once from c_k about the shift
+    lambda_k of its nearest pole; a group's zero must lie inside the
+    rectangle and outside the disks, and no two zeros closer than
+    CLUSTER_RTOL d (two groups polished onto one zero).  Each zero's order
+    is certified on its own circle, all circles in one _arc_walk at p =
+    (largest order) + 2.  A circle's radius is at most d/4, a third of the
+    distance to the next zero, and half the distance to the rectangle's
+    boundary and to each disk, so the circles are disjoint from each other
+    and from the disks and lie inside the rectangle; a pole nearer than
+    twice the radius but not within half of it shrinks the radius to half
+    its distance, so every pole keeps at least half the radius clear of the
+    circle.  The orders must add up to n_zeros; anything else raises
+    CertificationFailed.
     """
     z, resid, ok = polished
+    disks, r = np.asarray(disks, dtype=float), 0.5 * d
+
+    def keep(p):  # inside the rectangle, outside the disks
+        return rect.contains(p) & (_clearance(p, disks, r) > 0.0)
+
     points = np.where(ok, z, seeds)
-    keep = rect.contains(points)
-    points, resid, ok = points[keep], resid[keep], ok[keep]
+    kept = keep(points)
+    points, resid, ok = points[kept], resid[kept], ok[kept]
     link = CLUSTER_RTOL * d
     if len(points) > 1:
         link = np.maximum(link, _roundoff_link(cf, points))
@@ -515,8 +585,8 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d):
             # lambda_k + c_k, rounded, when c_k is below an ulp of lambda_k
             k = np.argmin(np.abs(cf.lam1 - seed))
             z, res, conv = _newton(cf, cf.c1[[k]], 1, opts.tol, cf.lam1[[k]])
-            got = (complex(z[0]), 1, res[0]) if conv[0] and rect.contains(z[0]) else None
-        if got is None:
+            got = (complex(z[0]), 1, res[0]) if conv[0] else None
+        if got is None or not keep(np.array([got[0]]))[0]:
             raise errors.CertificationFailed(f"no zero of order {m} found near {seed:.6g}")
         zeros.append(got)
     zeros.sort(key=lambda t: (t[0].real, t[0].imag))
@@ -529,21 +599,21 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d):
     z = np.array([t[0] for t in zeros], dtype=complex)
     sep = np.abs(z[:, np.newaxis] - z)
     np.fill_diagonal(sep, np.inf)
-    edge = np.minimum.reduce(
-        [z.real - rect.re_lo, rect.re_hi - z.real, z.imag - rect.im_lo, rect.im_hi - z.imag]
-    )
-    radius = np.minimum(np.minimum(0.25 * d, sep.min(axis=1, initial=np.inf) / 3.0), 0.5 * edge)
+    sep = sep.min(axis=1, initial=np.inf)
+    if not np.all(sep > CLUSTER_RTOL * d):
+        raise errors.CertificationFailed("two central zeros coincide")
+    edge = [z.real - rect.re_lo, rect.re_hi - z.real, z.imag - rect.im_lo, rect.im_hi - z.imag]
+    clear = np.minimum.reduce(edge + [_clearance(z, disks, r)])  # to the rectangle's boundary and the disks
+    radius = np.minimum(np.minimum(0.25 * d, sep / 3.0), 0.5 * clear)
     pole = _nearest_pole(cf, z)
     radius = np.where(pole > 0.5 * radius, np.minimum(radius, 0.5 * pole), radius)
-    if not np.all(radius > 0.0):
-        raise errors.CertificationFailed("two central zeros coincide")
     counts = _arc_walk(cf, z, radius, max((m for _, m, _ in zeros), default=0) + 2)
-    for (z0, m, _), r, inside, count in zip(zeros, radius, pole < radius, counts):
+    for (z0, m, _), rad, inside, count in zip(zeros, radius, pole < radius, counts):
         count = None if count is None else count + int(inside)
         if count != m:
             got = "could not be certified" if count is None else f"counts {count} zeros"
             raise errors.CertificationFailed(
-                f"order winding on radius {r:.3g} around the central zero {z0:.6g} "
+                f"order winding on radius {rad:.3g} around the central zero {z0:.6g} "
                 f"{got}, expected {m}"
             )
     return zeros
@@ -576,27 +646,42 @@ def _central_rectangle(spec, k_prime, d):
     return Rectangle(lo, hi, -h, h)
 
 
-def _outer_disks(cf, k_prime, window, d):
-    """The outer disks R_k, radius d/2, |k| > K' in the window: indices,
-    centres lambda_k and coefficients c_k, sliced from cf.
+def _disks(cf, k_prime, window, d):
+    """The disks R_k of radius d/2 around the window's outer indices |k| >
+    K' and its central I1 indices, sliced from cf: indices, centres
+    lambda_k, coefficients c_k, Newton seeds w_k about lambda_k, beta_k
+    (_rouche) and whether Rouche certifies each disk.
 
-    This is the paper's proof of the enclosure.  Rouche (_rouche) certifies
-    every disk in one broadcast: a disk holds one zero when c_k != 0 and
-    none when c_k = 0.  compute_Keps chooses K' so that the margin |G_k| -
-    S_k exceeds eps / (2 (K' - K_eps) + 1) on every outer circle, far above
-    the check's rounding allowance; a disk that Rouche does not certify
-    raises CertificationFailed naming its margin.  _localize_attempt's one
-    Newton pass places the zeros, from lambda_k + c_k.
+    Outer and central disks take the paper's proof of the enclosure alike,
+    in one broadcast (_rouche): a certified disk holds one simple zero when
+    c_k != 0 and none when c_k = 0.  compute_Keps chooses K' so that the
+    margin |G_k| - S_k exceeds eps / (2 (K' - K_eps) + 1) on every outer
+    circle, far above the check's rounding allowance, so an outer disk that
+    Rouche does not certify raises CertificationFailed naming its margin; a
+    central one leaves its zero to the eigen-seeds.  Near lambda_k,
+    F(lambda_k + w) is about beta_k + beta'_k w - c_k / w; w_k is the root
+    of that model nearest c_k / beta_k, or c_k where the root is not finite
+    or not within d/2.
     """
-    keep = (np.abs(cf.idx) <= window) & (np.abs(cf.idx) > k_prime)
+    size = np.abs(cf.idx)
+    keep = (size <= window) & ((size > k_prime) | (cf.c != 0))
     idx, lam, c = cf.idx[keep], cf.lam[keep], cf.c[keep]
-    margin, certified = _rouche(cf, idx, lam, c, 0.5 * d)
-    if not certified.all():
-        j = np.argmin(certified)
+    r = 0.5 * d
+    margin, certified, (beta, slope) = _rouche(cf, idx, lam, c, r)
+    failed = ~certified & (np.abs(idx) > k_prime)
+    if failed.any():
+        j = np.argmax(failed)
         raise errors.CertificationFailed(
             f"disk around index {idx[j]} failed to certify (Rouche margin {margin[j]:.3g})"
         )
-    return idx, lam, c
+    # beta'_k w^2 + beta_k w - c_k = 0: with u = c_k / beta_k the root
+    # 2u / (1 + sqrt(1 + 4 beta'_k u / beta_k)), whose principal root keeps
+    # the denominator off 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = c / beta
+        w = 2.0 * u / (1.0 + np.sqrt(1.0 + 4.0 * slope * u / beta))
+    w = np.where(np.isfinite(w) & (_modulus(w) < r), w, c)
+    return idx, lam, c, w, beta, certified
 
 
 def localize_spectrum(spec, coeffs, opts=None):
@@ -624,34 +709,66 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
     k_eps, k_prime = compute_Keps(spec, coeffs, eps)
     window = max(opts.window, k_prime)
     cf = CharacteristicFunction.build(spec, coeffs, max(n_trunc, window + 8))
-    idx, lam, c = _outer_disks(cf, k_prime, window, d)
+    idx, lam, c, w, beta, certified = _disks(cf, k_prime, window, d)
     # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
     rect = _central_rectangle(spec, k_prime, d)
-    margin, certified = _rouche_rect(cf, rect)
-    if not certified:
+    margin, rect_certified = _rouche_rect(cf, rect)
+    if not rect_certified:
         raise errors.CertificationFailed(
             f"central rectangle failed to certify (Rouche margin {margin:.3g})"
         )
-    # one Newton pass for every simple zero: the outer disks' from
-    # lambda_k + c_k, then the central eigen-seeds
-    simple = np.flatnonzero(c != 0)
-    outer, seeds = lam[simple] + c[simple], _central_seeds(cf, rect, k_prime, d)
-    z, resid, ok = _newton(cf, np.concatenate([outer, seeds]), 1, opts.tol)
-    m, r = len(outer), 0.5 * d
+    # one Newton pass for every simple zero: each certified disk's from w_k
+    # about lambda_k, then the eigen-seeds of the central disks left over
+    simple = np.flatnonzero(certified & (c != 0))
+    hard = np.flatnonzero(~certified)
+    m, r = len(simple), 0.5 * d
+    seeds = np.empty(0, dtype=complex)
+    if len(hard):
+        near = (np.abs(idx) <= k_prime) & (c != 0)
+        near &= np.abs(lam[:, np.newaxis] - lam[hard]).min(axis=1) <= RUN_GAPS * d
+        eig = _run_seeds(lam[near], c[near], beta[near], d)
+        # an eigenvalue inside a certified disk stands for that disk's zero:
+        # it replaces the disk's seed where the two agree to half the seed
+        cert = np.flatnonzero(near & certified)
+        offset = eig[:, np.newaxis] - lam[cert]
+        inside = np.abs(offset) < r
+        gap = np.where(inside, np.abs(offset - w[cert]), np.inf)
+        j = gap.argmin(axis=0)
+        agree = gap[j, np.arange(len(cert))] < 0.5 * np.abs(w[cert])
+        w[cert[agree]] = offset[j[agree], agree.nonzero()[0]]
+        seeds = eig[~inside.any(axis=1)]
+    shift = np.concatenate([lam[simple], _shift(cf, seeds)])
+    z, resid, ok = _newton(cf, np.concatenate([w[simple], seeds - shift[m:]]), 1, opts.tol, shift)
     inside = ok[:m] & (np.abs(z[:m] - lam[simple]) < r)
     if not inside.all():
         j = np.argmin(inside)
         raise errors.CertificationFailed(
-            f"Newton from {outer[j]:.6g} found no zero in the disk around index {idx[simple[j]]}"
+            f"Newton from {lam[simple[j]] + w[simple[j]]:.6g} found no zero in the disk "
+            f"around index {idx[simple[j]]}"
         )
-    found = {j: [(zj, 1, res)] for j, zj, res in zip(simple, z, resid)}
+    found = [[] for _ in idx]
+    for j, zj, res in zip(simple.tolist(), z.tolist(), resid.tolist()):
+        found[j].append((zj, 1, res))
+    outer = np.abs(idx) > k_prime
     reports = [
-        ZeroReport(Disk(complex(l), r), int(k), True, found.get(j, []))
-        for j, (k, l) in enumerate(zip(idx, lam))
+        ZeroReport(Disk(complex(l), r), k, True, zs)
+        for k, l, zs, o in zip(idx.tolist(), lam.tolist(), found, outer.tolist())
+        if o
     ]
-    n_poles = int(np.count_nonzero(np.abs(cf.idx1) <= k_prime))
-    zeros = _central_zeros(cf, rect, seeds, (z[m:], resid[m:], ok[m:]), n_poles, opts, d)
-    reports.append(ZeroReport(rect, None, True, zeros))
+    central = [zs[0] for zs, o in zip(found, outer.tolist()) if zs and not o]
+    if len(hard):
+        disks = lam[simple[~outer[simple]]]
+        polished = (z[m:], resid[m:], ok[m:])
+        try:
+            central += _central_zeros(cf, rect, seeds, polished, len(hard), opts, d, disks)
+        except errors.CertificationFailed:
+            # the seeds of the runs missed a zero: reseed once from the
+            # whole window's eigenvalues
+            seeds = _central_seeds(cf, rect, k_prime, d)
+            polished = _newton(cf, seeds, 1, opts.tol)
+            central += _central_zeros(cf, rect, seeds, polished, len(hard), opts, d, disks)
+    central.sort(key=lambda t: (t[0].real, t[0].imag))
+    reports.append(ZeroReport(rect, None, True, central))
     return LocalizationResult(
         reports=reports,
         k_eps=k_eps,

@@ -54,8 +54,8 @@ def test_finite_difference_derivatives(two_point):
     for order in (1, 2):
         lo = two_point.derivative_values(np.array([z - h]), order - 1)[0]
         hi = two_point.derivative_values(np.array([z + h]), order - 1)[0]
-        if order == 1:
-            lo, hi = two_point.values(np.array([z - h]))[0], two_point.values(np.array([z + h]))[0]
+        if order == 1:  # order 0 is F itself
+            assert (lo, hi) == (two_point.values(np.array([z - h]))[0], two_point.values(np.array([z + h]))[0])
         fd = (hi - lo) / (2 * h)
         exact = two_point.derivative_values(np.array([z]), order)[0]
         assert abs(fd - exact) < 1e-7 * (1 + abs(exact))

@@ -122,7 +122,9 @@ def test_refine_rejects_uncertified_order_check(two_point_cf, monkeypatch):
 
 def test_uncertified_order_winding_in_the_central_step_raises(zspec, monkeypatch):
     # circles narrower than the outer disks' stay uncertified; the outer
-    # disks and the rectangle certify as before
+    # disks and the rectangle certify as before.  Rouche fails on both
+    # central disks (S_k = 0.6 > |G_k| = 0.4), so the zeros 0.8 -+ 0.34^(1/2)
+    # go through the order circles (radius about 0.11)
     arc_walk = direct._arc_walk
 
     def narrow_fail(cf, centers, radii, p):
@@ -131,7 +133,7 @@ def test_uncertified_order_winding_in_the_central_step_raises(zspec, monkeypatch
 
     monkeypatch.setattr(direct, "_arc_walk", narrow_fail)
     with pytest.raises(errors.CertificationFailed, match="order winding on .* could not be certified"):
-        localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075}), OPTS)
+        localize_spectrum(zspec, finite_coeffs({0: 0.3, 1: 0.3}), OPTS)
 
 
 def test_order_circles_keep_clear_of_poles(zspec, monkeypatch):
@@ -331,7 +333,9 @@ def test_localize_raises_when_winding_uncertified(zspec, monkeypatch):
 
 def test_n_trunc_doubles_only_while_a_tail_is_left_out(zspec, monkeypatch):
     # with every nonzero c_n summed, a doubled n_trunc repeats the attempt:
-    # a zero-tail failure is final at once, a power-tail one still doubles
+    # a zero-tail failure is final at once, a power-tail one still doubles.
+    # Both inputs leave central disks that Rouche does not certify, so the
+    # central step runs
     attempt, tried = direct._localize_attempt, []
 
     def spy(spec, coeffs, opts, n_trunc, eps, d):
@@ -345,7 +349,7 @@ def test_n_trunc_doubles_only_while_a_tail_is_left_out(zspec, monkeypatch):
     monkeypatch.setattr(direct, "_central_zeros", fail)
     monkeypatch.setattr(direct, "TRUNC_CAP", 80)
     with pytest.raises(errors.CertificationFailed, match="^central zeros forced to fail$"):
-        localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075}), OPTS)
+        localize_spectrum(zspec, finite_coeffs({0: 0.3, 1: 0.3}), OPTS)
     assert tried == [20]
     tried.clear()
     with pytest.raises(errors.CertificationFailed, match=r"^escalation exhausted \(n_trunc 80\)"):
@@ -677,12 +681,14 @@ def test_batched_newton_equals_the_one_seed_loop(zspec, double_cf):
 
 def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
     # c_6 = 0.01 puts a zero in the outer disk around index 6 (K' = 1), and
-    # c_0, c_1 two zeros in the central rectangle: all three seeds, the outer
-    # one first, are polished by one order-1 _newton call
+    # c_0, c_1 two zeros in central disks that Rouche certifies: all three
+    # seeds lambda_k + w_k (the zeros 0.25, 1.1 and about 6.0105), in index
+    # order, are polished by one order-1 _newton call, with no eigen-seed
     newton, attempt, calls, attempts = direct._newton, direct._localize_attempt, [], []
 
     def newton_spy(cf, seeds, order, tol, shift=None):
-        calls.append((order, np.round(seeds, 1).tolist()))
+        points = seeds if shift is None else shift + seeds
+        calls.append((order, np.round(points, 2).tolist()))
         return newton(cf, seeds, order, tol, shift)
 
     def attempt_spy(*args):
@@ -692,7 +698,7 @@ def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
     monkeypatch.setattr(direct, "_newton", newton_spy)
     monkeypatch.setattr(direct, "_localize_attempt", attempt_spy)
     loc = localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01}), OPTS)
-    assert len(attempts) == 1 and calls == [(1, [6.0, 0.2, 1.1])]
+    assert len(attempts) == 1 and calls == [(1, [0.25, 1.1, 6.01])]
     zeros = {r.region_index: [round(z.real, 2) for z, _, _ in r.zeros] for r in loc.reports if r.zeros}
     assert zeros == {6: [6.01], None: [0.25, 1.1]}
 
@@ -710,9 +716,10 @@ def test_outer_disks_and_assembly_slice_the_window_data(zspec, monkeypatch):
     monkeypatch.setattr(PerturbationCoefficients, "c_at", refuse)
     monkeypatch.setattr(BaseSpectrum, "lambda_at", refuse)
     assert assemble_spectrum(zspec, coeffs, loc) == ps
-    idx, lam, c = direct._outer_disks(loc.cf, loc.k_prime, loc.window, zspec.gap)
-    assert idx.tolist() == [r.region_index for r in loc.reports if r.region_index is not None]
-    assert lam.tolist() == idx.tolist() and np.array_equal(c != 0, idx == 6)
+    idx, lam, c = direct._disks(loc.cf, loc.k_prime, loc.window, zspec.gap)[:3]
+    outer = idx[np.abs(idx) > loc.k_prime]
+    assert outer.tolist() == [r.region_index for r in loc.reports if r.region_index is not None]
+    assert lam.tolist() == idx.tolist() and np.array_equal(c != 0, np.isin(idx, [0, 1, 6]))
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +779,124 @@ def test_lone_central_seed_within_half_an_ulp_of_its_pole(zspec, c_1):
     assert ok, f"worst deviation {worst:.3e}"
 
 
+@pytest.mark.parametrize("c_6", [1e-16, 3e-17])
+def test_outer_disk_seed_within_half_an_ulp_of_its_pole(zspec, c_6):
+    # the zero in the outer disk around index 6 (K' = 1) lies about c_6
+    # right of lambda_6 = 6, within half an ulp of it: the seed lambda_6 +
+    # c_6 rounded to the pole itself, and the solve raised "Newton from
+    # 6+0j found no zero in the disk around index 6"; the seed is now the
+    # offset w_6 (close to c_6) from the shift lambda_6
+    coeffs = finite_coeffs({0: 0.1, 6: c_6})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ps, loc = solve_direct(zspec, coeffs, OPTS)
+    (disk,) = [r for r in loc.reports if r.region_index == 6]
+    assert len(disk.zeros) == 1
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-15)
+    assert ok, f"worst deviation {worst:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# central disks certified by Rouche, and eigen-seeds for the ones left
+
+
+def _dense_coeffs(radius):
+    """c_n = 1e-3 e^(i phi_n) on |n| <= radius, phases drawn with seed 0."""
+    phi = np.random.default_rng(0).uniform(0, 2 * np.pi, 2 * radius + 1)
+    return finite_coeffs({n: 1e-3 * np.exp(1j * p) for n, p in zip(range(-radius, radius + 1), phi)})
+
+
+@pytest.mark.parametrize(
+    "coeffs, opts",
+    [
+        (finite_coeffs({0: 0.05, 3: 0.05}), OPTS),
+        (_dense_coeffs(100), LocalizeOptions(window=100, n_trunc=108)),
+    ],
+)
+def test_certified_central_disks_need_no_eigen_seeds_or_arc_walk(zspec, monkeypatch, coeffs, opts):
+    # every central disk certifies by Rouche and holds one simple zero,
+    # polished from its seed in the one Newton pass: no eigenvalue solve, no
+    # order circle
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on a solve whose central disks all certify")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(direct, "_arc_walk", refuse)
+    ps, loc = solve_direct(zspec, coeffs, opts)
+    monkeypatch.undo()
+    (central,) = [r for r in loc.reports if r.region_index is None]
+    n_poles = np.count_nonzero(np.abs(loc.cf.idx1) <= loc.k_prime)
+    assert len(central.zeros) == n_poles > 0 and all(m == 1 for _, m, _ in central.zeros)
+    assert central.zeros == sorted(central.zeros, key=lambda t: (t[0].real, t[0].imag))
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-10 * (1 + np.max(np.abs(ref))))
+    assert ok, f"worst deviation {worst:.3e}"
+
+
+def test_rouche_on_central_disks_where_c_k_exceeds_the_radius_stays_quiet():
+    # random_base/random_coeffs rng 0, instance 27: on central disks with
+    # |c_k| >= r, gamma was inf, and s (1 + gamma) or g (1 - gamma) gave
+    # "invalid value encountered in multiply"
+    from rank1spec.model import validate_coefficients
+
+    rng = np.random.default_rng(0)
+    for _ in range(28):
+        spec = random_base(rng)
+        coeffs = validate_coefficients(random_coeffs(rng, spec), spec)
+    d = spec.gap
+    _, k_prime = compute_Keps(spec, coeffs, d / (2.0 + d))
+    cf = CharacteristicFunction.build(spec, coeffs, 60)
+    central = (np.abs(cf.idx) <= k_prime) & (cf.c != 0)
+    idx, lam, c = cf.idx[central], cf.lam[central], cf.c[central]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margin, certified, _ = direct._rouche(cf, idx, lam, c, 0.5 * d)
+    large = np.abs(c) >= 0.5 * d
+    assert large.any() and not certified[large].any() and np.all(margin[large] == -np.inf)
+
+
+def test_hard_run_seeds_that_miss_a_zero_are_replaced_by_the_whole_window(zspec, monkeypatch):
+    # both central disks fail Rouche; run seeds that lose one zero leave the
+    # orders short, and the whole window's eigenvalues seed both again
+    run_seeds, central_seeds, calls = direct._run_seeds, direct._central_seeds, []
+
+    def reseed(*args):
+        calls.append(args)
+        return central_seeds(*args)
+
+    monkeypatch.setattr(direct, "_run_seeds", lambda *args: run_seeds(*args)[:1])
+    monkeypatch.setattr(direct, "_central_seeds", reseed)
+    loc = localize_spectrum(zspec, finite_coeffs({0: 0.3, 1: 0.3}), OPTS)
+    (central,) = [r for r in loc.reports if r.region_index is None]
+    assert len(calls) == 1 and [m for _, m, _ in central.zeros] == [1, 1]
+    assert np.allclose([z for z, _, _ in central.zeros], 0.8 + np.array([-1, 1]) * 0.34**0.5, atol=1e-14)
+
+
+def test_random_sweep_matches_the_dense_oracle():
+    # random_base/random_coeffs rng 8 (window 40, n_trunc 60): instance 174
+    # has a zero at 19.93 - 3.85i, far from any pole, that seeds from runs
+    # split at 3 gaps miss (the whole-window reseed then finds it; RUN_GAPS
+    # = 6 merges those runs).  Every 25th instance besides, within the tail
+    # bound plus 1e-8 (1 + max |mu|)
+    from rank1spec.model import validate_coefficients
+
+    rng = np.random.default_rng(8)
+    opts = LocalizeOptions(window=40, n_trunc=60)
+    for i in range(175):
+        spec = random_base(rng)
+        coeffs = validate_coefficients(random_coeffs(rng, spec), spec)
+        if i % 25 and i != 174:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ps, loc = solve_direct(spec, coeffs, opts)
+        ref = oracle.dense_eigenvalues(oracle.build_truncation(spec, coeffs, loc.window))
+        ok, worst = oracle.compare_spectra(ps, ref, ps.tail_bound + 1e-8 * (1 + np.max(np.abs(ref))))
+        assert ok, (i, worst)
+    assert np.min(np.abs(np.array(ps.eigenvalues()) - (19.93 - 3.85j))) < 5e-3
+
+
 # ---------------------------------------------------------------------------
 # Rouche certificates of the outer disks and the central rectangle
 
@@ -819,12 +944,12 @@ def test_rouche_certificate_holds_in_interval_arithmetic(zspec):
         r = float(rng.uniform(0.3, 0.5))
         idx = np.arange(-24, 25)
         lam = idx.astype(float)
-        margin, _ = direct._rouche(cf, idx, lam, np.zeros(len(idx), dtype=complex), r)
+        margin, _, _ = direct._rouche(cf, idx, lam, np.zeros(len(idx), dtype=complex), r)
         s = 1.0 - margin  # G_k = 1 when c_k = 0
         for ulps in range(-48, 49, 6):
             phase = np.exp(1j * rng.uniform(0, 2 * np.pi, len(idx)))
             c = r * (1.0 - s) * (1.0 + ulps * direct.UNIT_ROUNDOFF) * phase
-            _, certified = direct._rouche(cf, idx, lam, c, r)
+            _, certified, _ = direct._rouche(cf, idx, lam, c, r)
             for j in np.flatnonzero(certified):
                 assert _iv_rouche_holds(iv, cf, idx[j], lam[j], c[j], r), (idx[j], ulps)
                 checked += 1
@@ -880,7 +1005,7 @@ def test_rect_rouche_certificate_holds_in_interval_arithmetic(zspec):
 def _rouche_and_winding_counts(cf, idx, lam, c, d):
     """Zeros in each outer disk by Rouche (None where it does not certify)
     and by the arc walk on the same circles (None where it does not)."""
-    _, certified = direct._rouche(cf, idx, lam, c, 0.5 * d)
+    _, certified, _ = direct._rouche(cf, idx, lam, c, 0.5 * d)
     poles = (c != 0).astype(int)  # lambda_k is a pole of F when c_k != 0
     rouche = [int(p) if ok else None for p, ok in zip(poles, certified)]
     walk = direct._arc_walk(cf, lam.astype(complex), 0.5 * d, 3)
@@ -913,7 +1038,8 @@ def test_outer_disk_failure_names_its_rouche_margin(zspec, monkeypatch):
     rouche = direct._rouche
 
     def reject(cf, idx, lam, c, r):
-        return rouche(cf, idx, lam, c, r)[0], np.zeros(len(idx), dtype=bool)
+        margin, _, sums = rouche(cf, idx, lam, c, r)
+        return margin, np.zeros(len(idx), dtype=bool), sums
 
     monkeypatch.setattr(direct, "_rouche", reject)
     failed = r"^disk around index -8 failed to certify \(Rouche margin 0.955\)$"
@@ -923,15 +1049,15 @@ def test_outer_disk_failure_names_its_rouche_margin(zspec, monkeypatch):
 
 def test_outer_disk_newton_failure_names_its_seed(zspec, monkeypatch):
     # c_6 = 0.01 lies beyond K' = 1: its disk is certified, but its Newton
-    # zero is forced to fail
+    # zero, from about 6 + c_6 / (1 - 0.275/6), is forced to fail
     newton = direct._newton
 
-    def fail(cf, seeds, order, tol):
-        z, resid, ok = newton(cf, seeds, order, tol)
-        return z, resid, np.zeros_like(ok)
+    def fail(cf, seeds, order, tol, shift=None):
+        z, resid, ok = newton(cf, seeds, order, tol, shift)
+        return z, resid, ok & (shift != 6.0)
 
     monkeypatch.setattr(direct, "_newton", fail)
-    failed = r"^Newton from 6.01\+0j found no zero in the disk around index 6$"
+    failed = r"^Newton from 6.01048\+0j found no zero in the disk around index 6$"
     with pytest.raises(errors.CertificationFailed, match=failed):
         localize_spectrum(zspec, finite_coeffs({0: 0.275, 6: 0.01}), OPTS)
 
@@ -956,7 +1082,7 @@ def test_rouche_margin_exceeds_the_enclosure_bound():
             idx = idx[np.abs(idx) > k_prime]
             lam = np.atleast_1d(spec.lambda_at(idx)).astype(float)
             c = np.atleast_1d(coeffs.c_at(idx)).astype(complex)
-            margin, certified = direct._rouche(cf, idx, lam, c, 0.5 * d)
+            margin, certified, _ = direct._rouche(cf, idx, lam, c, 0.5 * d)
             assert certified.all()
             assert np.all(margin > eps / (2 * (k_prime - k_eps) + 1)), (spec, coeffs)
             # the central rectangle by the same inequality against 1
