@@ -12,13 +12,13 @@ checked as in the paper's proof of the enclosure, by Rouche against G_k =
 broadcast, and the central rectangle Q_{K'} by the same inequality against
 1.  An outer disk must certify; a central one that does not is left to
 the eigen-seeds.  One Newton pass, one kernel call a step, then polishes
-every simple zero: each certified disk's from a seed about lambda_k,
-the rest from the eigenvalues of diagonal-plus-rank-one matrices over
-runs of central indices around the uncertified ones (once more from the
-whole window's when those miss a zero).  A disk whose zero fails raises; the zeros left
-in the rectangle are grouped into multiple zeros, and each one's order is
-certified on a small circle of its own, clear of the certified disks, all
-circles walked together.
+every simple zero: each certified disk's from c_k / beta_k about
+lambda_k, the rest from the eigenvalues of diagonal-plus-rank-one
+matrices over runs of central indices around the uncertified ones (once
+more from the whole window's when those miss a zero).  A disk whose zero
+fails raises; the zeros left in the rectangle are grouped into multiple
+zeros, and each one's order is certified on a small circle of its own,
+clear of the certified disks, all circles walked together.
 """
 
 from collections import namedtuple
@@ -116,15 +116,15 @@ class LocalizationResult:
 def _gamma(m):
     """Higham's gamma_m = m u / (1 - m u), inf where m u >= 1/2."""
     mu = m * UNIT_ROUNDOFF
-    return np.where(mu < 0.5, mu / np.maximum(1.0 - mu, 0.5), np.inf)
+    with np.errstate(invalid="ignore"):
+        return np.where(mu < 0.5, mu / (1.0 - mu), np.inf)
 
 
 def _rouche(cf, idx, lam, c, r):
     """Rouche margins |G_k| - S_k on the circles |z - lambda_k| = r around
     the indices idx (lambda_k = lam, c_k = c), whether each certifies its
-    disk, and the sums (beta_k, beta'_k) = sum_{n != k} c_n / (lambda_n -
-    lambda_k)^j, j = 1, 2, with 1 added to beta_k, formed in the same
-    broadcast for the seeds (_disks): arrays over the disks.
+    disk, and beta_k = 1 + sum_{n != k} c_n / (lambda_n - lambda_k), formed
+    in the same broadcast for the seeds (_disks): arrays over the disks.
 
     On the circle G_k = 1 + c_k / (lambda_k - z) has min |G_k| = 1 - |c_k|/r,
     and |F - G_k| <= S_k = sum_{n != k} |c_n| / (|lambda_n - lambda_k| - r)
@@ -155,7 +155,6 @@ def _rouche(cf, idx, lam, c, r):
     s = np.empty(len(idx))
     nearest = np.empty(len(idx))
     beta = np.empty(len(idx), dtype=complex)
-    slope = np.empty(len(idx), dtype=complex)
     per_block = max(1, ROUCHE_BLOCK // max(1, len(absc)))
     for i in range(0, len(idx), per_block):
         b = slice(i, i + per_block)
@@ -165,9 +164,7 @@ def _rouche(cf, idx, lam, c, r):
         nearest[b] = den.min(axis=1, initial=np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             s[b] = (absc / den).sum(axis=1) + tail[b]
-        t = cf.c1 / diff
-        beta[b] = 1.0 + t.sum(axis=1)
-        slope[b] = (t / diff).sum(axis=1)
+        beta[b] = 1.0 + (cf.c1 / diff).sum(axis=1)
     absc_k = np.abs(c)
     ok = (nearest > 0.0) & tail_ok & (absc_k < r)
     g = 1.0 - absc_k / r
@@ -176,7 +173,7 @@ def _rouche(cf, idx, lam, c, r):
         kappa_g = np.where(ok, (1.0 - g) / g, 0.0)
     gamma = _gamma(len(absc) + 12.0 + np.ceil(kappa_s) + np.ceil(3.0 * kappa_g))
     margin = np.where(ok, g - s, -np.inf)
-    return margin, ok & (s * (1.0 + gamma) < g * (1.0 - gamma)), (beta, slope)
+    return margin, ok & (s * (1.0 + gamma) < g * (1.0 - gamma)), beta
 
 
 def _pole_distance_to_rect(rect, poles):
@@ -286,12 +283,9 @@ def _arc_walk(cf, centers, radii, p, arcs=ARC_START):
         wm = (centers - shift)[k] + radii[k] * np.exp(2j * np.pi * (t0 + dt))
         k, t0 = np.tile(k, 2), np.concatenate([t0, t0 + dt])
         w0, w1 = np.concatenate([w0, wm]), np.concatenate([wm, w1])
-    if len(passed) > 1:
-        k, t0, a0 = (np.concatenate(x) for x in zip(*passed))
-        order = np.lexsort((t0, k))
-        k, a0 = k[order], a0[order]
-    else:  # every arc passed at once, in circle and start order
-        k, _, a0 = passed[0]
+    k, t0, a0 = (np.concatenate(x) for x in zip(*passed))
+    order = np.lexsort((t0, k))
+    k, a0 = k[order], a0[order]
     ratio = np.concatenate([a0[1:], a0[:1]]) * np.conj(a0)
     turn = np.arctan2(ratio.imag, ratio.real)
     last = np.concatenate([k[1:] != k[:-1], [True]])[: len(k)]  # a circle's last arc ends at its first node
@@ -659,27 +653,22 @@ def _disks(cf, k_prime, window, d):
     circle, far above the check's rounding allowance, so an outer disk that
     Rouche does not certify raises CertificationFailed naming its margin; a
     central one leaves its zero to the eigen-seeds.  Near lambda_k,
-    F(lambda_k + w) is about beta_k + beta'_k w - c_k / w; w_k is the root
-    of that model nearest c_k / beta_k, or c_k where the root is not finite
-    or not within d/2.
+    F(lambda_k + w) is about beta_k - c_k / w, so w_k = c_k / beta_k, or c_k
+    where that quotient is not finite or not within d/2.
     """
     size = np.abs(cf.idx)
     keep = (size <= window) & ((size > k_prime) | (cf.c != 0))
     idx, lam, c = cf.idx[keep], cf.lam[keep], cf.c[keep]
     r = 0.5 * d
-    margin, certified, (beta, slope) = _rouche(cf, idx, lam, c, r)
+    margin, certified, beta = _rouche(cf, idx, lam, c, r)
     failed = ~certified & (np.abs(idx) > k_prime)
     if failed.any():
         j = np.argmax(failed)
         raise errors.CertificationFailed(
             f"disk around index {idx[j]} failed to certify (Rouche margin {margin[j]:.3g})"
         )
-    # beta'_k w^2 + beta_k w - c_k = 0: with u = c_k / beta_k the root
-    # 2u / (1 + sqrt(1 + 4 beta'_k u / beta_k)), whose principal root keeps
-    # the denominator off 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = c / beta
-        w = 2.0 * u / (1.0 + np.sqrt(1.0 + 4.0 * slope * u / beta))
+        w = c / beta
     w = np.where(np.isfinite(w) & (_modulus(w) < r), w, c)
     return idx, lam, c, w, beta, certified
 
@@ -718,25 +707,19 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
             f"central rectangle failed to certify (Rouche margin {margin:.3g})"
         )
     # one Newton pass for every simple zero: each certified disk's from w_k
-    # about lambda_k, then the eigen-seeds of the central disks left over
+    # about lambda_k, then the eigen-seeds of the central disks left over,
+    # less those inside a certified disk
     simple = np.flatnonzero(certified & (c != 0))
-    hard = np.flatnonzero(~certified)
+    outer = np.abs(idx) > k_prime
     m, r = len(simple), 0.5 * d
+    disks = lam[simple[~outer[simple]]]
+    n_hard = int(np.sum(~certified))
     seeds = np.empty(0, dtype=complex)
-    if len(hard):
+    if n_hard:
         near = (np.abs(idx) <= k_prime) & (c != 0)
-        near &= np.abs(lam[:, np.newaxis] - lam[hard]).min(axis=1) <= RUN_GAPS * d
-        eig = _run_seeds(lam[near], c[near], beta[near], d)
-        # an eigenvalue inside a certified disk stands for that disk's zero:
-        # it replaces the disk's seed where the two agree to half the seed
-        cert = np.flatnonzero(near & certified)
-        offset = eig[:, np.newaxis] - lam[cert]
-        inside = np.abs(offset) < r
-        gap = np.where(inside, np.abs(offset - w[cert]), np.inf)
-        j = gap.argmin(axis=0)
-        agree = gap[j, np.arange(len(cert))] < 0.5 * np.abs(w[cert])
-        w[cert[agree]] = offset[j[agree], agree.nonzero()[0]]
-        seeds = eig[~inside.any(axis=1)]
+        near &= np.abs(lam[:, np.newaxis] - lam[~certified]).min(axis=1) <= RUN_GAPS * d
+        seeds = _run_seeds(lam[near], c[near], beta[near], d)
+        seeds = seeds[_clearance(seeds, disks, r) > 0.0]
     shift = np.concatenate([lam[simple], _shift(cf, seeds)])
     z, resid, ok = _newton(cf, np.concatenate([w[simple], seeds - shift[m:]]), 1, opts.tol, shift)
     inside = ok[:m] & (np.abs(z[:m] - lam[simple]) < r)
@@ -749,24 +732,22 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
     found = [[] for _ in idx]
     for j, zj, res in zip(simple.tolist(), z.tolist(), resid.tolist()):
         found[j].append((zj, 1, res))
-    outer = np.abs(idx) > k_prime
     reports = [
         ZeroReport(Disk(complex(l), r), k, True, zs)
         for k, l, zs, o in zip(idx.tolist(), lam.tolist(), found, outer.tolist())
         if o
     ]
     central = [zs[0] for zs, o in zip(found, outer.tolist()) if zs and not o]
-    if len(hard):
-        disks = lam[simple[~outer[simple]]]
+    if n_hard:
         polished = (z[m:], resid[m:], ok[m:])
         try:
-            central += _central_zeros(cf, rect, seeds, polished, len(hard), opts, d, disks)
+            central += _central_zeros(cf, rect, seeds, polished, n_hard, opts, d, disks)
         except errors.CertificationFailed:
             # the seeds of the runs missed a zero: reseed once from the
             # whole window's eigenvalues
             seeds = _central_seeds(cf, rect, k_prime, d)
             polished = _newton(cf, seeds, 1, opts.tol)
-            central += _central_zeros(cf, rect, seeds, polished, len(hard), opts, d, disks)
+            central += _central_zeros(cf, rect, seeds, polished, n_hard, opts, d, disks)
     central.sort(key=lambda t: (t[0].real, t[0].imag))
     reports.append(ZeroReport(rect, None, True, central))
     return LocalizationResult(

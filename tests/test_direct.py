@@ -682,8 +682,9 @@ def test_batched_newton_equals_the_one_seed_loop(zspec, double_cf):
 def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
     # c_6 = 0.01 puts a zero in the outer disk around index 6 (K' = 1), and
     # c_0, c_1 two zeros in central disks that Rouche certifies: all three
-    # seeds lambda_k + w_k (the zeros 0.25, 1.1 and about 6.0105), in index
-    # order, are polished by one order-1 _newton call, with no eigen-seed
+    # seeds lambda_k + c_k / beta_k (about 0.255, 1.1 and 6.0105, the zeros
+    # 0.25, 1.1 and about 6.0105), in index order, are polished by one
+    # order-1 _newton call, with no eigen-seed
     newton, attempt, calls, attempts = direct._newton, direct._localize_attempt, [], []
 
     def newton_spy(cf, seeds, order, tol, shift=None):
@@ -698,7 +699,7 @@ def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
     monkeypatch.setattr(direct, "_newton", newton_spy)
     monkeypatch.setattr(direct, "_localize_attempt", attempt_spy)
     loc = localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01}), OPTS)
-    assert len(attempts) == 1 and calls == [(1, [0.25, 1.1, 6.01])]
+    assert len(attempts) == 1 and calls == [(1, [0.26, 1.1, 6.01])]
     zeros = {r.region_index: [round(z.real, 2) for z, _, _ in r.zeros] for r in loc.reports if r.zeros}
     assert zeros == {6: [6.01], None: [0.25, 1.1]}
 
@@ -854,6 +855,37 @@ def test_rouche_on_central_disks_where_c_k_exceeds_the_radius_stays_quiet():
         margin, certified, _ = direct._rouche(cf, idx, lam, c, 0.5 * d)
     large = np.abs(c) >= 0.5 * d
     assert large.any() and not certified[large].any() and np.all(margin[large] == -np.inf)
+
+
+def test_hard_central_disks_are_seeded_from_their_run(zspec, monkeypatch):
+    # K' = 3: the disks around 0 and 1 fail Rouche, the one around 3
+    # certifies.  One run holds the three poles; its eigenvalues (about
+    # 3.066, 1.37 and 0.214) seed the two hard zeros, the one inside the
+    # certified disk is dropped, and that disk's zero is polished from
+    # lambda_3 + c_3 / beta_3 instead, all in one order-1 Newton pass
+    newton, run_seeds, calls, seeded = direct._newton, direct._run_seeds, [], []
+
+    def newton_spy(cf, seeds, order, tol, shift=None):
+        points = seeds if shift is None else shift + seeds
+        calls.append((order, np.round(points, 2).tolist()))
+        return newton(cf, seeds, order, tol, shift)
+
+    def seeds_spy(*args):
+        seeded.append(run_seeds(*args))
+        return seeded[-1]
+
+    monkeypatch.setattr(direct, "_newton", newton_spy)
+    monkeypatch.setattr(direct, "_run_seeds", seeds_spy)
+    coeffs = finite_coeffs({0: 0.3, 1: 0.3, 3: 0.05})
+    loc = localize_spectrum(zspec, coeffs, OPTS)
+    assert loc.k_prime == 3 and len(seeded) == 1 and len(seeded[0]) == 3
+    assert len(calls) == 1 and calls[0][0] == 1
+    assert calls[0][1][0] == 3.07 and sorted(z.real for z in calls[0][1][1:]) == [0.21, 1.37]
+    (central,) = [r for r in loc.reports if r.region_index is None]
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
+    ref = np.sort_complex(ref[np.abs(ref - np.round(ref.real)) > 1e-12])  # F's zeros, not the common lambda_n
+    assert [m for _, m, _ in central.zeros] == [1, 1, 1]
+    assert np.allclose([z for z, _, _ in central.zeros], ref, atol=1e-13)
 
 
 def test_hard_run_seeds_that_miss_a_zero_are_replaced_by_the_whole_window(zspec, monkeypatch):
