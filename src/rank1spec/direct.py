@@ -13,12 +13,12 @@ broadcast, and the central rectangle Q_{K'} by the same inequality against
 1.  An outer disk must certify; a central one that does not is left to
 the eigen-seeds.  One Newton pass, one kernel call a step, then polishes
 every simple zero: each certified disk's from c_k / beta_k about
-lambda_k, the rest from the eigenvalues of diagonal-plus-rank-one
-matrices over runs of central indices around the uncertified ones (once
-more from the whole window's when those miss a zero).  A disk whose zero
-fails raises; the zeros left in the rectangle are grouped into multiple
-zeros, and each one's order is certified on a small circle of its own,
-clear of the certified disks, all circles walked together.
+lambda_k, the rest from the eigenvalues of one diagonal-plus-rank-one
+matrix over the uncertified indices, with every other zero divided out of
+F (a deflated secular equation).  A disk whose zero fails raises; the
+zeros left in the rectangle are grouped into multiple zeros, and each
+one's order is certified on a small circle of its own, clear of the
+certified disks, all circles walked together.
 """
 
 from collections import namedtuple
@@ -52,7 +52,6 @@ CLUSTER_RTOL = 1e-6  # zeros closer than this times d form one cluster
 # (eta_j / |F^(m)/m!|)^(1/(m-j)) set by the noise eta_j of each F^(j)/j!
 ROUNDOFF = 20.0
 NEWTON_MAX_ITER = 80
-RUN_GAPS = 6.0  # central poles this many gaps d from a hard one, or nearer, join its seed run
 MATCH_RTOL = 1e-7  # zeros within this times d max(1, |lambda_n|) land on a common lambda_n
 
 
@@ -274,12 +273,17 @@ def _arc_walk(cf, centers, radii, p, arcs=ARC_START):
     w1 = w0.reshape(n, arcs)[:, np.arange(1, arcs + 1) % arcs].ravel()  # where the next arc starts
     passed, failed = [], np.zeros(n, dtype=bool)  # (circle, start, a_0) of the arcs that passed
     for split in range(ARC_SPLITS + 1):
-        a0, ok = _arc_test(cf, w0, shift[k], _modulus(w1 - w0), p)
+        rho = _modulus(w1 - w0)
+        a0, ok = _arc_test(cf, w0, shift[k], rho, p)
         passed.append((k[ok], t0[ok], a0[ok]))
-        if ok.all() or split == ARC_SPLITS:
-            failed[k[~ok]] = True
+        # an arc that fails with a chord no longer than the float spacing at
+        # its node cannot be split: its circle is not certified, at once
+        failed[k[~ok & (rho <= np.spacing(_modulus(w0)))]] = True
+        bad = ~ok & ~failed[k]
+        if not bad.any() or split == ARC_SPLITS:
+            failed[k[bad]] = True
             break
-        k, t0, w0, w1, dt = k[~ok], t0[~ok], w0[~ok], w1[~ok], 0.5 * dt  # arcs of one length
+        k, t0, w0, w1, dt = k[bad], t0[bad], w0[bad], w1[bad], 0.5 * dt  # arcs of one length
         wm = (centers - shift)[k] + radii[k] * np.exp(2j * np.pi * (t0 + dt))
         k, t0 = np.tile(k, 2), np.concatenate([t0, t0 + dt])
         w0, w1 = np.concatenate([w0, wm]), np.concatenate([wm, w1])
@@ -479,50 +483,29 @@ def _try_multiple(cf, seed, m, tol, d):
     return z[0], m, resid[0]
 
 
-def _central_seeds(cf, rect, k_prime, d):
-    """Seeds of the zeros of F in the central rectangle.
+def _hard_seeds(lam, c, lam_k, mu_k):
+    """Seeds of the zeros of F near the poles lam (coefficients c) whose
+    disks Rouche did not certify, with the other terms' zeros mu_k (about
+    their poles lam_k) divided out: one seed per pole.
 
-    On |n| <= m, det(diag(lambda) + c 1^T - z) = prod(lambda_n - z) F_m(z)
-    (Golub's secular equation), so the eigenvalues of that matrix over the
-    I1 terms with |n| <= K' + 8 are the zeros of F cut to those terms; the
-    seeds are those within d/2 of the rectangle.
+    F cut to its terms is the product of (mu_n - z) / (lambda_n - z), so
+    dividing out the others' factors leaves 1 + sum c~_n / (lambda_n - z)
+    over the poles lam, with the residues c~_n = c_n prod_k (lambda_k -
+    lambda_n) / (mu_k - lambda_n).  Its zeros are the eigenvalues of
+    diag(lam) + c~ 1^T (Golub's secular equation, deflated as Bunch,
+    Nielsen & Sorensen deflate it); with the mu_k only near their zeros,
+    the eigenvalues are near the zeros left.
     """
-    near = np.abs(cf.idx1) <= k_prime + 8
-    lam, c = cf.lam1[near], cf.c1[near]
-    eig = np.linalg.eigvals(np.diag(lam.astype(complex)) + c[:, np.newaxis])
-    h = 0.5 * d
-    return eig[Rectangle(rect.re_lo - h, rect.re_hi + h, rect.im_lo - h, rect.im_hi + h).contains(eig)]
+    lam_n = lam[:, np.newaxis]
+    c = c * np.prod((lam_k - lam_n) / (mu_k - lam_n), axis=1)
+    return np.linalg.eigvals(np.diag(lam.astype(complex)) + c[:, np.newaxis])
 
 
-def _run_seeds(lam, c, beta, d):
-    """Eigenvalue seeds of the zeros of F near the poles lam (ascending)
-    with coefficients c and beta_k (_rouche): the central I1 poles within
-    RUN_GAPS d of a pole whose disk Rouche did not certify.
-
-    The poles split into runs where consecutive ones lie more than RUN_GAPS
-    d apart.  Near a run R, F is about beta_R + sum_{n in R} c_n / (lambda_n
-    - z), with the rest beta_R = 1 + sum_{n not in R} c_n / (lambda_n - z)
-    frozen as its mean over the run's poles, beta_k less the run's other
-    terms; its zeros are the eigenvalues of diag(lambda_R) + (c_R / beta_R)
-    1^T, as in _central_seeds, one seed per pole.  All runs take one
-    eigenvalue solve, of the block-diagonal matrix of these blocks.  A run
-    holds the certified poles near it as well, so that beta_R leaves out
-    only terms that vary little across the run.
-    """
-    run = np.cumsum(np.concatenate([[False], lam[1:] - lam[:-1] > RUN_GAPS * d]))
-    same = run[:, np.newaxis] == run  # pairs of poles in one run
-    diff = lam - lam[:, np.newaxis]
-    diff.flat[:: len(lam) + 1] = np.inf  # beta_k already leaves out the k-th term
-    rest = beta - np.where(same, c / diff, 0.0).sum(axis=1)
-    matrix = np.where(same, (c * same.sum(axis=1) / (same @ rest))[:, np.newaxis], 0.0)
-    matrix.flat[:: len(lam) + 1] += lam
-    return np.linalg.eigvals(matrix)
-
-
-def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d, disks=()):
+def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d, disks, hard):
     """The zeros of F in the central rectangle outside the certified disks
     of radius d/2 about the centres disks, which hold n_zeros of them, as
-    (location, order, residual) sorted by location.
+    (location, order, residual) sorted by location; hard is (lambda_k,
+    w_k) of the poles whose disks did not certify (_disks).
 
     polished is _newton's (locations, residuals, converged) from the seeds;
     a seed it did not polish (as near a multiple zero) is kept as it is.
@@ -530,8 +513,9 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d, disks=()):
     than CLUSTER_RTOL d, or than the round-off link (_roundoff_link) of
     either, form a group; a group of m > 1 is one order-m zero when
     _try_multiple accepts it, from the same _spread radii, and a lone seed
-    Newton did not polish is retried once from c_k about the shift
-    lambda_k of its nearest pole; a group's zero must lie inside the
+    Newton did not polish is retried once from w_k about the nearest hard
+    pole lambda_k, on the side of it where the local model's zero c_k /
+    beta_k lies; a group's zero must lie inside the
     rectangle and outside the disks, and no two zeros closer than
     CLUSTER_RTOL d (two groups polished onto one zero).  Each zero's order
     is certified on its own circle, all circles in one _arc_walk at p =
@@ -546,6 +530,7 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d, disks=()):
     """
     z, resid, ok = polished
     disks, r = np.asarray(disks, dtype=float), 0.5 * d
+    lam_h, w_h = hard
 
     def keep(p):  # inside the rectangle, outside the disks
         return rect.contains(p) & (_clearance(p, disks, r) > 0.0)
@@ -576,9 +561,10 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d, disks=()):
         else:
             # a seed within a few ulps of its pole can land on the far side
             # of it from the zero, where Newton does not converge; so can
-            # lambda_k + c_k, rounded, when c_k is below an ulp of lambda_k
-            k = np.argmin(np.abs(cf.lam1 - seed))
-            z, res, conv = _newton(cf, cf.c1[[k]], 1, opts.tol, cf.lam1[[k]])
+            # lambda_k + w_k, rounded, when w_k is below an ulp of lambda_k,
+            # and w_k = c_k lies on the far side when Re beta_k < 0
+            k = np.argmin(np.abs(lam_h - seed))
+            z, res, conv = _newton(cf, w_h[[k]], 1, opts.tol, lam_h[[k]])
             got = (complex(z[0]), 1, res[0]) if conv[0] else None
         if got is None or not keep(np.array([got[0]]))[0]:
             raise errors.CertificationFailed(f"no zero of order {m} found near {seed:.6g}")
@@ -643,8 +629,8 @@ def _central_rectangle(spec, k_prime, d):
 def _disks(cf, k_prime, window, d):
     """The disks R_k of radius d/2 around the window's outer indices |k| >
     K' and its central I1 indices, sliced from cf: indices, centres
-    lambda_k, coefficients c_k, Newton seeds w_k about lambda_k, beta_k
-    (_rouche) and whether Rouche certifies each disk.
+    lambda_k, coefficients c_k, Newton seeds w_k about lambda_k and whether
+    Rouche certifies each disk.
 
     Outer and central disks take the paper's proof of the enclosure alike,
     in one broadcast (_rouche): a certified disk holds one simple zero when
@@ -652,9 +638,11 @@ def _disks(cf, k_prime, window, d):
     margin |G_k| - S_k exceeds eps / (2 (K' - K_eps) + 1) on every outer
     circle, far above the check's rounding allowance, so an outer disk that
     Rouche does not certify raises CertificationFailed naming its margin; a
-    central one leaves its zero to the eigen-seeds.  Near lambda_k,
-    F(lambda_k + w) is about beta_k - c_k / w, so w_k = c_k / beta_k, or c_k
-    where that quotient is not finite or not within d/2.
+    central one leaves its zero to the eigen-seeds (_hard_seeds).  Near
+    lambda_k, F(lambda_k + w) is about beta_k - c_k / w (beta_k from
+    _rouche), so w_k = c_k / beta_k, or c_k where that quotient is not
+    finite or not within d/2; a certified disk's zero is about lambda_k +
+    w_k, and an uncertified one's w_k seeds _central_zeros' retry.
     """
     size = np.abs(cf.idx)
     keep = (size <= window) & ((size > k_prime) | (cf.c != 0))
@@ -670,7 +658,7 @@ def _disks(cf, k_prime, window, d):
     with np.errstate(divide="ignore", invalid="ignore"):
         w = c / beta
     w = np.where(np.isfinite(w) & (_modulus(w) < r), w, c)
-    return idx, lam, c, w, beta, certified
+    return idx, lam, c, w, certified
 
 
 def localize_spectrum(spec, coeffs, opts=None):
@@ -698,7 +686,7 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
     k_eps, k_prime = compute_Keps(spec, coeffs, eps)
     window = max(opts.window, k_prime)
     cf = CharacteristicFunction.build(spec, coeffs, max(n_trunc, window + 8))
-    idx, lam, c, w, beta, certified = _disks(cf, k_prime, window, d)
+    idx, lam, c, w, certified = _disks(cf, k_prime, window, d)
     # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
     rect = _central_rectangle(spec, k_prime, d)
     margin, rect_certified = _rouche_rect(cf, rect)
@@ -707,19 +695,20 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
             f"central rectangle failed to certify (Rouche margin {margin:.3g})"
         )
     # one Newton pass for every simple zero: each certified disk's from w_k
-    # about lambda_k, then the eigen-seeds of the central disks left over,
-    # less those inside a certified disk
+    # about lambda_k, then the hard zeros' (_hard_seeds), with the disks'
+    # zeros divided out at lambda_k + w_k and the terms' beyond the window
+    # at lambda_k + c_k
     simple = np.flatnonzero(certified & (c != 0))
+    hard = ~certified
     outer = np.abs(idx) > k_prime
     m, r = len(simple), 0.5 * d
-    disks = lam[simple[~outer[simple]]]
-    n_hard = int(np.sum(~certified))
+    n_hard = int(np.sum(hard))
     seeds = np.empty(0, dtype=complex)
     if n_hard:
-        near = (np.abs(idx) <= k_prime) & (c != 0)
-        near &= np.abs(lam[:, np.newaxis] - lam[~certified]).min(axis=1) <= RUN_GAPS * d
-        seeds = _run_seeds(lam[near], c[near], beta[near], d)
-        seeds = seeds[_clearance(seeds, disks, r) > 0.0]
+        beyond = np.abs(cf.idx1) > window
+        lam_k = np.concatenate([lam[simple], cf.lam1[beyond]])
+        mu_k = np.concatenate([lam[simple] + w[simple], cf.lam1[beyond] + cf.c1[beyond]])
+        seeds = _hard_seeds(lam[hard], c[hard], lam_k, mu_k)
     shift = np.concatenate([lam[simple], _shift(cf, seeds)])
     z, resid, ok = _newton(cf, np.concatenate([w[simple], seeds - shift[m:]]), 1, opts.tol, shift)
     inside = ok[:m] & (np.abs(z[:m] - lam[simple]) < r)
@@ -739,15 +728,9 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
     ]
     central = [zs[0] for zs, o in zip(found, outer.tolist()) if zs and not o]
     if n_hard:
+        disks = lam[simple[~outer[simple]]]
         polished = (z[m:], resid[m:], ok[m:])
-        try:
-            central += _central_zeros(cf, rect, seeds, polished, n_hard, opts, d, disks)
-        except errors.CertificationFailed:
-            # the seeds of the runs missed a zero: reseed once from the
-            # whole window's eigenvalues
-            seeds = _central_seeds(cf, rect, k_prime, d)
-            polished = _newton(cf, seeds, 1, opts.tol)
-            central += _central_zeros(cf, rect, seeds, polished, n_hard, opts, d, disks)
+        central += _central_zeros(cf, rect, seeds, polished, n_hard, opts, d, disks, (lam[hard], w[hard]))
     central.sort(key=lambda t: (t[0].real, t[0].imag))
     reports.append(ZeroReport(rect, None, True, central))
     return LocalizationResult(

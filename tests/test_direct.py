@@ -80,12 +80,18 @@ def test_contour_through_pole_rejected(two_point_cf):
 CENTRAL = Rectangle(-1.5, 2.5, -2.5, 2.5)
 
 
+def _all_hard(cf):
+    """Every pole of cf hard, its retry seed w_k = c_k."""
+    return cf.lam1, cf.c1
+
+
 def _central_zeros(cf, n_zeros, opts=OPTS):
-    """The central step on CENTRAL (K' = 1, d = 1) from the eigen-seeds,
-    polished by one Newton pass as _localize_attempt polishes them."""
-    seeds = direct._central_seeds(cf, CENTRAL, 1, 1.0)
+    """The central step on CENTRAL (K' = 1, d = 1) with every pole hard: the
+    seeds from _hard_seeds with no certified terms, polished by one Newton
+    pass as _localize_attempt polishes them, and retried from c_k."""
+    seeds = direct._hard_seeds(cf.lam1, cf.c1, np.empty(0), np.empty(0))
     polished = direct._newton(cf, seeds, 1, opts.tol)
-    return direct._central_zeros(cf, CENTRAL, seeds, polished, n_zeros, opts, 1.0)
+    return direct._central_zeros(cf, CENTRAL, seeds, polished, n_zeros, opts, 1.0, (), _all_hard(cf))
 
 
 def test_refine_simple_zero_to_full_precision(two_point_cf):
@@ -106,12 +112,12 @@ def test_refine_rejects_wrong_order(double_cf):
     seed = np.array([0.5 + 0j])
     polished = (seed, np.zeros(1), np.ones(1, dtype=bool))
     with pytest.raises(errors.CertificationFailed, match="counts 2 zeros, expected 1"):
-        direct._central_zeros(double_cf, CENTRAL, seed, polished, 1, OPTS, 1.0)
+        direct._central_zeros(double_cf, CENTRAL, seed, polished, 1, OPTS, 1.0, (), _all_hard(double_cf))
     # three seeds, none polished, that claim a triple zero there: no order-3 zero passes
     seeds = np.full(3, 0.47 + 0j)
     polished = (np.full(3, np.nan + 0j), np.full(3, np.nan), np.zeros(3, dtype=bool))
     with pytest.raises(errors.CertificationFailed):
-        direct._central_zeros(double_cf, CENTRAL, seeds, polished, 3, OPTS, 1.0)
+        direct._central_zeros(double_cf, CENTRAL, seeds, polished, 3, OPTS, 1.0, (), _all_hard(double_cf))
 
 
 def test_refine_rejects_uncertified_order_check(two_point_cf, monkeypatch):
@@ -481,6 +487,16 @@ def test_arc_walk_bisects_near_a_zero_and_gives_up_on_one(two_point_cf, monkeypa
     calls.clear()
     assert direct._arc_walk(two_point_cf, [0.5, 2.0], [0.25, 0.25], 3) == [None, 0]
     assert len(calls) == direct.ARC_SPLITS + 1
+    # the radius 1e-16 is under two float spacings of the centre 0.25 (the
+    # window eigenvalue 0 shifts nothing): the arcs' chords are below one
+    # spacing, and the walk gives up after one pass (it used to bisect every
+    # arc ARC_SPLITS times, 2 s); a circle of 1e-12 still counts its zero
+    calls.clear()
+    assert direct._arc_walk(two_point_cf, 0.25, 1e-16, 3) == [None]
+    assert calls == [direct.ARC_START]
+    calls.clear()
+    assert direct._arc_walk(two_point_cf, 0.25, 1e-12, 3) == [1]
+    assert calls == [direct.ARC_START]
 
 
 def test_clustered_round_trip_certifies_every_order_circle(zspec):
@@ -802,10 +818,12 @@ def test_outer_disk_seed_within_half_an_ulp_of_its_pole(zspec, c_6):
 # central disks certified by Rouche, and eigen-seeds for the ones left
 
 
-def _dense_coeffs(radius):
-    """c_n = 1e-3 e^(i phi_n) on |n| <= radius, phases drawn with seed 0."""
+def _dense_coeffs(radius, pinned=()):
+    """c_n = 1e-3 e^(i phi_n) on |n| <= radius, phases drawn with seed 0,
+    but the (n, c_n) pairs pinned."""
     phi = np.random.default_rng(0).uniform(0, 2 * np.pi, 2 * radius + 1)
-    return finite_coeffs({n: 1e-3 * np.exp(1j * p) for n, p in zip(range(-radius, radius + 1), phi)})
+    c = {n: 1e-3 * np.exp(1j * p) for n, p in zip(range(-radius, radius + 1), phi)}
+    return finite_coeffs(c | dict(pinned))
 
 
 @pytest.mark.parametrize(
@@ -859,58 +877,85 @@ def test_rouche_on_central_disks_where_c_k_exceeds_the_radius_stays_quiet():
 
 def test_hard_central_disks_are_seeded_from_their_run(zspec, monkeypatch):
     # K' = 3: the disks around 0 and 1 fail Rouche, the one around 3
-    # certifies.  One run holds the three poles; its eigenvalues (about
-    # 3.066, 1.37 and 0.214) seed the two hard zeros, the one inside the
-    # certified disk is dropped, and that disk's zero is polished from
-    # lambda_3 + c_3 / beta_3 instead, all in one order-1 Newton pass
-    newton, run_seeds, calls, seeded = direct._newton, direct._run_seeds, [], []
+    # certifies, its seed lambda_3 + c_3 / beta_3 = 3 + 0.05 / 0.75.  That
+    # zero divided out, the hard zeros are the eigenvalues of the 2 x 2
+    # matrix diag(0, 1) + c~ 1^T, c~_n = c_n (3 - n) / (mu_3 - n); all three
+    # seeds go into one order-1 Newton pass
+    newton, eigvals, calls, shapes = direct._newton, np.linalg.eigvals, [], []
 
     def newton_spy(cf, seeds, order, tol, shift=None):
-        points = seeds if shift is None else shift + seeds
-        calls.append((order, np.round(points, 2).tolist()))
+        calls.append((order, shift + seeds))
         return newton(cf, seeds, order, tol, shift)
 
-    def seeds_spy(*args):
-        seeded.append(run_seeds(*args))
-        return seeded[-1]
+    def eigvals_spy(a):
+        shapes.append(a.shape)
+        return eigvals(a)
 
     monkeypatch.setattr(direct, "_newton", newton_spy)
-    monkeypatch.setattr(direct, "_run_seeds", seeds_spy)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals_spy)
     coeffs = finite_coeffs({0: 0.3, 1: 0.3, 3: 0.05})
     loc = localize_spectrum(zspec, coeffs, OPTS)
-    assert loc.k_prime == 3 and len(seeded) == 1 and len(seeded[0]) == 3
-    assert len(calls) == 1 and calls[0][0] == 1
-    assert calls[0][1][0] == 3.07 and sorted(z.real for z in calls[0][1][1:]) == [0.21, 1.37]
+    monkeypatch.undo()
+    mu_3 = 3.0 + 0.05 / 0.75
+    c = 0.3 * np.array([3.0 / mu_3, 2.0 / (mu_3 - 1.0)])
+    deflated = np.sort_complex(np.linalg.eigvals(np.diag([0.0, 1.0]) + c[:, np.newaxis]))
+    assert loc.k_prime == 3 and shapes == [(2, 2)]
+    ((order, points),) = calls
+    assert order == 1 and abs(points[0] - mu_3) < 1e-15
+    assert np.allclose(np.sort_complex(points[1:]), deflated, rtol=0, atol=1e-15)
     (central,) = [r for r in loc.reports if r.region_index is None]
     ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
     ref = np.sort_complex(ref[np.abs(ref - np.round(ref.real)) > 1e-12])  # F's zeros, not the common lambda_n
     assert [m for _, m, _ in central.zeros] == [1, 1, 1]
     assert np.allclose([z for z, _, _ in central.zeros], ref, atol=1e-13)
+    # the seeds lie within 2e-4 of the hard zeros
+    assert np.max(np.abs(deflated - ref[:2])) < 2e-4
 
 
-def test_hard_run_seeds_that_miss_a_zero_are_replaced_by_the_whole_window(zspec, monkeypatch):
-    # both central disks fail Rouche; run seeds that lose one zero leave the
-    # orders short, and the whole window's eigenvalues seed both again
-    run_seeds, central_seeds, calls = direct._run_seeds, direct._central_seeds, []
+def test_hard_pair_at_large_k_prime_takes_one_two_by_two_eigenproblem(zspec, monkeypatch):
+    # K' = 37: every central disk but the two around 0 and 1 certifies, and
+    # the 73 certified zeros and the window's outer ones are divided out, so
+    # the hard pair is seeded by one 2 x 2 eigenvalue solve (not a run block
+    # over the 14 poles within 6 gaps)
+    eigvals, shapes = np.linalg.eigvals, []
 
-    def reseed(*args):
-        calls.append(args)
-        return central_seeds(*args)
+    def eigvals_spy(a):
+        shapes.append(a.shape)
+        return eigvals(a)
 
-    monkeypatch.setattr(direct, "_run_seeds", lambda *args: run_seeds(*args)[:1])
-    monkeypatch.setattr(direct, "_central_seeds", reseed)
-    loc = localize_spectrum(zspec, finite_coeffs({0: 0.3, 1: 0.3}), OPTS)
-    (central,) = [r for r in loc.reports if r.region_index is None]
-    assert len(calls) == 1 and [m for _, m, _ in central.zeros] == [1, 1]
-    assert np.allclose([z for z, _, _ in central.zeros], 0.8 + np.array([-1, 1]) * 0.34**0.5, atol=1e-14)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals_spy)
+    coeffs = _dense_coeffs(200, {0: 0.3, 1: 0.3})
+    ps, loc = solve_direct(zspec, coeffs, LocalizeOptions(window=200, n_trunc=208))
+    monkeypatch.undo()
+    assert loc.k_prime == 37 and shapes == [(2, 2)]
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-10 * (1 + np.max(np.abs(ref))))
+    assert ok, f"worst deviation {worst:.3e}"
+
+
+@pytest.mark.parametrize("c_0, c_1", [(1.5, 3e-17), (1.5, -5e-17), (0.6, 1e-16)])
+def test_lone_seed_retry_starts_on_the_side_of_its_zero(zspec, c_0, c_1):
+    # both central disks fail Rouche (|c_0| > r, S_1 = 2 |c_0| > |G_1|); the
+    # zero near lambda_1 lies c_1 / beta_1 from it, within an ulp, and its
+    # seed is not polished.  With c_0 = 1.5, beta_1 = -0.5 puts that zero on
+    # the other side of the pole from c_1: Newton from c_1 runs to the zero
+    # near 1.5, and the solve raised CertificationFailed; the retry now
+    # starts from w_1 = c_1 / beta_1.  With c_0 = 0.6 it needs the retry
+    coeffs = finite_coeffs({0: c_0, 1: c_1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ps, loc = solve_direct(zspec, coeffs, OPTS)
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-15)
+    assert ok, f"worst deviation {worst:.3e}"
 
 
 def test_random_sweep_matches_the_dense_oracle():
     # random_base/random_coeffs rng 8 (window 40, n_trunc 60): instance 174
-    # has a zero at 19.93 - 3.85i, far from any pole, that seeds from runs
-    # split at 3 gaps miss (the whole-window reseed then finds it; RUN_GAPS
-    # = 6 merges those runs).  Every 25th instance besides, within the tail
-    # bound plus 1e-8 (1 + max |mu|)
+    # has a zero at 19.93 - 3.85i, far from any pole: one of five hard
+    # zeros, whose poles lie 3.9 to 5.8 gaps apart (seeds from runs of poles
+    # split at 3 gaps missed it).  Every 25th instance besides, within the
+    # tail bound plus 1e-8 (1 + max |mu|)
     from rank1spec.model import validate_coefficients
 
     rng = np.random.default_rng(8)
