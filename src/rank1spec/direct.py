@@ -6,19 +6,21 @@ Katz's reliable argument principle) on the order circles of the zeros the
 disks leave; Newton iteration in pole-shifted coordinates polishes the
 zeros.  The localization follows the enclosure sigma(B) subset Q_{K'}
 union (disks of radius d/2 around the outer indices |n| > K').  The disk
-of radius d/2 around each outer index and each perturbed central one is
-checked as in the paper's proof of the enclosure, by Rouche against G_k =
-1 + c_k / (lambda_k - z), in closed form and for all disks in one
-broadcast, and the central rectangle Q_{K'} by the same inequality against
-1.  An outer disk must certify; a central one that does not is left to
-the eigen-seeds.  One Newton pass, one kernel call a step, then polishes
-every simple zero: each certified disk's from c_k / beta_k about
-lambda_k, the rest from the eigenvalues of one diagonal-plus-rank-one
-matrix over the uncertified indices, with every other zero divided out of
-F (a deflated secular equation).  A disk whose zero fails raises; the
-zeros left in the rectangle are grouped into multiple zeros, and each
-one's order is certified on a small circle of its own, clear of the
-certified disks, all circles walked together.
+around each outer index and each perturbed central one is checked by
+Rouche against its local pole model G_k = beta_k + c_k / (lambda_k - z),
+F with the other terms expanded to first order about lambda_k, in closed
+form and for all disks in one broadcast; an outer disk keeps radius d/2,
+as in the paper's proof of the enclosure, and a central one takes the
+radius that suits its own model.  The central rectangle Q_{K'} is checked
+by the same inequality against 1.  An outer disk must certify; a central
+one that does not is left to the eigen-seeds.  One Newton pass, one kernel
+call a step, then polishes every simple zero: each certified disk's from
+c_k / beta_k about lambda_k, the rest from the eigenvalues of one
+diagonal-plus-rank-one matrix over the uncertified indices, with every
+other zero divided out of F (a deflated secular equation).  A disk whose
+zero fails raises; the zeros left in the rectangle are grouped into
+multiple zeros, and each one's order is certified on a small circle of its
+own, clear of the certified disks, all circles walked together.
 """
 
 from collections import namedtuple
@@ -109,7 +111,7 @@ class LocalizationResult:
 
 
 # ---------------------------------------------------------------------------
-# Rouche certificates of the outer disks and the central rectangle
+# Rouche certificates of the per-index disks and the central rectangle
 
 
 def _gamma(m):
@@ -119,39 +121,51 @@ def _gamma(m):
         return np.where(mu < 0.5, mu / (1.0 - mu), np.inf)
 
 
-def _rouche(cf, idx, lam, c, r):
-    """Rouche margins |G_k| - S_k on the circles |z - lambda_k| = r around
-    the indices idx (lambda_k = lam, c_k = c), whether each certifies its
-    disk, and beta_k = 1 + sum_{n != k} c_n / (lambda_n - lambda_k), formed
-    in the same broadcast for the seeds (_disks): arrays over the disks.
+@np.errstate(divide="ignore", invalid="ignore")
+def _rouche(cf, idx, lam, c, r, shrink=None):
+    """Rouche margins min |G_k| - S_k on the circles |z - lambda_k| = rho_k
+    around the indices idx (lambda_k = lam, c_k = c), whether each certifies
+    its disk, and the local model (beta_k, rho_k): arrays over the disks.
 
-    On the circle G_k = 1 + c_k / (lambda_k - z) has min |G_k| = 1 - |c_k|/r,
-    and |F - G_k| <= S_k = sum_{n != k} |c_n| / (|lambda_n - lambda_k| - r)
-    + T / (delta_k - r), with T the discarded tail sum and delta_k =
-    delta_unrepresented(lambda_k), taken as tail_bound_at takes it.  When
-    S_k < |G_k|, F has as many zeros as poles inside, like G_k: one zero
-    when c_k != 0, none when c_k = 0.  The margin is -inf unless |c_k| < r,
-    every |lambda_n - lambda_k| > r for n != k and, with a tail, delta_k > r.
+    G_k = beta_k + c_k / (lambda_k - z) is F with every other term expanded
+    to first order about lambda_k: beta_k = 1 + sum_{n != k} c_n / (lambda_n
+    - lambda_k).  On the circle min |G_k| = |beta_k| - |c_k| / rho_k, and
+    |F - G_k| <= S_k = sum_{n != k} |c_n| rho_k / (D_n (D_n - rho_k)) + T /
+    (delta_k - rho_k), with D_n = |lambda_n - lambda_k|, T the discarded
+    tail sum and delta_k = delta_unrepresented(lambda_k), taken as
+    tail_bound_at takes it.  When S_k < min |G_k|, F has as many zeros as
+    poles inside, like G_k: one zero when c_k != 0, about lambda_k + c_k /
+    beta_k, and none when c_k = 0.  As |beta_k| >= 1 - sum |c_n| / D_n, a
+    disk that passes against 1 + c_k / (lambda_k - z) passes here too.  The
+    margin is -inf unless |c_k| < rho_k |beta_k| (G_k's zero lies inside),
+    every D_n > rho_k for n != k and, with a tail, delta_k > rho_k.
 
-    The check holds the float values to S_k (1 + gamma) < |G_k| (1 - gamma)
-    with Higham's gamma_m = m u / (1 - m u).  Each term of S_k carries 4
-    roundings and ceil(kappa_S) for the cancellation in |lambda_n -
-    lambda_k| - r (kappa_S = |lambda_n - lambda_k| / that difference), the
-    sum of non-negative terms one per term, |G_k| 2 and ceil(3 kappa_G) for
-    its cancellation (kappa_G = |c_k| / (r - |c_k|)), and the comparison
-    itself 4; m is their total plus 2 for kappa computed in floats.  A disk
-    that fails the preconditions takes kappa 0, so that its gamma stays
-    finite.  The disks are checked in blocks of ROUCHE_BLOCK disks x terms.
+    rho_k is r, or where shrink is set min(r, (|c_k| / S0_k)^(1/2)) with
+    S0_k = sum_{n != k} |c_n| / D_n^2: the radius that maximises |beta_k| -
+    |c_k| / rho - rho S0_k, the margin with S_k cut to its first order in
+    rho.  S_k grows at least as fast as rho S0_k, so no radius between that
+    one and r has a larger margin.
+
+    The check holds the float values to (S_k + |c_k| / rho_k + e_k) (1 +
+    gamma) < |beta_k| (1 - gamma) with Higham's gamma_m = m u / (1 - m u),
+    where e_k = gamma (1 + sum_{n != k} |c_n| / D_n) bounds the rounding of
+    beta_k (each term c_n / (lambda_n - lambda_k) 3 roundings a component,
+    the sum one a term and the 1 one more, so any gamma_m with m >= terms +
+    4 serves).  Each term of S_k carries 7 roundings and ceil(kappa_S) for
+    the cancellation in D_n - rho_k (kappa_S = D_n / that difference), the
+    sum of non-negative terms one per term and the factor rho_k one, the
+    tail term 3, |c_k| / rho_k 3, |beta_k| 2, and the sums and the
+    comparison 5; m is their total plus 2 for kappa computed in floats.
+    The sums over the terms are matrix-vector products, and the bounds hold
+    in any order of summation.  A disk that fails the preconditions takes
+    kappa 0, so that its gamma stays finite.  The disks are checked in
+    blocks of ROUCHE_BLOCK disks x terms.
     """
-    absc = np.abs(cf.c1)
-    tail = np.zeros(len(idx))
-    tail_ok = np.ones(len(idx), dtype=bool)
-    if cf.tail_total > 0.0:
-        gap = cf.delta_unrepresented(lam) - r
-        tail_ok = gap > 0.0
-        with np.errstate(divide="ignore"):
-            tail = cf.tail_total / np.where(tail_ok, gap, np.inf)
+    absc, absc_k = np.abs(cf.c1), np.abs(c)
+    parts = np.stack([cf.c1.real, cf.c1.imag], axis=1)
+    rho = np.full(len(idx), float(r))
     s = np.empty(len(idx))
+    size = np.empty(len(idx))  # sum_{n != k} |c_n| / D_n
     nearest = np.empty(len(idx))
     beta = np.empty(len(idx), dtype=complex)
     per_block = max(1, ROUCHE_BLOCK // max(1, len(absc)))
@@ -159,20 +173,28 @@ def _rouche(cf, idx, lam, c, r):
         b = slice(i, i + per_block)
         diff = cf.lam1 - lam[b, np.newaxis]
         diff[cf.idx1 == idx[b, np.newaxis]] = np.inf  # the k-th term is G_k's
-        den = np.abs(diff) - r
+        recip = 1.0 / diff
+        beta[b] = 1.0 + (recip @ parts).view(complex)[:, 0]
+        if shrink is not None:
+            local = np.sqrt(absc_k[b] / ((recip * recip) @ absc))
+            rho[b] = np.where(shrink[b], np.fmin(r, local), r)
+        inv = np.abs(recip)
+        size[b] = inv @ absc
+        den = np.abs(diff) - rho[b, np.newaxis]
         nearest[b] = den.min(axis=1, initial=np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s[b] = (absc / den).sum(axis=1) + tail[b]
-        beta[b] = 1.0 + (cf.c1 / diff).sum(axis=1)
-    absc_k = np.abs(c)
-    ok = (nearest > 0.0) & tail_ok & (absc_k < r)
-    g = 1.0 - absc_k / r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa_s = np.where(ok, 1.0 + r / nearest, 0.0)
-        kappa_g = np.where(ok, (1.0 - g) / g, 0.0)
-    gamma = _gamma(len(absc) + 12.0 + np.ceil(kappa_s) + np.ceil(3.0 * kappa_g))
-    margin = np.where(ok, g - s, -np.inf)
-    return margin, ok & (s * (1.0 + gamma) < g * (1.0 - gamma)), beta
+        s[b] = rho[b] * ((inv / den) @ absc)
+    ok = nearest > 0.0
+    if cf.tail_total > 0.0:
+        gap = cf.delta_unrepresented(lam) - rho
+        ok &= gap > 0.0
+        s += cf.tail_total / np.where(gap > 0.0, gap, np.inf)
+    kappa_s = np.where(ok, 1.0 + rho / nearest, 0.0)
+    gamma = _gamma(len(absc) + 23.0 + np.ceil(kappa_s))
+    pole = absc_k / rho
+    modulus = _modulus(beta)
+    margin = np.where(ok & (pole < modulus), modulus - pole - s, -np.inf)
+    certified = ok & ((s + pole + gamma * (1.0 + size)) * (1.0 + gamma) < modulus * (1.0 - gamma))
+    return margin, certified, (beta, rho)
 
 
 def _pole_distance_to_rect(rect, poles):
@@ -360,14 +382,23 @@ def _newton(cf, seeds, order, tol, shift=None):
     NEWTON_MAX_ITER steps its last step exceeds both 1e-12 (1 + |shift|)
     and ROUNDOFF times the noise of F^(order-1) over |F^(order)|, the step
     round-off alone makes (_noise); or, at order 1, when its residual
-    exceeds tol (1 + sum |c_n|).
+    exceeds tol (1 + sum |c_n|).  At order 1 it also fails once it lies
+    farther than 2 R from its shift and from every pole, and farther from the
+    poles than its seed, R = sum |c_n| + T: every zero lies within R of a
+    pole (|F - 1| < 1 beyond that), and a step from a seed in a zero's basin
+    can overshoot R (for F = 1 - c/z, from (1 + 0.9i) c to 1.81 c), though
+    for that F never 2 R.  Such a point has lost its zero, and its steps,
+    each within ten times the last, could keep the pass iterating.
     """
     w = np.array(seeds, dtype=complex, ndmin=1)  # a copy: the steps write to it
     if shift is None:
         shift = _shift(cf, w)
         w = w - shift
     deriv = order - 1
-    resid_tol = tol * (1.0 + float(np.sum(np.abs(cf.c1)))) if deriv == 0 else np.inf
+    total = float(np.sum(np.abs(cf.c1)))
+    resid_tol = tol * (1.0 + total) if deriv == 0 else np.inf
+    reach = 2.0 * (total + cf.tail_total) if deriv == 0 else np.inf
+    start = shift + w
     scale = 1.0 + np.abs(shift)
     step = np.full(len(w), np.inf, dtype=complex)
     ok = np.ones(len(w), dtype=bool)
@@ -386,9 +417,14 @@ def _newton(cf, seeds, order, tol, shift=None):
             new_step[flat] = -1e-9 * (1.0 + _modulus(wl[flat]))
         wl -= new_step
         w[live] = wl
-        size = _modulus(new_step)
-        done = (size < 1e-16 * (scale[live] + _modulus(wl))) & (_modulus(g) <= resid_tol)
+        size, offset = _modulus(new_step), _modulus(wl)
+        done = (size < 1e-16 * (scale[live] + offset)) & (_modulus(g) <= resid_tol)
         diverged = ~done & ~(size <= 10.0 * (_modulus(step[live]) + 1.0))
+        far = offset > reach
+        if far.any():
+            j = live[far]
+            lost = _nearest_pole(cf, shift[j] + w[j]) > np.maximum(reach, _nearest_pole(cf, start[j]))
+            diverged[far] |= lost & ~done[far]
         if any_flat:
             done &= ~flat
             diverged &= ~flat
@@ -414,10 +450,11 @@ def _newton(cf, seeds, order, tol, shift=None):
 # central zeros from the window's diagonal-plus-rank-one eigenvalues
 
 
-def _clearance(z, centres, r):
-    """Distance from each point to the nearest disk of radius r about the
-    centres (inf if none)."""
-    return np.abs(z[:, np.newaxis] - centres).min(axis=1, initial=np.inf) - r
+def _clearance(z, disks):
+    """Distance from each point to the nearest of the disks, given as
+    (centres, radii) (inf if none)."""
+    centres, radii = disks
+    return (np.abs(z[:, np.newaxis] - centres) - radii).min(axis=1, initial=np.inf)
 
 
 def _nearest_pole(cf, z):
@@ -501,11 +538,10 @@ def _hard_seeds(lam, c, lam_k, mu_k):
     return np.linalg.eigvals(np.diag(lam.astype(complex)) + c[:, np.newaxis])
 
 
-def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d, disks, hard):
-    """The zeros of F in the central rectangle outside the certified disks
-    of radius d/2 about the centres disks, which hold n_zeros of them, as
-    (location, order, residual) sorted by location; hard is (lambda_k,
-    w_k) of the poles whose disks did not certify (_disks).
+def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d, disks):
+    """The zeros of F in the central rectangle outside the certified disks,
+    given as (centres, radii), which hold n_zeros of them, as (location,
+    order, residual) sorted by location.
 
     polished is _newton's (locations, residuals, converged) from the seeds;
     a seed it did not polish (as near a multiple zero) is kept as it is.
@@ -513,9 +549,7 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d, disks, hard):
     than CLUSTER_RTOL d, or than the round-off link (_roundoff_link) of
     either, form a group; a group of m > 1 is one order-m zero when
     _try_multiple accepts it, from the same _spread radii, and a lone seed
-    Newton did not polish is retried once from w_k about the nearest hard
-    pole lambda_k, on the side of it where the local model's zero c_k /
-    beta_k lies; a group's zero must lie inside the
+    Newton did not polish fails; a group's zero must lie inside the
     rectangle and outside the disks, and no two zeros closer than
     CLUSTER_RTOL d (two groups polished onto one zero).  Each zero's order
     is certified on its own circle, all circles in one _arc_walk at p =
@@ -529,11 +563,10 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d, disks, hard):
     CertificationFailed.
     """
     z, resid, ok = polished
-    disks, r = np.asarray(disks, dtype=float), 0.5 * d
-    lam_h, w_h = hard
+    disks = tuple(np.asarray(x, dtype=float) for x in disks)
 
     def keep(p):  # inside the rectangle, outside the disks
-        return rect.contains(p) & (_clearance(p, disks, r) > 0.0)
+        return rect.contains(p) & (_clearance(p, disks) > 0.0)
 
     points = np.where(ok, z, seeds)
     kept = keep(points)
@@ -556,16 +589,7 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d, disks, hard):
             zeros.append((complex(points[members[0]]), 1, resid[members[0]]))
             continue
         seed = complex(points[members].mean())
-        if m > 1:
-            got = _try_multiple(cf, seed, m, opts.tol, d)
-        else:
-            # a seed within a few ulps of its pole can land on the far side
-            # of it from the zero, where Newton does not converge; so can
-            # lambda_k + w_k, rounded, when w_k is below an ulp of lambda_k,
-            # and w_k = c_k lies on the far side when Re beta_k < 0
-            k = np.argmin(np.abs(lam_h - seed))
-            z, res, conv = _newton(cf, w_h[[k]], 1, opts.tol, lam_h[[k]])
-            got = (complex(z[0]), 1, res[0]) if conv[0] else None
+        got = _try_multiple(cf, seed, m, opts.tol, d) if m > 1 else None
         if got is None or not keep(np.array([got[0]]))[0]:
             raise errors.CertificationFailed(f"no zero of order {m} found near {seed:.6g}")
         zeros.append(got)
@@ -583,7 +607,7 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d, disks, hard):
     if not np.all(sep > CLUSTER_RTOL * d):
         raise errors.CertificationFailed("two central zeros coincide")
     edge = [z.real - rect.re_lo, rect.re_hi - z.real, z.imag - rect.im_lo, rect.im_hi - z.imag]
-    clear = np.minimum.reduce(edge + [_clearance(z, disks, r)])  # to the rectangle's boundary and the disks
+    clear = np.minimum.reduce(edge + [_clearance(z, disks)])  # to the rectangle's boundary and the disks
     radius = np.minimum(np.minimum(0.25 * d, sep / 3.0), 0.5 * clear)
     pole = _nearest_pole(cf, z)
     radius = np.where(pole > 0.5 * radius, np.minimum(radius, 0.5 * pole), radius)
@@ -627,38 +651,36 @@ def _central_rectangle(spec, k_prime, d):
 
 
 def _disks(cf, k_prime, window, d):
-    """The disks R_k of radius d/2 around the window's outer indices |k| >
-    K' and its central I1 indices, sliced from cf: indices, centres
-    lambda_k, coefficients c_k, Newton seeds w_k about lambda_k and whether
-    Rouche certifies each disk.
+    """The disks R_k around the window's outer indices |k| > K' and its
+    central I1 indices, sliced from cf: indices, centres lambda_k,
+    coefficients c_k, Newton seeds w_k about lambda_k, radii rho_k and
+    whether Rouche certifies each disk.
 
-    Outer and central disks take the paper's proof of the enclosure alike,
-    in one broadcast (_rouche): a certified disk holds one simple zero when
-    c_k != 0 and none when c_k = 0.  compute_Keps chooses K' so that the
-    margin |G_k| - S_k exceeds eps / (2 (K' - K_eps) + 1) on every outer
-    circle, far above the check's rounding allowance, so an outer disk that
-    Rouche does not certify raises CertificationFailed naming its margin; a
-    central one leaves its zero to the eigen-seeds (_hard_seeds).  Near
-    lambda_k, F(lambda_k + w) is about beta_k - c_k / w (beta_k from
-    _rouche), so w_k = c_k / beta_k, or c_k where that quotient is not
-    finite or not within d/2; a certified disk's zero is about lambda_k +
-    w_k, and an uncertified one's w_k seeds _central_zeros' retry.
+    Every disk is checked against its local pole model, in one broadcast
+    (_rouche): a certified disk holds one simple zero when c_k != 0 and
+    none when c_k = 0.  An outer disk keeps radius d/2, the enclosure's;
+    compute_Keps chooses K' so that the margin exceeds eps / (2 (K' - K_eps)
+    + 1) on every outer circle, far above the check's rounding allowance,
+    so an outer disk that Rouche does not certify raises CertificationFailed
+    naming its margin.  A central disk takes the radius of its own that
+    _rouche chooses (at most d/2), and one that does not certify leaves its
+    zero to the eigen-seeds (_hard_seeds).  Near lambda_k, F(lambda_k + w)
+    is about beta_k - c_k / w, so a certified disk's zero is about lambda_k
+    + w_k, w_k = c_k / beta_k (read only where the disk certifies).
     """
     size = np.abs(cf.idx)
     keep = (size <= window) & ((size > k_prime) | (cf.c != 0))
     idx, lam, c = cf.idx[keep], cf.lam[keep], cf.c[keep]
-    r = 0.5 * d
-    margin, certified, beta = _rouche(cf, idx, lam, c, r)
-    failed = ~certified & (np.abs(idx) > k_prime)
+    outer = np.abs(idx) > k_prime
+    margin, certified, (beta, rho) = _rouche(cf, idx, lam, c, 0.5 * d, ~outer)
+    failed = ~certified & outer
     if failed.any():
         j = np.argmax(failed)
         raise errors.CertificationFailed(
             f"disk around index {idx[j]} failed to certify (Rouche margin {margin[j]:.3g})"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = c / beta
-    w = np.where(np.isfinite(w) & (_modulus(w) < r), w, c)
-    return idx, lam, c, w, certified
+        return idx, lam, c, c / beta, rho, certified
 
 
 def localize_spectrum(spec, coeffs, opts=None):
@@ -686,7 +708,7 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
     k_eps, k_prime = compute_Keps(spec, coeffs, eps)
     window = max(opts.window, k_prime)
     cf = CharacteristicFunction.build(spec, coeffs, max(n_trunc, window + 8))
-    idx, lam, c, w, certified = _disks(cf, k_prime, window, d)
+    idx, lam, c, w, rho, certified = _disks(cf, k_prime, window, d)
     # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
     rect = _central_rectangle(spec, k_prime, d)
     margin, rect_certified = _rouche_rect(cf, rect)
@@ -701,7 +723,7 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
     simple = np.flatnonzero(certified & (c != 0))
     hard = ~certified
     outer = np.abs(idx) > k_prime
-    m, r = len(simple), 0.5 * d
+    m = len(simple)
     n_hard = int(np.sum(hard))
     seeds = np.empty(0, dtype=complex)
     if n_hard:
@@ -711,7 +733,7 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
         seeds = _hard_seeds(lam[hard], c[hard], lam_k, mu_k)
     shift = np.concatenate([lam[simple], _shift(cf, seeds)])
     z, resid, ok = _newton(cf, np.concatenate([w[simple], seeds - shift[m:]]), 1, opts.tol, shift)
-    inside = ok[:m] & (np.abs(z[:m] - lam[simple]) < r)
+    inside = ok[:m] & (np.abs(z[:m] - lam[simple]) < rho[simple])
     if not inside.all():
         j = np.argmin(inside)
         raise errors.CertificationFailed(
@@ -723,14 +745,15 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
         found[j].append((zj, 1, res))
     reports = [
         ZeroReport(Disk(complex(l), r), k, True, zs)
-        for k, l, zs, o in zip(idx.tolist(), lam.tolist(), found, outer.tolist())
+        for k, l, r, zs, o in zip(idx.tolist(), lam.tolist(), rho.tolist(), found, outer.tolist())
         if o
     ]
     central = [zs[0] for zs, o in zip(found, outer.tolist()) if zs and not o]
     if n_hard:
-        disks = lam[simple[~outer[simple]]]
+        inner = simple[~outer[simple]]
+        disks = (lam[inner], rho[inner])
         polished = (z[m:], resid[m:], ok[m:])
-        central += _central_zeros(cf, rect, seeds, polished, n_hard, opts, d, disks, (lam[hard], w[hard]))
+        central += _central_zeros(cf, rect, seeds, polished, n_hard, opts, d, disks)
     central.sort(key=lambda t: (t[0].real, t[0].imag))
     reports.append(ZeroReport(rect, None, True, central))
     return LocalizationResult(

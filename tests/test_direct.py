@@ -78,20 +78,16 @@ def test_contour_through_pole_rejected(two_point_cf):
 
 # the central rectangle of two_point_cf and double_cf, whose poles are 0 and 1
 CENTRAL = Rectangle(-1.5, 2.5, -2.5, 2.5)
-
-
-def _all_hard(cf):
-    """Every pole of cf hard, its retry seed w_k = c_k."""
-    return cf.lam1, cf.c1
+NO_DISKS = ((), ())  # no certified disk: (centres, radii)
 
 
 def _central_zeros(cf, n_zeros, opts=OPTS):
     """The central step on CENTRAL (K' = 1, d = 1) with every pole hard: the
     seeds from _hard_seeds with no certified terms, polished by one Newton
-    pass as _localize_attempt polishes them, and retried from c_k."""
+    pass as _localize_attempt polishes them."""
     seeds = direct._hard_seeds(cf.lam1, cf.c1, np.empty(0), np.empty(0))
     polished = direct._newton(cf, seeds, 1, opts.tol)
-    return direct._central_zeros(cf, CENTRAL, seeds, polished, n_zeros, opts, 1.0, (), _all_hard(cf))
+    return direct._central_zeros(cf, CENTRAL, seeds, polished, n_zeros, opts, 1.0, NO_DISKS)
 
 
 def test_refine_simple_zero_to_full_precision(two_point_cf):
@@ -112,12 +108,12 @@ def test_refine_rejects_wrong_order(double_cf):
     seed = np.array([0.5 + 0j])
     polished = (seed, np.zeros(1), np.ones(1, dtype=bool))
     with pytest.raises(errors.CertificationFailed, match="counts 2 zeros, expected 1"):
-        direct._central_zeros(double_cf, CENTRAL, seed, polished, 1, OPTS, 1.0, (), _all_hard(double_cf))
+        direct._central_zeros(double_cf, CENTRAL, seed, polished, 1, OPTS, 1.0, NO_DISKS)
     # three seeds, none polished, that claim a triple zero there: no order-3 zero passes
     seeds = np.full(3, 0.47 + 0j)
     polished = (np.full(3, np.nan + 0j), np.full(3, np.nan), np.zeros(3, dtype=bool))
     with pytest.raises(errors.CertificationFailed):
-        direct._central_zeros(double_cf, CENTRAL, seeds, polished, 3, OPTS, 1.0, (), _all_hard(double_cf))
+        direct._central_zeros(double_cf, CENTRAL, seeds, polished, 3, OPTS, 1.0, NO_DISKS)
 
 
 def test_refine_rejects_uncertified_order_check(two_point_cf, monkeypatch):
@@ -129,8 +125,8 @@ def test_refine_rejects_uncertified_order_check(two_point_cf, monkeypatch):
 def test_uncertified_order_winding_in_the_central_step_raises(zspec, monkeypatch):
     # circles narrower than the outer disks' stay uncertified; the outer
     # disks and the rectangle certify as before.  Rouche fails on both
-    # central disks (S_k = 0.6 > |G_k| = 0.4), so the zeros 0.8 -+ 0.34^(1/2)
-    # go through the order circles (radius about 0.11)
+    # central disks (the zeros 0.5 -+ 0.2^(1/2) i lie between the poles), so
+    # both go through the order circles (radius d/4)
     arc_walk = direct._arc_walk
 
     def narrow_fail(cf, centers, radii, p):
@@ -139,7 +135,7 @@ def test_uncertified_order_winding_in_the_central_step_raises(zspec, monkeypatch
 
     monkeypatch.setattr(direct, "_arc_walk", narrow_fail)
     with pytest.raises(errors.CertificationFailed, match="order winding on .* could not be certified"):
-        localize_spectrum(zspec, finite_coeffs({0: 0.3, 1: 0.3}), OPTS)
+        localize_spectrum(zspec, finite_coeffs({0: 0.45, 1: -0.45}), OPTS)
 
 
 def test_order_circles_keep_clear_of_poles(zspec, monkeypatch):
@@ -652,6 +648,9 @@ def _newton_by_loop(cf, seed, order, tol):
     lam_c = float(direct._shift(cf, np.array([complex(seed)]))[0])
     w, step = complex(seed) - lam_c, np.inf
     resid_tol = tol * (1.0 + float(np.sum(np.abs(cf.c1))))
+    reach = 2.0 * (float(np.sum(np.abs(cf.c1))) + cf.tail_total) if order == 1 else np.inf
+    poles = cf.lam[cf.c != 0]
+    start = np.abs(poles - complex(seed)).min()
     for _ in range(direct.NEWTON_MAX_ITER):
         g, gp = (v[0] for v in cf.value_pair(np.array([w]), order - 1, lam_c))
         if gp == 0:
@@ -663,6 +662,8 @@ def _newton_by_loop(cf, seed, order, tol):
             break
         if abs(new_step) > 10.0 * (abs(step) + 1.0):
             return None
+        if abs(w) > reach and np.abs(poles - (lam_c + w)).min() > max(reach, start):
+            return None  # farther out than every zero
         step = new_step
     else:
         if abs(step) > 1e-12 * (1.0 + abs(lam_c)):
@@ -693,6 +694,26 @@ def test_batched_newton_equals_the_one_seed_loop(zspec, double_cf):
                 assert (z[j], resid[j]) == ref
             outcomes.add(bool(ok[j]))
     assert outcomes == {True, False}
+
+
+def test_newton_fails_a_point_that_wanders_past_every_zero(zspec, monkeypatch):
+    # every zero of F lies within R = sum |c_n| = 0.39 of a pole.  From 0.3 +
+    # 0.37i each step stays within ten times the last, and the point went on
+    # through -1.63 - 0.66i, -1.66 + 0.45i, -0.46 + 0.41i and 5.08 - 0.47i
+    # to -177 - 31i, and from -2.3 + 0.1i through -2.91 + 0.17i to -6.39 -
+    # 0.59i, before a step grew too large: five kernel calls for the pass.  A
+    # point farther than 2 R from every pole and than its seed now fails
+    cf = CharacteristicFunction.build(zspec, finite_coeffs({-2: 0.24 - 0.21j, 0: 0.01 + 0.07j}), 20)
+    value_pair, calls = CharacteristicFunction.value_pair, []
+
+    def spy(self, z, order=0, shift=0.0):
+        calls.append(len(z))
+        return value_pair(self, z, order, shift)
+
+    monkeypatch.setattr(CharacteristicFunction, "value_pair", spy)
+    z, _, ok = direct._newton(cf, [0.3 + 0.37j, -2.3 + 0.1j], 1, 1e-10)
+    assert not ok.any() and [n for n in calls if n] == [2, 1, 1, 1]
+    assert np.allclose(z, [5.079 - 0.474j, -2.913 + 0.169j], atol=1e-3)
 
 
 def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
@@ -875,41 +896,50 @@ def test_rouche_on_central_disks_where_c_k_exceeds_the_radius_stays_quiet():
     assert large.any() and not certified[large].any() and np.all(margin[large] == -np.inf)
 
 
+def _eigvals_shapes(monkeypatch):
+    """Spy on np.linalg.eigvals: the list of the matrix shapes it is called on."""
+    eigvals, shapes = np.linalg.eigvals, []
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    return shapes
+
+
 def test_hard_central_disks_are_seeded_from_their_run(zspec, monkeypatch):
-    # K' = 3: the disks around 0 and 1 fail Rouche, the one around 3
-    # certifies, its seed lambda_3 + c_3 / beta_3 = 3 + 0.05 / 0.75.  That
-    # zero divided out, the hard zeros are the eigenvalues of the 2 x 2
-    # matrix diag(0, 1) + c~ 1^T, c~_n = c_n (3 - n) / (mu_3 - n); all three
-    # seeds go into one order-1 Newton pass
-    newton, eigvals, calls, shapes = direct._newton, np.linalg.eigvals, [], []
+    # K' = 4: the disks around 0 and 1 fail Rouche (the zeros 0.5 -+ 0.44i
+    # lie between the poles), the one around 3 certifies, its seed lambda_3
+    # + c_3 / beta_3 with beta_3 = 1 - 0.45/3 + 0.45/2.  That zero divided
+    # out, the hard zeros are the eigenvalues of the 2 x 2 matrix diag(0, 1)
+    # + c~ 1^T, c~_n = c_n (3 - n) / (mu_3 - n); all three seeds go into one
+    # order-1 Newton pass
+    newton, calls = direct._newton, []
 
     def newton_spy(cf, seeds, order, tol, shift=None):
         calls.append((order, shift + seeds))
         return newton(cf, seeds, order, tol, shift)
 
-    def eigvals_spy(a):
-        shapes.append(a.shape)
-        return eigvals(a)
-
     monkeypatch.setattr(direct, "_newton", newton_spy)
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals_spy)
-    coeffs = finite_coeffs({0: 0.3, 1: 0.3, 3: 0.05})
+    shapes = _eigvals_shapes(monkeypatch)
+    coeffs = finite_coeffs({0: 0.45, 1: -0.45, 3: 0.05})
     loc = localize_spectrum(zspec, coeffs, OPTS)
     monkeypatch.undo()
-    mu_3 = 3.0 + 0.05 / 0.75
-    c = 0.3 * np.array([3.0 / mu_3, 2.0 / (mu_3 - 1.0)])
+    mu_3 = 3.0 + 0.05 / 1.075
+    c = np.array([0.45 * 3.0 / mu_3, -0.45 * 2.0 / (mu_3 - 1.0)])
     deflated = np.sort_complex(np.linalg.eigvals(np.diag([0.0, 1.0]) + c[:, np.newaxis]))
-    assert loc.k_prime == 3 and shapes == [(2, 2)]
+    assert loc.k_prime == 4 and shapes == [(2, 2)]
     ((order, points),) = calls
     assert order == 1 and abs(points[0] - mu_3) < 1e-15
     assert np.allclose(np.sort_complex(points[1:]), deflated, rtol=0, atol=1e-15)
     (central,) = [r for r in loc.reports if r.region_index is None]
     ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
-    ref = np.sort_complex(ref[np.abs(ref - np.round(ref.real)) > 1e-12])  # F's zeros, not the common lambda_n
+    ref = ref[np.abs(ref - np.round(ref.real)) > 1e-12]  # F's zeros, not the common lambda_n
     assert [m for _, m, _ in central.zeros] == [1, 1, 1]
-    assert np.allclose([z for z, _, _ in central.zeros], ref, atol=1e-13)
-    # the seeds lie within 2e-4 of the hard zeros
-    assert np.max(np.abs(deflated - ref[:2])) < 2e-4
+    assert np.abs(np.array([z for z, _, _ in central.zeros])[:, np.newaxis] - ref).min(axis=1).max() < 1e-13
+    # the seeds lie within 3e-5 of the hard zeros
+    assert np.abs(deflated[:, np.newaxis] - ref).min(axis=1).max() < 3e-5
 
 
 def test_hard_pair_at_large_k_prime_takes_one_two_by_two_eigenproblem(zspec, monkeypatch):
@@ -917,14 +947,8 @@ def test_hard_pair_at_large_k_prime_takes_one_two_by_two_eigenproblem(zspec, mon
     # the 73 certified zeros and the window's outer ones are divided out, so
     # the hard pair is seeded by one 2 x 2 eigenvalue solve (not a run block
     # over the 14 poles within 6 gaps)
-    eigvals, shapes = np.linalg.eigvals, []
-
-    def eigvals_spy(a):
-        shapes.append(a.shape)
-        return eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals_spy)
-    coeffs = _dense_coeffs(200, {0: 0.3, 1: 0.3})
+    shapes = _eigvals_shapes(monkeypatch)
+    coeffs = _dense_coeffs(200, {0: 0.45, 1: -0.45})
     ps, loc = solve_direct(zspec, coeffs, LocalizeOptions(window=200, n_trunc=208))
     monkeypatch.undo()
     assert loc.k_prime == 37 and shapes == [(2, 2)]
@@ -933,20 +957,67 @@ def test_hard_pair_at_large_k_prime_takes_one_two_by_two_eigenproblem(zspec, mon
     assert ok, f"worst deviation {worst:.3e}"
 
 
+@pytest.mark.parametrize(
+    "pinned, certified",
+    [({0: 0.3, 1: 0.3}, [True, False]), ({0: 1.5, 1: 3e-17}, [False, True])],
+)
+def test_local_pole_model_certifies_a_disk_the_constant_model_left(zspec, monkeypatch, pinned, certified):
+    # against 1 + c_k / (lambda_k - z) on radius d/2 both disks failed.
+    # c_0 = c_1 = 0.3: beta_0 = 1.3, and |beta_0| - 0.6 - S_0 = 0.4 at rho_0 =
+    # d/2, so the zero 0.8 - 0.34^(1/2) is the disk's.  c_1 = 3e-17 beside
+    # c_0 = 1.5: beta_1 = -0.5, and the disk of radius (|c_1| / S0_1)^(1/2)
+    # = 4.5e-9 holds the zero c_1 / beta_1 from lambda_1, within an ulp.
+    # The other disk's zero takes a 1 x 1 eigenproblem
+    coeffs = finite_coeffs(pinned)
+    loc = localize_spectrum(zspec, coeffs, OPTS)
+    idx, _, _, _, rho, got = direct._disks(loc.cf, loc.k_prime, loc.window, zspec.gap)
+    central = np.abs(idx) <= loc.k_prime
+    assert idx[central].tolist() == [0, 1] and got[central].tolist() == certified
+    assert np.all(rho[central] <= 0.5) and rho[central][certified].min() > 0.0
+    shapes = _eigvals_shapes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ps, loc = solve_direct(zspec, coeffs, OPTS)
+    monkeypatch.undo()
+    assert shapes == [(1, 1)]
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-15)
+    assert ok, f"worst deviation {worst:.3e}"
+
+
 @pytest.mark.parametrize("c_0, c_1", [(1.5, 3e-17), (1.5, -5e-17), (0.6, 1e-16)])
 def test_lone_seed_retry_starts_on_the_side_of_its_zero(zspec, c_0, c_1):
-    # both central disks fail Rouche (|c_0| > r, S_1 = 2 |c_0| > |G_1|); the
-    # zero near lambda_1 lies c_1 / beta_1 from it, within an ulp, and its
-    # seed is not polished.  With c_0 = 1.5, beta_1 = -0.5 puts that zero on
-    # the other side of the pole from c_1: Newton from c_1 runs to the zero
-    # near 1.5, and the solve raised CertificationFailed; the retry now
-    # starts from w_1 = c_1 / beta_1.  With c_0 = 0.6 it needs the retry
+    # the zero near lambda_1 lies c_1 / beta_1 from it, within an ulp; with
+    # c_0 = 1.5, beta_1 = -0.5 puts it on the other side of the pole from
+    # c_1.  These inputs once left that zero's seed unpolished and needed a
+    # lone-seed retry from c_1 / beta_1, since deleted: its disk now
+    # certifies at a radius of a few 1e-9 and Newton polishes the zero from
+    # c_1 / beta_1 in the one pass.  Kept as a dense-oracle check
     coeffs = finite_coeffs({0: c_0, 1: c_1})
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         ps, loc = solve_direct(zspec, coeffs, OPTS)
     ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
     ok, worst = oracle.compare_spectra(ps, ref, 1e-15)
+    assert ok, f"worst deviation {worst:.3e}"
+
+
+def test_zero_within_an_ulp_of_its_pole_beside_a_hard_zero_stays_simple(zspec):
+    # the zero about lambda_-3 lies within an ulp of it, the one of the pair
+    # of large terms at -2.9686, 0.031 away: against 1 + c_k / (lambda_k - z)
+    # no central disk certified, the two seeds were grouped, and every solve
+    # raised "no zero of order 2 found near -2.96857".  The disk around
+    # lambda_-3 now certifies at a radius of its own and holds the first
+    coeffs = finite_coeffs({-4: -0.8585678142254348, -2: -1.7748169866553203, -3: 3.66e-18 - 7.05e-18j})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ps, loc = solve_direct(zspec, coeffs, OPTS)
+    idx, _, _, _, rho, certified = direct._disks(loc.cf, loc.k_prime, loc.window, zspec.gap)
+    assert certified[idx == -3].all() and rho[idx == -3] < 1e-8
+    near = sorted((z.real, m) for z, m, _ in loc.all_zeros() if abs(z + 3.0) < 0.5)
+    assert np.allclose(near, [(-3.0, 1), (-2.968572, 1)], atol=1e-6)
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
+    ok, worst = oracle.compare_spectra(ps, ref, 1e-14)
     assert ok, f"worst deviation {worst:.3e}"
 
 
@@ -978,59 +1049,79 @@ def test_random_sweep_matches_the_dense_oracle():
 # Rouche certificates of the outer disks and the central rectangle
 
 
-def _disk_data(loc, coeffs):
-    """Indices, centres and coefficients of a localization's outer disks."""
-    idx = np.array([r.region_index for r in loc.reports if r.region_index is not None], dtype=int)
-    lam = np.array([r.region.center.real for r in loc.reports if r.region_index is not None])
-    return idx, lam, np.atleast_1d(coeffs.c_at(idx)).astype(complex)
-
-
 def _iv_modulus(iv, v):
     return iv.sqrt(iv.mpf(v.real) ** 2 + iv.mpf(v.imag) ** 2)
 
 
-def _iv_rouche_holds(iv, cf, k, lam_k, c_k, r):
-    """S_k < |G_k| on |z - lambda_k| = r in interval arithmetic, from the
-    same float data (delta_k as tail_bound_at takes it)."""
-    s = iv.mpf(0)
+def _iv_rouche_holds(iv, cf, k, lam_k, c_k, rho):
+    """S_k < |beta_k| - |c_k| / rho on |z - lambda_k| = rho in interval
+    arithmetic, beta_k and S_k from the same float data (delta_k as
+    tail_bound_at takes it)."""
+    at, rho = iv.mpf(float(lam_k)), iv.mpf(float(rho))
+    re, im, s = iv.mpf(1), iv.mpf(0), iv.mpf(0)
     for n, lam_n, c_n in zip(cf.idx1, cf.lam1, cf.c1):
         if n != k:
-            s += _iv_modulus(iv, complex(c_n)) / (abs(iv.mpf(float(lam_n)) - lam_k) - r)
+            diff = iv.mpf(float(lam_n)) - at
+            re += iv.mpf(c_n.real) / diff
+            im += iv.mpf(c_n.imag) / diff
+            s += _iv_modulus(iv, complex(c_n)) * rho / (abs(diff) * (abs(diff) - rho))
     if cf.tail_total:
-        s += iv.mpf(cf.tail_total) / (iv.mpf(float(cf.delta_unrepresented(lam_k)[0])) - r)
-    return s.b < (1 - _iv_modulus(iv, complex(c_k)) / r).a
+        s += iv.mpf(cf.tail_total) / (iv.mpf(float(cf.delta_unrepresented(float(lam_k))[0])) - rho)
+    return s.b < (iv.sqrt(re**2 + im**2) - _iv_modulus(iv, complex(c_k)) / rho).a
 
 
 def test_rouche_certificate_holds_in_interval_arithmetic(zspec):
-    # random power-tail instances and radii; c_k of each disk on a grid of
-    # ulps around the boundary |c_k| = r (1 - S_k), where rounding decides
+    # random power-tail instances; each disk's c_k, at a random phase, on a
+    # grid of ulps about where the float check starts to certify it, at
+    # rho = d/2, at a radius below it and at the radius _rouche chooses for
+    # a central disk: the check never certifies a disk whose interval S_k
+    # reaches |beta_k| - |c_k| / rho
     from mpmath import iv
-    from rank1spec.model import PerturbationCoefficients, PowerTail
 
     rng = np.random.default_rng(11)
-    checked = 0
-    for _ in range(4):
+    outcomes = []
+    prec, iv.prec = iv.prec, 113  # intervals far narrower than the allowance
+    try:
+        _rouche_checks(iv, zspec, rng, outcomes)
+    finally:
+        iv.prec = prec
+    assert 100 < sum(outcomes) < len(outcomes) - 100
+
+
+def _rouche_checks(iv, zspec, rng, outcomes):
+    from rank1spec.model import PerturbationCoefficients, PowerTail
+
+    for _ in range(3):
         tail = PowerTail(beta=float(rng.uniform(1.2, 3.0)), scale=float(rng.uniform(0.05, 0.5)), phase=0.3)
         head = rng.uniform(-0.2, 0.2, 21) + 1j * rng.uniform(-0.2, 0.2, 21)
         coeffs = PerturbationCoefficients(
             a_head_offset=-10, a_head=(1.0,) * 21, a_tail=tail,
             b_head_offset=-10, b_head=tuple(head), b_tail=tail,
         )  # fmt: skip
-        cf = CharacteristicFunction.build(zspec, coeffs, 24)
+        cf = CharacteristicFunction.build(zspec, coeffs, 12)
         assert cf.tail_total > 0.0
-        r = float(rng.uniform(0.3, 0.5))
-        idx = np.arange(-24, 25)
+        idx = np.sort(rng.choice(np.arange(-12, 13), 6, replace=False))
         lam = idx.astype(float)
-        margin, _, _ = direct._rouche(cf, idx, lam, np.zeros(len(idx), dtype=complex), r)
-        s = 1.0 - margin  # G_k = 1 when c_k = 0
-        for ulps in range(-48, 49, 6):
-            phase = np.exp(1j * rng.uniform(0, 2 * np.pi, len(idx)))
-            c = r * (1.0 - s) * (1.0 + ulps * direct.UNIT_ROUNDOFF) * phase
-            _, certified, _ = direct._rouche(cf, idx, lam, c, r)
-            for j in np.flatnonzero(certified):
-                assert _iv_rouche_holds(iv, cf, idx[j], lam[j], c[j], r), (idx[j], ulps)
-                checked += 1
-    assert checked > 100
+        phase = np.exp(2j * np.pi * rng.uniform(size=len(idx)))
+        for r, shrink in ((0.5, None), (float(rng.uniform(0.05, 0.3)), None), (0.5, np.ones(len(idx), bool))):
+
+            def check(t):
+                _, certified, (beta, rho) = direct._rouche(cf, idx, lam, t * phase, r, shrink)
+                return certified, beta, rho
+
+            lo = np.full(len(idx), 1e-200)
+            live, beta, _ = check(lo)
+            hi = r * (np.abs(beta) + 1.0)  # |c_k| / rho >= |beta_k|: fails
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                ok = check(mid)[0]
+                lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+            for ulps in range(-24, 25, 4):
+                t = lo * (1.0 + ulps * direct.UNIT_ROUNDOFF)
+                certified, _, rho = check(t)
+                for j in np.flatnonzero(certified):
+                    assert _iv_rouche_holds(iv, cf, idx[j], lam[j], t[j] * phase[j], rho[j]), (idx[j], ulps)
+                outcomes.extend(certified[live].tolist())
 
 
 def _iv_rect_bound(iv, cf, rect):
@@ -1079,20 +1170,23 @@ def test_rect_rouche_certificate_holds_in_interval_arithmetic(zspec):
     assert 20 < sum(outcomes) < len(outcomes) - 20
 
 
-def _rouche_and_winding_counts(cf, idx, lam, c, d):
-    """Zeros in each outer disk by Rouche (None where it does not certify)
-    and by the arc walk on the same circles (None where it does not)."""
-    _, certified, _ = direct._rouche(cf, idx, lam, c, 0.5 * d)
+def _rouche_and_winding_counts(loc):
+    """Indices of a localization's disks, whether each is outer, and its
+    zeros by Rouche (None where it does not certify) and by the arc walk on
+    the same circle |z - lambda_k| = rho_k (None where it does not)."""
+    idx, lam, c, _, rho, certified = direct._disks(loc.cf, loc.k_prime, loc.window, loc.cf.spec.gap)
     poles = (c != 0).astype(int)  # lambda_k is a pole of F when c_k != 0
     rouche = [int(p) if ok else None for p, ok in zip(poles, certified)]
-    walk = direct._arc_walk(cf, lam.astype(complex), 0.5 * d, 3)
-    return rouche, [None if w is None else w + p for w, p in zip(walk, poles)]
+    walk = direct._arc_walk(loc.cf, lam.astype(complex), rho, 3)
+    winding = [None if w is None else w + p for w, p in zip(walk, poles)]
+    return idx, np.abs(idx) > loc.k_prime, rouche, winding, rho
 
 
 def test_rouche_count_equals_the_winding_count(zspec):
     # every outer disk of the power family behind criteria 3 and 4 (windows
     # 50 and 100 share the w = 200 disks: n_trunc is 600 for all three) and
-    # of random finite instances
+    # of random finite instances, and every central disk that certifies, at
+    # the radius of its own
     from rank1spec import gallery
     from rank1spec.model import validate_coefficients
 
@@ -1101,25 +1195,31 @@ def test_rouche_count_equals_the_winding_count(zspec):
     rng = np.random.default_rng(2024)
     finite = LocalizeOptions(window=41, n_trunc=49)
     cases += [(random_finite_instance(rng, radius=40), finite) for _ in range(12)]
+    central_radii = []
     for coeffs, opts in cases:
         loc = localize_spectrum(zspec, coeffs, opts)
-        idx, lam, c = _disk_data(loc, coeffs)
-        rouche, winding = _rouche_and_winding_counts(loc.cf, idx, lam, c, zspec.gap)
-        assert None not in rouche and rouche == winding
-        assert [len(r.zeros) for r in loc.reports if r.region_index is not None] == rouche
+        idx, outer, rouche, winding, rho = _rouche_and_winding_counts(loc)
+        assert all(r is not None for r, o in zip(rouche, outer) if o)
+        assert [w for w, r in zip(winding, rouche) if r is not None] == [r for r in rouche if r is not None]
+        outer_zeros = [len(r.zeros) for r in loc.reports if r.region_index is not None]
+        assert outer_zeros == [r for r, o in zip(rouche, outer) if o]
+        central_radii += [p for p, r, o in zip(rho, rouche, outer) if r is not None and not o]
+    # central disks at d/2 and below it
+    assert len(central_radii) > 20 and min(central_radii) < 0.5 == max(central_radii)
 
 
 def test_outer_disk_failure_names_its_rouche_margin(zspec, monkeypatch):
-    # the first outer disk, index -8: |G| = 1, S = 0.275/7.5 + 0.075/8.5;
+    # the first outer disk, index -8: |G| = |beta| = 1 + 0.275/8 + 0.075/9,
+    # S = 0.275 / (2 * 8 * 7.5) + 0.075 / (2 * 9 * 8.5);
     # with the tail zero the failure is final, with no n_trunc doubling
     rouche = direct._rouche
 
-    def reject(cf, idx, lam, c, r):
-        margin, _, sums = rouche(cf, idx, lam, c, r)
-        return margin, np.zeros(len(idx), dtype=bool), sums
+    def reject(cf, idx, lam, c, r, shrink):
+        margin, _, local = rouche(cf, idx, lam, c, r, shrink)
+        return margin, np.zeros(len(idx), dtype=bool), local
 
     monkeypatch.setattr(direct, "_rouche", reject)
-    failed = r"^disk around index -8 failed to certify \(Rouche margin 0.955\)$"
+    failed = r"^disk around index -8 failed to certify \(Rouche margin 1.04\)$"
     with pytest.raises(errors.CertificationFailed, match=failed):
         localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075}), OPTS)
 
