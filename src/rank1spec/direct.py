@@ -94,20 +94,44 @@ class LocalizeOptions:
 
 @dataclass
 class LocalizationResult:
-    reports: list
+    """The zeros of F in the enclosure, each where its certificate puts it.
+
+    owned: the zero of each certified disk with c_k != 0, as (indices k,
+    zeros, residuals) arrays; the disk pairs its zero with its own index.
+    central: the zeros the disks leave, as (location, order, residual)
+    sorted by location.  outer: the disks around the window's outer indices
+    |k| > K', as (indices, centres, radii) arrays; rect: the central
+    rectangle Q_{K'}.
+    """
+
+    owned: tuple
+    central: list
+    outer: tuple
+    rect: Rectangle
     k_eps: int
     k_prime: int
     window: int
     eps: float
     tail_sum_bound: float  # sum_{|n|>window} |c_n|
-    certified: bool
     cf: CharacteristicFunction
 
+    @property
+    def reports(self):
+        """One ZeroReport per outer disk, in index order, then the central
+        rectangle's with every other zero sorted by location; built on each
+        read."""
+        idx, zeros, resid = (x.tolist() for x in self.owned)
+        found = {k: (z, 1, r) for k, z, r in zip(idx, zeros, resid)}
+        reports = [
+            ZeroReport(Disk(complex(l), r), k, True, [found[k]] if k in found else [])
+            for k, l, r in zip(*(x.tolist() for x in self.outer))
+        ]
+        central = [found[k] for k in idx if abs(k) <= self.k_prime] + list(self.central)
+        central.sort(key=lambda t: (t[0].real, t[0].imag))
+        return reports + [ZeroReport(self.rect, None, True, central)]
+
     def all_zeros(self):
-        out = []
-        for rep in self.reports:
-            out.extend(rep.zeros)
-        return out
+        return [t for rep in self.reports for t in rep.zeros]
 
 
 # ---------------------------------------------------------------------------
@@ -740,30 +764,22 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
             f"Newton from {lam[simple[j]] + w[simple[j]]:.6g} found no zero in the disk "
             f"around index {idx[simple[j]]}"
         )
-    found = [[] for _ in idx]
-    for j, zj, res in zip(simple.tolist(), z.tolist(), resid.tolist()):
-        found[j].append((zj, 1, res))
-    reports = [
-        ZeroReport(Disk(complex(l), r), k, True, zs)
-        for k, l, r, zs, o in zip(idx.tolist(), lam.tolist(), rho.tolist(), found, outer.tolist())
-        if o
-    ]
-    central = [zs[0] for zs, o in zip(found, outer.tolist()) if zs and not o]
+    central = []
     if n_hard:
         inner = simple[~outer[simple]]
         disks = (lam[inner], rho[inner])
         polished = (z[m:], resid[m:], ok[m:])
-        central += _central_zeros(cf, rect, seeds, polished, n_hard, opts, d, disks)
-    central.sort(key=lambda t: (t[0].real, t[0].imag))
-    reports.append(ZeroReport(rect, None, True, central))
+        central = _central_zeros(cf, rect, seeds, polished, n_hard, opts, d, disks)
     return LocalizationResult(
-        reports=reports,
+        owned=(idx[simple], z[:m], resid[:m]),
+        central=central,
+        outer=(idx[outer], lam[outer], rho[outer]),
+        rect=rect,
         k_eps=k_eps,
         k_prime=k_prime,
         window=window,
         eps=eps,
         tail_sum_bound=coeffs.c_tail_sum(window, spec.index_kind),
-        certified=True,
         cf=cf,
     )
 
@@ -788,60 +804,57 @@ def _common_hits(lam0, z, match_tol):
 
 
 def assemble_spectrum(spec, coeffs, loc):
-    """Merge located zeros with the common spectrum into a PerturbedSpectrum."""
-    d = spec.gap
-    match_tol = MATCH_RTOL * d
+    """Merge located zeros with the common spectrum into a PerturbedSpectrum.
+
+    Each certified disk's zero is paired with its own index.  A central zero
+    within MATCH_RTOL d max(1, |lambda_n|) of a common eigenvalue lambda_n
+    raises its multiplicity; the others, one slot per unit of order, go to
+    the I1 indices no disk owns by least total distance, and each entry
+    takes the smallest index it is given.
+    """
     window = np.abs(loc.cf.idx) <= loc.window
     idx_all, c_all, lam_all = loc.cf.idx[window], loc.cf.c[window], loc.cf.lam[window]
     in_i0 = c_all == 0
-    i1 = [int(n) for n in idx_all[~in_i0]]
-    zeros = list(loc.all_zeros())
+    owned_idx, owned_z, _ = loc.owned
+    mu = lam_all.astype(complex)  # the eigenvalue paired with each window index
+    free = ~in_i0  # the I1 indices no disk owns
+    at = np.searchsorted(idx_all, owned_idx)
+    mu[at], free[at] = owned_z, False
+    entries = [SpectrumEntry(z, 1, k, ORIGIN_ZERO) for k, z in zip(owned_idx.tolist(), owned_z.tolist())]
 
-    # common eigenvalues; a zero of F sitting on one raises its multiplicity
-    n0, lam0 = idx_all[in_i0].tolist(), lam_all[in_i0].astype(complex)
-    hits = _common_hits(lam0, np.array([z for z, _, _ in zeros], dtype=complex), match_tol).tolist()
-    lam0 = lam0.tolist()
-    entries = [
-        SpectrumEntry(lam_n, 1, n, ORIGIN_COMMON) for n, lam_n, h in zip(n0, lam0, hits) if h < 0
-    ]
-    pairing = list(zip(n0, lam0))
-    taken = set(hits)
-    free = [t for j, t in enumerate(zeros) if j not in taken]
-
-    # remaining zeros (multiplicity-expanded) are assigned to I1 indices;
-    # each slot carries the id of the group (entry) it belongs to
-    # (kind, location, order, anchor index or None)
-    groups = [("both", lam_n, zeros[h][1], n) for n, lam_n, h in zip(n0, lam0, hits) if h >= 0]
-    groups += [("zero", complex(z), order, None) for z, order, _ in free]
-    slot_group = [g for g, (_, _, order, _) in enumerate(groups) for _ in range(order)]
-    slots = [groups[g][1] for g in slot_group]
-    if len(slots) != len(i1):
-        raise errors.CountMismatch(f"{len(slots)} zero slots for {len(i1)} perturbed indices")
-    group_indices = {g: [] for g in range(len(groups))}
-    if slots:
-        cost = np.abs(np.asarray(slots)[:, None] - lam_all[~in_i0][None, :])
-        rows, cols = linear_sum_assignment(cost)
-        for r, c in zip(rows, cols):
-            group_indices[slot_group[r]].append(i1[c])
-            pairing.append((i1[c], complex(slots[r])))
-    for g, (kind, z, order, anchor) in enumerate(groups):
-        if kind == "both":
-            entries.append(SpectrumEntry(z, order + 1, anchor, ORIGIN_BOTH))
+    # common eigenvalues; a central zero sitting on one raises its multiplicity
+    lam0 = lam_all[in_i0].astype(complex)
+    z = np.array([t[0] for t in loc.central], dtype=complex)
+    order = np.array([t[1] for t in loc.central], dtype=int)
+    hits = _common_hits(lam0, z, MATCH_RTOL * spec.gap)
+    for n, lam_n, h in zip(idx_all[in_i0].tolist(), lam0.tolist(), hits.tolist()):
+        if h < 0:
+            entries.append(SpectrumEntry(lam_n, 1, n, ORIGIN_COMMON))
         else:
-            entries.append(SpectrumEntry(z, order, min(group_indices[g]), ORIGIN_ZERO))
+            entries.append(SpectrumEntry(lam_n, int(order[h]) + 1, n, ORIGIN_BOTH))
+    hit = hits[hits >= 0]
+    rest = np.ones(len(z), dtype=bool)
+    rest[hit] = False
+    where = np.concatenate([lam0[hits >= 0], z[rest]])
+    slot = np.repeat(np.arange(len(where)), np.concatenate([order[hit], order[rest]]))
+    free = np.flatnonzero(free)
+    if len(slot) != len(free):
+        raise errors.CountMismatch(f"{len(slot)} zero slots for {len(free)} unowned perturbed indices")
+    rows, cols = linear_sum_assignment(np.abs(where[slot, np.newaxis] - lam_all[free]))
+    mu[free[cols]] = where[slot[rows]]
+    first = np.full(len(where), len(free))  # each entry's smallest index, by position in free
+    np.minimum.at(first, slot[rows], cols)
+    paired = idx_all[free[first[len(hit):]]].tolist()
+    entries += [SpectrumEntry(*t, ORIGIN_ZERO) for t in zip(z[rest].tolist(), order[rest].tolist(), paired)]
 
     entries.sort(key=lambda e: (e.mu.real, e.mu.imag))
-    # one slot per window index: sorted by index, the pairing runs as idx_all
-    pairing.sort(key=lambda p: p[0])
-    mu_paired = np.array([m for _, m in pairing])
-    offset_sum = float(np.sum(np.abs(mu_paired - lam_all)))
-    tail_bound = (d / (2.0 * loc.eps)) * loc.tail_sum_bound
+    tail_bound = (spec.gap / (2.0 * loc.eps)) * loc.tail_sum_bound
     return PerturbedSpectrum(
         entries=tuple(entries),
-        pairing=tuple(pairing),
-        offset_sum=offset_sum,
+        pairing=tuple(zip(idx_all.tolist(), mu.tolist())),
+        offset_sum=float(np.sum(np.abs(mu - lam_all))),
         tail_bound=float(tail_bound),
-        certified=loc.certified,
+        certified=True,
     )
 
 

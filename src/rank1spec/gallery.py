@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import errors
-from .direct import LocalizeOptions, localize_spectrum
+from .direct import LocalizeOptions, assemble_spectrum, localize_spectrum
 from .model import AffineTail, BaseSpectrum, PerturbationCoefficients, PowerTail
 
 
@@ -162,17 +162,9 @@ def power_offsets(beta, n_lo=20, n_hi=200, opts=None):
     if opts is None:
         opts = LocalizeOptions(window=n_hi, n_trunc=max(1500, 2 * n_hi))
     loc = localize_spectrum(spec, coeffs, opts)
-    by_index = {}
-    for rep in loc.reports:
-        if rep.region_index is not None:
-            for z, order, _ in rep.zeros:
-                by_index[rep.region_index] = z
-        else:
-            for z, order, _ in rep.zeros:
-                by_index[int(round(z.real))] = z
-    ns = np.arange(n_lo, n_hi + 1)
-    offs = np.array([abs(by_index[int(n)] - n) for n in ns])
-    return ns, offs, loc
+    ns, offs = assemble_spectrum(spec, coeffs, loc).offsets(spec)
+    keep = (n_lo <= ns) & (ns <= n_hi)
+    return ns[keep], offs[keep], loc
 
 
 def power_slope(beta, n_lo=20, n_hi=200, opts=None):

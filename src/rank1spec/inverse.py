@@ -48,20 +48,14 @@ def split_target(spec, target):
     off = target.nu_head_offset
     n_idx = list(range(off, off + len(head)))
     lam = [complex(v) for v in spec.lambda_at(np.array(n_idx, dtype=int))]
-    changed = True
-    while changed:
-        changed = False
-        for j, m in enumerate(n_idx):
-            if head[j] == lam[j]:
-                continue
-            # if lambda_m occurs elsewhere in the head, pull it onto index m
-            for k in range(len(head)):
-                if k != j and head[k] == lam[j] and head[k] != lam[k]:
-                    head[j], head[k] = head[k], head[j]
-                    changed = True
-                    break
-            if changed:
-                break
+    # where lambda_m occurs elsewhere in the head, not on its own index, pull
+    # it onto index m; a swap never makes an earlier index swappable, so
+    # one pass makes them all
+    for j, lam_m in enumerate(lam):
+        if head[j] != lam_m:
+            k = next((k for k, v in enumerate(head) if v == lam_m and v != lam[k]), None)
+            if k is not None:
+                head[j], head[k] = head[k], head[j]
     i0, i1 = [], []
     for j, m in enumerate(n_idx):
         (i0 if head[j] == lam[j] else i1).append(m)

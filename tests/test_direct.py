@@ -309,7 +309,6 @@ def test_clustered_head_matches_the_oracle():
 def test_localization_reports_enclosure_structure(zspec):
     coeffs = finite_coeffs({0: 0.275, 1: 0.075})
     loc = localize_spectrum(zspec, coeffs, OPTS)
-    assert loc.certified
     disk_reports = [r for r in loc.reports if r.region_index is not None]
     # one disk per index beyond the central rectangle, each with the
     # expected count: 1 on the deviating indices, 0 elsewhere
@@ -360,11 +359,32 @@ def test_n_trunc_doubles_only_while_a_tail_is_left_out(zspec, monkeypatch):
 
 
 def test_assemble_rejects_a_missing_zero(zspec):
-    coeffs = finite_coeffs({0: 0.275, 1: 0.075})
+    # c_0 = -c_1 = 0.45: neither disk certifies, so both zeros 0.5 -+ 0.447i
+    # are central; with one dropped, an index no disk owns has no zero left
+    coeffs = finite_coeffs({0: 0.45, 1: -0.45})
     loc = localize_spectrum(zspec, coeffs, OPTS)
-    next(r for r in loc.reports if r.zeros).zeros.pop()
+    assert len(loc.central) == 2 and len(loc.owned[0]) == 0
     with pytest.raises(errors.CountMismatch):
-        assemble_spectrum(zspec, coeffs, loc)
+        assemble_spectrum(zspec, coeffs, dataclasses.replace(loc, central=loc.central[:-1]))
+
+
+def test_a_certified_disk_pairs_its_zero_with_its_own_index(zspec):
+    # c_1 = 3e-17 puts a zero within an ulp of lambda_1 = 1, certified by
+    # index 1's disk; c_0 = 1.5 puts the other near 1.5, a central zero.
+    # Either pairing of the two costs 1.5, so an assignment over every
+    # index let the last bit of the zero near 1.5 choose; the disk's zero
+    # goes to index 1 whichever way that zero moves by an ulp
+    coeffs = finite_coeffs({0: 1.5, 1: 3e-17})
+    ps, loc = solve_direct(zspec, coeffs, OPTS)
+    for ulps in (0, -1, 1):
+        if ulps:
+            ((hard, order, resid),) = loc.central
+            moved = complex(np.nextafter(hard.real, hard.real + ulps), hard.imag)
+            ps = assemble_spectrum(zspec, coeffs, dataclasses.replace(loc, central=[(moved, order, resid)]))
+        pairing = dict(ps.pairing)
+        assert abs(pairing[1] - 1.0) <= np.spacing(1.0) and abs(pairing[0] - 1.5) < 1e-12
+        paired = {e.paired_index: e.mu for e in ps.entries if e.origin == ORIGIN_ZERO}
+        assert paired == {0: pairing[0], 1: pairing[1]}
 
 
 def test_assemble_marks_common_point_zero_as_both(zspec):

@@ -31,6 +31,14 @@ def test_split_target_swap_normalization(zspec):
     assert normalized == {0: 1.3, 1: 1.0}
 
 
+def test_split_target_follows_a_chain_of_swaps(zspec):
+    # nu = (1, 2, 0): pulling 0 onto index 0 leaves 2 on index 1 and 1 on
+    # index 2, and a second swap puts both home, so no index deviates
+    i0, i1, normalized = inverse.split_target(zspec, TargetSpectrum(0, (1.0 + 0j, 2.0 + 0j, 0j)))
+    assert (i0, i1) == ([0, 1, 2], [])
+    assert normalized == {0: 0.0, 1: 1.0, 2: 2.0}
+
+
 def test_split_target_and_build_product_take_lambda_in_one_array_call(monkeypatch):
     # a non-affine head and a swap: one lambda_at call each, giving the
     # per-index calls' values bit for bit
