@@ -45,13 +45,7 @@ def _emit(doc, out_path):
 
 
 def _opts_from_args(args):
-    return LocalizeOptions(
-        window=args.trunc_window,
-        n_trunc=args.trunc,
-        # the comparison tolerance may be arbitrarily strict, but the Newton
-        # residual threshold cannot go below double precision
-        tol=max(args.tol, 1e-14),
-    )
+    return LocalizeOptions(window=args.trunc_window, n_trunc=args.trunc)
 
 
 def cmd_direct(args):
@@ -162,7 +156,6 @@ def build_parser():
     def common_numeric(p):
         p.add_argument("--trunc", type=int, default=2000, help="summation window radius")
         p.add_argument("--trunc-window", type=int, default=50, help="reported index window radius")
-        p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("direct", help="solve the direct spectral problem")
@@ -181,6 +174,7 @@ def build_parser():
     p = sub.add_parser("roundtrip", help="inverse then direct, compare to the target")
     p.add_argument("--spec", required=True)
     p.add_argument("--target", required=True)
+    p.add_argument("--tol", type=float, default=1e-10, help="largest matched deviation from the target")
     common_numeric(p)
     p.set_defaults(func=cmd_roundtrip)
 

@@ -39,7 +39,6 @@ from .model import (
     ORIGIN_COMMON,
     ORIGIN_ZERO,
     PerturbedSpectrum,
-    SpectrumEntry,
 )
 
 CONTOUR_POLE_TOL = 1e-8  # minimum allowed pole distance to a counting circle
@@ -54,6 +53,7 @@ CLUSTER_RTOL = 1e-6  # zeros closer than this times d form one cluster
 # (eta_j / |F^(m)/m!|)^(1/(m-j)) set by the noise eta_j of each F^(j)/j!
 ROUNDOFF = 20.0
 NEWTON_MAX_ITER = 80
+NEWTON_RTOL = 1e-10  # a simple zero's residual |F| is within this times 1 + sum |c_n|
 MATCH_RTOL = 1e-7  # zeros within this times d max(1, |lambda_n|) land on a common lambda_n
 
 
@@ -88,7 +88,6 @@ class ZeroReport:
 class LocalizeOptions:
     window: int = 50
     n_trunc: int = 2000
-    tol: float = 1e-10
     quad: ClassVar[int] = ARC_START  # not an option: the arcs an order circle starts from
 
 
@@ -391,7 +390,7 @@ def _noise(cf, z, orders):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _newton(cf, seeds, order, tol, shift=None):
+def _newton(cf, seeds, order, shift=None):
     """Newton on F^(order-1) from every seed at once: (locations, residuals
     |F|, converged mask), arrays over the seeds (residual nan where not).
 
@@ -400,19 +399,20 @@ def _newton(cf, seeds, order, tol, shift=None):
     and each step makes one kernel call for the points still moving; no
     point's steps depend on the others.  A point stops when its step falls
     below 1e-16 (1 + |shift| + |w|) and, at order 1, |F| before the step is
-    within tol (1 + sum |c_n|): next to a pole such a step can still be a
-    large share of |w|.  It fails when a step is not finite (on a pole) or
-    grows past ten times the last one plus 1 (divergence); when after
-    NEWTON_MAX_ITER steps its last step exceeds both 1e-12 (1 + |shift|)
-    and ROUNDOFF times the noise of F^(order-1) over |F^(order)|, the step
+    within NEWTON_RTOL (1 + sum |c_n|): next to a pole such a step can still
+    be a large share of |w|.  It fails when a step is not finite (on a pole)
+    or grows past ten times the last one plus 1 (divergence); when after
+    NEWTON_MAX_ITER steps its last step exceeds both 1e-12 (1 + |shift|) and
+    ROUNDOFF times the noise of F^(order-1) over |F^(order)|, the step
     round-off alone makes (_noise); or, at order 1, when its residual
-    exceeds tol (1 + sum |c_n|).  At order 1 it also fails once it lies
-    farther than 2 R from its shift and from every pole, and farther from the
-    poles than its seed, R = sum |c_n| + T: every zero lies within R of a
-    pole (|F - 1| < 1 beyond that), and a step from a seed in a zero's basin
-    can overshoot R (for F = 1 - c/z, from (1 + 0.9i) c to 1.81 c), though
-    for that F never 2 R.  Such a point has lost its zero, and its steps,
-    each within ten times the last, could keep the pass iterating.
+    exceeds NEWTON_RTOL (1 + sum |c_n|).  At order 1 it also fails once it
+    lies farther than 2 R from its shift and from every pole, and farther
+    from the poles than its seed, R = sum |c_n| + T: every zero lies within
+    R of a pole (|F - 1| < 1 beyond that), and a step from a seed in a
+    zero's basin can overshoot R (for F = 1 - c/z, from (1 + 0.9i) c to
+    1.81 c), though for that F never 2 R.  Such a point has lost its zero,
+    and its steps, each within ten times the last, could keep the pass
+    iterating.
     """
     w = np.array(seeds, dtype=complex, ndmin=1)  # a copy: the steps write to it
     if shift is None:
@@ -420,7 +420,7 @@ def _newton(cf, seeds, order, tol, shift=None):
         w = w - shift
     deriv = order - 1
     total = float(np.sum(np.abs(cf.c1)))
-    resid_tol = tol * (1.0 + total) if deriv == 0 else np.inf
+    resid_tol = NEWTON_RTOL * (1.0 + total) if deriv == 0 else np.inf
     reach = 2.0 * (total + cf.tail_total) if deriv == 0 else np.inf
     start = shift + w
     scale = 1.0 + np.abs(shift)
@@ -525,7 +525,7 @@ def _roundoff_link(cf, z):
     return np.where(spread.max(axis=1) > radius[:, 0], 0.0, radius[:, 0])
 
 
-def _try_multiple(cf, seed, m, tol, d):
+def _try_multiple(cf, seed, m, d):
     """An order-m zero polished from a group's seed: (location, m, residual) or None.
 
     Newton runs on F^(m-1).  The zero is accepted when, for every Taylor
@@ -535,7 +535,7 @@ def _try_multiple(cf, seed, m, tol, d):
     value noise can resolve fail on a derivative.  The caller certifies the
     order by the arc walk.
     """
-    z, resid, ok = _newton(cf, [seed], m, tol)
+    z, resid, ok = _newton(cf, [seed], m)
     if not ok[0]:
         return None
     spread, radius = _spread(cf, z, m)
@@ -562,7 +562,7 @@ def _hard_seeds(lam, c, lam_k, mu_k):
     return np.linalg.eigvals(np.diag(lam.astype(complex)) + c[:, np.newaxis])
 
 
-def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d, disks):
+def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
     """The zeros of F in the central rectangle outside the certified disks,
     given as (centres, radii), which hold n_zeros of them, as (location,
     order, residual) sorted by location.
@@ -613,7 +613,7 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, opts, d, disks):
             zeros.append((complex(points[members[0]]), 1, resid[members[0]]))
             continue
         seed = complex(points[members].mean())
-        got = _try_multiple(cf, seed, m, opts.tol, d) if m > 1 else None
+        got = _try_multiple(cf, seed, m, d) if m > 1 else None
         if got is None or not keep(np.array([got[0]]))[0]:
             raise errors.CertificationFailed(f"no zero of order {m} found near {seed:.6g}")
         zeros.append(got)
@@ -756,7 +756,7 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
         mu_k = np.concatenate([lam[simple] + w[simple], cf.lam1[beyond] + cf.c1[beyond]])
         seeds = _hard_seeds(lam[hard], c[hard], lam_k, mu_k)
     shift = np.concatenate([lam[simple], _shift(cf, seeds)])
-    z, resid, ok = _newton(cf, np.concatenate([w[simple], seeds - shift[m:]]), 1, opts.tol, shift)
+    z, resid, ok = _newton(cf, np.concatenate([w[simple], seeds - shift[m:]]), 1, shift)
     inside = ok[:m] & (np.abs(z[:m] - lam[simple]) < rho[simple])
     if not inside.all():
         j = np.argmin(inside)
@@ -769,7 +769,7 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
         inner = simple[~outer[simple]]
         disks = (lam[inner], rho[inner])
         polished = (z[m:], resid[m:], ok[m:])
-        central = _central_zeros(cf, rect, seeds, polished, n_hard, opts, d, disks)
+        central = _central_zeros(cf, rect, seeds, polished, n_hard, d, disks)
     return LocalizationResult(
         owned=(idx[simple], z[:m], resid[:m]),
         central=central,
@@ -820,22 +820,19 @@ def assemble_spectrum(spec, coeffs, loc):
     free = ~in_i0  # the I1 indices no disk owns
     at = np.searchsorted(idx_all, owned_idx)
     mu[at], free[at] = owned_z, False
-    entries = [SpectrumEntry(z, 1, k, ORIGIN_ZERO) for k, z in zip(owned_idx.tolist(), owned_z.tolist())]
 
     # common eigenvalues; a central zero sitting on one raises its multiplicity
     lam0 = lam_all[in_i0].astype(complex)
     z = np.array([t[0] for t in loc.central], dtype=complex)
     order = np.array([t[1] for t in loc.central], dtype=int)
     hits = _common_hits(lam0, z, MATCH_RTOL * spec.gap)
-    for n, lam_n, h in zip(idx_all[in_i0].tolist(), lam0.tolist(), hits.tolist()):
-        if h < 0:
-            entries.append(SpectrumEntry(lam_n, 1, n, ORIGIN_COMMON))
-        else:
-            entries.append(SpectrumEntry(lam_n, int(order[h]) + 1, n, ORIGIN_BOTH))
-    hit = hits[hits >= 0]
+    on = hits >= 0
+    hit = hits[on]
+    mult0 = np.ones(len(lam0), dtype=int)
+    mult0[on] += order[hit]
     rest = np.ones(len(z), dtype=bool)
     rest[hit] = False
-    where = np.concatenate([lam0[hits >= 0], z[rest]])
+    where = np.concatenate([lam0[on], z[rest]])
     slot = np.repeat(np.arange(len(where)), np.concatenate([order[hit], order[rest]]))
     free = np.flatnonzero(free)
     if len(slot) != len(free):
@@ -844,14 +841,21 @@ def assemble_spectrum(spec, coeffs, loc):
     mu[free[cols]] = where[slot[rows]]
     first = np.full(len(where), len(free))  # each entry's smallest index, by position in free
     np.minimum.at(first, slot[rows], cols)
-    paired = idx_all[free[first[len(hit):]]].tolist()
-    entries += [SpectrumEntry(*t, ORIGIN_ZERO) for t in zip(z[rest].tolist(), order[rest].tolist(), paired)]
 
-    entries.sort(key=lambda e: (e.mu.real, e.mu.imag))
+    # one row per eigenvalue: the owned zeros, the common eigenvalues, the
+    # other central zeros, sorted stably by (re, im)
+    eig = np.concatenate([owned_z, lam0, z[rest]])
+    origin = np.full(len(eig), ORIGIN_ZERO)
+    origin[len(owned_z):len(owned_z) + len(lam0)] = np.where(on, ORIGIN_BOTH, ORIGIN_COMMON)
+    by_mu = np.lexsort((eig.imag, eig.real))
     tail_bound = (spec.gap / (2.0 * loc.eps)) * loc.tail_sum_bound
     return PerturbedSpectrum(
-        entries=tuple(entries),
-        pairing=tuple(zip(idx_all.tolist(), mu.tolist())),
+        mu=eig[by_mu],
+        mult=np.concatenate([np.ones(len(owned_z), dtype=int), mult0, order[rest]])[by_mu],
+        paired_index=np.concatenate([owned_idx, idx_all[in_i0], idx_all[free[first[len(hit):]]]])[by_mu],
+        origin=origin[by_mu],
+        index=idx_all,
+        paired_mu=mu,
         offset_sum=float(np.sum(np.abs(mu - lam_all))),
         tail_bound=float(tail_bound),
         certified=True,

@@ -320,33 +320,29 @@ ORIGIN_ZERO = "zero_of_F"
 ORIGIN_BOTH = "both"
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    mu: complex
-    mult: int
-    paired_index: int
-    origin: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbedSpectrum:
-    entries: tuple  # of SpectrumEntry
-    pairing: tuple  # of (index, mu) with one slot per unit of multiplicity
+    """The eigenvalues as columns, one row per distinct eigenvalue sorted by
+    (re, im): mu, multiplicity mult, paired_index and origin (an ORIGIN_*
+    string).  index and paired_mu hold one row per window index: the
+    eigenvalue paired with it, one index per unit of multiplicity."""
+
+    mu: np.ndarray
+    mult: np.ndarray
+    paired_index: np.ndarray
+    origin: np.ndarray
+    index: np.ndarray
+    paired_mu: np.ndarray
     offset_sum: float
     tail_bound: float
     certified: bool
 
     def eigenvalues(self):
         """All eigenvalues repeated by multiplicity."""
-        out = []
-        for e in self.entries:
-            out.extend([e.mu] * e.mult)
-        return np.array(out)
+        return np.repeat(self.mu, self.mult)
 
     def offsets(self, spec):
-        idx = np.array([n for n, _ in self.pairing])
-        mu = np.array([m for _, m in self.pairing])
-        return idx, np.abs(mu - spec.lambda_at(idx))
+        return self.index, np.abs(self.paired_mu - spec.lambda_at(self.index))
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +457,11 @@ def target_from_json(doc):
 
 
 def spectrum_to_json(ps):
+    columns = (ps.mu.real, ps.mu.imag, ps.mult, ps.paired_index, ps.origin)
     return {
         "entries": [
-            {"mu": _cx_out(e.mu), "mult": e.mult, "paired_index": e.paired_index, "origin": e.origin}
-            for e in ps.entries
+            {"mu": [re, im], "mult": m, "paired_index": n, "origin": o}
+            for re, im, m, n, o in zip(*(col.tolist() for col in columns))
         ],
         "offset_sum": ps.offset_sum,
         "tail_bound": ps.tail_bound,

@@ -102,9 +102,9 @@ def test_criterion_2_roundtrip():
         ok, worst = oracle.compare_spectra(ps, ref, 1e-8)
         worst_overall = max(worst_overall, worst)
         assert ok, f"roundtrip deviation {worst:.3e}"
-        for e in ps.entries:
-            if e.mult in mult_confirmed:
-                mult_confirmed[e.mult] = True
+        for m in ps.mult.tolist():
+            if m in mult_confirmed:
+                mult_confirmed[m] = True
     elapsed = time.perf_counter() - t0
     _report(
         "criterion 2: 50 inverse->direct roundtrips below 1e-8",
@@ -202,7 +202,7 @@ def test_criterion_7_self_adjoint_interlacing():
         ps, _ = solve_direct(ZSPEC, coeffs, opts)
         vals = ps.eigenvalues()
         assert np.max(np.abs(vals.imag)) < 1e-10, "spectrum left the real axis"
-        by_index = {e.paired_index: e.mu for e in ps.entries}
+        by_index = dict(zip(ps.paired_index.tolist(), ps.mu.tolist()))
         for n in idx:
             mu = by_index[int(n)].real
             lam = float(n)
@@ -223,9 +223,7 @@ def test_criterion_8_trace_identity():
     for coeffs, ps, loc in _finite_batch():
         idx = ZSPEC.window_indices(loc.window)
         c = np.atleast_1d(coeffs.c_at(idx))
-        mu = np.array([m for _, m in ps.pairing])
-        lam = ZSPEC.lambda_at(np.array([n for n, _ in ps.pairing]))
-        resid = abs(np.sum(mu - lam) - np.sum(c))
+        resid = abs(np.sum(ps.paired_mu - ZSPEC.lambda_at(ps.index)) - np.sum(c))
         tol = 1e-10 * (1.0 + float(np.sum(np.abs(c))))
         worst = max(worst, resid / tol)
         assert resid < tol, f"trace residual {resid:.3e}"
@@ -262,12 +260,12 @@ def test_criterion_10_multiplicity_rule_at_common_point():
     coeffs = validate_coefficients(coeffs, ZSPEC)
     assert coeffs.c_at(2) == 0.0
     ps, _ = solve_direct(ZSPEC, coeffs, LocalizeOptions(window=10, n_trunc=30))
-    entry = next(e for e in ps.entries if abs(e.mu - 2.0) < 1e-8)
+    (row,) = np.flatnonzero(np.abs(ps.mu - 2.0) < 1e-8)
     op = oracle.build_truncation(ZSPEC, coeffs, 12)
     dense = oracle.dense_eigenvalues(op)
     dense_mult = int(np.sum(np.abs(dense - 2.0) < 1e-3))
     _report(
         "criterion 10: zero of order 2 at a retained eigenvalue yields multiplicity 3",
-        entry.mult == 3 and entry.origin == "both" and dense_mult == 3,
-        f" (assembled {entry.mult}, dense oracle {dense_mult})",
+        ps.mult[row] == 3 and ps.origin[row] == "both" and dense_mult == 3,
+        f" (assembled {ps.mult[row]}, dense oracle {dense_mult})",
     )

@@ -30,6 +30,9 @@ def test_build_keeps_the_window_data_of_the_model():
         assert cf.idx.tobytes() == idx.tobytes()
         assert cf.lam.tobytes() == np.asarray(spec.lambda_at(idx), dtype=float).tobytes()
         assert cf.c.tobytes() == np.asarray(coeffs.c_at(idx), dtype=complex).tobytes()
+    for n_trunc in (0, -3):
+        with pytest.raises(errors.WindowExceeded, match="n_trunc must be positive"):
+            CharacteristicFunction.build(spec, coeffs, n_trunc)
 
 
 @pytest.fixture

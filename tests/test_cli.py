@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -49,14 +50,18 @@ def test_direct_output_is_deterministic(files):
 
 
 def test_quad_option_is_gone(files, capsys):
-    # the order circles start from a fixed number of arcs: --quad is an
-    # unknown option, and LocalizeOptions takes no quad
-    with pytest.raises(SystemExit) as exc:
-        _run(["direct", "--spec", files["spec"], "--coeffs", files["coeffs"], "--quad", 256])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --quad 256" in capsys.readouterr().err
+    # the order circles start from a fixed number of arcs and Newton stops at
+    # the fixed NEWTON_RTOL: --quad and direct's --tol are unknown options,
+    # and LocalizeOptions takes neither quad nor tol
+    for flag, value in (("--quad", 256), ("--tol", 1e-6)):
+        with pytest.raises(SystemExit) as exc:
+            _run(["direct", "--spec", files["spec"], "--coeffs", files["coeffs"], flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     with pytest.raises(TypeError):
         direct.LocalizeOptions(quad=256)
+    with pytest.raises(TypeError):
+        direct.LocalizeOptions(tol=1e-6)
     assert direct.LocalizeOptions().quad == direct.ARC_START
 
 
@@ -195,6 +200,56 @@ def test_gap_violation_exits_one(files, tmp_path, capsys):
     code = _run(["direct", "--spec", bad, "--coeffs", files["coeffs"]])
     assert code == 1
     assert "GapViolation" in capsys.readouterr().err
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+    return path
+
+
+def test_rejected_inputs_exit_one_naming_their_error(files, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    spec = json.loads(files["spec"].read_text())
+    coeffs = json.loads(files["coeffs"].read_text())
+    target = json.loads(files["target"].read_text())
+    nspec = dict(spec, index_set="N", lambda_head={"offset": 1, "values": []})
+    bad_specs = [
+        ([], "SchemaError: BaseSpectrum: expected an object"),
+        (dict(spec, gap=0.0), "GapViolation: declared gap"),
+        (dict(spec, lambda_tail={"slope": math.inf, "intercept": 0.0}), "NonReal: tail parameters"),
+        (dict(spec, lambda_head={"offset": 0, "values": [-1.5, 1.0]}), "NonMonotone: tail does not continue"),
+    ]
+    for doc, error in bad_specs:
+        assert _run(["direct", "--spec", _write(bad / "spec.json", doc), "--coeffs", files["coeffs"]]) == 1
+        assert capsys.readouterr().err.startswith(error)
+    nan_head = dict(coeffs, b_head={"offset": 0, "values": [[0.275, 0.0], [math.nan, 0.0]]})
+    nan_tail = {"beta": 1.0, "scale": math.nan, "phase": 0.0}
+    bad_coeffs = [
+        (spec, nan_head, "SchemaError: b head contains non-finite"),
+        (nspec, coeffs, "IndexMismatch: a head starts at 0"),
+        (spec, dict(coeffs, a_tail=nan_tail, b_tail=nan_tail), "NonSummable: sum |c_n| diverges"),
+    ]
+    for spec_doc, doc, error in bad_coeffs:
+        argv = ["direct", "--spec", _write(bad / "spec.json", spec_doc)]
+        assert _run(argv + ["--coeffs", _write(bad / "coeffs.json", doc)]) == 1
+        assert capsys.readouterr().err.startswith(error)
+    nan_target = dict(target, nu_head={"offset": 0, "values": [[math.nan, 0.0]]})
+    bad_targets = [
+        (spec, nan_target, "SchemaError: target head contains non-finite"),
+        (spec, dict(target, tail="zero"), "SchemaError: TargetSpectrum: tail must be"),
+        (nspec, target, "IndexMismatch: target head starts below"),
+    ]
+    for spec_doc, doc, error in bad_targets:
+        argv = ["roundtrip", "--spec", _write(bad / "spec.json", spec_doc)]
+        assert _run(argv + ["--target", _write(bad / "target.json", doc)]) == 1
+        assert capsys.readouterr().err.startswith(error)
+    # an output path that cannot be written: the temp file beside it goes too
+    (bad / "taken").mkdir()
+    argv = ["direct", "--spec", files["spec"], "--coeffs", files["coeffs"], "--trunc", 30, "--trunc-window", 8]
+    assert _run(argv + ["--out", bad / "taken"]) == 1
+    assert capsys.readouterr().err.startswith("InputError")
+    assert not [p for p in bad.iterdir() if p.suffix == ".tmp"]
 
 
 def test_missing_file_exits_one(files):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -23,7 +24,9 @@ from rank1spec.model import (
     BaseSpectrum,
     PerturbationCoefficients,
     TargetSpectrum,
+    spectrum_to_json,
     validate_base,
+    validate_coefficients,
 )
 
 from conftest import finite_coeffs, random_base, random_coeffs, random_finite_instance
@@ -81,13 +84,13 @@ CENTRAL = Rectangle(-1.5, 2.5, -2.5, 2.5)
 NO_DISKS = ((), ())  # no certified disk: (centres, radii)
 
 
-def _central_zeros(cf, n_zeros, opts=OPTS):
+def _central_zeros(cf, n_zeros):
     """The central step on CENTRAL (K' = 1, d = 1) with every pole hard: the
     seeds from _hard_seeds with no certified terms, polished by one Newton
     pass as _localize_attempt polishes them."""
     seeds = direct._hard_seeds(cf.lam1, cf.c1, np.empty(0), np.empty(0))
-    polished = direct._newton(cf, seeds, 1, opts.tol)
-    return direct._central_zeros(cf, CENTRAL, seeds, polished, n_zeros, opts, 1.0, NO_DISKS)
+    polished = direct._newton(cf, seeds, 1)
+    return direct._central_zeros(cf, CENTRAL, seeds, polished, n_zeros, 1.0, NO_DISKS)
 
 
 def test_refine_simple_zero_to_full_precision(two_point_cf):
@@ -108,12 +111,18 @@ def test_refine_rejects_wrong_order(double_cf):
     seed = np.array([0.5 + 0j])
     polished = (seed, np.zeros(1), np.ones(1, dtype=bool))
     with pytest.raises(errors.CertificationFailed, match="counts 2 zeros, expected 1"):
-        direct._central_zeros(double_cf, CENTRAL, seed, polished, 1, OPTS, 1.0, NO_DISKS)
+        direct._central_zeros(double_cf, CENTRAL, seed, polished, 1, 1.0, NO_DISKS)
     # three seeds, none polished, that claim a triple zero there: no order-3 zero passes
     seeds = np.full(3, 0.47 + 0j)
     polished = (np.full(3, np.nan + 0j), np.full(3, np.nan), np.zeros(3, dtype=bool))
     with pytest.raises(errors.CertificationFailed):
-        direct._central_zeros(double_cf, CENTRAL, seeds, polished, 3, OPTS, 1.0, NO_DISKS)
+        direct._central_zeros(double_cf, CENTRAL, seeds, polished, 3, 1.0, NO_DISKS)
+
+
+def test_central_zeros_must_add_up_to_what_the_rectangle_holds(two_point_cf):
+    # two simple zeros found where the rectangle's count says three
+    with pytest.raises(errors.CertificationFailed, match="total order 2 found, the rectangle holds 3"):
+        _central_zeros(two_point_cf, 3)
 
 
 def test_refine_rejects_uncertified_order_check(two_point_cf, monkeypatch):
@@ -167,12 +176,12 @@ def test_two_point_spectrum_hand_values(zspec):
     coeffs = finite_coeffs({0: 0.275, 1: 0.075})
     ps, loc = solve_direct(zspec, coeffs, OPTS)
     assert ps.certified
-    by_index = {e.paired_index: e for e in ps.entries}
-    assert abs(by_index[0].mu - 0.25) < 1e-10
-    assert abs(by_index[1].mu - 1.1) < 1e-10
-    assert by_index[0].origin == ORIGIN_ZERO
-    assert by_index[5].origin == ORIGIN_COMMON
-    assert by_index[5].mu == 5.0
+    row = {n: j for j, n in enumerate(ps.paired_index.tolist())}
+    assert abs(ps.mu[row[0]] - 0.25) < 1e-10
+    assert abs(ps.mu[row[1]] - 1.1) < 1e-10
+    assert ps.origin[row[0]] == ORIGIN_ZERO
+    assert ps.origin[row[5]] == ORIGIN_COMMON
+    assert ps.mu[row[5]] == 5.0
     assert ps.offset_sum == pytest.approx(0.35, abs=1e-10)
     assert ps.tail_bound == 0.0
 
@@ -180,19 +189,17 @@ def test_two_point_spectrum_hand_values(zspec):
 def test_double_zero_assembled_with_multiplicity(zspec):
     ps, _ = solve_direct(zspec, finite_coeffs({0: 0.25, 1: -0.25}), OPTS)
     assert ps.certified
-    doubles = [e for e in ps.entries if e.mult == 2]
-    assert len(doubles) == 1
-    assert abs(doubles[0].mu - 0.5) < 1e-9
+    (double,) = ps.mu[ps.mult == 2]
+    assert abs(double - 0.5) < 1e-9
     # the pairing carries one slot per unit of multiplicity
-    slots = [n for n, mu in ps.pairing if abs(mu - 0.5) < 1e-9]
-    assert sorted(slots) == [0, 1]
+    slots = ps.index[np.abs(ps.paired_mu - 0.5) < 1e-9]
+    assert sorted(slots.tolist()) == [0, 1]
 
 
 def test_complex_coefficients_move_spectrum_off_axis(zspec):
     coeffs = finite_coeffs({0: 0.2j})
     ps, _ = solve_direct(zspec, coeffs, OPTS)
-    by_index = {e.paired_index: e for e in ps.entries}
-    mu = by_index[0].mu
+    (mu,) = ps.mu[ps.paired_index == 0]
     assert mu.imag > 0.05
     # exact zero of 1 + 0.2i/(0 - z) is z = 0.2i
     assert abs(mu - 0.2j) < 1e-10
@@ -246,7 +253,8 @@ def test_two_close_double_zeros_are_not_one_order_four_zero(zspec):
         ps, _ = solve_direct(zspec, coeffs, LocalizeOptions(window=14, n_trunc=40))
     except errors.CertificationFailed:
         return
-    zeros = sorted((e.mult, e.mu.real) for e in ps.entries if e.origin == ORIGIN_ZERO)
+    zero = ps.origin == ORIGIN_ZERO
+    zeros = sorted(zip(ps.mult[zero].tolist(), ps.mu[zero].real.tolist()))
     assert [m for m, _ in zeros] == [2, 2, 3]
     assert np.allclose([mu for _, mu in zeros[:2]], [b, a], atol=1e-6)
 
@@ -381,9 +389,10 @@ def test_a_certified_disk_pairs_its_zero_with_its_own_index(zspec):
             ((hard, order, resid),) = loc.central
             moved = complex(np.nextafter(hard.real, hard.real + ulps), hard.imag)
             ps = assemble_spectrum(zspec, coeffs, dataclasses.replace(loc, central=[(moved, order, resid)]))
-        pairing = dict(ps.pairing)
+        pairing = dict(zip(ps.index.tolist(), ps.paired_mu.tolist()))
         assert abs(pairing[1] - 1.0) <= np.spacing(1.0) and abs(pairing[0] - 1.5) < 1e-12
-        paired = {e.paired_index: e.mu for e in ps.entries if e.origin == ORIGIN_ZERO}
+        zero = ps.origin == ORIGIN_ZERO
+        paired = dict(zip(ps.paired_index[zero].tolist(), ps.mu[zero].tolist()))
         assert paired == {0: pairing[0], 1: pairing[1]}
 
 
@@ -397,10 +406,38 @@ def test_assemble_marks_common_point_zero_as_both(zspec):
     coeffs = validate_coefficients(coeffs, zspec)
     ps, _ = solve_direct(zspec, coeffs, OPTS)
     assert ps.certified
-    both = [e for e in ps.entries if e.origin == ORIGIN_BOTH]
-    assert len(both) == 1
-    assert both[0].mult == 3
-    assert abs(both[0].mu - 2.0) < 1e-9
+    both = ps.origin == ORIGIN_BOTH
+    assert ps.mult[both].tolist() == [3]
+    assert abs(ps.mu[both][0] - 2.0) < 1e-9
+
+
+def test_spectrum_columns_keep_their_contract(zspec):
+    # a double zero of F at 0.5 (paired with index -2), an order-2 zero at
+    # the common eigenvalue lambda_2 (multiplicity 3) and common eigenvalues
+    # elsewhere: every origin, and rows of more than one unit
+    coeffs, _ = inverse.solve_inverse(zspec, TargetSpectrum(-2, (0.5, 0.5, 2.0, 2.0)))
+    ps, loc = solve_direct(zspec, validate_coefficients(coeffs, zspec), OPTS)
+    assert set(ps.origin.tolist()) == {ORIGIN_ZERO, ORIGIN_COMMON, ORIGIN_BOTH}
+    assert sorted(zip(ps.origin[ps.mult > 1].tolist(), ps.mult[ps.mult > 1].tolist())) == [
+        (ORIGIN_BOTH, 3),
+        (ORIGIN_ZERO, 2),
+    ]
+    assert len(ps.mu) == len(ps.mult) == len(ps.paired_index) == len(ps.origin)
+    keys = list(zip(ps.mu.real.tolist(), ps.mu.imag.tolist()))
+    assert keys == sorted(keys)
+    assert ps.index.tolist() == list(range(-loc.window, loc.window + 1)) and len(ps.paired_mu) == len(ps.index)
+    assert ps.mult.sum() == len(ps.index)
+    assert len(set(ps.paired_index.tolist())) == len(ps.paired_index)
+    assert set(ps.paired_index.tolist()) <= set(ps.index.tolist())
+    assert np.array_equal(ps.eigenvalues(), np.repeat(ps.mu, ps.mult))
+    # the JSON holds Python numbers and strings only, so no default= hook is needed
+    doc = spectrum_to_json(ps)
+    json.dumps(doc)
+    for entry in doc["entries"]:
+        assert [type(v) for v in entry["mu"]] == [float, float]
+        assert type(entry["mult"]) is int and type(entry["paired_index"]) is int
+        assert type(entry["origin"]) is str
+    assert (type(doc["offset_sum"]), type(doc["tail_bound"]), type(doc["certified"])) == (float, float, bool)
 
 
 def test_tail_bound_positive_for_infinite_instance(zspec):
@@ -529,7 +566,8 @@ def test_clustered_round_trip_certifies_every_order_circle(zspec):
     coeffs = validate_coefficients(coeffs, zspec)
     ps, loc = solve_direct(zspec, coeffs, LocalizeOptions(window=12, n_trunc=40))
     assert ps.certified and loc.window == 2435
-    mus = np.sort_complex(np.array([e.mu for e in ps.entries for _ in range(e.mult) if abs(e.mu) < 6]))
+    mus = ps.eigenvalues()
+    mus = np.sort_complex(mus[np.abs(mus) < 6])
     ref = np.sort_complex(np.atleast_1d(target.nu_at(np.arange(-5, 6), zspec)))
     assert len(mus) == len(ref) and np.max(np.abs(mus - ref)) < 2e-7
 
@@ -662,12 +700,12 @@ def test_common_hits_equal_the_pair_loop():
 # batched Newton
 
 
-def _newton_by_loop(cf, seed, order, tol):
+def _newton_by_loop(cf, seed, order):
     # the one-seed loop, without the noise-floor acceptance at the iteration
     # cap: (location, residual) or None
     lam_c = float(direct._shift(cf, np.array([complex(seed)]))[0])
     w, step = complex(seed) - lam_c, np.inf
-    resid_tol = tol * (1.0 + float(np.sum(np.abs(cf.c1))))
+    resid_tol = direct.NEWTON_RTOL * (1.0 + float(np.sum(np.abs(cf.c1))))
     reach = 2.0 * (float(np.sum(np.abs(cf.c1))) + cf.tail_total) if order == 1 else np.inf
     poles = cf.lam[cf.c != 0]
     start = np.abs(poles - complex(seed)).min()
@@ -706,9 +744,9 @@ def test_batched_newton_equals_the_one_seed_loop(zspec, double_cf):
     cases += [(near_pole_cf, 1, [3.0 + 1e-12, 3.0 + 2e-12j, 0.28])]
     outcomes = set()
     for cf, order, seeds in cases:
-        z, resid, ok = direct._newton(cf, seeds, order, 1e-10)
+        z, resid, ok = direct._newton(cf, seeds, order)
         for j, seed in enumerate(seeds):
-            ref = _newton_by_loop(cf, seed, order, 1e-10)
+            ref = _newton_by_loop(cf, seed, order)
             assert ok[j] == (ref is not None)
             if ok[j]:
                 assert (z[j], resid[j]) == ref
@@ -731,7 +769,7 @@ def test_newton_fails_a_point_that_wanders_past_every_zero(zspec, monkeypatch):
         return value_pair(self, z, order, shift)
 
     monkeypatch.setattr(CharacteristicFunction, "value_pair", spy)
-    z, _, ok = direct._newton(cf, [0.3 + 0.37j, -2.3 + 0.1j], 1, 1e-10)
+    z, _, ok = direct._newton(cf, [0.3 + 0.37j, -2.3 + 0.1j], 1)
     assert not ok.any() and [n for n in calls if n] == [2, 1, 1, 1]
     assert np.allclose(z, [5.079 - 0.474j, -2.913 + 0.169j], atol=1e-3)
 
@@ -744,10 +782,10 @@ def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
     # order-1 _newton call, with no eigen-seed
     newton, attempt, calls, attempts = direct._newton, direct._localize_attempt, [], []
 
-    def newton_spy(cf, seeds, order, tol, shift=None):
+    def newton_spy(cf, seeds, order, shift=None):
         points = seeds if shift is None else shift + seeds
         calls.append((order, np.round(points, 2).tolist()))
-        return newton(cf, seeds, order, tol, shift)
+        return newton(cf, seeds, order, shift)
 
     def attempt_spy(*args):
         attempts.append(args)
@@ -773,7 +811,9 @@ def test_outer_disks_and_assembly_slice_the_window_data(zspec, monkeypatch):
 
     monkeypatch.setattr(PerturbationCoefficients, "c_at", refuse)
     monkeypatch.setattr(BaseSpectrum, "lambda_at", refuse)
-    assert assemble_spectrum(zspec, coeffs, loc) == ps
+    again = assemble_spectrum(zspec, coeffs, loc)
+    for field in dataclasses.fields(ps):
+        assert np.array_equal(getattr(again, field.name), getattr(ps, field.name)), field.name
     idx, lam, c = direct._disks(loc.cf, loc.k_prime, loc.window, zspec.gap)[:3]
     outer = idx[np.abs(idx) > loc.k_prime]
     assert outer.tolist() == [r.region_index for r in loc.reports if r.region_index is not None]
@@ -791,9 +831,9 @@ def test_noisy_simple_zero_stops_at_its_round_off_step(zspec):
     # with "no zero of order 1 found near 1"
     coeffs, _ = inverse.solve_inverse(zspec, TargetSpectrum(0, (0.0,) * 6 + (1.0,) * 2))
     ps, _ = solve_direct(zspec, coeffs, LocalizeOptions(window=12, n_trunc=40))
-    near = [(e.mu, e.mult) for e in ps.entries if abs(e.mu) < 2.5]
-    assert [m for _, m in near] == [1, 1, 6, 2]
-    assert np.allclose([mu for mu, _ in near], [-2.0, -1.0, 0.0, 1.0], rtol=0, atol=1e-8)
+    near = np.abs(ps.mu) < 2.5
+    assert ps.mult[near].tolist() == [1, 1, 6, 2]
+    assert np.allclose(ps.mu[near], [-2.0, -1.0, 0.0, 1.0], rtol=0, atol=1e-8)
 
 
 def test_simple_zero_next_to_its_pole_is_not_stopped_early(zspec):
@@ -937,9 +977,9 @@ def test_hard_central_disks_are_seeded_from_their_run(zspec, monkeypatch):
     # order-1 Newton pass
     newton, calls = direct._newton, []
 
-    def newton_spy(cf, seeds, order, tol, shift=None):
+    def newton_spy(cf, seeds, order, shift=None):
         calls.append((order, shift + seeds))
-        return newton(cf, seeds, order, tol, shift)
+        return newton(cf, seeds, order, shift)
 
     monkeypatch.setattr(direct, "_newton", newton_spy)
     shapes = _eigvals_shapes(monkeypatch)
@@ -1249,8 +1289,8 @@ def test_outer_disk_newton_failure_names_its_seed(zspec, monkeypatch):
     # zero, from about 6 + c_6 / (1 - 0.275/6), is forced to fail
     newton = direct._newton
 
-    def fail(cf, seeds, order, tol, shift=None):
-        z, resid, ok = newton(cf, seeds, order, tol, shift)
+    def fail(cf, seeds, order, shift=None):
+        z, resid, ok = newton(cf, seeds, order, shift)
         return z, resid, ok & (shift != 6.0)
 
     monkeypatch.setattr(direct, "_newton", fail)

@@ -62,11 +62,18 @@ def test_validate_base_rejects_bad_junction():
     # head ends at 5.0 but the tail would continue at lambda_2 = 2
     with pytest.raises(errors.NonMonotone):
         validate_base(BaseSpectrum("Z", 0, (0.0, 5.0), AffineTail(1.0, 0.0), 0.5))
+    # head starts at -1.5, below the tail's lambda_{-1} = -1 that precedes it
+    with pytest.raises(errors.NonMonotone, match="continue the head"):
+        validate_base(BaseSpectrum("Z", 0, (-1.5, 1.0), AffineTail(1.0, 0.0), 0.5))
 
 
 def test_validate_base_rejects_overstated_gap():
     with pytest.raises(errors.GapViolation):
         validate_base(BaseSpectrum("Z", 0, (), AffineTail(1.0, 0.0), 1.5))
+    # a declared gap must be positive and finite before any gap is certified
+    for gap in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(errors.GapViolation, match="positive real"):
+            validate_base(BaseSpectrum("Z", 0, (), AffineTail(1.0, 0.0), gap))
 
 
 def test_validate_base_rejects_nonreal_and_bad_kind():
@@ -76,6 +83,9 @@ def test_validate_base_rejects_nonreal_and_bad_kind():
         validate_base(BaseSpectrum("Q", 0, (), AffineTail(1.0, 0.0), 1.0))
     with pytest.raises(errors.NonMonotone):
         validate_base(BaseSpectrum("Z", 0, (), AffineTail(-1.0, 0.0), 1.0))
+    for tail in (AffineTail(math.inf, 0.0), AffineTail(1.0, math.nan)):
+        with pytest.raises(errors.NonReal, match="tail parameters"):
+            validate_base(BaseSpectrum("Z", 0, (), tail, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +249,14 @@ def test_validate_rejects_non_square_summable_tail(zspec):
     )
     with pytest.raises(errors.NonSummable):
         validate_coefficients(coeffs, zspec)
+    # square-summable tails whose c_n sum is not finite: a NaN scale, and
+    # scales whose product overflows
+    for a_scale, b_scale in ((math.nan, 1.0), (1e200, 1e200)):
+        coeffs = dataclasses.replace(
+            coeffs, a_tail=PowerTail(1.0, a_scale, 0.0), b_tail=PowerTail(1.0, b_scale, 0.0)
+        )
+        with pytest.raises(errors.NonSummable, match=r"sum \|c_n\| diverges"):
+            validate_coefficients(coeffs, zspec)
 
 
 def test_validate_rejects_tail_without_index_zero_cover(zspec):
@@ -272,6 +290,19 @@ def test_validate_accepts_finite_zero_tail_instance(zspec):
     assert validate_coefficients(coeffs, zspec) is coeffs
 
 
+def test_validate_rejects_non_finite_head_and_head_below_start(zspec):
+    for bad in (math.nan, complex(1.0, math.inf)):
+        coeffs = dataclasses.replace(finite_coeffs({0: 0.1, 1: 0.2}), b_head=(0.1, bad))
+        with pytest.raises(errors.SchemaError, match="b head contains non-finite"):
+            validate_coefficients(coeffs, zspec)
+    # lambda_n = n over N starts at 1: a head from index 0 lies outside it
+    nspec = validate_base(BaseSpectrum("N", 0, (), AffineTail(1.0, 0.0), 1.0))
+    with pytest.raises(errors.IndexMismatch, match="a head starts at 0, below the index set start 1"):
+        validate_coefficients(finite_coeffs({0: 0.1, 1: 0.2}), nspec)
+    coeffs = finite_coeffs({1: 0.1, 2: 0.2})
+    assert validate_coefficients(coeffs, nspec) is coeffs
+
+
 # ---------------------------------------------------------------------------
 # targets
 
@@ -281,6 +312,16 @@ def test_target_defaults_to_lambda(zspec):
     assert validate_target(target, zspec) is target
     assert target.nu_at(0, zspec) == 0.25
     assert target.nu_at(9, zspec) == 9.0
+
+
+def test_validate_target_rejects_non_finite_head_and_head_below_start(zspec):
+    with pytest.raises(errors.SchemaError, match="non-finite"):
+        validate_target(TargetSpectrum(0, (0.25, complex(math.nan, 0.0))), zspec)
+    nspec = validate_base(BaseSpectrum("N", 0, (), AffineTail(1.0, 0.0), 1.0))
+    with pytest.raises(errors.IndexMismatch, match="below the index set start"):
+        validate_target(TargetSpectrum(0, (0.25,)), nspec)
+    target = TargetSpectrum(1, (0.25,))
+    assert validate_target(target, nspec) is target
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +362,18 @@ def test_json_rejects_unknown_and_missing_fields(zspec):
     del doc["gap"]
     with pytest.raises(errors.SchemaError):
         model.base_from_json(doc)
+    # a document that is not an object, at the top or in a field
+    with pytest.raises(errors.SchemaError, match="BaseSpectrum: expected an object"):
+        model.base_from_json([zspec.gap])
+    doc = model.base_to_json(zspec)
+    doc["lambda_tail"] = 1.0
+    with pytest.raises(errors.SchemaError, match="lambda_tail: expected an object"):
+        model.base_from_json(doc)
+    # a target's tail is always lambda's
+    doc = model.target_to_json(TargetSpectrum(0, (0.25,)))
+    doc["tail"] = "zero"
+    with pytest.raises(errors.SchemaError, match="tail must be 'equals_lambda'"):
+        model.target_from_json(doc)
 
 
 def test_json_rejects_malformed_complex():
@@ -342,3 +395,8 @@ def test_dump_json_deterministic_and_atomic(tmp_path, zspec):
     assert p1.read_bytes() == p2.read_bytes()
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert not leftovers
+    # a write that fails (the target is a directory) leaves no temp file behind
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        model.dump_json(doc, tmp_path / "taken")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json", "taken"]
