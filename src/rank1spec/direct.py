@@ -29,7 +29,6 @@ import math
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import errors
 from .charfn import CharacteristicFunction, compute_Keps
@@ -803,14 +802,60 @@ def _common_hits(lam0, z, match_tol):
     return hits
 
 
+def _assign(cost):
+    """Least-cost assignment of a square cost matrix, by Kuhn's Hungarian
+    method: potentials u, v and one shortest augmenting path per row.
+
+    Returns (rows, cols) as scipy.optimize.linear_sum_assignment does.  The
+    matrices assembly meets are at most a few rows wide, so the loops run on
+    Python floats; scipy would cost more to import than this to run.
+    """
+    a = cost.tolist()
+    n = len(a)
+    u, v = [0.0] * (n + 1), [0.0] * (n + 1)
+    match = [0] * (n + 1)  # match[j]: the row (from 1) on column j (from 1)
+    way = [0] * (n + 1)  # the previous column on the shortest path to j
+    for i in range(1, n + 1):
+        match[0], j0 = i, 0
+        dist, done = [math.inf] * (n + 1), [False] * (n + 1)
+        while match[j0]:
+            done[j0] = True
+            i0 = match[j0]
+            row, ui = a[i0 - 1], u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, n + 1):
+                if not done[j]:
+                    reduced = row[j - 1] - ui - v[j]
+                    if reduced < dist[j]:
+                        dist[j], way[j] = reduced, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            if not j1:
+                raise ValueError("cost matrix is infeasible")
+            for j in range(n + 1):
+                if done[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:
+            match[j0] = match[way[j0]]
+            j0 = way[j0]
+    cols = [0] * n
+    for j in range(1, n + 1):
+        cols[match[j] - 1] = j - 1
+    return np.arange(n), np.array(cols, dtype=int)
+
+
 def assemble_spectrum(spec, coeffs, loc):
     """Merge located zeros with the common spectrum into a PerturbedSpectrum.
 
     Each certified disk's zero is paired with its own index.  A central zero
     within MATCH_RTOL d max(1, |lambda_n|) of a common eigenvalue lambda_n
     raises its multiplicity; the others, one slot per unit of order, go to
-    the I1 indices no disk owns by least total distance, and each entry
-    takes the smallest index it is given.
+    the I1 indices no disk owns by least total distance (Kuhn's Hungarian
+    method, `_assign`), and each entry takes the smallest index it is given.
     """
     window = np.abs(loc.cf.idx) <= loc.window
     idx_all, c_all, lam_all = loc.cf.idx[window], loc.cf.c[window], loc.cf.lam[window]
@@ -837,7 +882,7 @@ def assemble_spectrum(spec, coeffs, loc):
     free = np.flatnonzero(free)
     if len(slot) != len(free):
         raise errors.CountMismatch(f"{len(slot)} zero slots for {len(free)} unowned perturbed indices")
-    rows, cols = linear_sum_assignment(np.abs(where[slot, np.newaxis] - lam_all[free]))
+    rows, cols = _assign(np.abs(where[slot, np.newaxis] - lam_all[free]))
     mu[free[cols]] = where[slot[rows]]
     first = np.full(len(where), len(free))  # each entry's smallest index, by position in free
     np.minimum.at(first, slot[rows], cols)

@@ -250,6 +250,10 @@ def validate_coefficients(coeffs, spec):
                 f"{name} head starts at {off}, below the index set start {spec.start}"
             )
         if tail is not None:
+            if not (math.isfinite(tail.scale) and math.isfinite(tail.phase)):
+                raise errors.SchemaError(
+                    f"{name} tail scale and phase must be finite, got {tail.scale}, {tail.phase}"
+                )
             if not (tail.beta > 0.5):
                 raise errors.NonSummable(
                     f"{name} tail with beta = {tail.beta} is not square summable"

@@ -10,7 +10,6 @@ code with the characteristic-function path.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import errors
 
@@ -85,6 +84,10 @@ def compare_spectra(computed, reference, tol):
         )
     if len(left) == 0:
         return True, 0.0
+    # imported here, so that a solve never loads scipy: its compiled matching
+    # pays off at the sizes compared here, and only here
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(left[:, None] - right[None, :])
     rows, cols = linear_sum_assignment(cost)
     worst = float(cost[rows, cols].max())

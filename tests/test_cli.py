@@ -1,5 +1,9 @@
 import json
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +11,8 @@ from rank1spec import cli, direct, model
 from rank1spec.model import TargetSpectrum
 
 from conftest import finite_coeffs
+
+SRC = str(Path(model.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -228,7 +234,7 @@ def test_rejected_inputs_exit_one_naming_their_error(files, tmp_path, capsys):
     bad_coeffs = [
         (spec, nan_head, "SchemaError: b head contains non-finite"),
         (nspec, coeffs, "IndexMismatch: a head starts at 0"),
-        (spec, dict(coeffs, a_tail=nan_tail, b_tail=nan_tail), "NonSummable: sum |c_n| diverges"),
+        (spec, dict(coeffs, a_tail=nan_tail, b_tail=nan_tail), "SchemaError: a tail scale and phase"),
     ]
     for spec_doc, doc, error in bad_coeffs:
         argv = ["direct", "--spec", _write(bad / "spec.json", spec_doc)]
@@ -250,6 +256,23 @@ def test_rejected_inputs_exit_one_naming_their_error(files, tmp_path, capsys):
     assert _run(argv + ["--out", bad / "taken"]) == 1
     assert capsys.readouterr().err.startswith("InputError")
     assert not [p for p in bad.iterdir() if p.suffix == ".tmp"]
+
+
+def test_non_finite_tail_exits_one_with_warnings_as_errors(files, tmp_path):
+    # a fresh interpreter, so that PYTHONWARNINGS applies from its start: an
+    # infinite scale once stopped on a RuntimeWarning traceback
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    coeffs = json.loads(files["coeffs"].read_text())
+    one = {"beta": 1.0, "scale": 1.0, "phase": 0.0}
+    for name, bad in (("a", dict(one, scale=math.inf)), ("b", dict(one, phase=math.nan))):
+        doc = dict(coeffs, a_tail=one, b_tail=one)
+        doc[f"{name}_tail"] = bad
+        argv = ["direct", "--spec", files["spec"], "--coeffs", _write(tmp_path / "bad.json", doc)]
+        cmd = [sys.executable, "-m", "rank1spec.cli", *map(str, argv)]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"SchemaError: {name} tail scale and phase must be finite")
 
 
 def test_missing_file_exits_one(files):

@@ -696,6 +696,29 @@ def test_common_hits_equal_the_pair_loop():
         assert direct._common_hits(lam0, z, tol).tolist() == _common_hits_by_loop(lam0, z, tol)
 
 
+def test_assign_reaches_the_least_total_cost_of_scipy():
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = direct._assign(np.zeros((0, 0)))
+    assert rows.shape == cols.shape == (0,)
+    with pytest.raises(ValueError, match="infeasible"):
+        direct._assign(np.array([[1.0, np.nan], [np.nan, np.nan]]))
+    rng = np.random.default_rng(17)
+    for n in range(9):
+        for trial in range(40):
+            cost = rng.uniform(0.0, 3.0, (n, n))
+            if trial % 4 == 1:
+                cost = np.round(cost)  # ties between whole assignments
+            elif trial % 4 == 2 and n:
+                cost = cost[rng.integers(0, n, n)]  # repeated rows: one slot per unit of order
+            elif trial % 4 == 3 and n:
+                cost = np.round(cost[rng.integers(0, n, n)], 1)
+            rows, cols = direct._assign(cost)
+            assert rows.tolist() == list(range(n)) and sorted(cols.tolist()) == list(range(n))
+            best_rows, best_cols = linear_sum_assignment(cost)
+            assert abs(cost[rows, cols].sum() - cost[best_rows, best_cols].sum()) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # batched Newton
 

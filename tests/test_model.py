@@ -249,14 +249,31 @@ def test_validate_rejects_non_square_summable_tail(zspec):
     )
     with pytest.raises(errors.NonSummable):
         validate_coefficients(coeffs, zspec)
-    # square-summable tails whose c_n sum is not finite: a NaN scale, and
-    # scales whose product overflows
-    for a_scale, b_scale in ((math.nan, 1.0), (1e200, 1e200)):
-        coeffs = dataclasses.replace(
-            coeffs, a_tail=PowerTail(1.0, a_scale, 0.0), b_tail=PowerTail(1.0, b_scale, 0.0)
-        )
-        with pytest.raises(errors.NonSummable, match=r"sum \|c_n\| diverges"):
-            validate_coefficients(coeffs, zspec)
+    # square-summable finite tails whose c_n sum is not finite: their scales'
+    # product overflows
+    coeffs = dataclasses.replace(
+        coeffs, a_tail=PowerTail(1.0, 1e200, 0.0), b_tail=PowerTail(1.0, 1e200, 0.0)
+    )
+    with pytest.raises(errors.NonSummable, match=r"sum \|c_n\| diverges"):
+        validate_coefficients(coeffs, zspec)
+
+
+def test_validate_rejects_non_finite_tail_scale_and_phase(zspec):
+    coeffs = finite_coeffs({0: 0.25, 1: 0.1})
+    tail = PowerTail(1.0, 1.0, 0.0)
+    for bad in (
+        PowerTail(1.0, math.nan, 0.0),
+        PowerTail(1.0, math.inf, 0.0),
+        PowerTail(1.0, -math.inf, 0.0),
+        PowerTail(1.0, 1.0, math.nan),
+        PowerTail(1.0, 1.0, math.inf),
+    ):
+        for name, bad_coeffs in (
+            ("a", dataclasses.replace(coeffs, a_tail=bad, b_tail=tail)),
+            ("b", dataclasses.replace(coeffs, a_tail=tail, b_tail=bad)),
+        ):
+            with pytest.raises(errors.SchemaError, match=f"{name} tail scale and phase must be finite"):
+                validate_coefficients(bad_coeffs, zspec)
 
 
 def test_validate_rejects_tail_without_index_zero_cover(zspec):
