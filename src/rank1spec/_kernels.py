@@ -16,13 +16,13 @@ _CHUNK = 2**16
 
 def _sums(c, lam, z, p, shift, rho):
     # terms x points: numpy reduces a wider array row by row, term by term in
-    # input order, but a single column pairwise; a lone point is therefore
-    # doubled so that its sums take the same order as any other point's
+    # input order, but a single column pairwise; a lone point's column is
+    # therefore doubled so that its sums take the same order as any other
+    # point's
     n = len(z)
+    diff = (lam[:, np.newaxis] - shift) - z
     if n == 1:
-        z, shift, rho = (None if x is None else np.repeat(x, 2) for x in (z, shift, rho))
-    col = lam[:, np.newaxis]
-    diff = (col if shift is None else col - shift) - z
+        diff = np.concatenate((diff, diff), axis=1)
     t = c[:, np.newaxis] / diff
     rows = [t.sum(axis=0)[:n]]
     for _ in range(p):  # repeated quotients: a complex power costs more
@@ -49,18 +49,19 @@ def taylor(c, lam, z, p, shift=0.0, rho=None):
     np.errstate.  The terms c/d are F's as written, with no reciprocal's
     extra rounding; the shift is one number or one per point, each d_kj two
     roundings either way, so a point's sums do not depend on the others'.
+    The points go to _sums as they are, in blocks of at most _CHUNK
+    terms x points products when there are more.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if np.ndim(shift):
-        shift = np.asarray(shift, dtype=float)
-    else:
-        lam, shift = (lam - shift if shift else lam), None
     step = max(2, _CHUNK // max(1, len(c)))  # two points or more, so a lone point is rare
+    if len(z) <= step:
+        return _sums(c, lam, z, p, shift, rho)
+    shift = np.asarray(shift, dtype=float)
     chunks = [
-        _sums(c, lam, z[b], p, None if shift is None else shift[b], None if rho is None else rho[b])
-        for b in (slice(i, i + step) for i in range(0, max(len(z), 1), step))
+        _sums(c, lam, z[b], p, shift[b] if shift.ndim else shift, None if rho is None else rho[b])
+        for b in (slice(i, i + step) for i in range(0, len(z), step))
     ]
-    return chunks[0] if len(chunks) == 1 else [np.concatenate(r) for r in zip(*chunks)]
+    return [np.concatenate(r) for r in zip(*chunks)]
 
 
 def pole_sum(c, lam, z, p=1, shift=0.0):

@@ -129,7 +129,8 @@ class CharacteristicFunction:
         as (lambda_n - shift) - z, which keeps full precision when |z| is
         many orders below |shift|.
         """
-        s, s1 = _kernels.pole_sum(self.c1, self.lam1, z, order + 1, shift)
+        rows = _kernels.taylor(self.c1, self.lam1, z, order + 1, shift)
+        s, s1 = rows[order], rows[order + 1]
         if order == 0:
             return 1.0 + s, s1
         return math.factorial(order) * s, math.factorial(order + 1) * s1
@@ -166,15 +167,18 @@ def compute_Keps(spec, coeffs, eps):
     if not (0 < eps < d / 2):
         raise errors.EpsOutOfRange(f"eps must satisfy 0 < eps < d/2 = {d / 2:.6g}")
     h = coeffs.head_radius()
-    # c_tail_sum(n) for n = 0..h from one c_at pass over the head: the sum
-    # of |c_k| over n < |k| <= h, formed from the outside in, plus the
-    # generator tail beyond h
-    k = np.arange(1, h + 1)
+    # |c_n| over the head in index order, from one c_at pass (over N from
+    # index 1, as c_tail_sum counts, or from the start when that is lower):
+    # c_tail_sum(n) for n = 0..h is the sum of |c_k| over n < |k| <= h,
+    # formed from the outside in, plus the generator tail beyond h, and K''s
+    # head sum is a slice of the same array
+    lo = -h if spec.index_kind == INDEX_Z else min(1, spec.start)
+    absc = np.abs(np.atleast_1d(coeffs.c_at(np.arange(lo, h + 1))))
     if spec.index_kind == INDEX_Z:
-        absc = np.abs(np.atleast_1d(coeffs.c_at(np.concatenate([-k, k])))).reshape(2, h).sum(axis=0)
+        shell = absc[:h][::-1] + absc[h + 1 :]  # |c_-k| + |c_k|, k = 1..h
     else:
-        absc = np.abs(np.atleast_1d(coeffs.c_at(k)))
-    head = np.append(np.cumsum(absc[::-1])[::-1], 0.0)
+        shell = absc[1 - lo :]
+    head = np.append(np.cumsum(shell[::-1])[::-1], 0.0)
     below = np.flatnonzero(head + coeffs.c_tail_sum(h, spec.index_kind) < eps)
     k_eps = int(below[0]) if len(below) else None
     if k_eps is None:
@@ -190,8 +194,11 @@ def compute_Keps(spec, coeffs, eps):
         while n > h + 1 and coeffs.c_tail_sum(n - 1, spec.index_kind) < eps:
             n -= 1
         k_eps = n
-    idx = spec.window_indices(k_eps)
-    head_sum = float(np.sum(np.abs(np.atleast_1d(coeffs.c_at(idx))))) if len(idx) else 0.0
+        inside = np.abs(np.atleast_1d(coeffs.c_at(spec.window_indices(k_eps))))
+    else:
+        idx = spec.window_indices(k_eps)
+        inside = absc[idx[0] - lo : idx[-1] - lo + 1] if len(idx) else absc[:0]
+    head_sum = float(np.sum(inside))
     if head_sum == 0.0:
         return k_eps, k_eps + 1
     k_prime = k_eps + 1 + int(math.floor(head_sum / (eps * d)))

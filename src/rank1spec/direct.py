@@ -14,13 +14,16 @@ as in the paper's proof of the enclosure, and a central one takes the
 radius that suits its own model.  The central rectangle Q_{K'} is checked
 by the same inequality against 1.  An outer disk must certify; a central
 one that does not is left to the eigen-seeds.  One Newton pass, one kernel
-call a step, then polishes every simple zero: each certified disk's from
-c_k / beta_k about lambda_k, the rest from the eigenvalues of one
-diagonal-plus-rank-one matrix over the uncertified indices, with every
-other zero divided out of F (a deflated secular equation).  A disk whose
-zero fails raises; the zeros left in the rectangle are grouped into
-multiple zeros, and each one's order is certified on a small circle of its
-own, clear of the certified disks, all circles walked together.
+call a step and one more for the residuals, then polishes every simple
+zero: each certified disk's from the root w_k of its local model taken
+one order further, beta_k w + beta'_k w^2 = c_k, about lambda_k; the rest
+from the eigenvalues of one diagonal-plus-rank-one matrix over the
+uncertified indices, with every other zero divided out of F (a deflated
+secular equation).  A disk whose zero fails raises; the zeros left in the
+rectangle are grouped into multiple zeros, and each one's order is
+certified on a small circle of its own, clear of the certified disks, all
+circles walked together.  A solve whose disks all certify (the common
+case) runs no eigenvalue problem, arc walk or assignment.
 """
 
 from collections import namedtuple
@@ -147,7 +150,8 @@ def _gamma(m):
 def _rouche(cf, idx, lam, c, r, shrink=None):
     """Rouche margins min |G_k| - S_k on the circles |z - lambda_k| = rho_k
     around the indices idx (lambda_k = lam, c_k = c), whether each certifies
-    its disk, and the local model (beta_k, rho_k): arrays over the disks.
+    its disk, and the local model (beta_k, beta'_k, rho_k): arrays over the
+    disks.
 
     G_k = beta_k + c_k / (lambda_k - z) is F with every other term expanded
     to first order about lambda_k: beta_k = 1 + sum_{n != k} c_n / (lambda_n
@@ -161,6 +165,10 @@ def _rouche(cf, idx, lam, c, r, shrink=None):
     disk that passes against 1 + c_k / (lambda_k - z) passes here too.  The
     margin is -inf unless |c_k| < rho_k |beta_k| (G_k's zero lies inside),
     every D_n > rho_k for n != k and, with a tail, delta_k > rho_k.
+
+    The next order's coefficient, beta'_k = sum_{n != k} c_n / (lambda_n -
+    lambda_k)^2, comes from the same reciprocals; it seeds Newton (_disks),
+    and the certificate does not use it.
 
     rho_k is r, or where shrink is set min(r, (|c_k| / S0_k)^(1/2)) with
     S0_k = sum_{n != k} |c_n| / D_n^2: the radius that maximises |beta_k| -
@@ -190,6 +198,7 @@ def _rouche(cf, idx, lam, c, r, shrink=None):
     size = np.empty(len(idx))  # sum_{n != k} |c_n| / D_n
     nearest = np.empty(len(idx))
     beta = np.empty(len(idx), dtype=complex)
+    slope = np.empty(len(idx), dtype=complex)  # beta'_k
     per_block = max(1, ROUCHE_BLOCK // max(1, len(absc)))
     for i in range(0, len(idx), per_block):
         b = slice(i, i + per_block)
@@ -197,9 +206,14 @@ def _rouche(cf, idx, lam, c, r, shrink=None):
         diff[cf.idx1 == idx[b, np.newaxis]] = np.inf  # the k-th term is G_k's
         recip = 1.0 / diff
         beta[b] = 1.0 + (recip @ parts).view(complex)[:, 0]
+        square = recip * recip
+        slope[b] = (square @ parts).view(complex)[:, 0]
         if shrink is not None:
-            local = np.sqrt(absc_k[b] / ((recip * recip) @ absc))
+            local = np.sqrt(absc_k[b] / (square @ absc))
             rho[b] = np.where(shrink[b], np.fmin(r, local), r)
+        # freed before the block's next temporaries: one more block-sized
+        # array alive made _rouche a third slower at window 400
+        del square
         inv = np.abs(recip)
         size[b] = inv @ absc
         den = np.abs(diff) - rho[b, np.newaxis]
@@ -216,7 +230,7 @@ def _rouche(cf, idx, lam, c, r, shrink=None):
     modulus = _modulus(beta)
     margin = np.where(ok & (pole < modulus), modulus - pole - s, -np.inf)
     certified = ok & ((s + pole + gamma * (1.0 + size)) * (1.0 + gamma) < modulus * (1.0 - gamma))
-    return margin, certified, (beta, rho)
+    return margin, certified, (beta, slope, rho)
 
 
 def _pole_distance_to_rect(rect, poles):
@@ -418,49 +432,58 @@ def _newton(cf, seeds, order, shift=None):
         shift = _shift(cf, w)
         w = w - shift
     deriv = order - 1
-    total = float(np.sum(np.abs(cf.c1)))
+    total = float(np.abs(cf.c1).sum())
     resid_tol = NEWTON_RTOL * (1.0 + total) if deriv == 0 else np.inf
     reach = 2.0 * (total + cf.tail_total) if deriv == 0 else np.inf
     start = shift + w
-    scale = 1.0 + np.abs(shift)
-    step = np.full(len(w), np.inf, dtype=complex)
-    ok = np.ones(len(w), dtype=bool)
-    live = np.arange(len(w))
+    failed = np.zeros(len(w), dtype=bool)
+    # the points still moving: positions, offsets w, shifts, scales 1 + |shift|
+    # and the size of each one's last step; np.count_nonzero tests a mask for
+    # any True at a third of ndarray.any's cost
+    live, wl, sl = np.arange(len(w)), w, shift
+    scale, last = 1.0 + np.abs(shift), np.full(len(w), np.inf)
     for _ in range(NEWTON_MAX_ITER):
         if not len(live):
             break
-        wl = w[live]
-        g, gp = cf.value_pair(wl, deriv, shift[live])
-        new_step = g / gp
+        g, gp = cf.value_pair(wl, deriv, sl)
+        step = g / gp
         # where F^(order) vanishes the point moves by 1e-9 (1 + |w|) instead,
-        # with no stop or divergence test and its last step kept
+        # with no stop or divergence test and its last step size kept
         flat = gp == 0
-        any_flat = flat.any()
+        any_flat = np.count_nonzero(flat)
         if any_flat:
-            new_step[flat] = -1e-9 * (1.0 + _modulus(wl[flat]))
-        wl -= new_step
-        w[live] = wl
-        size, offset = _modulus(new_step), _modulus(wl)
-        done = (size < 1e-16 * (scale[live] + offset)) & (_modulus(g) <= resid_tol)
-        diverged = ~done & ~(size <= 10.0 * (_modulus(step[live]) + 1.0))
+            step[flat] = -1e-9 * (1.0 + _modulus(wl[flat]))
+        wl = wl - step
+        size, offset = _modulus(step), _modulus(wl)
+        done = (size < 1e-16 * (scale + offset)) & (_modulus(g) <= resid_tol)
+        diverged = ~(done | (size <= 10.0 * (last + 1.0)))
         far = offset > reach
-        if far.any():
+        if np.count_nonzero(far):
             j = live[far]
-            lost = _nearest_pole(cf, shift[j] + w[j]) > np.maximum(reach, _nearest_pole(cf, start[j]))
+            lost = _nearest_pole(cf, sl[far] + wl[far]) > np.maximum(reach, _nearest_pole(cf, start[j]))
             diverged[far] |= lost & ~done[far]
         if any_flat:
             done &= ~flat
             diverged &= ~flat
-            new_step[flat] = step[live[flat]]
-        ok[live[diverged]] = False
-        step[live] = new_step
-        live = live[~(done | diverged)]
+            size[flat] = last[flat]
+        last = size
+        stop = done | diverged
+        if np.count_nonzero(stop):
+            w[live[stop]] = wl[stop]
+            failed[live[diverged]] = True
+            move = ~stop
+            live, wl, sl, scale, last = live[move], wl[move], sl[move], scale[move], last[move]
     if len(live):
-        size = _modulus(step[live])
-        _, gp = cf.value_pair(w[live], deriv, shift[live])
-        noise = math.factorial(deriv) * _noise(cf, shift[live] + w[live], [deriv])[:, 0]
+        w[live] = wl
+        _, gp = cf.value_pair(wl, deriv, sl)
+        noise = math.factorial(deriv) * _noise(cf, sl + wl, [deriv])[:, 0]
         floor = ROUNDOFF * noise / _modulus(gp)
-        ok[live] = (size <= 1e-12 * (1.0 + np.abs(shift[live]))) | (size <= floor)
+        failed[live] = ~((last <= 1e-12 * (1.0 + np.abs(sl))) | (last <= floor))
+    ok = ~failed
+    # one more kernel pass for |F| at the points returned, not at the iterates
+    # before their last steps, whose values the loop already has: returned,
+    # those put the roundtrip benchmark's worst deviation (seeds 1-4) at
+    # 9.4e-16, not 2.8e-16
     resid = np.full(len(w), np.nan)
     resid[ok] = _modulus(cf.value_pair(w[ok], 0, shift[ok])[0])
     if deriv == 0:
@@ -688,22 +711,32 @@ def _disks(cf, k_prime, window, d):
     naming its margin.  A central disk takes the radius of its own that
     _rouche chooses (at most d/2), and one that does not certify leaves its
     zero to the eigen-seeds (_hard_seeds).  Near lambda_k, F(lambda_k + w)
-    is about beta_k - c_k / w, so a certified disk's zero is about lambda_k
-    + w_k, w_k = c_k / beta_k (read only where the disk certifies).
+    is about beta_k - c_k / w + beta'_k w (_rouche's beta'_k), so a
+    certified disk's zero is about lambda_k + w_k with beta_k w_k + beta'_k
+    w_k^2 = c_k: w_k = 2 c_k / (beta_k + sqrt(beta_k^2 + 4 beta'_k c_k)),
+    the root nearest c_k / beta_k, with the square root's sign that gives
+    the larger denominator (Re(beta_k conj(root)) >= 0).  The quadratic
+    removes the first-order seed's error, about beta'_k c_k^2 / beta_k^3.
+    w_k is read only where the disk certifies, and there it is finite:
+    that sign makes |beta_k + root|^2 >= |beta_k|^2 + |root|^2, and Rouche
+    holds |c_k| < rho_k |beta_k|, so |w_k| < 2 rho_k.
     """
     size = np.abs(cf.idx)
     keep = (size <= window) & ((size > k_prime) | (cf.c != 0))
     idx, lam, c = cf.idx[keep], cf.lam[keep], cf.c[keep]
     outer = np.abs(idx) > k_prime
-    margin, certified, (beta, rho) = _rouche(cf, idx, lam, c, 0.5 * d, ~outer)
+    margin, certified, (beta, slope, rho) = _rouche(cf, idx, lam, c, 0.5 * d, ~outer)
     failed = ~certified & outer
     if failed.any():
         j = np.argmax(failed)
         raise errors.CertificationFailed(
             f"disk around index {idx[j]} failed to certify (Rouche margin {margin[j]:.3g})"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return idx, lam, c, c / beta, rho, certified
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = np.sqrt(beta * beta + 4.0 * slope * c)
+        root[(beta * root.conj()).real < 0.0] *= -1.0  # |beta + root| >= |beta - root|
+        w = 2.0 * c / (beta + root)
+    return idx, lam, c, w, rho, certified
 
 
 def localize_spectrum(spec, coeffs, opts=None):
@@ -747,16 +780,17 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
     hard = ~certified
     outer = np.abs(idx) > k_prime
     m = len(simple)
-    n_hard = int(np.sum(hard))
-    seeds = np.empty(0, dtype=complex)
+    n_hard = np.count_nonzero(hard)
+    shift, start = lam[simple], w[simple]
     if n_hard:
         beyond = np.abs(cf.idx1) > window
-        lam_k = np.concatenate([lam[simple], cf.lam1[beyond]])
-        mu_k = np.concatenate([lam[simple] + w[simple], cf.lam1[beyond] + cf.c1[beyond]])
+        lam_k = np.concatenate([shift, cf.lam1[beyond]])
+        mu_k = np.concatenate([shift + start, cf.lam1[beyond] + cf.c1[beyond]])
         seeds = _hard_seeds(lam[hard], c[hard], lam_k, mu_k)
-    shift = np.concatenate([lam[simple], _shift(cf, seeds)])
-    z, resid, ok = _newton(cf, np.concatenate([w[simple], seeds - shift[m:]]), 1, shift)
-    inside = ok[:m] & (np.abs(z[:m] - lam[simple]) < rho[simple])
+        near = _shift(cf, seeds)
+        shift, start = np.concatenate([shift, near]), np.concatenate([start, seeds - near])
+    z, resid, ok = _newton(cf, start, 1, shift)
+    inside = ok[:m] & (np.abs(z[:m] - shift[:m]) < rho[simple])
     if not inside.all():
         j = np.argmin(inside)
         raise errors.CertificationFailed(
@@ -868,36 +902,40 @@ def assemble_spectrum(spec, coeffs, loc):
 
     # common eigenvalues; a central zero sitting on one raises its multiplicity
     lam0 = lam_all[in_i0].astype(complex)
+    mult0 = np.ones(len(lam0), dtype=int)
+    on = np.zeros(len(lam0), dtype=bool)
     z = np.array([t[0] for t in loc.central], dtype=complex)
     order = np.array([t[1] for t in loc.central], dtype=int)
-    hits = _common_hits(lam0, z, MATCH_RTOL * spec.gap)
-    on = hits >= 0
-    hit = hits[on]
-    mult0 = np.ones(len(lam0), dtype=int)
-    mult0[on] += order[hit]
-    rest = np.ones(len(z), dtype=bool)
-    rest[hit] = False
-    where = np.concatenate([lam0[on], z[rest]])
-    slot = np.repeat(np.arange(len(where)), np.concatenate([order[hit], order[rest]]))
     free = np.flatnonzero(free)
-    if len(slot) != len(free):
-        raise errors.CountMismatch(f"{len(slot)} zero slots for {len(free)} unowned perturbed indices")
-    rows, cols = _assign(np.abs(where[slot, np.newaxis] - lam_all[free]))
-    mu[free[cols]] = where[slot[rows]]
-    first = np.full(len(where), len(free))  # each entry's smallest index, by position in free
-    np.minimum.at(first, slot[rows], cols)
+    if order.sum() != len(free):  # one slot per unit of order
+        raise errors.CountMismatch(f"{order.sum()} zero slots for {len(free)} unowned perturbed indices")
+    paired = free  # the other central zeros' indices; none without central zeros
+    if len(z):
+        hits = _common_hits(lam0, z, MATCH_RTOL * spec.gap)
+        on = hits >= 0
+        hit = hits[on]
+        mult0[on] += order[hit]
+        rest = np.ones(len(z), dtype=bool)
+        rest[hit] = False
+        where = np.concatenate([lam0[on], z[rest]])
+        slot = np.repeat(np.arange(len(where)), np.concatenate([order[hit], order[rest]]))
+        rows, cols = _assign(np.abs(where[slot, np.newaxis] - lam_all[free]))
+        mu[free[cols]] = where[slot[rows]]
+        first = np.full(len(where), len(free))  # each entry's smallest index, by position in free
+        np.minimum.at(first, slot[rows], cols)
+        z, order, paired = z[rest], order[rest], free[first[len(hit):]]
 
     # one row per eigenvalue: the owned zeros, the common eigenvalues, the
     # other central zeros, sorted stably by (re, im)
-    eig = np.concatenate([owned_z, lam0, z[rest]])
+    eig = np.concatenate([owned_z, lam0, z])
     origin = np.full(len(eig), ORIGIN_ZERO)
     origin[len(owned_z):len(owned_z) + len(lam0)] = np.where(on, ORIGIN_BOTH, ORIGIN_COMMON)
     by_mu = np.lexsort((eig.imag, eig.real))
     tail_bound = (spec.gap / (2.0 * loc.eps)) * loc.tail_sum_bound
     return PerturbedSpectrum(
         mu=eig[by_mu],
-        mult=np.concatenate([np.ones(len(owned_z), dtype=int), mult0, order[rest]])[by_mu],
-        paired_index=np.concatenate([owned_idx, idx_all[in_i0], idx_all[free[first[len(hit):]]]])[by_mu],
+        mult=np.concatenate([np.ones(len(owned_z), dtype=int), mult0, order])[by_mu],
+        paired_index=np.concatenate([owned_idx, idx_all[in_i0], idx_all[paired]])[by_mu],
         origin=origin[by_mu],
         index=idx_all,
         paired_mu=mu,

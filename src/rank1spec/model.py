@@ -238,11 +238,10 @@ class PerturbationCoefficients:
 def validate_coefficients(coeffs, spec):
     """Validate square summability, non-degeneracy of explicit indices, and
     the fit between coefficient data and the index set."""
-    for off, head, tail, name in (
-        (coeffs.a_head_offset, coeffs.a_head, coeffs.a_tail, "a"),
-        (coeffs.b_head_offset, coeffs.b_head, coeffs.b_tail, "b"),
+    for off, head, arr, tail, name in (
+        (coeffs.a_head_offset, coeffs.a_head, coeffs._a, coeffs.a_tail, "a"),
+        (coeffs.b_head_offset, coeffs.b_head, coeffs._b, coeffs.b_tail, "b"),
     ):
-        arr = np.asarray(head, dtype=complex)
         if arr.size and not np.all(np.isfinite(arr)):
             raise errors.SchemaError(f"{name} head contains non-finite entries")
         if spec.index_kind == INDEX_N and head and off < spec.start:
@@ -267,6 +266,7 @@ def validate_coefficients(coeffs, spec):
     # degenerate indices are only detectable on explicit entries; generator
     # zero-zero tails encode finite-rank data and are accepted as-is
     h = coeffs.head_radius()
+    head_sum = 0.0  # sum |c_n| over 0 < |n| <= h, from the same a_n and b_n
     if h > 0 or coeffs.a_head or coeffs.b_head:
         idx = spec.window_indices(h)
         a = np.atleast_1d(coeffs.a_at(idx))
@@ -281,7 +281,8 @@ def validate_coefficients(coeffs, spec):
             raise errors.DegenerateIndex(
                 f"a_n = b_n = 0 at explicit index {n_bad}; pre-reduce the input"
             )
-    if not math.isfinite(coeffs.c_tail_sum(0, spec.index_kind)):
+        head_sum = float(np.abs(np.conj(a) * b)[idx != 0].sum())
+    if not math.isfinite(head_sum + coeffs.c_tail_sum(h, spec.index_kind)):
         raise errors.NonSummable("sum |c_n| diverges")
     return coeffs
 

@@ -800,9 +800,10 @@ def test_newton_fails_a_point_that_wanders_past_every_zero(zspec, monkeypatch):
 def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
     # c_6 = 0.01 puts a zero in the outer disk around index 6 (K' = 1), and
     # c_0, c_1 two zeros in central disks that Rouche certifies: all three
-    # seeds lambda_k + c_k / beta_k (about 0.255, 1.1 and 6.0105, the zeros
-    # 0.25, 1.1 and about 6.0105), in index order, are polished by one
-    # order-1 _newton call, with no eigen-seed
+    # seeds lambda_k + w_k, w_k the root of beta_k w + beta'_k w^2 = c_k
+    # (about 0.2510, 1.0994 and 6.0106, the zeros 0.2496, 1.0997 and
+    # 6.0106), in index order, are polished by one order-1 _newton call, with
+    # no eigen-seed
     newton, attempt, calls, attempts = direct._newton, direct._localize_attempt, [], []
 
     def newton_spy(cf, seeds, order, shift=None):
@@ -817,9 +818,87 @@ def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
     monkeypatch.setattr(direct, "_newton", newton_spy)
     monkeypatch.setattr(direct, "_localize_attempt", attempt_spy)
     loc = localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01}), OPTS)
-    assert len(attempts) == 1 and calls == [(1, [0.26, 1.1, 6.01])]
+    assert len(attempts) == 1 and calls == [(1, [0.25, 1.1, 6.01])]
     zeros = {r.region_index: [round(z.real, 2) for z, _, _ in r.zeros] for r in loc.reports if r.zeros}
     assert zeros == {6: [6.01], None: [0.25, 1.1]}
+
+
+def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, monkeypatch):
+    # every disk certifies, so a solve pays for one Newton pass and nothing
+    # else: kernel passes are Newton's steps plus its residual pass, the
+    # coefficients are evaluated once by compute_Keps (head, K_eps and K'
+    # from one c_at) and once by CharacteristicFunction.build (c_at is two
+    # _eval calls, a and b), and lambda_n by build and the central
+    # rectangle's two ends
+    from rank1spec import _kernels
+
+    counts = dict.fromkeys(["sums", "eval", "lambda_at"], 0)
+
+    def counting(key, f):
+        def spy(*args):
+            counts[key] += 1
+            return f(*args)
+
+        return spy
+
+    monkeypatch.setattr(_kernels, "_sums", counting("sums", _kernels._sums))
+    evaluate = counting("eval", PerturbationCoefficients._eval)
+    monkeypatch.setattr(PerturbationCoefficients, "_eval", staticmethod(evaluate))
+    monkeypatch.setattr(BaseSpectrum, "lambda_at", counting("lambda_at", BaseSpectrum.lambda_at))
+    hand = (finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01}), OPTS)
+    batch = (  # shaped like a finite_batch instance: 5 terms on |n| <= 40, window 41
+        finite_coeffs({-31: 0.21 - 0.08j, -4: 0.05 + 0.17j, 9: -0.12 + 0.2j, 17: 0.28j, 30: -0.09 - 0.03j}),
+        LocalizeOptions(window=41, n_trunc=49),
+    )
+    for (coeffs, opts), expected in ((hand, [5, 4, 3]), (batch, [4, 4, 3])):
+        counts.update(dict.fromkeys(counts, 0))
+        ps, loc = solve_direct(zspec, coeffs, opts)
+        assert not loc.central and ps.certified
+        assert list(counts.values()) == expected
+
+
+def test_second_order_seeds_start_nearer_the_zero_than_first_order_ones(zspec):
+    # every certified disk's seed lambda_k + w_k lies nearer its polished
+    # zero than lambda_k + c_k / beta_k did, by half at least; the zeros of
+    # {0: 0.275, 1: 0.075} are 1/4 and 11/10 exactly
+    for c_by_index in (
+        {0: 0.275, 1: 0.075},
+        {0: 0.275, 1: 0.075, 6: 0.01},
+        {-3: 0.2 + 0.1j, 2: -0.15j, 5: 0.05},
+    ):
+        loc = localize_spectrum(zspec, finite_coeffs(c_by_index), OPTS)
+        idx, lam, c, w, rho, certified = direct._disks(loc.cf, loc.k_prime, loc.window, zspec.gap)
+        _, _, (beta, _, _) = direct._rouche(loc.cf, idx, lam, c, 0.5, np.abs(idx) <= loc.k_prime)
+        owned_idx, owned_z, _ = loc.owned
+        assert sorted(owned_idx.tolist()) == sorted(c_by_index) and not loc.central
+        at = np.searchsorted(idx, owned_idx)
+        second = np.abs(lam[at] + w[at] - owned_z)
+        first = np.abs(lam[at] + c[at] / beta[at] - owned_z)
+        assert np.all(second < 0.5 * first), (second, first)
+        assert np.all(np.abs(w[certified]) < 2.0 * rho[certified])
+    loc = localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075}), OPTS)
+    assert np.allclose(loc.owned[1], [0.25, 1.1], rtol=0, atol=1e-15)
+
+
+def test_assembly_gives_the_same_columns_with_and_without_central_zeros(zspec):
+    # c_0 = 0: index 0 is in I0, between the two certified central disks
+    # around -1 and 1.  Handed to assembly as central zeros instead of owned
+    # ones, their zeros go to the free indices -1 and 1 by least distance,
+    # and every column comes out the same
+    coeffs = finite_coeffs({-1: 0.2, 0: 0.0, 1: 0.1 + 0.05j, 6: 0.01})
+    loc = localize_spectrum(zspec, coeffs, OPTS)
+    idx, z, resid = loc.owned
+    inner = np.abs(idx) <= loc.k_prime
+    assert idx[inner].tolist() == [-1, 1] and not loc.central
+    moved = dataclasses.replace(
+        loc,
+        owned=tuple(x[~inner] for x in loc.owned),
+        central=[(complex(a), 1, r) for a, r in zip(z[inner], resid[inner])],
+    )
+    ps, again = assemble_spectrum(zspec, coeffs, loc), assemble_spectrum(zspec, coeffs, moved)
+    assert ps.origin[ps.paired_index == 0].tolist() == [ORIGIN_COMMON]
+    for field in dataclasses.fields(ps):
+        assert np.array_equal(getattr(again, field.name), getattr(ps, field.name)), field.name
 
 
 def test_outer_disks_and_assembly_slice_the_window_data(zspec, monkeypatch):
@@ -993,11 +1072,12 @@ def _eigvals_shapes(monkeypatch):
 
 def test_hard_central_disks_are_seeded_from_their_run(zspec, monkeypatch):
     # K' = 4: the disks around 0 and 1 fail Rouche (the zeros 0.5 -+ 0.44i
-    # lie between the poles), the one around 3 certifies, its seed lambda_3
-    # + c_3 / beta_3 with beta_3 = 1 - 0.45/3 + 0.45/2.  That zero divided
-    # out, the hard zeros are the eigenvalues of the 2 x 2 matrix diag(0, 1)
-    # + c~ 1^T, c~_n = c_n (3 - n) / (mu_3 - n); all three seeds go into one
-    # order-1 Newton pass
+    # lie between the poles), the one around 3 certifies, its seed mu_3 =
+    # lambda_3 + w_3, w_3 the root of beta_3 w + beta'_3 w^2 = c_3 nearest
+    # c_3 / beta_3, with beta_3 = 1 - 0.45/3 + 0.45/2 and beta'_3 = 0.45/9 -
+    # 0.45/4.  That zero divided out, the hard zeros are the eigenvalues of
+    # the 2 x 2 matrix diag(0, 1) + c~ 1^T, c~_n = c_n (3 - n) / (mu_3 - n);
+    # all three seeds go into one order-1 Newton pass
     newton, calls = direct._newton, []
 
     def newton_spy(cf, seeds, order, shift=None):
@@ -1009,7 +1089,8 @@ def test_hard_central_disks_are_seeded_from_their_run(zspec, monkeypatch):
     coeffs = finite_coeffs({0: 0.45, 1: -0.45, 3: 0.05})
     loc = localize_spectrum(zspec, coeffs, OPTS)
     monkeypatch.undo()
-    mu_3 = 3.0 + 0.05 / 1.075
+    beta, slope = 1.0 - 0.45 / 3.0 + 0.45 / 2.0, 0.45 / 9.0 - 0.45 / 4.0
+    mu_3 = 3.0 + 2.0 * 0.05 / (beta + np.sqrt(beta**2 + 4.0 * slope * 0.05))
     c = np.array([0.45 * 3.0 / mu_3, -0.45 * 2.0 / (mu_3 - 1.0)])
     deflated = np.sort_complex(np.linalg.eigvals(np.diag([0.0, 1.0]) + c[:, np.newaxis]))
     assert loc.k_prime == 4 and shapes == [(2, 2)]
@@ -1189,7 +1270,7 @@ def _rouche_checks(iv, zspec, rng, outcomes):
         for r, shrink in ((0.5, None), (float(rng.uniform(0.05, 0.3)), None), (0.5, np.ones(len(idx), bool))):
 
             def check(t):
-                _, certified, (beta, rho) = direct._rouche(cf, idx, lam, t * phase, r, shrink)
+                _, certified, (beta, _, rho) = direct._rouche(cf, idx, lam, t * phase, r, shrink)
                 return certified, beta, rho
 
             lo = np.full(len(idx), 1e-200)
@@ -1205,6 +1286,24 @@ def _rouche_checks(iv, zspec, rng, outcomes):
                 for j in np.flatnonzero(certified):
                     assert _iv_rouche_holds(iv, cf, idx[j], lam[j], t[j] * phase[j], rho[j]), (idx[j], ulps)
                 outcomes.extend(certified[live].tolist())
+
+
+def test_rouche_slope_matches_a_loop_over_the_terms(zspec):
+    # beta'_k = sum_{n != k} c_n / (lambda_n - lambda_k)^2 over cf's terms,
+    # head and power tail alike, for disks inside and beyond the terms
+    from rank1spec.model import PowerTail
+
+    rng = np.random.default_rng(21)
+    tail = PowerTail(beta=1.5, scale=0.2, phase=0.3)
+    head = rng.uniform(-0.2, 0.2, 21) + 1j * rng.uniform(-0.2, 0.2, 21)
+    coeffs = PerturbationCoefficients(-10, (1.0,) * 21, tail, -10, tuple(head), tail)
+    cf = CharacteristicFunction.build(zspec, coeffs, 30)
+    idx = np.arange(-35, 36)
+    lam = idx.astype(float)
+    _, _, (_, slope, _) = direct._rouche(cf, idx, lam, np.atleast_1d(coeffs.c_at(idx)), 0.5)
+    for k, lam_k, got in zip(idx, lam, slope):
+        terms = [c / (l - lam_k) ** 2 for n, l, c in zip(cf.idx1, cf.lam1, cf.c1) if n != k]
+        assert abs(got - sum(terms)) <= 1e-14 * sum(abs(t) for t in terms)
 
 
 def _iv_rect_bound(iv, cf, rect):
