@@ -13,7 +13,7 @@ from .model import (
     validate_target,
 )
 from .charfn import CharacteristicFunction, compute_Keps
-from .direct import LocalizeOptions, assemble_spectrum, localize_spectrum, solve_direct, winding_number
+from .direct import LocalizeOptions, assemble_spectrum, localize_spectrum, solve_direct
 from .inverse import solve_inverse, solve_inverse_fixed_phi, check_F_equals_product
 from .oracle import build_truncation, compare_spectra, dense_eigenvalues
 
@@ -41,5 +41,4 @@ __all__ = [
     "validate_base",
     "validate_coefficients",
     "validate_target",
-    "winding_number",
 ]

@@ -63,9 +63,3 @@ def taylor(c, lam, z, p, shift=0.0, rho=None):
     ]
     return [np.concatenate(r) for r in zip(*chunks)]
 
-
-def pole_sum(c, lam, z, p=1, shift=0.0):
-    """(sum_k c_k / d_kj**p, sum_k c_k / d_kj**(p+1)) with d_kj = (lam_k - s_j) - z_j:
-    the last two rows of taylor (p >= 1; a smaller p counts as 1), F - 1 and F' at p = 1."""
-    p = max(p, 1)
-    return tuple(taylor(c, lam, z, p, shift)[p - 1 :])

@@ -7,6 +7,7 @@ T(N)/delta with delta the exact distance to the nearest pole outside the
 summation window, head eigenvalues included.
 """
 
+import bisect
 from dataclasses import dataclass
 import math
 
@@ -16,6 +17,7 @@ from . import errors, _kernels
 from .model import INDEX_Z
 
 POLE_RTOL = 1e-12  # |z - lambda_n| below this (times scale) counts as a pole hit
+TRUNC_CAP = 32000  # the largest summation window radius a solve builds
 
 
 def first_pole_hit(lam, z):
@@ -37,7 +39,6 @@ class CharacteristicFunction:
     |index| inward, so that the smallest terms accumulate first."""
 
     spec: object
-    coeffs: object
     n_trunc: int
     idx: np.ndarray
     lam: np.ndarray
@@ -59,7 +60,6 @@ class CharacteristicFunction:
         tail = coeffs.c_tail_sum(n_trunc, spec.index_kind)
         return cls(
             spec=spec,
-            coeffs=coeffs,
             n_trunc=int(n_trunc),
             idx=idx,
             lam=lam,
@@ -112,13 +112,12 @@ class CharacteristicFunction:
             dist = np.minimum(dist, np.abs(near - z).min(axis=0))
         return dist
 
-    def tail_bound_at(self, z, order=0):
-        """Bound on the discarded tail of F^(order) at the points z."""
+    def tail_bound_at(self, z):
+        """Bound on the discarded tail of F at the points z."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         if self.tail_total == 0.0:
             return np.zeros(len(z))
-        delta = self.delta_unrepresented(z)
-        return self.tail_total * math.factorial(order) / delta ** (order + 1)
+        return self.tail_total / self.delta_unrepresented(z)
 
     # -- evaluation --------------------------------------------------------
 
@@ -145,7 +144,7 @@ class CharacteristicFunction:
 
     def values(self, z):
         """F at an array of points (no pole checking, no bounds)."""
-        return 1.0 + _kernels.pole_sum(self.c1, self.lam1, z)[0]
+        return 1.0 + _kernels.taylor(self.c1, self.lam1, z, 0)[0]
 
     def derivative_values(self, z, order=1):
         """F^(order) at an array of points (F itself at order 0)."""
@@ -161,7 +160,8 @@ def compute_Keps(spec, coeffs, eps):
 
     K_eps is the smallest radius N with sum_{|n|>N} |c_n| < eps;
     K_eps_prime the smallest K' > K_eps with
-    sum_{|n|<=K_eps} |c_n| / ((K' - K_eps) * d) < eps.
+    sum_{|n|<=K_eps} |c_n| / ((K' - K_eps) * d) < eps.  A K_eps beyond
+    TRUNC_CAP (a tail that decays too slowly) raises WindowExceeded.
     """
     d = spec.gap
     if not (0 < eps < d / 2):
@@ -182,18 +182,16 @@ def compute_Keps(spec, coeffs, eps):
     below = np.flatnonzero(head + coeffs.c_tail_sum(h, spec.index_kind) < eps)
     k_eps = int(below[0]) if len(below) else None
     if k_eps is None:
-        # head exhausted; only the generator tail remains (from radius h + 1)
-        tail = coeffs.c_tail
-        gamma = tail.beta
-        sides = 2.0 if spec.index_kind == INDEX_Z else 1.0
-        # integral bound: sides * scale * N^(1-gamma)/(gamma-1) < eps
-        n0 = (sides * abs(tail.scale) / (eps * (gamma - 1.0))) ** (1.0 / (gamma - 1.0))
-        n = max(h + 1, int(math.ceil(n0)))
-        while coeffs.c_tail_sum(n, spec.index_kind) >= eps:
-            n += 1
-        while n > h + 1 and coeffs.c_tail_sum(n - 1, spec.index_kind) < eps:
-            n -= 1
-        k_eps = n
+        # head exhausted: only the generator tail is left beyond h, and its
+        # sum falls with the radius; bisect for the first radius below eps,
+        # up to the largest window a solve can build
+        small = lambda n: coeffs.c_tail_sum(n, spec.index_kind) < eps
+        k_eps = h + 1 + bisect.bisect_left(range(h + 1, TRUNC_CAP + 1), True, key=small)
+        if k_eps > TRUNC_CAP:
+            raise errors.WindowExceeded(
+                f"K_eps exceeds {TRUNC_CAP}: the c_n beyond radius {TRUNC_CAP} sum to "
+                f"{coeffs.c_tail_sum(TRUNC_CAP, spec.index_kind):.3g}, not below eps = {eps:.3g}"
+            )
         inside = np.abs(np.atleast_1d(coeffs.c_at(spec.window_indices(k_eps))))
     else:
         idx = spec.window_indices(k_eps)

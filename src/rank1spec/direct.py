@@ -34,7 +34,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import errors
-from .charfn import CharacteristicFunction, compute_Keps
+from .charfn import TRUNC_CAP, CharacteristicFunction, compute_Keps
 from .model import (
     INDEX_Z,
     ORIGIN_BOTH,
@@ -49,7 +49,6 @@ ARC_SPLITS = 16  # bisections of an arc before its circle counts as not certifie
 # disks x terms products per block of the Rouche check: 512 KB float temporaries
 ROUCHE_BLOCK = 2**16
 UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
-TRUNC_CAP = 32000  # n_trunc doubles up to this before localization gives up
 CLUSTER_RTOL = 1e-6  # zeros closer than this times d form one cluster
 # round-off scatters an order-m zero's roots within this times the radius
 # (eta_j / |F^(m)/m!|)^(1/(m-j)) set by the noise eta_j of each F^(j)/j!
@@ -109,7 +108,6 @@ class LocalizationResult:
     central: list
     outer: tuple
     rect: Rectangle
-    k_eps: int
     k_prime: int
     window: int
     eps: float
@@ -274,7 +272,7 @@ def _rouche_rect(cf, rect):
 @np.errstate(divide="ignore", invalid="ignore")
 def _arc_test(cf, w, shift, rho, p):
     """Ying & Katz's test of the arcs from the nodes z = shift + w with
-    chords rho: (a_0, passed), arrays over the arcs.
+    chords rho: (a_0, passed, hopeless), arrays over the arcs.
 
     With a_j = F^(j)(z)/j! (F cut to the window) and D_n = |lambda_n - z|,
     |F - a_0| <= S = sum_{1<=j<=p} |a_j| rho^j + sum_n |c_n| (rho/D_n)^(p+1)
@@ -288,20 +286,26 @@ def _arc_test(cf, w, shift, rho, p):
     (lambda_n - shift) - w (kappa_d = 2 + |w| / D_n), two a term for the
     sums, ceil(kappa_g (kappa_d + 6)) for D_n - rho and delta - rho (kappa_g
     = (D + rho) / (D - rho)), and 12 for |a_0|, rho^j and the comparison.
+
+    hopeless marks a node where the tail term's limit T / delta alone
+    reaches |a_0|: S exceeds it at every chord, so no arc from that node
+    passes, however short.
     """
     a, (b, rem, nearest) = cf.taylor(w, p, shift, rho)
+    hopeless = np.zeros(len(rho), dtype=bool)
     ok = nearest > rho
     kappa_g = (nearest + rho) / (nearest - rho)
     s = (np.abs(a[1:]) * rho ** np.arange(1, p + 1)[:, np.newaxis]).sum(axis=0) + rem
     if cf.tail_total > 0.0:
         delta = cf.delta_unrepresented(shift + w)
+        hopeless = cf.tail_total / delta >= _modulus(a[0])
         ok &= delta > rho
         s += cf.tail_total / (delta - rho)
         kappa_g = np.maximum(kappa_g, (delta + rho) / (delta - rho))
     kappa_d = np.ceil(2.0 + _modulus(w) / nearest)
     gamma = _gamma(2 * len(cf.c1) + 2 * (p + 1) * (kappa_d + 12) + np.ceil(kappa_g * (kappa_d + 6)) + 12)
     s += gamma * b
-    return a[0], ok & (s * (1.0 + gamma) < _modulus(a[0]) * (1.0 - gamma))
+    return a[0], ok & (s * (1.0 + gamma) < _modulus(a[0]) * (1.0 - gamma)), hopeless
 
 
 def _arc_walk(cf, centers, radii, p, arcs=ARC_START):
@@ -312,7 +316,11 @@ def _arc_walk(cf, centers, radii, p, arcs=ARC_START):
     Each circle starts as `arcs` equal arcs, its nodes shifted by the window
     eigenvalue nearest its centre.  An arc passes _arc_test at its first
     node, its chord for rho (the disk of radius rho there holds the arc and
-    the chord); one that fails is bisected, ARC_SPLITS times at most.  When
+    the chord); one that fails is bisected, ARC_SPLITS times at most.  Each
+    split keeps a first half from the same node, so an arc that fails with
+    a chord no longer than the float spacing there, or at a node where the
+    tail term alone reaches |a_0| (_arc_test's hopeless), fails its circle
+    at once: no split of it could pass.  When
     all pass, F(z_next) / a_0 and F(z_next) / a_0_next both have positive
     real parts, so F's argument changes along each arc by the principal
     arg(a_0_next / a_0): their sum over 2 pi is the count.  One p serves
@@ -332,11 +340,9 @@ def _arc_walk(cf, centers, radii, p, arcs=ARC_START):
     passed, failed = [], np.zeros(n, dtype=bool)  # (circle, start, a_0) of the arcs that passed
     for split in range(ARC_SPLITS + 1):
         rho = _modulus(w1 - w0)
-        a0, ok = _arc_test(cf, w0, shift[k], rho, p)
+        a0, ok, hopeless = _arc_test(cf, w0, shift[k], rho, p)
         passed.append((k[ok], t0[ok], a0[ok]))
-        # an arc that fails with a chord no longer than the float spacing at
-        # its node cannot be split: its circle is not certified, at once
-        failed[k[~ok & (rho <= np.spacing(_modulus(w0)))]] = True
+        failed[k[~ok & (hopeless | (rho <= np.spacing(_modulus(w0))))]] = True
         bad = ~ok & ~failed[k]
         if not bad.any() or split == ARC_SPLITS:
             failed[k[bad]] = True
@@ -740,33 +746,42 @@ def _disks(cf, k_prime, window, d):
 
 
 def localize_spectrum(spec, coeffs, opts=None):
-    """Locate all zeros of F in the enclosure Q_{K'} union outer disks."""
+    """Locate all zeros of F in the enclosure Q_{K'} union outer disks.
+
+    K', the window and the central rectangle are fixed once; F is summed
+    over max(n_trunc, window + 8), doubled up to TRUNC_CAP while an attempt
+    fails and some nonzero c_n lies beyond it.
+    """
     if opts is None:
         opts = LocalizeOptions()
     d = spec.gap
     eps = d / (2.0 + d)
-    n_trunc = opts.n_trunc
+    _, k_prime = compute_Keps(spec, coeffs, eps)
+    window = max(opts.window, k_prime)
+    # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
+    rect = _central_rectangle(spec, k_prime, d)
+    n_trunc = max(opts.n_trunc, window + 8)
     while True:
+        cf = CharacteristicFunction.build(spec, coeffs, n_trunc)
         try:
-            return _localize_attempt(spec, coeffs, opts, n_trunc, eps, d)
+            found = _localize_attempt(cf, k_prime, window, rect, d)
         except errors.CertificationFailed as exc:
             # with every nonzero c_n summed, a larger n_trunc gives the same F
-            if coeffs.c_tail_sum(n_trunc, spec.index_kind) == 0.0:
+            if cf.tail_total == 0.0:
                 raise
             if n_trunc * 2 > TRUNC_CAP:
                 raise errors.CertificationFailed(
                     f"escalation exhausted (n_trunc {n_trunc}): {exc}"
                 )
             n_trunc *= 2
+            continue
+        tail_sum = coeffs.c_tail_sum(window, spec.index_kind)
+        return LocalizationResult(*found, rect, k_prime, window, eps, tail_sum, cf)
 
 
-def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
-    k_eps, k_prime = compute_Keps(spec, coeffs, eps)
-    window = max(opts.window, k_prime)
-    cf = CharacteristicFunction.build(spec, coeffs, max(n_trunc, window + 8))
+def _localize_attempt(cf, k_prime, window, rect, d):
+    """(owned, central, outer) of LocalizationResult from F cut to cf's window."""
     idx, lam, c, w, rho, certified = _disks(cf, k_prime, window, d)
-    # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
-    rect = _central_rectangle(spec, k_prime, d)
     margin, rect_certified = _rouche_rect(cf, rect)
     if not rect_certified:
         raise errors.CertificationFailed(
@@ -803,18 +818,7 @@ def _localize_attempt(spec, coeffs, opts, n_trunc, eps, d):
         disks = (lam[inner], rho[inner])
         polished = (z[m:], resid[m:], ok[m:])
         central = _central_zeros(cf, rect, seeds, polished, n_hard, d, disks)
-    return LocalizationResult(
-        owned=(idx[simple], z[:m], resid[:m]),
-        central=central,
-        outer=(idx[outer], lam[outer], rho[outer]),
-        rect=rect,
-        k_eps=k_eps,
-        k_prime=k_prime,
-        window=window,
-        eps=eps,
-        tail_sum_bound=coeffs.c_tail_sum(window, spec.index_kind),
-        cf=cf,
-    )
+    return (idx[simple], z[:m], resid[:m]), central, (idx[outer], lam[outer], rho[outer])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Inverse spectral problem: coefficients realizing a prescribed spectrum.
 
-Three steps: form the finite product F~(z) = prod (nu_n - z)/(lambda_n - z)
-over the deviating indices, read off its residues -c_n at the poles, and
+Two steps: form the finite product F~(z) = prod (nu_n - z)/(lambda_n - z)
+over the deviating indices with its residues -c_n at the poles, then
 synthesize Fourier coefficients with conj(a_n) b_n = c_n.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import cmath
 import math
 
@@ -18,11 +18,14 @@ from .model import PerturbationCoefficients, PowerTail
 
 @dataclass(frozen=True)
 class ProductFunction:
+    """F~(z) = prod (nu_n - z)/(lambda_n - z) over the deviating indices,
+    with its residues: c1[j] = -Res F~ at lambda_n, n = i1[j]."""
+
     spec: object
-    target: object
     i1: tuple  # indices with nu_n != lambda_n, increasing
     nu1: tuple
     lam1: tuple
+    c1: tuple
 
     def eval_product(self, z):
         """Exact finite product over the deviating indices, at a point or an
@@ -64,61 +67,62 @@ def split_target(spec, target):
 
 
 def build_product(spec, target):
-    i0, i1, normalized = split_target(spec, target)
-    nu1 = tuple(normalized[n] for n in i1)
-    lam1 = tuple(spec.lambda_at(np.array(i1, dtype=int)).tolist())
-    return ProductFunction(spec=spec, target=target, i1=tuple(i1), nu1=nu1, lam1=lam1)
+    """The product over the deviating indices and its residues
 
-
-def residues(pf):
-    """c_n = (nu_n - lambda_n) * prod_{m != n} (nu_m - lambda_n)/(lambda_m - lambda_n).
+    c_n = (nu_n - lambda_n) * prod_{m != n} (nu_m - lambda_n)/(lambda_m - lambda_n).
 
     Factors are multiplied from the most distant pole inward so that the
     near-unity factors enter last.  The product magnitudes are checked
     against the exp(sum |nu - lambda| / d) bound as a sanity cap.
     """
-    d = pf.spec.gap
-    dev_sum = float(np.sum(np.abs(np.asarray(pf.nu1) - np.asarray(pf.lam1))))
-    cap = math.exp(dev_sum / d) * (1.0 + 1e-9)
-    out = {}
-    for j, n in enumerate(pf.i1):
-        lam_n = pf.lam1[j]
-        others = [(abs(pf.lam1[m] - lam_n), m) for m in range(len(pf.i1)) if m != j]
-        others.sort(reverse=True)
+    i0, i1, normalized = split_target(spec, target)
+    nu1 = tuple(normalized[n] for n in i1)
+    lam1 = tuple(spec.lambda_at(np.array(i1, dtype=int)).tolist())
+    dev_sum = float(np.sum(np.abs(np.asarray(nu1) - np.asarray(lam1))))
+    cap = math.exp(dev_sum / spec.gap) * (1.0 + 1e-9)
+    c1 = []
+    for j, (n, lam_n) in enumerate(zip(i1, lam1)):
+        others = sorted(((abs(lam1[m] - lam_n), m) for m in range(len(i1)) if m != j), reverse=True)
         prod = 1.0 + 0.0j
         for _, m in others:
-            prod *= (pf.nu1[m] - lam_n) / (pf.lam1[m] - lam_n)
+            prod *= (nu1[m] - lam_n) / (lam1[m] - lam_n)
         if abs(prod) > cap:
             raise errors.CertificationFailed(
                 f"residue product at index {n} exceeds the analytic cap {cap:.3g}"
             )
-        out[n] = (pf.nu1[j] - lam_n) * prod
-    return out
+        c1.append((nu1[j] - lam_n) * prod)
+    return ProductFunction(spec=spec, i1=tuple(i1), nu1=nu1, lam1=lam1, c1=tuple(c1))
 
 
-def synthesize_coefficients(spec, c):
-    """Coefficients with conj(a_n) b_n = c_n on I1 and b_n = 0 on I0.
+def _residue_window(spec, pf):
+    """The first index of the window |n| <= max |I1| (0 when it is empty)
+    and (n, c_n) over it in increasing order, c_n = 0 off I1."""
+    c = dict(zip(pf.i1, pf.c1))
+    idx = spec.window_indices(max([abs(n) for n in pf.i1], default=0))
+    return (int(idx[0]) if len(idx) else 0), [(n, c.get(n, 0.0)) for n in idx.tolist()]
+
+
+def solve_inverse(spec, target):
+    """Coefficients with conj(a_n) b_n = c_n on I1 and b_n = 0 on I0;
+    returns (coefficients, product function).
 
     a_n = sqrt|c_n|, b_n = sqrt|c_n| e^{i arg c_n} (principal branch) for
     deviating indices; a_n = 1/(1+|n|), b_n = 0 for the rest.  The head
     covers the deviating window; beyond it a carries a square-summable
     1/|n| power-law tail and b is identically zero.
     """
-    idx1 = sorted(c)
-    radius = max([abs(n) for n in idx1], default=0)
-    idx = spec.window_indices(radius)
+    pf = build_product(spec, target)
+    off, window = _residue_window(spec, pf)
     a_vals, b_vals = [], []
-    for n in idx:
-        n = int(n)
-        if n in c and c[n] != 0:
-            r = math.sqrt(abs(c[n]))
+    for n, c_n in window:
+        if c_n != 0:
+            r = math.sqrt(abs(c_n))
             a_vals.append(complex(r))
-            b_vals.append(r * cmath.exp(1j * cmath.phase(c[n])))
+            b_vals.append(r * cmath.exp(1j * cmath.phase(c_n)))
         else:
             a_vals.append(complex(1.0 / (1.0 + abs(n))))
             b_vals.append(0.0j)
-    off = int(idx[0]) if len(idx) else 0
-    return PerturbationCoefficients(
+    coeffs = PerturbationCoefficients(
         a_head_offset=off,
         a_head=tuple(a_vals),
         a_tail=PowerTail(beta=1.0, scale=1.0, phase=0.0),
@@ -126,27 +130,15 @@ def synthesize_coefficients(spec, c):
         b_head=tuple(b_vals),
         b_tail=None,
     )
-
-
-def solve_inverse(spec, target):
-    """Full 3-step reconstruction; returns (coefficients, product function)."""
-    pf = build_product(spec, target)
-    c = residues(pf)
-    coeffs = synthesize_coefficients(spec, c)
     return coeffs, pf
 
 
 def solve_inverse_fixed_phi(spec, target, phi_coeffs):
     """Fixed-phi variant: keep the given a_n and solve b_n = c_n / conj(a_n)."""
     pf = build_product(spec, target)
-    c = residues(pf)
-    idx1 = sorted(c)
-    radius = max([abs(n) for n in idx1], default=0)
-    idx = spec.window_indices(radius)
+    off, window = _residue_window(spec, pf)
     b_vals = []
-    for n in idx:
-        n = int(n)
-        c_n = c.get(n, 0.0)
+    for n, c_n in window:
         a_n = phi_coeffs.a_at(n)
         if c_n != 0:
             if a_n == 0:
@@ -156,16 +148,7 @@ def solve_inverse_fixed_phi(spec, target, phi_coeffs):
             b_vals.append(c_n / np.conj(a_n))
         else:
             b_vals.append(0.0j)
-    off = int(idx[0]) if len(idx) else 0
-    coeffs = PerturbationCoefficients(
-        a_head_offset=phi_coeffs.a_head_offset,
-        a_head=phi_coeffs.a_head,
-        a_tail=phi_coeffs.a_tail,
-        b_head_offset=off,
-        b_head=tuple(complex(v) for v in b_vals),
-        b_tail=None,
-    )
-    return coeffs, pf
+    return replace(phi_coeffs, b_head_offset=off, b_head=tuple(complex(v) for v in b_vals), b_tail=None), pf
 
 
 SAMPLE_COUNT = 25
@@ -182,26 +165,13 @@ def default_sample_points(spec, pf):
     return [complex(r, i) for r, i in zip(res, ims)]
 
 
-def _sampled_F(coeffs, pf, sample_points):
-    """F built on the deviating window plus eight indices (and the whole
-    coefficient head), and the samples as an array."""
+def check_F_equals_product(coeffs, pf, sample_points):
+    """Max |F - F~| over the samples; the two functions agree identically.
+
+    F is built on the deviating window plus eight indices (and the whole
+    coefficient head)."""
     radius = max([abs(n) for n in pf.i1], default=1)
     cf = CharacteristicFunction.build(pf.spec, coeffs, max(radius + 8, coeffs.head_radius() + 8))
-    return cf, np.asarray(sample_points, dtype=complex).reshape(-1)
-
-
-def check_F_equals_product(coeffs, pf, sample_points):
-    """Max |F - F~| over the samples; the two functions agree identically."""
-    cf, z = _sampled_F(coeffs, pf, sample_points)
+    z = np.asarray(sample_points, dtype=complex).reshape(-1)
     cf.check_poles(z)
     return float(np.max(np.abs(cf.values(z) - pf.eval_product(z)), initial=0.0))
-
-
-def combined_discrepancy_bound(coeffs, pf, sample_points):
-    """Certified bound on |F - F~| at the samples: tail truncation plus a
-    floating-point allowance proportional to the summed term magnitudes."""
-    cf, z = _sampled_F(coeffs, pf, sample_points)
-    dist = np.abs(cf.lam1 - z[:, np.newaxis])
-    fp = 4e-15 * (1.0 + np.sum(np.abs(cf.c1) / np.maximum(dist, 1e-300), axis=1))
-    fp *= max(1, len(cf.c1)) ** 0.5
-    return float(np.max(cf.tail_bound_at(z) + fp, initial=0.0))

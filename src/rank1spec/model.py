@@ -43,6 +43,17 @@ class PowerTail:
         return self.scale * np.abs(n, dtype=float) ** (-self.beta) * np.exp(1j * self.phase)
 
 
+def _overlay(n, offset, head, out):
+    """head[n - offset] wherever n - offset indexes the head array, and out
+    elsewhere: out, a new value of n's shape, is written over as an array."""
+    out = np.asarray(out)
+    if len(head):
+        pos = n - offset
+        in_head = (pos >= 0) & (pos < len(head))
+        out[in_head] = head[pos[in_head]]
+    return out
+
+
 @dataclass(frozen=True)
 class BaseSpectrum:
     """Simple separated real spectrum lambda_n, n in I (I = Z or N)."""
@@ -68,10 +79,7 @@ class BaseSpectrum:
         """Eigenvalue at index n (scalar or integer array)."""
         n = np.asarray(n)
         out = self.tail.slope * n.astype(float) + self.tail.intercept
-        if self.head:
-            pos = n - self.head_offset
-            in_head = (pos >= 0) & (pos < len(self.head))
-            out = np.where(in_head, self._head[np.where(in_head, pos, 0)], out)
+        out = _overlay(n, self.head_offset, self._head, out)
         return float(out) if out.ndim == 0 else out
 
     def window_indices(self, radius):
@@ -148,15 +156,13 @@ class PerturbationCoefficients:
     @staticmethod
     def _eval(n, offset, head, tail):
         n = np.asarray(n)
-        out = np.zeros(n.shape, dtype=complex)
-        pos = n - offset
-        in_head = (pos >= 0) & (pos < len(head))
-        out[in_head] = head[pos[in_head]]
-        if tail is not None:
-            outside = ~in_head
-            if np.any(outside & (n == 0)):
-                raise errors.IndexMismatch("power-law tail undefined at index 0; cover it with the head")
-            out = np.where(outside, tail.value(np.where(n == 0, 1, n)), out)
+        if tail is None:
+            out = np.zeros(n.shape, dtype=complex)
+        elif not 0 <= -offset < len(head) and np.any(n == 0):
+            raise errors.IndexMismatch("power-law tail undefined at index 0; cover it with the head")
+        else:
+            out = tail.value(np.where(n == 0, 1, n))
+        out = _overlay(n, offset, head, out)
         return complex(out) if out.ndim == 0 else out
 
     def a_at(self, n):
@@ -300,12 +306,8 @@ class TargetSpectrum:
 
     def nu_at(self, n, spec):
         n = np.asarray(n)
-        lam = np.asarray(spec.lambda_at(n), dtype=complex)
-        if self.nu_head:
-            pos = n - self.nu_head_offset
-            in_head = (pos >= 0) & (pos < len(self.nu_head))
-            lam = np.where(in_head, self._nu[np.where(in_head, pos, 0)], lam)
-        return complex(lam) if lam.ndim == 0 else lam
+        nu = _overlay(n, self.nu_head_offset, self._nu, np.asarray(spec.lambda_at(n), dtype=complex))
+        return complex(nu) if nu.ndim == 0 else nu
 
 
 def validate_target(target, spec):
@@ -376,6 +378,16 @@ def _cx_in(v, what):
     return complex(float(v[0]), float(v[1]))
 
 
+def _head_out(offset, values):
+    return {"offset": offset, "values": [_cx_out(v) for v in values]}
+
+
+def _head_in(doc, what):
+    """(offset, values) of a {"offset", "values"} block of complex values."""
+    _need(doc, ["offset", "values"], what)
+    return int(doc["offset"]), tuple(_cx_in(v, what) for v in doc["values"])
+
+
 def base_to_json(spec):
     return {
         "index_set": spec.index_kind,
@@ -413,52 +425,37 @@ def _tail_from_json(doc, what):
 
 def coefficients_to_json(coeffs):
     return {
-        "a_head": {
-            "offset": coeffs.a_head_offset,
-            "values": [_cx_out(v) for v in coeffs.a_head],
-        },
+        "a_head": _head_out(coeffs.a_head_offset, coeffs.a_head),
         "a_tail": _tail_to_json(coeffs.a_tail),
-        "b_head": {
-            "offset": coeffs.b_head_offset,
-            "values": [_cx_out(v) for v in coeffs.b_head],
-        },
+        "b_head": _head_out(coeffs.b_head_offset, coeffs.b_head),
         "b_tail": _tail_to_json(coeffs.b_tail),
     }
 
 
 def coefficients_from_json(doc):
     _need(doc, ["a_head", "a_tail", "b_head", "b_tail"], "PerturbationCoefficients")
-    _need(doc["a_head"], ["offset", "values"], "a_head")
-    _need(doc["b_head"], ["offset", "values"], "b_head")
+    a_off, a = _head_in(doc["a_head"], "a_head")
+    b_off, b = _head_in(doc["b_head"], "b_head")
     return PerturbationCoefficients(
-        a_head_offset=int(doc["a_head"]["offset"]),
-        a_head=tuple(_cx_in(v, "a_head") for v in doc["a_head"]["values"]),
+        a_head_offset=a_off,
+        a_head=a,
         a_tail=_tail_from_json(doc["a_tail"], "a_tail"),
-        b_head_offset=int(doc["b_head"]["offset"]),
-        b_head=tuple(_cx_in(v, "b_head") for v in doc["b_head"]["values"]),
+        b_head_offset=b_off,
+        b_head=b,
         b_tail=_tail_from_json(doc["b_tail"], "b_tail"),
     )
 
 
 def target_to_json(target):
-    return {
-        "nu_head": {
-            "offset": target.nu_head_offset,
-            "values": [_cx_out(v) for v in target.nu_head],
-        },
-        "tail": "equals_lambda",
-    }
+    return {"nu_head": _head_out(target.nu_head_offset, target.nu_head), "tail": "equals_lambda"}
 
 
 def target_from_json(doc):
     _need(doc, ["nu_head", "tail"], "TargetSpectrum")
-    _need(doc["nu_head"], ["offset", "values"], "nu_head")
+    off, nu = _head_in(doc["nu_head"], "nu_head")
     if doc["tail"] != "equals_lambda":
         raise errors.SchemaError("TargetSpectrum: tail must be 'equals_lambda'")
-    return TargetSpectrum(
-        nu_head_offset=int(doc["nu_head"]["offset"]),
-        nu_head=tuple(_cx_in(v, "nu_head") for v in doc["nu_head"]["values"]),
-    )
+    return TargetSpectrum(nu_head_offset=off, nu_head=nu)
 
 
 def spectrum_to_json(ps):

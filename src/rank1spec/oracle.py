@@ -56,17 +56,6 @@ def dense_eigenvalues(op, cap=DEFAULT_DIMENSION_CAP):
     return vals[order]
 
 
-def charpoly_eigenvalues(op):
-    """Small-dimension fallback via the characteristic polynomial companion
-    matrix; used to self-check the dense route."""
-    if op.dimension > 8:
-        raise errors.DimensionCap("companion fallback is limited to dimension 8")
-    poly = np.poly(op.matrix)
-    vals = np.roots(poly)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
-
-
 def compare_spectra(computed, reference, tol):
     """Optimal-matching comparison of two eigenvalue multisets.
 

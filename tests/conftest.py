@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rank1spec.charfn import CharacteristicFunction
 from rank1spec.model import (
     AffineTail,
     BaseSpectrum,
@@ -90,3 +91,17 @@ def random_coeffs(rng, spec):
         a_head_offset=lo, a_head=(1.0,) * len(c), a_tail=a_tail,
         b_head_offset=lo, b_head=tuple(c), b_tail=b_tail,
     )  # fmt: skip
+
+
+def combined_discrepancy_bound(coeffs, pf, sample_points):
+    """Certified bound on |F - F~| at the samples, for the F that
+    inverse.check_F_equals_product builds (the deviating window plus eight
+    indices, and the whole coefficient head): tail truncation plus a
+    floating-point allowance proportional to the summed term magnitudes."""
+    radius = max([abs(n) for n in pf.i1], default=1)
+    cf = CharacteristicFunction.build(pf.spec, coeffs, max(radius + 8, coeffs.head_radius() + 8))
+    z = np.asarray(sample_points, dtype=complex).reshape(-1)
+    dist = np.abs(cf.lam1 - z[:, np.newaxis])
+    fp = 4e-15 * (1.0 + np.sum(np.abs(cf.c1) / np.maximum(dist, 1e-300), axis=1))
+    fp *= max(1, len(cf.c1)) ** 0.5
+    return float(np.max(cf.tail_bound_at(z) + fp, initial=0.0))

@@ -12,7 +12,7 @@ from rank1spec import gallery, inverse, oracle
 from rank1spec.direct import LocalizeOptions, assemble_spectrum, localize_spectrum, solve_direct
 from rank1spec.model import TargetSpectrum, validate_base, validate_coefficients
 
-from conftest import random_finite_instance
+from conftest import combined_discrepancy_bound, random_finite_instance
 
 ZSPEC = validate_base(gallery.example_periodic_base())
 
@@ -242,7 +242,7 @@ def test_criterion_9_F_equals_product():
         coeffs, pf = inverse.solve_inverse(ZSPEC, target)
         samples = inverse.default_sample_points(ZSPEC, pf)
         disc = inverse.check_F_equals_product(coeffs, pf, samples)
-        bound = inverse.combined_discrepancy_bound(coeffs, pf, samples)
+        bound = combined_discrepancy_bound(coeffs, pf, samples)
         worst_margin = max(worst_margin, disc / bound if bound else 0.0)
         assert disc <= bound, f"discrepancy {disc:.3e} above bound {bound:.3e}"
     _report(

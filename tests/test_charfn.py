@@ -206,6 +206,26 @@ def test_compute_Keps_rejects_out_of_range_eps(zspec):
         compute_Keps(zspec, coeffs, zspec.gap)
 
 
+@pytest.mark.parametrize("beta, scale", [(0.6, 1.0), (0.6, 3.0), (0.52, 1.0)])
+def test_compute_Keps_rejects_a_tail_that_decays_too_slowly(zspec, monkeypatch, beta, scale):
+    # c_n ~ scale |n|^(-2 beta) passes validation (beta > 1/2), but its sum
+    # beyond radius 32000 stays above eps: K_eps is beyond any window a
+    # solve builds.  A walk one radius at a time from the closed-form start
+    # (about 2.4e7, 1.4e12 and 2.5e54 here) did not end, or asked for an
+    # array of 1.4e12 indices; the bisection makes a few c_tail_sum calls
+    tail = PowerTail(beta, scale, 0.3 if beta == 0.6 else 0.0)
+    coeffs = validate_coefficients(
+        PerturbationCoefficients(-3, (1.0,) * 7, tail, -3, (0.1,) * 7, tail), zspec
+    )
+    calls, tail_sum = [], PerturbationCoefficients.c_tail_sum
+    monkeypatch.setattr(
+        PerturbationCoefficients, "c_tail_sum", lambda self, *a: calls.append(a) or tail_sum(self, *a)
+    )
+    with pytest.raises(errors.WindowExceeded, match="^K_eps exceeds 32000: "):
+        compute_Keps(zspec, coeffs, 1.0 / 3.0)
+    assert len(calls) < 20
+
+
 def test_zero_tail_instance_has_zero_bound(zspec, two_point):
     assert two_point.tail_total == 0.0
     assert np.all(two_point.tail_bound_at(np.array([0.5 + 1j])) == 0.0)

@@ -231,10 +231,12 @@ def test_rejected_inputs_exit_one_naming_their_error(files, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(error)
     nan_head = dict(coeffs, b_head={"offset": 0, "values": [[0.275, 0.0], [math.nan, 0.0]]})
     nan_tail = {"beta": 1.0, "scale": math.nan, "phase": 0.0}
+    slow_tail = {"beta": 0.52, "scale": 1.0, "phase": 0.0}  # c_n ~ |n|^-1.04: K_eps beyond any window
     bad_coeffs = [
         (spec, nan_head, "SchemaError: b head contains non-finite"),
         (nspec, coeffs, "IndexMismatch: a head starts at 0"),
         (spec, dict(coeffs, a_tail=nan_tail, b_tail=nan_tail), "SchemaError: a tail scale and phase"),
+        (spec, dict(coeffs, a_tail=slow_tail, b_tail=slow_tail), "WindowExceeded: K_eps exceeds 32000"),
     ]
     for spec_doc, doc, error in bad_coeffs:
         argv = ["direct", "--spec", _write(bad / "spec.json", spec_doc)]

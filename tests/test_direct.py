@@ -23,6 +23,7 @@ from rank1spec.model import (
     AffineTail,
     BaseSpectrum,
     PerturbationCoefficients,
+    PowerTail,
     TargetSpectrum,
     spectrum_to_json,
     validate_base,
@@ -347,9 +348,9 @@ def test_n_trunc_doubles_only_while_a_tail_is_left_out(zspec, monkeypatch):
     # central step runs
     attempt, tried = direct._localize_attempt, []
 
-    def spy(spec, coeffs, opts, n_trunc, eps, d):
-        tried.append(n_trunc)
-        return attempt(spec, coeffs, opts, n_trunc, eps, d)
+    def spy(cf, *args):
+        tried.append(cf.n_trunc)
+        return attempt(cf, *args)
 
     def fail(*args):
         raise errors.CertificationFailed("central zeros forced to fail")
@@ -362,8 +363,30 @@ def test_n_trunc_doubles_only_while_a_tail_is_left_out(zspec, monkeypatch):
     assert tried == [20]
     tried.clear()
     with pytest.raises(errors.CertificationFailed, match=r"^escalation exhausted \(n_trunc 80\)"):
-        localize_spectrum(zspec, _tail_cf(zspec).coeffs, OPTS)
+        localize_spectrum(zspec, _tail_coeffs(), OPTS)
     assert tried == [20, 40, 80]
+
+
+def test_escalation_fixes_K_prime_once_and_doubles_the_n_trunc_it_built(zspec, monkeypatch):
+    # the target (0.5, 0.5, 2, 2) with a slow b tail (c_n about 1e-3
+    # |n|^-1.55) leaves three zeros no disk certifies, two near 0.5 and one
+    # near the common eigenvalue 2.  Their order circles fail at n_trunc 20
+    # (window 12 + 8, above the requested 1), where the tail term alone
+    # reaches |F| at most of their nodes, and pass at 40.  compute_Keps runs
+    # once, and no n_trunc is built twice: doubling the requested 1 built
+    # the same F at 20 five times over, 105 s in all
+    coeffs, _ = inverse.solve_inverse(zspec, TargetSpectrum(0, (0.5 + 0j, 0.5 + 0j, 2 + 0j, 2 + 0j)))
+    coeffs = validate_coefficients(dataclasses.replace(coeffs, b_tail=PowerTail(0.55, 1e-3, 0.0)), zspec)
+    built, keps = [], []
+    build, compute = CharacteristicFunction.build.__func__, direct.compute_Keps
+    monkeypatch.setattr(
+        CharacteristicFunction, "build", classmethod(lambda cls, *a: built.append(a[2]) or build(cls, *a))
+    )
+    monkeypatch.setattr(direct, "compute_Keps", lambda *a: keps.append(a) or compute(*a))
+    ps, loc = solve_direct(zspec, coeffs, LocalizeOptions(window=12, n_trunc=1))
+    assert built == [20, 40] and len(keps) == 1
+    assert loc.cf.n_trunc == 40 and loc.window == 12
+    assert ps.certified and ps.mult.sum() == 2 * loc.window + 1
 
 
 def test_assemble_rejects_a_missing_zero(zspec):
@@ -480,15 +503,18 @@ def test_central_rectangle_for_an_empty_central_set():
 # the verified arc walk
 
 
-def _tail_cf(zspec):
+def _tail_coeffs():
     from rank1spec.model import PerturbationCoefficients, PowerTail
 
     tail = PowerTail(beta=1.5, scale=0.5, phase=0.2)
-    coeffs = PerturbationCoefficients(
+    return PerturbationCoefficients(
         a_head_offset=-2, a_head=(1.0,) * 5, a_tail=tail,
         b_head_offset=-2, b_head=(0.1, 0.2j, 0.3, 0.0, -0.25), b_tail=tail,
     )
-    return CharacteristicFunction.build(zspec, coeffs, 40)
+
+
+def _tail_cf(zspec):
+    return CharacteristicFunction.build(zspec, _tail_coeffs(), 40)
 
 
 def test_arc_walk_counts_the_eigenvalues_inside_each_circle(zspec):
@@ -550,6 +576,33 @@ def test_arc_walk_bisects_near_a_zero_and_gives_up_on_one(two_point_cf, monkeypa
     calls.clear()
     assert direct._arc_walk(two_point_cf, 0.25, 1e-12, 3) == [1]
     assert calls == [direct.ARC_START]
+
+
+def test_arc_walk_fails_a_circle_at_once_where_the_tail_term_alone_reaches_F(zspec, monkeypatch):
+    # the first node of this circle is a zero of F cut to the window, so
+    # the tail term T / delta exceeds |a_0| there: every split of its first
+    # arc starts at that node and fails.  The walk stops after one pass,
+    # with the outcome that bisecting ARC_SPLITS times gives
+    cf = _tail_cf(zspec)
+    zeros = np.linalg.eigvals(np.diag(cf.lam1.astype(complex)) + cf.c1[:, np.newaxis])
+    z0 = zeros[np.argmin(np.abs(zeros - 0.3))]
+    arc_test, calls = direct._arc_test, []
+
+    def spy(cf, w, shift, rho, p):
+        calls.append(len(w))
+        return arc_test(cf, w, shift, rho, p)
+
+    def blind(cf, w, shift, rho, p):  # the walk without the rule
+        a0, ok, hopeless = spy(cf, w, shift, rho, p)
+        return a0, ok, np.zeros_like(hopeless)
+
+    monkeypatch.setattr(direct, "_arc_test", spy)
+    assert direct._arc_walk(cf, [z0 - 0.1], [0.1], 3) == [None]
+    assert calls == [direct.ARC_START]
+    calls.clear()
+    monkeypatch.setattr(direct, "_arc_test", blind)
+    assert direct._arc_walk(cf, [z0 - 0.1], [0.1], 3) == [None]
+    assert len(calls) == direct.ARC_SPLITS + 1
 
 
 def test_clustered_round_trip_certifies_every_order_circle(zspec):

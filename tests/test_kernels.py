@@ -11,11 +11,17 @@ def _random_inputs(n_terms=300, n_points=97, seed=3):
     return c, lam, z
 
 
+def pole_sum(c, lam, z, p=1, shift=0.0):
+    """(sum_k c_k / d_kj**p, sum_k c_k / d_kj**(p+1)) with d_kj = (lam_k - s_j)
+    - z_j (p >= 1): the last two rows of _kernels.taylor, F - 1 and F' at p = 1."""
+    return tuple(_kernels.taylor(c, lam, z, p, shift)[p - 1 :])
+
+
 def test_pole_sum_matches_python_loop():
     # the fused pair: sum c/(lam - z)**p and sum c/(lam - z)**(p + 1)
     c, lam, z = _random_inputs(n_terms=40, n_points=23, seed=4)
     for p in (1, 2, 3, 4):
-        got = _kernels.pole_sum(c, lam, z, p)
+        got = pole_sum(c, lam, z, p)
         for j, zj in enumerate(z):
             for q, sums in ((p, got[0]), (p + 1, got[1])):
                 ref = 0j
@@ -26,21 +32,21 @@ def test_pole_sum_matches_python_loop():
 
 def test_pow_one_equals_pole_sum():
     c, lam, z = _random_inputs(seed=5)
-    for one, default in zip(_kernels.pole_sum(c, lam, z, 1), _kernels.pole_sum(c, lam, z)):
+    for one, default in zip(pole_sum(c, lam, z, 1), pole_sum(c, lam, z)):
         assert np.array_equal(one, default)
 
 
 def test_empty_terms_give_zero():
     c, lam, z = np.array([], dtype=complex), np.array([]), np.array([1.0 + 1.0j, 2.0])
     for p in (1, 2):
-        for sums in _kernels.pole_sum(c, lam, z, p):
+        for sums in pole_sum(c, lam, z, p):
             assert len(sums) == 2 and np.all(sums == 0)
 
 
 def test_single_term_hand_value():
     c, lam = np.array([2.0 + 0j]), np.array([1.0])
-    assert [s[0] for s in _kernels.pole_sum(c, lam, 0.0)] == [2.0, 2.0]
-    assert [s[0] for s in _kernels.pole_sum(c, lam, 0.5, 2)] == [8.0, 16.0]
+    assert [s[0] for s in pole_sum(c, lam, 0.0)] == [2.0, 2.0]
+    assert [s[0] for s in pole_sum(c, lam, 0.5, 2)] == [8.0, 16.0]
 
 
 def test_numpy_chunking_matches_unchunked():
@@ -49,10 +55,10 @@ def test_numpy_chunking_matches_unchunked():
     old = _kernels._CHUNK
     try:
         _kernels._CHUNK = 1000  # ~15 points per chunk
-        chunked = _kernels.pole_sum(c, lam, z, 2)
+        chunked = pole_sum(c, lam, z, 2)
     finally:
         _kernels._CHUNK = old
-    full = _kernels.pole_sum(c, lam, z, 2)
+    full = pole_sum(c, lam, z, 2)
     for a, b in zip(chunked, full):
         assert np.array_equal(a, b)
 
@@ -63,9 +69,9 @@ def test_sums_do_not_depend_on_how_many_points_share_a_call():
     # explicit row-by-row accumulation of the same quotients
     for n_terms in (1, 2, 7, 8, 9, 100, 4001):
         c, lam, z = _random_inputs(n_terms=n_terms, n_points=17, seed=n_terms)
-        batched = _kernels.pole_sum(c, lam, z, 2)
+        batched = pole_sum(c, lam, z, 2)
         for j in range(len(z)):
-            single = _kernels.pole_sum(c, lam, z[j : j + 1], 2)
+            single = pole_sum(c, lam, z[j : j + 1], 2)
             assert all(np.array_equal(b[j : j + 1], s) for b, s in zip(batched, single))
         t = c[:, None] / (lam[:, None] - z) / (lam[:, None] - z)
         ref = t[0].copy()
@@ -75,7 +81,7 @@ def test_sums_do_not_depend_on_how_many_points_share_a_call():
         old = _kernels._CHUNK
         try:
             _kernels._CHUNK = 4 * n_terms  # chunks of 4 points: 17 = 4 * 4 + 1
-            chunked = _kernels.pole_sum(c, lam, z, 2)
+            chunked = pole_sum(c, lam, z, 2)
         finally:
             _kernels._CHUNK = old
         assert all(np.array_equal(a, b) for a, b in zip(chunked, batched))
@@ -89,16 +95,16 @@ def test_per_point_shift_equals_the_scalar_shift_calls():
         shift = np.random.default_rng(n_terms).choice(lam, len(z))
         z = z * 1e-3  # points near their shifts, as in Newton's coordinates
         for p in (1, 2):
-            per_point = _kernels.pole_sum(c, lam, z, p, shift)
+            per_point = pole_sum(c, lam, z, p, shift)
             old = _kernels._CHUNK
             try:
                 _kernels._CHUNK = 4 * n_terms  # chunks of 4 points: 17 = 4 * 4 + 1
-                chunked = _kernels.pole_sum(c, lam, z, p, shift)
+                chunked = pole_sum(c, lam, z, p, shift)
             finally:
                 _kernels._CHUNK = old
-            lone = _kernels.pole_sum(c, lam, z[:1], p, shift[:1])
+            lone = pole_sum(c, lam, z[:1], p, shift[:1])
             for j in range(len(z)):
-                scalar = _kernels.pole_sum(c, lam, z[j : j + 1], p, shift[j])
+                scalar = pole_sum(c, lam, z[j : j + 1], p, shift[j])
                 for a, b, s in zip(per_point, chunked, scalar):
                     assert a[j] == s[0] and b[j] == s[0]
             assert all(a[0] == b[0] for a, b in zip(lone, per_point))

@@ -7,6 +7,13 @@ from rank1spec.model import PerturbationCoefficients
 from conftest import finite_coeffs, random_finite_instance
 
 
+def charpoly_eigenvalues(op):
+    """Reference eigenvalues of a small truncation, from the roots of its
+    characteristic polynomial (companion matrix), sorted by (real, imag)."""
+    vals = np.roots(np.poly(op.matrix))
+    return vals[np.lexsort((vals.imag, vals.real))]
+
+
 def test_truncation_matrix_entries(zspec):
     coeffs = PerturbationCoefficients(
         a_head_offset=-1,
@@ -41,7 +48,7 @@ def test_dense_agrees_with_companion_polynomial(zspec):
     coeffs = random_finite_instance(rng, radius=3, max_points=4)
     op = oracle.build_truncation(zspec, coeffs, 3)
     dense = oracle.dense_eigenvalues(op)
-    comp = oracle.charpoly_eigenvalues(op)
+    comp = charpoly_eigenvalues(op)
     ok, worst = oracle.compare_spectra(dense, comp, 1e-7)
     assert ok, f"companion disagreement {worst:.3e}"
 
@@ -111,7 +118,5 @@ def test_dimension_caps(zspec):
     op = oracle.build_truncation(zspec, coeffs, 10)
     with pytest.raises(errors.DimensionCap):
         oracle.dense_eigenvalues(op, cap=5)
-    with pytest.raises(errors.DimensionCap):
-        oracle.charpoly_eigenvalues(op)
     with pytest.raises(errors.WindowExceeded):
         oracle.build_truncation(zspec, coeffs, 0)
