@@ -287,25 +287,36 @@ def _arc_test(cf, w, shift, rho, p):
     sums, ceil(kappa_g (kappa_d + 6)) for D_n - rho and delta - rho (kappa_g
     = (D + rho) / (D - rho)), and 12 for |a_0|, rho^j and the comparison.
 
-    hopeless marks a node where the tail term's limit T / delta alone
-    reaches |a_0|: S exceeds it at every chord, so no arc from that node
-    passes, however short.
+    hopeless marks a failed arc whose node is at the floor: the check's
+    limit as rho -> 0, (T / delta + gamma_0 B_0) (1 + gamma_0) >= |a_0| (1 -
+    gamma_0), with gamma_0 the gamma of kappa_g = 1 and B_0 = sum_n |c_n| /
+    D_n >= B (1 - rho / min D_n).  S exceeds T / delta + gamma B_0 and gamma
+    exceeds gamma_0 at every chord, so no arc from that node passes, however
+    short.  It is formed only when some arc fails.
     """
     a, (b, rem, nearest) = cf.taylor(w, p, shift, rho)
-    hopeless = np.zeros(len(rho), dtype=bool)
     ok = nearest > rho
     kappa_g = (nearest + rho) / (nearest - rho)
     s = (np.abs(a[1:]) * rho ** np.arange(1, p + 1)[:, np.newaxis]).sum(axis=0) + rem
+    tail = 0.0  # T / delta
     if cf.tail_total > 0.0:
         delta = cf.delta_unrepresented(shift + w)
-        hopeless = cf.tail_total / delta >= _modulus(a[0])
+        tail = cf.tail_total / delta
         ok &= delta > rho
         s += cf.tail_total / (delta - rho)
         kappa_g = np.maximum(kappa_g, (delta + rho) / (delta - rho))
     kappa_d = np.ceil(2.0 + _modulus(w) / nearest)
-    gamma = _gamma(2 * len(cf.c1) + 2 * (p + 1) * (kappa_d + 12) + np.ceil(kappa_g * (kappa_d + 6)) + 12)
+    m = 2 * len(cf.c1) + 2 * (p + 1) * (kappa_d + 12) + 12
+    gamma = _gamma(m + np.ceil(kappa_g * (kappa_d + 6)))
     s += gamma * b
-    return a[0], ok & (s * (1.0 + gamma) < _modulus(a[0]) * (1.0 - gamma)), hopeless
+    a0 = _modulus(a[0])
+    passed = ok & (s * (1.0 + gamma) < a0 * (1.0 - gamma))
+    hopeless = ~passed
+    if hopeless.any():
+        gamma0 = _gamma(m + kappa_d + 6)
+        size = np.where(ok, b * (1.0 - rho / nearest), 0.0)  # at most B_0
+        hopeless &= (tail + gamma0 * size) * (1.0 + gamma0) >= a0 * (1.0 - gamma0)
+    return a[0], passed, hopeless
 
 
 def _arc_walk(cf, centers, radii, p, arcs=ARC_START):
@@ -317,10 +328,9 @@ def _arc_walk(cf, centers, radii, p, arcs=ARC_START):
     eigenvalue nearest its centre.  An arc passes _arc_test at its first
     node, its chord for rho (the disk of radius rho there holds the arc and
     the chord); one that fails is bisected, ARC_SPLITS times at most.  Each
-    split keeps a first half from the same node, so an arc that fails with
-    a chord no longer than the float spacing there, or at a node where the
-    tail term alone reaches |a_0| (_arc_test's hopeless), fails its circle
-    at once: no split of it could pass.  When
+    split keeps a first half from the same node, so an arc that fails at a
+    node where the check's limit as rho -> 0 already fails (_arc_test's
+    hopeless) fails its circle at once: no split of it could pass.  When
     all pass, F(z_next) / a_0 and F(z_next) / a_0_next both have positive
     real parts, so F's argument changes along each arc by the principal
     arg(a_0_next / a_0): their sum over 2 pi is the count.  One p serves
@@ -342,7 +352,7 @@ def _arc_walk(cf, centers, radii, p, arcs=ARC_START):
         rho = _modulus(w1 - w0)
         a0, ok, hopeless = _arc_test(cf, w0, shift[k], rho, p)
         passed.append((k[ok], t0[ok], a0[ok]))
-        failed[k[~ok & (hopeless | (rho <= np.spacing(_modulus(w0))))]] = True
+        failed[k[hopeless]] = True
         bad = ~ok & ~failed[k]
         if not bad.any() or split == ARC_SPLITS:
             failed[k[bad]] = True
@@ -750,7 +760,9 @@ def localize_spectrum(spec, coeffs, opts=None):
 
     K', the window and the central rectangle are fixed once; F is summed
     over max(n_trunc, window + 8), doubled up to TRUNC_CAP while an attempt
-    fails and some nonzero c_n lies beyond it.
+    fails and some nonzero c_n lies beyond it.  A first n_trunc beyond
+    TRUNC_CAP (a large K' or a large requested window or n_trunc) raises
+    WindowExceeded before anything is built.
     """
     if opts is None:
         opts = LocalizeOptions()
@@ -758,9 +770,13 @@ def localize_spectrum(spec, coeffs, opts=None):
     eps = d / (2.0 + d)
     _, k_prime = compute_Keps(spec, coeffs, eps)
     window = max(opts.window, k_prime)
+    n_trunc = max(opts.n_trunc, window + 8)
+    if n_trunc > TRUNC_CAP:
+        raise errors.WindowExceeded(
+            f"summation window {n_trunc} (window {window}, K' = {k_prime}) exceeds {TRUNC_CAP}"
+        )
     # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
     rect = _central_rectangle(spec, k_prime, d)
-    n_trunc = max(opts.n_trunc, window + 8)
     while True:
         cf = CharacteristicFunction.build(spec, coeffs, n_trunc)
         try:
@@ -844,9 +860,12 @@ def _assign(cost):
     """Least-cost assignment of a square cost matrix, by Kuhn's Hungarian
     method: potentials u, v and one shortest augmenting path per row.
 
-    Returns (rows, cols) as scipy.optimize.linear_sum_assignment does.  The
-    matrices assembly meets are at most a few rows wide, so the loops run on
-    Python floats; scipy would cost more to import than this to run.
+    Returns (rows, cols) as scipy.optimize.linear_sum_assignment does.  Two
+    callers: assemble_spectrum pairs its central zeros with indices, a few
+    rows at most, and oracle.compare_spectra matches whole spectra, some 80
+    eigenvalues wide in the benchmark, whose costs are near-diagonal, so
+    that each row's shortest path is about one step of O(n) work.  The
+    loops run on Python floats, and the package needs no compiled matching.
     """
     a = cost.tolist()
     n = len(a)

@@ -552,8 +552,10 @@ def test_arc_walk_counts_the_eigenvalues_inside_each_circle(zspec):
 
 def test_arc_walk_bisects_near_a_zero_and_gives_up_on_one(two_point_cf, monkeypatch):
     # the zero 1/4 lies 8e-4 outside the first circle: the arcs near it are
-    # bisected until they pass; the second circle runs through it, and its
-    # arcs there fail at every one of the ARC_SPLITS bisections
+    # bisected until they pass; the second circle has a node on it, where
+    # |a_0| is at the rounding floor, so no split of that arc could pass
+    # and the walk gives up after one pass (it used to bisect ARC_SPLITS
+    # times)
     arc_test, calls = direct._arc_test, []
 
     def spy(cf, w, shift, rho, p):
@@ -565,10 +567,10 @@ def test_arc_walk_bisects_near_a_zero_and_gives_up_on_one(two_point_cf, monkeypa
     assert 1 < len(calls) < direct.ARC_SPLITS and calls[0] == direct.ARC_START
     calls.clear()
     assert direct._arc_walk(two_point_cf, [0.5, 2.0], [0.25, 0.25], 3) == [None, 0]
-    assert len(calls) == direct.ARC_SPLITS + 1
+    assert len(calls) == 1
     # the radius 1e-16 is under two float spacings of the centre 0.25 (the
-    # window eigenvalue 0 shifts nothing): the arcs' chords are below one
-    # spacing, and the walk gives up after one pass (it used to bisect every
+    # window eigenvalue 0 shifts nothing): every node is at the rounding
+    # floor, and the walk gives up after one pass (it used to bisect every
     # arc ARC_SPLITS times, 2 s); a circle of 1e-12 still counts its zero
     calls.clear()
     assert direct._arc_walk(two_point_cf, 0.25, 1e-16, 3) == [None]
@@ -603,6 +605,49 @@ def test_arc_walk_fails_a_circle_at_once_where_the_tail_term_alone_reaches_F(zsp
     monkeypatch.setattr(direct, "_arc_test", blind)
     assert direct._arc_walk(cf, [z0 - 0.1], [0.1], 3) == [None]
     assert len(calls) == direct.ARC_SPLITS + 1
+
+
+def test_arc_walk_fails_circles_at_the_rounding_floor_at_once(zspec, monkeypatch):
+    # the two double zeros 1.5e-3 apart of the test above, F cut at n_trunc
+    # 40: on one circle of radius 2e-3 about both and on one of radius
+    # 4.85e-4 about each, |a_0| at every node is below the rounding allowance
+    # gamma B, which no split lowers.  Each walk fails after one pass, where
+    # bisecting ARC_SPLITS times took 4.2 M and 8.4 M nodes with the same
+    # outcome
+    a, b, c = -1.135536401173598, -1.1369914450269683, 0.5014617185308676
+    coeffs, _ = inverse.solve_inverse(zspec, TargetSpectrum(-1, (a, a, b, b, c, c, c)))
+    cf = CharacteristicFunction.build(zspec, validate_coefficients(coeffs, zspec), 40)
+    arc_test, calls = direct._arc_test, []
+
+    def spy(cf, w, shift, rho, p):
+        calls.append(len(w))
+        return arc_test(cf, w, shift, rho, p)
+
+    monkeypatch.setattr(direct, "_arc_test", spy)
+    assert direct._arc_walk(cf, [0.5 * (a + b)], [2e-3], 6) == [None]
+    assert calls == [direct.ARC_START]
+    calls.clear()
+    assert direct._arc_walk(cf, [a, b], [4.85e-4, 4.85e-4], 4) == [None, None]
+    assert calls == [2 * direct.ARC_START]
+
+
+def test_no_window_beyond_the_cap_is_built(zspec, monkeypatch):
+    # c_0 = 1e9 puts K' at 3000000001, and a window of 1e8 is asked for:
+    # both raise WindowExceeded before any build (K' alone once asked for
+    # about 48 GB).  On lambda_n = n the cap's boundary is c_0 = 10664
+    built, build = [], CharacteristicFunction.build.__func__
+    monkeypatch.setattr(
+        CharacteristicFunction, "build", classmethod(lambda cls, *a: built.append(a[2]) or build(cls, *a))
+    )
+    with pytest.raises(errors.WindowExceeded, match=r"K' = 3000000001\) exceeds 32000$"):
+        localize_spectrum(zspec, validate_coefficients(finite_coeffs({0: 1e9}), zspec), OPTS)
+    with pytest.raises(errors.WindowExceeded, match=r"^summation window 100000008 "):
+        localize_spectrum(zspec, finite_coeffs({0: 0.3}), LocalizeOptions(window=10**8))
+    with pytest.raises(errors.WindowExceeded, match=r"^summation window 32001 "):
+        localize_spectrum(zspec, finite_coeffs({0: 10664.0}), OPTS)
+    assert built == []
+    loc = localize_spectrum(zspec, finite_coeffs({0: 10663.0}), OPTS)
+    assert built == [31998] and loc.k_prime == 31990
 
 
 def test_clustered_round_trip_certifies_every_order_circle(zspec):

@@ -113,6 +113,30 @@ def test_compare_spectra_contracts():
         oracle.compare_spectra(left, left[:2], 1e-12)
 
 
+def test_compare_spectra_equals_scipys_matching():
+    # random multisets with repeated points (double and triple ones), the
+    # points moved by up to well below, near or above tol, and shuffled: the
+    # same (passed, worst), bit for bit, as scipy's least-cost matching
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(3)
+    tol = 1e-8
+    outcomes = []
+    for trial in range(200):
+        n = int(rng.integers(1, 60))
+        points = rng.uniform(-40, 40, n) + 1j * rng.uniform(-1, 1, n) * (trial % 2)
+        reference = np.repeat(points, rng.choice([1, 1, 1, 2, 3], n))
+        scale = rng.uniform(0, 1, len(reference)) * rng.choice([1e-3, 0.5, 0.99, 1.01, 2.0, 1e3])
+        moved = reference + tol * scale * np.exp(2j * np.pi * rng.uniform(size=len(reference)))
+        moved = rng.permutation(moved)
+        cost = np.abs(moved[:, None] - reference[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        worst = float(cost[rows, cols].max())
+        assert oracle.compare_spectra(moved, reference, tol) == (worst < tol, worst)
+        outcomes.append(worst < tol)
+    assert 30 < sum(outcomes) < len(outcomes) - 30
+
+
 def test_dimension_caps(zspec):
     coeffs = finite_coeffs({0: 0.1})
     op = oracle.build_truncation(zspec, coeffs, 10)

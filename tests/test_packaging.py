@@ -1,5 +1,5 @@
-"""Runtime dependencies declared in pyproject.toml match the package imports,
-and a solve loads only the ones it needs."""
+"""Runtime dependencies declared in pyproject.toml are the package imports,
+numpy alone, and no solve or comparison needs scipy."""
 
 import ast
 import importlib.util
@@ -41,7 +41,8 @@ def _imported():
 
 @needs_tomllib
 def test_every_third_party_import_is_declared():
-    assert _imported() <= _declared()
+    # and nothing else: a declaration the package no longer imports fails too
+    assert _imported() == _declared()
 
 
 @needs_tomllib
@@ -50,10 +51,13 @@ def test_every_declared_dependency_is_importable():
     assert not missing, f"declared but not importable: {missing}"
 
 
-# c_0 = -c_1 = 0.45: neither disk certifies, so both zeros are central and
-# go to indices 0 and 1 through the assignment
+# with scipy blocked (an import of it raises ImportError): c_0 = -c_1 = 0.45
+# leaves both disks uncertified, so both zeros are central and go to indices
+# 0 and 1 through the assignment; the oracle's comparison and the CLI's
+# round trip on a double point match their spectra by the same assignment
 NO_SCIPY_SOLVE = """
-import sys
+import os, sys
+sys.modules["scipy"] = None
 import rank1spec, rank1spec.cli
 from rank1spec import direct, model, oracle
 spec = model.validate_base(model.BaseSpectrum("Z", 0, (), model.AffineTail(1.0, 0.0), 1.0))
@@ -61,20 +65,24 @@ coeffs = model.PerturbationCoefficients(0, (1.0, 1.0), None, 0, (0.45, -0.45), N
 coeffs = model.validate_coefficients(coeffs, spec)
 ps, loc = direct.solve_direct(spec, coeffs, direct.LocalizeOptions(window=8, n_trunc=20))
 assert len(loc.central) == 2 and len(loc.owned[0]) == 0
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-assert not loaded, loaded
 reference = oracle.dense_eigenvalues(oracle.build_truncation(spec, coeffs, loc.window))
 assert oracle.compare_spectra(ps, reference, 1e-8)[0]
-assert "scipy.optimize" in sys.modules
+spec_path, target_path = (os.path.join(sys.argv[1], name) for name in ("spec.json", "target.json"))
+model.dump_json(model.base_to_json(spec), spec_path)
+model.dump_json({"nu_head": {"offset": 0, "values": [[0.5, 0.0], [0.5, 0.0]]}, "tail": "equals_lambda"}, target_path)
+argv = ["roundtrip", "--spec", spec_path, "--target", target_path, "--trunc", "20", "--trunc-window", "8"]
+assert rank1spec.cli.main(argv) == 0
+loaded = sorted(name for name, mod in sys.modules.items() if name.split(".")[0] == "scipy" and mod)
+assert not loaded, loaded
 """
 
 
-def test_a_solve_loads_no_scipy():
-    # scipy serves only oracle.compare_spectra, which imports it on first use;
+def test_a_solve_loads_no_scipy(tmp_path):
     # in a fresh interpreter, since the tests have loaded scipy in this one
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SOLVE], env=env, capture_output=True, text=True, timeout=60
-    )
+        [sys.executable, "-c", NO_SCIPY_SOLVE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )  # fmt: skip
     assert proc.returncode == 0, proc.stderr
