@@ -52,7 +52,9 @@ def taylor(c, lam, z, p, shift=0.0, rho=None):
     The points go to _sums as they are, in blocks of at most _CHUNK
     terms x points products when there are more.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    z = np.asarray(z, dtype=np.complex128)
+    if not z.ndim:
+        z = z.reshape(1)
     step = max(2, _CHUNK // max(1, len(c)))  # two points or more, so a lone point is rare
     if len(z) <= step:
         return _sums(c, lam, z, p, shift, rho)

@@ -33,10 +33,10 @@ def first_pole_hit(lam, z):
 
 @dataclass(frozen=True)
 class CharacteristicFunction:
-    """F cut to the window |n| <= n_trunc.  build evaluates the window's
-    indices idx (ascending), lambda_n and c_n once, for the direct solver
-    to slice; the I1 terms (c_n != 0) idx1, lam1, c1 run from the largest
-    |index| inward, so that the smallest terms accumulate first."""
+    """F cut to the window |n| <= n_trunc.  cut slices the window's indices
+    idx (ascending), lambda_n and c_n from Terms, for the direct solver to
+    slice further; the I1 terms (c_n != 0) idx1, lam1, c1 run from the
+    largest |index| inward, so that the smallest terms accumulate first."""
 
     spec: object
     n_trunc: int
@@ -52,25 +52,35 @@ class CharacteristicFunction:
     def build(cls, spec, coeffs, n_trunc):
         if n_trunc < 1:
             raise errors.WindowExceeded("n_trunc must be positive")
-        idx = spec.window_indices(n_trunc)
-        c = np.atleast_1d(coeffs.c_at(idx))
-        lam = np.asarray(spec.lambda_at(idx), dtype=float).reshape(-1)
-        i0 = c == 0
-        order = np.argsort(-np.abs(idx[~i0]), kind="stable")
-        tail = coeffs.c_tail_sum(n_trunc, spec.index_kind)
+        return cls.cut(Terms(spec, coeffs, n_trunc), n_trunc)
+
+    @classmethod
+    def cut(cls, terms, n_trunc):
+        """F over |n| <= n_trunc, from terms evaluated that far or farther."""
+        spec = terms.spec
+        first = -n_trunc if spec.index_kind == INDEX_Z else spec.start
+        window = slice(first - terms.lo, n_trunc + 1 - terms.lo)
+        idx, lam, c = terms.idx[window], terms.lam[window], terms.c[window]
+        i1 = c.nonzero()[0]
+        i1 = i1[np.argsort(-np.abs(idx[i1]), kind="stable")]
         return cls(
             spec=spec,
             n_trunc=int(n_trunc),
             idx=idx,
             lam=lam,
             c=c,
-            idx1=idx[~i0][order],
-            lam1=lam[~i0][order],
-            c1=np.asarray(c[~i0][order], dtype=complex),
-            tail_total=float(tail),
+            idx1=idx[i1],
+            lam1=lam[i1],
+            c1=c[i1],
+            tail_total=terms.tail_sum(n_trunc),
         )
 
     # -- geometry helpers --------------------------------------------------
+
+    def window(self, radius):
+        """The positions of the indices |n| <= radius in idx, lam and c: a slice."""
+        first = int(self.idx[0]) if len(self.idx) else 0
+        return slice(max(0, -radius - first), max(0, radius - first + 1))
 
     def check_poles(self, z):
         """Raise PoleHit naming the first point that sits on a represented pole."""
@@ -155,6 +165,77 @@ class CharacteristicFunction:
         return self.value_pair(w, order, self.spec.lambda_at(int(center_index)))[0]
 
 
+class Terms:
+    """c_n, |c_n| and lambda_n over the indices lo..radius, evaluated once
+    for a solve to slice its K_eps, windows and tail sums from, with
+    c_tail_sum's and compute_Keps' sums over the same values in the same
+    order.  radius reaches the head radius h; lo is -radius over Z, and
+    over N the lower of 1 and the start (c_tail_sum counts from index 1)."""
+
+    def __init__(self, spec, coeffs, radius, h=None):
+        self.spec, self.coeffs = spec, coeffs
+        self.h = coeffs.head_radius() if h is None else h
+        self.radius = max(radius, self.h)
+        self.lo = -self.radius if spec.index_kind == INDEX_Z else min(1, spec.start)
+        self.idx = np.arange(self.lo, self.radius + 1)
+        self.c = np.atleast_1d(coeffs.c_at(self.idx))
+        self.absc = np.abs(self.c)
+        self.lam = np.asarray(spec.lambda_at(self.idx), dtype=float).reshape(-1)
+
+    def lambda_at(self, n):
+        return float(self.lam[n - self.lo])
+
+    def tail_sum(self, radius):
+        """coeffs.c_tail_sum(radius), from the evaluated |c_n|."""
+        total = 0.0
+        zero, h = -self.lo, self.h
+        if radius < h:
+            part = self.absc[zero + radius + 1 : zero + h + 1]
+            if self.spec.index_kind == INDEX_Z:
+                part = np.concatenate([self.absc[zero - h : zero - radius], part])
+            if part.size:
+                total += float(part.sum())
+        return total + self.coeffs.power_tail_sum(max(radius, h), self.spec.index_kind)
+
+    def keps(self, eps):
+        """(K_eps, K_eps_prime) as compute_Keps defines them, eps in range."""
+        spec, h = self.spec, self.h
+        # c_tail_sum(n) for n = 0..h - 1 is the sum of |c_k| over n < |k| <=
+        # h, formed from the outside in, plus the generator tail beyond h
+        # (c_tail_sum(h) alone), and K''s head sum is a slice of the same |c_n|
+        zero, absc = -self.lo, self.absc
+        shells = absc[zero + 1 : zero + h + 1]  # |c_k| (+ |c_-k| over Z), k = 1..h
+        if spec.index_kind == INDEX_Z:
+            shells = absc[zero - h : zero][::-1] + shells
+        tail = self.tail_sum(h)
+        below = (np.cumsum(shells[::-1])[::-1] + tail < eps).nonzero()[0]
+        k_eps = int(below[0]) if len(below) else h if tail < eps else None
+        if k_eps is None:
+            # head exhausted: only the generator tail is left beyond h, and
+            # its sum falls with the radius; bisect for the first radius below
+            # eps, up to the largest window a solve can build
+            small = lambda n: self.coeffs.power_tail_sum(n, spec.index_kind) < eps
+            k_eps = h + 1 + bisect.bisect_left(range(h + 1, TRUNC_CAP + 1), True, key=small)
+            if k_eps > TRUNC_CAP:
+                raise errors.WindowExceeded(
+                    f"K_eps exceeds {TRUNC_CAP}: the c_n beyond radius {TRUNC_CAP} sum to "
+                    f"{self.tail_sum(TRUNC_CAP):.3g}, not below eps = {eps:.3g}"
+                )
+        if k_eps <= self.radius:
+            first = -k_eps if spec.index_kind == INDEX_Z else spec.start
+            inside = absc[first + zero : k_eps + zero + 1]
+        else:  # K_eps beyond the head and the window evaluated
+            inside = np.abs(np.atleast_1d(self.coeffs.c_at(spec.window_indices(k_eps))))
+        head_sum = float(inside.sum())
+        if head_sum == 0.0:
+            return k_eps, k_eps + 1
+        d = spec.gap
+        k_prime = k_eps + 1 + int(math.floor(head_sum / (eps * d)))
+        while head_sum / ((k_prime - k_eps) * d) >= eps:
+            k_prime += 1
+        return k_eps, k_prime
+
+
 def compute_Keps(spec, coeffs, eps):
     """Window radii (K_eps, K_eps_prime) realizing the tail estimates.
 
@@ -166,40 +247,4 @@ def compute_Keps(spec, coeffs, eps):
     d = spec.gap
     if not (0 < eps < d / 2):
         raise errors.EpsOutOfRange(f"eps must satisfy 0 < eps < d/2 = {d / 2:.6g}")
-    h = coeffs.head_radius()
-    # |c_n| over the head in index order, from one c_at pass (over N from
-    # index 1, as c_tail_sum counts, or from the start when that is lower):
-    # c_tail_sum(n) for n = 0..h is the sum of |c_k| over n < |k| <= h,
-    # formed from the outside in, plus the generator tail beyond h, and K''s
-    # head sum is a slice of the same array
-    lo = -h if spec.index_kind == INDEX_Z else min(1, spec.start)
-    absc = np.abs(np.atleast_1d(coeffs.c_at(np.arange(lo, h + 1))))
-    if spec.index_kind == INDEX_Z:
-        shell = absc[:h][::-1] + absc[h + 1 :]  # |c_-k| + |c_k|, k = 1..h
-    else:
-        shell = absc[1 - lo :]
-    head = np.append(np.cumsum(shell[::-1])[::-1], 0.0)
-    below = np.flatnonzero(head + coeffs.c_tail_sum(h, spec.index_kind) < eps)
-    k_eps = int(below[0]) if len(below) else None
-    if k_eps is None:
-        # head exhausted: only the generator tail is left beyond h, and its
-        # sum falls with the radius; bisect for the first radius below eps,
-        # up to the largest window a solve can build
-        small = lambda n: coeffs.c_tail_sum(n, spec.index_kind) < eps
-        k_eps = h + 1 + bisect.bisect_left(range(h + 1, TRUNC_CAP + 1), True, key=small)
-        if k_eps > TRUNC_CAP:
-            raise errors.WindowExceeded(
-                f"K_eps exceeds {TRUNC_CAP}: the c_n beyond radius {TRUNC_CAP} sum to "
-                f"{coeffs.c_tail_sum(TRUNC_CAP, spec.index_kind):.3g}, not below eps = {eps:.3g}"
-            )
-        inside = np.abs(np.atleast_1d(coeffs.c_at(spec.window_indices(k_eps))))
-    else:
-        idx = spec.window_indices(k_eps)
-        inside = absc[idx[0] - lo : idx[-1] - lo + 1] if len(idx) else absc[:0]
-    head_sum = float(np.sum(inside))
-    if head_sum == 0.0:
-        return k_eps, k_eps + 1
-    k_prime = k_eps + 1 + int(math.floor(head_sum / (eps * d)))
-    while head_sum / ((k_prime - k_eps) * d) >= eps:
-        k_prime += 1
-    return k_eps, k_prime
+    return Terms(spec, coeffs, 0).keps(eps)

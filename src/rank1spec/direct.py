@@ -23,7 +23,12 @@ secular equation).  A disk whose zero fails raises; the zeros left in the
 rectangle are grouped into multiple zeros, and each one's order is
 certified on a small circle of its own, clear of the certified disks, all
 circles walked together.  A solve whose disks all certify (the common
-case) runs no eigenvalue problem, arc walk or assignment.
+case) runs no eigenvalue problem, arc walk or assignment.  Its stages, in
+median microseconds over the easy finite_batch instances of seed 1
+(README), before and after each array came to be formed once: K' 53 -> 49
+(now with the one evaluation of c_n and lambda_n), F's window 41 -> 15,
+rectangle 9.2 -> 4.1, disks 120 -> 111, rectangle check 35 -> 23, Newton
+137 -> 114, assembly 61 -> 33; the solve 468 -> 352.
 """
 
 from collections import namedtuple
@@ -34,7 +39,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import errors
-from .charfn import TRUNC_CAP, CharacteristicFunction, compute_Keps
+# compute_Keps is not called here; it stays importable as direct.compute_Keps
+from .charfn import TRUNC_CAP, CharacteristicFunction, Terms, compute_Keps
 from .model import (
     INDEX_Z,
     ORIGIN_BOTH,
@@ -55,6 +61,7 @@ CLUSTER_RTOL = 1e-6  # zeros closer than this times d form one cluster
 ROUNDOFF = 20.0
 NEWTON_MAX_ITER = 80
 NEWTON_RTOL = 1e-10  # a simple zero's residual |F| is within this times 1 + sum |c_n|
+WALK_OUT = 3  # the Newton steps that double a point's distance from a pole before it fails
 MATCH_RTOL = 1e-7  # zeros within this times d max(1, |lambda_n|) land on a common lambda_n
 
 
@@ -138,10 +145,11 @@ class LocalizationResult:
 
 
 def _gamma(m):
-    """Higham's gamma_m = m u / (1 - m u), inf where m u >= 1/2."""
+    """Higham's gamma_m = m u / (1 - m u) over an array, inf where m u >= 1/2
+    (formed with m u capped at 1/2, so that no quotient warns)."""
     mu = m * UNIT_ROUNDOFF
-    with np.errstate(invalid="ignore"):
-        return np.where(mu < 0.5, mu / (1.0 - mu), np.inf)
+    capped = np.minimum(mu, 0.5)
+    return np.where(mu < 0.5, capped / (1.0 - capped), np.inf)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -190,7 +198,9 @@ def _rouche(cf, idx, lam, c, r, shrink=None):
     blocks of ROUCHE_BLOCK disks x terms.
     """
     absc, absc_k = np.abs(cf.c1), np.abs(c)
-    parts = np.stack([cf.c1.real, cf.c1.imag], axis=1)
+    # columns Re c_n, Im c_n, |c_n|: beta_k from the first two, beta'_k and
+    # S0_k from one product over all three
+    cols = np.concatenate([cf.c1.view(float).reshape(-1, 2), absc[:, np.newaxis]], axis=1)
     rho = np.full(len(idx), float(r))
     s = np.empty(len(idx))
     size = np.empty(len(idx))  # sum_{n != k} |c_n| / D_n
@@ -203,15 +213,15 @@ def _rouche(cf, idx, lam, c, r, shrink=None):
         diff = cf.lam1 - lam[b, np.newaxis]
         diff[cf.idx1 == idx[b, np.newaxis]] = np.inf  # the k-th term is G_k's
         recip = 1.0 / diff
-        beta[b] = 1.0 + (recip @ parts).view(complex)[:, 0]
-        square = recip * recip
-        slope[b] = (square @ parts).view(complex)[:, 0]
+        beta[b] = 1.0 + (recip @ cols[:, :2]).view(complex)[:, 0]
+        # the block-sized squares are freed at once: one more block-sized
+        # array alive made _rouche a third slower at window 400, and the
+        # block's arrays are kept until the next block's replace them, since
+        # freeing them all between blocks made it twice as slow there
+        second = (recip * recip) @ cols
+        slope[b] = second[:, :2].view(complex)[:, 0]
         if shrink is not None:
-            local = np.sqrt(absc_k[b] / (square @ absc))
-            rho[b] = np.where(shrink[b], np.fmin(r, local), r)
-        # freed before the block's next temporaries: one more block-sized
-        # array alive made _rouche a third slower at window 400
-        del square
+            rho[b] = np.where(shrink[b], np.fmin(r, np.sqrt(absc_k[b] / second[:, 2])), r)
         inv = np.abs(recip)
         size[b] = inv @ absc
         den = np.abs(diff) - rho[b, np.newaxis]
@@ -254,14 +264,16 @@ def _rouche_rect(cf, rect):
     = 1 exact and kappa = (|lambda_n| + |edge|) / dist for the cancellation
     in each pole's distance to the boundary, edge the farther real end.
     """
-    with np.errstate(divide="ignore"):
-        dist = _pole_distance_to_rect(rect, cf.lam1)
-        s = float(np.sum(np.abs(cf.c1) / dist))
-        if cf.tail_total > 0.0:
-            s += cf.tail_total / float(cf.delta_unrepresented([rect.re_lo, rect.re_hi]).min())
-        edge = max(abs(rect.re_lo), abs(rect.re_hi))
-        kappa = np.max((np.abs(cf.lam1) + edge) / dist, initial=0.0)
-    gamma = float(_gamma(len(cf.c1) + 12.0 + np.ceil(kappa)))
+    dist = _pole_distance_to_rect(rect, cf.lam1)
+    if not dist.all():  # a pole on the boundary: S_Q is infinite
+        return -math.inf, False
+    s = float((np.abs(cf.c1) / dist).sum())
+    if cf.tail_total > 0.0:
+        s += cf.tail_total / float(cf.delta_unrepresented([rect.re_lo, rect.re_hi]).min())
+    edge = max(abs(rect.re_lo), abs(rect.re_hi))
+    kappa = ((np.abs(cf.lam1) + edge) / dist).max(initial=0.0)
+    mu = (len(cf.c1) + 12.0 + np.ceil(kappa)) * UNIT_ROUNDOFF
+    gamma = mu / (1.0 - mu) if mu < 0.5 else math.inf
     return 1.0 - s, bool(s * (1.0 + gamma) < 1.0 - gamma)
 
 
@@ -441,7 +453,11 @@ def _newton(cf, seeds, order, shift=None):
     zero's basin can overshoot R (for F = 1 - c/z, from (1 + 0.9i) c to
     1.81 c), though for that F never 2 R.  Such a point has lost its zero,
     and its steps, each within ten times the last, could keep the pass
-    iterating.
+    iterating.  It fails too at its WALK_OUT-th step that grew and took it
+    twice as far from its nearest pole or farther: next to a pole F is
+    about -c_n / w, and each step doubles w, within ten times the last.
+    Only a step that grew (or is NaN) can diverge or walk out, so an
+    iteration in which no point's step grew runs neither test.
     """
     w = np.array(seeds, dtype=complex, ndmin=1)  # a copy: the steps write to it
     if shift is None:
@@ -453,6 +469,7 @@ def _newton(cf, seeds, order, shift=None):
     reach = 2.0 * (total + cf.tail_total) if deriv == 0 else np.inf
     start = shift + w
     failed = np.zeros(len(w), dtype=bool)
+    walks = None  # per seed, its steps that doubled its distance from a pole
     # the points still moving: positions, offsets w, shifts, scales 1 + |shift|
     # and the size of each one's last step; np.count_nonzero tests a mask for
     # any True at a third of ndarray.any's cost
@@ -464,29 +481,53 @@ def _newton(cf, seeds, order, shift=None):
         g, gp = cf.value_pair(wl, deriv, sl)
         step = g / gp
         # where F^(order) vanishes the point moves by 1e-9 (1 + |w|) instead,
-        # with no stop or divergence test and its last step size kept
-        flat = gp == 0
-        any_flat = np.count_nonzero(flat)
+        # with no stop, divergence or walk-out test and its last step size kept
+        any_flat = np.count_nonzero(gp) < len(gp)
         if any_flat:
+            flat = gp == 0
             step[flat] = -1e-9 * (1.0 + _modulus(wl[flat]))
-        wl = wl - step
+        prev, wl = wl, wl - step
         size, offset = _modulus(step), _modulus(wl)
-        done = (size < 1e-16 * (scale + offset)) & (_modulus(g) <= resid_tol)
-        diverged = ~(done | (size <= 10.0 * (last + 1.0)))
+        if any_flat:
+            size[flat] = last[flat]
+        done = size < 1e-16 * (scale + offset)
+        if np.count_nonzero(done):
+            done &= _modulus(g) <= resid_tol
+        diverged = None
+        smaller = size <= last  # a NaN step grew
+        if np.count_nonzero(smaller) < len(smaller):
+            diverged = ~(done | (size <= 10.0 * (last + 1.0)))
+            if len(cf.lam1):  # the steps that doubled a distance to the pole nearest the new point
+                j = (~smaller).nonzero()[0]
+                after = sl[j] + wl[j]
+                pole = _nearest(cf.lam[cf.c != 0], after)
+                j = j[_modulus(after - pole) >= 2.0 * _modulus(sl[j] + prev[j] - pole)]
+                walks = np.zeros(len(w), dtype=int) if walks is None else walks
+                walks[live[j]] += 1
+                j = j[walks[live[j]] >= WALK_OUT]
+                diverged[j] |= ~done[j]
         far = offset > reach
         if np.count_nonzero(far):
             j = live[far]
             lost = _nearest_pole(cf, sl[far] + wl[far]) > np.maximum(reach, _nearest_pole(cf, start[j]))
+            if diverged is None:
+                diverged = np.zeros(len(live), dtype=bool)
             diverged[far] |= lost & ~done[far]
         if any_flat:
             done &= ~flat
-            diverged &= ~flat
-            size[flat] = last[flat]
+            if diverged is not None:
+                diverged &= ~flat
         last = size
-        stop = done | diverged
-        if np.count_nonzero(stop):
+        stop = done if diverged is None else done | diverged
+        n_stop = np.count_nonzero(stop)
+        if n_stop:
+            if diverged is not None:
+                failed[live[diverged]] = True
+            if n_stop == len(live):
+                w[live] = wl
+                live = live[:0]
+                break
             w[live[stop]] = wl[stop]
-            failed[live[diverged]] = True
             move = ~stop
             live, wl, sl, scale, last = live[move], wl[move], sl[move], scale[move], last[move]
     if len(live):
@@ -500,11 +541,16 @@ def _newton(cf, seeds, order, shift=None):
     # before their last steps, whose values the loop already has: returned,
     # those put the roundtrip benchmark's worst deviation (seeds 1-4) at
     # 9.4e-16, not 2.8e-16
-    resid = np.full(len(w), np.nan)
-    resid[ok] = _modulus(cf.value_pair(w[ok], 0, shift[ok])[0])
+    if np.count_nonzero(failed):
+        resid = np.full(len(w), np.nan)
+        resid[ok] = _modulus(cf.value_pair(w[ok], 0, shift[ok])[0])
+    else:
+        resid = _modulus(cf.value_pair(w, 0, shift)[0])
     if deriv == 0:
-        ok &= ~(resid > resid_tol)
-        resid[~ok] = np.nan
+        bad = resid > resid_tol
+        if np.count_nonzero(bad):
+            ok &= ~bad
+            resid[bad] = np.nan
     return shift + w, resid, ok
 
 
@@ -689,21 +735,22 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
 # top-level localization
 
 
-def _central_rectangle(spec, k_prime, d):
+def _central_rectangle(spec, k_prime, d, lambda_at):
+    """Q_{K'}, its real ends from lambda_at (the solve's Terms.lambda_at)."""
     if spec.index_kind == INDEX_Z:
-        lo = spec.lambda_at(-k_prime) - 0.5 * d
-        hi = spec.lambda_at(k_prime) + 0.5 * d
+        lo = lambda_at(-k_prime) - 0.5 * d
+        hi = lambda_at(k_prime) + 0.5 * d
     elif k_prime < spec.start:
         # no central index: every pole has its own disk, and no zero lies
         # outside them; a pole-free box just left of the first disk
-        lam_s = spec.lambda_at(spec.start)
+        lam_s = lambda_at(spec.start)
         lo, hi = lam_s - 1.5 * d, lam_s - 0.5 * d
     else:
         # no outer disks lie left of lambda_start: reach as far left of it as
         # lambda_{K'} lies right, so every point outside is (K' - K_eps) d or
         # more from the head poles, as the enclosure needs
-        lam_s = spec.lambda_at(spec.start)
-        lam_k = spec.lambda_at(k_prime)
+        lam_s = lambda_at(spec.start)
+        lam_k = lambda_at(k_prime)
         lo = min(lam_s, 2.0 * lam_s - lam_k) - 0.5 * d
         hi = lam_k + 0.5 * d
     # the imaginary half-height mirrors the larger end of the real range,
@@ -737,13 +784,14 @@ def _disks(cf, k_prime, window, d):
     that sign makes |beta_k + root|^2 >= |beta_k|^2 + |root|^2, and Rouche
     holds |c_k| < rho_k |beta_k|, so |w_k| < 2 rho_k.
     """
-    size = np.abs(cf.idx)
-    keep = (size <= window) & ((size > k_prime) | (cf.c != 0))
-    idx, lam, c = cf.idx[keep], cf.lam[keep], cf.c[keep]
+    win = cf.window(window)
+    idx, c = cf.idx[win], cf.c[win]
     outer = np.abs(idx) > k_prime
+    keep = outer | (c != 0)
+    idx, lam, c, outer = idx[keep], cf.lam[win][keep], c[keep], outer[keep]
     margin, certified, (beta, slope, rho) = _rouche(cf, idx, lam, c, 0.5 * d, ~outer)
     failed = ~certified & outer
-    if failed.any():
+    if np.count_nonzero(failed):
         j = np.argmax(failed)
         raise errors.CertificationFailed(
             f"disk around index {idx[j]} failed to certify (Rouche margin {margin[j]:.3g})"
@@ -755,30 +803,44 @@ def _disks(cf, k_prime, window, d):
     return idx, lam, c, w, rho, certified
 
 
-def localize_spectrum(spec, coeffs, opts=None):
-    """Locate all zeros of F in the enclosure Q_{K'} union outer disks.
-
-    K', the window and the central rectangle are fixed once; F is summed
-    over max(n_trunc, window + 8), doubled up to TRUNC_CAP while an attempt
-    fails and some nonzero c_n lies beyond it.  A first n_trunc beyond
-    TRUNC_CAP (a large K' or a large requested window or n_trunc) raises
-    WindowExceeded before anything is built.
-    """
-    if opts is None:
-        opts = LocalizeOptions()
-    d = spec.gap
-    eps = d / (2.0 + d)
-    _, k_prime = compute_Keps(spec, coeffs, eps)
+def _setup(spec, coeffs, opts, eps):
+    """(terms, K', window, n_trunc) of a solve.  c_n and lambda_n are
+    evaluated once (charfn.Terms) over the head and the n_trunc the options
+    give, max(n_trunc, window + 8), and again only when K' + 8 exceeds it; a
+    first n_trunc beyond TRUNC_CAP raises WindowExceeded before any index
+    beyond TRUNC_CAP is evaluated."""
+    h = coeffs.head_radius()
+    terms = Terms(spec, coeffs, min(max(opts.n_trunc, opts.window + 8), TRUNC_CAP), h)
+    _, k_prime = terms.keps(eps)
     window = max(opts.window, k_prime)
     n_trunc = max(opts.n_trunc, window + 8)
     if n_trunc > TRUNC_CAP:
         raise errors.WindowExceeded(
             f"summation window {n_trunc} (window {window}, K' = {k_prime}) exceeds {TRUNC_CAP}"
         )
+    if n_trunc > terms.radius:
+        terms = Terms(spec, coeffs, n_trunc, h)
+    return terms, k_prime, window, n_trunc
+
+
+def localize_spectrum(spec, coeffs, opts=None):
+    """Locate all zeros of F in the enclosure Q_{K'} union outer disks.
+
+    K', the window and the central rectangle are fixed once (_setup); F is
+    summed over max(n_trunc, window + 8), doubled up to TRUNC_CAP while an
+    attempt fails and some nonzero c_n lies beyond it.  F's window, the
+    rectangle's ends and the tail sums are sliced from the terms _setup
+    evaluated, which are evaluated again only when n_trunc outgrows them.
+    """
+    if opts is None:
+        opts = LocalizeOptions()
+    d = spec.gap
+    eps = d / (2.0 + d)
+    terms, k_prime, window, n_trunc = _setup(spec, coeffs, opts, eps)
     # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
-    rect = _central_rectangle(spec, k_prime, d)
+    rect = _central_rectangle(spec, k_prime, d, terms.lambda_at)
     while True:
-        cf = CharacteristicFunction.build(spec, coeffs, n_trunc)
+        cf = CharacteristicFunction.cut(terms, n_trunc)
         try:
             found = _localize_attempt(cf, k_prime, window, rect, d)
         except errors.CertificationFailed as exc:
@@ -790,9 +852,10 @@ def localize_spectrum(spec, coeffs, opts=None):
                     f"escalation exhausted (n_trunc {n_trunc}): {exc}"
                 )
             n_trunc *= 2
+            if n_trunc > terms.radius:
+                terms = Terms(spec, coeffs, n_trunc, terms.h)
             continue
-        tail_sum = coeffs.c_tail_sum(window, spec.index_kind)
-        return LocalizationResult(*found, rect, k_prime, window, eps, tail_sum, cf)
+        return LocalizationResult(*found, rect, k_prime, window, eps, terms.tail_sum(window), cf)
 
 
 def _localize_attempt(cf, k_prime, window, rect, d):
@@ -807,13 +870,13 @@ def _localize_attempt(cf, k_prime, window, rect, d):
     # about lambda_k, then the hard zeros' (_hard_seeds), with the disks'
     # zeros divided out at lambda_k + w_k and the terms' beyond the window
     # at lambda_k + c_k
-    simple = np.flatnonzero(certified & (c != 0))
-    hard = ~certified
+    simple = (certified & (c != 0)).nonzero()[0]
     outer = np.abs(idx) > k_prime
     m = len(simple)
-    n_hard = np.count_nonzero(hard)
+    n_hard = len(certified) - np.count_nonzero(certified)
     shift, start = lam[simple], w[simple]
     if n_hard:
+        hard = ~certified
         beyond = np.abs(cf.idx1) > window
         lam_k = np.concatenate([shift, cf.lam1[beyond]])
         mu_k = np.concatenate([shift + start, cf.lam1[beyond] + cf.c1[beyond]])
@@ -822,7 +885,7 @@ def _localize_attempt(cf, k_prime, window, rect, d):
         shift, start = np.concatenate([shift, near]), np.concatenate([start, seeds - near])
     z, resid, ok = _newton(cf, start, 1, shift)
     inside = ok[:m] & (np.abs(z[:m] - shift[:m]) < rho[simple])
-    if not inside.all():
+    if np.count_nonzero(inside) < m:
         j = np.argmin(inside)
         raise errors.CertificationFailed(
             f"Newton from {lam[simple[j]] + w[simple[j]]:.6g} found no zero in the disk "
@@ -914,55 +977,63 @@ def assemble_spectrum(spec, coeffs, loc):
     the I1 indices no disk owns by least total distance (Kuhn's Hungarian
     method, `_assign`), and each entry takes the smallest index it is given.
     """
-    window = np.abs(loc.cf.idx) <= loc.window
-    idx_all, c_all, lam_all = loc.cf.idx[window], loc.cf.c[window], loc.cf.lam[window]
+    win = loc.cf.window(loc.window)  # the slice _disks took
+    idx_all, c_all, lam_all = loc.cf.idx[win], loc.cf.c[win], loc.cf.lam[win]
     in_i0 = c_all == 0
     owned_idx, owned_z, _ = loc.owned
-    mu = lam_all.astype(complex)  # the eigenvalue paired with each window index
-    free = ~in_i0  # the I1 indices no disk owns
-    at = np.searchsorted(idx_all, owned_idx)
-    mu[at], free[at] = owned_z, False
-
-    # common eigenvalues; a central zero sitting on one raises its multiplicity
-    lam0 = lam_all[in_i0].astype(complex)
-    mult0 = np.ones(len(lam0), dtype=int)
-    on = np.zeros(len(lam0), dtype=bool)
-    z = np.array([t[0] for t in loc.central], dtype=complex)
-    order = np.array([t[1] for t in loc.central], dtype=int)
-    free = np.flatnonzero(free)
-    if order.sum() != len(free):  # one slot per unit of order
-        raise errors.CountMismatch(f"{order.sum()} zero slots for {len(free)} unowned perturbed indices")
-    paired = free  # the other central zeros' indices; none without central zeros
-    if len(z):
-        hits = _common_hits(lam0, z, MATCH_RTOL * spec.gap)
+    # per window index: the eigenvalue paired with it, and the multiplicity
+    # and origin of the row it heads when no central zero is paired with it
+    mu = lam_all.astype(complex)
+    at = owned_idx - idx_all[0] if len(idx_all) else owned_idx
+    mu[at] = owned_z
+    mult = np.ones(len(mu), dtype=int)
+    origin = np.where(in_i0, ORIGIN_COMMON, ORIGIN_ZERO)
+    slots = sum(t[1] for t in loc.central)  # one per unit of order
+    n_free = len(in_i0) - np.count_nonzero(in_i0) - len(owned_idx)  # the I1 indices no disk owns
+    if slots != n_free:
+        raise errors.CountMismatch(f"{slots} zero slots for {n_free} unowned perturbed indices")
+    # one row per eigenvalue: per window index a disk owns or in I0, then
+    # per central zero on no common eigenvalue, sorted stably by (re, im);
+    # no two rows of the first kind are equal (a disk's zero lies within
+    # d/2 of its own pole), so their order before the sort does not show
+    eig, paired = mu, idx_all
+    if loc.central:
+        z = np.array([t[0] for t in loc.central], dtype=complex)
+        order = np.array([t[1] for t in loc.central], dtype=int)
+        free = ~in_i0
+        free[at] = False
+        free = free.nonzero()[0]
+        common = in_i0.nonzero()[0]
+        hits = _common_hits(mu[common], z, MATCH_RTOL * spec.gap)
         on = hits >= 0
         hit = hits[on]
-        mult0[on] += order[hit]
+        mult[common[on]] += order[hit]
+        origin[common[on]] = ORIGIN_BOTH
         rest = np.ones(len(z), dtype=bool)
         rest[hit] = False
-        where = np.concatenate([lam0[on], z[rest]])
+        where = np.concatenate([mu[common[on]], z[rest]])
         slot = np.repeat(np.arange(len(where)), np.concatenate([order[hit], order[rest]]))
         rows, cols = _assign(np.abs(where[slot, np.newaxis] - lam_all[free]))
         mu[free[cols]] = where[slot[rows]]
         first = np.full(len(where), len(free))  # each entry's smallest index, by position in free
         np.minimum.at(first, slot[rows], cols)
-        z, order, paired = z[rest], order[rest], free[first[len(hit):]]
-
-    # one row per eigenvalue: the owned zeros, the common eigenvalues, the
-    # other central zeros, sorted stably by (re, im)
-    eig = np.concatenate([owned_z, lam0, z])
-    origin = np.full(len(eig), ORIGIN_ZERO)
-    origin[len(owned_z):len(owned_z) + len(lam0)] = np.where(on, ORIGIN_BOTH, ORIGIN_COMMON)
+        keep = np.ones(len(mu), dtype=bool)
+        keep[free] = False
+        z, order = z[rest], order[rest]
+        eig = np.concatenate([mu[keep], z])
+        mult = np.concatenate([mult[keep], order])
+        paired = np.concatenate([idx_all[keep], idx_all[free[first[len(hit):]]]])
+        origin = np.concatenate([origin[keep], np.full(len(z), ORIGIN_ZERO)])
     by_mu = np.lexsort((eig.imag, eig.real))
     tail_bound = (spec.gap / (2.0 * loc.eps)) * loc.tail_sum_bound
     return PerturbedSpectrum(
         mu=eig[by_mu],
-        mult=np.concatenate([np.ones(len(owned_z), dtype=int), mult0, order])[by_mu],
-        paired_index=np.concatenate([owned_idx, idx_all[in_i0], idx_all[paired]])[by_mu],
+        mult=mult[by_mu],
+        paired_index=paired[by_mu],
         origin=origin[by_mu],
         index=idx_all,
         paired_mu=mu,
-        offset_sum=float(np.sum(np.abs(mu - lam_all))),
+        offset_sum=float(np.abs(mu - lam_all).sum()),
         tail_bound=float(tail_bound),
         certified=True,
     )

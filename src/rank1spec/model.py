@@ -219,17 +219,21 @@ class PerturbationCoefficients:
                 idx = np.arange(radius + 1, h + 1)
             if idx.size:
                 total += float(np.abs(self.c_at(idx)).sum())
+        return total + self.power_tail_sum(max(radius, h), index_kind)
+
+    def power_tail_sum(self, m, index_kind):
+        """Certified upper bound on the generated tail's sum of |c_n| over
+        |n| > m, for m at or beyond head_radius()."""
         tail = self.c_tail
-        if tail is not None and tail.scale != 0.0:
-            gamma = tail.beta
-            if gamma <= 1.0:
-                return math.inf
-            m = max(radius, h)
-            # 64 explicit terms, then the integral bound on the remainder
-            k = np.arange(m + 1, m + 65, dtype=float)
-            part = float(np.sum(k**-gamma)) + (m + 64.0) ** (1.0 - gamma) / (gamma - 1.0)
-            total += abs(tail.scale) * part * (2.0 if index_kind == INDEX_Z else 1.0)
-        return total
+        if tail is None or tail.scale == 0.0:
+            return 0.0
+        gamma = tail.beta
+        if gamma <= 1.0:
+            return math.inf
+        # 64 explicit terms, then the integral bound on the remainder
+        k = np.arange(m + 1, m + 65, dtype=float)
+        part = float(np.sum(k**-gamma)) + (m + 64.0) ** (1.0 - gamma) / (gamma - 1.0)
+        return abs(tail.scale) * part * (2.0 if index_kind == INDEX_Z else 1.0)
 
     def partition(self, indices):
         """Split the given indices into (I0, I1) by exact c_n == 0."""

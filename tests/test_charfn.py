@@ -2,8 +2,9 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from rank1spec import errors
-from rank1spec.charfn import CharacteristicFunction, compute_Keps
+from rank1spec import direct, errors
+from rank1spec.charfn import TRUNC_CAP, CharacteristicFunction, Terms, compute_Keps
+from rank1spec.direct import LocalizeOptions
 from rank1spec.model import (
     AffineTail,
     BaseSpectrum,
@@ -212,14 +213,14 @@ def test_compute_Keps_rejects_a_tail_that_decays_too_slowly(zspec, monkeypatch, 
     # beyond radius 32000 stays above eps: K_eps is beyond any window a
     # solve builds.  A walk one radius at a time from the closed-form start
     # (about 2.4e7, 1.4e12 and 2.5e54 here) did not end, or asked for an
-    # array of 1.4e12 indices; the bisection makes a few c_tail_sum calls
+    # array of 1.4e12 indices; the bisection makes a few power_tail_sum calls
     tail = PowerTail(beta, scale, 0.3 if beta == 0.6 else 0.0)
     coeffs = validate_coefficients(
         PerturbationCoefficients(-3, (1.0,) * 7, tail, -3, (0.1,) * 7, tail), zspec
     )
-    calls, tail_sum = [], PerturbationCoefficients.c_tail_sum
+    calls, tail_sum = [], PerturbationCoefficients.power_tail_sum
     monkeypatch.setattr(
-        PerturbationCoefficients, "c_tail_sum", lambda self, *a: calls.append(a) or tail_sum(self, *a)
+        PerturbationCoefficients, "power_tail_sum", lambda self, *a: calls.append(a) or tail_sum(self, *a)
     )
     with pytest.raises(errors.WindowExceeded, match="^K_eps exceeds 32000: "):
         compute_Keps(zspec, coeffs, 1.0 / 3.0)
@@ -285,3 +286,120 @@ def test_compute_Keps_in_one_pass_matches_the_radius_loop(zspec):
                 for eps in (0.3, 0.1, 0.02, edge):
                     if 0.0 < eps < 0.5:
                         assert compute_Keps(spec, coeffs, eps) == _keps_by_radius_loop(spec, coeffs, eps)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass setup of a solve against the evaluation it replaced
+
+
+def _reference_keps(spec, coeffs, eps):
+    """compute_Keps as it was before charfn.Terms: c_at over the head, and
+    over the window of a K_eps beyond it, c_tail_sum at every radius."""
+    h = coeffs.head_radius()
+    lo = -h if spec.index_kind == "Z" else min(1, spec.start)
+    absc = np.abs(np.atleast_1d(coeffs.c_at(np.arange(lo, h + 1))))
+    shell = absc[:h][::-1] + absc[h + 1 :] if spec.index_kind == "Z" else absc[1 - lo :]
+    head = np.append(np.cumsum(shell[::-1])[::-1], 0.0)
+    below = np.flatnonzero(head + coeffs.c_tail_sum(h, spec.index_kind) < eps)
+    if len(below):
+        k_eps = int(below[0])
+        idx = spec.window_indices(k_eps)
+        inside = absc[idx[0] - lo : idx[-1] - lo + 1] if len(idx) else absc[:0]
+    else:
+        k_eps = h + 1
+        while k_eps <= TRUNC_CAP and coeffs.c_tail_sum(k_eps, spec.index_kind) >= eps:
+            k_eps += 1
+        if k_eps > TRUNC_CAP:
+            raise errors.WindowExceeded("K_eps")
+        inside = np.abs(np.atleast_1d(coeffs.c_at(spec.window_indices(k_eps))))
+    head_sum = float(np.sum(inside))
+    if head_sum == 0.0:
+        return k_eps, k_eps + 1
+    k_prime = k_eps + 1 + int(np.floor(head_sum / (eps * spec.gap)))
+    while head_sum / ((k_prime - k_eps) * spec.gap) >= eps:
+        k_prime += 1
+    return k_eps, k_prime
+
+
+def _reference_cf(spec, coeffs, n_trunc):
+    """CharacteristicFunction's arrays as build formed them before
+    charfn.Terms: c_at and lambda_at over the window, c_tail_sum beyond."""
+    idx = spec.window_indices(n_trunc)
+    c = np.atleast_1d(coeffs.c_at(idx))
+    lam = np.asarray(spec.lambda_at(idx), dtype=float).reshape(-1)
+    i0 = c == 0
+    order = np.argsort(-np.abs(idx[~i0]), kind="stable")
+    return {
+        "idx": idx, "lam": lam, "c": c,
+        "idx1": idx[~i0][order], "lam1": lam[~i0][order], "c1": np.asarray(c[~i0][order], dtype=complex),
+        "tail_total": np.float64(coeffs.c_tail_sum(n_trunc, spec.index_kind)),
+    }  # fmt: skip
+
+
+def _reference_setup(spec, coeffs, opts):
+    d = spec.gap
+    eps = d / (2.0 + d)
+    k_prime = _reference_keps(spec, coeffs, eps)[1]
+    window = max(opts.window, k_prime)
+    n_trunc = max(opts.n_trunc, window + 8)
+    if n_trunc > TRUNC_CAP:
+        raise errors.WindowExceeded("n_trunc")
+    rect = direct._central_rectangle(spec, k_prime, d, spec.lambda_at)
+    return k_prime, window, n_trunc, rect, coeffs.c_tail_sum(window, spec.index_kind)
+
+
+@st.composite
+def _setup_cases(draw):
+    """Z, or N from index 0, 1 or 5, with a non-affine head on lambda_n;
+    complex a and b heads with zeros in b (I0 indices), whose radius may
+    reach past the first n_trunc; power tails or none on a and b.  Small b
+    heads leave K' small, and large ones or tails near the summability
+    limit raise WindowExceeded."""
+    kind, start = draw(st.sampled_from([("Z", -3), ("N", 0), ("N", 1), ("N", 5)]))
+    slope = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    lam_head = tuple(slope * (start + j) + 0.3 * slope * draw(st.floats(-1.0, 1.0)) for j in range(6))
+    spec = validate_base(BaseSpectrum(kind, start, lam_head, AffineTail(slope, 0.0), 0.1 * slope))
+    lo = draw(st.integers(-40, 0)) if kind == "Z" else spec.start
+    hi = draw(st.integers(max(lo, 0), 60))
+    size = st.floats(0.0, draw(st.sampled_from([0.4, 0.4, 0.01, 3e3])))
+    angle = st.floats(0.0, 2.0 * np.pi)
+    n = hi - lo + 1
+    a = tuple(complex(1.0, draw(st.floats(-1.0, 1.0))) for _ in range(n))
+    b = [draw(size) * np.exp(1j * draw(angle)) for _ in range(n)]
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        b[j] = 0j
+    tails = [
+        draw(st.one_of(st.none(), st.builds(PowerTail, st.floats(0.51, 2.5), st.floats(0.0, 1.0), angle)))
+        for _ in "ab"
+    ]
+    coeffs = PerturbationCoefficients(lo, a, tails[0], lo, tuple(complex(v) for v in b), tails[1])
+    opts = LocalizeOptions(window=draw(st.integers(1, 30)), n_trunc=draw(st.integers(1, 40)))
+    return spec, validate_coefficients(coeffs, spec), opts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_setup_cases())
+def test_the_one_pass_setup_matches_the_evaluation_it_replaced(case):
+    # K', the window, n_trunc, the rectangle, the window's tail sum and every
+    # array of F, at the first n_trunc and at its double, are those of the
+    # separate compute_Keps, build and c_tail_sum passes, bit for bit, or
+    # both raise the same errors class
+    spec, coeffs, opts = case
+    d = spec.gap
+    try:
+        want = _reference_setup(spec, coeffs, opts)
+    except errors.Rank1Error as exc:
+        with pytest.raises(type(exc)):
+            direct._setup(spec, coeffs, opts, d / (2.0 + d))
+        return
+    terms, k_prime, window, n_trunc = direct._setup(spec, coeffs, opts, d / (2.0 + d))
+    rect = direct._central_rectangle(spec, k_prime, d, terms.lambda_at)
+    assert (k_prime, window, n_trunc, rect, terms.tail_sum(window)) == want
+    for n in (n_trunc, 2 * n_trunc):
+        if n > terms.radius:
+            terms = Terms(spec, coeffs, n, terms.h)
+        cf = CharacteristicFunction.cut(terms, n)
+        assert cf.n_trunc == n
+        for name, value in _reference_cf(spec, coeffs, n).items():
+            got = np.asarray(getattr(cf, name))
+            assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name

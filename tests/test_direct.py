@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rank1spec import direct, errors, inverse, oracle
-from rank1spec.charfn import CharacteristicFunction, compute_Keps
+from rank1spec.charfn import CharacteristicFunction, Terms, compute_Keps
 from rank1spec.direct import (
     Disk,
     LocalizeOptions,
@@ -267,7 +267,7 @@ def test_central_rectangle_for_n_indexed_spectrum_below_zero():
     )
     coeffs = finite_coeffs({1: 0.2, 2: 0.1j, 3: -0.15})
     k_prime = compute_Keps(spec, coeffs, 1.0 / 3.0)[1]  # eps = d / (2 + d)
-    rect = direct._central_rectangle(spec, k_prime, spec.gap)
+    rect = direct._central_rectangle(spec, k_prime, spec.gap, spec.lambda_at)
     assert rect.re_lo < rect.re_hi
     for n in spec.window_indices(k_prime):
         assert rect.contains(complex(spec.lambda_at(n)))
@@ -286,7 +286,7 @@ def test_central_rectangle_holds_a_far_zero_left_of_an_n_indexed_head():
     )
     coeffs = finite_coeffs({1: -5.0})
     k_prime = compute_Keps(spec, coeffs, 1.0 / 3.0)[1]  # eps = d / (2 + d)
-    assert direct._central_rectangle(spec, k_prime, spec.gap).contains(-4.0 + 0j)
+    assert direct._central_rectangle(spec, k_prime, spec.gap, spec.lambda_at).contains(-4.0 + 0j)
     ps, loc = solve_direct(spec, coeffs, OPTS)
     assert ps.certified
     ref = oracle.dense_eigenvalues(oracle.build_truncation(spec, coeffs, loc.window))
@@ -372,21 +372,30 @@ def test_escalation_fixes_K_prime_once_and_doubles_the_n_trunc_it_built(zspec, m
     # |n|^-1.55) leaves three zeros no disk certifies, two near 0.5 and one
     # near the common eigenvalue 2.  Their order circles fail at n_trunc 20
     # (window 12 + 8, above the requested 1), where the tail term alone
-    # reaches |F| at most of their nodes, and pass at 40.  compute_Keps runs
-    # once, and no n_trunc is built twice: doubling the requested 1 built
-    # the same F at 20 five times over, 105 s in all
+    # reaches |F| at most of their nodes, and pass at 40.  K' is taken once,
+    # no n_trunc is cut twice (doubling the requested 1 built the same F at
+    # 20 five times over, 105 s in all), and the terms are evaluated once per
+    # n_trunc that outgrows them
     coeffs, _ = inverse.solve_inverse(zspec, TargetSpectrum(0, (0.5 + 0j, 0.5 + 0j, 2 + 0j, 2 + 0j)))
     coeffs = validate_coefficients(dataclasses.replace(coeffs, b_tail=PowerTail(0.55, 1e-3, 0.0)), zspec)
-    built, keps = [], []
-    build, compute = CharacteristicFunction.build.__func__, direct.compute_Keps
-    monkeypatch.setattr(
-        CharacteristicFunction, "build", classmethod(lambda cls, *a: built.append(a[2]) or build(cls, *a))
-    )
-    monkeypatch.setattr(direct, "compute_Keps", lambda *a: keps.append(a) or compute(*a))
+    cut, evaluated, keps = _spy_on_the_setup(monkeypatch)
     ps, loc = solve_direct(zspec, coeffs, LocalizeOptions(window=12, n_trunc=1))
-    assert built == [20, 40] and len(keps) == 1
+    assert cut == [20, 40] and evaluated == [20, 40] and keps == [loc.eps]
     assert loc.cf.n_trunc == 40 and loc.window == 12
     assert ps.certified and ps.mult.sum() == 2 * loc.window + 1
+
+
+def _spy_on_the_setup(monkeypatch):
+    """Lists the n_trunc of each CharacteristicFunction.cut, the radius of
+    each Terms evaluation and the eps of each Terms.keps, as they are called."""
+    cut, evaluated, keps = [], [], []
+    cut_f, init, keps_f = CharacteristicFunction.cut.__func__, Terms.__init__, Terms.keps
+    monkeypatch.setattr(
+        CharacteristicFunction, "cut", classmethod(lambda cls, t, n: cut.append(n) or cut_f(cls, t, n))
+    )
+    monkeypatch.setattr(Terms, "__init__", lambda self, s, c, r, h=None: evaluated.append(r) or init(self, s, c, r, h))
+    monkeypatch.setattr(Terms, "keps", lambda self, eps: keps.append(eps) or keps_f(self, eps))
+    return cut, evaluated, keps
 
 
 def test_assemble_rejects_a_missing_zero(zspec):
@@ -488,7 +497,7 @@ def test_central_rectangle_for_an_empty_central_set():
     coeffs = finite_coeffs({5: 0.01, 6: 0.015j, 7: -0.02})
     k_prime = compute_Keps(spec, coeffs, 1.0 / 3.0)[1]  # eps = d / (2 + d)
     assert k_prime < spec.start
-    rect = direct._central_rectangle(spec, k_prime, spec.gap)
+    rect = direct._central_rectangle(spec, k_prime, spec.gap, spec.lambda_at)
     assert rect.re_lo < rect.re_hi and rect.im_lo < rect.im_hi
     for n in spec.window_indices(12):
         assert not rect.contains(complex(spec.lambda_at(n)))
@@ -633,21 +642,19 @@ def test_arc_walk_fails_circles_at_the_rounding_floor_at_once(zspec, monkeypatch
 
 def test_no_window_beyond_the_cap_is_built(zspec, monkeypatch):
     # c_0 = 1e9 puts K' at 3000000001, and a window of 1e8 is asked for:
-    # both raise WindowExceeded before any build (K' alone once asked for
-    # about 48 GB).  On lambda_n = n the cap's boundary is c_0 = 10664
-    built, build = [], CharacteristicFunction.build.__func__
-    monkeypatch.setattr(
-        CharacteristicFunction, "build", classmethod(lambda cls, *a: built.append(a[2]) or build(cls, *a))
-    )
+    # both raise WindowExceeded before any window is cut or any term beyond
+    # the cap evaluated (K' alone once asked for about 48 GB).  On lambda_n
+    # = n the cap's boundary is c_0 = 10664
+    cut, evaluated, _ = _spy_on_the_setup(monkeypatch)
     with pytest.raises(errors.WindowExceeded, match=r"K' = 3000000001\) exceeds 32000$"):
         localize_spectrum(zspec, validate_coefficients(finite_coeffs({0: 1e9}), zspec), OPTS)
     with pytest.raises(errors.WindowExceeded, match=r"^summation window 100000008 "):
         localize_spectrum(zspec, finite_coeffs({0: 0.3}), LocalizeOptions(window=10**8))
     with pytest.raises(errors.WindowExceeded, match=r"^summation window 32001 "):
         localize_spectrum(zspec, finite_coeffs({0: 10664.0}), OPTS)
-    assert built == []
+    assert cut == [] and evaluated == [20, 32000, 20]
     loc = localize_spectrum(zspec, finite_coeffs({0: 10663.0}), OPTS)
-    assert built == [31998] and loc.k_prime == 31990
+    assert cut == [31998] and evaluated == [20, 32000, 20, 20, 31998] and loc.k_prime == 31990
 
 
 def test_clustered_round_trip_certifies_every_order_circle(zspec):
@@ -830,12 +837,14 @@ def _newton_by_loop(cf, seed, order):
     reach = 2.0 * (float(np.sum(np.abs(cf.c1))) + cf.tail_total) if order == 1 else np.inf
     poles = cf.lam[cf.c != 0]
     start = np.abs(poles - complex(seed)).min()
+    walks = 0  # steps that grew and doubled the distance to the nearest pole
     for _ in range(direct.NEWTON_MAX_ITER):
         g, gp = (v[0] for v in cf.value_pair(np.array([w]), order - 1, lam_c))
         if gp == 0:
             w += 1e-9 * (1.0 + abs(w))
             continue
         new_step = g / gp
+        before = lam_c + w
         w = w - new_step
         if abs(new_step) < 1e-16 * (1.0 + abs(lam_c) + abs(w)) and (order > 1 or abs(g) <= resid_tol):
             break
@@ -843,6 +852,10 @@ def _newton_by_loop(cf, seed, order):
             return None
         if abs(w) > reach and np.abs(poles - (lam_c + w)).min() > max(reach, start):
             return None  # farther out than every zero
+        pole = poles[np.argmin(np.abs(poles - (lam_c + w)))]
+        walks += abs(new_step) > abs(step) and abs(lam_c + w - pole) >= 2.0 * abs(before - pole)
+        if walks == direct.WALK_OUT:
+            return None  # walking out of a pole
         step = new_step
     else:
         if abs(step) > 1e-12 * (1.0 + abs(lam_c)):
@@ -895,6 +908,33 @@ def test_newton_fails_a_point_that_wanders_past_every_zero(zspec, monkeypatch):
     assert np.allclose(z, [5.079 - 0.474j, -2.913 + 0.169j], atol=1e-3)
 
 
+def test_newton_fails_a_point_that_walks_out_of_a_pole_by_doubling(zspec, monkeypatch):
+    # from 0.6 the first step lands within rounding of the pole 0, on the far
+    # side from the zero 0.3; there F is about -c_0 / z, so each step doubles
+    # z, within ten times the last, and the point took 41 steps to the far
+    # test (42 kernel calls).  Its third doubling step now fails it.
+    # Seeds near the two zeros, one of them 1e-12 from its pole, still
+    # converge, in five steps and the residual pass
+    from rank1spec import _kernels
+
+    cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3, 3: 1e-12}), 20)
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[2]))
+        return sums(*args)
+
+    sums = _kernels._sums
+    monkeypatch.setattr(_kernels, "_sums", spy)
+    z, resid, ok = direct._newton(cf, [0.6], 1)
+    assert not ok[0] and len(calls) <= 8
+    assert abs(z[0]) < 1e-10  # failed a few doublings out, not at the far test
+    calls.clear()
+    z, resid, ok = direct._newton(cf, [0.28, 3.0 + 1e-12], 1)
+    assert ok.all() and np.allclose(z, [0.3 / (1.0 + 1e-12 / 2.7), 3.0 + 1e-12 / 0.9], rtol=0, atol=1e-15)
+    assert calls == [2, 2, 2, 2, 2, 2]
+
+
 def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
     # c_6 = 0.01 puts a zero in the outer disk around index 6 (K' = 1), and
     # c_0, c_1 two zeros in central disks that Rouche certifies: all three
@@ -923,14 +963,14 @@ def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
 
 def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, monkeypatch):
     # every disk certifies, so a solve pays for one Newton pass and nothing
-    # else: kernel passes are Newton's steps plus its residual pass, the
-    # coefficients are evaluated once by compute_Keps (head, K_eps and K'
-    # from one c_at) and once by CharacteristicFunction.build (c_at is two
-    # _eval calls, a and b), and lambda_n by build and the central
-    # rectangle's two ends
+    # else: kernel passes are Newton's steps plus its residual pass, and the
+    # coefficients and eigenvalues are evaluated once (charfn.Terms: c_at is
+    # two _eval calls, a and b), over the head and the first n_trunc, from
+    # one head_radius; K', the window, the rectangle's ends and the tail
+    # sums are sliced from them
     from rank1spec import _kernels
 
-    counts = dict.fromkeys(["sums", "eval", "lambda_at"], 0)
+    counts = dict.fromkeys(["sums", "eval", "lambda_at", "head_radius"], 0)
 
     def counting(key, f):
         def spy(*args):
@@ -943,12 +983,14 @@ def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, mon
     evaluate = counting("eval", PerturbationCoefficients._eval)
     monkeypatch.setattr(PerturbationCoefficients, "_eval", staticmethod(evaluate))
     monkeypatch.setattr(BaseSpectrum, "lambda_at", counting("lambda_at", BaseSpectrum.lambda_at))
+    head_radius = counting("head_radius", PerturbationCoefficients.head_radius)
+    monkeypatch.setattr(PerturbationCoefficients, "head_radius", head_radius)
     hand = (finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01}), OPTS)
     batch = (  # shaped like a finite_batch instance: 5 terms on |n| <= 40, window 41
         finite_coeffs({-31: 0.21 - 0.08j, -4: 0.05 + 0.17j, 9: -0.12 + 0.2j, 17: 0.28j, 30: -0.09 - 0.03j}),
         LocalizeOptions(window=41, n_trunc=49),
     )
-    for (coeffs, opts), expected in ((hand, [5, 4, 3]), (batch, [4, 4, 3])):
+    for (coeffs, opts), expected in ((hand, [5, 2, 1, 1]), (batch, [4, 2, 1, 1])):
         counts.update(dict.fromkeys(counts, 0))
         ps, loc = solve_direct(zspec, coeffs, opts)
         assert not loc.central and ps.certified
@@ -1543,7 +1585,7 @@ def test_rouche_margin_exceeds_the_enclosure_bound():
             assert certified.all()
             assert np.all(margin > eps / (2 * (k_prime - k_eps) + 1)), (spec, coeffs)
             # the central rectangle by the same inequality against 1
-            margin, certified = direct._rouche_rect(cf, direct._central_rectangle(spec, k_prime, d))
+            margin, certified = direct._rouche_rect(cf, direct._central_rectangle(spec, k_prime, d, spec.lambda_at))
             assert certified and margin > eps / (2 * (k_prime - k_eps) + 1), (spec, coeffs)
             disks.update((spec.index_kind, cf.tail_total > 0, bool(c_k != 0)) for c_k in c)
             count += len(idx)
