@@ -25,7 +25,7 @@ def first_pole_hit(lam, z):
     < POLE_RTOL max(1, |lambda_k|), and of the first such pole; None if none."""
     lam = lam[:, np.newaxis]
     hit = np.abs(lam - z) < POLE_RTOL * np.maximum(1.0, np.abs(lam))
-    if not hit.any():
+    if not np.count_nonzero(hit):
         return None
     j = int(np.flatnonzero(hit.any(axis=0))[0])
     return j, int(np.argmax(hit[:, j]))
@@ -178,9 +178,9 @@ class Terms:
         self.radius = max(radius, self.h)
         self.lo = -self.radius if spec.index_kind == INDEX_Z else min(1, spec.start)
         self.idx = np.arange(self.lo, self.radius + 1)
-        self.c = np.atleast_1d(coeffs.c_at(self.idx))
+        self.c = coeffs.c_range(self.lo, self.radius)
         self.absc = np.abs(self.c)
-        self.lam = np.asarray(spec.lambda_at(self.idx), dtype=float).reshape(-1)
+        self.lam = spec.lambda_range(self.lo, self.radius)
 
     def lambda_at(self, n):
         return float(self.lam[n - self.lo])
@@ -221,11 +221,11 @@ class Terms:
                     f"K_eps exceeds {TRUNC_CAP}: the c_n beyond radius {TRUNC_CAP} sum to "
                     f"{self.tail_sum(TRUNC_CAP):.3g}, not below eps = {eps:.3g}"
                 )
+        first = -k_eps if spec.index_kind == INDEX_Z else spec.start
         if k_eps <= self.radius:
-            first = -k_eps if spec.index_kind == INDEX_Z else spec.start
             inside = absc[first + zero : k_eps + zero + 1]
         else:  # K_eps beyond the head and the window evaluated
-            inside = np.abs(np.atleast_1d(self.coeffs.c_at(spec.window_indices(k_eps))))
+            inside = np.abs(self.coeffs.c_range(first, k_eps))
         head_sum = float(inside.sum())
         if head_sum == 0.0:
             return k_eps, k_eps + 1

@@ -541,11 +541,13 @@ def _newton(cf, seeds, order, shift=None):
     # before their last steps, whose values the loop already has: returned,
     # those put the roundtrip benchmark's worst deviation (seeds 1-4) at
     # 9.4e-16, not 2.8e-16
-    if np.count_nonzero(failed):
-        resid = np.full(len(w), np.nan)
-        resid[ok] = _modulus(cf.value_pair(w[ok], 0, shift[ok])[0])
-    else:
+    n_failed = np.count_nonzero(failed)
+    if not n_failed:
         resid = _modulus(cf.value_pair(w, 0, shift)[0])
+    else:
+        resid = np.full(len(w), np.nan)
+        if n_failed < len(w):
+            resid[ok] = _modulus(cf.value_pair(w[ok], 0, shift[ok])[0])
     if deriv == 0:
         bad = resid > resid_tol
         if np.count_nonzero(bad):

@@ -43,15 +43,34 @@ class PowerTail:
         return self.scale * np.abs(n, dtype=float) ** (-self.beta) * np.exp(1j * self.phase)
 
 
-def _overlay(n, offset, head, out):
-    """head[n - offset] wherever n - offset indexes the head array, and out
-    elsewhere: out, a new value of n's shape, is written over as an array."""
-    out = np.asarray(out)
-    if len(head):
-        pos = n - offset
-        in_head = (pos >= 0) & (pos < len(head))
-        out[in_head] = head[pos[in_head]]
-    return out
+def _overlay(out, lo, offset, head):
+    """Copy head, the values at the indices offset, offset + 1, ..., by slice
+    over out, the values at lo, lo + 1, ...; returns the positions
+    first:stop it covers in out."""
+    first = min(max(offset - lo, 0), len(out))
+    stop = max(min(offset + len(head) - lo, len(out)), first)
+    if first < stop:
+        out[first:stop] = head[first + lo - offset : stop + lo - offset]
+    return first, stop
+
+
+def _at(n, values):
+    """values(lo, hi), an array over the indices lo..hi, at the indices n: a
+    Python scalar at a scalar index (the one-index run's value); an array
+    taken from the run between the least and the greatest index (less index
+    0, where a power tail is undefined, when n skips it), or from one run
+    per index when that run would be far longer than n."""
+    n = np.asarray(n)
+    if n.ndim == 0:
+        return values(int(n), int(n))[0].item()
+    if not n.size:
+        return values(0, -1).reshape(n.shape)
+    lo, hi = int(n.min()), int(n.max())
+    if hi - lo > 4 * n.size + 64:
+        return np.array([values(k, k)[0] for k in n.ravel().tolist()]).reshape(n.shape)
+    if lo < 0 < hi and 0 not in n:
+        return np.concatenate((values(lo, -1), values(1, hi)))[n - lo - (n > 0)]
+    return values(lo, hi)[n - lo]
 
 
 @dataclass(frozen=True)
@@ -75,12 +94,15 @@ class BaseSpectrum:
     def _head(self):
         return np.asarray(self.head, dtype=float)
 
+    def lambda_range(self, lo, hi):
+        """Eigenvalues at the indices lo..hi, an array."""
+        out = self.tail.slope * np.arange(lo, hi + 1, dtype=float) + self.tail.intercept
+        _overlay(out, lo, self.head_offset, self._head)
+        return out
+
     def lambda_at(self, n):
         """Eigenvalue at index n (scalar or integer array)."""
-        n = np.asarray(n)
-        out = self.tail.slope * n.astype(float) + self.tail.intercept
-        out = _overlay(n, self.head_offset, self._head, out)
-        return float(out) if out.ndim == 0 else out
+        return _at(n, self.lambda_range)
 
     def window_indices(self, radius):
         """Represented indices n with |n| <= radius, in increasing order."""
@@ -154,38 +176,51 @@ class PerturbationCoefficients:
         return np.asarray(self.b_head, dtype=complex)
 
     @staticmethod
-    def _eval(n, offset, head, tail):
-        n = np.asarray(n)
-        if tail is None:
-            out = np.zeros(n.shape, dtype=complex)
-        elif not 0 <= -offset < len(head) and np.any(n == 0):
-            raise errors.IndexMismatch("power-law tail undefined at index 0; cover it with the head")
-        else:
-            out = tail.value(np.where(n == 0, 1, n))
-        out = _overlay(n, offset, head, out)
-        return complex(out) if out.ndim == 0 else out
+    def _eval(lo, hi, offset, head, tail, where=None):
+        """x_n at the indices lo..hi: the head's values by slice and, beyond
+        the head, the power tail's at the positions where marks (at all of
+        them if it is None); zero elsewhere."""
+        out = np.zeros(max(hi - lo + 1, 0), dtype=complex)
+        first, stop = _overlay(out, lo, offset, head)
+        if tail is not None and (first > 0 or stop < len(out)):
+            if lo <= 0 <= hi and not first <= -lo < stop and (where is None or where[-lo]):
+                raise errors.IndexMismatch("power-law tail undefined at index 0; cover it with the head")
+            pos = np.arange(len(out))
+            pos = np.concatenate((pos[:first], pos[stop:]))
+            if where is not None:
+                pos = pos[where[pos]]
+            if len(pos):
+                out[pos] = tail.value(lo + pos)
+        return out
+
+    def a_range(self, lo, hi):
+        """a_n at the indices lo..hi, an array."""
+        return self._eval(lo, hi, self.a_head_offset, self._a, self.a_tail)
+
+    def b_range(self, lo, hi):
+        """b_n at the indices lo..hi, an array."""
+        return self._eval(lo, hi, self.b_head_offset, self._b, self.b_tail)
+
+    def c_range(self, lo, hi):
+        """c_n = conj(a_n) * b_n at the indices lo..hi, a's power tail
+        evaluated only where b_n != 0: beyond a's head c_n is +0 where b_n = 0
+        (conj(a_n) b_n is a zero of either sign there)."""
+        b = self.b_range(lo, hi)
+        tail, a_off, b_off = self.a_tail, self.a_head_offset, self.b_head_offset
+        a_stop, b_stop = a_off + len(self.a_head), b_off + len(self.b_head)
+        if self.b_tail is None and (b_off == b_stop or a_off <= b_off and b_stop <= a_stop):
+            tail = None  # b_n != 0 only on b's head, and a's covers it
+        a = self._eval(lo, hi, a_off, self._a, tail, None if tail is None else b != 0)
+        return np.conj(a) * b
 
     def a_at(self, n):
-        return self._eval(n, self.a_head_offset, self._a, self.a_tail)
+        return _at(n, self.a_range)
 
     def b_at(self, n):
-        return self._eval(n, self.b_head_offset, self._b, self.b_tail)
+        return _at(n, self.b_range)
 
     def c_at(self, n):
-        """c_n = conj(a_n) * b_n, a's power tail evaluated only where b_n != 0:
-        beyond a's head c_n is +0 where b_n = 0 (conj(a_n) b_n is a zero of
-        either sign there)."""
-        n, b = np.asarray(n), self.b_at(n)
-        if n.ndim == 0 or self.a_tail is None:
-            return np.conj(self.a_at(n)) * b
-        pos = n - self.a_head_offset
-        in_head = (pos >= 0) & (pos < len(self._a))
-        a = np.zeros(n.shape, dtype=complex)
-        a[in_head] = self._a[pos[in_head]]
-        tail = ~in_head & (b != 0)
-        if tail.any():
-            a[tail] = self.a_at(n[tail])
-        return np.conj(a) * b
+        return _at(n, self.c_range)
 
     @property
     def c_tail(self):
@@ -211,14 +246,11 @@ class PerturbationCoefficients:
         h = self.head_radius()
         total = 0.0
         if radius < h:
+            c = self.c_range(radius + 1, h)
             if index_kind == INDEX_Z:
-                idx = np.concatenate(
-                    [np.arange(-h, -radius), np.arange(radius + 1, h + 1)]
-                )
-            else:
-                idx = np.arange(radius + 1, h + 1)
-            if idx.size:
-                total += float(np.abs(self.c_at(idx)).sum())
+                c = np.concatenate((self.c_range(-h, -radius - 1), c))
+            if c.size:
+                total += float(np.abs(c).sum())
         return total + self.power_tail_sum(max(radius, h), index_kind)
 
     def power_tail_sum(self, m, index_kind):
@@ -252,7 +284,7 @@ def validate_coefficients(coeffs, spec):
         (coeffs.a_head_offset, coeffs.a_head, coeffs._a, coeffs.a_tail, "a"),
         (coeffs.b_head_offset, coeffs.b_head, coeffs._b, coeffs.b_tail, "b"),
     ):
-        if arr.size and not np.all(np.isfinite(arr)):
+        if arr.size and not np.isfinite(arr).all():
             raise errors.SchemaError(f"{name} head contains non-finite entries")
         if spec.index_kind == INDEX_N and head and off < spec.start:
             raise errors.IndexMismatch(
@@ -278,21 +310,23 @@ def validate_coefficients(coeffs, spec):
     h = coeffs.head_radius()
     head_sum = 0.0  # sum |c_n| over 0 < |n| <= h, from the same a_n and b_n
     if h > 0 or coeffs.a_head or coeffs.b_head:
-        idx = spec.window_indices(h)
-        a = np.atleast_1d(coeffs.a_at(idx))
-        b = np.atleast_1d(coeffs.b_at(idx))
-        both_head = np.zeros(len(idx), dtype=bool)
-        for off, head in ((coeffs.a_head_offset, coeffs.a_head), (coeffs.b_head_offset, coeffs.b_head)):
-            if head:
-                both_head |= (idx >= off) & (idx < off + len(head))
-        dead = both_head & (a == 0) & (b == 0)
-        if np.any(dead):
-            n_bad = int(idx[dead][0])
-            raise errors.DegenerateIndex(
-                f"a_n = b_n = 0 at explicit index {n_bad}; pre-reduce the input"
-            )
-        head_sum = float(np.abs(np.conj(a) * b)[idx != 0].sum())
-    if not math.isfinite(head_sum + coeffs.c_tail_sum(h, spec.index_kind)):
+        lo = -h if spec.index_kind == INDEX_Z else spec.start
+        a, b = coeffs.a_range(lo, h), coeffs.b_range(lo, h)
+        dead = (a == 0) & (b == 0)
+        if dead.any():
+            explicit = np.zeros(len(a), dtype=bool)  # in either head
+            for off, head in ((coeffs.a_head_offset, coeffs.a_head), (coeffs.b_head_offset, coeffs.b_head)):
+                explicit[max(off - lo, 0) : max(off + len(head) - lo, 0)] = True
+            dead &= explicit
+            if dead.any():
+                raise errors.DegenerateIndex(
+                    f"a_n = b_n = 0 at explicit index {lo + int(dead.argmax())}; pre-reduce the input"
+                )
+        absc = np.abs(np.conj(a) * b)
+        if lo <= 0:
+            absc = np.concatenate((absc[:-lo], absc[1 - lo :]))
+        head_sum = float(absc.sum())
+    if not math.isfinite(head_sum + coeffs.power_tail_sum(h, spec.index_kind)):
         raise errors.NonSummable("sum |c_n| diverges")
     return coeffs
 
@@ -309,9 +343,12 @@ class TargetSpectrum:
         return np.asarray(self.nu_head, dtype=complex)
 
     def nu_at(self, n, spec):
-        n = np.asarray(n)
-        nu = _overlay(n, self.nu_head_offset, self._nu, np.asarray(spec.lambda_at(n), dtype=complex))
-        return complex(nu) if nu.ndim == 0 else nu
+        def values(lo, hi):
+            out = spec.lambda_range(lo, hi).astype(complex)
+            _overlay(out, lo, self.nu_head_offset, self._nu)
+            return out
+
+        return _at(n, values)
 
 
 def validate_target(target, spec):

@@ -935,6 +935,25 @@ def test_newton_fails_a_point_that_walks_out_of_a_pole_by_doubling(zspec, monkey
     assert calls == [2, 2, 2, 2, 2, 2]
 
 
+def test_newton_makes_no_residual_pass_when_every_point_failed(zspec, monkeypatch):
+    # the walk-out from 0.6 fails the only point after five kernel calls; the
+    # residual pass, for |F| at the points that converged, has none to take,
+    # and the point's residual stays nan
+    from rank1spec import _kernels
+
+    cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3, 3: 1e-12}), 20)
+    calls, sums = [], _kernels._sums
+
+    def spy(*args):
+        calls.append(len(args[2]))
+        return sums(*args)
+
+    monkeypatch.setattr(_kernels, "_sums", spy)
+    z, resid, ok = direct._newton(cf, [0.6], 1)
+    assert calls == [1, 1, 1, 1, 1]
+    assert not ok[0] and np.isnan(resid[0]) and abs(z[0]) < 1e-10
+
+
 def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
     # c_6 = 0.01 puts a zero in the outer disk around index 6 (K' = 1), and
     # c_0, c_1 two zeros in central disks that Rouche certifies: all three
@@ -964,13 +983,13 @@ def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
 def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, monkeypatch):
     # every disk certifies, so a solve pays for one Newton pass and nothing
     # else: kernel passes are Newton's steps plus its residual pass, and the
-    # coefficients and eigenvalues are evaluated once (charfn.Terms: c_at is
-    # two _eval calls, a and b), over the head and the first n_trunc, from
+    # coefficients and eigenvalues are evaluated once (charfn.Terms: c_range
+    # is two _eval calls, a and b), over the head and the first n_trunc, from
     # one head_radius; K', the window, the rectangle's ends and the tail
     # sums are sliced from them
     from rank1spec import _kernels
 
-    counts = dict.fromkeys(["sums", "eval", "lambda_at", "head_radius"], 0)
+    counts = dict.fromkeys(["sums", "eval", "lambda_range", "head_radius"], 0)
 
     def counting(key, f):
         def spy(*args):
@@ -982,7 +1001,7 @@ def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, mon
     monkeypatch.setattr(_kernels, "_sums", counting("sums", _kernels._sums))
     evaluate = counting("eval", PerturbationCoefficients._eval)
     monkeypatch.setattr(PerturbationCoefficients, "_eval", staticmethod(evaluate))
-    monkeypatch.setattr(BaseSpectrum, "lambda_at", counting("lambda_at", BaseSpectrum.lambda_at))
+    monkeypatch.setattr(BaseSpectrum, "lambda_range", counting("lambda_range", BaseSpectrum.lambda_range))
     head_radius = counting("head_radius", PerturbationCoefficients.head_radius)
     monkeypatch.setattr(PerturbationCoefficients, "head_radius", head_radius)
     hand = (finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01}), OPTS)

@@ -42,14 +42,14 @@ def test_split_target_follows_a_chain_of_swaps(zspec):
 
 
 def test_split_target_and_build_product_take_lambda_in_one_array_call(monkeypatch):
-    # a non-affine head and a swap: one lambda_at call each, giving the
+    # a non-affine head and a swap: one lambda_range call each, giving the
     # per-index calls' values bit for bit
     from rank1spec.model import AffineTail, BaseSpectrum, validate_base
 
     spec = validate_base(BaseSpectrum("Z", -2, (-2.3, -0.9, 0.1, 1.15, 2.4), AffineTail(1.1, 0.05), 0.9))
     target = TargetSpectrum(-3, (-3.2 + 0.1j, 1.15 + 0j, -0.9 + 0j, 0.3 + 0j, 0.3 + 0j, 2.4 + 0j, 2.9 - 0.2j))
-    calls, lambda_at = [], BaseSpectrum.lambda_at
-    monkeypatch.setattr(BaseSpectrum, "lambda_at", lambda sp, n: calls.append(n) or lambda_at(sp, n))
+    calls, lambda_range = [], BaseSpectrum.lambda_range
+    monkeypatch.setattr(BaseSpectrum, "lambda_range", lambda sp, lo, hi: calls.append(lo) or lambda_range(sp, lo, hi))
     pf = inverse.build_product(spec, target)
     assert len(calls) == 2
     monkeypatch.undo()
@@ -173,3 +173,50 @@ def test_roundtrip_random_targets(zspec):
         ref = np.atleast_1d(target.nu_at(zspec.window_indices(loc.window), zspec))
         ok, worst = compare_spectra(ps, ref, 1e-8)
         assert ok, f"roundtrip deviation {worst:.3e}"
+
+
+def _roundtrip(spec, target, opts):
+    """(product function, F vs product discrepancy, solved spectrum, worst
+    deviation from the target over the window) of one round trip."""
+    from rank1spec.direct import solve_direct
+    from rank1spec.oracle import compare_spectra
+
+    coeffs, pf = inverse.solve_inverse(spec, target)
+    disc = inverse.check_F_equals_product(coeffs, pf, inverse.default_sample_points(spec, pf))
+    ps, loc = solve_direct(spec, validate_coefficients(coeffs, spec), opts)
+    ref = np.atleast_1d(target.nu_at(spec.window_indices(loc.window), spec))
+    ok, worst = compare_spectra(ps, ref, 1e-8)
+    assert ok and ps.certified, f"roundtrip deviation {worst:.3e}"
+    return pf, disc, ps, worst
+
+
+def test_roundtrip_over_the_natural_numbers():
+    # an affine base from index 1, and a non-affine head at indices 3..5
+    # (gap 0.7) before an affine tail: the residue window starts at the
+    # index set's start, and the spectrum is rebuilt to round-off
+    from rank1spec.direct import LocalizeOptions
+    from rank1spec.model import AffineTail, BaseSpectrum, validate_base
+
+    affine = validate_base(BaseSpectrum("N", 1, (), AffineTail(1.0, 0.0), 1.0))
+    head = validate_base(BaseSpectrum("N", 3, (3.0, 3.7, 4.5), AffineTail(1.0, 0.0), 0.7))
+    cases = (
+        (affine, TargetSpectrum(2, (2.2 + 0.1j, 3.0 + 0j, 3.9 - 0.05j)), (2, 4)),
+        (head, TargetSpectrum(3, (3.1 + 0.05j, 3.7 + 0j, 4.4 - 0.1j, 6.15 + 0.02j)), (3, 5, 6)),
+    )
+    for spec, target, moved in cases:
+        pf, disc, _, worst = _roundtrip(spec, target, LocalizeOptions(window=10, n_trunc=30))
+        assert pf.i1 == moved and disc < 1e-14 and worst < 1e-15
+
+
+def test_roundtrip_of_a_target_with_no_moved_point(zspec):
+    # a target equal to lambda: no deviating index, F = the empty product = 1,
+    # and the spectrum is lambda itself, over Z and over N
+    from rank1spec.direct import LocalizeOptions
+    from rank1spec.model import AffineTail, BaseSpectrum, validate_base
+
+    nspec = validate_base(BaseSpectrum("N", 1, (), AffineTail(1.0, 0.0), 1.0))
+    unmoved = (zspec, TargetSpectrum(-1, (-1.0 + 0j, 0j, 1.0 + 0j))), (nspec, TargetSpectrum(1, (1.0 + 0j,)))
+    for spec, target in unmoved:
+        pf, disc, ps, worst = _roundtrip(spec, target, LocalizeOptions(window=6, n_trunc=20))
+        assert pf.i1 == () and pf.c1 == () and disc == 0.0 and worst == 0.0
+        assert np.array_equal(np.sort(ps.eigenvalues().real), spec.lambda_at(spec.window_indices(6)))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -154,15 +155,18 @@ def test_cached_heads_evaluate_as_the_clip_lookup():
         k = int(rng.integers(0, 6))
         target = TargetSpectrum(int(rng.integers(-8, 8)), tuple(rng.normal(size=k) + 1j * rng.normal(size=k)))
         n = spec.window_indices(60)
-        # a scalar index takes numpy's scalar power, which can differ from
-        # the array loop's in the last bit: each is held to its own reference
+        # a scalar index is the one-index run: it takes the array loop's power
+        # and complex product, which can differ from numpy's scalar ones in
+        # the last bit, so its reference is the lookup on a one-index array
         for m in [n] + [np.asarray(n[j]) for j in rng.choice(len(n), 5, replace=False)]:
-            a = _eval_by_clip(m, coeffs.a_head_offset, coeffs.a_head, coeffs.a_tail)
-            b = _eval_by_clip(m, coeffs.b_head_offset, coeffs.b_head, coeffs.b_tail)
+            m1 = np.atleast_1d(m)
+            a = _eval_by_clip(m1, coeffs.a_head_offset, coeffs.a_head, coeffs.a_tail)
+            b = _eval_by_clip(m1, coeffs.b_head_offset, coeffs.b_head, coeffs.b_tail)
             expected = {
                 "a": a, "b": b, "c": np.conj(a) * b,
-                "lambda": _lambda_by_clip(spec, m), "nu": _nu_by_clip(target, m, spec),
+                "lambda": _lambda_by_clip(spec, m1), "nu": _nu_by_clip(target, m1, spec),
             }  # fmt: skip
+            expected = {name: v.reshape(m.shape) for name, v in expected.items()}
             k = m if m.ndim else int(m)
             got = {
                 "a": coeffs.a_at(k), "b": coeffs.b_at(k), "c": coeffs.c_at(k),
@@ -173,6 +177,54 @@ def test_cached_heads_evaluate_as_the_clip_lookup():
                     assert isinstance(v, float if name == "lambda" else complex), name
                 v, ref = np.asarray(v), np.asarray(expected[name])
                 assert v.dtype == ref.dtype and v.tobytes() == ref.tobytes(), name
+
+
+@st.composite
+def _coefficient_runs(draw):
+    """(coefficients, lo, hi): a and b heads left of, right of or across 0
+    (over N from index 1), overlapping or apart, some entries exactly 0,
+    each tail a power law or zero, and the run lo..hi a window of Z or N."""
+    kind = draw(st.sampled_from(["Z", "N"]))
+    heads = []
+    for _ in "ab":
+        off = draw(st.integers(-8, 8))
+        off = off if kind == "Z" else 1 + abs(off)
+        values = draw(st.lists(st.sampled_from([0j, 1.0 + 0j, -0.5 + 0.25j, 0.3 - 1.7j, 1e-3j]), max_size=6))
+        tail = draw(st.sampled_from([None, (1.0, 1.0, 0.0), (0.7, 0.3, 1.0), (2.3, 2.0, -2.5)]))
+        heads.append((off, tuple(values), tail and PowerTail(*tail)))
+    (a_off, a, a_tail), (b_off, b, b_tail) = heads
+    radius = draw(st.integers(0, 20))
+    lo = -radius if kind == "Z" else 1
+    return PerturbationCoefficients(a_off, a, a_tail, b_off, b, b_tail), lo, radius
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_coefficient_runs())
+def test_a_run_evaluates_each_index_as_the_scalar_calls_do(case):
+    # a_n, b_n and c_n over a run of indices give, at every index, the scalar
+    # a_at, b_at and c_at values bit for bit; a head's entries by slice and
+    # 0 beyond a head without tail.  A run across index 0 that needs a
+    # power tail there raises IndexMismatch, as the scalar call at 0 does
+    coeffs, lo, hi = case
+    heads = {"a": (coeffs.a_head_offset, coeffs.a_head, coeffs.a_tail)}
+    heads["b"] = (coeffs.b_head_offset, coeffs.b_head, coeffs.b_tail)
+    for name in "abc":
+        at = getattr(coeffs, f"{name}_at")
+        try:
+            values = getattr(coeffs, f"{name}_range")(lo, hi)
+        except errors.IndexMismatch:
+            with pytest.raises(errors.IndexMismatch):
+                at(0)
+            continue
+        assert values.dtype == complex and values.shape == (hi - lo + 1,)
+        for n, v in zip(range(lo, hi + 1), values):
+            assert np.asarray(v).tobytes() == np.asarray(at(int(n))).tobytes(), (name, n)
+            if name in heads:
+                off, head, tail = heads[name]
+                if off <= n < off + len(head):
+                    assert np.asarray(v).tobytes() == np.asarray(complex(head[n - off])).tobytes()
+                elif tail is None:
+                    assert v == 0
 
 
 def test_c_at_evaluates_a_only_where_b_is_nonzero(zspec, monkeypatch):
@@ -195,8 +247,8 @@ def test_c_at_evaluates_a_only_where_b_is_nonzero(zspec, monkeypatch):
     synthesized.c_at(n)
     assert evaluated == []
     gallery.power_family(2.0, 30).c_at(n)
-    # b's tail over every index, a's only beyond the head |n| <= 30
-    assert sorted(np.size(m) for m in evaluated) == [len(n) - 61, len(n)]
+    # each tail only beyond its head |n| <= 30, a's where b_n != 0 there
+    assert sorted(np.size(m) for m in evaluated) == [len(n) - 61, len(n) - 61]
 
 
 def test_power_tail_at_index_zero_outside_the_head_raises():
@@ -205,6 +257,15 @@ def test_power_tail_at_index_zero_outside_the_head_raises():
     for n in (0, np.arange(-2, 3)):
         with pytest.raises(errors.IndexMismatch):
             coeffs.c_at(n)
+    # an index array that skips 0 is evaluated on both sides of it, as the
+    # scalar calls are
+    n = np.array([3, -2, 1, -1])
+    for at in (coeffs.a_at, coeffs.b_at, coeffs.c_at):
+        assert at(n).tolist() == [at(int(k)) for k in n]
+    # indices far apart are evaluated one by one, not over the run between
+    n = np.array([[-(10**12), 1], [2, 10**12]])
+    for at in (coeffs.a_at, coeffs.b_at, coeffs.c_at):
+        assert at(n).tolist() == [[at(int(k)) for k in row] for row in n]
 
 
 def test_c_tail_sum_bounds_brute_force(zspec):
@@ -298,7 +359,12 @@ def test_validate_rejects_degenerate_explicit_index(zspec):
         b_head=(0.5, 0.0, 0.5),
         b_tail=None,
     )
-    with pytest.raises(errors.DegenerateIndex):
+    with pytest.raises(errors.DegenerateIndex, match="explicit index 1;"):
+        validate_coefficients(coeffs, zspec)
+    # a and b heads from different offsets: the first index of either head
+    # with a_n = b_n = 0, b_-2 = 0 beyond b's head
+    coeffs = PerturbationCoefficients(-3, (1.0, 0.0, 0.0, 1.0), None, -1, (0.0, 0.5, 0.0, 0.0), None)
+    with pytest.raises(errors.DegenerateIndex, match="explicit index -2;"):
         validate_coefficients(coeffs, zspec)
 
 
