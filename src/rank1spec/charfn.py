@@ -35,14 +35,16 @@ def first_pole_hit(lam, z):
 class CharacteristicFunction:
     """F cut to the window |n| <= n_trunc.  cut slices the window's indices
     idx (ascending), lambda_n and c_n from Terms, for the direct solver to
-    slice further; the I1 terms (c_n != 0) idx1, lam1, c1 run from the
-    largest |index| inward, so that the smallest terms accumulate first."""
+    slice further; poles holds the lambda_n with c_n != 0 in ascending
+    order, and the I1 terms idx1, lam1, c1 run from the largest |index|
+    inward, so that the smallest terms accumulate first."""
 
     spec: object
     n_trunc: int
     idx: np.ndarray
     lam: np.ndarray
     c: np.ndarray
+    poles: np.ndarray
     idx1: np.ndarray
     lam1: np.ndarray
     c1: np.ndarray
@@ -62,6 +64,7 @@ class CharacteristicFunction:
         window = slice(first - terms.lo, n_trunc + 1 - terms.lo)
         idx, lam, c = terms.idx[window], terms.lam[window], terms.c[window]
         i1 = c.nonzero()[0]
+        poles = lam[i1]
         i1 = i1[np.argsort(-np.abs(idx[i1]), kind="stable")]
         return cls(
             spec=spec,
@@ -69,6 +72,7 @@ class CharacteristicFunction:
             idx=idx,
             lam=lam,
             c=c,
+            poles=poles,
             idx1=idx[i1],
             lam1=lam[i1],
             c1=c[i1],
@@ -167,10 +171,9 @@ class CharacteristicFunction:
 
 class Terms:
     """c_n, |c_n| and lambda_n over the indices lo..radius, evaluated once
-    for a solve to slice its K_eps, windows and tail sums from, with
-    c_tail_sum's and compute_Keps' sums over the same values in the same
-    order.  radius reaches the head radius h; lo is -radius over Z, and
-    over N the lower of 1 and the start (c_tail_sum counts from index 1)."""
+    for a solve to slice its K_eps, windows and tail sums from.  radius
+    reaches the head radius h; lo is -radius over Z, and over N the lower
+    of 1 and the start (a tail sum counts from index 1)."""
 
     def __init__(self, spec, coeffs, radius, h=None):
         self.spec, self.coeffs = spec, coeffs
@@ -186,7 +189,8 @@ class Terms:
         return float(self.lam[n - self.lo])
 
     def tail_sum(self, radius):
-        """coeffs.c_tail_sum(radius), from the evaluated |c_n|."""
+        """Certified upper bound on sum_{|n| > radius} |c_n|: the evaluated
+        |c_n| out to h, and the generator tail's bound beyond."""
         total = 0.0
         zero, h = -self.lo, self.h
         if radius < h:
@@ -200,9 +204,9 @@ class Terms:
     def keps(self, eps):
         """(K_eps, K_eps_prime) as compute_Keps defines them, eps in range."""
         spec, h = self.spec, self.h
-        # c_tail_sum(n) for n = 0..h - 1 is the sum of |c_k| over n < |k| <=
+        # tail_sum(n) for n = 0..h - 1 is the sum of |c_k| over n < |k| <=
         # h, formed from the outside in, plus the generator tail beyond h
-        # (c_tail_sum(h) alone), and K''s head sum is a slice of the same |c_n|
+        # (tail_sum(h) alone), and K''s head sum is a slice of the same |c_n|
         zero, absc = -self.lo, self.absc
         shells = absc[zero + 1 : zero + h + 1]  # |c_k| (+ |c_-k| over Z), k = 1..h
         if spec.index_kind == INDEX_Z:

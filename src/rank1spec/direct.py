@@ -23,12 +23,8 @@ secular equation).  A disk whose zero fails raises; the zeros left in the
 rectangle are grouped into multiple zeros, and each one's order is
 certified on a small circle of its own, clear of the certified disks, all
 circles walked together.  A solve whose disks all certify (the common
-case) runs no eigenvalue problem, arc walk or assignment.  Its stages, in
-median microseconds over the easy finite_batch instances of seed 1
-(README), before and after each array came to be formed once: K' 53 -> 49
-(now with the one evaluation of c_n and lambda_n), F's window 41 -> 15,
-rectangle 9.2 -> 4.1, disks 120 -> 111, rectangle check 35 -> 23, Newton
-137 -> 114, assembly 61 -> 33; the solve 468 -> 352.
+case) runs no eigenvalue problem, arc walk or assignment; README times
+its stages.
 """
 
 from collections import namedtuple
@@ -145,11 +141,10 @@ class LocalizationResult:
 
 
 def _gamma(m):
-    """Higham's gamma_m = m u / (1 - m u) over an array, inf where m u >= 1/2
-    (formed with m u capped at 1/2, so that no quotient warns)."""
-    mu = m * UNIT_ROUNDOFF
-    capped = np.minimum(mu, 0.5)
-    return np.where(mu < 0.5, capped / (1.0 - capped), np.inf)
+    """Higham's gamma_m = m u / (1 - m u) over an array or at a number, inf
+    where m u >= 1/2 (formed with m u capped at 1/2, so that no quotient warns)."""
+    mu = np.minimum(m * UNIT_ROUNDOFF, 0.5)
+    return np.where(mu < 0.5, mu / (1.0 - mu), np.inf)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -272,8 +267,7 @@ def _rouche_rect(cf, rect):
         s += cf.tail_total / float(cf.delta_unrepresented([rect.re_lo, rect.re_hi]).min())
     edge = max(abs(rect.re_lo), abs(rect.re_hi))
     kappa = ((np.abs(cf.lam1) + edge) / dist).max(initial=0.0)
-    mu = (len(cf.c1) + 12.0 + np.ceil(kappa)) * UNIT_ROUNDOFF
-    gamma = mu / (1.0 - mu) if mu < 0.5 else math.inf
+    gamma = _gamma(len(cf.c1) + 12.0 + np.ceil(kappa))
     return 1.0 - s, bool(s * (1.0 + gamma) < 1.0 - gamma)
 
 
@@ -500,7 +494,7 @@ def _newton(cf, seeds, order, shift=None):
             if len(cf.lam1):  # the steps that doubled a distance to the pole nearest the new point
                 j = (~smaller).nonzero()[0]
                 after = sl[j] + wl[j]
-                pole = _nearest(cf.lam[cf.c != 0], after)
+                pole = _nearest(cf.poles, after)
                 j = j[_modulus(after - pole) >= 2.0 * _modulus(sl[j] + prev[j] - pole)]
                 walks = np.zeros(len(w), dtype=int) if walks is None else walks
                 walks[live[j]] += 1
@@ -569,10 +563,9 @@ def _clearance(z, disks):
 
 def _nearest_pole(cf, z):
     """Distance from each point to the nearest represented pole (inf if none)."""
-    poles = cf.lam[cf.c != 0]
-    if len(poles) == 0:
+    if len(cf.poles) == 0:
         return np.full(len(z), np.inf)
-    return np.abs(_nearest(poles, z) - z)
+    return np.abs(_nearest(cf.poles, z) - z)
 
 
 @np.errstate(divide="ignore", invalid="ignore")

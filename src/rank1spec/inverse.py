@@ -12,7 +12,7 @@ ulps, so vectorised residues would change every coefficient the inverse
 problem writes and move the round trip's accuracy.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import cmath
 import math
 
@@ -23,18 +23,16 @@ from .charfn import CharacteristicFunction, first_pole_hit
 from .model import INDEX_Z, PerturbationCoefficients, PowerTail
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductFunction:
     """F~(z) = prod (nu_n - z)/(lambda_n - z) over the deviating indices,
     with its residues: c1[j] = -Res F~ at lambda_n, n = i1[j]."""
 
     spec: object
     i1: tuple  # indices with nu_n != lambda_n, increasing
-    nu1: tuple
-    lam1: tuple
     c1: tuple
-    nu: np.ndarray = field(repr=False, compare=False)  # nu1 as an array
-    lam: np.ndarray = field(repr=False, compare=False)  # lam1 as an array
+    nu: np.ndarray  # nu_n over i1
+    lam: np.ndarray  # lambda_n over i1
 
     def eval_product(self, z):
         """Exact finite product over the deviating indices, at a point or an
@@ -52,12 +50,19 @@ class ProductFunction:
         return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
-def split_target(spec, target):
-    """Indices kept fixed (I0) and deviating (I1), after the normalization
-    that assigns any target value equal to some lambda_m to index m itself."""
+def build_product(spec, target):
+    """The product over the deviating indices and its residues
+
+    c_n = (nu_n - lambda_n) * prod_{m != n} (nu_m - lambda_n)/(lambda_m - lambda_n).
+
+    The deviating indices are the head's with nu_n != lambda_n once any
+    target value equal to some lambda_m is assigned to index m itself.
+    Factors are multiplied from the most distant pole inward so that the
+    near-unity factors enter last.  The product magnitudes are checked
+    against the exp(sum |nu - lambda| / d) bound as a sanity cap.
+    """
     head = list(target.nu_head)
     off = target.nu_head_offset
-    n_idx = range(off, off + len(head))
     lam = spec.lambda_range(off, off + len(head) - 1).tolist()
     # where lambda_m occurs elsewhere in the head, not on its own index, pull
     # it onto index m; a swap never makes an earlier index swappable, so
@@ -69,42 +74,23 @@ def split_target(spec, target):
             k = next((k for k, v in enumerate(head) if v == lam_m and v != lam[k]), None)
             if k is not None:
                 head[j], head[k] = head[k], head[j]
-    i0, i1 = [], []
-    for j, m in enumerate(n_idx):
-        (i0 if head[j] == lam[j] else i1).append(m)
-    normalized = dict(zip(n_idx, head))
-    return i0, i1, normalized
-
-
-def build_product(spec, target):
-    """The product over the deviating indices and its residues
-
-    c_n = (nu_n - lambda_n) * prod_{m != n} (nu_m - lambda_n)/(lambda_m - lambda_n).
-
-    Factors are multiplied from the most distant pole inward so that the
-    near-unity factors enter last.  The product magnitudes are checked
-    against the exp(sum |nu - lambda| / d) bound as a sanity cap.
-    """
-    i0, i1, normalized = split_target(spec, target)
-    nu1 = tuple(normalized[n] for n in i1)
-    off = target.nu_head_offset
-    lam_head = spec.lambda_range(off, off + len(target.nu_head) - 1).tolist()
-    lam1 = tuple(lam_head[n - off] for n in i1)
+    i1 = tuple(off + j for j, (nu_j, lam_j) in enumerate(zip(head, lam)) if nu_j != lam_j)
+    nu1, lam1 = [head[n - off] for n in i1], [lam[n - off] for n in i1]
     nu, lam = np.array(nu1, dtype=complex), np.array(lam1, dtype=float)
     dev_sum = float(np.abs(nu - lam).sum())
     cap = math.exp(dev_sum / spec.gap) * (1.0 + 1e-9)
     c1 = []
-    for j, (n, lam_n) in enumerate(zip(i1, lam1)):
+    for j, lam_n in enumerate(lam1):
         others = sorted(((abs(lam1[m] - lam_n), m) for m in range(len(i1)) if m != j), reverse=True)
         prod = 1.0 + 0.0j
         for _, m in others:
             prod *= (nu1[m] - lam_n) / (lam1[m] - lam_n)
         if abs(prod) > cap:
             raise errors.CertificationFailed(
-                f"residue product at index {n} exceeds the analytic cap {cap:.3g}"
+                f"residue product at index {i1[j]} exceeds the analytic cap {cap:.3g}"
             )
         c1.append((nu1[j] - lam_n) * prod)
-    return ProductFunction(spec=spec, i1=tuple(i1), nu1=nu1, lam1=lam1, c1=tuple(c1), nu=nu, lam=lam)
+    return ProductFunction(spec=spec, i1=i1, c1=tuple(c1), nu=nu, lam=lam)
 
 
 def _deviating_radius(pf):
@@ -178,8 +164,8 @@ def default_sample_points(spec, pf):
     """Deterministic sample points staying at least d/4 away from all poles
     (an array)."""
     d = spec.gap
-    lo = min(pf.lam1) - 2.0 * d if pf.lam1 else -2.0 * d
-    hi = max(pf.lam1) + 2.0 * d if pf.lam1 else 2.0 * d
+    lo = pf.lam.min() - 2.0 * d if len(pf.lam) else -2.0 * d
+    hi = pf.lam.max() + 2.0 * d if len(pf.lam) else 2.0 * d
     z = np.empty(SAMPLE_COUNT, dtype=complex)
     z.real = np.linspace(lo, hi, SAMPLE_COUNT)
     z.imag = 0.4 * d * _SAMPLE_ROWS

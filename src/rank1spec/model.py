@@ -241,18 +241,6 @@ class PerturbationCoefficients:
                 r = max(r, abs(off), abs(off + len(head) - 1))
         return r
 
-    def c_tail_sum(self, radius, index_kind):
-        """Certified upper bound on sum_{|n| > radius} |c_n|."""
-        h = self.head_radius()
-        total = 0.0
-        if radius < h:
-            c = self.c_range(radius + 1, h)
-            if index_kind == INDEX_Z:
-                c = np.concatenate((self.c_range(-h, -radius - 1), c))
-            if c.size:
-                total += float(np.abs(c).sum())
-        return total + self.power_tail_sum(max(radius, h), index_kind)
-
     def power_tail_sum(self, m, index_kind):
         """Certified upper bound on the generated tail's sum of |c_n| over
         |n| > m, for m at or beyond head_radius()."""
@@ -308,7 +296,7 @@ def validate_coefficients(coeffs, spec):
     # degenerate indices are only detectable on explicit entries; generator
     # zero-zero tails encode finite-rank data and are accepted as-is
     h = coeffs.head_radius()
-    head_sum = 0.0  # sum |c_n| over 0 < |n| <= h, from the same a_n and b_n
+    head_sum = 0.0  # sum |c_n| over |n| <= h, from the same a_n and b_n
     if h > 0 or coeffs.a_head or coeffs.b_head:
         lo = -h if spec.index_kind == INDEX_Z else spec.start
         a, b = coeffs.a_range(lo, h), coeffs.b_range(lo, h)
@@ -322,10 +310,9 @@ def validate_coefficients(coeffs, spec):
                 raise errors.DegenerateIndex(
                     f"a_n = b_n = 0 at explicit index {lo + int(dead.argmax())}; pre-reduce the input"
                 )
-        absc = np.abs(np.conj(a) * b)
-        if lo <= 0:
-            absc = np.concatenate((absc[:-lo], absc[1 - lo :]))
-        head_sum = float(absc.sum())
+        # index 0 included, as in K'; an overflowing c_n or sum is not summable
+        with np.errstate(over="ignore", invalid="ignore"):
+            head_sum = float(np.abs(np.conj(a) * b).sum())
     if not math.isfinite(head_sum + coeffs.power_tail_sum(h, spec.index_kind)):
         raise errors.NonSummable("sum |c_n| diverges")
     return coeffs

@@ -93,6 +93,20 @@ def random_coeffs(rng, spec):
     )  # fmt: skip
 
 
+def c_tail_sum(coeffs, radius, index_kind):
+    """Certified upper bound on sum_{|n| > radius} |c_n|, formed apart from
+    charfn.Terms: the reference its tail sums and K_eps are checked against."""
+    h = coeffs.head_radius()
+    total = 0.0
+    if radius < h:
+        c = coeffs.c_range(radius + 1, h)
+        if index_kind == "Z":
+            c = np.concatenate((coeffs.c_range(-h, -radius - 1), c))
+        if c.size:
+            total += float(np.abs(c).sum())
+    return total + coeffs.power_tail_sum(max(radius, h), index_kind)
+
+
 def combined_discrepancy_bound(coeffs, pf, sample_points):
     """Certified bound on |F - F~| at the samples, for the F that
     inverse.check_F_equals_product builds (the deviating window plus eight

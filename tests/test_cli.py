@@ -262,19 +262,25 @@ def test_rejected_inputs_exit_one_naming_their_error(files, tmp_path, capsys):
 
 def test_non_finite_tail_exits_one_with_warnings_as_errors(files, tmp_path):
     # a fresh interpreter, so that PYTHONWARNINGS applies from its start: an
-    # infinite scale once stopped on a RuntimeWarning traceback
+    # infinite scale once stopped on a RuntimeWarning traceback, and
+    # a_0 = b_0 = 1e200, whose c_0 overflows, passed validation and stopped
+    # the solve on an OverflowError
     env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     coeffs = json.loads(files["coeffs"].read_text())
     one = {"beta": 1.0, "scale": 1.0, "phase": 0.0}
-    for name, bad in (("a", dict(one, scale=math.inf)), ("b", dict(one, phase=math.nan))):
-        doc = dict(coeffs, a_tail=one, b_tail=one)
-        doc[f"{name}_tail"] = bad
+    huge = {"offset": 0, "values": [[1e200, 0.0]]}
+    finite = "tail scale and phase must be finite"
+    for doc, error in (
+        (dict(coeffs, a_tail=dict(one, scale=math.inf), b_tail=one), f"SchemaError: a {finite}"),
+        (dict(coeffs, a_tail=one, b_tail=dict(one, phase=math.nan)), f"SchemaError: b {finite}"),
+        (dict(coeffs, a_head=huge, b_head=huge), "NonSummable: sum |c_n| diverges"),
+    ):
         argv = ["direct", "--spec", files["spec"], "--coeffs", _write(tmp_path / "bad.json", doc)]
         cmd = [sys.executable, "-m", "rank1spec.cli", *map(str, argv)]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1
-        assert proc.stderr.startswith(f"SchemaError: {name} tail scale and phase must be finite")
+        assert proc.stderr.startswith(error)
 
 
 def test_missing_file_exits_one(files):

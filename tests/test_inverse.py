@@ -16,33 +16,31 @@ def two_point_target():
     return TargetSpectrum(0, (0.25 + 0j, 1.1 + 0j))
 
 
-def test_split_target_separates_deviating_indices(zspec, two_point_target):
-    i0, i1, normalized = inverse.split_target(zspec, two_point_target)
-    assert i0 == []
-    assert i1 == [0, 1]
-    assert normalized == {0: 0.25, 1: 1.1}
+def test_build_product_separates_deviating_indices(zspec, two_point_target):
+    pf = inverse.build_product(zspec, two_point_target)
+    assert pf.i1 == (0, 1)
+    assert pf.nu.tolist() == [0.25, 1.1]
+    assert pf.lam.tolist() == [0.0, 1.0]
 
 
-def test_split_target_swap_normalization(zspec):
+def test_build_product_swap_normalization(zspec):
     # nu_0 = 1 equals lambda_1; the swap pulls it onto index 1 so that only
     # index 0 deviates (to 1.3)
-    target = TargetSpectrum(0, (1.0 + 0j, 1.3 + 0j))
-    i0, i1, normalized = inverse.split_target(zspec, target)
-    assert i0 == [1]
-    assert i1 == [0]
-    assert normalized == {0: 1.3, 1: 1.0}
+    pf = inverse.build_product(zspec, TargetSpectrum(0, (1.0 + 0j, 1.3 + 0j)))
+    assert pf.i1 == (0,)
+    assert pf.nu.tolist() == [1.3]
 
 
-def test_split_target_follows_a_chain_of_swaps(zspec):
+def test_build_product_follows_a_chain_of_swaps(zspec):
     # nu = (1, 2, 0): pulling 0 onto index 0 leaves 2 on index 1 and 1 on
     # index 2, and a second swap puts both home, so no index deviates
-    i0, i1, normalized = inverse.split_target(zspec, TargetSpectrum(0, (1.0 + 0j, 2.0 + 0j, 0j)))
-    assert (i0, i1) == ([0, 1, 2], [])
-    assert normalized == {0: 0.0, 1: 1.0, 2: 2.0}
+    pf = inverse.build_product(zspec, TargetSpectrum(0, (1.0 + 0j, 2.0 + 0j, 0j)))
+    assert (pf.i1, pf.c1) == ((), ())
+    assert pf.nu.size == pf.lam.size == 0
 
 
-def test_split_target_and_build_product_take_lambda_in_one_array_call(monkeypatch):
-    # a non-affine head and a swap: one lambda_range call each, giving the
+def test_build_product_takes_lambda_in_one_array_call(monkeypatch):
+    # a non-affine head and a swap: one lambda_range call, giving the
     # per-index calls' values bit for bit
     from rank1spec.model import AffineTail, BaseSpectrum, validate_base
 
@@ -51,12 +49,12 @@ def test_split_target_and_build_product_take_lambda_in_one_array_call(monkeypatc
     calls, lambda_range = [], BaseSpectrum.lambda_range
     monkeypatch.setattr(BaseSpectrum, "lambda_range", lambda sp, lo, hi: calls.append(lo) or lambda_range(sp, lo, hi))
     pf = inverse.build_product(spec, target)
-    assert len(calls) == 2
+    assert len(calls) == 1
     monkeypatch.undo()
-    i0, i1, normalized = inverse.split_target(spec, target)
-    assert (list(pf.i1), i0) == (i1, [-1, 1, 2]) and pf.nu1 == tuple(normalized[n] for n in i1)
-    lam1 = tuple(float(spec.lambda_at(n)) for n in i1)
-    assert all(type(x) is float for x in pf.lam1) and np.array(pf.lam1).tobytes() == np.array(lam1).tobytes()
+    # 1.15 = lambda_1 moves from index -2 to 1, and 0.3 from index 1 to -2
+    assert pf.i1 == (-3, -2, 0, 3)
+    assert pf.nu.tolist() == [-3.2 + 0.1j, 0.3, 0.3, 2.9 - 0.2j]
+    assert pf.lam.dtype == float and pf.lam.tobytes() == np.array([spec.lambda_at(n) for n in pf.i1]).tobytes()
 
 
 def test_product_hand_values(zspec, two_point_target):

@@ -17,7 +17,7 @@ from rank1spec.model import (
     validate_target,
 )
 
-from conftest import finite_coeffs, random_base, random_coeffs
+from conftest import c_tail_sum, finite_coeffs, random_base, random_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +280,16 @@ def test_c_tail_sum_bounds_brute_force(zspec):
     for radius in (0, 3, 10, 50):
         idx = np.arange(radius + 1, 100001)
         truth = 2.0 * float(np.sum(np.abs(coeffs.c_at(idx))))  # symmetric |c_n|
-        bound = coeffs.c_tail_sum(radius, "Z")
+        bound = c_tail_sum(coeffs, radius, "Z")
         assert bound >= truth * (1.0 - 1e-12)
         assert bound <= truth * 1.05 + 1e-12  # 64 explicit terms keep it tight
 
 
 def test_c_tail_sum_covers_head_beyond_radius(zspec):
     coeffs = finite_coeffs({5: 0.25, -7: 0.5})
-    assert coeffs.c_tail_sum(7, "Z") == 0.0
-    assert coeffs.c_tail_sum(6, "Z") == pytest.approx(0.5)
-    assert coeffs.c_tail_sum(3, "Z") == pytest.approx(0.75)
+    assert c_tail_sum(coeffs, 7, "Z") == 0.0
+    assert c_tail_sum(coeffs, 6, "Z") == pytest.approx(0.5)
+    assert c_tail_sum(coeffs, 3, "Z") == pytest.approx(0.75)
 
 
 def test_partition_by_exact_zero(zspec):
@@ -315,6 +315,23 @@ def test_validate_rejects_non_square_summable_tail(zspec):
     coeffs = dataclasses.replace(
         coeffs, a_tail=PowerTail(1.0, 1e200, 0.0), b_tail=PowerTail(1.0, 1e200, 0.0)
     )
+    with pytest.raises(errors.NonSummable, match=r"sum \|c_n\| diverges"):
+        validate_coefficients(coeffs, zspec)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ((1e200,), (1e200,)),  # c_0 = 1e200 * 1e200, real
+        ((1e200 + 1e200j,), (1e200 + 1e200j,)),  # c_0's imaginary part is inf - inf
+        ((1.0, 1e200), (0.5, 1e200)),  # c_1 overflows
+        ((1.0, 1.0), (1e308, 1e308)),  # each c_n finite, their sum not
+    ],
+)
+def test_validate_rejects_an_overflowing_head_sum(zspec, a, b):
+    # index 0 counts, as in K'; the overflow raises no RuntimeWarning
+    coeffs = PerturbationCoefficients(0, tuple(map(complex, a)), None, 0, tuple(map(complex, b)), None)
     with pytest.raises(errors.NonSummable, match=r"sum \|c_n\| diverges"):
         validate_coefficients(coeffs, zspec)
 
