@@ -18,16 +18,18 @@ def _sums(c, lam, z, p, shift, rho):
     # terms x points: numpy reduces a wider array row by row, term by term in
     # input order, but a single column pairwise; a lone point's column is
     # therefore doubled so that its sums take the same order as any other
-    # point's
+    # point's.  The reductions are the ufuncs' own, which ndarray.sum and
+    # .min call after a Python-level wrapper that costs as much on a few
+    # terms
     n = len(z)
     diff = (lam[:, np.newaxis] - shift) - z
     if n == 1:
         diff = np.concatenate((diff, diff), axis=1)
     t = c[:, np.newaxis] / diff
-    rows = [t.sum(axis=0)[:n]]
+    rows = [np.add.reduce(t, axis=0)[:n]]
     for _ in range(p):  # repeated quotients: a complex power costs more
         t /= diff
-        rows.append(t.sum(axis=0)[:n])
+        rows.append(np.add.reduce(t, axis=0)[:n])
     if rho is not None:
         dist = np.abs(diff)
         h = np.abs(c)[:, np.newaxis] / (dist - rho)
@@ -35,7 +37,11 @@ def _sums(c, lam, z, p, shift, rho):
         power = q.copy()
         for _ in range(p):
             power *= q
-        rows += [h.sum(axis=0)[:n], (h * power).sum(axis=0)[:n], dist.min(axis=0, initial=np.inf)[:n]]
+        rows += [
+            np.add.reduce(h, axis=0)[:n],
+            np.add.reduce(h * power, axis=0)[:n],
+            np.minimum.reduce(dist, axis=0, initial=np.inf)[:n],
+        ]
     return rows
 
 

@@ -31,6 +31,13 @@ def first_pole_hit(lam, z):
     return j, int(np.argmax(hit[:, j]))
 
 
+def outside_in(i1, index):
+    """The positions i1 reordered by their |index| from the largest inward,
+    stably (over Z, -n before n): the order F's terms are summed in, so
+    that the smallest terms accumulate first."""
+    return i1[np.argsort(-np.abs(index), kind="stable")]
+
+
 @dataclass(frozen=True)
 class CharacteristicFunction:
     """F cut to the window |n| <= n_trunc.  cut slices the window's indices
@@ -65,7 +72,7 @@ class CharacteristicFunction:
         idx, lam, c = terms.idx[window], terms.lam[window], terms.c[window]
         i1 = c.nonzero()[0]
         poles = lam[i1]
-        i1 = i1[np.argsort(-np.abs(idx[i1]), kind="stable")]
+        i1 = outside_in(i1, idx[i1])
         return cls(
             spec=spec,
             n_trunc=int(n_trunc),

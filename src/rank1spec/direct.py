@@ -34,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import errors
+from . import errors, _kernels
 # compute_Keps is not called here; it stays importable as direct.compute_Keps
 from .charfn import TRUNC_CAP, CharacteristicFunction, Terms, compute_Keps
 from .model import (
@@ -50,7 +50,7 @@ ARC_START = 32  # equal arcs each circle of the arc walk starts from
 ARC_SPLITS = 16  # bisections of an arc before its circle counts as not certified
 # disks x terms products per block of the Rouche check: 512 KB float temporaries
 ROUCHE_BLOCK = 2**16
-UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
+UNIT_ROUNDOFF = float(0.5 * np.finfo(float).eps)
 CLUSTER_RTOL = 1e-6  # zeros closer than this times d form one cluster
 # round-off scatters an order-m zero's roots within this times the radius
 # (eta_j / |F^(m)/m!|)^(1/(m-j)) set by the noise eta_j of each F^(j)/j!
@@ -141,10 +141,12 @@ class LocalizationResult:
 
 
 def _gamma(m):
-    """Higham's gamma_m = m u / (1 - m u) over an array or at a number, inf
-    where m u >= 1/2 (formed with m u capped at 1/2, so that no quotient warns)."""
-    mu = np.minimum(m * UNIT_ROUNDOFF, 0.5)
-    return np.where(mu < 0.5, mu / (1.0 - mu), np.inf)
+    """Higham's gamma_m = m u / (1 - m u) over an array, or in Python floats
+    at a float, with m u capped at 1/2: gamma = 1 there, and every check X
+    (1 + gamma) < Y (1 - gamma) with X >= 0 fails, as it does with the true
+    gamma_m >= 1 (and must past m u = 1, where there is none)."""
+    mu = min(m * UNIT_ROUNDOFF, 0.5) if isinstance(m, float) else np.minimum(m * UNIT_ROUNDOFF, 0.5)
+    return mu / (1.0 - mu)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -152,7 +154,8 @@ def _rouche(cf, idx, lam, c, r, shrink=None):
     """Rouche margins min |G_k| - S_k on the circles |z - lambda_k| = rho_k
     around the indices idx (lambda_k = lam, c_k = c), whether each certifies
     its disk, and the local model (beta_k, beta'_k, rho_k): arrays over the
-    disks.
+    disks, the margins from a function that forms them on a call, since
+    only a failure message reads them.
 
     G_k = beta_k + c_k / (lambda_k - z) is F with every other term expanded
     to first order about lambda_k: beta_k = 1 + sum_{n != k} c_n / (lambda_n
@@ -231,8 +234,12 @@ def _rouche(cf, idx, lam, c, r, shrink=None):
     gamma = _gamma(len(absc) + 23.0 + np.ceil(kappa_s))
     pole = absc_k / rho
     modulus = _modulus(beta)
-    margin = np.where(ok & (pole < modulus), modulus - pole - s, -np.inf)
     certified = ok & ((s + pole + gamma * (1.0 + size)) * (1.0 + gamma) < modulus * (1.0 - gamma))
+
+    def margin():
+        with np.errstate(invalid="ignore"):
+            return np.where(ok & (pole < modulus), modulus - pole - s, -np.inf)
+
     return margin, certified, (beta, slope, rho)
 
 
@@ -266,9 +273,11 @@ def _rouche_rect(cf, rect):
     if cf.tail_total > 0.0:
         s += cf.tail_total / float(cf.delta_unrepresented([rect.re_lo, rect.re_hi]).min())
     edge = max(abs(rect.re_lo), abs(rect.re_hi))
-    kappa = ((np.abs(cf.lam1) + edge) / dist).max(initial=0.0)
-    gamma = _gamma(len(cf.c1) + 12.0 + np.ceil(kappa))
-    return 1.0 - s, bool(s * (1.0 + gamma) < 1.0 - gamma)
+    # kappa at 2^53 or more puts m u past the cap already (and an infinite
+    # kappa has no ceil)
+    kappa = min(float(((np.abs(cf.lam1) + edge) / dist).max(initial=0.0)), 2.0**53)
+    gamma = _gamma(len(cf.c1) + 12.0 + math.ceil(kappa))
+    return 1.0 - s, s * (1.0 + gamma) < 1.0 - gamma
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +459,22 @@ def _newton(cf, seeds, order, shift=None):
     iterating.  It fails too at its WALK_OUT-th step that grew and took it
     twice as far from its nearest pole or farther: next to a pole F is
     about -c_n / w, and each step doubles w, within ten times the last.
-    Only a step that grew (or is NaN) can diverge or walk out, so an
-    iteration in which no point's step grew runs neither test.
+    Only a step that grew (or is NaN) can diverge or walk out, and only a
+    point beyond 2 R be lost, so an iteration in which no step grew and no
+    point lies beyond 2 R runs none of the three tests.  The steps read F
+    and its derivative from the kernel's rows (_kernels.taylor) directly,
+    and the residual pass forms F alone.
     """
     w = np.array(seeds, dtype=complex, ndmin=1)  # a copy: the steps write to it
     if shift is None:
         shift = _shift(cf, w)
         w = w - shift
     deriv = order - 1
-    total = float(np.abs(cf.c1).sum())
+    c1, lam1 = cf.c1, cf.lam1
+    # F^(deriv) and F^(order) are the kernel's rows deriv and order times
+    # the factorials, plus F's leading 1 at deriv 0
+    fac, fac1 = math.factorial(deriv), math.factorial(order)
+    total = float(np.abs(c1).sum())
     resid_tol = NEWTON_RTOL * (1.0 + total) if deriv == 0 else np.inf
     reach = 2.0 * (total + cf.tail_total) if deriv == 0 else np.inf
     start = shift + w
@@ -472,7 +488,11 @@ def _newton(cf, seeds, order, shift=None):
     for _ in range(NEWTON_MAX_ITER):
         if not len(live):
             break
-        g, gp = cf.value_pair(wl, deriv, sl)
+        rows = _kernels.taylor(c1, lam1, wl, order, sl)
+        if deriv:
+            g, gp = fac * rows[deriv], fac1 * rows[order]
+        else:
+            g, gp = 1.0 + rows[0], rows[1]
         step = g / gp
         # where F^(order) vanishes the point moves by 1e-9 (1 + |w|) instead,
         # with no stop, divergence or walk-out test and its last step size kept
@@ -487,12 +507,13 @@ def _newton(cf, seeds, order, shift=None):
         done = size < 1e-16 * (scale + offset)
         if np.count_nonzero(done):
             done &= _modulus(g) <= resid_tol
+        # one test before the three rare ones: some step grew (or is NaN),
+        # or some point lies beyond reach
         diverged = None
-        smaller = size <= last  # a NaN step grew
-        if np.count_nonzero(smaller) < len(smaller):
+        if np.count_nonzero((size <= last) & (offset <= reach)) < len(size):
             diverged = ~(done | (size <= 10.0 * (last + 1.0)))
-            if len(cf.lam1):  # the steps that doubled a distance to the pole nearest the new point
-                j = (~smaller).nonzero()[0]
+            j = (~(size <= last)).nonzero()[0]
+            if len(j) and len(lam1):  # the steps that doubled a distance to the pole nearest the new point
                 after = sl[j] + wl[j]
                 pole = _nearest(cf.poles, after)
                 j = j[_modulus(after - pole) >= 2.0 * _modulus(sl[j] + prev[j] - pole)]
@@ -500,13 +521,11 @@ def _newton(cf, seeds, order, shift=None):
                 walks[live[j]] += 1
                 j = j[walks[live[j]] >= WALK_OUT]
                 diverged[j] |= ~done[j]
-        far = offset > reach
-        if np.count_nonzero(far):
-            j = live[far]
-            lost = _nearest_pole(cf, sl[far] + wl[far]) > np.maximum(reach, _nearest_pole(cf, start[j]))
-            if diverged is None:
-                diverged = np.zeros(len(live), dtype=bool)
-            diverged[far] |= lost & ~done[far]
+            far = offset > reach
+            if np.count_nonzero(far):
+                j = live[far]
+                lost = _nearest_pole(cf, sl[far] + wl[far]) > np.maximum(reach, _nearest_pole(cf, start[j]))
+                diverged[far] |= lost & ~done[far]
         if any_flat:
             done &= ~flat
             if diverged is not None:
@@ -526,22 +545,22 @@ def _newton(cf, seeds, order, shift=None):
             live, wl, sl, scale, last = live[move], wl[move], sl[move], scale[move], last[move]
     if len(live):
         w[live] = wl
-        _, gp = cf.value_pair(wl, deriv, sl)
-        noise = math.factorial(deriv) * _noise(cf, sl + wl, [deriv])[:, 0]
-        floor = ROUNDOFF * noise / _modulus(gp)
+        gp = _kernels.taylor(c1, lam1, wl, order, sl)[order]
+        noise = fac * _noise(cf, sl + wl, [deriv])[:, 0]
+        floor = ROUNDOFF * noise / _modulus(fac1 * gp if deriv else gp)
         failed[live] = ~((last <= 1e-12 * (1.0 + np.abs(sl))) | (last <= floor))
     ok = ~failed
-    # one more kernel pass for |F| at the points returned, not at the iterates
-    # before their last steps, whose values the loop already has: returned,
-    # those put the roundtrip benchmark's worst deviation (seeds 1-4) at
-    # 9.4e-16, not 2.8e-16
+    # one more kernel pass, of F alone, for |F| at the points returned, not
+    # at the iterates before their last steps, whose values the loop already
+    # has: returned, those put the roundtrip benchmark's worst deviation
+    # (seeds 1-4) at 9.4e-16, not 2.8e-16
     n_failed = np.count_nonzero(failed)
     if not n_failed:
-        resid = _modulus(cf.value_pair(w, 0, shift)[0])
+        resid = _modulus(1.0 + _kernels.taylor(c1, lam1, w, 0, shift)[0])
     else:
         resid = np.full(len(w), np.nan)
         if n_failed < len(w):
-            resid[ok] = _modulus(cf.value_pair(w[ok], 0, shift[ok])[0])
+            resid[ok] = _modulus(1.0 + _kernels.taylor(c1, lam1, w[ok], 0, shift[ok])[0])
     if deriv == 0:
         bad = resid > resid_tol
         if np.count_nonzero(bad):
@@ -789,7 +808,7 @@ def _disks(cf, k_prime, window, d):
     if np.count_nonzero(failed):
         j = np.argmax(failed)
         raise errors.CertificationFailed(
-            f"disk around index {idx[j]} failed to certify (Rouche margin {margin[j]:.3g})"
+            f"disk around index {idx[j]} failed to certify (Rouche margin {margin()[j]:.3g})"
         )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         root = np.sqrt(beta * beta + 4.0 * slope * c)

@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from . import errors
-from .charfn import CharacteristicFunction, first_pole_hit
+from . import errors, _kernels
+from .charfn import first_pole_hit, outside_in
 from .model import INDEX_Z, PerturbationCoefficients, PowerTail
 
 
@@ -43,11 +43,15 @@ class ProductFunction:
         if hit is not None:
             j, k = hit
             raise errors.PoleHit(f"z = {flat[j]} coincides with pole at index {self.i1[k]}")
+        out = self.values(flat)
+        return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
+
+    def values(self, z):
+        """The product at a flat array of points (no pole checking)."""
         # points x factors: each point's product is one contiguous row, so a
         # scalar and an array multiply in the same order
-        col = flat[:, np.newaxis]
-        out = np.multiply.reduce((self.nu - col) / (self.lam - col), axis=1)
-        return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
+        col = z[:, np.newaxis]
+        return np.multiply.reduce((self.nu - col) / (self.lam - col), axis=1)
 
 
 def build_product(spec, target):
@@ -79,11 +83,14 @@ def build_product(spec, target):
     nu, lam = np.array(nu1, dtype=complex), np.array(lam1, dtype=float)
     dev_sum = float(np.abs(nu - lam).sum())
     cap = math.exp(dev_sum / spec.gap) * (1.0 + 1e-9)
+    # each residue's factor order, the most distant pole first and, at equal
+    # distances, the later index first: its row of the distances sorted
+    # stably (lexsort), reversed, less the pole itself (distance 0, first)
+    order = np.lexsort((np.abs(lam[:, np.newaxis] - lam),)).tolist()
     c1 = []
     for j, lam_n in enumerate(lam1):
-        others = sorted(((abs(lam1[m] - lam_n), m) for m in range(len(i1)) if m != j), reverse=True)
         prod = 1.0 + 0.0j
-        for _, m in others:
+        for m in order[j][:0:-1]:
             prod *= (nu1[m] - lam_n) / (lam1[m] - lam_n)
         if abs(prod) > cap:
             raise errors.CertificationFailed(
@@ -175,10 +182,23 @@ def default_sample_points(spec, pf):
 def check_F_equals_product(coeffs, pf, sample_points):
     """Max |F - F~| over the samples; the two functions agree identically.
 
-    F is built on the deviating window plus eight indices (and the whole
-    coefficient head)."""
-    radius = _deviating_radius(pf) if pf.i1 else 1
-    cf = CharacteristicFunction.build(pf.spec, coeffs, max(radius + 8, coeffs.head_radius() + 8))
+    F's terms are the nonzero c_n over the deviating window plus eight
+    indices (and the whole coefficient head), in CharacteristicFunction.cut's
+    order (outside_in), so that F's values are a built F's to the bit.  The
+    samples are tested once against the poles of both functions, F's
+    first: a sample on a pole raises PoleHit naming its index."""
+    spec = pf.spec
+    n = max(_deviating_radius(pf) if pf.i1 else 1, coeffs.head_radius()) + 8
+    first = -n if spec.index_kind == INDEX_Z else spec.start
+    c = coeffs.c_range(first, n)
+    k = c.nonzero()[0]
+    k = outside_in(k, first + k)
+    c, lam = c[k], spec.lambda_range(first, n)[k]
     z = np.asarray(sample_points, dtype=complex).reshape(-1)
-    cf.check_poles(z)
-    return float(np.abs(cf.values(z) - pf.eval_product(z)).max(initial=0.0))
+    hit = first_pole_hit(np.concatenate((lam, pf.lam)), z)
+    if hit is not None:
+        j, p = hit
+        index = first + k[p] if p < len(k) else pf.i1[p - len(k)]
+        raise errors.PoleHit(f"z = {z[j]} coincides with pole lambda at index {index}")
+    f = 1.0 + _kernels.taylor(c, lam, z, 0)[0]
+    return float(np.abs(f - pf.values(z)).max(initial=0.0))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -895,16 +896,18 @@ def test_newton_fails_a_point_that_wanders_past_every_zero(zspec, monkeypatch):
     # to -177 - 31i, and from -2.3 + 0.1i through -2.91 + 0.17i to -6.39 -
     # 0.59i, before a step grew too large: five kernel calls for the pass.  A
     # point farther than 2 R from every pole and than its seed now fails
+    from rank1spec import _kernels
+
     cf = CharacteristicFunction.build(zspec, finite_coeffs({-2: 0.24 - 0.21j, 0: 0.01 + 0.07j}), 20)
-    value_pair, calls = CharacteristicFunction.value_pair, []
+    calls, sums = [], _kernels._sums
 
-    def spy(self, z, order=0, shift=0.0):
-        calls.append(len(z))
-        return value_pair(self, z, order, shift)
+    def spy(*args):
+        calls.append(len(args[2]))
+        return sums(*args)
 
-    monkeypatch.setattr(CharacteristicFunction, "value_pair", spy)
+    monkeypatch.setattr(_kernels, "_sums", spy)
     z, _, ok = direct._newton(cf, [0.3 + 0.37j, -2.3 + 0.1j], 1)
-    assert not ok.any() and [n for n in calls if n] == [2, 1, 1, 1]
+    assert not ok.any() and calls == [2, 1, 1, 1]
     assert np.allclose(z, [5.079 - 0.474j, -2.913 + 0.169j], atol=1e-3)
 
 
@@ -1213,8 +1216,9 @@ def test_rouche_on_central_disks_where_c_k_exceeds_the_radius_stays_quiet():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         margin, certified, _ = direct._rouche(cf, idx, lam, c, 0.5 * d)
+        margins = margin()
     large = np.abs(c) >= 0.5 * d
-    assert large.any() and not certified[large].any() and np.all(margin[large] == -np.inf)
+    assert large.any() and not certified[large].any() and np.all(margins[large] == -np.inf)
 
 
 def _eigvals_shapes(monkeypatch):
@@ -1511,6 +1515,52 @@ def test_rect_rouche_certificate_holds_in_interval_arithmetic(zspec):
     assert 20 < sum(outcomes) < len(outcomes) - 20
 
 
+def test_gamma_at_a_float_equals_the_array_form_to_past_the_cap(two_point_cf, monkeypatch):
+    # _rouche_rect forms its allowance in Python floats, _rouche and
+    # _arc_test over arrays: the same gamma bit for bit from m = 1 to past
+    # m u = 1/2 (m = 2^52), where both cap at gamma = 1
+    cap = 2.0**52
+    for m in (1.0, 2.0, 3.0, 23.0, 1e3, 1e8, 1e15, cap - 2.0, cap - 1.0, cap, cap + 2.0, 2.0**53, 1e300, math.inf):
+        scalar = direct._gamma(m)
+        assert type(scalar) is float
+        assert np.array([scalar]).tobytes() == direct._gamma(np.array([m])).tobytes(), m
+        assert scalar == (1.0 if m >= cap else m * direct.UNIT_ROUNDOFF / (1.0 - m * direct.UNIT_ROUNDOFF))
+    assert direct._gamma(cap - 2.0) < 1.0
+    gamma, seen = direct._gamma, []
+    monkeypatch.setattr(direct, "_gamma", lambda m: seen.append(type(m)) or gamma(m))
+    assert direct._rouche_rect(two_point_cf, Rectangle(-1.5, 2.5, -2.5, 2.5)) == (pytest.approx(1.0 - 0.35 / 1.5), True)
+    assert seen == [float]
+
+
+def test_no_check_passes_at_the_gamma_cap_nor_at_gamma_inf(zspec, monkeypatch):
+    # with u = 1/2 every m u is past the cap and gamma = 1: no Rouche disk,
+    # no rectangle and no arc passes, with no warning, as with gamma = inf,
+    # which the cap replaced; an outer disk that fails names its margin
+    loc = localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01}), OPTS)
+    cf, d = loc.cf, zspec.gap
+    win = cf.window(loc.window)
+    idx, lam, c = cf.idx[win], cf.lam[win], cf.c[win]
+    keep = (np.abs(idx) > loc.k_prime) | (c != 0)  # the disks _disks checks
+    idx, lam, c = idx[keep], lam[keep], c[keep]
+    zeros = np.array([z for z, _, _ in loc.all_zeros()])
+
+    def outcomes():
+        certified = direct._rouche(cf, idx, lam, c, 0.5 * d, np.abs(idx) <= loc.k_prime)[1]
+        return certified.tolist(), direct._rouche_rect(cf, loc.rect)[1], direct._arc_walk(cf, zeros, 0.005, 3)
+
+    assert outcomes() == ([True] * len(idx), True, [1, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        monkeypatch.setattr(direct, "UNIT_ROUNDOFF", 0.5)
+        capped = outcomes()
+        with pytest.raises(errors.CertificationFailed, match=r"Rouche margin 1\.04\)$"):
+            direct._disks(cf, loc.k_prime, loc.window, d)
+        monkeypatch.undo()
+        infinite = lambda m: math.inf if isinstance(m, float) else np.full(np.shape(m), np.inf)
+        monkeypatch.setattr(direct, "_gamma", infinite)
+        assert capped == outcomes() == ([False] * len(idx), False, [None, None, None])
+
+
 def _rouche_and_winding_counts(loc):
     """Indices of a localization's disks, whether each is outer, and its
     zeros by Rouche (None where it does not certify) and by the arc walk on
@@ -1602,7 +1652,7 @@ def test_rouche_margin_exceeds_the_enclosure_bound():
             c = np.atleast_1d(coeffs.c_at(idx)).astype(complex)
             margin, certified, _ = direct._rouche(cf, idx, lam, c, 0.5 * d)
             assert certified.all()
-            assert np.all(margin > eps / (2 * (k_prime - k_eps) + 1)), (spec, coeffs)
+            assert np.all(margin() > eps / (2 * (k_prime - k_eps) + 1)), (spec, coeffs)
             # the central rectangle by the same inequality against 1
             margin, certified = direct._rouche_rect(cf, direct._central_rectangle(spec, k_prime, d, spec.lambda_at))
             assert certified and margin > eps / (2 * (k_prime - k_eps) + 1), (spec, coeffs)

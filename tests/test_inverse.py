@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from rank1spec import errors, inverse
+from rank1spec.charfn import CharacteristicFunction
 from rank1spec.model import (
+    AffineTail,
+    BaseSpectrum,
     PerturbationCoefficients,
+    PowerTail,
     TargetSpectrum,
+    validate_base,
     validate_coefficients,
 )
 
-from conftest import combined_discrepancy_bound
+from conftest import combined_discrepancy_bound, random_base
 
 
 @pytest.fixture
@@ -218,3 +223,114 @@ def test_roundtrip_of_a_target_with_no_moved_point(zspec):
         pf, disc, ps, worst = _roundtrip(spec, target, LocalizeOptions(window=6, n_trunc=20))
         assert pf.i1 == () and pf.c1 == () and disc == 0.0 and worst == 0.0
         assert np.array_equal(np.sort(ps.eigenvalues().real), spec.lambda_at(spec.window_indices(6)))
+
+
+# ---------------------------------------------------------------------------
+# the residues and the check, against the per-residue loop and F as built
+
+
+def _residues_by_sorted_loop(pf):
+    """c_n as build_product formed them one residue at a time, each one's
+    factors in sorted((|lambda_m - lambda_n|, m), reverse=True) order."""
+    nu1, lam1 = pf.nu.tolist(), pf.lam.tolist()
+    c1 = []
+    for j, lam_n in enumerate(lam1):
+        others = sorted(((abs(lam1[m] - lam_n), m) for m in range(len(lam1)) if m != j), reverse=True)
+        prod = 1.0 + 0.0j
+        for _, m in others:
+            prod *= (nu1[m] - lam_n) / (lam1[m] - lam_n)
+        c1.append((nu1[j] - lam_n) * prod)
+    return c1
+
+
+def _check_by_build(coeffs, pf, sample_points):
+    """max |F - F~| over the samples with F from CharacteristicFunction.build
+    on the deviating window plus eight indices (and the whole coefficient
+    head), F's poles checked first and then the product's."""
+    radius = max((abs(n) for n in pf.i1), default=1)
+    cf = CharacteristicFunction.build(pf.spec, coeffs, max(radius, coeffs.head_radius()) + 8)
+    z = np.asarray(sample_points, dtype=complex).reshape(-1)
+    cf.check_poles(z)
+    return float(np.abs(cf.values(z) - pf.eval_product(z)).max(initial=0.0))
+
+
+def _random_target(rng, spec, m):
+    """m moved points among the first 17 indices of spec (|n| <= 8 over Z),
+    at times two of them on one value and one on another index's lambda."""
+    lo = -8 if spec.index_kind == "Z" else spec.start
+    idx = np.sort(rng.choice(17, size=m, replace=False)) + lo
+    head = spec.lambda_range(idx[0], idx[-1]).astype(complex)
+    moved = idx - idx[0]
+    head[moved] += spec.gap * (rng.uniform(-0.3, 0.3, m) + 1j * rng.uniform(-0.3, 0.3, m))
+    if m > 1 and rng.integers(2):  # a double point
+        head[moved[1]] = head[moved[0]]
+    if m > 2 and rng.integers(2):  # a value on another index's lambda: a swap
+        head[moved[-1]] = spec.lambda_range(idx[0], idx[0])[0]
+    return TargetSpectrum(int(idx[0]), tuple(head.tolist()))
+
+
+def _bits(values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+def test_residues_equal_the_per_residue_sorted_loop(zspec):
+    # lambda_n = n: the poles' distances tie, and up to 10 moved points
+    rng = np.random.default_rng(7)
+    sizes = set()
+    for _ in range(200):
+        pf = inverse.build_product(zspec, _random_target(rng, zspec, int(rng.integers(1, 11))))
+        assert _bits(pf.c1) == _bits(_residues_by_sorted_loop(pf))
+        sizes.add(len(pf.i1))
+    assert {1, 10} <= sizes
+
+
+def test_check_equals_the_value_from_F_as_built():
+    # random targets over Z and over N, with affine and non-affine heads, and
+    # fixed-phi coefficients whose a-head stops short of the deviating
+    # window (a's power tail gives a_n over the rest): the check's value is
+    # max |F - F~| from CharacteristicFunction.build bit for bit
+    rng = np.random.default_rng(5)
+    specs = [
+        validate_base(BaseSpectrum("Z", 0, (), AffineTail(1.0, 0.0), 1.0)),
+        validate_base(BaseSpectrum("N", 1, (), AffineTail(1.0, 0.0), 1.0)),
+    ]
+    specs += [random_base(rng) for _ in range(6)]
+    assert {spec.index_kind for spec in specs} == {"Z", "N"}
+    short = 0
+    for spec in specs:
+        for _ in range(12):
+            target = _random_target(rng, spec, int(rng.integers(1, 11)))
+            coeffs, pf = inverse.solve_inverse(spec, target)
+            samples = inverse.default_sample_points(spec, pf)
+            points = np.concatenate([samples, spec.lambda_range(-2, 20)[:5] + 0.3j])
+            for z in (samples, points.reshape(2, -1)):
+                assert inverse.check_F_equals_product(coeffs, pf, z) == _check_by_build(coeffs, pf, z)
+            if not pf.i1:
+                continue
+            # a's head from the residue window's first index (over Z, through
+            # index 0, where a power tail is undefined) to about its middle
+            first = -max(-pf.i1[0], pf.i1[-1]) if spec.index_kind == "Z" else spec.start
+            head = range(first, max(0 if spec.index_kind == "Z" else first, (first + pf.i1[-1]) // 2) + 1)
+            phi = PerturbationCoefficients(
+                a_head_offset=first, a_head=tuple(0.5 + 0.1j * n for n in head), a_tail=PowerTail(1.0, 2.0, 0.3),
+                b_head_offset=first, b_head=(), b_tail=None,
+            )  # fmt: skip
+            coeffs, pf = inverse.solve_inverse_fixed_phi(spec, target, phi)
+            short += head[-1] < pf.i1[-1]
+            assert inverse.check_F_equals_product(coeffs, pf, samples) == _check_by_build(coeffs, pf, samples)
+    assert short > 20
+
+
+def test_check_names_the_pole_a_sample_sits_on_as_before(zspec):
+    # samples on two poles, one of them within the pole tolerance: the first
+    # such sample is named, with the pole's index, as F's pole check named it
+    coeffs, pf = inverse.solve_inverse(zspec, TargetSpectrum(-2, (-2.2 + 0.1j, -1.0, 0.3j, 0.5, 0.5)))
+    samples = inverse.default_sample_points(zspec, pf)
+    for pole, other in ((0.0, 2.0 + 1e-13j), (2.0 + 1e-13j, -2.0), (-2.0, 0.0)):
+        z = np.concatenate([samples[:4], [pole], samples[4:9], [other], samples[9:]])
+        with pytest.raises(errors.PoleHit) as new:
+            inverse.check_F_equals_product(coeffs, pf, z)
+        with pytest.raises(errors.PoleHit) as old:
+            _check_by_build(coeffs, pf, z)
+        assert str(new.value) == str(old.value)
+        assert str(new.value).endswith(f"index {int(round(pole.real))}")
