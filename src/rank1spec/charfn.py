@@ -93,14 +93,6 @@ class CharacteristicFunction:
         first = int(self.idx[0]) if len(self.idx) else 0
         return slice(max(0, -radius - first), max(0, radius - first + 1))
 
-    def check_poles(self, z):
-        """Raise PoleHit naming the first point that sits on a represented pole."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        hit = first_pole_hit(self.lam1, z)
-        if hit is not None:
-            j, k = hit
-            raise errors.PoleHit(f"z = {z[j]} coincides with pole lambda at index {int(self.idx1[k])}")
-
     def delta_unrepresented(self, z):
         """Exact distance from each point to the nearest pole outside the window.
 
@@ -142,19 +134,6 @@ class CharacteristicFunction:
 
     # -- evaluation --------------------------------------------------------
 
-    def value_pair(self, z, order=0, shift=0.0):
-        """(F^(order), F^(order+1)) at the points shift + z from one kernel pass.
-
-        The shift is one number or one per point.  Denominators are formed
-        as (lambda_n - shift) - z, which keeps full precision when |z| is
-        many orders below |shift|.
-        """
-        rows = _kernels.taylor(self.c1, self.lam1, z, order + 1, shift)
-        s, s1 = rows[order], rows[order + 1]
-        if order == 0:
-            return 1.0 + s, s1
-        return math.factorial(order) * s, math.factorial(order + 1) * s1
-
     def taylor(self, z, p, shift=0.0, rho=None):
         """a_j = F^(j)/j!, j <= p, at the points shift + z: a (p + 1, points)
         array from one kernel pass, with rho also its bounds (_kernels.taylor)."""
@@ -169,11 +148,13 @@ class CharacteristicFunction:
 
     def derivative_values(self, z, order=1):
         """F^(order) at an array of points (F itself at order 0)."""
-        return self.value_pair(z, order)[0]
+        return math.factorial(order) * self.taylor(z, order)[order]
 
     def shifted_values(self, center_index, w, order=0):
-        """F^(order) evaluated at lambda_center + w in shifted coordinates."""
-        return self.value_pair(w, order, self.spec.lambda_at(int(center_index)))[0]
+        """F^(order) at lambda_center + w, its denominators formed as
+        (lambda_n - lambda_center) - w, which keeps full precision when |w|
+        is many orders below |lambda_center|."""
+        return math.factorial(order) * self.taylor(w, order, self.spec.lambda_at(int(center_index)))[order]
 
 
 class Terms:

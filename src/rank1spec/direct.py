@@ -19,12 +19,13 @@ zero: each certified disk's from the root w_k of its local model taken
 one order further, beta_k w + beta'_k w^2 = c_k, about lambda_k; the rest
 from the eigenvalues of one diagonal-plus-rank-one matrix over the
 uncertified indices, with every other zero divided out of F (a deflated
-secular equation).  A disk whose zero fails raises; the zeros left in the
-rectangle are grouped into multiple zeros, and each one's order is
-certified on a small circle of its own, clear of the certified disks, all
-circles walked together.  A solve whose disks all certify (the common
-case) runs no eigenvalue problem, arc walk or assignment; README times
-its stages.
+secular equation).  A disk whose zero fails raises; each zero left in the
+rectangle starts on a small circle of its own, clear of the certified
+disks, all circles walked together, and one whose circle does not count
+its order joins its nearest until every circle certifies: the circles'
+counts alone group the multiple zeros.  A solve whose disks all certify
+(the common case) runs no eigenvalue problem, arc walk or assignment;
+README times its stages.
 """
 
 from collections import namedtuple
@@ -51,7 +52,6 @@ ARC_SPLITS = 16  # bisections of an arc before its circle counts as not certifie
 # disks x terms products per block of the Rouche check: 512 KB float temporaries
 ROUCHE_BLOCK = 2**16
 UNIT_ROUNDOFF = float(0.5 * np.finfo(float).eps)
-CLUSTER_RTOL = 1e-6  # zeros closer than this times d form one cluster
 # round-off scatters an order-m zero's roots within this times the radius
 # (eta_j / |F^(m)/m!|)^(1/(m-j)) set by the noise eta_j of each F^(j)/j!
 ROUNDOFF = 20.0
@@ -587,57 +587,29 @@ def _nearest_pole(cf, z):
     return np.abs(_nearest(cf.poles, z) - z)
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _spread(cf, z, m):
-    """The spread of an order-m zero's roots at each point z, as each Taylor
-    coefficient below m sets it, and the radius within which round-off of
-    that coefficient scatters them: arrays over the points by j < m.  Where
-    F^(m)(z) = 0 the spread is inf and the radius 0.
-
-    With a_j = F^(j)(z)/j!, spread_j = |a_j / a_m|^(1/(m-j)) and radius_j =
-    ROUNDOFF (eta_j / |a_m|)^(1/(m-j)), where eta_j (_noise) is the noise
-    of a_j.  The a_j are evaluated in _newton's shifted coordinates.  Below
-    radius_0, set by the noise of F's values, F alone cannot tell m nearby
-    roots from one order-m zero; the derivatives' radii still can.
-    """
-    shift = _shift(cf, z)
-    a = np.abs(cf.taylor(z - shift, m, shift)).T
-    j = np.arange(m)
-    spread = (a[:, :m] / a[:, m:]) ** (1.0 / (m - j))
-    radius = ROUNDOFF * (_noise(cf, z, j) / a[:, m:]) ** (1.0 / (m - j))
-    flat = a[:, m] == 0
-    spread[flat], radius[flat] = np.inf, 0.0
-    return spread, radius
-
-
-def _roundoff_link(cf, z):
-    """For each seed z, the radius within which another seed belongs to the
-    same zero through round-off: radius_0 of an order-2 zero at z when z
-    looks like one (spread_0 and spread_1 both within that radius), else 0.
-
-    A seed Newton could not polish lies anywhere within radius_0 of its
-    zero, so both spreads are held to radius_0 here; _try_multiple then
-    holds the polished zero to each coefficient's own radius.
-    """
-    spread, radius = _spread(cf, z, 2)
-    return np.where(spread.max(axis=1) > radius[:, 0], 0.0, radius[:, 0])
-
-
-def _try_multiple(cf, seed, m, d):
+def _try_multiple(cf, seed, m):
     """An order-m zero polished from a group's seed: (location, m, residual) or None.
 
-    Newton runs on F^(m-1).  The zero is accepted when, for every Taylor
-    coefficient below m, the spread of the roots it sets is within the
-    cluster tolerance or within its own round-off radius (_spread): m
-    roots scattered by round-off pass, separate clusters closer than F's
-    value noise can resolve fail on a derivative.  The caller certifies the
-    order by the arc walk.
+    Newton runs on F^(m-1).  With a_j = F^(j)(z)/j! at the polished z, in
+    _newton's shifted coordinates, the zero is accepted when, for every j <
+    m, the spread |a_j / a_m|^(1/(m-j)) of the roots a_j sets is within the
+    radius ROUNDOFF (eta_j / |a_m|)^(1/(m-j)) within which round-off of a_j
+    scatters them, eta_j (_noise) the noise of a_j, and a_m != 0: m roots
+    scattered by round-off pass, separate clusters closer than F's value
+    noise can resolve fail on a derivative.  The caller certifies the order
+    by the arc walk.
     """
     z, resid, ok = _newton(cf, [seed], m)
     if not ok[0]:
         return None
-    spread, radius = _spread(cf, z, m)
-    if np.any(spread > np.maximum(CLUSTER_RTOL * d, radius)):
+    shift = _shift(cf, z)
+    a = np.abs(cf.taylor(z - shift, m, shift))[:, 0]
+    if a[m] == 0.0:
+        return None
+    j = np.arange(m)
+    spread = (a[:m] / a[m]) ** (1.0 / (m - j))
+    radius = ROUNDOFF * (_noise(cf, z, j)[0] / a[m]) ** (1.0 / (m - j))
+    if np.any(spread > radius):
         return None
     return z[0], m, resid[0]
 
@@ -667,22 +639,23 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
 
     polished is _newton's (locations, residuals, converged) from the seeds;
     a seed it did not polish (as near a multiple zero) is kept as it is.
-    Of the points inside the rectangle and outside the disks, those closer
-    than CLUSTER_RTOL d, or than the round-off link (_roundoff_link) of
-    either, form a group; a group of m > 1 is one order-m zero when
-    _try_multiple accepts it, from the same _spread radii, and a lone seed
-    Newton did not polish fails; a group's zero must lie inside the
-    rectangle and outside the disks, and no two zeros closer than
-    CLUSTER_RTOL d (two groups polished onto one zero).  Each zero's order
-    is certified on its own circle, all circles in one _arc_walk at p =
-    (largest order) + 2.  A circle's radius is at most d/4, a third of the
-    distance to the next zero, and half the distance to the rectangle's
-    boundary and to each disk, so the circles are disjoint from each other
-    and from the disks and lie inside the rectangle; a pole nearer than
-    twice the radius but not within half of it shrinks the radius to half
-    its distance, so every pole keeps at least half the radius clear of the
-    circle.  The orders must add up to n_zeros; anything else raises
-    CertificationFailed.
+    The points inside the rectangle and outside the disks must number
+    n_zeros, and each starts as a group of its own, with its polished point
+    as a simple zero, or none.  Each group's order is certified on its own
+    circle, all circles in one _arc_walk at p = (largest order) + 2.  A
+    circle's radius is at most d/4, a third of the distance to the next
+    zero, and half the distance to the rectangle's boundary and to each
+    disk, so the circles are disjoint from each other and from the disks
+    and lie inside the rectangle; a pole nearer than twice the radius but
+    not within half of it shrinks the radius to half its distance, so every
+    pole keeps at least half the radius clear of the circle.  Each group
+    with no zero, or whose circle does not count its order, joins its
+    nearest group, the joins chaining, and the walk runs again, until every
+    circle certifies.  A group of m > 1 takes the order-m zero
+    _try_multiple polishes from its points' mean, which must lie inside the
+    rectangle and outside the disks.  A failure with no other group left to
+    join, and a rejected group, raise CertificationFailed, naming after a
+    merge the first circle that failed.
     """
     z, resid, ok = polished
     disks = tuple(np.asarray(x, dtype=float) for x in disks)
@@ -693,56 +666,67 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
     points = np.where(ok, z, seeds)
     kept = keep(points)
     points, resid, ok = points[kept], resid[kept], ok[kept]
-    link = CLUSTER_RTOL * d
-    if len(points) > 1:
-        link = np.maximum(link, _roundoff_link(cf, points))
-        link = np.maximum(link[:, np.newaxis], link)
-    # each seed takes the smallest label among its linked seeds until no
-    # label changes: one label per connected group
-    close = np.abs(points[:, np.newaxis] - points) <= link
-    label, prev = np.arange(len(points)), None
-    while not np.array_equal(label, prev):
-        label, prev = np.where(close, label, len(points)).min(axis=1, initial=len(points)), label
-    zeros = []
-    for g in np.unique(label):
-        members = np.flatnonzero(label == g)
-        m = len(members)
-        if m == 1 and ok[members[0]]:
-            zeros.append((complex(points[members[0]]), 1, resid[members[0]]))
-            continue
-        seed = complex(points[members].mean())
-        got = _try_multiple(cf, seed, m, d) if m > 1 else None
-        if got is None or not keep(np.array([got[0]]))[0]:
-            raise errors.CertificationFailed(f"no zero of order {m} found near {seed:.6g}")
-        zeros.append(got)
-    zeros.sort(key=lambda t: (t[0].real, t[0].imag))
-    found = sum(o for _, o, _ in zeros)
-    if found != n_zeros:
+    if len(points) != n_zeros:
         raise errors.CertificationFailed(
-            f"central zeros of total order {found} found, the rectangle holds {n_zeros}"
+            f"central zeros of total order {len(points)} found, the rectangle holds {n_zeros}"
         )
-
-    z = np.array([t[0] for t in zeros], dtype=complex)
-    sep = np.abs(z[:, np.newaxis] - z)
-    np.fill_diagonal(sep, np.inf)
-    sep = sep.min(axis=1, initial=np.inf)
-    if not np.all(sep > CLUSTER_RTOL * d):
-        raise errors.CertificationFailed("two central zeros coincide")
-    edge = [z.real - rect.re_lo, rect.re_hi - z.real, z.imag - rect.im_lo, rect.im_hi - z.imag]
-    clear = np.minimum.reduce(edge + [_clearance(z, disks)])  # to the rectangle's boundary and the disks
-    radius = np.minimum(np.minimum(0.25 * d, sep / 3.0), 0.5 * clear)
-    pole = _nearest_pole(cf, z)
-    radius = np.where(pole > 0.5 * radius, np.minimum(radius, 0.5 * pole), radius)
-    counts = _arc_walk(cf, z, radius, max((m for _, m, _ in zeros), default=0) + 2)
-    for (z0, m, _), rad, inside, count in zip(zeros, radius, pole < radius, counts):
-        count = None if count is None else count + int(inside)
-        if count != m:
-            got = "could not be certified" if count is None else f"counts {count} zeros"
-            raise errors.CertificationFailed(
-                f"order winding on radius {rad:.3g} around the central zero {z0:.6g} "
-                f"{got}, expected {m}"
-            )
-    return zeros
+    # (members, zero or None) per group
+    groups = [([i], (complex(points[i]), 1, resid[i]) if ok[i] else None) for i in range(len(points))]
+    after = ""  # names the first circle that failed, once groups have merged
+    while True:
+        # the groups in order of location: each one's zero or, with none, its points' mean
+        where = np.array([points[g].mean() if t is None else t[0] for g, t in groups], dtype=complex)
+        order = np.lexsort((where.imag, where.real))
+        groups, where = [groups[i] for i in order], where[order]
+        failed = {
+            i: f"no zero of order 1 found near {where[i]:.6g}" for i, (_, t) in enumerate(groups) if t is None
+        }
+        live = [i for i, (_, t) in enumerate(groups) if t is not None]
+        zeros = [groups[i][1] for i in live]
+        z = where[live]
+        sep = np.abs(z[:, np.newaxis] - z)
+        np.fill_diagonal(sep, np.inf)
+        sep = sep.min(axis=1, initial=np.inf)
+        edge = [z.real - rect.re_lo, rect.re_hi - z.real, z.imag - rect.im_lo, rect.im_hi - z.imag]
+        clear = np.minimum.reduce(edge + [_clearance(z, disks)])  # to the rectangle's boundary and the disks
+        radius = np.minimum(np.minimum(0.25 * d, sep / 3.0), 0.5 * clear)
+        pole = _nearest_pole(cf, z)
+        radius = np.where(pole > 0.5 * radius, np.minimum(radius, 0.5 * pole), radius)
+        counts = _arc_walk(cf, z, radius, max((m for _, m, _ in zeros), default=0) + 2)
+        for i, (z0, m, _), rad, inside, count in zip(live, zeros, radius, pole < radius, counts):
+            count = None if count is None else count + int(inside)
+            if count != m:
+                got = "could not be certified" if count is None else f"counts {count} zeros"
+                failed[i] = (
+                    f"order winding on radius {rad:.3g} around the central zero {z0:.6g} {got}, expected {m}"
+                )
+        if not failed:
+            return zeros
+        first = failed[min(failed)]
+        if len(groups) == 1:
+            raise errors.CertificationFailed(first + after)
+        after = after or f", after {first}"
+        # each failing group joins the group nearest it, and the joins chain
+        dist = np.abs(where[:, np.newaxis] - where)
+        np.fill_diagonal(dist, np.inf)
+        label = list(range(len(groups)))
+        for i in failed:
+            old, new = label[i], label[int(dist[i].argmin())]
+            label = [new if x == old else x for x in label]
+        merged = {}
+        for x, group in zip(label, groups):
+            merged.setdefault(x, []).append(group)
+        groups = []
+        for parts in merged.values():
+            if len(parts) == 1:
+                groups += parts
+                continue
+            g = sorted(i for members, _ in parts for i in members)
+            seed = complex(points[g].mean())
+            got = _try_multiple(cf, seed, len(g))
+            if got is None or not keep(np.array([got[0]]))[0]:
+                raise errors.CertificationFailed(f"no zero of order {len(g)} found near {seed:.6g}{after}")
+            groups.append((g, got))
 
 
 # ---------------------------------------------------------------------------

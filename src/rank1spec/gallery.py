@@ -40,12 +40,6 @@ class CotangentClosedForm:
             raise errors.PoleHit(f"closed form has a pole at {z}")
         return (z * z + 1.0) / (z * z) - (math.pi / z) / cmath.tan(math.pi * z)
 
-    def derivative(self, z):
-        z = complex(z)
-        cot = 1.0 / cmath.tan(math.pi * z)
-        csc2 = 1.0 + cot * cot
-        return -2.0 / z**3 + math.pi**2 * csc2 / z + math.pi * cot / (z * z)
-
 
 def harmonic_family(window):
     """Coefficients with c_n = 1/n (n != 0), explicit for |n| <= window,

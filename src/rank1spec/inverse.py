@@ -34,18 +34,6 @@ class ProductFunction:
     nu: np.ndarray  # nu_n over i1
     lam: np.ndarray  # lambda_n over i1
 
-    def eval_product(self, z):
-        """Exact finite product over the deviating indices, at a point or an
-        array of points (a complex for a scalar)."""
-        zs = np.asarray(z, dtype=complex)
-        flat = zs.reshape(-1)
-        hit = first_pole_hit(self.lam, flat)
-        if hit is not None:
-            j, k = hit
-            raise errors.PoleHit(f"z = {flat[j]} coincides with pole at index {self.i1[k]}")
-        out = self.values(flat)
-        return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
-
     def values(self, z):
         """The product at a flat array of points (no pole checking)."""
         # points x factors: each point's product is one contiguous row, so a

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from rank1spec import direct, errors
-from rank1spec.charfn import TRUNC_CAP, CharacteristicFunction, Terms, compute_Keps
+from rank1spec.charfn import TRUNC_CAP, CharacteristicFunction, Terms, compute_Keps, first_pole_hit
 from rank1spec.direct import LocalizeOptions
 from rank1spec.model import (
     AffineTail,
@@ -73,16 +73,14 @@ def test_conjugate_symmetry_for_real_coefficients(two_point):
 
 
 def test_pole_detection(two_point):
-    with pytest.raises(errors.PoleHit):
-        two_point.check_poles(0.0)
-    with pytest.raises(errors.PoleHit):
-        two_point.check_poles(1.0 + 1e-16j)
+    assert first_pole_hit(two_point.lam1, np.array([0.0])) is not None
+    assert first_pole_hit(two_point.lam1, np.array([1.0 + 1e-16j])) is not None
     # lambda_5 is not a pole: c_5 = 0
-    two_point.check_poles(5.0)
+    assert first_pole_hit(two_point.lam1, np.array([5.0])) is None
     assert np.isfinite(two_point.values(np.array([5.0]))[0])
-    # among several points the first one on a pole is named
-    with pytest.raises(errors.PoleHit, match=r"z = \(1\+0j\) .* index 1$"):
-        two_point.check_poles(np.array([0.5 + 0.5j, 5.0, 1.0, 0.0]))
+    # among several points the first one on a pole is named, with its pole
+    j, k = first_pole_hit(two_point.lam1, np.array([0.5 + 0.5j, 5.0, 1.0, 0.0]))
+    assert j == 2 and two_point.idx1[k] == 1
 
 
 def test_tail_bound_certifies_truncation_error(zspec):
@@ -120,8 +118,7 @@ def test_single_term_and_partial_sum_approximants(zspec, two_point):
     # the partial sum H_1 over |n| <= 1 holds every term of F
     h1 = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.275, 1: 0.075}), 1).values(z)[0]
     assert abs(h1 - two_point.values(z)[0]) < 1e-15
-    with pytest.raises(errors.PoleHit):
-        two_point.check_poles(1.0)
+    assert first_pole_hit(two_point.lam1, np.array([1.0])) is not None
 
 
 @st.composite

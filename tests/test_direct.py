@@ -121,6 +121,43 @@ def test_refine_rejects_wrong_order(double_cf):
         direct._central_zeros(double_cf, CENTRAL, seeds, polished, 3, 1.0, NO_DISKS)
 
 
+def _two_points_at(cf, at):
+    """The central step on two points polished onto one location; a
+    RuntimeWarning (from their circles of radius 0) raises."""
+    points = np.full(2, complex(at))
+    polished = (points, np.zeros(2), np.ones(2, dtype=bool))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return direct._central_zeros(cf, CENTRAL, points, polished, 2, 1.0, NO_DISKS)
+
+
+def test_two_points_on_a_double_zero_join_into_it(double_cf):
+    # each point's circle has radius 0 and fails, the two join, and their
+    # order-2 zero's circle counts 2
+    ((z, order, _),) = _two_points_at(double_cf, 0.5)
+    assert order == 2 and abs(z - 0.5) < 1e-12
+
+
+def test_two_points_on_a_simple_zero_are_no_double_zero(two_point_cf):
+    # the two join as at a double zero, and Newton on F' from 1/4 finds no
+    # order-2 zero
+    with pytest.raises(errors.CertificationFailed, match="^no zero of order 2 found near 0.25"):
+        _two_points_at(two_point_cf, 0.25)
+
+
+def test_a_triple_point_takes_two_walks_and_one_multiple_zero(zspec, monkeypatch):
+    # the three seeds' circles fail, all three join in one round, and the
+    # order-3 zero's circle certifies in the second walk
+    calls = []
+    for name in ("_arc_walk", "_try_multiple"):
+        f = getattr(direct, name)
+        monkeypatch.setattr(direct, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    coeffs, _ = inverse.solve_inverse(zspec, TargetSpectrum(0, (1.0 + 0.25j,) * 3))
+    loc = localize_spectrum(zspec, validate_coefficients(coeffs, zspec), LocalizeOptions(window=12, n_trunc=40))
+    assert [m for _, m, _ in loc.central] == [3]
+    assert calls == ["_arc_walk", "_try_multiple", "_arc_walk"]
+
+
 def test_central_zeros_must_add_up_to_what_the_rectangle_holds(two_point_cf):
     # two simple zeros found where the rectangle's count says three
     with pytest.raises(errors.CertificationFailed, match="total order 2 found, the rectangle holds 3"):
@@ -232,8 +269,8 @@ def test_complex_central_zeros_match_the_oracle(zspec):
 
 def test_simple_zero_at_an_inflection_point_stays_simple(zspec):
     # F(1/2) = 0, F'(1/2) = 9 and F''(1/2) = 0: the double-zero round-off
-    # radius there is large, but the point does not look like a double zero,
-    # so it is not grouped with the zeros near -0.53 and 3.78
+    # radius there is large, but the point's own circle counts one zero, so
+    # it stays apart from the zeros near -0.53 and 3.78
     coeffs = finite_coeffs({-1: 27 / 16, 0: 1.0, 1: 17 / 16})
     ps, loc = solve_direct(zspec, coeffs, OPTS)
     central = next(r for r in loc.reports if r.region_index is None)
@@ -840,7 +877,8 @@ def _newton_by_loop(cf, seed, order):
     start = np.abs(poles - complex(seed)).min()
     walks = 0  # steps that grew and doubled the distance to the nearest pole
     for _ in range(direct.NEWTON_MAX_ITER):
-        g, gp = (v[0] for v in cf.value_pair(np.array([w]), order - 1, lam_c))
+        a = cf.taylor(np.array([w]), order, lam_c)[:, 0]
+        g, gp = math.factorial(order - 1) * a[order - 1], math.factorial(order) * a[order]
         if gp == 0:
             w += 1e-9 * (1.0 + abs(w))
             continue
@@ -861,7 +899,7 @@ def _newton_by_loop(cf, seed, order):
     else:
         if abs(step) > 1e-12 * (1.0 + abs(lam_c)):
             return None
-    resid = abs(cf.value_pair(np.array([w]), 0, lam_c)[0][0])
+    resid = abs(cf.taylor(np.array([w]), 0, lam_c)[0, 0])
     if order == 1 and resid > resid_tol:
         return None
     return lam_c + w, resid

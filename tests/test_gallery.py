@@ -23,14 +23,6 @@ def test_closed_form_matches_symmetric_truncation():
         assert abs(approx - exact) < 2e-3
 
 
-def test_closed_form_derivative_finite_difference():
-    _, closed = gallery.harmonic_family(window=10)
-    z = 0.3 + 0.2j
-    h = 1e-6
-    fd = (closed.value(z + h) - closed.value(z - h)) / (2 * h)
-    assert abs(fd - closed.derivative(z)) < 1e-7
-
-
 def test_nonsummable_family_fails_validation():
     spec = validate_base(gallery.example_periodic_base())
     coeffs, _ = gallery.harmonic_family(window=10)

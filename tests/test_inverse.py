@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rank1spec import errors, inverse
-from rank1spec.charfn import CharacteristicFunction
+from rank1spec.charfn import CharacteristicFunction, first_pole_hit
 from rank1spec.model import (
     AffineTail,
     BaseSpectrum,
@@ -65,21 +65,19 @@ def test_build_product_takes_lambda_in_one_array_call(monkeypatch):
 def test_product_hand_values(zspec, two_point_target):
     pf = inverse.build_product(zspec, two_point_target)
     # (0.25-2)/(0-2) * (1.1-2)/(1-2) = 0.875 * 0.9
-    assert pf.eval_product(2.0) == pytest.approx(0.7875)
-    assert abs(pf.eval_product(1e6j) - 1.0) < 1e-5
-    with pytest.raises(errors.PoleHit):
-        pf.eval_product(0.0)
+    at_2, far = pf.values(np.array([2.0, 1e6j]))
+    assert at_2 == pytest.approx(0.7875)
+    assert abs(far - 1.0) < 1e-5
+    assert first_pole_hit(pf.lam, np.array([0.0])) is not None
 
 
-def test_eval_product_on_an_array_equals_the_scalar_calls(zspec):
+def test_product_values_on_an_array_equal_the_one_point_calls(zspec):
     pf = inverse.build_product(zspec, TargetSpectrum(-1, (-0.7 + 0.1j, 0.0j, 0.5 + 0j, 0.5 + 0j)))
-    z = np.array([[2.0 + 0.3j, -0.4 - 1.2j, 7.5 + 0j], [0.25 + 0.25j, 1e6j, -3.1 + 0j]])
-    values = pf.eval_product(z)
-    assert values.shape == z.shape
-    assert values.tolist() == [[pf.eval_product(v) for v in row] for row in z.tolist()]
-    assert isinstance(pf.eval_product(3.5), complex)
-    with pytest.raises(errors.PoleHit, match="index 1$"):
-        pf.eval_product(np.array([0.5j, 1.0, -1.0]))
+    z = np.array([2.0 + 0.3j, -0.4 - 1.2j, 7.5 + 0j, 0.25 + 0.25j, 1e6j, -3.1 + 0j])
+    assert pf.values(z).tolist() == [pf.values(z[j : j + 1])[0] for j in range(len(z))]
+    # the first point on a pole is named, with its pole
+    j, k = first_pole_hit(pf.lam, np.array([0.5j, 1.0, -1.0]))
+    assert j == 1 and pf.i1[k] == 1
 
 
 def test_residues_hand_values(zspec, two_point_target):
@@ -250,8 +248,13 @@ def _check_by_build(coeffs, pf, sample_points):
     radius = max((abs(n) for n in pf.i1), default=1)
     cf = CharacteristicFunction.build(pf.spec, coeffs, max(radius, coeffs.head_radius()) + 8)
     z = np.asarray(sample_points, dtype=complex).reshape(-1)
-    cf.check_poles(z)
-    return float(np.abs(cf.values(z) - pf.eval_product(z)).max(initial=0.0))
+    hit = first_pole_hit(cf.lam1, z)
+    if hit is not None:
+        raise errors.PoleHit(f"z = {z[hit[0]]} coincides with pole lambda at index {int(cf.idx1[hit[1]])}")
+    hit = first_pole_hit(pf.lam, z)
+    if hit is not None:
+        raise errors.PoleHit(f"z = {z[hit[0]]} coincides with pole at index {pf.i1[hit[1]]}")
+    return float(np.abs(cf.values(z) - pf.values(z)).max(initial=0.0))
 
 
 def _random_target(rng, spec, m):
