@@ -3,8 +3,8 @@
 F(z) = 1 + sum_{n in I1} c_n / (lambda_n - z) with c_n = conj(a_n) b_n.
 The sum is truncated to a principal-value window |n| <= N_trunc;
 tail_bound_at gives a certified bound on the discarded tail at any point,
-T(N)/delta with delta the exact distance to the nearest pole outside the
-summation window, head eigenvalues included.
+T(N)/delta: delta is the distance to the nearer of the two poles that bound
+the summation window (delta_unrepresented), or |Im z| beyond them.
 """
 
 import bisect
@@ -67,7 +67,7 @@ class CharacteristicFunction:
     def cut(cls, terms, n_trunc):
         """F over |n| <= n_trunc, from terms evaluated that far or farther."""
         spec = terms.spec
-        first = -n_trunc if spec.index_kind == INDEX_Z else spec.start
+        first = spec.first_index(n_trunc)
         window = slice(first - terms.lo, n_trunc + 1 - terms.lo)
         idx, lam, c = terms.idx[window], terms.lam[window], terms.c[window]
         i1 = c.nonzero()[0]
@@ -94,36 +94,21 @@ class CharacteristicFunction:
         return slice(max(0, -radius - first), max(0, radius - first + 1))
 
     def delta_unrepresented(self, z):
-        """Exact distance from each point to the nearest pole outside the window.
+        """Distance from each point to the nearest pole outside the window.
 
-        The poles outside are the affine tail beyond n_trunc on each side,
-        less the head's index range, and the head eigenvalues whose index
-        lies beyond n_trunc.  On each run of affine indices the nearest is
-        the floor or the ceiling of the point's affine projection, clipped
-        to the run; on the head the neighbours in ascending order.
+        Every pole outside lies at or beyond the two that bound the window
+        (lambda_n increases with n): lambda at max(n_trunc + 1, the first
+        index) and, over Z, lambda_{-n_trunc-1}.  Between them this is the
+        distance to the nearer; beyond them |Im z|, a lower bound.
         """
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         spec, n = self.spec, self.n_trunc
-        s, t = spec.tail.slope, spec.tail.intercept
-        h0, h1 = spec.head_offset, spec.head_offset + len(spec.head)
+        right = spec.lambda_at(max(n + 1, spec.first_index(n)))
+        dist, between = np.abs(right - z), z.real <= right
         if spec.index_kind == INDEX_Z:
-            sides = [(-math.inf, -n - 1), (n + 1, math.inf)]
-        else:
-            sides = [(max(n + 1, spec.start), math.inf)]
-        runs = sides if not spec.head else [
-            run for lo, hi in sides for run in ((lo, min(hi, h0 - 1)), (max(lo, h1), hi))
-        ]
-        u = (z.real - t) / s
-        cand = [np.clip(r(u), lo, hi) for lo, hi in runs if lo <= hi for r in (np.floor, np.ceil)]
-        dist = np.abs((s * np.array(cand) + t) - z).min(axis=0)
-        head = np.asarray(spec.head, dtype=float)
-        k = np.arange(h0, h1)
-        far = head[(np.abs(k) if spec.index_kind == INDEX_Z else k) > n]
-        if len(far):
-            j = np.searchsorted(far, z.real)
-            near = far[np.clip([j - 1, j], 0, len(far) - 1)]
-            dist = np.minimum(dist, np.abs(near - z).min(axis=0))
-        return dist
+            left = spec.lambda_at(-n - 1)
+            dist, between = np.minimum(dist, np.abs(left - z)), between & (z.real >= left)
+        return np.where(between, dist, np.abs(z.imag))
 
     def tail_bound_at(self, z):
         """Bound on the discarded tail of F at the points z."""
@@ -213,7 +198,7 @@ class Terms:
                     f"K_eps exceeds {TRUNC_CAP}: the c_n beyond radius {TRUNC_CAP} sum to "
                     f"{self.tail_sum(TRUNC_CAP):.3g}, not below eps = {eps:.3g}"
                 )
-        first = -k_eps if spec.index_kind == INDEX_Z else spec.start
+        first = spec.first_index(k_eps)
         if k_eps <= self.radius:
             inside = absc[first + zero : k_eps + zero + 1]
         else:  # K_eps beyond the head and the window evaluated

@@ -257,9 +257,9 @@ def _rouche_rect(cf, rect):
     whether it certifies that F has as many zeros as poles inside.
 
     On the boundary |F - 1| <= S_Q = sum_n |c_n| / dist(lambda_n, boundary)
-    + T / delta_Q.  Every unrepresented pole is real and lies beyond the
-    real range (its index exceeds n_trunc >= K' + 8), so delta_Q is the
-    smaller of delta_unrepresented at the two real ends.  When S_Q < 1, F
+    + T / delta_Q.  The real ends lie between the poles that bound the
+    window (indices past n_trunc >= K' + 8), so delta_Q, the smaller of
+    delta_unrepresented at the two ends, is exact.  When S_Q < 1, F
     winds around 0 as 1 does: zeros minus poles inside is 0.  K_eps and K'
     give 1 - S_Q > eps / (2 (K' - K_eps) + 1), as on the outer circles.
     The check is S_Q (1 + gamma) < 1 - gamma with _rouche's allowance, |G|

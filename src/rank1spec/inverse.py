@@ -20,7 +20,7 @@ import numpy as np
 
 from . import errors, _kernels
 from .charfn import first_pole_hit, outside_in
-from .model import INDEX_Z, PerturbationCoefficients, PowerTail
+from .model import PerturbationCoefficients, PowerTail
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +98,7 @@ def _residue_window(spec, pf):
     and (n, c_n) over it in increasing order, c_n = 0 off I1."""
     c = dict(zip(pf.i1, pf.c1))
     radius = _deviating_radius(pf)
-    window = range(-radius if spec.index_kind == INDEX_Z else spec.start, radius + 1)
+    window = range(spec.first_index(radius), radius + 1)
     return (window[0] if window else 0), [(n, c.get(n, 0.0)) for n in window]
 
 
@@ -177,7 +177,7 @@ def check_F_equals_product(coeffs, pf, sample_points):
     first: a sample on a pole raises PoleHit naming its index."""
     spec = pf.spec
     n = max(_deviating_radius(pf) if pf.i1 else 1, coeffs.head_radius()) + 8
-    first = -n if spec.index_kind == INDEX_Z else spec.start
+    first = spec.first_index(n)
     c = coeffs.c_range(first, n)
     k = c.nonzero()[0]
     k = outside_in(k, first + k)

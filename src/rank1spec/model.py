@@ -104,11 +104,13 @@ class BaseSpectrum:
         """Eigenvalue at index n (scalar or integer array)."""
         return _at(n, self.lambda_range)
 
+    def first_index(self, radius):
+        """First index of the window |n| <= radius (-radius over Z)."""
+        return -radius if self.index_kind == INDEX_Z else self.start
+
     def window_indices(self, radius):
         """Represented indices n with |n| <= radius, in increasing order."""
-        if self.index_kind == INDEX_Z:
-            return np.arange(-radius, radius + 1)
-        return np.arange(self.start, radius + 1)
+        return np.arange(self.first_index(radius), radius + 1)
 
 
 def validate_base(spec):
@@ -298,7 +300,7 @@ def validate_coefficients(coeffs, spec):
     h = coeffs.head_radius()
     head_sum = 0.0  # sum |c_n| over |n| <= h, from the same a_n and b_n
     if h > 0 or coeffs.a_head or coeffs.b_head:
-        lo = -h if spec.index_kind == INDEX_Z else spec.start
+        lo = spec.first_index(h)
         a, b = coeffs.a_range(lo, h), coeffs.b_range(lo, h)
         dead = (a == 0) & (b == 0)
         if dead.any():

@@ -38,7 +38,11 @@ def build_truncation(spec, coeffs, n):
     """Dense matrix of the perturbed operator on the window |k| <= n."""
     if n < 1:
         raise errors.WindowExceeded("truncation radius must be positive")
-    idx = spec.window_indices(int(n))
+    n = int(n)
+    dimension = n - spec.first_index(n) + 1
+    if dimension > DEFAULT_DIMENSION_CAP:
+        raise errors.DimensionCap(f"dimension {dimension} exceeds the cap {DEFAULT_DIMENSION_CAP}")
+    idx = spec.window_indices(n)
     lam = np.asarray(spec.lambda_at(idx), dtype=float)
     a = np.atleast_1d(coeffs.a_at(idx))
     b = np.atleast_1d(coeffs.b_at(idx))
@@ -46,10 +50,8 @@ def build_truncation(spec, coeffs, n):
     return TruncatedOperator(indices=idx, matrix=m)
 
 
-def dense_eigenvalues(op, cap=DEFAULT_DIMENSION_CAP):
+def dense_eigenvalues(op):
     """Eigenvalues of the truncation, sorted by (real, imag)."""
-    if op.dimension > cap:
-        raise errors.DimensionCap(f"dimension {op.dimension} exceeds the cap {cap}")
     try:
         vals = np.linalg.eigvals(op.matrix)
     except np.linalg.LinAlgError as exc:

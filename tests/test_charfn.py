@@ -155,23 +155,35 @@ def test_delta_unrepresented_is_the_nearest_pole_outside_the_window(case):
     n = np.arange(-1000, 1001) if spec.index_kind == "Z" else np.arange(spec.start, 1001)
     outside = n[(np.abs(n) if spec.index_kind == "Z" else n) > n_trunc]
     lam = spec.lambda_at(outside)
-    assert np.array_equal(cf.delta_unrepresented(z), np.abs(lam[:, None] - z).min(axis=0))
+    brute = lambda z: np.abs(lam[:, None] - z).min(axis=0)
+    # between the poles that bound the window delta is the nearest pole's
+    # distance to the bit, head eigenvalues included; beyond them a lower
+    # bound.  The drawn points clipped to the bounding poles lie between
+    right = spec.lambda_at(max(n_trunc + 1, spec.first_index(n_trunc)))
+    left = spec.lambda_at(-n_trunc - 1) if spec.index_kind == "Z" else -np.inf
+    between = (left <= z.real) & (z.real <= right)
+    got, want = cf.delta_unrepresented(z), brute(z)
+    assert np.array_equal(got[between], want[between])
+    assert np.all(got[~between] <= want[~between])
+    clipped = np.clip(z.real, left, right) + 1j * z.imag
+    assert np.array_equal(cf.delta_unrepresented(clipped), brute(clipped))
 
 
 def test_delta_unrepresented_sees_head_eigenvalues_beyond_the_window():
-    # lambda_n = n on the head and 5n beyond: the affine projection of 20.3
-    # (or 25.2) is index 4 (or 5), inside the window, but lambda_20 (or
-    # lambda_25) lies outside it
+    # lambda_n = n on the head and 5n beyond: the window |n| <= 10 is bound
+    # by the head's lambda_11 = 11 (and lambda_-11 = -11 over Z), where the
+    # affine tail would put 55 (and -55)
     zhead = validate_base(
         BaseSpectrum("Z", -30, tuple(float(n) for n in range(-30, 31)), AffineTail(5.0, 0.0), 1.0)
     )
     cf = CharacteristicFunction.build(zhead, finite_coeffs({3: 0.2}), 10)
-    assert cf.delta_unrepresented(20.3)[0] == pytest.approx(0.3, abs=1e-12)
+    assert cf.delta_unrepresented(10.7)[0] == pytest.approx(0.3, abs=1e-12)
+    assert cf.delta_unrepresented(-10.4 + 0.8j)[0] == pytest.approx(1.0, abs=1e-12)
     nhead = validate_base(
         BaseSpectrum("N", 1, tuple(float(n) for n in range(1, 41)), AffineTail(5.0, 0.0), 1.0)
     )
     cf = CharacteristicFunction.build(nhead, finite_coeffs({1: 0.3}), 10)
-    assert cf.delta_unrepresented(25.2)[0] == pytest.approx(0.2, abs=1e-12)
+    assert cf.delta_unrepresented(10.8)[0] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_compute_Keps_matches_brute_force(zspec):

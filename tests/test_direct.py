@@ -423,6 +423,40 @@ def test_escalation_fixes_K_prime_once_and_doubles_the_n_trunc_it_built(zspec, m
     assert ps.certified and ps.mult.sum() == 2 * loc.window + 1
 
 
+def test_solves_ask_delta_only_between_the_bounding_poles(zspec, monkeypatch):
+    # delta_unrepresented is exact between the poles that bound the
+    # window, lambda at max(n_trunc + 1, the first index) and, over Z,
+    # lambda_{-n_trunc-1}, and only a lower bound beyond them: every disk
+    # centre, arc node and rectangle end of a tailed solve lies between,
+    # on the power family, an N-indexed instance with a tail and the
+    # escalating instance above (n_trunc 20, then 40)
+    from rank1spec import gallery
+
+    asked, delta = [], CharacteristicFunction.delta_unrepresented
+    monkeypatch.setattr(
+        CharacteristicFunction, "delta_unrepresented", lambda cf, z: asked.append((cf.n_trunc, z)) or delta(cf, z)
+    )
+    nspec = validate_base(BaseSpectrum("N", 0, (), AffineTail(1.0, 0.0), 1.0))
+    tail = PowerTail(beta=1.5, scale=0.5, phase=0.2)
+    ntail = PerturbationCoefficients(1, (1.0,) * 5, tail, 1, (0.1, 0.2j, 0.3, 0.0, -0.25), tail)
+    escalating, _ = inverse.solve_inverse(zspec, TargetSpectrum(0, (0.5 + 0j, 0.5 + 0j, 2 + 0j, 2 + 0j)))
+    escalating = dataclasses.replace(escalating, b_tail=PowerTail(0.55, 1e-3, 0.0))
+    cases = [
+        (zspec, gallery.power_family(2.0, 30), LocalizeOptions(window=30, n_trunc=80)),
+        (nspec, ntail, OPTS),
+        (zspec, escalating, LocalizeOptions(window=12, n_trunc=1)),
+    ]
+    for spec, coeffs, opts in cases:
+        asked.clear()
+        ps, _ = solve_direct(spec, validate_coefficients(coeffs, spec), opts)
+        assert ps.certified and ps.tail_bound > 0.0 and asked
+        for n, z in asked:
+            x = np.atleast_1d(np.asarray(z, dtype=complex)).real
+            right = spec.lambda_at(max(n + 1, spec.first_index(n)))
+            left = spec.lambda_at(-n - 1) if spec.index_kind == "Z" else -np.inf
+            assert np.all((left <= x) & (x <= right)), (n, x.min(), x.max())
+
+
 def _spy_on_the_setup(monkeypatch):
     """Lists the n_trunc of each CharacteristicFunction.cut, the radius of
     each Terms evaluation and the eps of each Terms.keps, as they are called."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rank1spec import errors, oracle
-from rank1spec.model import PerturbationCoefficients
+from rank1spec.model import AffineTail, BaseSpectrum, PerturbationCoefficients, validate_base
 
 from conftest import finite_coeffs, random_finite_instance
 
@@ -138,9 +138,25 @@ def test_compare_spectra_equals_scipys_matching():
 
 
 def test_dimension_caps(zspec):
+    # the cap (dimension 1000) is checked from the window's ends, before
+    # any matrix is formed: n = 600 (dimension 1201, some 23 MB a matrix)
+    # raises with well under 1 MB allocated
+    import tracemalloc
+
     coeffs = finite_coeffs({0: 0.1})
-    op = oracle.build_truncation(zspec, coeffs, 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.DimensionCap):
+            oracle.build_truncation(zspec, coeffs, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+    assert oracle.build_truncation(zspec, coeffs, 499).dimension == 999
     with pytest.raises(errors.DimensionCap):
-        oracle.dense_eigenvalues(op, cap=5)
+        oracle.build_truncation(zspec, coeffs, 500)
+    nspec = validate_base(BaseSpectrum("N", 0, (), AffineTail(1.0, 0.0), 1.0))
+    with pytest.raises(errors.DimensionCap):
+        oracle.build_truncation(nspec, finite_coeffs({1: 0.1}), 1001)
     with pytest.raises(errors.WindowExceeded):
         oracle.build_truncation(zspec, coeffs, 0)
