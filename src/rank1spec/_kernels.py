@@ -59,8 +59,6 @@ def taylor(c, lam, z, p, shift=0.0, rho=None):
     terms x points products when there are more.
     """
     z = np.asarray(z, dtype=np.complex128)
-    if not z.ndim:
-        z = z.reshape(1)
     step = max(2, _CHUNK // max(1, len(c)))  # two points or more, so a lone point is rare
     if len(z) <= step:
         return _sums(c, lam, z, p, shift, rho)

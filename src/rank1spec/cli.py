@@ -153,8 +153,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_numeric(p):
-        p.add_argument("--trunc", type=int, default=2000, help="summation window radius")
-        p.add_argument("--trunc-window", type=int, default=50, help="reported index window radius")
+        opts = LocalizeOptions()
+        p.add_argument("--trunc", type=int, default=opts.n_trunc, help="summation window radius")
+        p.add_argument("--trunc-window", type=int, default=opts.window, help="reported index window radius")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("direct", help="solve the direct spectral problem")

@@ -46,7 +46,6 @@ from .model import (
     PerturbedSpectrum,
 )
 
-CONTOUR_POLE_TOL = 1e-8  # minimum allowed pole distance to a counting circle
 ARC_START = 32  # equal arcs each circle of the arc walk starts from
 ARC_SPLITS = 16  # bisections of an arc before its circle counts as not certified
 # disks x terms products per block of the Rouche check: 512 KB float temporaries
@@ -69,15 +68,16 @@ class Disk:
 
 @dataclass(frozen=True)
 class Rectangle:
+    """re_lo < Re z < re_hi, |Im z| < h: Q_{K'} is symmetric about the real axis."""
+
     re_lo: float
     re_hi: float
-    im_lo: float
-    im_hi: float
+    h: float
 
     def contains(self, z):
         """Whether each point lies strictly inside (a point or an array)."""
         inside_re = (self.re_lo < z.real) & (z.real < self.re_hi)
-        return inside_re & (self.im_lo < z.imag) & (z.imag < self.im_hi)
+        return inside_re & (np.abs(z.imag) < self.h)
 
 
 @dataclass
@@ -102,14 +102,13 @@ class LocalizationResult:
     owned: the zero of each certified disk with c_k != 0, as (indices k,
     zeros, residuals) arrays; the disk pairs its zero with its own index.
     central: the zeros the disks leave, as (location, order, residual)
-    sorted by location.  outer: the disks around the window's outer indices
-    |k| > K', as (indices, centres, radii) arrays; rect: the central
-    rectangle Q_{K'}.
+    sorted by location.  rect: the central rectangle Q_{K'}.  reports
+    derives the disks around the window's outer indices |k| > K' from cf:
+    centre lambda_k and the enclosure's radius d/2, as _disks takes them.
     """
 
     owned: tuple
     central: list
-    outer: tuple
     rect: Rectangle
     k_prime: int
     window: int
@@ -124,9 +123,11 @@ class LocalizationResult:
         read."""
         idx, zeros, resid = (x.tolist() for x in self.owned)
         found = {k: (z, 1, r) for k, z, r in zip(idx, zeros, resid)}
+        win, radius = self.cf.window(self.window), 0.5 * self.cf.spec.gap
+        outer = np.abs(self.cf.idx[win]) > self.k_prime
         reports = [
-            ZeroReport(Disk(complex(l), r), k, True, [found[k]] if k in found else [])
-            for k, l, r in zip(*(x.tolist() for x in self.outer))
+            ZeroReport(Disk(complex(l), radius), k, True, [found[k]] if k in found else [])
+            for k, l in zip(self.cf.idx[win][outer].tolist(), self.cf.lam[win][outer].tolist())
         ]
         central = [found[k] for k in idx if abs(k) <= self.k_prime] + list(self.central)
         central.sort(key=lambda t: (t[0].real, t[0].imag))
@@ -150,7 +151,7 @@ def _gamma(m):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _rouche(cf, idx, lam, c, r, shrink=None):
+def _rouche(cf, idx, lam, c, r, shrink):
     """Rouche margins min |G_k| - S_k on the circles |z - lambda_k| = rho_k
     around the indices idx (lambda_k = lam, c_k = c), whether each certifies
     its disk, and the local model (beta_k, beta'_k, rho_k): arrays over the
@@ -218,8 +219,7 @@ def _rouche(cf, idx, lam, c, r, shrink=None):
         # freeing them all between blocks made it twice as slow there
         second = (recip * recip) @ cols
         slope[b] = second[:, :2].view(complex)[:, 0]
-        if shrink is not None:
-            rho[b] = np.where(shrink[b], np.fmin(r, np.sqrt(absc_k[b] / second[:, 2])), r)
+        rho[b] = np.where(shrink[b], np.fmin(r, np.sqrt(absc_k[b] / second[:, 2])), r)
         inv = np.abs(recip)
         size[b] = inv @ absc
         den = np.abs(diff) - rho[b, np.newaxis]
@@ -249,7 +249,7 @@ def _pole_distance_to_rect(rect, poles):
     real range, to the nearest side from inside."""
     dre = np.minimum(np.abs(poles - rect.re_lo), np.abs(poles - rect.re_hi))
     inside = (rect.re_lo < poles) & (poles < rect.re_hi)
-    return np.where(inside, np.minimum(dre, min(-rect.im_lo, rect.im_hi)), dre)
+    return np.where(inside, np.minimum(dre, rect.h), dre)
 
 
 def _rouche_rect(cf, rect):
@@ -393,11 +393,8 @@ Winding = namedtuple("Winding", "count certified")  # count 0 when not certified
 
 def winding_number(cf, region, quadrature_points):
     """Zeros minus poles of F inside a Disk, by _arc_walk on that circle
-    alone from quadrature_points arcs (3 or more) at p = 3; a circle within
-    CONTOUR_POLE_TOL (1 + |centre|) of a represented pole raises."""
-    clearance = np.abs(np.abs(cf.lam1 - region.center) - region.radius).min(initial=np.inf)
-    if clearance < CONTOUR_POLE_TOL * (1.0 + abs(region.center)):
-        raise errors.ContourThroughSingularity(f"a pole lies within {CONTOUR_POLE_TOL:g} of the circle")
+    alone from quadrature_points arcs (3 or more) at p = 3; a circle through
+    a represented pole is not certified, as every arc reaching it fails."""
     (count,) = _arc_walk(cf, region.center, region.radius, 3, max(3, int(quadrature_points)))
     return Winding(0 if count is None else count, count is not None)
 
@@ -687,7 +684,7 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
         sep = np.abs(z[:, np.newaxis] - z)
         np.fill_diagonal(sep, np.inf)
         sep = sep.min(axis=1, initial=np.inf)
-        edge = [z.real - rect.re_lo, rect.re_hi - z.real, z.imag - rect.im_lo, rect.im_hi - z.imag]
+        edge = [z.real - rect.re_lo, rect.re_hi - z.real, rect.h - np.abs(z.imag)]
         clear = np.minimum.reduce(edge + [_clearance(z, disks)])  # to the rectangle's boundary and the disks
         radius = np.minimum(np.minimum(0.25 * d, sep / 3.0), 0.5 * clear)
         pole = _nearest_pole(cf, z)
@@ -754,7 +751,7 @@ def _central_rectangle(spec, k_prime, d, lambda_at):
     # the imaginary half-height mirrors the larger end of the real range,
     # and is at least d/2 so that the contour keeps clear of the real axis
     h = max(abs(lo), abs(hi), 0.5 * d)
-    return Rectangle(lo, hi, -h, h)
+    return Rectangle(lo, hi, h)
 
 
 def _disks(cf, k_prime, window, d):
@@ -857,7 +854,7 @@ def localize_spectrum(spec, coeffs, opts=None):
 
 
 def _localize_attempt(cf, k_prime, window, rect, d):
-    """(owned, central, outer) of LocalizationResult from F cut to cf's window."""
+    """(owned, central) of LocalizationResult from F cut to cf's window."""
     idx, lam, c, w, rho, certified = _disks(cf, k_prime, window, d)
     margin, rect_certified = _rouche_rect(cf, rect)
     if not rect_certified:
@@ -869,7 +866,6 @@ def _localize_attempt(cf, k_prime, window, rect, d):
     # zeros divided out at lambda_k + w_k and the terms' beyond the window
     # at lambda_k + c_k
     simple = (certified & (c != 0)).nonzero()[0]
-    outer = np.abs(idx) > k_prime
     m = len(simple)
     n_hard = len(certified) - np.count_nonzero(certified)
     shift, start = lam[simple], w[simple]
@@ -891,11 +887,11 @@ def _localize_attempt(cf, k_prime, window, rect, d):
         )
     central = []
     if n_hard:
-        inner = simple[~outer[simple]]
+        inner = simple[np.abs(idx[simple]) <= k_prime]
         disks = (lam[inner], rho[inner])
         polished = (z[m:], resid[m:], ok[m:])
         central = _central_zeros(cf, rect, seeds, polished, n_hard, d, disks)
-    return (idx[simple], z[:m], resid[:m]), central, (idx[outer], lam[outer], rho[outer])
+    return (idx[simple], z[:m], resid[:m]), central
 
 
 # ---------------------------------------------------------------------------

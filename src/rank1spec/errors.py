@@ -49,10 +49,6 @@ class EpsOutOfRange(Rank1Error):
     """eps must lie strictly between 0 and d/2."""
 
 
-class ContourThroughSingularity(Rank1Error):
-    """A counting circle passes through (or too close to) a represented pole."""
-
-
 class CertificationFailed(Rank1Error):
     """A count or a zero could not be certified, up to the largest n_trunc tried."""
 

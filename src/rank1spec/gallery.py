@@ -129,7 +129,14 @@ def harmonic_tan_residual(mu):
 
 
 def harmonic_report(n_max=200):
-    """Asymptotics checks for the 1/n family on indices 1..n_max."""
+    """Asymptotics checks for the 1/n family on indices 1..n_max; the log
+    fit runs over n >= max(10, n_max // 10), and fewer than two indices
+    there (n_max below 11) raise WindowExceeded."""
+    fit_lo = max(10, n_max // 10)
+    if n_max <= fit_lo:
+        raise errors.WindowExceeded(
+            f"the log fit over n = {fit_lo}..{n_max} needs two indices: n_max (the window) of 11 or more"
+        )
     mus = np.array([harmonic_zero(n) for n in range(1, n_max + 1)])
     ns = np.arange(1, n_max + 1)
     residuals = np.array([harmonic_tan_residual(mu) for mu in mus])
@@ -137,7 +144,7 @@ def harmonic_report(n_max=200):
     offsets = np.abs(mus - ns)
     partial = np.cumsum(offsets)
     # fit S(N) ~ coeff * log N + const over the upper half of the range
-    mask = ns >= max(10, n_max // 10)
+    mask = ns >= fit_lo
     coeff, _ = np.polyfit(np.log(ns[mask]), partial[mask], 1)
     return {
         "mu": mus,
@@ -162,7 +169,12 @@ def power_offsets(beta, n_lo=20, n_hi=200, opts=None):
 
 
 def power_slope(beta, n_lo=20, n_hi=200, opts=None):
-    """Fitted log-log slope of |mu_n - n| against n (expected -2 beta)."""
+    """Fitted log-log slope of |mu_n - n| against n (expected -2 beta);
+    fewer than two indices n_lo..n_hi raise WindowExceeded before any solve."""
+    if n_hi <= n_lo:
+        raise errors.WindowExceeded(
+            f"the slope fit over n = {n_lo}..{n_hi} needs two indices: n_hi of {n_lo + 1} or more"
+        )
     ns, offs, loc = power_offsets(beta, n_lo, n_hi, opts)
     slope, _ = np.polyfit(np.log(ns), np.log(offs), 1)
     return float(slope), ns, offs, loc

@@ -57,9 +57,9 @@ def _overlay(out, lo, offset, head):
 def _at(n, values):
     """values(lo, hi), an array over the indices lo..hi, at the indices n: a
     Python scalar at a scalar index (the one-index run's value); an array
-    taken from the run between the least and the greatest index (less index
-    0, where a power tail is undefined, when n skips it), or from one run
-    per index when that run would be far longer than n."""
+    taken from the run between the least and the greatest index (index 0
+    included, which validation makes a power tail's head cover), or from
+    one run per index when that run would be far longer than n."""
     n = np.asarray(n)
     if n.ndim == 0:
         return values(int(n), int(n))[0].item()
@@ -68,8 +68,6 @@ def _at(n, values):
     lo, hi = int(n.min()), int(n.max())
     if hi - lo > 4 * n.size + 64:
         return np.array([values(k, k)[0] for k in n.ravel().tolist()]).reshape(n.shape)
-    if lo < 0 < hi and 0 not in n:
-        return np.concatenate((values(lo, -1), values(1, hi)))[n - lo - (n > 0)]
     return values(lo, hi)[n - lo]
 
 
@@ -289,12 +287,10 @@ def validate_coefficients(coeffs, spec):
                 raise errors.NonSummable(
                     f"{name} tail with beta = {tail.beta} is not square summable"
                 )
-            if spec.index_kind == INDEX_Z and tail.scale != 0.0:
-                lo, hi = off, off + len(head)
-                if not (head and lo <= 0 < hi):
-                    raise errors.IndexMismatch(
-                        f"{name} head must cover index 0 when the tail is nonzero"
-                    )
+            # _eval's rule: a power tail is undefined at 0, so an index set
+            # that holds 0 needs a head that covers it, whatever the scale
+            if spec.first_index(0) <= 0 and not off <= 0 < off + len(head):
+                raise errors.IndexMismatch(f"{name} head must cover index 0 when a tail is set")
     # degenerate indices are only detectable on explicit entries; generator
     # zero-zero tails encode finite-rank data and are accepted as-is
     h = coeffs.head_radius()
@@ -386,6 +382,24 @@ class PerturbedSpectrum:
 # JSON serialization.  Complex numbers are [re, im]; unknown fields rejected.
 
 
+def _reader(what):
+    """A document reader whose TypeError, ValueError or OverflowError (a
+    value of the wrong type, as "gap": null, a complex value ["x", 0.0] or
+    an offset of 1e400) is a SchemaError naming the document."""
+
+    def wrap(read):
+        @functools.wraps(read)
+        def reader(doc):
+            try:
+                return read(doc)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise errors.SchemaError(f"{what}: {exc}") from None
+
+        return reader
+
+    return wrap
+
+
 def _need(doc, keys, what):
     if not isinstance(doc, dict):
         raise errors.SchemaError(f"{what}: expected an object")
@@ -427,6 +441,7 @@ def base_to_json(spec):
     }
 
 
+@_reader("BaseSpectrum")
 def base_from_json(doc):
     _need(doc, ["index_set", "lambda_head", "lambda_tail", "gap"], "BaseSpectrum")
     _need(doc["lambda_head"], ["offset", "values"], "lambda_head")
@@ -462,6 +477,7 @@ def coefficients_to_json(coeffs):
     }
 
 
+@_reader("PerturbationCoefficients")
 def coefficients_from_json(doc):
     _need(doc, ["a_head", "a_tail", "b_head", "b_tail"], "PerturbationCoefficients")
     a_off, a = _head_in(doc["a_head"], "a_head")
@@ -480,6 +496,7 @@ def target_to_json(target):
     return {"nu_head": _head_out(target.nu_head_offset, target.nu_head), "tail": "equals_lambda"}
 
 
+@_reader("TargetSpectrum")
 def target_from_json(doc):
     _need(doc, ["nu_head", "tail"], "TargetSpectrum")
     off, nu = _head_in(doc["nu_head"], "nu_head")

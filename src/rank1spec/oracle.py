@@ -23,10 +23,6 @@ class TruncatedOperator:
     indices: np.ndarray
     matrix: np.ndarray
 
-    @property
-    def dimension(self):
-        return self.matrix.shape[0]
-
     def trace_identity_residual(self, spec, coeffs):
         """|trace(M) - (sum lambda_n + sum c_n)| over the window."""
         lam = np.asarray(spec.lambda_at(self.indices), dtype=float)

@@ -155,6 +155,30 @@ def test_gallery_harmonic_report(files, capsys):
     assert "FAIL" not in out
 
 
+def test_gallery_harmonic_report_fail_exits_two(files, monkeypatch, capsys):
+    # a check that fails prints FAIL, writes the report and exits 2
+    from rank1spec import gallery
+
+    report = {"max_tan_residual": 0.0, "max_scaled_error_tail": 0.0, "log_fit_coefficient": 2.0}
+    monkeypatch.setattr(gallery, "harmonic_report", lambda n_max: report)
+    out = files["dir"] / "harmonic.json"
+    assert _run(["gallery", "--example", "harmonic", "--window", 20, "--report", "--out", out]) == 2
+    assert "log_growth_coefficient_in_range: FAIL" in capsys.readouterr().out
+    assert json.loads(out.read_text())["report"]["log_fit_coefficient"] == 2.0
+
+
+def test_gallery_reports_reject_windows_their_fit_cannot_use(files, capsys):
+    # the power slope is fitted over n = 20..min(window, 200) and the
+    # harmonic log growth over n = 10..window: fewer than two indices exit
+    # 1 naming the class, before any solve and with no output file
+    out = files["dir"] / "report.json"
+    for example, window in (("power", 10), ("power", 20), ("harmonic", 5), ("harmonic", 10)):
+        argv = ["gallery", "--example", example, "--window", window, "--report", "--out", out]
+        assert _run(argv) == 1
+        assert capsys.readouterr().err.startswith("WindowExceeded: the ")
+        assert not out.exists()
+
+
 def test_gallery_power_coefficients(files, capsys):
     code = _run(["gallery", "--example", "power", "--beta", 2.0, "--window", 20])
     assert code == 0
@@ -222,6 +246,7 @@ def test_rejected_inputs_exit_one_naming_their_error(files, tmp_path, capsys):
     nspec = dict(spec, index_set="N", lambda_head={"offset": 1, "values": []})
     bad_specs = [
         ([], "SchemaError: BaseSpectrum: expected an object"),
+        (dict(spec, gap=None), "SchemaError: BaseSpectrum: float() argument"),
         (dict(spec, gap=0.0), "GapViolation: declared gap"),
         (dict(spec, lambda_tail={"slope": math.inf, "intercept": 0.0}), "NonReal: tail parameters"),
         (dict(spec, lambda_head={"offset": 0, "values": [-1.5, 1.0]}), "NonMonotone: tail does not continue"),

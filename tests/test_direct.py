@@ -74,15 +74,19 @@ def test_winding_counts_multiplicity(double_cf):
 
 
 def test_contour_through_pole_rejected(two_point_cf):
-    with pytest.raises(errors.ContourThroughSingularity):
-        winding_number(two_point_cf, Disk(0.5, 0.5), 128)
+    # the circle passes through both poles, 0 and 1: every arc whose disk
+    # reaches a pole fails the arc walk's check, so the circle comes back
+    # not certified, with no warning from the division at the poles
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert winding_number(two_point_cf, Disk(0.5, 0.5), 128) == (0, False)
 
 
 # ---------------------------------------------------------------------------
 # central zeros and their order windings
 
 # the central rectangle of two_point_cf and double_cf, whose poles are 0 and 1
-CENTRAL = Rectangle(-1.5, 2.5, -2.5, 2.5)
+CENTRAL = Rectangle(-1.5, 2.5, 2.5)
 NO_DISKS = ((), ())  # no certified disk: (centres, radii)
 
 
@@ -156,6 +160,19 @@ def test_a_triple_point_takes_two_walks_and_one_multiple_zero(zspec, monkeypatch
     loc = localize_spectrum(zspec, validate_coefficients(coeffs, zspec), LocalizeOptions(window=12, n_trunc=40))
     assert [m for _, m, _ in loc.central] == [3]
     assert calls == ["_arc_walk", "_try_multiple", "_arc_walk"]
+
+
+def test_try_multiple_rejects_a_point_where_a_m_vanishes(two_point_cf):
+    # far out F''/2 underflows to 0 while F' does not: Newton on F' runs on
+    # a flat F'' to its round-off floor and stops, and the order-2 zero is
+    # rejected there, with no division by a_m = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, _, ok = direct._newton(two_point_cf, [1e110], 2)
+        shift = direct._shift(two_point_cf, z)
+        a = np.abs(two_point_cf.taylor(z - shift, 2, shift))[:, 0]
+        assert ok[0] and a[1] > 0.0 and a[2] == 0.0
+        assert direct._try_multiple(two_point_cf, 1e110, 2) is None
 
 
 def test_central_zeros_must_add_up_to_what_the_rectangle_holds(two_point_cf):
@@ -570,7 +587,7 @@ def test_central_rectangle_for_an_empty_central_set():
     k_prime = compute_Keps(spec, coeffs, 1.0 / 3.0)[1]  # eps = d / (2 + d)
     assert k_prime < spec.start
     rect = direct._central_rectangle(spec, k_prime, spec.gap, spec.lambda_at)
-    assert rect.re_lo < rect.re_hi and rect.im_lo < rect.im_hi
+    assert rect.re_lo < rect.re_hi and rect.h > 0
     for n in spec.window_indices(12):
         assert not rect.contains(complex(spec.lambda_at(n)))
     ps, loc = solve_direct(spec, coeffs, OPTS)
@@ -1287,7 +1304,7 @@ def test_rouche_on_central_disks_where_c_k_exceeds_the_radius_stays_quiet():
     idx, lam, c = cf.idx[central], cf.lam[central], cf.c[central]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        margin, certified, _ = direct._rouche(cf, idx, lam, c, 0.5 * d)
+        margin, certified, _ = direct._rouche(cf, idx, lam, c, 0.5 * d, np.zeros(len(idx), bool))
         margins = margin()
     large = np.abs(c) >= 0.5 * d
     assert large.any() and not certified[large].any() and np.all(margins[large] == -np.inf)
@@ -1502,7 +1519,8 @@ def _rouche_checks(iv, zspec, rng, outcomes):
         idx = np.sort(rng.choice(np.arange(-12, 13), 6, replace=False))
         lam = idx.astype(float)
         phase = np.exp(2j * np.pi * rng.uniform(size=len(idx)))
-        for r, shrink in ((0.5, None), (float(rng.uniform(0.05, 0.3)), None), (0.5, np.ones(len(idx), bool))):
+        fixed = np.zeros(len(idx), bool)  # every disk keeps radius r
+        for r, shrink in ((0.5, fixed), (float(rng.uniform(0.05, 0.3)), fixed), (0.5, np.ones(len(idx), bool))):
 
             def check(t):
                 _, certified, (beta, _, rho) = direct._rouche(cf, idx, lam, t * phase, r, shrink)
@@ -1535,7 +1553,8 @@ def test_rouche_slope_matches_a_loop_over_the_terms(zspec):
     cf = CharacteristicFunction.build(zspec, coeffs, 30)
     idx = np.arange(-35, 36)
     lam = idx.astype(float)
-    _, _, (_, slope, _) = direct._rouche(cf, idx, lam, np.atleast_1d(coeffs.c_at(idx)), 0.5)
+    c = np.atleast_1d(coeffs.c_at(idx))
+    _, _, (_, slope, _) = direct._rouche(cf, idx, lam, c, 0.5, np.zeros(len(idx), bool))
     for k, lam_k, got in zip(idx, lam, slope):
         terms = [c / (l - lam_k) ** 2 for n, l, c in zip(cf.idx1, cf.lam1, cf.c1) if n != k]
         assert abs(got - sum(terms)) <= 1e-14 * sum(abs(t) for t in terms)
@@ -1549,7 +1568,7 @@ def _iv_rect_bound(iv, cf, rect):
         x = iv.mpf(float(lam_n))
         sides = [abs(x - rect.re_lo), abs(x - rect.re_hi)]
         if rect.re_lo < lam_n < rect.re_hi:
-            sides += [iv.mpf(-rect.im_lo), iv.mpf(rect.im_hi)]
+            sides.append(iv.mpf(rect.h))
         s += _iv_modulus(iv, complex(c_n)) / min(side.a for side in sides)
     if cf.tail_total:
         delta = cf.delta_unrepresented([rect.re_lo, rect.re_hi]).min()
@@ -1565,7 +1584,7 @@ def test_rect_rouche_certificate_holds_in_interval_arithmetic(zspec):
     from rank1spec.model import PerturbationCoefficients, PowerTail
 
     rng = np.random.default_rng(12)
-    rect = Rectangle(-10.5, 10.5, -10.5, 10.5)
+    rect = Rectangle(-10.5, 10.5, 10.5)
     outcomes = []
     for _ in range(4):
         tail = PowerTail(beta=float(rng.uniform(1.2, 3.0)), scale=float(rng.uniform(0.05, 0.5)), phase=0.3)
@@ -1587,6 +1606,15 @@ def test_rect_rouche_certificate_holds_in_interval_arithmetic(zspec):
     assert 20 < sum(outcomes) < len(outcomes) - 20
 
 
+def test_rect_rouche_fails_with_a_pole_on_the_boundary(two_point_cf):
+    # the pole 0 on the left side, or 1 on the right: S_Q is infinite, and
+    # the margin is -inf, with no division by the zero distance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rect in (Rectangle(0.0, 2.5, 2.5), Rectangle(-1.5, 1.0, 2.5)):
+            assert direct._rouche_rect(two_point_cf, rect) == (-math.inf, False)
+
+
 def test_gamma_at_a_float_equals_the_array_form_to_past_the_cap(two_point_cf, monkeypatch):
     # _rouche_rect forms its allowance in Python floats, _rouche and
     # _arc_test over arrays: the same gamma bit for bit from m = 1 to past
@@ -1600,7 +1628,7 @@ def test_gamma_at_a_float_equals_the_array_form_to_past_the_cap(two_point_cf, mo
     assert direct._gamma(cap - 2.0) < 1.0
     gamma, seen = direct._gamma, []
     monkeypatch.setattr(direct, "_gamma", lambda m: seen.append(type(m)) or gamma(m))
-    assert direct._rouche_rect(two_point_cf, Rectangle(-1.5, 2.5, -2.5, 2.5)) == (pytest.approx(1.0 - 0.35 / 1.5), True)
+    assert direct._rouche_rect(two_point_cf, Rectangle(-1.5, 2.5, 2.5)) == (pytest.approx(1.0 - 0.35 / 1.5), True)
     assert seen == [float]
 
 
@@ -1722,7 +1750,7 @@ def test_rouche_margin_exceeds_the_enclosure_bound():
             idx = idx[np.abs(idx) > k_prime]
             lam = np.atleast_1d(spec.lambda_at(idx)).astype(float)
             c = np.atleast_1d(coeffs.c_at(idx)).astype(complex)
-            margin, certified, _ = direct._rouche(cf, idx, lam, c, 0.5 * d)
+            margin, certified, _ = direct._rouche(cf, idx, lam, c, 0.5 * d, np.zeros(len(idx), bool))
             assert certified.all()
             assert np.all(margin() > eps / (2 * (k_prime - k_eps) + 1)), (spec, coeffs)
             # the central rectangle by the same inequality against 1

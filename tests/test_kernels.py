@@ -45,8 +45,8 @@ def test_empty_terms_give_zero():
 
 def test_single_term_hand_value():
     c, lam = np.array([2.0 + 0j]), np.array([1.0])
-    assert [s[0] for s in pole_sum(c, lam, 0.0)] == [2.0, 2.0]
-    assert [s[0] for s in pole_sum(c, lam, 0.5, 2)] == [8.0, 16.0]
+    assert [s[0] for s in pole_sum(c, lam, np.array([0.0]))] == [2.0, 2.0]
+    assert [s[0] for s in pole_sum(c, lam, np.array([0.5]), 2)] == [8.0, 16.0]
 
 
 def test_numpy_chunking_matches_unchunked():

@@ -257,11 +257,12 @@ def test_power_tail_at_index_zero_outside_the_head_raises():
     for n in (0, np.arange(-2, 3)):
         with pytest.raises(errors.IndexMismatch):
             coeffs.c_at(n)
-    # an index array that skips 0 is evaluated on both sides of it, as the
-    # scalar calls are
-    n = np.array([3, -2, 1, -1])
+    # an index array that skips 0 is evaluated over the run between its
+    # least and greatest index, 0 included, so it raises as that run does:
+    # validation rejects a tail whose head does not cover 0 (below)
     for at in (coeffs.a_at, coeffs.b_at, coeffs.c_at):
-        assert at(n).tolist() == [at(int(k)) for k in n]
+        with pytest.raises(errors.IndexMismatch):
+            at(np.array([3, -2, 1, -1]))
     # indices far apart are evaluated one by one, not over the run between
     n = np.array([[-(10**12), 1], [2, 10**12]])
     for at in (coeffs.a_at, coeffs.b_at, coeffs.c_at):
@@ -365,6 +366,25 @@ def test_validate_rejects_tail_without_index_zero_cover(zspec):
     )
     with pytest.raises(errors.IndexMismatch):
         validate_coefficients(coeffs, zspec)
+
+
+def test_validate_rejects_what_the_solve_rejects_at_index_zero(zspec):
+    # a power tail is undefined at index 0, so an index set that holds 0
+    # needs a head that covers it: over N from 0 with a nonzero tail, and
+    # over Z with a zero-scale one, as _eval rejects both once a solve
+    # evaluates c_n there
+    nspec = validate_base(BaseSpectrum("N", 0, (0.0,), AffineTail(1.0, 0.0), 1.0))
+    assert nspec.start == 0
+    for spec, scale in ((nspec, 1.0), (zspec, 0.0)):
+        tail = PowerTail(beta=2.0, scale=scale, phase=0.0)
+        coeffs = PerturbationCoefficients(0, (), tail, 0, (), tail)
+        with pytest.raises(errors.IndexMismatch, match="a head must cover index 0 when a tail is set"):
+            validate_coefficients(coeffs, spec)
+    # over N from 1 the set does not hold 0: the same tails need no head
+    nspec = validate_base(BaseSpectrum("N", 0, (), AffineTail(1.0, 0.0), 1.0))
+    assert nspec.start == 1
+    tail = PowerTail(beta=2.0, scale=1.0, phase=0.0)
+    validate_coefficients(PerturbationCoefficients(0, (), tail, 0, (), tail), nspec)
 
 
 def test_validate_rejects_degenerate_explicit_index(zspec):
@@ -485,6 +505,26 @@ def test_json_rejects_malformed_complex():
     }
     with pytest.raises(errors.SchemaError):
         model.coefficients_from_json(doc)
+
+
+def test_json_values_of_the_wrong_type_are_schema_errors(zspec):
+    # a TypeError, ValueError or OverflowError in reading a value is a
+    # SchemaError naming the document, not a traceback
+    coeffs = model.coefficients_to_json(finite_coeffs({0: 0.5}))
+    tail = {"beta": "z", "scale": 1.0, "phase": 0.0}
+    probes = [
+        (model.coefficients_from_json, dict(coeffs, a_head={"offset": 0, "values": [["x", 0.0]]})),
+        (model.base_from_json, dict(model.base_to_json(zspec), gap=None)),
+        (model.coefficients_from_json, dict(coeffs, b_head={"offset": "q", "values": []})),
+        (model.coefficients_from_json, dict(coeffs, a_tail=tail)),
+        (model.coefficients_from_json, dict(coeffs, a_head={"offset": 0, "values": 5})),
+        (model.coefficients_from_json, dict(coeffs, a_head={"offset": math.inf, "values": []})),
+        (model.target_from_json, {"nu_head": {"offset": 0, "values": 5}, "tail": "equals_lambda"}),
+    ]
+    for read, doc in probes:
+        what = {model.base_from_json: "BaseSpectrum", model.target_from_json: "TargetSpectrum"}
+        with pytest.raises(errors.SchemaError, match=f"^{what.get(read, 'PerturbationCoefficients')}: "):
+            read(doc)
 
 
 def test_dump_json_deterministic_and_atomic(tmp_path, zspec):

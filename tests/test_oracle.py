@@ -24,7 +24,7 @@ def test_truncation_matrix_entries(zspec):
         b_tail=None,
     )
     op = oracle.build_truncation(zspec, coeffs, 1)
-    assert op.dimension == 3
+    assert op.matrix.shape[0] == 3
     # M[j,k] = lambda_j delta_jk + b_j conj(a_k); row/col order -1, 0, 1
     assert op.matrix[0, 0] == -1.0 + 0.5 * np.conj(1.0 + 1.0j)
     assert op.matrix[1, 0] == 0.25j * np.conj(1.0 + 1.0j)
@@ -111,6 +111,8 @@ def test_compare_spectra_contracts():
     assert ok and worst == 0.0
     with pytest.raises(errors.CardinalityMismatch):
         oracle.compare_spectra(left, left[:2], 1e-12)
+    # two empty spectra agree, with no matching to run
+    assert oracle.compare_spectra([], np.array([]), 1e-12) == (True, 0.0)
 
 
 def test_compare_spectra_equals_scipys_matching():
@@ -152,7 +154,7 @@ def test_dimension_caps(zspec):
     finally:
         tracemalloc.stop()
     assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
-    assert oracle.build_truncation(zspec, coeffs, 499).dimension == 999
+    assert oracle.build_truncation(zspec, coeffs, 499).matrix.shape[0] == 999
     with pytest.raises(errors.DimensionCap):
         oracle.build_truncation(zspec, coeffs, 500)
     nspec = validate_base(BaseSpectrum("N", 0, (), AffineTail(1.0, 0.0), 1.0))
