@@ -14,10 +14,9 @@ import math
 import numpy as np
 
 from . import errors, _kernels
-from .model import INDEX_Z
+from .model import INDEX_Z, TRUNC_CAP
 
 POLE_RTOL = 1e-12  # |z - lambda_n| below this (times scale) counts as a pole hit
-TRUNC_CAP = 32000  # the largest summation window radius a solve builds
 
 
 def first_pole_hit(lam, z):
@@ -42,8 +41,7 @@ def outside_in(i1, index):
 class CharacteristicFunction:
     """F cut to the window |n| <= n_trunc.  cut slices the window's indices
     idx (ascending), lambda_n and c_n from Terms, for the direct solver to
-    slice further; poles holds the lambda_n with c_n != 0 in ascending
-    order, and the I1 terms idx1, lam1, c1 run from the largest |index|
+    slice further; the I1 terms idx1, lam1, c1 run from the largest |index|
     inward, so that the smallest terms accumulate first."""
 
     spec: object
@@ -51,7 +49,6 @@ class CharacteristicFunction:
     idx: np.ndarray
     lam: np.ndarray
     c: np.ndarray
-    poles: np.ndarray
     idx1: np.ndarray
     lam1: np.ndarray
     c1: np.ndarray
@@ -71,7 +68,6 @@ class CharacteristicFunction:
         window = slice(first - terms.lo, n_trunc + 1 - terms.lo)
         idx, lam, c = terms.idx[window], terms.lam[window], terms.c[window]
         i1 = c.nonzero()[0]
-        poles = lam[i1]
         i1 = outside_in(i1, idx[i1])
         return cls(
             spec=spec,
@@ -79,7 +75,6 @@ class CharacteristicFunction:
             idx=idx,
             lam=lam,
             c=c,
-            poles=poles,
             idx1=idx[i1],
             lam1=lam[i1],
             c1=c[i1],

@@ -512,7 +512,7 @@ def _newton(cf, seeds, order, shift=None):
             j = (~(size <= last)).nonzero()[0]
             if len(j) and len(lam1):  # the steps that doubled a distance to the pole nearest the new point
                 after = sl[j] + wl[j]
-                pole = _nearest(cf.poles, after)
+                pole = _nearest(cf.lam[cf.c != 0], after)
                 j = j[_modulus(after - pole) >= 2.0 * _modulus(sl[j] + prev[j] - pole)]
                 walks = np.zeros(len(w), dtype=int) if walks is None else walks
                 walks[live[j]] += 1
@@ -579,9 +579,10 @@ def _clearance(z, disks):
 
 def _nearest_pole(cf, z):
     """Distance from each point to the nearest represented pole (inf if none)."""
-    if len(cf.poles) == 0:
+    poles = cf.lam[cf.c != 0]
+    if len(poles) == 0:
         return np.full(len(z), np.inf)
-    return np.abs(_nearest(cf.poles, z) - z)
+    return np.abs(_nearest(poles, z) - z)
 
 
 def _try_multiple(cf, seed, m):
@@ -919,10 +920,11 @@ def _assign(cost):
 
     Returns (rows, cols) as scipy.optimize.linear_sum_assignment does.  Two
     callers: assemble_spectrum pairs its central zeros with indices, a few
-    rows at most, and oracle.compare_spectra matches whole spectra, some 80
-    eigenvalues wide in the benchmark, whose costs are near-diagonal, so
-    that each row's shortest path is about one step of O(n) work.  The
-    loops run on Python floats, and the package needs no compiled matching.
+    rows at most, and oracle.compare_spectra matches the values two spectra
+    do not share, at most 10 in the benchmark, whose costs are
+    near-diagonal, so that each row's shortest path is about one step of
+    O(n) work.  The loops run on Python floats, and the package needs no
+    compiled matching.
     """
     a = cost.tolist()
     n = len(a)

@@ -129,9 +129,10 @@ def harmonic_tan_residual(mu):
 
 
 def harmonic_report(n_max=200):
-    """Asymptotics checks for the 1/n family on indices 1..n_max; the log
-    fit runs over n >= max(10, n_max // 10), and fewer than two indices
-    there (n_max below 11) raise WindowExceeded."""
+    """Asymptotics checks for the 1/n family on indices 1..n_max; the
+    scaled offsets' tail is n >= min(100, n_max // 2), the log fit runs
+    over n >= max(10, n_max // 10), and fewer than two indices there (n_max
+    below 11) raise WindowExceeded."""
     fit_lo = max(10, n_max // 10)
     if n_max <= fit_lo:
         raise errors.WindowExceeded(
@@ -150,7 +151,7 @@ def harmonic_report(n_max=200):
         "mu": mus,
         "max_tan_residual": float(residuals.max()),
         "scaled_offsets": scaled,
-        "max_scaled_error_tail": float(np.abs(scaled[ns >= min(100, n_max)] - 1.0).max()),
+        "max_scaled_error_tail": float(np.abs(scaled[ns >= min(100, n_max // 2)] - 1.0).max()),
         "partial_sums": partial,
         "log_fit_coefficient": float(coeff),
     }

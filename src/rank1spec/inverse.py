@@ -50,8 +50,8 @@ def build_product(spec, target):
     The deviating indices are the head's with nu_n != lambda_n once any
     target value equal to some lambda_m is assigned to index m itself.
     Factors are multiplied from the most distant pole inward so that the
-    near-unity factors enter last.  The product magnitudes are checked
-    against the exp(sum |nu - lambda| / d) bound as a sanity cap.
+    near-unity factors enter last.  A residue that overflows (a target moved
+    too far for a double) raises NonSummable naming its index.
     """
     head = list(target.nu_head)
     off = target.nu_head_offset
@@ -69,8 +69,6 @@ def build_product(spec, target):
     i1 = tuple(off + j for j, (nu_j, lam_j) in enumerate(zip(head, lam)) if nu_j != lam_j)
     nu1, lam1 = [head[n - off] for n in i1], [lam[n - off] for n in i1]
     nu, lam = np.array(nu1, dtype=complex), np.array(lam1, dtype=float)
-    dev_sum = float(np.abs(nu - lam).sum())
-    cap = math.exp(dev_sum / spec.gap) * (1.0 + 1e-9)
     # each residue's factor order, the most distant pole first and, at equal
     # distances, the later index first: its row of the distances sorted
     # stably (lexsort), reversed, less the pole itself (distance 0, first)
@@ -80,11 +78,9 @@ def build_product(spec, target):
         prod = 1.0 + 0.0j
         for m in order[j][:0:-1]:
             prod *= (nu1[m] - lam_n) / (lam1[m] - lam_n)
-        if abs(prod) > cap:
-            raise errors.CertificationFailed(
-                f"residue product at index {i1[j]} exceeds the analytic cap {cap:.3g}"
-            )
         c1.append((nu1[j] - lam_n) * prod)
+        if not cmath.isfinite(c1[-1]):
+            raise errors.NonSummable(f"residue c_{i1[j]} overflows: the target moves too far for a double")
     return ProductFunction(spec=spec, i1=i1, c1=tuple(c1), nu=nu, lam=lam)
 
 

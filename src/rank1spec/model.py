@@ -20,6 +20,9 @@ from . import errors
 
 INDEX_Z = "Z"
 INDEX_N = "N"
+# the largest summation window radius a solve builds, and so the largest
+# |index| an explicit coefficient or target head may reach
+TRUNC_CAP = 32000
 
 
 @dataclass(frozen=True)
@@ -235,11 +238,8 @@ class PerturbationCoefficients:
 
     def head_radius(self):
         """Largest |index| covered by either explicit head."""
-        r = 0
-        for off, head in ((self.a_head_offset, self.a_head), (self.b_head_offset, self.b_head)):
-            if head:
-                r = max(r, abs(off), abs(off + len(head) - 1))
-        return r
+        a, b = _head_radius(self.a_head_offset, self.a_head), _head_radius(self.b_head_offset, self.b_head)
+        return max(a, b)
 
     def power_tail_sum(self, m, index_kind):
         """Certified upper bound on the generated tail's sum of |c_n| over
@@ -265,9 +265,25 @@ class PerturbationCoefficients:
         return indices[~mask], indices[mask]
 
 
+def _head_radius(offset, head):
+    """Largest |index| an explicit head covers (0 when it is empty)."""
+    return max(abs(offset), abs(offset + len(head) - 1)) if head else 0
+
+
+def _check_radius(radius, what):
+    """WindowExceeded for a head beyond TRUNC_CAP, before anything spans it."""
+    if radius > TRUNC_CAP:
+        raise errors.WindowExceeded(
+            f"{what} head reaches index {radius}, beyond the largest window {TRUNC_CAP}"
+        )
+
+
 def validate_coefficients(coeffs, spec):
     """Validate square summability, non-degeneracy of explicit indices, and
-    the fit between coefficient data and the index set."""
+    the fit between coefficient data and the index set.  Heads reaching
+    beyond TRUNC_CAP raise WindowExceeded before any array spans them."""
+    h = coeffs.head_radius()
+    _check_radius(h, "coefficient")
     for off, head, arr, tail, name in (
         (coeffs.a_head_offset, coeffs.a_head, coeffs._a, coeffs.a_tail, "a"),
         (coeffs.b_head_offset, coeffs.b_head, coeffs._b, coeffs.b_tail, "b"),
@@ -293,7 +309,6 @@ def validate_coefficients(coeffs, spec):
                 raise errors.IndexMismatch(f"{name} head must cover index 0 when a tail is set")
     # degenerate indices are only detectable on explicit entries; generator
     # zero-zero tails encode finite-rank data and are accepted as-is
-    h = coeffs.head_radius()
     head_sum = 0.0  # sum |c_n| over |n| <= h, from the same a_n and b_n
     if h > 0 or coeffs.a_head or coeffs.b_head:
         lo = spec.first_index(h)
@@ -337,6 +352,8 @@ class TargetSpectrum:
 
 
 def validate_target(target, spec):
+    # the inverse problem lists its residues index by index out to the head
+    _check_radius(_head_radius(target.nu_head_offset, target.nu_head), "target")
     arr = np.asarray(target.nu_head, dtype=complex)
     if arr.size and not np.all(np.isfinite(arr)):
         raise errors.SchemaError("target head contains non-finite entries")
@@ -383,21 +400,37 @@ class PerturbedSpectrum:
 
 
 def _reader(what):
-    """A document reader whose TypeError, ValueError or OverflowError (a
-    value of the wrong type, as "gap": null, a complex value ["x", 0.0] or
-    an offset of 1e400) is a SchemaError naming the document."""
+    """A document reader whose TypeError or OverflowError (a value of the
+    wrong type, as "gap": null, a complex value ["x", 0.0] or an offset of
+    0.5, or an integer too large for a float) is a SchemaError naming the
+    document."""
 
     def wrap(read):
         @functools.wraps(read)
         def reader(doc):
             try:
                 return read(doc)
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, OverflowError) as exc:
                 raise errors.SchemaError(f"{what}: {exc}") from None
 
         return reader
 
     return wrap
+
+
+def _real(v):
+    """A JSON number as a float: a boolean or a string is a TypeError, as
+    float() makes null, a list or an object one."""
+    if isinstance(v, (bool, str)):
+        raise TypeError(f"a real must be a JSON number, not {json.dumps(v)}")
+    return float(v)
+
+
+def _offset(v):
+    """A JSON integer: any other value (0.9, true, "1") is a TypeError."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"an offset must be a JSON integer, not {json.dumps(v)}")
+    return v
 
 
 def _need(doc, keys, what):
@@ -419,7 +452,7 @@ def _cx_out(z):
 def _cx_in(v, what):
     if not (isinstance(v, list) and len(v) == 2):
         raise errors.SchemaError(f"{what}: complex values are [re, im] pairs")
-    return complex(float(v[0]), float(v[1]))
+    return complex(_real(v[0]), _real(v[1]))
 
 
 def _head_out(offset, values):
@@ -429,7 +462,7 @@ def _head_out(offset, values):
 def _head_in(doc, what):
     """(offset, values) of a {"offset", "values"} block of complex values."""
     _need(doc, ["offset", "values"], what)
-    return int(doc["offset"]), tuple(_cx_in(v, what) for v in doc["values"])
+    return _offset(doc["offset"]), tuple(_cx_in(v, what) for v in doc["values"])
 
 
 def base_to_json(spec):
@@ -448,10 +481,10 @@ def base_from_json(doc):
     _need(doc["lambda_tail"], ["slope", "intercept"], "lambda_tail")
     return BaseSpectrum(
         index_kind=doc["index_set"],
-        head_offset=int(doc["lambda_head"]["offset"]),
-        head=tuple(float(v) for v in doc["lambda_head"]["values"]),
-        tail=AffineTail(float(doc["lambda_tail"]["slope"]), float(doc["lambda_tail"]["intercept"])),
-        gap=float(doc["gap"]),
+        head_offset=_offset(doc["lambda_head"]["offset"]),
+        head=tuple(_real(v) for v in doc["lambda_head"]["values"]),
+        tail=AffineTail(_real(doc["lambda_tail"]["slope"]), _real(doc["lambda_tail"]["intercept"])),
+        gap=_real(doc["gap"]),
     )
 
 
@@ -465,7 +498,7 @@ def _tail_from_json(doc, what):
     if doc == "zero":
         return None
     _need(doc, ["beta", "scale", "phase"], what)
-    return PowerTail(float(doc["beta"]), float(doc["scale"]), float(doc["phase"]))
+    return PowerTail(_real(doc["beta"]), _real(doc["scale"]), _real(doc["phase"]))
 
 
 def coefficients_to_json(coeffs):

@@ -42,7 +42,10 @@ def build_truncation(spec, coeffs, n):
     lam = np.asarray(spec.lambda_at(idx), dtype=float)
     a = np.atleast_1d(coeffs.a_at(idx))
     b = np.atleast_1d(coeffs.b_at(idx))
-    m = np.diag(lam.astype(complex)) + np.outer(b, np.conj(a))
+    # b_m conj(a_n) can overflow where every c_n = conj(a_n) b_n is finite:
+    # dense_eigenvalues then raises SolverFailure on the matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.diag(lam.astype(complex)) + np.outer(b, np.conj(a))
     return TruncatedOperator(indices=idx, matrix=m)
 
 
@@ -61,9 +64,12 @@ def compare_spectra(computed, reference, tol):
 
     computed may be a PerturbedSpectrum (expanded by multiplicity) or a
     plain sequence.  Returns (passed, max_matched_distance) over the
-    matching of least total distance (_assign).  Any perfect matching whose
-    worst pair is below tol proves that the multisets agree within tol;
-    optimality only sets which worst distance is reported.
+    matching of least total distance.  Equal values pair first, as
+    multisets, and _assign matches only the rest: pairing L_i = R_j never
+    raises the least total, as |L_b - R_a| <= |L_b - R_j| + |L_i - R_a|.
+    Any perfect matching whose worst pair is below tol proves that the
+    multisets agree within tol; optimality only sets which worst distance
+    is reported.
     """
     if hasattr(computed, "eigenvalues"):
         left = np.asarray(computed.eigenvalues(), dtype=complex)
@@ -74,9 +80,18 @@ def compare_spectra(computed, reference, tol):
         raise errors.CardinalityMismatch(
             f"{len(left)} computed eigenvalues vs {len(right)} reference"
         )
-    if len(left) == 0:
+    unpaired = {}  # each reference value's positions not yet paired
+    for j, v in enumerate(right.tolist()):
+        unpaired.setdefault(v, []).append(j)
+    rest = []  # the computed values' positions left for the assignment
+    for i, v in enumerate(left.tolist()):
+        if unpaired.get(v):
+            unpaired[v].pop()
+        else:
+            rest.append(i)
+    if not rest:
         return True, 0.0
-    cost = np.abs(left[:, None] - right[None, :])
+    cost = np.abs(left[rest, None] - right[[j for js in unpaired.values() for j in js]])
     rows, cols = _assign(cost)
     worst = float(cost[rows, cols].max())
     return worst < tol, worst

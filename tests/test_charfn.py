@@ -410,5 +410,12 @@ def test_the_one_pass_setup_matches_the_evaluation_it_replaced(case):
         cf = CharacteristicFunction.cut(terms, n)
         assert cf.n_trunc == n
         for name, value in _reference_cf(spec, coeffs, n).items():
-            got = np.asarray(getattr(cf, name))
+            got = np.asarray(cf.lam[cf.c != 0] if name == "poles" else getattr(cf, name))
             assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
+
+
+def test_k_prime_steps_past_a_quotient_that_rounds_below_its_integer(zspec):
+    # |c_0| = 25 * 0.3 is 7.499999999999999 in floats, and that over eps = 0.3
+    # rounds to 24.999999999999996: the first guess is K_eps + 25, but
+    # 7.499999999999999 / 25 is 0.3, not below eps, so K' steps to K_eps + 26
+    assert compute_Keps(zspec, finite_coeffs({0: 25 * 0.3}), 0.3) == (0, 26)

@@ -257,11 +257,14 @@ def test_rejected_inputs_exit_one_naming_their_error(files, tmp_path, capsys):
     nan_head = dict(coeffs, b_head={"offset": 0, "values": [[0.275, 0.0], [math.nan, 0.0]]})
     nan_tail = {"beta": 1.0, "scale": math.nan, "phase": 0.0}
     slow_tail = {"beta": 0.52, "scale": 1.0, "phase": 0.0}  # c_n ~ |n|^-1.04: K_eps beyond any window
+    far = {"offset": 10**12, "values": [[1.0, 0.0]]}  # validation once spanned it with arrays
     bad_coeffs = [
         (spec, nan_head, "SchemaError: b head contains non-finite"),
         (nspec, coeffs, "IndexMismatch: a head starts at 0"),
         (spec, dict(coeffs, a_tail=nan_tail, b_tail=nan_tail), "SchemaError: a tail scale and phase"),
         (spec, dict(coeffs, a_tail=slow_tail, b_tail=slow_tail), "WindowExceeded: K_eps exceeds 32000"),
+        (spec, dict(coeffs, a_head=far, b_head=far), "WindowExceeded: coefficient head reaches index"),
+        (spec, dict(coeffs, b_head=dict(coeffs["b_head"], offset=0.5)), "SchemaError: PerturbationCoefficients: an"),
     ]
     for spec_doc, doc, error in bad_coeffs:
         argv = ["direct", "--spec", _write(bad / "spec.json", spec_doc)]
@@ -272,6 +275,7 @@ def test_rejected_inputs_exit_one_naming_their_error(files, tmp_path, capsys):
         (spec, nan_target, "SchemaError: target head contains non-finite"),
         (spec, dict(target, tail="zero"), "SchemaError: TargetSpectrum: tail must be"),
         (nspec, target, "IndexMismatch: target head starts below"),
+        (spec, dict(target, nu_head=far), "WindowExceeded: target head reaches index"),
     ]
     for spec_doc, doc, error in bad_targets:
         argv = ["roundtrip", "--spec", _write(bad / "spec.json", spec_doc)]
@@ -311,3 +315,30 @@ def test_non_finite_tail_exits_one_with_warnings_as_errors(files, tmp_path):
 def test_missing_file_exits_one(files):
     code = _run(["direct", "--spec", files["dir"] / "nope.json", "--coeffs", files["coeffs"]])
     assert code == 1
+
+
+def test_a_target_moved_800_gaps_round_trips(files, tmp_path, capsys):
+    # lambda_0 moved to 800.5 once ended in an OverflowError from the
+    # residue cap; the round trip's window is 2402, whose comparison of
+    # spectra pairs equal values before it assigns the rest
+    target = _write(tmp_path / "far.json", model.target_to_json(TargetSpectrum(0, (800.5 + 0j,))))
+    out = tmp_path / "far_coeffs.json"
+    assert _run(["inverse", "--spec", files["spec"], "--target", target, "--out", out]) == 0
+    assert json.loads(out.read_text())["certificate"]["residues"] == [[0, [800.5, 0.0]]]
+    assert _run(["roundtrip", "--spec", files["spec"], "--target", target]) == 0
+    assert capsys.readouterr().out.startswith("max matched deviation: ")
+
+
+def test_an_eigensolve_failure_exits_one_naming_it(files, tmp_path, capsys):
+    # the catch-all Rank1Error branch: c_0 = c_1 = 1 validate, but the dense
+    # matrix's b_1 conj(a_0) = 1e400 overflows and the eigensolve fails
+    tiny, huge = [1e-200, 0.0], [1e200, 0.0]
+    doc = {
+        "a_head": {"offset": 0, "values": [huge, tiny]},
+        "a_tail": "zero",
+        "b_head": {"offset": 0, "values": [tiny, huge]},
+        "b_tail": "zero",
+    }
+    argv = ["oracle", "--spec", files["spec"], "--coeffs", _write(tmp_path / "cross.json", doc), "--n", 3]
+    assert _run(argv) == 1
+    assert capsys.readouterr().err.startswith("SolverFailure: ")

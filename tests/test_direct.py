@@ -1761,3 +1761,9 @@ def test_rouche_margin_exceeds_the_enclosure_bound():
     # 2250 disks of every kind: both index sets, with and without a tail,
     # with and without a zero inside
     assert len(disks) == 8 and count == 2250
+
+
+def test_nearest_pole_of_a_function_with_no_poles_is_infinitely_far(zspec):
+    cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.0, 1: 0.0}), 5)
+    assert len(cf.lam1) == 0
+    np.testing.assert_array_equal(direct._nearest_pole(cf, np.array([0.5 + 0j, 3.0 + 1j])), [np.inf, np.inf])

@@ -82,3 +82,26 @@ def test_power_family_offsets_decay():
     assert offs[-1] < offs[0]
     slope, _, _, _ = gallery.power_slope(2.0, n_lo=10, n_hi=40, opts=opts)
     assert abs(slope - (-4.0)) < 0.4
+
+
+def test_closed_form_raises_on_its_poles():
+    closed = gallery.CotangentClosedForm()
+    for z in (0.0, 3.0, -2.0 + 1e-14j):
+        with pytest.raises(errors.PoleHit):
+            closed.value(z)
+
+
+def test_families_reject_window_zero_and_index_zero():
+    with pytest.raises(errors.BetaOutOfRange, match="window must be at least 1"):
+        gallery.power_family(2.0, 0)
+    with pytest.raises(errors.BetaOutOfRange, match="window must be at least 1"):
+        gallery.harmonic_family(0)
+    with pytest.raises(ValueError, match="n = 0 has no associated zero"):
+        gallery.harmonic_zero(0)
+
+
+def test_harmonic_tail_spans_the_upper_half_of_a_small_window():
+    # at window 50 the tail is n = 25..50, where it was the one index n = 50
+    rep = gallery.harmonic_report(50)
+    want = max(abs(n * (gallery.harmonic_zero(n) - n) - 1.0) for n in range(25, 51))
+    assert rep["max_scaled_error_tail"] == want

@@ -337,3 +337,19 @@ def test_check_names_the_pole_a_sample_sits_on_as_before(zspec):
             _check_by_build(coeffs, pf, z)
         assert str(new.value) == str(old.value)
         assert str(new.value).endswith(f"index {int(round(pole.real))}")
+
+
+def test_a_point_moved_past_709_gaps_keeps_its_exact_residue(zspec):
+    # lambda_0 moved to 800.5: the one residue is 800.5 itself, where a cap of
+    # exp(sum |nu - lambda| / d) once overflowed a double past 709.8 gaps
+    pf = inverse.build_product(zspec, TargetSpectrum(0, (800.5 + 0j,)))
+    assert pf.i1 == (0,) and pf.c1 == (800.5 + 0j,)
+
+
+@pytest.mark.parametrize("count, move", [(60, 1e9), (200, 1e7)])
+def test_a_residue_that_overflows_is_not_summable(zspec, count, move):
+    # indices 0..count - 1 each moved by move: c_0's product overflows, and
+    # the error names its index
+    target = TargetSpectrum(0, tuple(n + move + 0j for n in range(count)))
+    with pytest.raises(errors.NonSummable, match=r"^residue c_0 overflows"):
+        inverse.build_product(zspec, target)

@@ -540,3 +540,90 @@ def test_dump_json_deterministic_and_atomic(tmp_path, zspec):
     with pytest.raises(OSError):
         model.dump_json(doc, tmp_path / "taken")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json", "taken"]
+
+
+def test_heads_beyond_the_window_cap_are_rejected_before_any_array(zspec):
+    # a coefficient head at 10**12 once asked numpy for 29.1 TiB, and heads at
+    # 0 and 10**9 for 29.8 GiB, before any other check; a target head at
+    # 10**12 passed, and the inverse problem listed its window index by index
+    import tracemalloc
+
+    one = (1.0 + 0j,)
+    probes = [
+        (validate_coefficients, PerturbationCoefficients(10**12, one, None, 10**12, one, None), "coefficient"),
+        (validate_coefficients, PerturbationCoefficients(0, one, None, 10**9, one, None), "coefficient"),
+        (validate_target, TargetSpectrum(10**12, (0.5 + 0j,)), "target"),
+    ]
+    for validate, value, what in probes:
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.WindowExceeded, match=f"^{what} head reaches index 10+, beyond"):
+                validate(value, zspec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5, f"peak {peak} bytes"
+    # heads of radius TRUNC_CAP still validate
+    cap = model.TRUNC_CAP
+    validate_coefficients(PerturbationCoefficients(cap, one, None, -cap, one, None), zspec)
+    validate_target(TargetSpectrum(-cap, (0.5 + 0j,)), zspec)
+
+
+_COEFFS_DOC = {
+    "a_head": {"offset": 0, "values": [[1.0, 0.0]]},
+    "a_tail": "zero",
+    "b_head": {"offset": 0, "values": [[0.5, 0.0]]},
+    "b_tail": "zero",
+}
+_BASE_DOC = {
+    "index_set": "Z",
+    "lambda_head": {"offset": 0, "values": []},
+    "lambda_tail": {"slope": 1.0, "intercept": 0.0},
+    "gap": 1.0,
+}
+_ONE_TAIL = {"beta": 1.0, "scale": 1.0, "phase": 0.0}
+
+
+@pytest.mark.parametrize(
+    "read, doc, message",
+    [
+        (
+            model.coefficients_from_json,
+            dict(_COEFFS_DOC, b_head={"offset": 0.9, "values": [[0.5, 0.0]]}),
+            "an offset must be a JSON integer, not 0.9",
+        ),
+        (
+            model.coefficients_from_json,
+            dict(_COEFFS_DOC, a_head={"offset": True, "values": [[1.0, 0.0]]}),
+            "an offset must be a JSON integer, not true",
+        ),
+        (
+            model.target_from_json,
+            {"nu_head": {"offset": 0, "values": [[True, False]]}, "tail": "equals_lambda"},
+            "a real must be a JSON number, not true",
+        ),
+        (model.base_from_json, dict(_BASE_DOC, gap=True), "a real must be a JSON number, not true"),
+        (
+            model.coefficients_from_json,
+            dict(_COEFFS_DOC, a_tail=dict(_ONE_TAIL, beta=True), b_tail=_ONE_TAIL),
+            "a real must be a JSON number, not true",
+        ),
+        (
+            model.base_from_json,
+            dict(_BASE_DOC, lambda_tail={"slope": "1.5", "intercept": 0.0}),
+            'a real must be a JSON number, not "1.5"',
+        ),
+    ],
+    ids=["fractional-offset", "boolean-offset", "boolean-complex", "boolean-gap", "boolean-beta", "string-slope"],
+)
+def test_json_numbers_must_be_json_numbers(read, doc, message):
+    # each of these once read silently: 0.9 as index 0, true as 1 or 1.0,
+    # [true, false] as 1 + 0j and "1.5" as 1.5
+    with pytest.raises(errors.SchemaError, match=": " + message.replace(".", r"\.") + "$"):
+        read(doc)
+
+
+def test_json_integers_still_read_as_reals():
+    spec = model.base_from_json(dict(_BASE_DOC, gap=1, lambda_tail={"slope": 2, "intercept": -1}))
+    assert (spec.gap, spec.tail) == (1.0, AffineTail(2.0, -1.0))
+    assert type(spec.gap) is float

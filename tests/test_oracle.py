@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from rank1spec import errors, oracle
-from rank1spec.model import AffineTail, BaseSpectrum, PerturbationCoefficients, validate_base
+from rank1spec.model import (
+    AffineTail,
+    BaseSpectrum,
+    PerturbationCoefficients,
+    validate_base,
+    validate_coefficients,
+)
 
 from conftest import finite_coeffs, random_finite_instance
 
@@ -162,3 +168,51 @@ def test_dimension_caps(zspec):
         oracle.build_truncation(nspec, finite_coeffs({1: 0.1}), 1001)
     with pytest.raises(errors.WindowExceeded):
         oracle.build_truncation(zspec, coeffs, 0)
+
+
+def test_compare_spectra_assigns_only_the_values_the_spectra_do_not_share(monkeypatch):
+    # spectra that share most values bit for bit (double and triple points
+    # among them), 12 of them moved by up to 1e-3: the result is scipy's
+    # least-cost matching's, and the assignment sees a 12 x 12 matrix, not
+    # the full one (which at a window of 25230 once asked for 37.9 GiB)
+    import tracemalloc
+
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-40, 40, 300) + 1j * rng.uniform(-1, 1, 300)
+    reference = np.repeat(points, rng.choice([1, 1, 2, 3], len(points)))
+    computed = reference.copy()
+    moved = rng.choice(len(computed), 12, replace=False)
+    computed[moved] += 1e-3 * np.exp(2j * np.pi * rng.uniform(size=12))
+    computed = rng.permutation(computed)
+    cost = np.abs(computed[:, None] - reference[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    worst = float(cost[rows, cols].max())
+    del cost
+    shapes = []
+    assign = oracle._assign
+    monkeypatch.setattr(oracle, "_assign", lambda cost: shapes.append(cost.shape) or assign(cost))
+    for tol in (1e-4, 1e-2):
+        tracemalloc.start()
+        try:
+            assert oracle.compare_spectra(computed, reference, tol) == (worst < tol, worst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(reference) ** 2, f"peak {peak} bytes"
+    assert shapes == [(12, 12)] * 2
+    # spectra equal as multisets run no assignment
+    assert oracle.compare_spectra(rng.permutation(reference), reference, 1e-12) == (True, 0.0)
+    assert len(shapes) == 2
+
+
+def test_an_overflowing_outer_product_is_a_solver_failure(zspec):
+    # c_0 = c_1 = 1 validate, but b_1 conj(a_0) = 1e400 overflows: the matrix
+    # is not finite, with no RuntimeWarning, and the eigensolve names it
+    tiny, huge = 1e-200 + 0j, 1e200 + 0j
+    coeffs = validate_coefficients(PerturbationCoefficients(0, (huge, tiny), None, 0, (tiny, huge), None), zspec)
+    op = oracle.build_truncation(zspec, coeffs, 3)
+    assert not np.isfinite(op.matrix).all()
+    with pytest.raises(errors.SolverFailure):
+        oracle.dense_eigenvalues(op)
