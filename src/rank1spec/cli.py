@@ -200,9 +200,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except errors.InputError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except errors.CertificationFailed as exc:
         print(f"NotCertified: {exc}", file=sys.stderr)
         return 2

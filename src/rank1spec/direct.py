@@ -28,6 +28,7 @@ counts alone group the multiple zeros.  A solve whose disks all certify
 README times its stages.
 """
 
+import bisect
 from collections import namedtuple
 from dataclasses import dataclass
 import math
@@ -57,7 +58,6 @@ ROUNDOFF = 20.0
 NEWTON_MAX_ITER = 80
 NEWTON_RTOL = 1e-10  # a simple zero's residual |F| is within this times 1 + sum |c_n|
 WALK_OUT = 3  # the Newton steps that double a point's distance from a pole before it fails
-MATCH_RTOL = 1e-7  # zeros within this times d max(1, |lambda_n|) land on a common lambda_n
 
 
 @dataclass(frozen=True)
@@ -585,29 +585,31 @@ def _nearest_pole(cf, z):
     return np.abs(_nearest(poles, z) - z)
 
 
-def _try_multiple(cf, seed, m):
-    """An order-m zero polished from a group's seed: (location, m, residual) or None.
-
-    Newton runs on F^(m-1).  With a_j = F^(j)(z)/j! at the polished z, in
-    _newton's shifted coordinates, the zero is accepted when, for every j <
-    m, the spread |a_j / a_m|^(1/(m-j)) of the roots a_j sets is within the
-    radius ROUNDOFF (eta_j / |a_m|)^(1/(m-j)) within which round-off of a_j
-    scatters them, eta_j (_noise) the noise of a_j, and a_m != 0: m roots
-    scattered by round-off pass, separate clusters closer than F's value
-    noise can resolve fail on a derivative.  The caller certifies the order
-    by the arc walk.
-    """
-    z, resid, ok = _newton(cf, [seed], m)
-    if not ok[0]:
-        return None
+def _multiple_to_roundoff(cf, z, m):
+    """Whether F has an order-m zero at z (one point, an array) to round-off,
+    a claim and not a certificate: with a_j = F^(j)(z)/j! in _newton's
+    shifted coordinates, a_m != 0 and, for every j < m, the spread |a_j /
+    a_m|^(1/(m-j)) of the roots a_j sets is within the radius ROUNDOFF
+    (eta_j / |a_m|)^(1/(m-j)) within which round-off of a_j scatters them,
+    eta_j (_noise) the noise of a_j.  m roots scattered by round-off pass,
+    separate clusters closer than F's value noise can resolve fail on a
+    derivative."""
     shift = _shift(cf, z)
     a = np.abs(cf.taylor(z - shift, m, shift))[:, 0]
     if a[m] == 0.0:
-        return None
+        return False
     j = np.arange(m)
     spread = (a[:m] / a[m]) ** (1.0 / (m - j))
     radius = ROUNDOFF * (_noise(cf, z, j)[0] / a[m]) ** (1.0 / (m - j))
-    if np.any(spread > radius):
+    return not np.any(spread > radius)
+
+
+def _try_multiple(cf, seed, m):
+    """An order-m zero polished from a group's seed: (location, m, residual)
+    or None.  Newton runs on F^(m-1), and _multiple_to_roundoff accepts the
+    polished point; the caller certifies the order by the arc walk."""
+    z, resid, ok = _newton(cf, [seed], m)
+    if not ok[0] or not _multiple_to_roundoff(cf, z, m):
         return None
     return z[0], m, resid[0]
 
@@ -653,7 +655,10 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
     _try_multiple polishes from its points' mean, which must lie inside the
     rectangle and outside the disks.  A failure with no other group left to
     join, and a rejected group, raise CertificationFailed, naming after a
-    merge the first circle that failed.
+    merge the first circle that failed.  Once every circle certifies, an
+    order-m zero whose circle holds a retained eigenvalue lambda_n (c_n = 0)
+    moves onto it, residual |F(lambda_n)|, if _multiple_to_roundoff passes
+    there at order m.
     """
     z, resid, ok = polished
     disks = tuple(np.asarray(x, dtype=float) for x in disks)
@@ -699,6 +704,15 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
                     f"order winding on radius {rad:.3g} around the central zero {z0:.6g} {got}, expected {m}"
                 )
         if not failed:
+            # a circle (radius at most d/4) can hold one retained eigenvalue
+            # (c_n = 0) at most: the first one right of its left end
+            retained = cf.lam[cf.c == 0].tolist()
+            for i, (z0, m, _) in enumerate(zeros):
+                k = bisect.bisect_left(retained, z0.real - radius[i])
+                at = np.array(retained[k : k + 1])
+                if len(at) and abs(at[0] - z0) < radius[i] and _multiple_to_roundoff(cf, at, m):
+                    zeros[i] = (complex(at[0]), m, float(abs(cf.values(at)[0])))
+            zeros.sort(key=lambda t: (t[0].real, t[0].imag))
             return zeros
         first = failed[min(failed)]
         if len(groups) == 1:
@@ -899,21 +913,6 @@ def _localize_attempt(cf, k_prime, window, rect, d):
 # assembly
 
 
-def _common_hits(lam0, z, match_tol):
-    """For each common eigenvalue in turn, the position of the first zero
-    not taken before within match_tol max(1, |lambda_n|) of it, or -1."""
-    tol = match_tol * np.maximum(1.0, np.abs(lam0))
-    near = np.abs(lam0[:, np.newaxis] - z) < tol[:, np.newaxis]
-    hits = np.full(len(lam0), -1)
-    taken = np.zeros(len(z), dtype=bool)
-    for i in np.flatnonzero(near.any(axis=1)):
-        free = np.flatnonzero(near[i] & ~taken)
-        if len(free):
-            hits[i] = free[0]
-            taken[free[0]] = True
-    return hits
-
-
 def _assign(cost):
     """Least-cost assignment of a square cost matrix, by Kuhn's Hungarian
     method: potentials u, v and one shortest augmenting path per row.
@@ -968,7 +967,7 @@ def assemble_spectrum(spec, coeffs, loc):
     """Merge located zeros with the common spectrum into a PerturbedSpectrum.
 
     Each certified disk's zero is paired with its own index.  A central zero
-    within MATCH_RTOL d max(1, |lambda_n|) of a common eigenvalue lambda_n
+    equal to a common eigenvalue lambda_n (as _central_zeros places it)
     raises its multiplicity; the others, one slot per unit of order, go to
     the I1 indices no disk owns by least total distance (Kuhn's Hungarian
     method, `_assign`), and each entry takes the smallest index it is given.
@@ -1000,9 +999,9 @@ def assemble_spectrum(spec, coeffs, loc):
         free[at] = False
         free = free.nonzero()[0]
         common = in_i0.nonzero()[0]
-        hits = _common_hits(mu[common], z, MATCH_RTOL * spec.gap)
-        on = hits >= 0
-        hit = hits[on]
+        at_common = mu[common, np.newaxis] == z  # _central_zeros put these on lambda_n
+        on = at_common.any(axis=1)
+        hit = at_common[on].argmax(axis=1)
         mult[common[on]] += order[hit]
         origin[common[on]] = ORIGIN_BOTH
         rest = np.ones(len(z), dtype=bool)

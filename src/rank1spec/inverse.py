@@ -22,6 +22,8 @@ from . import errors, _kernels
 from .charfn import first_pole_hit, outside_in
 from .model import PerturbationCoefficients, PowerTail
 
+ORDER_BLOCK = 2**10  # distances a block of build_product's factor orders sorts
+
 
 @dataclass(frozen=True, eq=False)
 class ProductFunction:
@@ -71,12 +73,16 @@ def build_product(spec, target):
     nu, lam = np.array(nu1, dtype=complex), np.array(lam1, dtype=float)
     # each residue's factor order, the most distant pole first and, at equal
     # distances, the later index first: its row of the distances sorted
-    # stably (lexsort), reversed, less the pole itself (distance 0, first)
-    order = np.lexsort((np.abs(lam[:, np.newaxis] - lam),)).tolist()
+    # stably (lexsort), reversed, less the pole itself (distance 0, first).
+    # The rows are sorted ORDER_BLOCK distances at a time, so that memory
+    # stays linear in the deviating indices
+    rows = max(1, ORDER_BLOCK // max(1, len(lam1)))
     c1 = []
     for j, lam_n in enumerate(lam1):
+        if j % rows == 0:
+            order = np.lexsort((np.abs(lam[j : j + rows, np.newaxis] - lam),)).tolist()
         prod = 1.0 + 0.0j
-        for m in order[j][:0:-1]:
+        for m in order[j % rows][:0:-1]:
             prod *= (nu1[m] - lam_n) / (lam1[m] - lam_n)
         c1.append((nu1[j] - lam_n) * prod)
         if not cmath.isfinite(c1[-1]):

@@ -1,3 +1,5 @@
+import math
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
@@ -415,7 +417,9 @@ def test_the_one_pass_setup_matches_the_evaluation_it_replaced(case):
 
 
 def test_k_prime_steps_past_a_quotient_that_rounds_below_its_integer(zspec):
-    # |c_0| = 25 * 0.3 is 7.499999999999999 in floats, and that over eps = 0.3
-    # rounds to 24.999999999999996: the first guess is K_eps + 25, but
-    # 7.499999999999999 / 25 is 0.3, not below eps, so K' steps to K_eps + 26
-    assert compute_Keps(zspec, finite_coeffs({0: 25 * 0.3}), 0.3) == (0, 26)
+    # |c_0| = 7.499999999999999 over eps = 0.3 rounds to 24.999999999999996:
+    # the first guess is K_eps + 1 + 24 = K_eps + 25, but 7.499999999999999 /
+    # 25 is 0.3, not below eps, so K' steps to K_eps + 26
+    c_0, eps = 7.499999999999999, 0.3
+    assert 1 + math.floor(c_0 / eps) == 25 and c_0 / 25 >= eps
+    assert compute_Keps(zspec, finite_coeffs({0: c_0}), eps) == (0, 26)

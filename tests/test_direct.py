@@ -863,31 +863,53 @@ def test_wide_window_localization_memory_stays_bounded(zspec):
     assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
-def _common_hits_by_loop(lam0, z, match_tol):
-    # the per-pair loop: each common eigenvalue in turn takes the first zero
-    # not taken before within the match tolerance
-    hits, taken = [], [False] * len(z)
-    for lam_n in lam0:
-        tol = match_tol * max(1.0, abs(lam_n))
-        hit = next((j for j, zj in enumerate(z) if not taken[j] and abs(zj - lam_n) < tol), -1)
-        if hit >= 0:
-            taken[hit] = True
-        hits.append(hit)
-    return hits
+def _beside_lambda_0(zspec, nu_1, monkeypatch=None):
+    """solve_direct on lambda_n = n with nu_1 and nu_2 = 2.3 + 0.1i moved:
+    c_0 = 0, so lambda_0 = 0 is retained; with monkeypatch, also the
+    centres and radii of the last arc walk."""
+    coeffs, _ = inverse.solve_inverse(zspec, TargetSpectrum(1, (complex(nu_1), 2.3 + 0.1j)))
+    coeffs = validate_coefficients(coeffs, zspec)
+    assert coeffs.c_at(0) == 0.0
+    walks = []
+    if monkeypatch is not None:
+        arc_walk = direct._arc_walk
+        spy = lambda cf, centers, radii, p: walks.append((centers, radii)) or arc_walk(cf, centers, radii, p)
+        monkeypatch.setattr(direct, "_arc_walk", spy)
+    ps, loc = solve_direct(zspec, coeffs, OPTS)
+    near = np.abs(ps.mu.real) < 0.5
+    rows = list(zip(*(x[near].tolist() for x in (ps.mu, ps.mult, ps.origin, ps.paired_index))))
+    return rows, loc, walks[-1] if walks else None
 
 
-def test_common_hits_equal_the_pair_loop():
-    rng = np.random.default_rng(5)
-    tol = direct.MATCH_RTOL
-    for _ in range(200):
-        lam0 = rng.choice(np.arange(-30.0, 31.0), int(rng.integers(0, 12)), replace=False) + 0j
-        # zeros on, just within, just beyond and far from the common
-        # eigenvalues, some of them twice near the same one
-        near = rng.choice(lam0, int(rng.integers(0, 8))) if len(lam0) else lam0
-        scale = rng.choice([0.0, 0.5, 0.99, 1.01, 3.0], len(near)) * np.exp(2j * np.pi * rng.uniform(size=len(near)))
-        z = near + tol * np.maximum(1.0, np.abs(near)) * scale
-        z = rng.permutation(np.concatenate([z, rng.uniform(-30, 30, 3)]))
-        assert direct._common_hits(lam0, z, tol).tolist() == _common_hits_by_loop(lam0, z, tol)
+def test_a_zero_1e_9_from_a_retained_eigenvalue_is_a_second_eigenvalue(zspec):
+    # nu_1 = 1e-9: B has 0 and 1e-9 as two simple eigenvalues, where a
+    # tolerance of 1e-7 d max(1, |lambda_n|) once merged the zero into
+    # lambda_0 as one entry of multiplicity 2
+    (common, zero) = _beside_lambda_0(zspec, 1e-9)[0]
+    assert common == (0j, 1, ORIGIN_COMMON, 0)
+    assert abs(zero[0] - 1e-9) < 1e-15 and zero[1:] == (1, ORIGIN_ZERO, 1)
+
+
+def test_a_retained_eigenvalue_inside_a_circle_that_fails_the_round_off_test_stays_apart(zspec, monkeypatch):
+    # nu_1 = 1e-12, five orders below the old tolerance: lambda_0 lies inside
+    # the zero's order circle, but F(0) is far above its round-off, so the
+    # zero keeps its place and lambda_0 its own entry
+    rows, loc, (centers, radii) = _beside_lambda_0(zspec, 1e-12, monkeypatch)
+    z = loc.central[0][0]
+    assert abs(z - 1e-12) < 1e-14
+    (i,) = np.flatnonzero(np.asarray(centers) == z)
+    assert abs(z) < np.broadcast_to(radii, len(centers))[i]
+    assert not direct._multiple_to_roundoff(loc.cf, np.zeros(1), 1)
+    assert [r[1:] for r in rows] == [(1, ORIGIN_COMMON, 0), (1, ORIGIN_ZERO, 1)]
+
+
+def test_a_zero_within_round_off_of_a_retained_eigenvalue_lands_on_it(zspec):
+    # nu_1 = 1e-17, below F's round-off at 0: the zero moves onto lambda_0,
+    # which takes multiplicity 2, and its residual is |F(0)|
+    rows, loc, _ = _beside_lambda_0(zspec, 1e-17)
+    assert rows == [(0j, 2, ORIGIN_BOTH, 0)]
+    (z, order, resid), _ = loc.central
+    assert z == 0 and order == 1 and resid == abs(loc.cf.values(np.zeros(1))[0])
 
 
 def test_assign_reaches_the_least_total_cost_of_scipy():

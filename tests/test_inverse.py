@@ -287,6 +287,24 @@ def test_residues_equal_the_per_residue_sorted_loop(zspec):
     assert {1, 10} <= sizes
 
 
+def test_residues_take_memory_linear_in_the_moved_points(zspec):
+    # every |n| <= 70 moved by 0.1i: the rows of the poles' distances are
+    # sorted ORDER_BLOCK at a time, where one lexsort of all 141 x 141 of
+    # them once peaked at 0.34 MB, 2.4 KB a moved point
+    import tracemalloc
+
+    target = TargetSpectrum(-70, tuple(complex(n, 0.1) for n in range(-70, 71)))
+    tracemalloc.start()
+    try:
+        pf = inverse.build_product(zspec, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pf.i1) == 141
+    assert peak < 1000 * len(pf.i1), f"peak {peak / 1e3:.0f} KB"
+    assert _bits(pf.c1) == _bits(_residues_by_sorted_loop(pf))  # over several blocks
+
+
 def test_check_equals_the_value_from_F_as_built():
     # random targets over Z and over N, with affine and non-affine heads, and
     # fixed-phi coefficients whose a-head stops short of the deviating
