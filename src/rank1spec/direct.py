@@ -57,7 +57,6 @@ UNIT_ROUNDOFF = float(0.5 * np.finfo(float).eps)
 ROUNDOFF = 20.0
 NEWTON_MAX_ITER = 80
 NEWTON_RTOL = 1e-10  # a simple zero's residual |F| is within this times 1 + sum |c_n|
-WALK_OUT = 3  # the Newton steps that double a point's distance from a pole before it fails
 
 
 @dataclass(frozen=True)
@@ -446,21 +445,10 @@ def _newton(cf, seeds, order, shift=None):
     NEWTON_MAX_ITER steps its last step exceeds both 1e-12 (1 + |shift|) and
     ROUNDOFF times the noise of F^(order-1) over |F^(order)|, the step
     round-off alone makes (_noise); or, at order 1, when its residual
-    exceeds NEWTON_RTOL (1 + sum |c_n|).  At order 1 it also fails once it
-    lies farther than 2 R from its shift and from every pole, and farther
-    from the poles than its seed, R = sum |c_n| + T: every zero lies within
-    R of a pole (|F - 1| < 1 beyond that), and a step from a seed in a
-    zero's basin can overshoot R (for F = 1 - c/z, from (1 + 0.9i) c to
-    1.81 c), though for that F never 2 R.  Such a point has lost its zero,
-    and its steps, each within ten times the last, could keep the pass
-    iterating.  It fails too at its WALK_OUT-th step that grew and took it
-    twice as far from its nearest pole or farther: next to a pole F is
-    about -c_n / w, and each step doubles w, within ten times the last.
-    Only a step that grew (or is NaN) can diverge or walk out, and only a
-    point beyond 2 R be lost, so an iteration in which no step grew and no
-    point lies beyond 2 R runs none of the three tests.  The steps read F
-    and its derivative from the kernel's rows (_kernels.taylor) directly,
-    and the residual pass forms F alone.
+    exceeds NEWTON_RTOL (1 + sum |c_n|).  Only a step that grew (or is NaN)
+    can diverge, so an iteration in which no step grew runs no divergence
+    test.  The steps read F and its derivative from the kernel's rows
+    (_kernels.taylor) directly, and the residual pass forms F alone.
     """
     w = np.array(seeds, dtype=complex, ndmin=1)  # a copy: the steps write to it
     if shift is None:
@@ -471,12 +459,8 @@ def _newton(cf, seeds, order, shift=None):
     # F^(deriv) and F^(order) are the kernel's rows deriv and order times
     # the factorials, plus F's leading 1 at deriv 0
     fac, fac1 = math.factorial(deriv), math.factorial(order)
-    total = float(np.abs(c1).sum())
-    resid_tol = NEWTON_RTOL * (1.0 + total) if deriv == 0 else np.inf
-    reach = 2.0 * (total + cf.tail_total) if deriv == 0 else np.inf
-    start = shift + w
+    resid_tol = NEWTON_RTOL * (1.0 + float(np.abs(c1).sum())) if deriv == 0 else np.inf
     failed = np.zeros(len(w), dtype=bool)
-    walks = None  # per seed, its steps that doubled its distance from a pole
     # the points still moving: positions, offsets w, shifts, scales 1 + |shift|
     # and the size of each one's last step; np.count_nonzero tests a mask for
     # any True at a third of ndarray.any's cost
@@ -492,37 +476,22 @@ def _newton(cf, seeds, order, shift=None):
             g, gp = 1.0 + rows[0], rows[1]
         step = g / gp
         # where F^(order) vanishes the point moves by 1e-9 (1 + |w|) instead,
-        # with no stop, divergence or walk-out test and its last step size kept
+        # with no stop or divergence test and its last step size kept
         any_flat = np.count_nonzero(gp) < len(gp)
         if any_flat:
             flat = gp == 0
             step[flat] = -1e-9 * (1.0 + _modulus(wl[flat]))
-        prev, wl = wl, wl - step
-        size, offset = _modulus(step), _modulus(wl)
+        wl = wl - step
+        size = _modulus(step)
         if any_flat:
             size[flat] = last[flat]
-        done = size < 1e-16 * (scale + offset)
+        done = size < 1e-16 * (scale + _modulus(wl))
         if np.count_nonzero(done):
             done &= _modulus(g) <= resid_tol
-        # one test before the three rare ones: some step grew (or is NaN),
-        # or some point lies beyond reach
+        # only a step that grew (or is NaN) can diverge
         diverged = None
-        if np.count_nonzero((size <= last) & (offset <= reach)) < len(size):
+        if np.count_nonzero(size <= last) < len(size):
             diverged = ~(done | (size <= 10.0 * (last + 1.0)))
-            j = (~(size <= last)).nonzero()[0]
-            if len(j) and len(lam1):  # the steps that doubled a distance to the pole nearest the new point
-                after = sl[j] + wl[j]
-                pole = _nearest(cf.lam[cf.c != 0], after)
-                j = j[_modulus(after - pole) >= 2.0 * _modulus(sl[j] + prev[j] - pole)]
-                walks = np.zeros(len(w), dtype=int) if walks is None else walks
-                walks[live[j]] += 1
-                j = j[walks[live[j]] >= WALK_OUT]
-                diverged[j] |= ~done[j]
-            far = offset > reach
-            if np.count_nonzero(far):
-                j = live[far]
-                lost = _nearest_pole(cf, sl[far] + wl[far]) > np.maximum(reach, _nearest_pole(cf, start[j]))
-                diverged[far] |= lost & ~done[far]
         if any_flat:
             done &= ~flat
             if diverged is not None:

@@ -53,7 +53,7 @@ def harmonic_family(window):
     are faithful term by term).
     """
     if window < 1:
-        raise errors.BetaOutOfRange("window must be at least 1")
+        raise errors.WindowExceeded("window must be at least 1")
     idx = np.arange(-window, window + 1)
     a = np.where(idx == 0, 1.0, np.sqrt(1.0 / np.maximum(np.abs(idx), 1))).astype(complex)
     b = np.where(idx == 0, 0.0, np.sign(idx) * np.sqrt(1.0 / np.maximum(np.abs(idx), 1))).astype(
@@ -75,7 +75,7 @@ def power_family(beta, window):
     if not beta > 1:
         raise errors.BetaOutOfRange(f"beta must exceed 1, got {beta}")
     if window < 1:
-        raise errors.BetaOutOfRange("window must be at least 1")
+        raise errors.WindowExceeded("window must be at least 1")
     idx = np.arange(-window, window + 1)
     vals = np.where(idx == 0, 0.0, np.maximum(np.abs(idx), 1).astype(float) ** (-beta)).astype(
         complex

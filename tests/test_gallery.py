@@ -68,7 +68,7 @@ def test_power_family_coefficients():
 def test_power_family_rejects_bad_beta():
     with pytest.raises(errors.BetaOutOfRange):
         gallery.power_family(beta=1.0, window=10)
-    with pytest.raises(errors.BetaOutOfRange):
+    with pytest.raises(errors.WindowExceeded):
         gallery.harmonic_family(window=0)
 
 
@@ -92,9 +92,9 @@ def test_closed_form_raises_on_its_poles():
 
 
 def test_families_reject_window_zero_and_index_zero():
-    with pytest.raises(errors.BetaOutOfRange, match="window must be at least 1"):
+    with pytest.raises(errors.WindowExceeded, match="window must be at least 1"):
         gallery.power_family(2.0, 0)
-    with pytest.raises(errors.BetaOutOfRange, match="window must be at least 1"):
+    with pytest.raises(errors.WindowExceeded, match="window must be at least 1"):
         gallery.harmonic_family(0)
     with pytest.raises(ValueError, match="n = 0 has no associated zero"):
         gallery.harmonic_zero(0)
