@@ -21,7 +21,10 @@ POLE_RTOL = 1e-12  # |z - lambda_n| below this (times scale) counts as a pole hi
 
 def first_pole_hit(lam, z):
     """(point, pole) positions of the first point z_j with |z_j - lambda_k|
-    < POLE_RTOL max(1, |lambda_k|), and of the first such pole; None if none."""
+    < POLE_RTOL max(1, |lambda_k|), and of the first such pole; None if none,
+    at once when every |Im z_j| reaches the largest tolerance (lambda is real)."""
+    if np.abs(z.imag).min(initial=np.inf) >= POLE_RTOL * max(1.0, np.abs(lam).max(initial=0.0)):
+        return None
     lam = lam[:, np.newaxis]
     hit = np.abs(lam - z) < POLE_RTOL * np.maximum(1.0, np.abs(lam))
     if not np.count_nonzero(hit):

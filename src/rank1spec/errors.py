@@ -74,7 +74,8 @@ class CardinalityMismatch(InputError):
 
 
 class ZeroCoefficientObstruction(InputError):
-    """Fixed-phi reconstruction needs a_n != 0 wherever c_n != 0."""
+    """Fixed-phi reconstruction needs a finite c_n / conj(a_n), so a_n != 0,
+    wherever c_n != 0."""
 
 
 class BetaOutOfRange(InputError):

@@ -3,26 +3,17 @@
 Two steps: form the finite product F~(z) = prod (nu_n - z)/(lambda_n - z)
 over the deviating indices with its residues -c_n at the poles, then
 synthesize Fourier coefficients with conj(a_n) b_n = c_n.
-
-The residues and the synthesis run in Python scalar arithmetic, one index
-at a time, although numpy could form them in a few array calls: numpy's
-complex multiply and abs differ from Python's in the last bit (on some 44%
-and 17% of random pairs), and the round trip's worst deviation is a few
-ulps, so vectorised residues would change every coefficient the inverse
-problem writes and move the round trip's accuracy.
 """
 
 from dataclasses import dataclass, replace
-import cmath
-import math
 
 import numpy as np
 
 from . import errors, _kernels
 from .charfn import first_pole_hit, outside_in
-from .model import PerturbationCoefficients, PowerTail
+from .model import PerturbationCoefficients, PowerTail, validate_coefficients
 
-ORDER_BLOCK = 2**10  # distances a block of build_product's factor orders sorts
+ROWS = 8  # rows of ratios build_product forms at once, each padded to under 2 |I1|
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +35,14 @@ class ProductFunction:
         return np.multiply.reduce((self.nu - col) / (self.lam - col), axis=1)
 
 
+def _divide_parts(z, x):
+    """z / x in place, for complex z and real x: each part divided by x, where
+    a complex division rounds several times worse."""
+    np.divide(z.real, x, out=z.real)
+    np.divide(z.imag, x, out=z.imag)
+    return z
+
+
 def build_product(spec, target):
     """The product over the deviating indices and its residues
 
@@ -51,9 +50,11 @@ def build_product(spec, target):
 
     The deviating indices are the head's with nu_n != lambda_n once any
     target value equal to some lambda_m is assigned to index m itself.
-    Factors are multiplied from the most distant pole inward so that the
-    near-unity factors enter last.  A residue that overflows (a target moved
-    too far for a double) raises NonSummable naming its index.
+    Each residue is the pairwise product along its row of ratios (neighbours
+    first, then neighbouring pairs, and so on), whose own entry is
+    nu_n - lambda_n; the rows are formed ROWS at a time, so that memory
+    stays linear in the deviating indices.  A residue that is not finite (a
+    target moved too far for a double) raises NonSummable naming its index.
     """
     head = list(target.nu_head)
     off = target.nu_head_offset
@@ -69,25 +70,23 @@ def build_product(spec, target):
             if k is not None:
                 head[j], head[k] = head[k], head[j]
     i1 = tuple(off + j for j, (nu_j, lam_j) in enumerate(zip(head, lam)) if nu_j != lam_j)
-    nu1, lam1 = [head[n - off] for n in i1], [lam[n - off] for n in i1]
-    nu, lam = np.array(nu1, dtype=complex), np.array(lam1, dtype=float)
-    # each residue's factor order, the most distant pole first and, at equal
-    # distances, the later index first: its row of the distances sorted
-    # stably (lexsort), reversed, less the pole itself (distance 0, first).
-    # The rows are sorted ORDER_BLOCK distances at a time, so that memory
-    # stays linear in the deviating indices
-    rows = max(1, ORDER_BLOCK // max(1, len(lam1)))
-    c1 = []
-    for j, lam_n in enumerate(lam1):
-        if j % rows == 0:
-            order = np.lexsort((np.abs(lam[j : j + rows, np.newaxis] - lam),)).tolist()
-        prod = 1.0 + 0.0j
-        for m in order[j % rows][:0:-1]:
-            prod *= (nu1[m] - lam_n) / (lam1[m] - lam_n)
-        c1.append((nu1[j] - lam_n) * prod)
-        if not cmath.isfinite(c1[-1]):
-            raise errors.NonSummable(f"residue c_{i1[j]} overflows: the target moves too far for a double")
-    return ProductFunction(spec=spec, i1=i1, c1=tuple(c1), nu=nu, lam=lam)
+    nu, lam = np.array([head[n - off] for n in i1], dtype=complex), np.array([lam[n - off] for n in i1])
+    c1 = np.empty(len(lam), dtype=complex)
+    width = 1 << max(len(lam) - 1, 0).bit_length()  # a row padded with ones to a power of two
+    for j in range(0, len(lam), ROWS):
+        lam_n = lam[j : j + ROWS, np.newaxis]
+        den = lam - lam_n
+        den.reshape(-1)[j :: len(lam) + 1] = 1.0  # a row's own entry: nu_n - lambda_n
+        r = np.ones((len(lam_n), width), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _divide_parts(np.subtract(nu, lam_n, out=r[:, : len(lam)]), den)
+            while r.shape[1] > 1:
+                r = r[:, ::2] * r[:, 1::2]
+        c1[j : j + ROWS] = r[:, 0]
+    finite = np.isfinite(c1)
+    if not finite.all():
+        raise errors.NonSummable(f"residue c_{i1[finite.argmin()]} overflows: the target moves too far for a double")
+    return ProductFunction(spec=spec, i1=i1, c1=tuple(c1.tolist()), nu=nu, lam=lam)
 
 
 def _deviating_radius(pf):
@@ -95,62 +94,63 @@ def _deviating_radius(pf):
     return max(-pf.i1[0], pf.i1[-1]) if pf.i1 else 0
 
 
-def _residue_window(spec, pf):
-    """The first index of the window |n| <= max |I1| (0 when it is empty)
-    and (n, c_n) over it in increasing order, c_n = 0 off I1."""
-    c = dict(zip(pf.i1, pf.c1))
-    radius = _deviating_radius(pf)
-    window = range(spec.first_index(radius), radius + 1)
-    return (window[0] if window else 0), [(n, c.get(n, 0.0)) for n in window]
+def _residues(pf, lo, hi):
+    """c_n at the indices lo..hi, which cover I1, an array: 0 off I1."""
+    c = np.zeros(max(hi - lo + 1, 0), dtype=complex)
+    c[np.array(pf.i1, dtype=int) - lo] = pf.c1
+    return c
 
 
 def solve_inverse(spec, target):
     """Coefficients with conj(a_n) b_n = c_n on I1 and b_n = 0 on I0;
     returns (coefficients, product function).
 
-    a_n = sqrt|c_n|, b_n = sqrt|c_n| e^{i arg c_n} (principal branch) for
-    deviating indices; a_n = 1/(1+|n|), b_n = 0 for the rest.  The head
-    covers the deviating window; beyond it a carries a square-summable
-    1/|n| power-law tail and b is identically zero.
+    a_n = sqrt|c_n|, b_n = c_n / a_n for deviating indices; a_n = 1/(1+|n|),
+    b_n = 0 for the rest.  The head covers the window |n| <= max |I1|;
+    beyond it a carries a square-summable 1/|n| power-law tail and b is
+    identically zero.
     """
     pf = build_product(spec, target)
-    off, window = _residue_window(spec, pf)
-    a_vals, b_vals = [], []
-    for n, c_n in window:
-        if c_n != 0:
-            r = math.sqrt(abs(c_n))
-            a_vals.append(complex(r))
-            b_vals.append(r * cmath.exp(1j * cmath.phase(c_n)))
-        else:
-            a_vals.append(complex(1.0 / (1.0 + abs(n))))
-            b_vals.append(0.0j)
+    radius = _deviating_radius(pf)
+    lo = spec.first_index(radius)
+    c = _residues(pf, lo, radius)
+    a = np.sqrt(np.abs(c))
+    off = c == 0
+    a[off] = 1.0 / (1.0 + np.abs(np.arange(lo, lo + len(c))[off]))
+    start = lo if len(c) else 0
     coeffs = PerturbationCoefficients(
-        a_head_offset=off,
-        a_head=tuple(a_vals),
+        a_head_offset=start,
+        a_head=tuple(a.astype(complex).tolist()),
         a_tail=PowerTail(beta=1.0, scale=1.0, phase=0.0),
-        b_head_offset=off,
-        b_head=tuple(b_vals),
+        b_head_offset=start,
+        b_head=tuple(_divide_parts(c, a).tolist()),
         b_tail=None,
     )
     return coeffs, pf
 
 
 def solve_inverse_fixed_phi(spec, target, phi_coeffs):
-    """Fixed-phi variant: keep the given a_n and solve b_n = c_n / conj(a_n)."""
+    """Fixed-phi variant: keep phi's a_n and solve b_n = c_n / conj(a_n) over
+    I1's range, b's head; returns (coefficients validated against spec,
+    product function).  A c_n != 0 whose quotient is not finite (a_n = 0,
+    say) raises ZeroCoefficientObstruction, and an index of b's head with
+    a_n = c_n = 0 DegenerateIndex."""
     pf = build_product(spec, target)
-    off, window = _residue_window(spec, pf)
-    a = phi_coeffs.a_range(off, off + len(window) - 1).tolist()
-    b_vals = []
-    for (n, c_n), a_n in zip(window, a):
-        if c_n != 0:
-            if a_n == 0:
-                raise errors.ZeroCoefficientObstruction(
-                    f"a_{n} = 0 but c_{n} != 0: coefficient b_{n} is undetermined"
-                )
-            b_vals.append(c_n / np.conj(a_n))
-        else:
-            b_vals.append(0.0j)
-    return replace(phi_coeffs, b_head_offset=off, b_head=tuple(complex(v) for v in b_vals), b_tail=None), pf
+    lo, hi = (pf.i1[0], pf.i1[-1]) if pf.i1 else (0, -1)
+    c = _residues(pf, lo, hi)
+    a = phi_coeffs.a_range(lo, hi)
+    b = np.zeros_like(c)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(c, np.conj(a), out=b, where=c != 0)
+    finite = np.isfinite(b)
+    if not finite.all():
+        j = finite.argmin()
+        n = lo + int(j)
+        raise errors.ZeroCoefficientObstruction(
+            f"c_{n} = {c[j]} but c_{n}/conj(a_{n}) is not finite at a_{n} = {a[j]}: coefficient b_{n} is undetermined"
+        )
+    coeffs = replace(phi_coeffs, b_head_offset=lo, b_head=tuple(b.tolist()), b_tail=None)
+    return validate_coefficients(coeffs, spec), pf
 
 
 SAMPLE_COUNT = 25
@@ -161,10 +161,9 @@ def default_sample_points(spec, pf):
     """Deterministic sample points staying at least d/4 away from all poles
     (an array)."""
     d = spec.gap
-    lo = pf.lam.min() - 2.0 * d if len(pf.lam) else -2.0 * d
-    hi = pf.lam.max() + 2.0 * d if len(pf.lam) else 2.0 * d
+    lo, hi = (pf.lam[0], pf.lam[-1]) if len(pf.lam) else (0.0, 0.0)  # the poles ascend
     z = np.empty(SAMPLE_COUNT, dtype=complex)
-    z.real = np.linspace(lo, hi, SAMPLE_COUNT)
+    z.real = np.linspace(lo - 2.0 * d, hi + 2.0 * d, SAMPLE_COUNT)
     z.imag = 0.4 * d * _SAMPLE_ROWS
     return z
 

@@ -85,6 +85,15 @@ def test_pole_detection(two_point):
     assert j == 2 and two_point.idx1[k] == 1
 
 
+def test_pole_detection_up_to_the_largest_tolerance():
+    # the tolerance at lambda = 1e6 is 1e-6 and at lambda = 1 it is 1e-12:
+    # 0.9e-6 above the real axis a point is on the pole 1e6 only, and when
+    # every point is 1.1e-6 or more above it, it is on no pole
+    lam = np.array([0.0, 1.0, 1e6])
+    assert first_pole_hit(lam, np.array([1.0 + 0.9e-6j, 1e6 + 0.9e-6j])) == (1, 2)
+    assert first_pole_hit(lam, np.array([1e6 + 1.1e-6j, 1.0 + 1.1e-6j, 1j])) is None
+
+
 def test_tail_bound_certifies_truncation_error(zspec):
     coeffs = PerturbationCoefficients(
         a_head_offset=0,

@@ -312,6 +312,37 @@ def test_non_finite_tail_exits_one_with_warnings_as_errors(files, tmp_path):
         assert proc.stderr.startswith(error)
 
 
+def test_fixed_phi_whose_b_is_not_finite_exits_one(files, tmp_path):
+    # a_0 = nan and a_0 = 1e-310 once wrote b_0 = [NaN, NaN] and
+    # [Infinity, NaN] with exit code 0; a fresh interpreter, so that
+    # PYTHONWARNINGS applies from its start
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    coeffs = json.loads(files["coeffs"].read_text())
+    for a_0 in (math.nan, 1e-310):
+        phi = _write(tmp_path / "phi.json", dict(coeffs, a_head={"offset": 0, "values": [[a_0, 0.0], [1.0, 0.0]]}))
+        out = tmp_path / "out.json"
+        argv = ["inverse", "--spec", files["spec"], "--target", files["target"], "--fixed-phi", phi, "--out", out]
+        cmd = [sys.executable, "-m", "rank1spec.cli", *map(str, argv)]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and not out.exists()
+        assert proc.stderr.startswith("ZeroCoefficientObstruction: c_0 = ")
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+def test_fixed_phi_output_is_valid_input_to_direct(files, tmp_path, capsys):
+    # phi is the coefficients file, a = 1 on indices 0 and 1 and zero tails:
+    # b's head once spanned |n| <= 1, with b_-1 = a_-1 = 0, and direct then
+    # exited 1 (DegenerateIndex)
+    out = tmp_path / "phi_coeffs.json"
+    argv = ["inverse", "--spec", files["spec"], "--target", files["target"], "--fixed-phi", files["coeffs"]]
+    assert _run(argv + ["--out", out]) == 0
+    assert _run(["direct", "--spec", files["spec"], "--coeffs", out, "--trunc", 30, "--trunc-window", 8]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    zeros = [(round(e["mu"][0], 12), e["mu"][1], e["paired_index"]) for e in entries if e["origin"] == "zero_of_F"]
+    assert sorted(zeros) == [(0.25, 0.0, 0), (1.1, 0.0, 1)]
+
+
 def test_missing_file_exits_one(files):
     code = _run(["direct", "--spec", files["dir"] / "nope.json", "--coeffs", files["coeffs"]])
     assert code == 1
