@@ -56,7 +56,6 @@ UNIT_ROUNDOFF = float(0.5 * np.finfo(float).eps)
 # (eta_j / |F^(m)/m!|)^(1/(m-j)) set by the noise eta_j of each F^(j)/j!
 ROUNDOFF = 20.0
 NEWTON_MAX_ITER = 80
-NEWTON_RTOL = 1e-10  # a simple zero's residual |F| is within this times 1 + sum |c_n|
 
 
 @dataclass(frozen=True)
@@ -437,18 +436,19 @@ def _newton(cf, seeds, order, shift=None):
     Each point runs in coordinates shifted by the window eigenvalue nearest
     its seed, or by shift (one per seed, the seeds then offsets from it),
     and each step makes one kernel call for the points still moving; no
-    point's steps depend on the others.  A point stops when its step falls
-    below 1e-16 (1 + |shift| + |w|) and, at order 1, |F| before the step is
-    within NEWTON_RTOL (1 + sum |c_n|): next to a pole such a step can still
-    be a large share of |w|.  It fails when a step is not finite (on a pole)
-    or grows past ten times the last one plus 1 (divergence); when after
-    NEWTON_MAX_ITER steps its last step exceeds both 1e-12 (1 + |shift|) and
-    ROUNDOFF times the noise of F^(order-1) over |F^(order)|, the step
-    round-off alone makes (_noise); or, at order 1, when its residual
-    exceeds NEWTON_RTOL (1 + sum |c_n|).  Only a step that grew (or is NaN)
-    can diverge, so an iteration in which no step grew runs no divergence
-    test.  The steps read F and its derivative from the kernel's rows
-    (_kernels.taylor) directly, and the residual pass forms F alone.
+    point's steps depend on the others.  Its step sizes alone decide, by
+    three rules.  It converges when a step falls below 1e-16 (1 + |shift|
+    + |w|).  It fails when a step is not below ten times the last one plus
+    1 (divergence), as a step that is not finite never is (on a pole, or
+    where F^(order) is 0).  It settles, and is accepted, when a step no
+    smaller than the last is within the round-off floor: ROUNDOFF times the
+    noise of F^(order-1) (_noise) over |F^(order)| at the point the step
+    was taken from, the step that round-off alone makes.  Only a step that
+    did not shrink (or is NaN) can diverge or settle, so an iteration in
+    which every step shrank tests neither.  A point still moving after
+    NEWTON_MAX_ITER steps fails.  The steps read F and its derivative from
+    the kernel's rows (_kernels.taylor) directly, and the residual pass
+    forms F alone.
     """
     w = np.array(seeds, dtype=complex, ndmin=1)  # a copy: the steps write to it
     if shift is None:
@@ -459,7 +459,6 @@ def _newton(cf, seeds, order, shift=None):
     # F^(deriv) and F^(order) are the kernel's rows deriv and order times
     # the factorials, plus F's leading 1 at deriv 0
     fac, fac1 = math.factorial(deriv), math.factorial(order)
-    resid_tol = NEWTON_RTOL * (1.0 + float(np.abs(c1).sum())) if deriv == 0 else np.inf
     failed = np.zeros(len(w), dtype=bool)
     # the points still moving: positions, offsets w, shifts, scales 1 + |shift|
     # and the size of each one's last step; np.count_nonzero tests a mask for
@@ -475,27 +474,20 @@ def _newton(cf, seeds, order, shift=None):
         else:
             g, gp = 1.0 + rows[0], rows[1]
         step = g / gp
-        # where F^(order) vanishes the point moves by 1e-9 (1 + |w|) instead,
-        # with no stop or divergence test and its last step size kept
-        any_flat = np.count_nonzero(gp) < len(gp)
-        if any_flat:
-            flat = gp == 0
-            step[flat] = -1e-9 * (1.0 + _modulus(wl[flat]))
-        wl = wl - step
+        start, wl = wl, wl - step
         size = _modulus(step)
-        if any_flat:
-            size[flat] = last[flat]
         done = size < 1e-16 * (scale + _modulus(wl))
-        if np.count_nonzero(done):
-            done &= _modulus(g) <= resid_tol
-        # only a step that grew (or is NaN) can diverge
+        # only a step that did not shrink (or is NaN) can diverge or settle;
+        # a step not below ten times the last plus 1 diverged, an infinite
+        # first step too
         diverged = None
-        if np.count_nonzero(size <= last) < len(size):
-            diverged = ~(done | (size <= 10.0 * (last + 1.0)))
-        if any_flat:
-            done &= ~flat
-            if diverged is not None:
-                diverged &= ~flat
+        stalled = ~(size < last)
+        if np.count_nonzero(stalled):
+            diverged = ~(done | (size < 10.0 * (last + 1.0)))
+            settle = stalled & ~(done | diverged)
+            if np.count_nonzero(settle):
+                noise = fac * _noise(cf, sl[settle] + start[settle], [deriv])[:, 0]
+                done[settle] = size[settle] <= ROUNDOFF * noise / _modulus(gp[settle])
         last = size
         stop = done if diverged is None else done | diverged
         n_stop = np.count_nonzero(stop)
@@ -509,12 +501,9 @@ def _newton(cf, seeds, order, shift=None):
             w[live[stop]] = wl[stop]
             move = ~stop
             live, wl, sl, scale, last = live[move], wl[move], sl[move], scale[move], last[move]
-    if len(live):
+    if len(live):  # still moving after NEWTON_MAX_ITER steps
         w[live] = wl
-        gp = _kernels.taylor(c1, lam1, wl, order, sl)[order]
-        noise = fac * _noise(cf, sl + wl, [deriv])[:, 0]
-        floor = ROUNDOFF * noise / _modulus(fac1 * gp if deriv else gp)
-        failed[live] = ~((last <= 1e-12 * (1.0 + np.abs(sl))) | (last <= floor))
+        failed[live] = True
     ok = ~failed
     # one more kernel pass, of F alone, for |F| at the points returned, not
     # at the iterates before their last steps, whose values the loop already
@@ -527,11 +516,6 @@ def _newton(cf, seeds, order, shift=None):
         resid = np.full(len(w), np.nan)
         if n_failed < len(w):
             resid[ok] = _modulus(1.0 + _kernels.taylor(c1, lam1, w[ok], 0, shift[ok])[0])
-    if deriv == 0:
-        bad = resid > resid_tol
-        if np.count_nonzero(bad):
-            ok &= ~bad
-            resid[bad] = np.nan
     return shift + w, resid, ok
 
 

@@ -56,8 +56,8 @@ def test_direct_output_is_deterministic(files):
 
 
 def test_quad_option_is_gone(files, capsys):
-    # the order circles start from a fixed number of arcs and Newton stops at
-    # the fixed NEWTON_RTOL: --quad and direct's --tol are unknown options,
+    # the order circles start from a fixed number of arcs and Newton stops by
+    # its step sizes alone: --quad and direct's --tol are unknown options,
     # and LocalizeOptions takes neither quad nor tol
     for flag, value in (("--quad", 256), ("--tol", 1e-6)):
         with pytest.raises(SystemExit) as exc:

@@ -29,6 +29,7 @@ from rank1spec.model import (
     spectrum_to_json,
     validate_base,
     validate_coefficients,
+    validate_target,
 )
 
 from conftest import finite_coeffs, random_base, random_coeffs, random_finite_instance
@@ -163,15 +164,17 @@ def test_a_triple_point_takes_two_walks_and_one_multiple_zero(zspec, monkeypatch
 
 
 def test_try_multiple_rejects_a_point_where_a_m_vanishes(two_point_cf):
-    # far out F''/2 underflows to 0 while F' does not: Newton on F' runs on
-    # a flat F'' to its round-off floor and stops, and the order-2 zero is
-    # rejected there, with no division by a_m = 0
+    # far out F''/2 underflows to 0 while F' does not: Newton on F' takes an
+    # infinite first step there and fails the point, and the order-2 zero is
+    # rejected, with no division warning
+    seed = np.array([1e110 + 0j])
+    shift = direct._shift(two_point_cf, seed)
+    a = np.abs(two_point_cf.taylor(seed - shift, 2, shift))[:, 0]
+    assert a[1] > 0.0 and a[2] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z, _, ok = direct._newton(two_point_cf, [1e110], 2)
-        shift = direct._shift(two_point_cf, z)
-        a = np.abs(two_point_cf.taylor(z - shift, 2, shift))[:, 0]
-        assert ok[0] and a[1] > 0.0 and a[2] == 0.0
+        _, resid, ok = direct._newton(two_point_cf, [1e110], 2)
+        assert not ok[0] and np.isnan(resid[0])
         assert direct._try_multiple(two_point_cf, 1e110, 2) is None
 
 
@@ -977,38 +980,37 @@ def test_assign_reaches_the_least_total_cost_of_scipy():
 # batched Newton
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _newton_by_loop(cf, seed, order):
-    # the one-seed loop, without the noise-floor acceptance at the iteration
-    # cap: (location, residual) or None
+    # the one-seed loop: (location, residual) or None
     lam_c = float(direct._shift(cf, np.array([complex(seed)]))[0])
     w, step = complex(seed) - lam_c, np.inf
-    resid_tol = direct.NEWTON_RTOL * (1.0 + float(np.sum(np.abs(cf.c1))))
+    fac = math.factorial(order - 1)
     for _ in range(direct.NEWTON_MAX_ITER):
         a = cf.taylor(np.array([w]), order, lam_c)[:, 0]
-        g, gp = math.factorial(order - 1) * a[order - 1], math.factorial(order) * a[order]
-        if gp == 0:
-            w += 1e-9 * (1.0 + abs(w))
-            continue
+        g, gp = fac * a[order - 1], math.factorial(order) * a[order]
         new_step = g / gp
-        w = w - new_step
-        if abs(new_step) < 1e-16 * (1.0 + abs(lam_c) + abs(w)) and (order > 1 or abs(g) <= resid_tol):
+        start, w = w, w - new_step
+        size = abs(new_step)
+        if size < 1e-16 * (1.0 + abs(lam_c) + abs(w)):
             break
-        if abs(new_step) > 10.0 * (abs(step) + 1.0):
-            return None
-        step = new_step
+        if not size < step:
+            if not size < 10.0 * (step + 1.0):
+                return None
+            noise = fac * direct._noise(cf, np.array([lam_c + start]), [order - 1])[0, 0]
+            if size <= direct.ROUNDOFF * noise / abs(gp):
+                break
+        step = size
     else:
-        if abs(step) > 1e-12 * (1.0 + abs(lam_c)):
-            return None
-    resid = abs(cf.taylor(np.array([w]), 0, lam_c)[0, 0])
-    if order == 1 and resid > resid_tol:
         return None
-    return lam_c + w, resid
+    return lam_c + w, abs(cf.taylor(np.array([w]), 0, lam_c)[0, 0])
 
 
 def test_batched_newton_equals_the_one_seed_loop(zspec, double_cf):
-    # seeds near simple zeros, on the double zero (F' = 0 there: the loop's
-    # nudge), near it at order 2, far out where Newton diverges, and next
-    # to a zero 1e-12 from its pole
+    # seeds near simple zeros; on the double zero (F = F' = 0 there: a NaN
+    # step) and near it, where steps shrink by half until round-off settles
+    # them; near it at order 2; far out where Newton diverges; and next to
+    # a zero 1e-12 from its pole
     rng = np.random.default_rng(3)
     cf = CharacteristicFunction.build(zspec, random_finite_instance(rng, radius=10), 20)
     near_pole_cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3, 3: 1e-12}), 20)
@@ -1027,12 +1029,11 @@ def test_batched_newton_equals_the_one_seed_loop(zspec, double_cf):
     assert outcomes == {True, False}
 
 
-def test_newton_converges_next_to_a_pole(zspec, monkeypatch):
-    # seeds near the two zeros, one of them 1e-12 from its pole, converge in
-    # five steps and the residual pass
+def _kernel_calls(monkeypatch):
+    # the number of points of each kernel call, as a list that fills as
+    # the calls are made
     from rank1spec import _kernels
 
-    cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3, 3: 1e-12}), 20)
     calls, sums = [], _kernels._sums
 
     def spy(*args):
@@ -1040,9 +1041,17 @@ def test_newton_converges_next_to_a_pole(zspec, monkeypatch):
         return sums(*args)
 
     monkeypatch.setattr(_kernels, "_sums", spy)
+    return calls
+
+
+def test_newton_converges_next_to_a_pole(zspec, monkeypatch):
+    # seeds near the two zeros: the one 1e-12 from its pole converges in
+    # three steps, the other in five, and the residual pass takes both
+    cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3, 3: 1e-12}), 20)
+    calls = _kernel_calls(monkeypatch)
     z, resid, ok = direct._newton(cf, [0.28, 3.0 + 1e-12], 1)
     assert ok.all() and np.allclose(z, [0.3 / (1.0 + 1e-12 / 2.7), 3.0 + 1e-12 / 0.9], rtol=0, atol=1e-15)
-    assert calls == [2, 2, 2, 2, 2, 2]
+    assert calls == [2, 2, 2, 1, 1, 2]
 
 
 def test_newton_makes_no_residual_pass_when_every_point_failed(zspec, monkeypatch):
@@ -1052,43 +1061,94 @@ def test_newton_makes_no_residual_pass_when_every_point_failed(zspec, monkeypatc
     # point diverges, after 43 kernel calls.  The residual pass, for |F| at
     # the points that converged, has none to take, and the point's residual
     # stays nan
-    from rank1spec import _kernels
-
     cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3, 3: 1e-12}), 20)
-    calls, sums = [], _kernels._sums
-
-    def spy(*args):
-        calls.append(len(args[2]))
-        return sums(*args)
-
-    monkeypatch.setattr(_kernels, "_sums", spy)
+    calls = _kernel_calls(monkeypatch)
     z, resid, ok = direct._newton(cf, [0.6], 1)
     assert calls == [1] * 43
     assert not ok[0] and np.isnan(resid[0]) and z[0].real < -1.0
 
 
-def test_newton_rejects_a_point_whose_residual_exceeds_its_tolerance(zspec, monkeypatch):
-    # with NEWTON_RTOL at 1e-30 no step stops the point from 0.28: it runs
-    # to the iteration cap, where its last step is within the round-off
-    # floor, and the residual pass then finds |F| above the tolerance, so the
-    # point fails with a nan residual at the zero it converged to
+def test_newton_settles_only_within_the_roundoff_floor(zspec, monkeypatch):
+    # the points from 0.6 double their distance from the pole 0 (-3.75e-13,
+    # -7.5e-13, -1.5e-12, ...): every step grows, within ten times the last,
+    # and stays far above the round-off floor, about 20e-15 times that
+    # distance, so no step settles the point.  Had the floor also taken
+    # 1e-12 (1 + |shift|), the step to -1.5e-12 would settle it, where |F|
+    # is about 2e11
     from rank1spec import _kernels
 
+    cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3, 3: 1e-12}), 20)
+    points, taylor = [], _kernels.taylor
+
+    def spy(c, lam, z, p, shift=0.0, rho=None):
+        points.extend(shift + z)
+        return taylor(c, lam, z, p, shift, rho)
+
+    monkeypatch.setattr(_kernels, "taylor", spy)
+    _, _, ok = direct._newton(cf, [0.6], 1)
+    monkeypatch.undo()
+    assert not ok[0]
+    z = np.array(points)
+    landed = z[1:][np.abs(np.diff(z)) < 1e-12]
+    assert len(landed) and np.abs(cf.values(landed)).min() > 1e11
+
+
+def test_newton_fails_where_the_derivative_vanishes(zspec, monkeypatch):
+    # F' = 0.3/0.25 - 0.3/0.25 = 0 exactly at 0.5, where F = -0.2: the first
+    # step is infinite, the point fails there, as on a pole, with no warning
+    cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3, 1: -0.3}), 10)
+    assert cf.taylor(np.array([0.5]), 1)[1, 0] == 0.0
+    calls = _kernel_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, resid, ok = direct._newton(cf, [0.5], 1)
+    assert calls == [1] and not ok[0] and np.isnan(resid[0])
+
+
+def test_newton_fails_a_point_still_moving_at_the_iteration_cap(zspec, monkeypatch):
+    # from 0.28 the steps shrink to about 1e-8 in three steps and converge
+    # in the fourth: with the cap at three steps the point is still moving
+    # there and fails, and the pass makes no residual pass
     cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3, 3: 0.2}), 20)
     zero, _, ok = direct._newton(cf, [0.28], 1)
     assert ok[0]
-    calls, sums = [], _kernels._sums
-
-    def spy(*args):
-        calls.append(len(args[2]))
-        return sums(*args)
-
-    monkeypatch.setattr(_kernels, "_sums", spy)
-    monkeypatch.setattr(direct, "NEWTON_RTOL", 1e-30)
+    calls = _kernel_calls(monkeypatch)
+    monkeypatch.setattr(direct, "NEWTON_MAX_ITER", 3)
     z, resid, ok = direct._newton(cf, [0.28], 1)
-    # the steps, the floor's derivative at the cap and the residual pass
-    assert len(calls) == direct.NEWTON_MAX_ITER + 2
-    assert not ok[0] and np.isnan(resid[0]) and abs(z[0] - zero[0]) < 1e-15
+    assert calls == [1, 1, 1]
+    assert not ok[0] and np.isnan(resid[0]) and abs(z[0] - zero[0]) < 1e-6
+
+
+def test_newton_settles_beside_a_double_point(monkeypatch):
+    # on N from 1 with lambda_n = s n and gap s, a target with a double point
+    # at 7.4195 - 0.2145i: the two eigen-seeds beside it converge by halving
+    # steps until round-off settles them, where they used to run to the
+    # 80-step cap (82 kernel calls for the pass); the order circles then
+    # merge them into the double zero, and the round trip gives the target
+    s = 1.0059174694565893
+    spec = validate_base(BaseSpectrum(index_kind="N", head_offset=1, head=(), tail=AffineTail(s, 0.0), gap=s))
+    double = 7.4195247071557064 - 0.21448070190239926j
+    nu = (1.0395691971883427 + 0.2577303827705522j, 2.0118349389131787, 2.009639812629286 - 0.0026927146789028173j)
+    nu += (4.023391707926489 + 0.3669417371279683j, 4.934537661628149 - 0.15502562711761733j)
+    nu += (5.680138750231876 - 0.08675924409092958j, double, double)
+    target = validate_target(TargetSpectrum(1, tuple(complex(v) for v in nu)), spec)
+    coeffs, _ = inverse.solve_inverse(spec, target)
+    calls, passes, newton = _kernel_calls(monkeypatch), [], direct._newton
+
+    def newton_spy(cf, seeds, order, shift=None):
+        before = len(calls)
+        result = newton(cf, seeds, order, shift)
+        passes.append((order, len(result[0]), len(calls) - before))
+        return result
+
+    monkeypatch.setattr(direct, "_newton", newton_spy)
+    ps, loc = solve_direct(spec, validate_coefficients(coeffs, spec), LocalizeOptions())
+    reference = target.nu_at(spec.window_indices(loc.window), spec)
+    _, worst = oracle.compare_spectra(ps, reference, 1e-10)
+    assert ps.certified and worst < 1e-15
+    assert [(order, n) for order, n, _ in passes] == [(1, 7), (2, 1)]
+    assert passes[0][2] <= 30
+    assert [(z, m) for z, m, _ in loc.central if m > 1] == [(pytest.approx(double, abs=1e-15), 2)]
 
 
 def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
