@@ -76,6 +76,9 @@ def cmd_inverse(args):
 
 
 def cmd_roundtrip(args):
+    # NaN and negative tolerances meet no deviation; inf meets every one
+    if not 0.0 <= args.tol < np.inf:
+        raise errors.InputError(f"--tol {args.tol} must be finite and not negative")
     spec = _load_spec(args.spec)
     target = _load_target(args.target, spec)
     coeffs, pf = inverse.solve_inverse(spec, target)

@@ -14,18 +14,18 @@ as in the paper's proof of the enclosure, and a central one takes the
 radius that suits its own model.  The central rectangle Q_{K'} is checked
 by the same inequality against 1.  An outer disk must certify; a central
 one that does not is left to the eigen-seeds.  One Newton pass, one kernel
-call a step and one more for the residuals, then polishes every simple
-zero: each certified disk's from the root w_k of its local model taken
-one order further, beta_k w + beta'_k w^2 = c_k, about lambda_k; the rest
-from the eigenvalues of one diagonal-plus-rank-one matrix over the
-uncertified indices, with every other zero divided out of F (a deflated
-secular equation).  A disk whose zero fails raises; each zero left in the
-rectangle starts on a small circle of its own, clear of the certified
-disks, all circles walked together, and one whose circle does not count
-its order joins its nearest until every circle certifies: the circles'
-counts alone group the multiple zeros.  A solve whose disks all certify
-(the common case) runs no eigenvalue problem, arc walk or assignment;
-README times its stages.
+call a step, then polishes every simple zero: each certified disk's from
+the root w_k of its local model taken one order further, beta_k w +
+beta'_k w^2 = c_k, about lambda_k; the rest from the eigenvalues of one
+diagonal-plus-rank-one matrix over the uncertified indices, with every
+other zero divided out of F (a deflated secular equation).  A disk whose
+zero fails raises; each zero left in the rectangle starts on a small
+circle of its own, clear of the certified disks, all circles walked
+together, and one whose circle does not count its order joins its
+nearest until every circle certifies: the circles' counts alone group
+the multiple zeros.  A solve whose disks all certify (the common case)
+runs no eigenvalue problem, arc walk or assignment; README times its
+stages.
 """
 
 import bisect
@@ -83,7 +83,7 @@ class ZeroReport:
     region: object
     region_index: object  # pairing index for disks, None for the rectangle
     certified: bool
-    zeros: list  # of (location, order, residual)
+    zeros: list  # of (location, order, residual |F| at the location)
 
 
 @dataclass
@@ -98,11 +98,11 @@ class LocalizationResult:
     """The zeros of F in the enclosure, each where its certificate puts it.
 
     owned: the zero of each certified disk with c_k != 0, as (indices k,
-    zeros, residuals) arrays; the disk pairs its zero with its own index.
-    central: the zeros the disks leave, as (location, order, residual)
-    sorted by location.  rect: the central rectangle Q_{K'}.  reports
-    derives the disks around the window's outer indices |k| > K' from cf:
-    centre lambda_k and the enclosure's radius d/2, as _disks takes them.
+    zeros) arrays; the disk pairs its zero with its own index.  central:
+    the zeros the disks leave, as (location, order) sorted by location.
+    rect: the central rectangle Q_{K'}.  reports derives the disks around
+    the window's outer indices |k| > K' from cf: centre lambda_k and the
+    enclosure's radius d/2, as _disks takes them.
     """
 
     owned: tuple
@@ -115,11 +115,16 @@ class LocalizationResult:
     cf: CharacteristicFunction
 
     @property
+    @np.errstate(divide="ignore", invalid="ignore")
     def reports(self):
         """One ZeroReport per outer disk, in index order, then the central
         rectangle's with every other zero sorted by location; built on each
-        read."""
-        idx, zeros, resid = (x.tolist() for x in self.owned)
+        read.  Each zero's residual is |F| at the reported, rounded location:
+        evidence, not a certificate (inf where the zero rounded onto its
+        pole)."""
+        idx, zeros = (x.tolist() for x in self.owned)
+        # |F| at the owned zeros, then at the central ones, in one kernel pass
+        resid = _modulus(self.cf.values(np.array(zeros + [t[0] for t in self.central], dtype=complex))).tolist()
         found = {k: (z, 1, r) for k, z, r in zip(idx, zeros, resid)}
         win, radius = self.cf.window(self.window), 0.5 * self.cf.spec.gap
         outer = np.abs(self.cf.idx[win]) > self.k_prime
@@ -127,7 +132,8 @@ class LocalizationResult:
             ZeroReport(Disk(complex(l), radius), k, True, [found[k]] if k in found else [])
             for k, l in zip(self.cf.idx[win][outer].tolist(), self.cf.lam[win][outer].tolist())
         ]
-        central = [found[k] for k in idx if abs(k) <= self.k_prime] + list(self.central)
+        central = [found[k] for k in idx if abs(k) <= self.k_prime]
+        central += [(z, m, r) for (z, m), r in zip(self.central, resid[len(idx) :])]
         central.sort(key=lambda t: (t[0].real, t[0].imag))
         return reports + [ZeroReport(self.rect, None, True, central)]
 
@@ -430,8 +436,8 @@ def _noise(cf, z, orders):
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _newton(cf, seeds, order, shift=None):
-    """Newton on F^(order-1) from every seed at once: (locations, residuals
-    |F|, converged mask), arrays over the seeds (residual nan where not).
+    """Newton on F^(order-1) from every seed at once: (locations, converged
+    mask), arrays over the seeds, each location where its last step landed.
 
     Each point runs in coordinates shifted by the window eigenvalue nearest
     its seed, or by shift (one per seed, the seeds then offsets from it),
@@ -447,8 +453,8 @@ def _newton(cf, seeds, order, shift=None):
     did not shrink (or is NaN) can diverge or settle, so an iteration in
     which every step shrank tests neither.  A point still moving after
     NEWTON_MAX_ITER steps fails.  The steps read F and its derivative from
-    the kernel's rows (_kernels.taylor) directly, and the residual pass
-    forms F alone.
+    the kernel's rows (_kernels.taylor) directly, and no kernel call follows
+    the last step.
     """
     w = np.array(seeds, dtype=complex, ndmin=1)  # a copy: the steps write to it
     if shift is None:
@@ -504,19 +510,7 @@ def _newton(cf, seeds, order, shift=None):
     if len(live):  # still moving after NEWTON_MAX_ITER steps
         w[live] = wl
         failed[live] = True
-    ok = ~failed
-    # one more kernel pass, of F alone, for |F| at the points returned, not
-    # at the iterates before their last steps, whose values the loop already
-    # has: returned, those put the roundtrip benchmark's worst deviation
-    # (seeds 1-4) at 9.4e-16, not 2.8e-16
-    n_failed = np.count_nonzero(failed)
-    if not n_failed:
-        resid = _modulus(1.0 + _kernels.taylor(c1, lam1, w, 0, shift)[0])
-    else:
-        resid = np.full(len(w), np.nan)
-        if n_failed < len(w):
-            resid[ok] = _modulus(1.0 + _kernels.taylor(c1, lam1, w[ok], 0, shift[ok])[0])
-    return shift + w, resid, ok
+    return shift + w, ~failed
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +552,13 @@ def _multiple_to_roundoff(cf, z, m):
 
 
 def _try_multiple(cf, seed, m):
-    """An order-m zero polished from a group's seed: (location, m, residual)
-    or None.  Newton runs on F^(m-1), and _multiple_to_roundoff accepts the
+    """An order-m zero polished from a group's seed: (location, m) or
+    None.  Newton runs on F^(m-1), and _multiple_to_roundoff accepts the
     polished point; the caller certifies the order by the arc walk."""
-    z, resid, ok = _newton(cf, [seed], m)
+    z, ok = _newton(cf, [seed], m)
     if not ok[0] or not _multiple_to_roundoff(cf, z, m):
         return None
-    return z[0], m, resid[0]
+    return z[0], m
 
 
 def _hard_seeds(lam, c, lam_k, mu_k):
@@ -588,9 +582,9 @@ def _hard_seeds(lam, c, lam_k, mu_k):
 def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
     """The zeros of F in the central rectangle outside the certified disks,
     given as (centres, radii), which hold n_zeros of them, as (location,
-    order, residual) sorted by location.
+    order) sorted by location.
 
-    polished is _newton's (locations, residuals, converged) from the seeds;
+    polished is _newton's (locations, converged) from the seeds;
     a seed it did not polish (as near a multiple zero) is kept as it is.
     The points inside the rectangle and outside the disks must number
     n_zeros, and each starts as a group of its own, with its polished point
@@ -610,10 +604,9 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
     join, and a rejected group, raise CertificationFailed, naming after a
     merge the first circle that failed.  Once every circle certifies, an
     order-m zero whose circle holds a retained eigenvalue lambda_n (c_n = 0)
-    moves onto it, residual |F(lambda_n)|, if _multiple_to_roundoff passes
-    there at order m.
+    moves onto it if _multiple_to_roundoff passes there at order m.
     """
-    z, resid, ok = polished
+    z, ok = polished
     disks = tuple(np.asarray(x, dtype=float) for x in disks)
 
     def keep(p):  # inside the rectangle, outside the disks
@@ -621,13 +614,13 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
 
     points = np.where(ok, z, seeds)
     kept = keep(points)
-    points, resid, ok = points[kept], resid[kept], ok[kept]
+    points, ok = points[kept], ok[kept]
     if len(points) != n_zeros:
         raise errors.CertificationFailed(
             f"central zeros of total order {len(points)} found, the rectangle holds {n_zeros}"
         )
     # (members, zero or None) per group
-    groups = [([i], (complex(points[i]), 1, resid[i]) if ok[i] else None) for i in range(len(points))]
+    groups = [([i], (complex(points[i]), 1) if ok[i] else None) for i in range(len(points))]
     after = ""  # names the first circle that failed, once groups have merged
     while True:
         # the groups in order of location: each one's zero or, with none, its points' mean
@@ -648,8 +641,8 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
         radius = np.minimum(np.minimum(0.25 * d, sep / 3.0), 0.5 * clear)
         pole = _nearest_pole(cf, z)
         radius = np.where(pole > 0.5 * radius, np.minimum(radius, 0.5 * pole), radius)
-        counts = _arc_walk(cf, z, radius, max((m for _, m, _ in zeros), default=0) + 2)
-        for i, (z0, m, _), rad, inside, count in zip(live, zeros, radius, pole < radius, counts):
+        counts = _arc_walk(cf, z, radius, max((m for _, m in zeros), default=0) + 2)
+        for i, (z0, m), rad, inside, count in zip(live, zeros, radius, pole < radius, counts):
             count = None if count is None else count + int(inside)
             if count != m:
                 got = "could not be certified" if count is None else f"counts {count} zeros"
@@ -660,11 +653,11 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
             # a circle (radius at most d/4) can hold one retained eigenvalue
             # (c_n = 0) at most: the first one right of its left end
             retained = cf.lam[cf.c == 0].tolist()
-            for i, (z0, m, _) in enumerate(zeros):
+            for i, (z0, m) in enumerate(zeros):
                 k = bisect.bisect_left(retained, z0.real - radius[i])
                 at = np.array(retained[k : k + 1])
                 if len(at) and abs(at[0] - z0) < radius[i] and _multiple_to_roundoff(cf, at, m):
-                    zeros[i] = (complex(at[0]), m, float(abs(cf.values(at)[0])))
+                    zeros[i] = (complex(at[0]), m)
             zeros.sort(key=lambda t: (t[0].real, t[0].imag))
             return zeros
         first = failed[min(failed)]
@@ -845,7 +838,7 @@ def _localize_attempt(cf, k_prime, window, rect, d):
         seeds = _hard_seeds(lam[hard], c[hard], lam_k, mu_k)
         near = _shift(cf, seeds)
         shift, start = np.concatenate([shift, near]), np.concatenate([start, seeds - near])
-    z, resid, ok = _newton(cf, start, 1, shift)
+    z, ok = _newton(cf, start, 1, shift)
     inside = ok[:m] & (np.abs(z[:m] - shift[:m]) < rho[simple])
     if np.count_nonzero(inside) < m:
         j = np.argmin(inside)
@@ -857,9 +850,8 @@ def _localize_attempt(cf, k_prime, window, rect, d):
     if n_hard:
         inner = simple[np.abs(idx[simple]) <= k_prime]
         disks = (lam[inner], rho[inner])
-        polished = (z[m:], resid[m:], ok[m:])
-        central = _central_zeros(cf, rect, seeds, polished, n_hard, d, disks)
-    return (idx[simple], z[:m], resid[:m]), central
+        central = _central_zeros(cf, rect, seeds, (z[m:], ok[m:]), n_hard, d, disks)
+    return (idx[simple], z[:m]), central
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +920,7 @@ def assemble_spectrum(spec, coeffs, loc):
     win = loc.cf.window(loc.window)  # the slice _disks took
     idx_all, c_all, lam_all = loc.cf.idx[win], loc.cf.c[win], loc.cf.lam[win]
     in_i0 = c_all == 0
-    owned_idx, owned_z, _ = loc.owned
+    owned_idx, owned_z = loc.owned
     # per window index: the eigenvalue paired with it, and the multiplicity
     # and origin of the row it heads when no central zero is paired with it
     mu = lam_all.astype(complex)

@@ -129,6 +129,22 @@ def test_roundtrip_exit_codes(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_roundtrip_rejects_a_tolerance_that_is_not_finite_or_is_negative(files, capsys, monkeypatch, tol):
+    # --tol nan and --tol -1 printed "max matched deviation: 0.000e+00" and
+    # exited 2, as if the target were missed; they are input errors now,
+    # raised before anything is solved
+    def refuse(*args):
+        raise AssertionError("solved with an invalid --tol")
+
+    monkeypatch.setattr(cli.inverse, "solve_inverse", refuse)
+    monkeypatch.setattr(cli, "solve_direct", refuse)
+    code = _run(["roundtrip", "--spec", files["spec"], "--target", files["target"], "--tol", tol])
+    out, err = capsys.readouterr()
+    assert code == 1 and not out
+    assert err == f"InputError: --tol {float(tol)} must be finite and not negative\n"
+
+
 def test_oracle_subcommand(files, capsys):
     code = _run(["oracle", "--spec", files["spec"], "--coeffs", files["coeffs"], "--n", 5])
     assert code == 0

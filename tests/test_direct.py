@@ -101,14 +101,14 @@ def _central_zeros(cf, n_zeros):
 
 
 def test_refine_simple_zero_to_full_precision(two_point_cf):
-    (z, order, _), (z2, order2, _) = _central_zeros(two_point_cf, 2)
+    (z, order), (z2, order2) = _central_zeros(two_point_cf, 2)
     assert order == order2 == 1
     assert abs(z - 0.25) < 1e-13
     assert abs(z2 - 1.1) < 1e-12
 
 
 def test_refine_double_zero(double_cf):
-    ((z, order, resid),) = _central_zeros(double_cf, 2)
+    ((z, order),) = _central_zeros(double_cf, 2)
     assert order == 2
     assert abs(z - 0.5) < 1e-10
 
@@ -116,12 +116,12 @@ def test_refine_double_zero(double_cf):
 def test_refine_rejects_wrong_order(double_cf):
     # a seed that claims a simple zero at the double zero: its winding counts 2
     seed = np.array([0.5 + 0j])
-    polished = (seed, np.zeros(1), np.ones(1, dtype=bool))
+    polished = (seed, np.ones(1, dtype=bool))
     with pytest.raises(errors.CertificationFailed, match="counts 2 zeros, expected 1"):
         direct._central_zeros(double_cf, CENTRAL, seed, polished, 1, 1.0, NO_DISKS)
     # three seeds, none polished, that claim a triple zero there: no order-3 zero passes
     seeds = np.full(3, 0.47 + 0j)
-    polished = (np.full(3, np.nan + 0j), np.full(3, np.nan), np.zeros(3, dtype=bool))
+    polished = (np.full(3, np.nan + 0j), np.zeros(3, dtype=bool))
     with pytest.raises(errors.CertificationFailed):
         direct._central_zeros(double_cf, CENTRAL, seeds, polished, 3, 1.0, NO_DISKS)
 
@@ -130,7 +130,7 @@ def _two_points_at(cf, at):
     """The central step on two points polished onto one location; a
     RuntimeWarning (from their circles of radius 0) raises."""
     points = np.full(2, complex(at))
-    polished = (points, np.zeros(2), np.ones(2, dtype=bool))
+    polished = (points, np.ones(2, dtype=bool))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         return direct._central_zeros(cf, CENTRAL, points, polished, 2, 1.0, NO_DISKS)
@@ -139,7 +139,7 @@ def _two_points_at(cf, at):
 def test_two_points_on_a_double_zero_join_into_it(double_cf):
     # each point's circle has radius 0 and fails, the two join, and their
     # order-2 zero's circle counts 2
-    ((z, order, _),) = _two_points_at(double_cf, 0.5)
+    ((z, order),) = _two_points_at(double_cf, 0.5)
     assert order == 2 and abs(z - 0.5) < 1e-12
 
 
@@ -159,7 +159,7 @@ def test_a_triple_point_takes_two_walks_and_one_multiple_zero(zspec, monkeypatch
         monkeypatch.setattr(direct, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
     coeffs, _ = inverse.solve_inverse(zspec, TargetSpectrum(0, (1.0 + 0.25j,) * 3))
     loc = localize_spectrum(zspec, validate_coefficients(coeffs, zspec), LocalizeOptions(window=12, n_trunc=40))
-    assert [m for _, m, _ in loc.central] == [3]
+    assert [m for _, m in loc.central] == [3]
     assert calls == ["_arc_walk", "_try_multiple", "_arc_walk"]
 
 
@@ -173,8 +173,8 @@ def test_try_multiple_rejects_a_point_where_a_m_vanishes(two_point_cf):
     assert a[1] > 0.0 and a[2] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, resid, ok = direct._newton(two_point_cf, [1e110], 2)
-        assert not ok[0] and np.isnan(resid[0])
+        _, ok = direct._newton(two_point_cf, [1e110], 2)
+        assert not ok[0]
         assert direct._try_multiple(two_point_cf, 1e110, 2) is None
 
 
@@ -389,6 +389,36 @@ def test_localization_reports_enclosure_structure(zspec):
     ) == 2
 
 
+def test_each_reported_residual_is_F_at_the_reported_location(zspec):
+    # an easy solve (every disk certifies), a hard one (c_0 = -c_1 = 0.45:
+    # neither disk certifies, both zeros are central), a zero moved onto the
+    # retained lambda_0 = 0 (nu_1 = 1e-17), and an outer zero c_6 = 3e-17
+    # right of lambda_6 = 6 that rounds onto its pole, where |F| is inf.
+    # reports evaluates them on read, with no warning
+    retained, _ = inverse.solve_inverse(zspec, TargetSpectrum(1, (1e-17 + 0j, 2.3 + 0.1j)))
+    cases = [
+        finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01}),
+        finite_coeffs({0: 0.45, 1: -0.45}),
+        validate_coefficients(retained, zspec),
+        finite_coeffs({0: 0.1, 6: 3e-17}),
+    ]
+    counts, residuals = [], []
+    for coeffs in cases:
+        loc = localize_spectrum(zspec, coeffs, OPTS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zeros = loc.all_zeros()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = [abs(complex(loc.cf.values(np.array([z]))[0])) for z, _, _ in zeros]
+        assert [r for _, _, r in zeros] == expected
+        counts.append((len(loc.owned[0]), len(loc.central)))
+        residuals.append({z: r for z, _, r in zeros})
+    assert counts == [(3, 0), (0, 2), (0, 2), (2, 0)]
+    easy, hard, on_lambda_0, on_pole = residuals
+    assert max(easy.values()) < 1e-14 and max(hard.values()) < 1e-14
+    assert 0j in on_lambda_0 and on_pole[6.0] == math.inf
+
+
 def test_localize_raises_when_winding_uncertified(zspec, monkeypatch):
     # the central rectangle [-1.5, 1.5] x [-1.5, 1.5] (K' = 1): S_Q =
     # 0.275/1.5 + 0.075/0.5, forced to fail with its own margin
@@ -510,9 +540,9 @@ def test_a_certified_disk_pairs_its_zero_with_its_own_index(zspec):
     ps, loc = solve_direct(zspec, coeffs, OPTS)
     for ulps in (0, -1, 1):
         if ulps:
-            ((hard, order, resid),) = loc.central
+            ((hard, order),) = loc.central
             moved = complex(np.nextafter(hard.real, hard.real + ulps), hard.imag)
-            ps = assemble_spectrum(zspec, coeffs, dataclasses.replace(loc, central=[(moved, order, resid)]))
+            ps = assemble_spectrum(zspec, coeffs, dataclasses.replace(loc, central=[(moved, order)]))
         pairing = dict(zip(ps.index.tolist(), ps.paired_mu.tolist()))
         assert abs(pairing[1] - 1.0) <= np.spacing(1.0) and abs(pairing[0] - 1.5) < 1e-12
         zero = ps.origin == ORIGIN_ZERO
@@ -908,11 +938,13 @@ def test_a_retained_eigenvalue_inside_a_circle_that_fails_the_round_off_test_sta
 
 def test_a_zero_within_round_off_of_a_retained_eigenvalue_lands_on_it(zspec):
     # nu_1 = 1e-17, below F's round-off at 0: the zero moves onto lambda_0,
-    # which takes multiplicity 2, and its residual is |F(0)|
+    # which takes multiplicity 2, and its reported residual is |F(0)|
     rows, loc, _ = _beside_lambda_0(zspec, 1e-17)
     assert rows == [(0j, 2, ORIGIN_BOTH, 0)]
-    (z, order, resid), _ = loc.central
-    assert z == 0 and order == 1 and resid == abs(loc.cf.values(np.zeros(1))[0])
+    (z, order), _ = loc.central
+    assert z == 0 and order == 1
+    (central,) = [r for r in loc.reports if r.region_index is None]
+    assert (0j, 1, abs(complex(loc.cf.values(np.zeros(1))[0]))) in central.zeros
 
 
 @pytest.mark.xfail(
@@ -982,7 +1014,7 @@ def test_assign_reaches_the_least_total_cost_of_scipy():
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _newton_by_loop(cf, seed, order):
-    # the one-seed loop: (location, residual) or None
+    # the one-seed loop: the location, or None
     lam_c = float(direct._shift(cf, np.array([complex(seed)]))[0])
     w, step = complex(seed) - lam_c, np.inf
     fac = math.factorial(order - 1)
@@ -1003,7 +1035,7 @@ def _newton_by_loop(cf, seed, order):
         step = size
     else:
         return None
-    return lam_c + w, abs(cf.taylor(np.array([w]), 0, lam_c)[0, 0])
+    return lam_c + w
 
 
 def test_batched_newton_equals_the_one_seed_loop(zspec, double_cf):
@@ -1019,12 +1051,12 @@ def test_batched_newton_equals_the_one_seed_loop(zspec, double_cf):
     cases += [(near_pole_cf, 1, [3.0 + 1e-12, 3.0 + 2e-12j, 0.28])]
     outcomes = set()
     for cf, order, seeds in cases:
-        z, resid, ok = direct._newton(cf, seeds, order)
+        z, ok = direct._newton(cf, seeds, order)
         for j, seed in enumerate(seeds):
             ref = _newton_by_loop(cf, seed, order)
             assert ok[j] == (ref is not None)
             if ok[j]:
-                assert (z[j], resid[j]) == ref
+                assert z[j] == ref
             outcomes.add(bool(ok[j]))
     assert outcomes == {True, False}
 
@@ -1046,26 +1078,24 @@ def _kernel_calls(monkeypatch):
 
 def test_newton_converges_next_to_a_pole(zspec, monkeypatch):
     # seeds near the two zeros: the one 1e-12 from its pole converges in
-    # three steps, the other in five, and the residual pass takes both
+    # three steps, the other in five, and no kernel call follows the last step
     cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3, 3: 1e-12}), 20)
     calls = _kernel_calls(monkeypatch)
-    z, resid, ok = direct._newton(cf, [0.28, 3.0 + 1e-12], 1)
+    z, ok = direct._newton(cf, [0.28, 3.0 + 1e-12], 1)
     assert ok.all() and np.allclose(z, [0.3 / (1.0 + 1e-12 / 2.7), 3.0 + 1e-12 / 0.9], rtol=0, atol=1e-15)
-    assert calls == [2, 2, 2, 1, 1, 2]
+    assert calls == [2, 2, 2, 1, 1]
 
 
-def test_newton_makes_no_residual_pass_when_every_point_failed(zspec, monkeypatch):
+def test_newton_diverges_from_beside_a_pole_after_43_steps(zspec, monkeypatch):
     # from 0.6 the first step lands within rounding of the pole 0, on the far
     # side from the zero 0.3; there F is about -c_0 / z, so each step doubles
     # z, within ten times the last, until a step grows past that and the
-    # point diverges, after 43 kernel calls.  The residual pass, for |F| at
-    # the points that converged, has none to take, and the point's residual
-    # stays nan
+    # point diverges, after 43 kernel calls, one a step
     cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3, 3: 1e-12}), 20)
     calls = _kernel_calls(monkeypatch)
-    z, resid, ok = direct._newton(cf, [0.6], 1)
+    z, ok = direct._newton(cf, [0.6], 1)
     assert calls == [1] * 43
-    assert not ok[0] and np.isnan(resid[0]) and z[0].real < -1.0
+    assert not ok[0] and z[0].real < -1.0
 
 
 def test_newton_settles_only_within_the_roundoff_floor(zspec, monkeypatch):
@@ -1085,7 +1115,7 @@ def test_newton_settles_only_within_the_roundoff_floor(zspec, monkeypatch):
         return taylor(c, lam, z, p, shift, rho)
 
     monkeypatch.setattr(_kernels, "taylor", spy)
-    _, _, ok = direct._newton(cf, [0.6], 1)
+    _, ok = direct._newton(cf, [0.6], 1)
     monkeypatch.undo()
     assert not ok[0]
     z = np.array(points)
@@ -1101,22 +1131,22 @@ def test_newton_fails_where_the_derivative_vanishes(zspec, monkeypatch):
     calls = _kernel_calls(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, resid, ok = direct._newton(cf, [0.5], 1)
-    assert calls == [1] and not ok[0] and np.isnan(resid[0])
+        _, ok = direct._newton(cf, [0.5], 1)
+    assert calls == [1] and not ok[0]
 
 
 def test_newton_fails_a_point_still_moving_at_the_iteration_cap(zspec, monkeypatch):
     # from 0.28 the steps shrink to about 1e-8 in three steps and converge
     # in the fourth: with the cap at three steps the point is still moving
-    # there and fails, and the pass makes no residual pass
+    # there and fails, where its third step landed
     cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3, 3: 0.2}), 20)
-    zero, _, ok = direct._newton(cf, [0.28], 1)
+    zero, ok = direct._newton(cf, [0.28], 1)
     assert ok[0]
     calls = _kernel_calls(monkeypatch)
     monkeypatch.setattr(direct, "NEWTON_MAX_ITER", 3)
-    z, resid, ok = direct._newton(cf, [0.28], 1)
+    z, ok = direct._newton(cf, [0.28], 1)
     assert calls == [1, 1, 1]
-    assert not ok[0] and np.isnan(resid[0]) and abs(z[0] - zero[0]) < 1e-6
+    assert not ok[0] and abs(z[0] - zero[0]) < 1e-6
 
 
 def test_newton_settles_beside_a_double_point(monkeypatch):
@@ -1148,7 +1178,7 @@ def test_newton_settles_beside_a_double_point(monkeypatch):
     assert ps.certified and worst < 1e-15
     assert [(order, n) for order, n, _ in passes] == [(1, 7), (2, 1)]
     assert passes[0][2] <= 30
-    assert [(z, m) for z, m, _ in loc.central if m > 1] == [(pytest.approx(double, abs=1e-15), 2)]
+    assert [(z, m) for z, m in loc.central if m > 1] == [(pytest.approx(double, abs=1e-15), 2)]
 
 
 def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
@@ -1179,11 +1209,11 @@ def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
 
 def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, monkeypatch):
     # every disk certifies, so a solve pays for one Newton pass and nothing
-    # else: kernel passes are Newton's steps plus its residual pass, and the
-    # coefficients and eigenvalues are evaluated once (charfn.Terms: c_range
-    # is two _eval calls, a and b), over the head and the first n_trunc, from
-    # one head_radius; K', the window, the rectangle's ends and the tail
-    # sums are sliced from them
+    # else: kernel passes are Newton's steps alone, and the coefficients and
+    # eigenvalues are evaluated once (charfn.Terms: c_range is two _eval
+    # calls, a and b), over the head and the first n_trunc, from one
+    # head_radius; K', the window, the rectangle's ends and the tail sums
+    # are sliced from them
     from rank1spec import _kernels
 
     counts = dict.fromkeys(["sums", "eval", "lambda_range", "head_radius"], 0)
@@ -1206,7 +1236,7 @@ def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, mon
         finite_coeffs({-31: 0.21 - 0.08j, -4: 0.05 + 0.17j, 9: -0.12 + 0.2j, 17: 0.28j, 30: -0.09 - 0.03j}),
         LocalizeOptions(window=41, n_trunc=49),
     )
-    for (coeffs, opts), expected in ((hand, [5, 2, 1, 1]), (batch, [4, 2, 1, 1])):
+    for (coeffs, opts), expected in ((hand, [4, 2, 1, 1]), (batch, [3, 2, 1, 1])):
         counts.update(dict.fromkeys(counts, 0))
         ps, loc = solve_direct(zspec, coeffs, opts)
         assert not loc.central and ps.certified
@@ -1225,7 +1255,7 @@ def test_second_order_seeds_start_nearer_the_zero_than_first_order_ones(zspec):
         loc = localize_spectrum(zspec, finite_coeffs(c_by_index), OPTS)
         idx, lam, c, w, rho, certified = direct._disks(loc.cf, loc.k_prime, loc.window, zspec.gap)
         _, _, (beta, _, _) = direct._rouche(loc.cf, idx, lam, c, 0.5, np.abs(idx) <= loc.k_prime)
-        owned_idx, owned_z, _ = loc.owned
+        owned_idx, owned_z = loc.owned
         assert sorted(owned_idx.tolist()) == sorted(c_by_index) and not loc.central
         at = np.searchsorted(idx, owned_idx)
         second = np.abs(lam[at] + w[at] - owned_z)
@@ -1243,13 +1273,13 @@ def test_assembly_gives_the_same_columns_with_and_without_central_zeros(zspec):
     # and every column comes out the same
     coeffs = finite_coeffs({-1: 0.2, 0: 0.0, 1: 0.1 + 0.05j, 6: 0.01})
     loc = localize_spectrum(zspec, coeffs, OPTS)
-    idx, z, resid = loc.owned
+    idx, z = loc.owned
     inner = np.abs(idx) <= loc.k_prime
     assert idx[inner].tolist() == [-1, 1] and not loc.central
     moved = dataclasses.replace(
         loc,
         owned=tuple(x[~inner] for x in loc.owned),
-        central=[(complex(a), 1, r) for a, r in zip(z[inner], resid[inner])],
+        central=[(complex(a), 1) for a in z[inner]],
     )
     ps, again = assemble_spectrum(zspec, coeffs, loc), assemble_spectrum(zspec, coeffs, moved)
     assert ps.origin[ps.paired_index == 0].tolist() == [ORIGIN_COMMON]
@@ -1826,8 +1856,8 @@ def test_outer_disk_newton_failure_names_its_seed(zspec, monkeypatch):
     newton = direct._newton
 
     def fail(cf, seeds, order, shift=None):
-        z, resid, ok = newton(cf, seeds, order, shift)
-        return z, resid, ok & (shift != 6.0)
+        z, ok = newton(cf, seeds, order, shift)
+        return z, ok & (shift != 6.0)
 
     monkeypatch.setattr(direct, "_newton", fail)
     failed = r"^Newton from 6.01048\+0j found no zero in the disk around index 6$"
