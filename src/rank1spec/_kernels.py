@@ -21,15 +21,15 @@ def _sums(c, lam, z, p, shift, rho):
     # point's.  The reductions are the ufuncs' own, which ndarray.sum and
     # .min call after a Python-level wrapper that costs as much on a few
     # terms
-    n = len(z)
     diff = (lam[:, np.newaxis] - shift) - z
-    if n == 1:
+    lone = len(z) == 1
+    if lone:
         diff = np.concatenate((diff, diff), axis=1)
     t = c[:, np.newaxis] / diff
-    rows = [np.add.reduce(t, axis=0)[:n]]
+    rows = [np.add.reduce(t, axis=0)]
     for _ in range(p):  # repeated quotients: a complex power costs more
         t /= diff
-        rows.append(np.add.reduce(t, axis=0)[:n])
+        rows.append(np.add.reduce(t, axis=0))
     if rho is not None:
         dist = np.abs(diff)
         h = np.abs(c)[:, np.newaxis] / (dist - rho)
@@ -38,11 +38,11 @@ def _sums(c, lam, z, p, shift, rho):
         for _ in range(p):
             power *= q
         rows += [
-            np.add.reduce(h, axis=0)[:n],
-            np.add.reduce(h * power, axis=0)[:n],
-            np.minimum.reduce(dist, axis=0, initial=np.inf)[:n],
+            np.add.reduce(h, axis=0),
+            np.add.reduce(h * power, axis=0),
+            np.minimum.reduce(dist, axis=0, initial=np.inf),
         ]
-    return rows
+    return [row[:1] for row in rows] if lone else rows
 
 
 def taylor(c, lam, z, p, shift=0.0, rho=None):

@@ -37,15 +37,17 @@ def outside_in(i1, index):
     """The positions i1 reordered by their |index| from the largest inward,
     stably (over Z, -n before n): the order F's terms are summed in, so
     that the smallest terms accumulate first."""
-    return i1[np.argsort(-np.abs(index), kind="stable")]
+    return i1[(-np.abs(index)).argsort(kind="stable")]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class CharacteristicFunction:
     """F cut to the window |n| <= n_trunc.  cut slices the window's indices
     idx (ascending), lambda_n and c_n from Terms, for the direct solver to
     slice further; the I1 terms idx1, lam1, c1 run from the largest |index|
-    inward, so that the smallest terms accumulate first."""
+    inward, so that the smallest terms accumulate first.  Not frozen: a
+    frozen dataclass's __init__ sets each field through object.__setattr__,
+    ten times the cost of this one, and every solve cuts one."""
 
     spec: object
     n_trunc: int
@@ -169,7 +171,7 @@ class Terms:
             if self.spec.index_kind == INDEX_Z:
                 part = np.concatenate([self.absc[zero - h : zero - radius], part])
             if part.size:
-                total += float(part.sum())
+                total += float(np.add.reduce(part))
         return total + self.coeffs.power_tail_sum(max(radius, h), self.spec.index_kind)
 
     def keps(self, eps):
@@ -183,7 +185,7 @@ class Terms:
         if spec.index_kind == INDEX_Z:
             shells = absc[zero - h : zero][::-1] + shells
         tail = self.tail_sum(h)
-        below = (np.cumsum(shells[::-1])[::-1] + tail < eps).nonzero()[0]
+        below = (np.add.accumulate(shells[::-1])[::-1] + tail < eps).nonzero()[0]
         k_eps = int(below[0]) if len(below) else h if tail < eps else None
         if k_eps is None:
             # head exhausted: only the generator tail is left beyond h, and
@@ -201,7 +203,7 @@ class Terms:
             inside = absc[first + zero : k_eps + zero + 1]
         else:  # K_eps beyond the head and the window evaluated
             inside = np.abs(self.coeffs.c_range(first, k_eps))
-        head_sum = float(inside.sum())
+        head_sum = float(np.add.reduce(inside))
         if head_sum == 0.0:
             return k_eps, k_eps + 1
         d = spec.gap

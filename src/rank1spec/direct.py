@@ -196,46 +196,39 @@ def _rouche(cf, idx, lam, c, r, shrink):
     tail term 3, |c_k| / rho_k 3, |beta_k| 2, and the sums and the
     comparison 5; m is their total plus 2 for kappa computed in floats.
     The sums over the terms are matrix-vector products, and the bounds hold
-    in any order of summation.  A disk that fails the preconditions takes
-    kappa 0, so that its gamma stays finite.  The disks are checked in
-    blocks of ROUCHE_BLOCK disks x terms.
+    in any order of summation.
+
+    One allowance serves every disk of a call: gamma_m at the largest
+    ceil(kappa_S) among the disks that pass the preconditions (1 if none
+    does), a Python float.  gamma_m grows with m, so it is no smaller than
+    any of those disks' own, and each certificate stays sound; a disk that
+    fails the preconditions fails whatever its allowance.  kappa_S is
+    looked up, not assumed: d-separation would bound it by 2, but floats
+    collapse the spacing of lambda_n = n + 1e17, which the validators
+    accept.  The disks are checked in blocks of ROUCHE_BLOCK disks x terms
+    (_rouche_blocks); a call that one block covers takes its arrays as they
+    are.
     """
     absc, absc_k = np.abs(cf.c1), np.abs(c)
-    # columns Re c_n, Im c_n, |c_n|: beta_k from the first two, beta'_k and
-    # S0_k from one product over all three
-    cols = np.concatenate([cf.c1.view(float).reshape(-1, 2), absc[:, np.newaxis]], axis=1)
-    rho = np.full(len(idx), float(r))
-    s = np.empty(len(idx))
-    size = np.empty(len(idx))  # sum_{n != k} |c_n| / D_n
-    nearest = np.empty(len(idx))
-    beta = np.empty(len(idx), dtype=complex)
-    slope = np.empty(len(idx), dtype=complex)  # beta'_k
     per_block = max(1, ROUCHE_BLOCK // max(1, len(absc)))
-    for i in range(0, len(idx), per_block):
-        b = slice(i, i + per_block)
-        diff = cf.lam1 - lam[b, np.newaxis]
-        diff[cf.idx1 == idx[b, np.newaxis]] = np.inf  # the k-th term is G_k's
-        recip = 1.0 / diff
-        beta[b] = 1.0 + (recip @ cols[:, :2]).view(complex)[:, 0]
-        # the block-sized squares are freed at once: one more block-sized
-        # array alive made _rouche a third slower at window 400, and the
-        # block's arrays are kept until the next block's replace them, since
-        # freeing them all between blocks made it twice as slow there
-        second = (recip * recip) @ cols
-        slope[b] = second[:, :2].view(complex)[:, 0]
-        rho[b] = np.where(shrink[b], np.fmin(r, np.sqrt(absc_k[b] / second[:, 2])), r)
-        inv = np.abs(recip)
-        size[b] = inv @ absc
-        den = np.abs(diff) - rho[b, np.newaxis]
-        nearest[b] = den.min(axis=1, initial=np.inf)
-        s[b] = rho[b] * ((inv / den) @ absc)
+    blocks = _rouche_blocks(cf, idx, lam, absc, absc_k, r, shrink, per_block)
+    if len(idx) <= per_block:
+        _, beta, slope, rho, size, nearest, s = next(blocks)
+    else:
+        rho, s, size, nearest = (np.empty(len(idx)) for _ in range(4))
+        beta, slope = np.empty(len(idx), dtype=complex), np.empty(len(idx), dtype=complex)
+        for b, *parts in blocks:
+            beta[b], slope[b], rho[b], size[b], nearest[b], s[b] = parts
     ok = nearest > 0.0
     if cf.tail_total > 0.0:
         gap = cf.delta_unrepresented(lam) - rho
         ok &= gap > 0.0
         s += cf.tail_total / np.where(gap > 0.0, gap, np.inf)
-    kappa_s = np.where(ok, 1.0 + rho / nearest, 0.0)
-    gamma = _gamma(len(absc) + 23.0 + np.ceil(kappa_s))
+    # the largest kappa_S of the disks that pass the preconditions; kappa at
+    # 2^53 or more puts m u past the cap already (and an infinite kappa has
+    # no ceil)
+    kappa_s = min(1.0 + float(np.maximum.reduce(rho / nearest, where=ok, initial=0.0)), 2.0**53)
+    gamma = _gamma(len(absc) + 23.0 + math.ceil(kappa_s))
     pole = absc_k / rho
     modulus = _modulus(beta)
     certified = ok & ((s + pole + gamma * (1.0 + size)) * (1.0 + gamma) < modulus * (1.0 - gamma))
@@ -247,13 +240,42 @@ def _rouche(cf, idx, lam, c, r, shrink):
     return margin, certified, (beta, slope, rho)
 
 
+def _rouche_blocks(cf, idx, lam, absc, absc_k, r, shrink, per_block):
+    """_rouche's sums, per block of per_block disks: (the block's slice,
+    beta_k, beta'_k, rho_k, sum_{n != k} |c_n| / D_n, min_n (D_n - rho_k)
+    and S_k without its tail term).  A generator, so that a block's arrays
+    stay alive until the next block's replace them: freeing them all
+    between blocks made _rouche twice as slow at window 400."""
+    # columns Re c_n, Im c_n, |c_n|: beta_k from the first two, beta'_k and
+    # S0_k from one product over all three
+    cols = np.concatenate([cf.c1.view(float).reshape(-1, 2), absc[:, np.newaxis]], axis=1)
+    for i in range(0, len(idx), per_block):
+        b = slice(i, i + per_block)
+        diff = cf.lam1 - lam[b, np.newaxis]
+        diff[cf.idx1 == idx[b, np.newaxis]] = np.inf  # the k-th term is G_k's
+        recip = 1.0 / diff
+        beta = 1.0 + (recip @ cols[:, :2]).view(complex)[:, 0]
+        # the block-sized squares are freed at once: one more block-sized
+        # array alive made _rouche a third slower at window 400
+        second = (recip * recip) @ cols
+        rho = np.where(shrink[b], np.fmin(r, np.sqrt(absc_k[b] / second[:, 2])), r)
+        inv = np.abs(recip)
+        den = np.abs(diff) - rho[:, np.newaxis]
+        nearest = np.minimum.reduce(den, axis=1, initial=np.inf)
+        yield b, beta, second[:, :2].view(complex)[:, 0], rho, inv @ absc, nearest, rho * ((inv / den) @ absc)
+
+
 def _pole_distance_to_rect(rect, poles):
     """Distance from each real pole to the boundary of a rectangle that
     straddles the real axis: to the nearer vertical side from outside its
-    real range, to the nearest side from inside."""
-    dre = np.minimum(np.abs(poles - rect.re_lo), np.abs(poles - rect.re_hi))
-    inside = (rect.re_lo < poles) & (poles < rect.re_hi)
-    return np.where(inside, np.minimum(dre, rect.h), dre)
+    real range, to the nearest side from inside.  The signed distance to
+    the nearer vertical side, min(pole - re_lo, re_hi - pole), is positive
+    exactly inside the real range (a float difference is 0 only between
+    equal floats), and its modulus is the distance to that side either
+    way (the rounded differences keep their order)."""
+    side = np.minimum(poles - rect.re_lo, rect.re_hi - poles)
+    dist = np.abs(side)
+    return np.minimum(dist, rect.h, out=dist, where=side > 0.0)
 
 
 def _rouche_rect(cf, rect):
@@ -271,15 +293,15 @@ def _rouche_rect(cf, rect):
     in each pole's distance to the boundary, edge the farther real end.
     """
     dist = _pole_distance_to_rect(rect, cf.lam1)
-    if not dist.all():  # a pole on the boundary: S_Q is infinite
+    if np.count_nonzero(dist) < len(dist):  # a pole on the boundary: S_Q is infinite
         return -math.inf, False
-    s = float((np.abs(cf.c1) / dist).sum())
+    s = float(np.add.reduce(np.abs(cf.c1) / dist))
     if cf.tail_total > 0.0:
         s += cf.tail_total / float(cf.delta_unrepresented([rect.re_lo, rect.re_hi]).min())
     edge = max(abs(rect.re_lo), abs(rect.re_hi))
     # kappa at 2^53 or more puts m u past the cap already (and an infinite
     # kappa has no ceil)
-    kappa = min(float(((np.abs(cf.lam1) + edge) / dist).max(initial=0.0)), 2.0**53)
+    kappa = min(float(np.maximum.reduce((np.abs(cf.lam1) + edge) / dist, initial=0.0)), 2.0**53)
     gamma = _gamma(len(cf.c1) + 12.0 + math.ceil(kappa))
     return 1.0 - s, s * (1.0 + gamma) < 1.0 - gamma
 
@@ -467,10 +489,11 @@ def _newton(cf, seeds, order, shift=None):
     fac, fac1 = math.factorial(deriv), math.factorial(order)
     failed = np.zeros(len(w), dtype=bool)
     # the points still moving: positions, offsets w, shifts, scales 1 + |shift|
-    # and the size of each one's last step; np.count_nonzero tests a mask for
-    # any True at a third of ndarray.any's cost
+    # and the size of each one's last step (inf before the first);
+    # np.count_nonzero tests a mask for any True at a third of ndarray.any's
+    # cost
     live, wl, sl = np.arange(len(w)), w, shift
-    scale, last = 1.0 + np.abs(shift), np.full(len(w), np.inf)
+    scale, last = 1.0 + np.abs(shift), math.inf
     for _ in range(NEWTON_MAX_ITER):
         if not len(live):
             break
@@ -487,10 +510,9 @@ def _newton(cf, seeds, order, shift=None):
         # a step not below ten times the last plus 1 diverged, an infinite
         # first step too
         diverged = None
-        stalled = ~(size < last)
-        if np.count_nonzero(stalled):
+        if np.count_nonzero(size < last) < len(size):
             diverged = ~(done | (size < 10.0 * (last + 1.0)))
-            settle = stalled & ~(done | diverged)
+            settle = ~(size < last) & ~(done | diverged)
             if np.count_nonzero(settle):
                 noise = fac * _noise(cf, sl[settle] + start[settle], [deriv])[:, 0]
                 done[settle] = size[settle] <= ROUNDOFF * noise / _modulus(gp[settle])
@@ -500,14 +522,13 @@ def _newton(cf, seeds, order, shift=None):
         if n_stop:
             if diverged is not None:
                 failed[live[diverged]] = True
+            w[live] = wl  # a point still moving writes its entry again when it stops
             if n_stop == len(live):
-                w[live] = wl
-                live = live[:0]
                 break
-            w[live[stop]] = wl[stop]
-            move = ~stop
+            # positions index the five arrays at half a mask's cost
+            move = (~stop).nonzero()[0]
             live, wl, sl, scale, last = live[move], wl[move], sl[move], scale[move], last[move]
-    if len(live):  # still moving after NEWTON_MAX_ITER steps
+    else:  # still moving after NEWTON_MAX_ITER steps
         w[live] = wl
         failed[live] = True
     return shift + w, ~failed
@@ -736,15 +757,15 @@ def _disks(cf, k_prime, window, d):
     the root nearest c_k / beta_k, with the square root's sign that gives
     the larger denominator (Re(beta_k conj(root)) >= 0).  The quadratic
     removes the first-order seed's error, about beta'_k c_k^2 / beta_k^3.
-    w_k is read only where the disk certifies, and there it is finite:
-    that sign makes |beta_k + root|^2 >= |beta_k|^2 + |root|^2, and Rouche
-    holds |c_k| < rho_k |beta_k|, so |w_k| < 2 rho_k.
+    w_k is formed only where the disk certifies and c_k != 0 (0 elsewhere),
+    and there it is finite: that sign makes |beta_k + root|^2 >= |beta_k|^2
+    + |root|^2, and Rouche holds |c_k| < rho_k |beta_k|, so |w_k| < 2 rho_k.
     """
     win = cf.window(window)
     idx, c = cf.idx[win], cf.c[win]
-    outer = np.abs(idx) > k_prime
-    keep = outer | (c != 0)
-    idx, lam, c, outer = idx[keep], cf.lam[win][keep], c[keep], outer[keep]
+    outer, perturbed = np.abs(idx) > k_prime, c != 0
+    keep = (outer | perturbed).nonzero()[0]
+    idx, lam, c, outer, perturbed = idx[keep], cf.lam[win][keep], c[keep], outer[keep], perturbed[keep]
     margin, certified, (beta, slope, rho) = _rouche(cf, idx, lam, c, 0.5 * d, ~outer)
     failed = ~certified & outer
     if np.count_nonzero(failed):
@@ -752,10 +773,13 @@ def _disks(cf, k_prime, window, d):
         raise errors.CertificationFailed(
             f"disk around index {idx[j]} failed to certify (Rouche margin {margin()[j]:.3g})"
         )
+    w = np.zeros(len(c), dtype=complex)
+    simple = (certified & perturbed).nonzero()[0]
+    beta, slope, c_k = beta[simple], slope[simple], c[simple]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = np.sqrt(beta * beta + 4.0 * slope * c)
+        root = np.sqrt(beta * beta + 4.0 * slope * c_k)
         root[(beta * root.conj()).real < 0.0] *= -1.0  # |beta + root| >= |beta - root|
-        w = 2.0 * c / (beta + root)
+        w[simple] = 2.0 * c_k / (beta + root)
     return idx, lam, c, w, rho, certified
 
 
@@ -857,6 +881,10 @@ def _localize_attempt(cf, k_prime, window, rect, d):
 # ---------------------------------------------------------------------------
 # assembly
 
+# the origin of a window index's row by c_n = 0, before any central zero
+# joins it: indexing this table costs half of np.where on the two strings
+_ORIGIN = np.array([ORIGIN_ZERO, ORIGIN_COMMON])
+
 
 def _assign(cost):
     """Least-cost assignment of a square cost matrix, by Kuhn's Hungarian
@@ -927,7 +955,7 @@ def assemble_spectrum(spec, coeffs, loc):
     at = owned_idx - idx_all[0] if len(idx_all) else owned_idx
     mu[at] = owned_z
     mult = np.ones(len(mu), dtype=int)
-    origin = np.where(in_i0, ORIGIN_COMMON, ORIGIN_ZERO)
+    origin = _ORIGIN[in_i0.astype(np.intp)]
     slots = sum(t[1] for t in loc.central)  # one per unit of order
     n_free = len(in_i0) - np.count_nonzero(in_i0) - len(owned_idx)  # the I1 indices no disk owns
     if slots != n_free:
@@ -973,7 +1001,7 @@ def assemble_spectrum(spec, coeffs, loc):
         origin=origin[by_mu],
         index=idx_all,
         paired_mu=mu,
-        offset_sum=float(np.abs(mu - lam_all).sum()),
+        offset_sum=float(np.add.reduce(np.abs(mu - lam_all))),
         tail_bound=float(tail_bound),
         certified=True,
     )

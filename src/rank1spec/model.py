@@ -370,12 +370,14 @@ ORIGIN_ZERO = "zero_of_F"
 ORIGIN_BOTH = "both"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class PerturbedSpectrum:
     """The eigenvalues as columns, one row per distinct eigenvalue sorted by
     (re, im): mu, multiplicity mult, paired_index and origin (an ORIGIN_*
     string).  index and paired_mu hold one row per window index: the
-    eigenvalue paired with it, one index per unit of multiplicity."""
+    eigenvalue paired with it, one index per unit of multiplicity.  Not
+    frozen, as its columns never were: a frozen dataclass's __init__ costs
+    ten times this one's, once per solve."""
 
     mu: np.ndarray
     mult: np.ndarray

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rank1spec import direct, errors, inverse, oracle
+from rank1spec import direct, errors, gallery, inverse, oracle
 from rank1spec.charfn import CharacteristicFunction, Terms, compute_Keps
 from rank1spec.direct import (
     Disk,
@@ -1693,6 +1693,115 @@ def test_rouche_slope_matches_a_loop_over_the_terms(zspec):
     for k, lam_k, got in zip(idx, lam, slope):
         terms = [c / (l - lam_k) ** 2 for n, l, c in zip(cf.idx1, cf.lam1, cf.c1) if n != k]
         assert abs(got - sum(terms)) <= 1e-14 * sum(abs(t) for t in terms)
+
+
+def _finite_batch_seed_1():
+    """The zero-tail instances of the finite_batch benchmark at seed 1, drawn
+    as its generator draws them: 2 + j % 7 terms c_n on |n| <= 40, |c_n| in
+    [0.02, 0.3] at random phases, solved at window 41 and n_trunc 49."""
+    rng = np.random.default_rng(1)
+    for j in range(50):
+        m = 2 + j % 7
+        support = rng.choice(np.arange(-40, 41), size=m, replace=False)
+        mags = rng.uniform(0.02, 0.3, size=m)
+        phases = rng.uniform(0, 2 * np.pi, size=m)
+        yield finite_coeffs({int(n): complex(v) for n, v in zip(support, mags * np.exp(1j * phases))})
+
+
+def _rouche_disks(loc):
+    """The arguments _disks gives _rouche for a localization's window."""
+    cf = loc.cf
+    win = cf.window(loc.window)
+    idx, lam, c = cf.idx[win], cf.lam[win], cf.c[win]
+    keep = (np.abs(idx) > loc.k_prime) | (c != 0)
+    return cf, idx[keep], lam[keep], c[keep], cf.spec.gap / 2, np.abs(idx[keep]) <= loc.k_prime
+
+
+def _rouche_outputs(result):
+    margin, certified, (beta, slope, rho) = result
+    return [beta, slope, rho, certified, margin()]
+
+
+@pytest.mark.parametrize("case", ["finite_batch", "power_family"])
+def test_rouche_block_loop_gives_the_one_block_path_bit_for_bit(zspec, monkeypatch, case):
+    # a call that one block of ROUCHE_BLOCK disks x terms covers takes its
+    # arrays as they are, a wider one stores block after block: the same
+    # beta_k, beta'_k, rho_k, verdicts and margins to the bit, with the
+    # solve's c_k and with each |c_k| bisected to where its verdict flips
+    # (there every term of the check decides it).  A matrix product's
+    # rounding depends on how many rows it has (the BLAS orders its sums by
+    # row blocks), so each block of the loop is compared with the one-block
+    # path on that block's disks, and the whole call with the one-block
+    # call within 1e-14
+    if case == "finite_batch":
+        coeffs, opts = next(_finite_batch_seed_1()), LocalizeOptions(window=41, n_trunc=49)
+    else:  # a power tail: the tail term too
+        coeffs = validate_coefficients(gallery.power_family(2.0, 50), zspec)
+        opts = LocalizeOptions(window=50, n_trunc=100)
+    cf, idx, lam, c, r, shrink = _rouche_disks(localize_spectrum(zspec, coeffs, opts))
+    assert len(idx) * len(cf.c1) <= direct.ROUCHE_BLOCK  # one block by default
+    phase = np.exp(2j * np.pi * np.random.default_rng(3).uniform(size=len(idx)))
+    lo, hi = np.full(len(idx), 1e-200), r * (np.abs(direct._rouche(cf, idx, lam, c, r, shrink)[2][0]) + 1.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        ok = direct._rouche(cf, idx, lam, mid * phase, r, shrink)[1]
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    verdicts = []
+    for c_k in (c, lo * phase, hi * phase):
+        whole = _rouche_outputs(direct._rouche(cf, idx, lam, c_k, r, shrink))
+        verdicts.append(whole[3])
+        for per_block in (3, 7):
+            monkeypatch.setattr(direct, "ROUCHE_BLOCK", per_block * len(cf.c1))
+            blocks = _rouche_outputs(direct._rouche(cf, idx, lam, c_k, r, shrink))
+            monkeypatch.undo()
+            for i in range(0, len(idx), per_block):
+                b = slice(i, i + per_block)
+                one = _rouche_outputs(direct._rouche(cf, idx[b], lam[b], c_k[b], r, shrink[b]))
+                for got, want in zip(blocks, one):
+                    assert got[b].tobytes() == want.tobytes()
+            for got, want in zip(blocks[:3] + blocks[4:], whole[:3] + whole[4:]):
+                assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+    _, below, above = verdicts  # the edges bracket nearly every disk's flip
+    assert np.count_nonzero(below & ~above) > 0.9 * len(idx)
+
+
+def test_one_rouche_allowance_covers_every_disk_and_keeps_its_verdicts(zspec, monkeypatch):
+    # each _rouche call forms one allowance, gamma_m at the largest kappa_S
+    # of the disks that pass the preconditions: no smaller than any disk's
+    # own (that disk checked alone), and with the verdicts each disk gets
+    # alone, on every window of finite_batch seed 1 and on disks whose
+    # kappa_S differ: the central disk around 0 at radius 0.999, its pole
+    # at 1 just outside (kappa_S = 1000), and two disks far from every pole
+    gamma, allowance = direct._gamma, []
+
+    def spy(m):
+        allowance.append(m)
+        return gamma(m)
+
+    monkeypatch.setattr(direct, "_gamma", spy)
+
+    def checked(cf, idx, lam, c, r, shrink):
+        """The verdicts and the allowance's m of one call, and of each disk alone."""
+        allowance.clear()
+        certified = direct._rouche(cf, idx, lam, c, r, shrink)[1]
+        (m,) = allowance
+        alone = []
+        for k in range(len(idx)):
+            allowance.clear()
+            one = direct._rouche(cf, idx[k : k + 1], lam[k : k + 1], c[k : k + 1], r, shrink[k : k + 1])[1]
+            alone.append((bool(one[0]), allowance[0]))
+        assert type(m) is float and certified.tolist() == [v for v, _ in alone]
+        assert m == max(m_k for _, m_k in alone) and all(gamma(m) >= gamma(m_k) for _, m_k in alone)
+        return certified, m, [m_k for _, m_k in alone]
+
+    for coeffs in _finite_batch_seed_1():
+        checked(*_rouche_disks(localize_spectrum(zspec, coeffs, LocalizeOptions(window=41, n_trunc=49))))
+    cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.2, 1: 0.1}), 20)
+    idx = np.array([-5, 0, 5])
+    c = np.array([0.0, 0.2, 0.0], dtype=complex)
+    certified, m, own = checked(cf, idx, idx.astype(float), c, 0.999, np.array([False, True, False]))
+    assert certified.tolist() == [True, False, True]
+    assert own == [2 + 23 + 2.0, 2 + 23 + 1000.0, 2 + 23 + 2.0] and m == own[1]
 
 
 def _iv_rect_bound(iv, cf, rect):
