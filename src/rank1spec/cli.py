@@ -1,8 +1,9 @@
 """Command-line interface: direct, inverse, roundtrip, oracle, gallery.
 
 Exit codes: 0 success (certified), 2 result not certified / tolerance not
-met, 1 input error.  All reports are deterministic JSON (sorted keys,
-shortest round-trip floats) written atomically.
+met, 1 input error; a usage error from argparse (an unknown option, a
+missing required one) exits 2 as well.  All reports are deterministic
+JSON (sorted keys, shortest round-trip floats) written atomically.
 """
 
 import argparse

@@ -258,7 +258,10 @@ def _rouche_blocks(cf, idx, lam, absc, absc_k, r, shrink, per_block):
         # the block-sized squares are freed at once: one more block-sized
         # array alive made _rouche a third slower at window 400
         second = (recip * recip) @ cols
-        rho = np.where(shrink[b], np.fmin(r, np.sqrt(absc_k[b] / second[:, 2])), r)
+        # an S0_k that has nearly underflowed (|c_n| near 2^-1022) gives
+        # |c_k| / S0_k = inf, and fmin(r, inf) = r
+        with np.errstate(over="ignore"):
+            rho = np.where(shrink[b], np.fmin(r, np.sqrt(absc_k[b] / second[:, 2])), r)
         inv = np.abs(recip)
         den = np.abs(diff) - rho[:, np.newaxis]
         nearest = np.minimum.reduce(den, axis=1, initial=np.inf)

@@ -71,15 +71,23 @@ def harmonic_family(window):
 
 
 def power_family(beta, window):
-    """Symmetric power-decay coefficients c_n = |n|^(-2 beta), c_0 = 0."""
-    if not beta > 1:
-        raise errors.BetaOutOfRange(f"beta must exceed 1, got {beta}")
+    """Symmetric power-decay coefficients c_n = |n|^(-2 beta), c_0 = 0; a
+    beta that is not finite, or that puts c_n at the window below the
+    smallest normal double (which validate_coefficients rejects), raises
+    BetaOutOfRange."""
+    if not 1 < beta < math.inf:
+        raise errors.BetaOutOfRange(f"beta must be finite and exceed 1, got {beta}")
     if window < 1:
         raise errors.WindowExceeded("window must be at least 1")
     idx = np.arange(-window, window + 1)
     vals = np.where(idx == 0, 0.0, np.maximum(np.abs(idx), 1).astype(float) ** (-beta)).astype(
         complex
     )
+    if vals[0].real * vals[0].real < 2.0**-1022:
+        limit = 511.0 / math.log2(window)
+        raise errors.BetaOutOfRange(
+            f"beta = {beta} puts c_n below 2^-1022 at n = {window}: beta of at most {limit:.4g} at this window"
+        )
     # a_0 = 1, b_0 = 0 keeps c_0 = 0 without a doubly-degenerate index
     a = vals.copy()
     a[idx == 0] = 1.0
@@ -177,5 +185,10 @@ def power_slope(beta, n_lo=20, n_hi=200, opts=None):
             f"the slope fit over n = {n_lo}..{n_hi} needs two indices: n_hi of {n_lo + 1} or more"
         )
     ns, offs, loc = power_offsets(beta, n_lo, n_hi, opts)
+    if not offs.all():  # an offset below half an ulp of n rounds to 0
+        raise errors.WindowExceeded(
+            f"the slope fit over n = {n_lo}..{n_hi} takes log |mu_n - n|, which is 0 "
+            f"from n = {ns[offs == 0][0]}: a smaller window or beta"
+        )
     slope, _ = np.polyfit(np.log(ns), np.log(offs), 1)
     return float(slope), ns, offs, loc

@@ -325,7 +325,15 @@ def validate_coefficients(coeffs, spec):
                 )
         # index 0 included, as in K'; an overflowing c_n or sum is not summable
         with np.errstate(over="ignore", invalid="ignore"):
-            head_sum = float(np.abs(np.conj(a) * b).sum())
+            absc = np.abs(np.conj(a) * b)
+            head_sum = float(absc.sum())
+        # a subnormal c_n puts a zero within it of lambda_n, where the
+        # kernel's division by that offset gives -inf + nan i
+        tiny = (absc > 0.0) & (absc < 2.0**-1022)
+        if tiny.any():
+            raise errors.DegenerateIndex(
+                f"0 < |c_n| < 2^-1022 at index {lo + int(tiny.argmax())}: set c_n to 0 or rescale the input"
+            )
     if not math.isfinite(head_sum + coeffs.power_tail_sum(h, spec.index_kind)):
         raise errors.NonSummable("sum |c_n| diverges")
     return coeffs

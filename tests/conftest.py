@@ -7,7 +7,9 @@ from rank1spec.model import (
     BaseSpectrum,
     PerturbationCoefficients,
     PowerTail,
+    TargetSpectrum,
     validate_base,
+    validate_target,
 )
 
 
@@ -55,6 +57,19 @@ def random_finite_instance(rng, radius=40, max_points=8, c_cap=0.3, complex_c=Tr
         vals = mags * rng.choice([-1.0, 1.0], size=m)
     c = {int(n): complex(v) for n, v in zip(support, vals)}
     return finite_coeffs(c)
+
+
+def settling_double_point():
+    """lambda_n = s n over N from 1 with gap s, and a target with a double
+    point at 7.4195 - 0.2145i beside which Newton's eigen-seeds once ran to
+    the 80-step cap: (spec, target, the double point)."""
+    s = 1.0059174694565893
+    spec = validate_base(BaseSpectrum(index_kind="N", head_offset=1, head=(), tail=AffineTail(s, 0.0), gap=s))
+    double = 7.4195247071557064 - 0.21448070190239926j
+    nu = (1.0395691971883427 + 0.2577303827705522j, 2.0118349389131787, 2.009639812629286 - 0.0026927146789028173j)
+    nu += (4.023391707926489 + 0.3669417371279683j, 4.934537661628149 - 0.15502562711761733j)
+    nu += (5.680138750231876 - 0.08675924409092958j, double, double)
+    return spec, validate_target(TargetSpectrum(1, tuple(complex(v) for v in nu)), spec), double
 
 
 def random_base(rng):

@@ -22,7 +22,9 @@ oracle.compare_spectra measures the distance to the target.
 It prints the number of instances certified, the failing instances by
 number and kind, and the worst distance to the target per round-trip
 kind; a failure not in EXPECTED_FAILURES, or an expected one that now
-certifies, is marked.
+certifies, is marked.  tests/test_direct.py runs the same sweep through
+run() and fails on a failure not in EXPECTED_FAILURES, or on a worst
+distance above the bound it states for the kind.
 """
 
 import math
@@ -82,7 +84,9 @@ def roundtrip_instance(rng):
     return model.TargetSpectrum(indices[0], head), name
 
 
-def main():
+def run():
+    """The failures as (number, kind, message) and the worst distance to
+    the target per round-trip kind."""
     spec = base()
     rng = np.random.default_rng(2026)
     failures, worst = [], {}
@@ -105,6 +109,11 @@ def main():
         reference = target.nu_at(spec.window_indices(loc.window), spec)
         _, dev = oracle.compare_spectra(ps, np.atleast_1d(reference), 1.0)
         worst[name] = max(worst.get(name, 0.0), dev)
+    return failures, worst
+
+
+def main():
+    failures, worst = run()
     print(f"certified {2 * COUNT - len(failures)} of {2 * COUNT}")
     for i, name, message in failures:
         mark = "" if i in EXPECTED_FAILURES else "  (unexpected)"

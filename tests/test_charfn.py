@@ -374,14 +374,15 @@ def _setup_cases(draw):
     complex a and b heads with zeros in b (I0 indices), whose radius may
     reach past the first n_trunc; power tails or none on a and b.  Small b
     heads leave K' small, and large ones or tails near the summability
-    limit raise WindowExceeded."""
+    limit raise WindowExceeded.  No |b_n| lies in (0, 1e-300): validation
+    rejects 0 < |c_n| < 2^-1022."""
     kind, start = draw(st.sampled_from([("Z", -3), ("N", 0), ("N", 1), ("N", 5)]))
     slope = draw(st.sampled_from([0.5, 1.0, 3.0]))
     lam_head = tuple(slope * (start + j) + 0.3 * slope * draw(st.floats(-1.0, 1.0)) for j in range(6))
     spec = validate_base(BaseSpectrum(kind, start, lam_head, AffineTail(slope, 0.0), 0.1 * slope))
     lo = draw(st.integers(-40, 0)) if kind == "Z" else spec.start
     hi = draw(st.integers(max(lo, 0), 60))
-    size = st.floats(0.0, draw(st.sampled_from([0.4, 0.4, 0.01, 3e3])))
+    size = st.floats(0.0, draw(st.sampled_from([0.4, 0.4, 0.01, 3e3]))).filter(lambda x: not 0.0 < x < 1e-300)
     angle = st.floats(0.0, 2.0 * np.pi)
     n = hi - lo + 1
     a = tuple(complex(1.0, draw(st.floats(-1.0, 1.0))) for _ in range(n))

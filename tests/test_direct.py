@@ -29,10 +29,10 @@ from rank1spec.model import (
     spectrum_to_json,
     validate_base,
     validate_coefficients,
-    validate_target,
 )
 
-from conftest import finite_coeffs, random_base, random_coeffs, random_finite_instance
+from conftest import finite_coeffs, random_base, random_coeffs, random_finite_instance, settling_double_point
+import sweep
 
 
 @pytest.fixture
@@ -209,8 +209,6 @@ def test_uncertified_order_winding_in_the_central_step_raises(zspec, monkeypatch
 def test_order_circles_keep_clear_of_poles(zspec, monkeypatch):
     # the triple point 1 + i/4 lies d/4 from the pole lambda_1: its circle
     # shrinks to radius d/8 instead of passing through it
-    from rank1spec.model import validate_coefficients
-
     coeffs, _ = inverse.solve_inverse(zspec, TargetSpectrum(0, (1.0 + 0.25j,) * 3))
     coeffs = validate_coefficients(coeffs, zspec)
     radii = []
@@ -303,19 +301,15 @@ def test_simple_zero_at_an_inflection_point_stays_simple(zspec):
 
 def test_two_close_double_zeros_are_not_one_order_four_zero(zspec):
     # F's values cannot tell these two double zeros 1.5e-3 apart from one
-    # order-4 zero between them, but F'' can: the solve returns the two
-    # double zeros or fails to certify, and never an order-4 zero
+    # order-4 zero between them, but F'' can: the pair does not split on its
+    # order circles, and the solve fails naming the order-4 zero it rejected
+    # near them (at the mean of Newton's points, which moves across the pair
+    # with the last bits of the coefficients), never returning it
     a, b, c = -1.135536401173598, -1.1369914450269683, 0.5014617185308676
     target = TargetSpectrum(-1, (a, a, b, b, c, c, c))
     coeffs, _ = inverse.solve_inverse(zspec, target)
-    try:
-        ps, _ = solve_direct(zspec, coeffs, LocalizeOptions(window=14, n_trunc=40))
-    except errors.CertificationFailed:
-        return
-    zero = ps.origin == ORIGIN_ZERO
-    zeros = sorted(zip(ps.mult[zero].tolist(), ps.mu[zero].real.tolist()))
-    assert [m for m, _ in zeros] == [2, 2, 3]
-    assert np.allclose([mu for _, mu in zeros[:2]], [b, a], atol=1e-6)
+    with pytest.raises(errors.CertificationFailed, match=r"^no zero of order 4 found near -1\.13[56]"):
+        solve_direct(zspec, coeffs, LocalizeOptions(window=14, n_trunc=40))
 
 
 def test_central_rectangle_for_n_indexed_spectrum_below_zero():
@@ -480,8 +474,6 @@ def test_solves_ask_delta_only_between_the_bounding_poles(zspec, monkeypatch):
     # centre, arc node and rectangle end of a tailed solve lies between,
     # on the power family, an N-indexed instance with a tail and the
     # escalating instance above (n_trunc 20, then 40)
-    from rank1spec import gallery
-
     asked, delta = [], CharacteristicFunction.delta_unrepresented
     monkeypatch.setattr(
         CharacteristicFunction, "delta_unrepresented", lambda cf, z: asked.append((cf.n_trunc, z)) or delta(cf, z)
@@ -554,7 +546,6 @@ def test_assemble_marks_common_point_zero_as_both(zspec):
     # residues of (2 - z)^2 / (z (z - 1)) pull lambda_2 into the point spectrum
     # with multiplicity l + 1 = 3: double zero of F at a common eigenvalue
     from rank1spec.inverse import solve_inverse
-    from rank1spec.model import TargetSpectrum, validate_coefficients
 
     coeffs, _ = solve_inverse(zspec, TargetSpectrum(0, (2.0 + 0j, 2.0 + 0j)))
     coeffs = validate_coefficients(coeffs, zspec)
@@ -595,8 +586,6 @@ def test_spectrum_columns_keep_their_contract(zspec):
 
 
 def test_tail_bound_positive_for_infinite_instance(zspec):
-    from rank1spec.model import PerturbationCoefficients, PowerTail
-
     coeffs = PerturbationCoefficients(
         a_head_offset=0,
         a_head=(1.0,),
@@ -635,8 +624,6 @@ def test_central_rectangle_for_an_empty_central_set():
 
 
 def _tail_coeffs():
-    from rank1spec.model import PerturbationCoefficients, PowerTail
-
     tail = PowerTail(beta=1.5, scale=0.5, phase=0.2)
     return PerturbationCoefficients(
         a_head_offset=-2, a_head=(1.0,) * 5, a_tail=tail,
@@ -784,8 +771,6 @@ def test_clustered_round_trip_certifies_every_order_circle(zspec):
     # (radius 0.00471) was not certified by the trapezoid winding at any
     # quadrature, and the solve raised CertificationFailed; the arc walk
     # certifies every circle
-    from rank1spec.model import validate_coefficients
-
     target = TargetSpectrum(
         -4, (2.349236 - 0.101013j, 2.359236 - 0.091013j, 2.369236 - 0.081013j, 1.899736 + 0.001357j)
     )
@@ -843,8 +828,6 @@ def test_arc_certificate_holds_in_interval_arithmetic(zspec):
 
 
 def _arc_checks(iv, zspec, rng, outcomes):
-    from rank1spec.model import PerturbationCoefficients, PowerTail
-
     for _ in range(3):
         tail = PowerTail(beta=float(rng.uniform(1.2, 3.0)), scale=float(rng.uniform(0.05, 0.5)), phase=0.3)
         head = rng.uniform(-0.3, 0.3, 7) + 1j * rng.uniform(-0.3, 0.3, 7)
@@ -1155,13 +1138,7 @@ def test_newton_settles_beside_a_double_point(monkeypatch):
     # steps until round-off settles them, where they used to run to the
     # 80-step cap (82 kernel calls for the pass); the order circles then
     # merge them into the double zero, and the round trip gives the target
-    s = 1.0059174694565893
-    spec = validate_base(BaseSpectrum(index_kind="N", head_offset=1, head=(), tail=AffineTail(s, 0.0), gap=s))
-    double = 7.4195247071557064 - 0.21448070190239926j
-    nu = (1.0395691971883427 + 0.2577303827705522j, 2.0118349389131787, 2.009639812629286 - 0.0026927146789028173j)
-    nu += (4.023391707926489 + 0.3669417371279683j, 4.934537661628149 - 0.15502562711761733j)
-    nu += (5.680138750231876 - 0.08675924409092958j, double, double)
-    target = validate_target(TargetSpectrum(1, tuple(complex(v) for v in nu)), spec)
+    spec, target, double = settling_double_point()
     coeffs, _ = inverse.solve_inverse(spec, target)
     calls, passes, newton = _kernel_calls(monkeypatch), [], direct._newton
 
@@ -1179,6 +1156,17 @@ def test_newton_settles_beside_a_double_point(monkeypatch):
     assert [(order, n) for order, n, _ in passes] == [(1, 7), (2, 1)]
     assert passes[0][2] <= 30
     assert [(z, m) for z, m in loc.central if m > 1] == [(pytest.approx(double, abs=1e-15), 2)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_outer_zero_just_above_the_smallest_normal_double_certifies(zspec):
+    # c_6 = 2.3e-308: S0_0 = |c_6| / 36 has nearly underflowed, and rho_0's
+    # |c_0| / S0_0 overflowed to inf with a RuntimeWarning (fmin(r, inf) = r
+    # all the same); a c_n below 2^-1022 is rejected by validation
+    coeffs = validate_coefficients(finite_coeffs({0: 0.3, 6: 2.3e-308}), zspec)
+    ps, loc = solve_direct(zspec, coeffs, OPTS)
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, loc.window))
+    assert oracle.compare_spectra(ps, ref, 1e-15)[0]
 
 
 def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
@@ -1426,8 +1414,6 @@ def test_rouche_on_central_disks_where_c_k_exceeds_the_radius_stays_quiet():
     # random_base/random_coeffs rng 0, instance 27: on central disks with
     # |c_k| >= r, gamma was inf, and s (1 + gamma) or g (1 - gamma) gave
     # "invalid value encountered in multiply"
-    from rank1spec.model import validate_coefficients
-
     rng = np.random.default_rng(0)
     for _ in range(28):
         spec = random_base(rng)
@@ -1578,8 +1564,6 @@ def test_random_sweep_matches_the_dense_oracle():
     # zeros, whose poles lie 3.9 to 5.8 gaps apart (seeds from runs of poles
     # split at 3 gaps missed it).  Every 25th instance besides, within the
     # tail bound plus 1e-8 (1 + max |mu|)
-    from rank1spec.model import validate_coefficients
-
     rng = np.random.default_rng(8)
     opts = LocalizeOptions(window=40, n_trunc=60)
     for i in range(175):
@@ -1640,8 +1624,6 @@ def test_rouche_certificate_holds_in_interval_arithmetic(zspec):
 
 
 def _rouche_checks(iv, zspec, rng, outcomes):
-    from rank1spec.model import PerturbationCoefficients, PowerTail
-
     for _ in range(3):
         tail = PowerTail(beta=float(rng.uniform(1.2, 3.0)), scale=float(rng.uniform(0.05, 0.5)), phase=0.3)
         head = rng.uniform(-0.2, 0.2, 21) + 1j * rng.uniform(-0.2, 0.2, 21)
@@ -1679,8 +1661,6 @@ def _rouche_checks(iv, zspec, rng, outcomes):
 def test_rouche_slope_matches_a_loop_over_the_terms(zspec):
     # beta'_k = sum_{n != k} c_n / (lambda_n - lambda_k)^2 over cf's terms,
     # head and power tail alike, for disks inside and beyond the terms
-    from rank1spec.model import PowerTail
-
     rng = np.random.default_rng(21)
     tail = PowerTail(beta=1.5, scale=0.2, phase=0.3)
     head = rng.uniform(-0.2, 0.2, 21) + 1j * rng.uniform(-0.2, 0.2, 21)
@@ -1825,7 +1805,6 @@ def test_rect_rouche_certificate_holds_in_interval_arithmetic(zspec):
     # lies on a grid of ulps around 1, where rounding decides: the float
     # check never certifies a rectangle whose interval S_Q reaches 1
     from mpmath import iv
-    from rank1spec.model import PerturbationCoefficients, PowerTail
 
     rng = np.random.default_rng(12)
     rect = Rectangle(-10.5, 10.5, 10.5)
@@ -1922,8 +1901,6 @@ def test_rouche_count_equals_the_winding_count(zspec):
     # 50 and 100 share the w = 200 disks: n_trunc is 600 for all three) and
     # of random finite instances, and every central disk that certifies, at
     # the radius of its own
-    from rank1spec import gallery
-    from rank1spec.model import validate_coefficients
 
     power = validate_coefficients(gallery.power_family(2.0, 200), zspec)
     cases = [(power, LocalizeOptions(window=200, n_trunc=600))]
@@ -1978,8 +1955,6 @@ def test_rouche_margin_exceeds_the_enclosure_bound():
     # K_eps and K' of compute_Keps give |G_k| - S_k > eps / (2 (K' - K_eps) + 1)
     # on every outer circle |z - lambda_k| = d/2: Rouche cannot fail there,
     # whatever the index set, head, tail or phase of c_n
-    from rank1spec.model import validate_coefficients
-
     rng = np.random.default_rng(8)
     disks, count = set(), 0
     for _ in range(60):
@@ -2011,3 +1986,13 @@ def test_nearest_pole_of_a_function_with_no_poles_is_infinitely_far(zspec):
     cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.0, 1: 0.0}), 5)
     assert len(cf.lam1) == 0
     np.testing.assert_array_equal(direct._nearest_pole(cf, np.array([0.5 + 0j, 3.0 + 1j])), [np.inf, np.inf])
+
+
+def test_the_random_sweep_fails_only_where_it_expects_to():
+    # tests/sweep.py's 200 direct solves and 200 round trips; an expected
+    # failure that now certifies passes, so that EXPECTED_FAILURES can shrink
+    failures, worst = sweep.run()
+    assert [(i, kind) for i, kind, _ in failures if i not in sweep.EXPECTED_FAILURES] == []
+    # about ten times the worst distances measured when this test was written
+    bounds = {"double": 1e-11, "triple": 3e-11, "2-point cluster": 1e-9, "3-point cluster": 5e-6}
+    assert {name: worst[name] for name in bounds if worst[name] > bounds[name]} == {}

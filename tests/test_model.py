@@ -403,6 +403,12 @@ def test_validate_rejects_degenerate_explicit_index(zspec):
     coeffs = PerturbationCoefficients(-3, (1.0, 0.0, 0.0, 1.0), None, -1, (0.0, 0.5, 0.0, 0.0), None)
     with pytest.raises(errors.DegenerateIndex, match="explicit index -2;"):
         validate_coefficients(coeffs, zspec)
+    # a subnormal c_n, beside c_0 or alone: Newton divided by its offset from
+    # lambda_n, got -inf + nan i and found no zero in the disk
+    for c in ({0: 0.3, 6: 1e-320}, {0: 1e-320}, {0: 0.3, 6: 2.0**-1022 * (1 - 2.0**-52)}):
+        with pytest.raises(errors.DegenerateIndex, match=rf"^0 < \|c_n\| < 2\^-1022 at index {max(c)}:"):
+            validate_coefficients(finite_coeffs(c), zspec)
+    validate_coefficients(finite_coeffs({0: 0.3, 6: 2.0**-1022}), zspec)
 
 
 def test_validate_accepts_finite_zero_tail_instance(zspec):
