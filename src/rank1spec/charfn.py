@@ -1,10 +1,9 @@
-"""Evaluation of the characteristic function F and its relatives.
-
-F(z) = 1 + sum_{n in I1} c_n / (lambda_n - z) with c_n = conj(a_n) b_n.
-The sum is truncated to a principal-value window |n| <= N_trunc;
-tail_bound_at gives a certified bound on the discarded tail at any point,
-T(N)/delta: delta is the distance to the nearer of the two poles that bound
-the summation window (delta_unrepresented), or |Im z| beyond them.
+"""F(z) = 1 + sum_{n in I1} c_n / (lambda_n - z), c_n = conj(a_n) b_n, cut
+to |n| <= n_trunc, and the cut's policy: first_cut (TRUNC_MARGIN indices
+past the window, at most TRUNC_CAP), CharacteristicFunction.cut (widening
+Terms), next_cut (the doubling) and tail_bound_at, the one tail term: T /
+(delta - rho) within rho of a point, T the sum of |c_n| beyond the cut and
+delta the distance to the nearer pole bounding it, or |Im z| beyond.
 """
 
 import bisect
@@ -17,6 +16,7 @@ from . import errors, _kernels
 from .model import INDEX_Z, TRUNC_CAP
 
 POLE_RTOL = 1e-12  # |z - lambda_n| below this (times scale) counts as a pole hit
+TRUNC_MARGIN = 8  # indices F sums past a solve's window
 
 
 def first_pole_hit(lam, z):
@@ -33,23 +33,27 @@ def first_pole_hit(lam, z):
     return j, int(np.argmax(hit[:, j]))
 
 
-def outside_in(i1, index):
-    """The positions i1 reordered by their |index| from the largest inward,
-    stably (over Z, -n before n): the order F's terms are summed in, so
-    that the smallest terms accumulate first."""
-    return i1[(-np.abs(index)).argsort(kind="stable")]
+def summed_terms(idx, lam, c):
+    """F's terms from the ascending indices idx and their lambda_n and c_n:
+    (positions, lambda_n, c_n) of the nonzero c_n, from the largest |n|
+    inward, stably (over Z, -n before n), so that the smallest terms
+    accumulate first."""
+    k = c.nonzero()[0]
+    k = k[(-np.abs(idx[k])).argsort(kind="stable")]
+    return k, lam[k], c[k]
 
 
 @dataclass(eq=False)
 class CharacteristicFunction:
     """F cut to the window |n| <= n_trunc.  cut slices the window's indices
-    idx (ascending), lambda_n and c_n from Terms, for the direct solver to
+    idx (ascending), lambda_n and c_n from terms, for the direct solver to
     slice further; the I1 terms idx1, lam1, c1 run from the largest |index|
-    inward, so that the smallest terms accumulate first.  Not frozen: a
-    frozen dataclass's __init__ sets each field through object.__setattr__,
-    ten times the cost of this one, and every solve cuts one."""
+    inward (summed_terms), and tail_total is T.  Not frozen: a frozen
+    dataclass's __init__ sets each field through object.__setattr__, ten
+    times the cost of this one, and every solve cuts one."""
 
     spec: object
+    terms: object  # the Terms this F is cut from, which the next cut reuses
     n_trunc: int
     idx: np.ndarray
     lam: np.ndarray
@@ -67,24 +71,30 @@ class CharacteristicFunction:
 
     @classmethod
     def cut(cls, terms, n_trunc):
-        """F over |n| <= n_trunc, from terms evaluated that far or farther."""
+        """F over |n| <= n_trunc, sliced from terms, which are evaluated
+        again out to n_trunc when they do not reach it."""
         spec = terms.spec
+        if n_trunc > terms.radius:
+            terms = Terms(spec, terms.coeffs, n_trunc, terms.h)
         first = spec.first_index(n_trunc)
         window = slice(first - terms.lo, n_trunc + 1 - terms.lo)
         idx, lam, c = terms.idx[window], terms.lam[window], terms.c[window]
-        i1 = c.nonzero()[0]
-        i1 = outside_in(i1, idx[i1])
-        return cls(
-            spec=spec,
-            n_trunc=int(n_trunc),
-            idx=idx,
-            lam=lam,
-            c=c,
-            idx1=idx[i1],
-            lam1=lam[i1],
-            c1=c[i1],
-            tail_total=terms.tail_sum(n_trunc),
-        )
+        i1, lam1, c1 = summed_terms(idx, lam, c)
+        return cls(spec, terms, int(n_trunc), idx, lam, c, idx[i1], lam1, c1, terms.tail_sum(n_trunc))
+
+    @property
+    def has_tail(self):
+        """Whether some nonzero c_n lies beyond the cut (else F cut is F)."""
+        return self.tail_total > 0.0
+
+    def next_cut(self, failure):
+        """F at twice n_trunc after failure, an attempt's CertificationFailed
+        here: raised again without a tail, "escalation exhausted" past TRUNC_CAP."""
+        if not self.has_tail:
+            raise failure
+        if self.n_trunc * 2 > TRUNC_CAP:
+            raise errors.CertificationFailed(f"escalation exhausted (n_trunc {self.n_trunc}): {failure}")
+        return self.cut(self.terms, self.n_trunc * 2)
 
     # -- geometry helpers --------------------------------------------------
 
@@ -110,12 +120,14 @@ class CharacteristicFunction:
             dist, between = np.minimum(dist, np.abs(left - z)), between & (z.real >= left)
         return np.where(between, dist, np.abs(z.imag))
 
-    def tail_bound_at(self, z):
-        """Bound on the discarded tail of F at the points z."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        if self.tail_total == 0.0:
-            return np.zeros(len(z))
-        return self.tail_total / self.delta_unrepresented(z)
+    def tail_bound_at(self, z, rho=0.0):
+        """T / (delta - rho): a bound on the discarded tail of F within rho
+        of each point z, an array shaped as z, inf where delta <= rho; the
+        float 0.0 without a tail."""
+        if not self.has_tail:
+            return 0.0
+        gap = self.delta_unrepresented(z).reshape(np.shape(z)) - rho
+        return np.divide(self.tail_total, gap, out=np.full(gap.shape, np.inf), where=gap > 0.0)
 
     # -- evaluation --------------------------------------------------------
 
@@ -146,7 +158,9 @@ class Terms:
     """c_n, |c_n| and lambda_n over the indices lo..radius, evaluated once
     for a solve to slice its K_eps, windows and tail sums from.  radius
     reaches the head radius h; lo is -radius over Z, and over N the lower
-    of 1 and the start (a tail sum counts from index 1)."""
+    of 1 and the start (a tail sum counts from index 1).  A power-tail c_n
+    with 0 < |c_n| < 2^-1022 on the index set raises DegenerateIndex, the
+    rule validate_coefficients applies to the heads."""
 
     def __init__(self, spec, coeffs, radius, h=None):
         self.spec, self.coeffs = spec, coeffs
@@ -157,6 +171,11 @@ class Terms:
         self.c = coeffs.c_range(self.lo, self.radius)
         self.absc = np.abs(self.c)
         self.lam = spec.lambda_range(self.lo, self.radius)
+        if coeffs.c_tail is not None:
+            absc = self.absc[spec.first_index(self.radius) - self.lo :]  # over N, lo may lie below the index set
+            if (tiny := (absc > 0.0) & (absc < 2.0**-1022)).any():
+                n = spec.first_index(self.radius) + int(tiny.argmax())
+                raise errors.DegenerateIndex(f"0 < |c_n| < 2^-1022 at tail index {n}: rescale the input")
 
     def lambda_at(self, n):
         return float(self.lam[n - self.lo])
@@ -211,6 +230,21 @@ class Terms:
         while head_sum / ((k_prime - k_eps) * d) >= eps:
             k_prime += 1
         return k_eps, k_prime
+
+
+def first_cut(spec, coeffs, window, n_trunc, eps):
+    """(F, K', window) of a solve: the window widened to K' and F cut at
+    max(n_trunc, window + TRUNC_MARGIN); Terms are evaluated no farther than
+    TRUNC_CAP, and a cut beyond it raises WindowExceeded."""
+    terms = Terms(spec, coeffs, min(max(n_trunc, window + TRUNC_MARGIN), TRUNC_CAP))
+    _, k_prime = terms.keps(eps)
+    window = max(window, k_prime)
+    n_trunc = max(n_trunc, window + TRUNC_MARGIN)
+    if n_trunc > TRUNC_CAP:
+        raise errors.WindowExceeded(
+            f"summation window {n_trunc} (window {window}, K' = {k_prime}) exceeds {TRUNC_CAP}"
+        )
+    return CharacteristicFunction.cut(terms, n_trunc), k_prime, window
 
 
 def compute_Keps(spec, coeffs, eps):

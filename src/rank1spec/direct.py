@@ -31,14 +31,15 @@ stages.
 import bisect
 from collections import namedtuple
 from dataclasses import dataclass
+import functools
 import math
 from typing import ClassVar
 
 import numpy as np
 
 from . import errors, _kernels
-# compute_Keps is not called here; it stays importable as direct.compute_Keps
-from .charfn import TRUNC_CAP, CharacteristicFunction, Terms, compute_Keps
+# compute_Keps is unused here but stays importable: perfbench/tracing.py wraps it here
+from .charfn import CharacteristicFunction, compute_Keps, first_cut
 from .model import (
     INDEX_Z,
     ORIGIN_BOTH,
@@ -114,14 +115,14 @@ class LocalizationResult:
     tail_sum_bound: float  # sum_{|n|>window} |c_n|
     cf: CharacteristicFunction
 
-    @property
+    @functools.cached_property
     @np.errstate(divide="ignore", invalid="ignore")
     def reports(self):
         """One ZeroReport per outer disk, in index order, then the central
-        rectangle's with every other zero sorted by location; built on each
-        read.  Each zero's residual is |F| at the reported, rounded location:
-        evidence, not a certificate (inf where the zero rounded onto its
-        pole)."""
+        rectangle's with every other zero sorted by location; built on the
+        first read and kept.  Each zero's residual is |F| at the reported,
+        rounded location: evidence, not a certificate (inf where the zero
+        rounded onto its pole)."""
         idx, zeros = (x.tolist() for x in self.owned)
         # |F| at the owned zeros, then at the central ones, in one kernel pass
         resid = _modulus(self.cf.values(np.array(zeros + [t[0] for t in self.central], dtype=complex))).tolist()
@@ -166,9 +167,9 @@ def _rouche(cf, idx, lam, c, r, shrink):
     to first order about lambda_k: beta_k = 1 + sum_{n != k} c_n / (lambda_n
     - lambda_k).  On the circle min |G_k| = |beta_k| - |c_k| / rho_k, and
     |F - G_k| <= S_k = sum_{n != k} |c_n| rho_k / (D_n (D_n - rho_k)) + T /
-    (delta_k - rho_k), with D_n = |lambda_n - lambda_k|, T the discarded
-    tail sum and delta_k = delta_unrepresented(lambda_k), taken as
-    tail_bound_at takes it.  When S_k < min |G_k|, F has as many zeros as
+    (delta_k - rho_k), with D_n = |lambda_n - lambda_k| and the tail term
+    T / (delta_k - rho_k) cf.tail_bound_at(lambda_k, rho_k), inf where
+    delta_k <= rho_k.  When S_k < min |G_k|, F has as many zeros as
     poles inside, like G_k: one zero when c_k != 0, about lambda_k + c_k /
     beta_k, and none when c_k = 0.  As |beta_k| >= 1 - sum |c_n| / D_n, a
     disk that passes against 1 + c_k / (lambda_k - z) passes here too.  The
@@ -220,10 +221,10 @@ def _rouche(cf, idx, lam, c, r, shrink):
         for b, *parts in blocks:
             beta[b], slope[b], rho[b], size[b], nearest[b], s[b] = parts
     ok = nearest > 0.0
-    if cf.tail_total > 0.0:
-        gap = cf.delta_unrepresented(lam) - rho
-        ok &= gap > 0.0
-        s += cf.tail_total / np.where(gap > 0.0, gap, np.inf)
+    if cf.has_tail:
+        tail = cf.tail_bound_at(lam, rho)
+        ok &= tail < math.inf
+        s += tail
     # the largest kappa_S of the disks that pass the preconditions; kappa at
     # 2^53 or more puts m u past the cap already (and an infinite kappa has
     # no ceil)
@@ -286,21 +287,21 @@ def _rouche_rect(cf, rect):
     whether it certifies that F has as many zeros as poles inside.
 
     On the boundary |F - 1| <= S_Q = sum_n |c_n| / dist(lambda_n, boundary)
-    + T / delta_Q.  The real ends lie between the poles that bound the
-    window (indices past n_trunc >= K' + 8), so delta_Q, the smaller of
-    delta_unrepresented at the two ends, is exact.  When S_Q < 1, F
-    winds around 0 as 1 does: zeros minus poles inside is 0.  K_eps and K'
-    give 1 - S_Q > eps / (2 (K' - K_eps) + 1), as on the outer circles.
-    The check is S_Q (1 + gamma) < 1 - gamma with _rouche's allowance, |G|
-    = 1 exact and kappa = (|lambda_n| + |edge|) / dist for the cancellation
-    in each pole's distance to the boundary, edge the farther real end.
+    + T / delta_Q, the larger cf.tail_bound_at at the two real ends, which
+    lie between the poles that bound the window: delta is exact there, and
+    the larger bound is T / min delta to the bit.  When S_Q < 1, F winds
+    around 0 as 1 does: zeros minus poles inside is 0.  K_eps and K' give 1
+    - S_Q > eps / (2 (K' - K_eps) + 1), as on the outer circles.  The check
+    is S_Q (1 + gamma) < 1 - gamma with _rouche's allowance, |G| = 1 exact
+    and kappa = (|lambda_n| + |edge|) / dist for the cancellation in each
+    pole's distance to the boundary, edge the farther real end.
     """
     dist = _pole_distance_to_rect(rect, cf.lam1)
     if np.count_nonzero(dist) < len(dist):  # a pole on the boundary: S_Q is infinite
         return -math.inf, False
     s = float(np.add.reduce(np.abs(cf.c1) / dist))
-    if cf.tail_total > 0.0:
-        s += cf.tail_total / float(cf.delta_unrepresented([rect.re_lo, rect.re_hi]).min())
+    if cf.has_tail:
+        s += float(max(cf.tail_bound_at(rect.re_lo), cf.tail_bound_at(rect.re_hi)))
     edge = max(abs(rect.re_lo), abs(rect.re_hi))
     # kappa at 2^53 or more puts m u past the cap already (and an infinite
     # kappa has no ceil)
@@ -320,21 +321,25 @@ def _arc_test(cf, w, shift, rho, p):
 
     With a_j = F^(j)(z)/j! (F cut to the window) and D_n = |lambda_n - z|,
     |F - a_0| <= S = sum_{1<=j<=p} |a_j| rho^j + sum_n |c_n| (rho/D_n)^(p+1)
-    / (D_n - rho) + T / (delta - rho) within rho of z (Taylor terms, each
-    pole term's remainder, the tail; delta as tail_bound_at takes it), so
-    S < |a_0| keeps F off 0 there, when D_n and delta exceed rho.  The
-    check is S (1 + gamma) < |a_0| (1 - gamma), S with
-    gamma B added for the a_j's rounding (times rho^j it sums to at most
-    gamma B, B = sum_n |c_n| / (D_n - rho)); gamma counts 12 roundings a
-    complex quotient and ceil(kappa_d) a power for the cancellation in
-    (lambda_n - shift) - w (kappa_d = 2 + |w| / D_n), two a term for the
-    sums, ceil(kappa_g (kappa_d + 6)) for D_n - rho and delta - rho (kappa_g
-    = (D + rho) / (D - rho)), and 12 for |a_0|, rho^j and the comparison.
+    / (D_n - rho) + b_rho within rho of z (Taylor terms, each pole term's
+    remainder, the tail term b_rho = T / (delta - rho) =
+    cf.tail_bound_at(z, rho)), so S < |a_0| keeps F off 0 there, when D_n
+    and delta exceed rho (b_rho is inf otherwise).  The check is S (1 +
+    gamma) < |a_0| (1 - gamma), S with gamma B added for the a_j's rounding
+    (times rho^j it sums to at most gamma B, B = sum_n |c_n| / (D_n -
+    rho)); gamma counts 12 roundings a complex quotient and ceil(kappa_d) a
+    power for the cancellation in (lambda_n - shift) - w (kappa_d = 2 + |w|
+    / D_n), two a term for the sums, ceil(kappa_g (kappa_d + 6)) for D_n -
+    rho and delta - rho, and 12 for |a_0|, rho^j and the comparison.
+    kappa_g is the larger of (D + rho) / (D - rho) and 2 b_rho / b_0 (b_0 =
+    T / delta = cf.tail_bound_at(z)), which is (delta + rho) / (delta - rho)
+    + 1 and rounds four times, so stays above that factor while it is below
+    2^51, past which gamma is capped (fmax skips delta = 0's NaN; ok fails).
 
     hopeless marks a failed arc whose node is at the floor: the check's
-    limit as rho -> 0, (T / delta + gamma_0 B_0) (1 + gamma_0) >= |a_0| (1 -
+    limit as rho -> 0, (b_0 + gamma_0 B_0) (1 + gamma_0) >= |a_0| (1 -
     gamma_0), with gamma_0 the gamma of kappa_g = 1 and B_0 = sum_n |c_n| /
-    D_n >= B (1 - rho / min D_n).  S exceeds T / delta + gamma B_0 and gamma
+    D_n >= B (1 - rho / min D_n).  S exceeds b_0 + gamma B_0 and gamma
     exceeds gamma_0 at every chord, so no arc from that node passes, however
     short.  It is formed only when some arc fails.
     """
@@ -342,13 +347,12 @@ def _arc_test(cf, w, shift, rho, p):
     ok = nearest > rho
     kappa_g = (nearest + rho) / (nearest - rho)
     s = (np.abs(a[1:]) * rho ** np.arange(1, p + 1)[:, np.newaxis]).sum(axis=0) + rem
-    tail = 0.0  # T / delta
-    if cf.tail_total > 0.0:
-        delta = cf.delta_unrepresented(shift + w)
-        tail = cf.tail_total / delta
-        ok &= delta > rho
-        s += cf.tail_total / (delta - rho)
-        kappa_g = np.maximum(kappa_g, (delta + rho) / (delta - rho))
+    tail0 = 0.0  # b_0
+    if cf.has_tail:
+        tail, tail0 = cf.tail_bound_at(z := shift + w, rho), cf.tail_bound_at(z)
+        ok &= tail < math.inf
+        s += tail
+        kappa_g = np.fmax(kappa_g, 2.0 * tail / tail0)
     kappa_d = np.ceil(2.0 + _modulus(w) / nearest)
     m = 2 * len(cf.c1) + 2 * (p + 1) * (kappa_d + 12) + 12
     gamma = _gamma(m + np.ceil(kappa_g * (kappa_d + 6)))
@@ -359,7 +363,7 @@ def _arc_test(cf, w, shift, rho, p):
     if hopeless.any():
         gamma0 = _gamma(m + kappa_d + 6)
         size = np.where(ok, b * (1.0 - rho / nearest), 0.0)  # at most B_0
-        hopeless &= (tail + gamma0 * size) * (1.0 + gamma0) >= a0 * (1.0 - gamma0)
+        hopeless &= (tail0 + gamma0 * size) * (1.0 + gamma0) >= a0 * (1.0 - gamma0)
     return a[0], passed, hopeless
 
 
@@ -716,7 +720,7 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
 
 
 def _central_rectangle(spec, k_prime, d, lambda_at):
-    """Q_{K'}, its real ends from lambda_at (the solve's Terms.lambda_at)."""
+    """Q_{K'}, its real ends from lambda_at (the solve's cf.terms.lambda_at)."""
     if spec.index_kind == INDEX_Z:
         lo = lambda_at(-k_prime) - 0.5 * d
         hi = lambda_at(k_prime) + 0.5 * d
@@ -786,59 +790,23 @@ def _disks(cf, k_prime, window, d):
     return idx, lam, c, w, rho, certified
 
 
-def _setup(spec, coeffs, opts, eps):
-    """(terms, K', window, n_trunc) of a solve.  c_n and lambda_n are
-    evaluated once (charfn.Terms) over the head and the n_trunc the options
-    give, max(n_trunc, window + 8), and again only when K' + 8 exceeds it; a
-    first n_trunc beyond TRUNC_CAP raises WindowExceeded before any index
-    beyond TRUNC_CAP is evaluated."""
-    h = coeffs.head_radius()
-    terms = Terms(spec, coeffs, min(max(opts.n_trunc, opts.window + 8), TRUNC_CAP), h)
-    _, k_prime = terms.keps(eps)
-    window = max(opts.window, k_prime)
-    n_trunc = max(opts.n_trunc, window + 8)
-    if n_trunc > TRUNC_CAP:
-        raise errors.WindowExceeded(
-            f"summation window {n_trunc} (window {window}, K' = {k_prime}) exceeds {TRUNC_CAP}"
-        )
-    if n_trunc > terms.radius:
-        terms = Terms(spec, coeffs, n_trunc, h)
-    return terms, k_prime, window, n_trunc
-
-
 def localize_spectrum(spec, coeffs, opts=None):
-    """Locate all zeros of F in the enclosure Q_{K'} union outer disks.
-
-    K', the window and the central rectangle are fixed once (_setup); F is
-    summed over max(n_trunc, window + 8), doubled up to TRUNC_CAP while an
-    attempt fails and some nonzero c_n lies beyond it.  F's window, the
-    rectangle's ends and the tail sums are sliced from the terms _setup
-    evaluated, which are evaluated again only when n_trunc outgrows them.
-    """
-    if opts is None:
-        opts = LocalizeOptions()
+    """Locate all zeros of F in the enclosure Q_{K'} union outer disks:
+    K', the window and F's first cut come from charfn.first_cut, and each
+    attempt that fails asks cf.next_cut for the next cut."""
+    opts = opts or LocalizeOptions()
     d = spec.gap
     eps = d / (2.0 + d)
-    terms, k_prime, window, n_trunc = _setup(spec, coeffs, opts, eps)
+    cf, k_prime, window = first_cut(spec, coeffs, opts.window, opts.n_trunc, eps)
     # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
-    rect = _central_rectangle(spec, k_prime, d, terms.lambda_at)
+    rect = _central_rectangle(spec, k_prime, d, cf.terms.lambda_at)
     while True:
-        cf = CharacteristicFunction.cut(terms, n_trunc)
         try:
             found = _localize_attempt(cf, k_prime, window, rect, d)
         except errors.CertificationFailed as exc:
-            # with every nonzero c_n summed, a larger n_trunc gives the same F
-            if cf.tail_total == 0.0:
-                raise
-            if n_trunc * 2 > TRUNC_CAP:
-                raise errors.CertificationFailed(
-                    f"escalation exhausted (n_trunc {n_trunc}): {exc}"
-                )
-            n_trunc *= 2
-            if n_trunc > terms.radius:
-                terms = Terms(spec, coeffs, n_trunc, terms.h)
+            cf = cf.next_cut(exc)
             continue
-        return LocalizationResult(*found, rect, k_prime, window, eps, terms.tail_sum(window), cf)
+        return LocalizationResult(*found, rect, k_prime, window, eps, cf.terms.tail_sum(window), cf)
 
 
 def _localize_attempt(cf, k_prime, window, rect, d):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import errors, _kernels
-from .charfn import first_pole_hit, outside_in
+from .charfn import TRUNC_MARGIN, first_pole_hit, summed_terms
 from .model import PerturbationCoefficients, PowerTail, validate_coefficients
 
 ROWS = 8  # rows of ratios build_product forms at once, each padded to under 2 |I1|
@@ -171,18 +171,16 @@ def default_sample_points(spec, pf):
 def check_F_equals_product(coeffs, pf, sample_points):
     """Max |F - F~| over the samples; the two functions agree identically.
 
-    F's terms are the nonzero c_n over the deviating window plus eight
-    indices (and the whole coefficient head), in CharacteristicFunction.cut's
-    order (outside_in), so that F's values are a built F's to the bit.  The
-    samples are tested once against the poles of both functions, F's
-    first: a sample on a pole raises PoleHit naming its index."""
+    F's terms are the nonzero c_n over the deviating window plus
+    TRUNC_MARGIN indices (and the whole coefficient head), in the order
+    CharacteristicFunction.cut sums them (summed_terms), so that F's values
+    are a built F's to the bit.  The samples are tested once against the
+    poles of both functions, F's first: a sample on a pole raises PoleHit
+    naming its index."""
     spec = pf.spec
-    n = max(_deviating_radius(pf) if pf.i1 else 1, coeffs.head_radius()) + 8
+    n = max(_deviating_radius(pf) if pf.i1 else 1, coeffs.head_radius()) + TRUNC_MARGIN
     first = spec.first_index(n)
-    c = coeffs.c_range(first, n)
-    k = c.nonzero()[0]
-    k = outside_in(k, first + k)
-    c, lam = c[k], spec.lambda_range(first, n)[k]
+    k, lam, c = summed_terms(np.arange(first, n + 1), spec.lambda_range(first, n), coeffs.c_range(first, n))
     z = np.asarray(sample_points, dtype=complex).reshape(-1)
     hit = first_pole_hit(np.concatenate((lam, pf.lam)), z)
     if hit is not None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rank1spec.charfn import CharacteristicFunction
+from rank1spec.charfn import TRUNC_MARGIN, CharacteristicFunction
 from rank1spec.model import (
     AffineTail,
     BaseSpectrum,
@@ -124,11 +124,12 @@ def c_tail_sum(coeffs, radius, index_kind):
 
 def combined_discrepancy_bound(coeffs, pf, sample_points):
     """Certified bound on |F - F~| at the samples, for the F that
-    inverse.check_F_equals_product builds (the deviating window plus eight
-    indices, and the whole coefficient head): tail truncation plus a
-    floating-point allowance proportional to the summed term magnitudes."""
+    inverse.check_F_equals_product builds (the deviating window plus
+    TRUNC_MARGIN indices, and the whole coefficient head): tail truncation
+    plus a floating-point allowance proportional to the summed term
+    magnitudes."""
     radius = max([abs(n) for n in pf.i1], default=1)
-    cf = CharacteristicFunction.build(pf.spec, coeffs, max(radius + 8, coeffs.head_radius() + 8))
+    cf = CharacteristicFunction.build(pf.spec, coeffs, max(radius, coeffs.head_radius()) + TRUNC_MARGIN)
     z = np.asarray(sample_points, dtype=complex).reshape(-1)
     dist = np.abs(cf.lam1 - z[:, np.newaxis])
     fp = 4e-15 * (1.0 + np.sum(np.abs(cf.c1) / np.maximum(dist, 1e-300), axis=1))

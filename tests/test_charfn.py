@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from rank1spec import direct, errors
-from rank1spec.charfn import TRUNC_CAP, CharacteristicFunction, Terms, compute_Keps, first_pole_hit
+from rank1spec.charfn import (
+    TRUNC_CAP,
+    CharacteristicFunction,
+    compute_Keps,
+    first_cut,
+    first_pole_hit,
+)
 from rank1spec.direct import LocalizeOptions
 from rank1spec.model import (
     AffineTail,
@@ -356,14 +362,26 @@ def _reference_cf(spec, coeffs, n_trunc):
     }  # fmt: skip
 
 
+def _reference_subnormal_tail(spec, coeffs, radius):
+    """DegenerateIndex where a power tail puts 0 < |c_n| < 2^-1022 on the
+    index set out to radius or the head radius."""
+    if coeffs.c_tail is None:
+        return
+    absc = np.abs(np.atleast_1d(coeffs.c_at(spec.window_indices(max(radius, coeffs.head_radius())))))
+    if np.any((absc > 0.0) & (absc < 2.0**-1022)):
+        raise errors.DegenerateIndex("subnormal tail c_n")
+
+
 def _reference_setup(spec, coeffs, opts):
     d = spec.gap
     eps = d / (2.0 + d)
+    _reference_subnormal_tail(spec, coeffs, min(max(opts.n_trunc, opts.window + 8), TRUNC_CAP))
     k_prime = _reference_keps(spec, coeffs, eps)[1]
     window = max(opts.window, k_prime)
     n_trunc = max(opts.n_trunc, window + 8)
     if n_trunc > TRUNC_CAP:
         raise errors.WindowExceeded("n_trunc")
+    _reference_subnormal_tail(spec, coeffs, n_trunc)
     rect = direct._central_rectangle(spec, k_prime, d, spec.lambda_at)
     return k_prime, window, n_trunc, rect, c_tail_sum(coeffs, window, spec.index_kind)
 
@@ -375,7 +393,8 @@ def _setup_cases(draw):
     reach past the first n_trunc; power tails or none on a and b.  Small b
     heads leave K' small, and large ones or tails near the summability
     limit raise WindowExceeded.  No |b_n| lies in (0, 1e-300): validation
-    rejects 0 < |c_n| < 2^-1022."""
+    rejects 0 < |c_n| < 2^-1022.  A tail scale may be drawn subnormal, and
+    a solve then raises DegenerateIndex once its terms reach such a c_n."""
     kind, start = draw(st.sampled_from([("Z", -3), ("N", 0), ("N", 1), ("N", 5)]))
     slope = draw(st.sampled_from([0.5, 1.0, 3.0]))
     lam_head = tuple(slope * (start + j) + 0.3 * slope * draw(st.floats(-1.0, 1.0)) for j in range(6))
@@ -395,32 +414,42 @@ def _setup_cases(draw):
     ]
     coeffs = PerturbationCoefficients(lo, a, tails[0], lo, tuple(complex(v) for v in b), tails[1])
     opts = LocalizeOptions(window=draw(st.integers(1, 30)), n_trunc=draw(st.integers(1, 40)))
-    return spec, validate_coefficients(coeffs, spec), opts
+    try:
+        coeffs = validate_coefficients(coeffs, spec)
+    except errors.DegenerateIndex:
+        pass  # a subnormal tail c_n within the heads' radius: the setup raises it too
+    return spec, coeffs, opts
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_setup_cases())
 def test_the_one_pass_setup_matches_the_evaluation_it_replaced(case):
     # K', the window, n_trunc, the rectangle, the window's tail sum and every
-    # array of F, at the first n_trunc and at its double, are those of the
-    # separate compute_Keps, build and c_tail_sum passes, bit for bit, or
-    # both raise the same errors class
+    # array of F, at the first n_trunc and at its double (which cut widens
+    # the terms for), are those of the separate compute_Keps, build and
+    # c_tail_sum passes, bit for bit, or both raise the same errors class
     spec, coeffs, opts = case
     d = spec.gap
+    eps = d / (2.0 + d)
     try:
         want = _reference_setup(spec, coeffs, opts)
     except errors.Rank1Error as exc:
         with pytest.raises(type(exc)):
-            direct._setup(spec, coeffs, opts, d / (2.0 + d))
+            first_cut(spec, coeffs, opts.window, opts.n_trunc, eps)
         return
-    terms, k_prime, window, n_trunc = direct._setup(spec, coeffs, opts, d / (2.0 + d))
+    cf, k_prime, window = first_cut(spec, coeffs, opts.window, opts.n_trunc, eps)
+    n_trunc, terms = cf.n_trunc, cf.terms
     rect = direct._central_rectangle(spec, k_prime, d, terms.lambda_at)
     assert (k_prime, window, n_trunc, rect, terms.tail_sum(window)) == want
     for n in (n_trunc, 2 * n_trunc):
-        if n > terms.radius:
-            terms = Terms(spec, coeffs, n, terms.h)
+        try:
+            _reference_subnormal_tail(spec, coeffs, n)
+        except errors.DegenerateIndex:
+            with pytest.raises(errors.DegenerateIndex):
+                CharacteristicFunction.cut(terms, n)
+            return
         cf = CharacteristicFunction.cut(terms, n)
-        assert cf.n_trunc == n
+        assert cf.n_trunc == n and cf.terms.radius == max(n, terms.radius)
         for name, value in _reference_cf(spec, coeffs, n).items():
             got = np.asarray(cf.lam[cf.c != 0] if name == "poles" else getattr(cf, name))
             assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name

@@ -392,6 +392,20 @@ def test_non_finite_tail_exits_one_with_warnings_as_errors(files, tmp_path):
         assert proc.stderr.startswith(error)
 
 
+def test_a_subnormal_power_tail_c_n_exits_one_naming_it(files, tmp_path):
+    # c_n = |n|^-251 (and |n|^-301) is subnormal at |n| = 19 (and 11), inside
+    # the summation window: these solves once exited 2 (CertificationFailed),
+    # and with RuntimeWarnings as errors stopped on the kernel's overflow
+    one = {"beta": 1.0, "scale": 1.0, "phase": 0.0}
+    doc = dict(json.loads(files["coeffs"].read_text()), a_head={"offset": 0, "values": [[1.0, 0.0]]}, a_tail=one)
+    for beta, window, index in ((250.0, 30, -19), (300.0, 12, -11)):
+        doc.update(b_head={"offset": 0, "values": [[0.3, 0.0]]}, b_tail=dict(one, beta=beta))
+        argv = ["direct", "--spec", files["spec"], "--coeffs", _write(tmp_path / "subnormal.json", doc)]
+        proc = _cli_process(argv + ["--trunc", 40, "--trunc-window", window])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"DegenerateIndex: 0 < |c_n| < 2^-1022 at tail index {index}: ")
+
+
 def test_fixed_phi_whose_b_is_not_finite_exits_one(files, tmp_path):
     # a_0 = nan and a_0 = 1e-310 once wrote b_0 = [NaN, NaN] and
     # [Infinity, NaN] with exit code 0

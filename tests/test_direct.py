@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rank1spec import direct, errors, gallery, inverse, oracle
+from rank1spec import charfn, direct, errors, gallery, inverse, oracle
 from rank1spec.charfn import CharacteristicFunction, Terms, compute_Keps
 from rank1spec.direct import (
     Disk,
@@ -439,7 +439,7 @@ def test_n_trunc_doubles_only_while_a_tail_is_left_out(zspec, monkeypatch):
 
     monkeypatch.setattr(direct, "_localize_attempt", spy)
     monkeypatch.setattr(direct, "_central_zeros", fail)
-    monkeypatch.setattr(direct, "TRUNC_CAP", 80)
+    monkeypatch.setattr(charfn, "TRUNC_CAP", 80)
     with pytest.raises(errors.CertificationFailed, match="^central zeros forced to fail$"):
         localize_spectrum(zspec, finite_coeffs({0: 0.3, 1: 0.3}), OPTS)
     assert tried == [20]
@@ -467,16 +467,75 @@ def test_escalation_fixes_K_prime_once_and_doubles_the_n_trunc_it_built(zspec, m
     assert ps.certified and ps.mult.sum() == 2 * loc.window + 1
 
 
+def test_reports_are_built_once_per_result(zspec, monkeypatch):
+    # reports forms its residuals with one values pass on the first read, and
+    # every later read (all_zeros included) returns the same list
+    loc = localize_spectrum(zspec, finite_coeffs({0: 0.3, 1: 0.3, 6: 0.01}), OPTS)
+    calls, values = [], CharacteristicFunction.values
+    monkeypatch.setattr(CharacteristicFunction, "values", lambda cf, z: calls.append(len(z)) or values(cf, z))
+    first = loc.reports
+    assert loc.reports is first and len(loc.all_zeros()) == 3 and calls == [3]
+
+
+def test_a_subnormal_power_tail_c_n_is_a_degenerate_index(zspec):
+    # a = PowerTail(1, 1, 0) and b = PowerTail(250, 1, 0) with c_0 = 0.3 put
+    # c_n = |n|^-251 below 2^-1022 at 17 <= |n| <= 19, and b's beta 300 puts
+    # c_11 there: at window 30 and 12 (n_trunc 40) the solves failed Newton
+    # in the disk around index -19 and -11, and stopped on an overflow in the
+    # kernel with RuntimeWarnings as errors.  Validation passes them (the
+    # heads hold c_0 alone); the first terms a solve evaluates raise
+    for beta, window, index in ((250.0, 30, -19), (300.0, 12, -11)):
+        coeffs = PerturbationCoefficients(0, (1.0,), PowerTail(1.0, 1.0, 0.0), 0, (0.3,), PowerTail(beta, 1.0, 0.0))
+        coeffs = validate_coefficients(coeffs, zspec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(errors.DegenerateIndex, match=rf"^0 < \|c_n\| < 2\^-1022 at tail index {index}: "):
+                solve_direct(zspec, coeffs, LocalizeOptions(window=window, n_trunc=40))
+    # over N from 5, c_1..c_4 = 1.28e-321 n^-4 are subnormal but no terms of
+    # F (c_5 = 0.3, and c_n rounds to 0 beyond): that solve still certifies
+    nspec = validate_base(BaseSpectrum("N", 5, (5.0,), AffineTail(1.0, 0.0), 1.0))
+    tail = PowerTail(3.0, 1.28e-321, 0.0)
+    coeffs = validate_coefficients(PerturbationCoefficients(5, (1.0,), PowerTail(1.0, 1.0, 0.0), 5, (0.3,), tail), nspec)
+    assert solve_direct(nspec, coeffs, OPTS)[0].certified
+
+
+def test_every_certificate_takes_its_tail_term_from_tail_bound_at(zspec, monkeypatch):
+    # on F with a power tail, disks, the central rectangle and arcs that
+    # certify stop certifying once tail_bound_at alone says +inf: the tail
+    # term has no other source
+    cf = _tail_cf(zspec)
+    win = cf.window(8)
+    outer = np.abs(cf.idx[win]) > 3  # the outer disks of window 8 with K' = 3
+    idx, lam, c = cf.idx[win][outer], cf.lam[win][outer], cf.c[win][outer]
+    rect = direct._central_rectangle(zspec, 3, 1.0, zspec.lambda_at)
+    w = 0.3 * np.exp(2j * np.pi * np.arange(32) / 32)
+    shift = np.full(32, 5.0)
+    rho = np.abs(np.roll(w, -1) - w)
+
+    def certificates():
+        _, disks, _ = direct._rouche(cf, idx, lam, c, 0.5, np.zeros(len(idx), dtype=bool))
+        _, arcs, _ = direct._arc_test(cf, w, shift, rho, 3)
+        return disks, direct._rouche_rect(cf, rect)[1], arcs
+
+    disks, rect_ok, arcs = certificates()
+    assert disks.all() and rect_ok and arcs.all()
+    monkeypatch.setattr(CharacteristicFunction, "tail_bound_at", lambda cf, z, rho=0.0: math.inf)
+    disks, rect_ok, arcs = certificates()
+    assert not disks.any() and not rect_ok and not arcs.any()
+
+
 def test_solves_ask_delta_only_between_the_bounding_poles(zspec, monkeypatch):
-    # delta_unrepresented is exact between the poles that bound the
+    # tail_bound_at's delta is exact between the poles that bound the
     # window, lambda at max(n_trunc + 1, the first index) and, over Z,
     # lambda_{-n_trunc-1}, and only a lower bound beyond them: every disk
-    # centre, arc node and rectangle end of a tailed solve lies between,
-    # on the power family, an N-indexed instance with a tail and the
-    # escalating instance above (n_trunc 20, then 40)
-    asked, delta = [], CharacteristicFunction.delta_unrepresented
+    # centre, arc node and rectangle end a tailed solve asks it for lies
+    # between, on the power family, an N-indexed instance with a tail and
+    # the escalating instance above (n_trunc 20, then 40)
+    asked, bound = [], CharacteristicFunction.tail_bound_at
     monkeypatch.setattr(
-        CharacteristicFunction, "delta_unrepresented", lambda cf, z: asked.append((cf.n_trunc, z)) or delta(cf, z)
+        CharacteristicFunction,
+        "tail_bound_at",
+        lambda cf, z, rho=0.0: asked.append((cf.n_trunc, z)) or bound(cf, z, rho),
     )
     nspec = validate_base(BaseSpectrum("N", 0, (), AffineTail(1.0, 0.0), 1.0))
     tail = PowerTail(beta=1.5, scale=0.5, phase=0.2)
