@@ -120,14 +120,14 @@ class CharacteristicFunction:
             dist, between = np.minimum(dist, np.abs(left - z)), between & (z.real >= left)
         return np.where(between, dist, np.abs(z.imag))
 
-    def tail_bound_at(self, z, rho=0.0):
-        """T / (delta - rho): a bound on the discarded tail of F within rho
-        of each point z, an array shaped as z, inf where delta <= rho; the
-        float 0.0 without a tail."""
-        if not self.has_tail:
-            return 0.0
-        gap = self.delta_unrepresented(z).reshape(np.shape(z)) - rho
-        return np.divide(self.tail_total, gap, out=np.full(gap.shape, np.inf), where=gap > 0.0)
+    def tail_bound_at(self, z, rho=0.0, factor=False):
+        """T / (delta - rho), bounding F's discarded tail within rho of each
+        point z: an array shaped as z, inf where delta <= rho (0 if T = 0);
+        factor adds (delta + rho) / (delta - rho), inf there too."""
+        gap = (delta := self.delta_unrepresented(z).reshape(np.shape(z))) - rho
+        fill, where = np.inf if self.has_tail else 0.0, gap > 0.0
+        bound = np.divide(self.tail_total, gap, out=np.full(gap.shape, fill), where=where)
+        return (bound, np.divide(delta + rho, gap, out=np.full(gap.shape, np.inf), where=where)) if factor else bound
 
     # -- evaluation --------------------------------------------------------
 
@@ -158,9 +158,7 @@ class Terms:
     """c_n, |c_n| and lambda_n over the indices lo..radius, evaluated once
     for a solve to slice its K_eps, windows and tail sums from.  radius
     reaches the head radius h; lo is -radius over Z, and over N the lower
-    of 1 and the start (a tail sum counts from index 1).  A power-tail c_n
-    with 0 < |c_n| < 2^-1022 on the index set raises DegenerateIndex, the
-    rule validate_coefficients applies to the heads."""
+    of 1 and the start (a tail sum counts from index 1)."""
 
     def __init__(self, spec, coeffs, radius, h=None):
         self.spec, self.coeffs = spec, coeffs
@@ -171,11 +169,6 @@ class Terms:
         self.c = coeffs.c_range(self.lo, self.radius)
         self.absc = np.abs(self.c)
         self.lam = spec.lambda_range(self.lo, self.radius)
-        if coeffs.c_tail is not None:
-            absc = self.absc[spec.first_index(self.radius) - self.lo :]  # over N, lo may lie below the index set
-            if (tiny := (absc > 0.0) & (absc < 2.0**-1022)).any():
-                n = spec.first_index(self.radius) + int(tiny.argmax())
-                raise errors.DegenerateIndex(f"0 < |c_n| < 2^-1022 at tail index {n}: rescale the input")
 
     def lambda_at(self, n):
         return float(self.lam[n - self.lo])
@@ -235,7 +228,9 @@ class Terms:
 def first_cut(spec, coeffs, window, n_trunc, eps):
     """(F, K', window) of a solve: the window widened to K' and F cut at
     max(n_trunc, window + TRUNC_MARGIN); Terms are evaluated no farther than
-    TRUNC_CAP, and a cut beyond it raises WindowExceeded."""
+    TRUNC_CAP, and a cut beyond it raises WindowExceeded.  A power-tail c_n
+    in the window with 0 < |c_n| < 2^-1022 raises DegenerateIndex (disks and
+    Newton divide by it; beyond the window it adds about 0 to F)."""
     terms = Terms(spec, coeffs, min(max(n_trunc, window + TRUNC_MARGIN), TRUNC_CAP))
     _, k_prime = terms.keps(eps)
     window = max(window, k_prime)
@@ -244,7 +239,13 @@ def first_cut(spec, coeffs, window, n_trunc, eps):
         raise errors.WindowExceeded(
             f"summation window {n_trunc} (window {window}, K' = {k_prime}) exceeds {TRUNC_CAP}"
         )
-    return CharacteristicFunction.cut(terms, n_trunc), k_prime, window
+    cf = CharacteristicFunction.cut(terms, n_trunc)
+    if coeffs.c_tail is not None:  # the rule validate_coefficients applies to the heads
+        absc = np.abs(cf.c[win := cf.window(window)])
+        if (tiny := (absc > 0.0) & (absc < 2.0**-1022)).any():
+            n = int(cf.idx[win][tiny.argmax()])
+            raise errors.DegenerateIndex(f"0 < |c_n| < 2^-1022 at tail index {n}: rescale the input")
+    return cf, k_prime, window
 
 
 def compute_Keps(spec, coeffs, eps):

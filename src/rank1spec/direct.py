@@ -331,28 +331,25 @@ def _arc_test(cf, w, shift, rho, p):
     power for the cancellation in (lambda_n - shift) - w (kappa_d = 2 + |w|
     / D_n), two a term for the sums, ceil(kappa_g (kappa_d + 6)) for D_n -
     rho and delta - rho, and 12 for |a_0|, rho^j and the comparison.
-    kappa_g is the larger of (D + rho) / (D - rho) and 2 b_rho / b_0 (b_0 =
-    T / delta = cf.tail_bound_at(z)), which is (delta + rho) / (delta - rho)
-    + 1 and rounds four times, so stays above that factor while it is below
-    2^51, past which gamma is capped (fmax skips delta = 0's NaN; ok fails).
+    kappa_g is the larger of (D + rho) / (D - rho) and (delta + rho) /
+    (delta - rho), the factor tail_bound_at returns beside b_rho.
 
     hopeless marks a failed arc whose node is at the floor: the check's
     limit as rho -> 0, (b_0 + gamma_0 B_0) (1 + gamma_0) >= |a_0| (1 -
-    gamma_0), with gamma_0 the gamma of kappa_g = 1 and B_0 = sum_n |c_n| /
-    D_n >= B (1 - rho / min D_n).  S exceeds b_0 + gamma B_0 and gamma
-    exceeds gamma_0 at every chord, so no arc from that node passes, however
-    short.  It is formed only when some arc fails.
+    gamma_0), with b_0 = T / delta, gamma_0 the gamma of kappa_g = 1 and
+    B_0 = sum_n |c_n| / D_n >= B (1 - rho / min D_n).  S exceeds b_0 +
+    gamma B_0 and gamma exceeds gamma_0 at every chord, so no arc from that
+    node passes, however short.  It is formed only when some arc fails.
     """
     a, (b, rem, nearest) = cf.taylor(w, p, shift, rho)
     ok = nearest > rho
     kappa_g = (nearest + rho) / (nearest - rho)
     s = (np.abs(a[1:]) * rho ** np.arange(1, p + 1)[:, np.newaxis]).sum(axis=0) + rem
-    tail0 = 0.0  # b_0
     if cf.has_tail:
-        tail, tail0 = cf.tail_bound_at(z := shift + w, rho), cf.tail_bound_at(z)
+        tail, factor = cf.tail_bound_at(shift + w, rho, factor=True)
         ok &= tail < math.inf
         s += tail
-        kappa_g = np.fmax(kappa_g, 2.0 * tail / tail0)
+        kappa_g = np.maximum(kappa_g, factor)
     kappa_d = np.ceil(2.0 + _modulus(w) / nearest)
     m = 2 * len(cf.c1) + 2 * (p + 1) * (kappa_d + 12) + 12
     gamma = _gamma(m + np.ceil(kappa_g * (kappa_d + 6)))
@@ -363,6 +360,7 @@ def _arc_test(cf, w, shift, rho, p):
     if hopeless.any():
         gamma0 = _gamma(m + kappa_d + 6)
         size = np.where(ok, b * (1.0 - rho / nearest), 0.0)  # at most B_0
+        tail0 = cf.tail_bound_at(shift + w) if cf.has_tail else 0.0  # b_0
         hopeless &= (tail0 + gamma0 * size) * (1.0 + gamma0) >= a0 * (1.0 - gamma0)
     return a[0], passed, hopeless
 

@@ -499,6 +499,20 @@ def test_a_subnormal_power_tail_c_n_is_a_degenerate_index(zspec):
     assert solve_direct(nspec, coeffs, OPTS)[0].certified
 
 
+def test_a_subnormal_c_n_beyond_the_window_is_summed_as_at_any_other_n(zspec):
+    # the gallery's power family at beta 50 and window 200 keeps c_n =
+    # |n|^-100 normal in the window, and it is subnormal for 1194 <= |n| <=
+    # 1722, inside the default n_trunc 2000, where it adds about 0 to F: the
+    # solve certifies (warnings as errors), and a cut at 1000 doubles into
+    # that band
+    coeffs = validate_coefficients(gallery.power_family(50.0, 200), zspec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert solve_direct(zspec, coeffs, LocalizeOptions())[0].certified
+    cf, _, _ = charfn.first_cut(zspec, coeffs, 200, 1000, 1.0 / 3.0)
+    assert cf.next_cut(errors.CertificationFailed("a failed attempt")).n_trunc == 2000
+
+
 def test_every_certificate_takes_its_tail_term_from_tail_bound_at(zspec, monkeypatch):
     # on F with a power tail, disks, the central rectangle and arcs that
     # certify stop certifying once tail_bound_at alone says +inf: the tail
@@ -519,7 +533,11 @@ def test_every_certificate_takes_its_tail_term_from_tail_bound_at(zspec, monkeyp
 
     disks, rect_ok, arcs = certificates()
     assert disks.all() and rect_ok and arcs.all()
-    monkeypatch.setattr(CharacteristicFunction, "tail_bound_at", lambda cf, z, rho=0.0: math.inf)
+    monkeypatch.setattr(
+        CharacteristicFunction,
+        "tail_bound_at",
+        lambda cf, z, rho=0.0, factor=False: (math.inf, math.inf) if factor else math.inf,
+    )
     disks, rect_ok, arcs = certificates()
     assert not disks.any() and not rect_ok and not arcs.any()
 
@@ -535,7 +553,7 @@ def test_solves_ask_delta_only_between_the_bounding_poles(zspec, monkeypatch):
     monkeypatch.setattr(
         CharacteristicFunction,
         "tail_bound_at",
-        lambda cf, z, rho=0.0: asked.append((cf.n_trunc, z)) or bound(cf, z, rho),
+        lambda cf, z, rho=0.0, factor=False: asked.append((cf.n_trunc, z)) or bound(cf, z, rho, factor),
     )
     nspec = validate_base(BaseSpectrum("N", 0, (), AffineTail(1.0, 0.0), 1.0))
     tail = PowerTail(beta=1.5, scale=0.5, phase=0.2)
