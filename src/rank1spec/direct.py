@@ -148,11 +148,32 @@ class LocalizationResult:
 
 def _gamma(m):
     """Higham's gamma_m = m u / (1 - m u) over an array, or in Python floats
-    at a float, with m u capped at 1/2: gamma = 1 there, and every check X
-    (1 + gamma) < Y (1 - gamma) with X >= 0 fails, as it does with the true
-    gamma_m >= 1 (and must past m u = 1, where there is none)."""
+    at a float, with m u capped at 1/2 (gamma = 1): _holds's allowance."""
     mu = min(m * UNIT_ROUNDOFF, 0.5) if isinstance(m, float) else np.minimum(m * UNIT_ROUNDOFF, 0.5)
     return mu / (1.0 - mu)
+
+
+def _holds(bound, slack, value, m, kappa, fails=False):
+    """Whether (bound + gamma slack) (1 + gamma) < value (1 - gamma), gamma =
+    _gamma(m + ceil(kappa)): every count's certificate, over arrays or in
+    Python floats.  With fails set, whether >= holds (neither, at a NaN).
+
+    A check claims B < V: B the exact bound on |F - G| that bound rounds, V
+    the exact least |G| that value rounds, G the model F is compared with.
+    gamma_k bounds the relative error of k roundings (Higham 2002), and a
+    difference of rounded x and y costs ceil(kappa) more, kappa = (|x| +
+    |y|) / |x - y|; a check's tally m + ceil(kappa) is at least the count of
+    each quantity it forms, its comparison included.  Sums that may cancel
+    (beta_k, the a_j) are off by e in bound and e' in value, e + e' <=
+    gamma slack (1 + gamma), slack the rounded sum of their terms' moduli.
+    So B <= bound (1 + gamma) + e and V >= value (1 - gamma) - e', and the
+    check gives B < V.  At the cap gamma = 1 and no check passes, as
+    none does with the true gamma_m >= 1, nor may past m u = 1, where there
+    is none; kappa is capped at 2^53 (m u past 1/2) in floats alone, as
+    math.ceil(inf) raises."""
+    gamma = _gamma(m + math.ceil(min(kappa, 2.0**53)) if isinstance(kappa, float) else m + np.ceil(kappa))
+    lhs, rhs = (bound + gamma * slack) * (1.0 + gamma), value * (1.0 - gamma)
+    return lhs >= rhs if fails else lhs < rhs
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -186,53 +207,38 @@ def _rouche(cf, idx, lam, c, r, shrink):
     rho.  S_k grows at least as fast as rho S0_k, so no radius between that
     one and r has a larger margin.
 
-    The check holds the float values to (S_k + |c_k| / rho_k + e_k) (1 +
-    gamma) < |beta_k| (1 - gamma) with Higham's gamma_m = m u / (1 - m u),
-    where e_k = gamma (1 + sum_{n != k} |c_n| / D_n) bounds the rounding of
-    beta_k (each term c_n / (lambda_n - lambda_k) 3 roundings a component,
-    the sum one a term and the 1 one more, so any gamma_m with m >= terms +
-    4 serves).  Each term of S_k carries 7 roundings and ceil(kappa_S) for
-    the cancellation in D_n - rho_k (kappa_S = D_n / that difference), the
-    sum of non-negative terms one per term and the factor rho_k one, the
-    tail term 3, |c_k| / rho_k 3, |beta_k| 2, and the sums and the
-    comparison 5; m is their total plus 2 for kappa computed in floats.
-    The sums over the terms are matrix-vector products, and the bounds hold
-    in any order of summation.
+    The check is _holds(S_k + |c_k| / rho_k, 1 + sum_{n != k} |c_n| / D_n,
+    |beta_k|, |I1| + 23, kappa_S) (beta_k: 3 roundings a term's component,
+    a sum one a term, the 1 one).  Each term of S_k carries 7 roundings and
+    ceil(kappa_S) for the cancellation in D_n - rho_k (kappa_S = D_n / that
+    difference), their sum one a term and the factor rho_k one, the tail
+    term 3, |c_k| / rho_k 3, |beta_k| 2, the sums and the comparison 5, and
+    kappa_S in floats 2.  The sums over the terms are matrix-vector
+    products: the bounds hold in any order of summation.
 
-    One allowance serves every disk of a call: gamma_m at the largest
-    ceil(kappa_S) among the disks that pass the preconditions (1 if none
-    does), a Python float.  gamma_m grows with m, so it is no smaller than
-    any of those disks' own, and each certificate stays sound; a disk that
-    fails the preconditions fails whatever its allowance.  kappa_S is
-    looked up, not assumed: d-separation would bound it by 2, but floats
-    collapse the spacing of lambda_n = n + 1e17, which the validators
-    accept.  The disks are checked in blocks of ROUCHE_BLOCK disks x terms
-    (_rouche_blocks); a call that one block covers takes its arrays as they
-    are.
+    One allowance serves every disk of a call, a Python float: kappa_S the
+    largest among the disks that pass the preconditions (1 if none does),
+    so gamma is no smaller than any of those disks' own; a disk that fails
+    the preconditions fails whatever its allowance.  kappa_S is looked up,
+    not assumed: d-separation would bound it by 2, but floats collapse the
+    spacing of lambda_n = n + 1e17, which the validators accept.  The disks
+    are checked in blocks of ROUCHE_BLOCK disks x terms (_rouche_blocks); a
+    call that one block covers takes its arrays as they are.
     """
     absc, absc_k = np.abs(cf.c1), np.abs(c)
     per_block = max(1, ROUCHE_BLOCK // max(1, len(absc)))
     blocks = _rouche_blocks(cf, idx, lam, absc, absc_k, r, shrink, per_block)
-    if len(idx) <= per_block:
-        _, beta, slope, rho, size, nearest, s = next(blocks)
-    else:
-        rho, s, size, nearest = (np.empty(len(idx)) for _ in range(4))
-        beta, slope = np.empty(len(idx), dtype=complex), np.empty(len(idx), dtype=complex)
-        for b, *parts in blocks:
-            beta[b], slope[b], rho[b], size[b], nearest[b], s[b] = parts
+    beta, slope, rho, size, nearest, s = next(blocks) if len(idx) <= per_block else map(np.concatenate, zip(*blocks))
     ok = nearest > 0.0
     if cf.has_tail:
         tail = cf.tail_bound_at(lam, rho)
         ok &= tail < math.inf
         s += tail
-    # the largest kappa_S of the disks that pass the preconditions; kappa at
-    # 2^53 or more puts m u past the cap already (and an infinite kappa has
-    # no ceil)
-    kappa_s = min(1.0 + float(np.maximum.reduce(rho / nearest, where=ok, initial=0.0)), 2.0**53)
-    gamma = _gamma(len(absc) + 23.0 + math.ceil(kappa_s))
+    # the largest kappa_S of the disks that pass the preconditions
+    kappa_s = 1.0 + float(np.maximum.reduce(rho / nearest, where=ok, initial=0.0))
     pole = absc_k / rho
     modulus = _modulus(beta)
-    certified = ok & ((s + pole + gamma * (1.0 + size)) * (1.0 + gamma) < modulus * (1.0 - gamma))
+    certified = ok & _holds(s + pole, 1.0 + size, modulus, len(absc) + 23.0, kappa_s)
 
     def margin():
         with np.errstate(invalid="ignore"):
@@ -242,15 +248,15 @@ def _rouche(cf, idx, lam, c, r, shrink):
 
 
 def _rouche_blocks(cf, idx, lam, absc, absc_k, r, shrink, per_block):
-    """_rouche's sums, per block of per_block disks: (the block's slice,
-    beta_k, beta'_k, rho_k, sum_{n != k} |c_n| / D_n, min_n (D_n - rho_k)
-    and S_k without its tail term).  A generator, so that a block's arrays
-    stay alive until the next block's replace them: freeing them all
+    """_rouche's sums, per block of per_block disks, one empty block for no
+    disk: (beta_k, beta'_k, rho_k, sum_{n != k} |c_n| / D_n, min_n (D_n -
+    rho_k) and S_k without its tail term).  A generator, so that a block's
+    arrays stay alive until the next block's replace them: freeing them all
     between blocks made _rouche twice as slow at window 400."""
     # columns Re c_n, Im c_n, |c_n|: beta_k from the first two, beta'_k and
     # S0_k from one product over all three
     cols = np.concatenate([cf.c1.view(float).reshape(-1, 2), absc[:, np.newaxis]], axis=1)
-    for i in range(0, len(idx), per_block):
+    for i in range(0, max(1, len(idx)), per_block):
         b = slice(i, i + per_block)
         diff = cf.lam1 - lam[b, np.newaxis]
         diff[cf.idx1 == idx[b, np.newaxis]] = np.inf  # the k-th term is G_k's
@@ -266,7 +272,7 @@ def _rouche_blocks(cf, idx, lam, absc, absc_k, r, shrink, per_block):
         inv = np.abs(recip)
         den = np.abs(diff) - rho[:, np.newaxis]
         nearest = np.minimum.reduce(den, axis=1, initial=np.inf)
-        yield b, beta, second[:, :2].view(complex)[:, 0], rho, inv @ absc, nearest, rho * ((inv / den) @ absc)
+        yield beta, second[:, :2].view(complex)[:, 0], rho, inv @ absc, nearest, rho * ((inv / den) @ absc)
 
 
 def _pole_distance_to_rect(rect, poles):
@@ -292,9 +298,9 @@ def _rouche_rect(cf, rect):
     the larger bound is T / min delta to the bit.  When S_Q < 1, F winds
     around 0 as 1 does: zeros minus poles inside is 0.  K_eps and K' give 1
     - S_Q > eps / (2 (K' - K_eps) + 1), as on the outer circles.  The check
-    is S_Q (1 + gamma) < 1 - gamma with _rouche's allowance, |G| = 1 exact
-    and kappa = (|lambda_n| + |edge|) / dist for the cancellation in each
-    pole's distance to the boundary, edge the farther real end.
+    is _holds(S_Q, 0, 1, |I1| + 12, kappa): |G| = 1 is exact, and kappa =
+    (|lambda_n| + |edge|) / dist for the cancellation in each pole's
+    distance to the boundary, edge the farther real end.
     """
     dist = _pole_distance_to_rect(rect, cf.lam1)
     if np.count_nonzero(dist) < len(dist):  # a pole on the boundary: S_Q is infinite
@@ -303,11 +309,8 @@ def _rouche_rect(cf, rect):
     if cf.has_tail:
         s += float(max(cf.tail_bound_at(rect.re_lo), cf.tail_bound_at(rect.re_hi)))
     edge = max(abs(rect.re_lo), abs(rect.re_hi))
-    # kappa at 2^53 or more puts m u past the cap already (and an infinite
-    # kappa has no ceil)
-    kappa = min(float(np.maximum.reduce((np.abs(cf.lam1) + edge) / dist, initial=0.0)), 2.0**53)
-    gamma = _gamma(len(cf.c1) + 12.0 + math.ceil(kappa))
-    return 1.0 - s, s * (1.0 + gamma) < 1.0 - gamma
+    kappa = float(np.maximum.reduce((np.abs(cf.lam1) + edge) / dist, initial=0.0))
+    return 1.0 - s, _holds(s, 0.0, 1.0, len(cf.c1) + 12.0, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +327,22 @@ def _arc_test(cf, w, shift, rho, p):
     / (D_n - rho) + b_rho within rho of z (Taylor terms, each pole term's
     remainder, the tail term b_rho = T / (delta - rho) =
     cf.tail_bound_at(z, rho)), so S < |a_0| keeps F off 0 there, when D_n
-    and delta exceed rho (b_rho is inf otherwise).  The check is S (1 +
-    gamma) < |a_0| (1 - gamma), S with gamma B added for the a_j's rounding
-    (times rho^j it sums to at most gamma B, B = sum_n |c_n| / (D_n -
-    rho)); gamma counts 12 roundings a complex quotient and ceil(kappa_d) a
-    power for the cancellation in (lambda_n - shift) - w (kappa_d = 2 + |w|
-    / D_n), two a term for the sums, ceil(kappa_g (kappa_d + 6)) for D_n -
-    rho and delta - rho, and 12 for |a_0|, rho^j and the comparison.
-    kappa_g is the larger of (D + rho) / (D - rho) and (delta + rho) /
-    (delta - rho), the factor tail_bound_at returns beside b_rho.
+    and delta exceed rho (b_rho is inf otherwise).  The check is _holds(S,
+    B, |a_0|, m, kappa_g (kappa_d + 6)), the a_j's rounding relative to B =
+    sum_n |c_n| / (D_n - rho) (times rho^j it sums to at most gamma B).  m
+    = 2 |I1| + 2 (p + 1) (kappa_d + 12) + 12 counts 12 roundings a complex
+    quotient and ceil(kappa_d) a power for the cancellation in (lambda_n -
+    shift) - w (kappa_d = 2 + |w| / D_n), two a term for the sums, and 12
+    for |a_0|, rho^j and the comparison; kappa_g (kappa_d + 6) counts D_n -
+    rho and delta - rho, kappa_g the larger of (D + rho) / (D - rho) and
+    (delta + rho) / (delta - rho), tail_bound_at's factor.
 
     hopeless marks a failed arc whose node is at the floor: the check's
-    limit as rho -> 0, (b_0 + gamma_0 B_0) (1 + gamma_0) >= |a_0| (1 -
-    gamma_0), with b_0 = T / delta, gamma_0 the gamma of kappa_g = 1 and
-    B_0 = sum_n |c_n| / D_n >= B (1 - rho / min D_n).  S exceeds b_0 +
-    gamma B_0 and gamma exceeds gamma_0 at every chord, so no arc from that
-    node passes, however short.  It is formed only when some arc fails.
+    limit as rho -> 0 fails, _holds(b_0, B_0, |a_0|, m, kappa_0, fails=True),
+    with b_0 = T / delta, kappa_0 = kappa_d + 6 (kappa_g = 1) and B_0 =
+    sum_n |c_n| / D_n >= B (1 - rho / min D_n).  S exceeds b_0 + gamma B_0
+    and kappa_g kappa_0 >= kappa_0 at every chord, so no arc from that node
+    passes, however short.  It is formed only when some arc fails.
     """
     a, (b, rem, nearest) = cf.taylor(w, p, shift, rho)
     ok = nearest > rho
@@ -351,17 +354,14 @@ def _arc_test(cf, w, shift, rho, p):
         s += tail
         kappa_g = np.maximum(kappa_g, factor)
     kappa_d = np.ceil(2.0 + _modulus(w) / nearest)
-    m = 2 * len(cf.c1) + 2 * (p + 1) * (kappa_d + 12) + 12
-    gamma = _gamma(m + np.ceil(kappa_g * (kappa_d + 6)))
-    s += gamma * b
+    m, kappa_0 = 2 * len(cf.c1) + 2 * (p + 1) * (kappa_d + 12) + 12, kappa_d + 6
     a0 = _modulus(a[0])
-    passed = ok & (s * (1.0 + gamma) < a0 * (1.0 - gamma))
+    passed = ok & _holds(s, b, a0, m, kappa_g * kappa_0)
     hopeless = ~passed
     if hopeless.any():
-        gamma0 = _gamma(m + kappa_d + 6)
         size = np.where(ok, b * (1.0 - rho / nearest), 0.0)  # at most B_0
         tail0 = cf.tail_bound_at(shift + w) if cf.has_tail else 0.0  # b_0
-        hopeless &= (tail0 + gamma0 * size) * (1.0 + gamma0) >= a0 * (1.0 - gamma0)
+        hopeless &= _holds(tail0, size, a0, m, kappa_0, fails=True)
     return a[0], passed, hopeless
 
 

@@ -17,6 +17,14 @@ workload, its seed and the hash of, per operation in order: every
 the tail solves the n_trunc that certified); an operation that raises
 hashes its error's class and message.  Two trees whose lines agree give
 bit-identical outputs on the declared workloads and on the tail path.
+
+The last line, ``certificates``, hashes the verdicts of every ``_rouche``
+(``certified``), ``_rouche_rect`` (its bool) and ``_arc_test`` (``passed``
+and ``hopeless``) call over 1200 solves of ``conftest.random_base`` and
+``random_coeffs`` instances drawn from ``np.random.default_rng(2026)``,
+about half of them with a power tail, at window 20 and n_trunc 30, then
+over ``roundtrip`` at seeds 1-4: no arc of the random solves fails, and
+the round trips' double and triple points form ``hopeless``.
 """
 
 import dataclasses
@@ -91,11 +99,49 @@ def _feed_tail_output(h, output):
     _feed(h, output[1].cf.n_trunc)
 
 
+def certificates_hash():
+    """One sha256 over the verdicts of every certificate check of the solves."""
+    import conftest
+
+    h = hashlib.sha256()
+    checks = {"_rouche": lambda out: out[1], "_rouche_rect": lambda out: out[1], "_arc_test": lambda out: out[1:]}
+    saved = {name: getattr(direct, name) for name in checks}
+
+    def spy(name, check, verdict):
+        def call(*args):
+            out = check(*args)
+            h.update(name.encode())
+            _feed(h, verdict(out))
+            return out
+
+        return call
+
+    rng = np.random.default_rng(2026)
+    opts = direct.LocalizeOptions(window=20, n_trunc=30)
+    try:
+        for name, verdict in checks.items():
+            setattr(direct, name, spy(name, saved[name], verdict))
+        for _ in range(1200):
+            spec = conftest.random_base(rng)
+            coeffs = conftest.random_coeffs(rng, spec)
+            try:
+                direct.solve_direct(spec, model.validate_coefficients(coeffs, spec), opts)
+            except errors.Rank1Error as exc:
+                h.update(f"{type(exc).__name__}: {exc}".encode())
+        for seed in (1, 2, 3, 4):
+            _hash_ops(workloads.WORKLOADS["roundtrip"](seed, None).ops)
+    finally:
+        for name, check in saved.items():
+            setattr(direct, name, check)
+    return h.hexdigest()
+
+
 def main():
     for name, seed in RUNS:
         print(f"{name} seed {seed} {workload_hash(name, seed)}", flush=True)
     for name, solve in _tail_solves():
         print(f"{name} {_hash_ops([(name, solve)], _feed_tail_output)}", flush=True)
+    print(f"certificates {certificates_hash()}", flush=True)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 import math
 
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -412,8 +412,19 @@ def _setup_cases(draw):
         reject()
 
 
+def _subnormal_tail_case():
+    """c_0 = 0.3 and c_n = |n|^-251 beyond it over Z, subnormal from |n| = 19
+    inside window 30: the setup raises DegenerateIndex.  An explicit example,
+    as the drawn ones change with the modules loaded: Hypothesis also draws
+    the constants it finds in the source of every loaded local module."""
+    spec = validate_base(BaseSpectrum("Z", 0, (), AffineTail(1.0, 0.0), 1.0))
+    coeffs = PerturbationCoefficients(0, (1.0,), PowerTail(1.0, 1.0, 0.0), 0, (0.3,), PowerTail(250.0, 1.0, 0.0))
+    return spec, validate_coefficients(coeffs, spec), LocalizeOptions(window=30, n_trunc=40)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_setup_cases())
+@example(_subnormal_tail_case())
 def test_the_one_pass_setup_matches_the_evaluation_it_replaced(case):
     # K', the window, n_trunc, the rectangle, the window's tail sum and every
     # array of F, at the first n_trunc and at its double (which cut widens

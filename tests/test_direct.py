@@ -1779,6 +1779,16 @@ def _rouche_outputs(result):
     return [beta, slope, rho, certified, margin()]
 
 
+def test_a_window_with_no_disk_to_check_solves(zspec):
+    # window 1 = K' has no outer index, and c_n = 0 in it: _rouche gets no
+    # disk (once a StopIteration from its block loop), and the spectrum is
+    # lambda_-1, lambda_0 and lambda_1, which c_5 leaves in place
+    coeffs = validate_coefficients(finite_coeffs({5: 0.01}), zspec)
+    ps, loc = solve_direct(zspec, coeffs, LocalizeOptions(window=1, n_trunc=10))
+    assert (loc.k_prime, loc.window, loc.owned[0].size) == (1, 1, 0)
+    assert ps.mu.tolist() == [-1, 0, 1] and ps.origin.tolist() == [ORIGIN_COMMON] * 3 and ps.certified
+
+
 @pytest.mark.parametrize("case", ["finite_batch", "power_family"])
 def test_rouche_block_loop_gives_the_one_block_path_bit_for_bit(zspec, monkeypatch, case):
     # a call that one block of ROUCHE_BLOCK disks x terms covers takes its
@@ -1913,6 +1923,42 @@ def test_rect_rouche_fails_with_a_pole_on_the_boundary(two_point_cf):
         warnings.simplefilter("error")
         for rect in (Rectangle(0.0, 2.5, 2.5), Rectangle(-1.5, 1.0, 2.5)):
             assert direct._rouche_rect(two_point_cf, rect) == (-math.inf, False)
+
+
+def test_rouche_without_its_allowance_certifies_a_disk_that_fails(zspec, monkeypatch):
+    # the weakened twin of _rouche: with u = 0 (gamma = 0) it certifies the
+    # disk |z| < 1/2 of c_0 and c_-1 below, c_0 at the float edge of that
+    # check, where 300-bit arithmetic on the same floats has S_0 + |c_0| /
+    # rho >= |beta_0|; with its allowance it refuses
+    from mpmath import mp
+
+    c = {-1: 0.02473611332846054 - 0.1338652775727775j, 0: 0.3813350987559725 + 0.185679537632533j}
+    cf = CharacteristicFunction.build(zspec, finite_coeffs(c), 12)
+    with mp.workprec(300):
+        # D_-1 = 1 and rho = 1/2: beta_0 = 1 - c_-1 and S_0 = |c_-1|
+        assert abs(mp.mpc(c[-1])) + abs(mp.mpc(c[0])) / 0.5 >= abs(1 - mp.mpc(c[-1]))
+    disk = (cf, np.array([0]), np.array([0.0]), np.array([c[0]]), 0.5, np.array([False]))
+    assert direct._rouche(*disk)[1].tolist() == [False]
+    monkeypatch.setattr(direct, "UNIT_ROUNDOFF", 0.0)
+    assert direct._rouche(*disk)[1].tolist() == [True]
+
+
+def test_rect_rouche_without_its_allowance_certifies_a_rectangle_that_fails(zspec, monkeypatch):
+    # the weakened twin of _rouche_rect: with u = 0 (gamma = 0) it certifies
+    # |Re z| < 3.5, |Im z| < 3.5 for c_-2 and c_0 below, at the float edge of
+    # that check, where 300-bit arithmetic on the same floats has S_Q >= 1;
+    # with its allowance it refuses
+    from mpmath import mp
+
+    c = {-2: -1.3921236600674947 + 0.04149731947862929j, 0: -0.21359827498844539 + 0.1304230356637408j}
+    cf = CharacteristicFunction.build(zspec, finite_coeffs(c), 12)
+    rect = Rectangle(-3.5, 3.5, 3.5)
+    with mp.workprec(300):
+        # the poles -2 and 0 lie 1.5 and 3.5 from the boundary
+        assert abs(mp.mpc(c[-2])) / 1.5 + abs(mp.mpc(c[0])) / 3.5 >= 1
+    assert direct._rouche_rect(cf, rect)[1] is False
+    monkeypatch.setattr(direct, "UNIT_ROUNDOFF", 0.0)
+    assert direct._rouche_rect(cf, rect)[1] is True
 
 
 def test_gamma_at_a_float_equals_the_array_form_to_past_the_cap(two_point_cf, monkeypatch):
