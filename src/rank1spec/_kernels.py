@@ -21,7 +21,7 @@ def _sums(c, lam, z, p, shift, rho):
     # point's.  The reductions are the ufuncs' own, which ndarray.sum and
     # .min call after a Python-level wrapper that costs as much on a few
     # terms
-    diff = (lam[:, np.newaxis] - shift) - z
+    diff = (lam - z) if lam.ndim == 2 else (lam[:, np.newaxis] - shift) - z
     lone = len(z) == 1
     if lone:
         diff = np.concatenate((diff, diff), axis=1)
@@ -55,9 +55,13 @@ def taylor(c, lam, z, p, shift=0.0, rho=None):
     np.errstate.  The terms c/d are F's as written, with no reciprocal's
     extra rounding; the shift is one number or one per point, each d_kj two
     roundings either way, so a point's sums do not depend on the others'.
+    lam may be the poles lam_k - s_j instead, terms x points in C order and
+    at most _CHUNK of them (shift unused), for a caller that keeps them.
     The points go to _sums as they are, in blocks of at most _CHUNK
     terms x points products when there are more.
     """
+    if lam.ndim == 2:
+        return _sums(c, lam, z, p, shift, rho)
     z = np.asarray(z, dtype=np.complex128)
     step = max(2, _CHUNK // max(1, len(c)))  # two points or more, so a lone point is rare
     if len(z) <= step:

@@ -155,8 +155,9 @@ class CharacteristicFunction:
 
 
 class Terms:
-    """c_n, |c_n| and lambda_n over the indices lo..radius, evaluated once
-    for a solve to slice its K_eps, windows and tail sums from.  radius
+    """c_n, |c_n| and lambda_n over the indices lo..radius, c_n evaluated
+    once for a solve to slice its K_eps, windows and tail sums from, and the
+    indices and lambda_n sliced from the spectrum's run.  radius
     reaches the head radius h; lo is -radius over Z, and over N the lower
     of 1 and the start (a tail sum counts from index 1)."""
 
@@ -165,10 +166,9 @@ class Terms:
         self.h = coeffs.head_radius() if h is None else h
         self.radius = max(radius, self.h)
         self.lo = -self.radius if spec.index_kind == INDEX_Z else min(1, spec.start)
-        self.idx = np.arange(self.lo, self.radius + 1)
+        self.idx, self.lam = spec.lambda_run(self.lo, self.radius)
         self.c = coeffs.c_range(self.lo, self.radius)
         self.absc = np.abs(self.c)
-        self.lam = spec.lambda_range(self.lo, self.radius)
 
     def lambda_at(self, n):
         return float(self.lam[n - self.lo])

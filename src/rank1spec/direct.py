@@ -1,31 +1,32 @@
 """Direct spectral problem: locate all eigenvalues of the perturbation.
 
 Every count of zeros is a proof: the paper's Rouche inequality on the
-per-index disks and the central rectangle, and a verified arc walk (Ying &
-Katz's reliable argument principle) on the order circles of the zeros the
-disks leave; Newton iteration in pole-shifted coordinates polishes the
+per-index disks and the central rectangle (or, with no tail, F's degree),
+and a verified arc walk (Ying & Katz's reliable argument principle) on the
+order circles of the zeros the disks leave; Newton iteration in pole-shifted coordinates polishes the
 zeros.  The localization follows the enclosure sigma(B) subset Q_{K'}
 union (disks of radius d/2 around the outer indices |n| > K').  The disk
-around each outer index and each perturbed central one is checked by
-Rouche against its local pole model G_k = beta_k + c_k / (lambda_k - z),
-F with the other terms expanded to first order about lambda_k, in closed
-form and for all disks in one broadcast; an outer disk keeps radius d/2,
-as in the paper's proof of the enclosure, and a central one takes the
-radius that suits its own model.  The central rectangle Q_{K'} is checked
-by the same inequality against 1.  An outer disk must certify; a central
-one that does not is left to the eigen-seeds.  One Newton pass, one kernel
-call a step, then polishes every simple zero: each certified disk's from
-the root w_k of its local model taken one order further, beta_k w +
-beta'_k w^2 = c_k, about lambda_k; the rest from the eigenvalues of one
-diagonal-plus-rank-one matrix over the uncertified indices, with every
-other zero divided out of F (a deflated secular equation).  A disk whose
-zero fails raises; each zero left in the rectangle starts on a small
-circle of its own, clear of the certified disks, all circles walked
-together, and one whose circle does not count its order joins its
-nearest until every circle certifies: the circles' counts alone group
-the multiple zeros.  A solve whose disks all certify (the common case)
-runs no eigenvalue problem, arc walk or assignment; README times its
-stages.
+around each perturbed index (and each outer one, with a tail) is checked
+by Rouche against its local pole model G_k = beta_k + c_k / (lambda_k -
+z), F with the other terms expanded to first order about lambda_k, in
+closed form and for all disks in one broadcast; an outer disk keeps radius
+d/2, as in the paper's proof of the enclosure, and a central one takes the
+radius that suits its own model.  With a tail the central rectangle Q_{K'}
+is checked by the same inequality against 1; with none the zeros number
+|I1|, the degree of F prod_{I1} (lambda_n - z).  An outer disk must
+certify; a central one that does not is left to the eigen-seeds.  One
+Newton pass, one kernel call a step, then polishes every simple zero: each
+certified disk's from the root w_k of its local model taken one order
+further, beta_k w + beta'_k w^2 = c_k, about lambda_k; the rest from the
+eigenvalues of one diagonal-plus-rank-one matrix over the uncertified
+indices, with every other zero divided out of F (a deflated secular
+equation).  A disk whose zero fails raises; each zero left in the
+rectangle starts on a small circle of its own, clear of the certified
+disks, all circles walked together, and one whose circle does not count
+its order joins its nearest until every circle certifies: the circles'
+counts alone group the multiple zeros.  A solve whose disks all certify
+(the common case) runs no eigenvalue problem, arc walk or assignment;
+README times its stages.
 """
 
 import bisect
@@ -103,7 +104,8 @@ class LocalizationResult:
     the zeros the disks leave, as (location, order) sorted by location.
     rect: the central rectangle Q_{K'}.  reports derives the disks around
     the window's outer indices |k| > K' from cf: centre lambda_k and the
-    enclosure's radius d/2, as _disks takes them.
+    enclosure's radius d/2, as _disks takes them; with no tail the degree
+    count (_localize_attempt), not Rouche, certifies those with c_k = 0.
     """
 
     owned: tuple
@@ -176,7 +178,7 @@ def _holds(bound, slack, value, m, kappa, fails=False):
     return lhs >= rhs if fails else lhs < rhs
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _rouche(cf, idx, lam, c, r, shrink):
     """Rouche margins min |G_k| - S_k on the circles |z - lambda_k| = rho_k
     around the indices idx (lambda_k = lam, c_k = c), whether each certifies
@@ -266,9 +268,8 @@ def _rouche_blocks(cf, idx, lam, absc, absc_k, r, shrink, per_block):
         # array alive made _rouche a third slower at window 400
         second = (recip * recip) @ cols
         # an S0_k that has nearly underflowed (|c_n| near 2^-1022) gives
-        # |c_k| / S0_k = inf, and fmin(r, inf) = r
-        with np.errstate(over="ignore"):
-            rho = np.where(shrink[b], np.fmin(r, np.sqrt(absc_k[b] / second[:, 2])), r)
+        # |c_k| / S0_k = inf (_rouche ignores the overflow), and fmin(r, inf) = r
+        rho = np.where(shrink[b], np.fmin(r, np.sqrt(absc_k[b] / second[:, 2])), r)
         inv = np.abs(recip)
         den = np.abs(diff) - rho[:, np.newaxis]
         nearest = np.minimum.reduce(den, axis=1, initial=np.inf)
@@ -480,8 +481,8 @@ def _newton(cf, seeds, order, shift=None):
     did not shrink (or is NaN) can diverge or settle, so an iteration in
     which every step shrank tests neither.  A point still moving after
     NEWTON_MAX_ITER steps fails.  The steps read F and its derivative from
-    the kernel's rows (_kernels.taylor) directly, and no kernel call follows
-    the last step.
+    the kernel's rows (_kernels.taylor) directly, from poles lambda_n -
+    shift formed once a pass, and no kernel call follows the last step.
     """
     w = np.array(seeds, dtype=complex, ndmin=1)  # a copy: the steps write to it
     if shift is None:
@@ -493,16 +494,17 @@ def _newton(cf, seeds, order, shift=None):
     # the factorials, plus F's leading 1 at deriv 0
     fac, fac1 = math.factorial(deriv), math.factorial(order)
     failed = np.zeros(len(w), dtype=bool)
-    # the points still moving: positions, offsets w, shifts, scales 1 + |shift|
-    # and the size of each one's last step (inf before the first);
-    # np.count_nonzero tests a mask for any True at a third of ndarray.any's
-    # cost
-    live, wl, sl = np.arange(len(w)), w, shift
-    scale, last = 1.0 + np.abs(shift), math.inf
+    # the points still moving: positions, offsets w, scales 1 + |shift|, the
+    # size of each one's last step (inf before the first) and, when one
+    # kernel chunk holds them, their poles lambda_n - shift, taken in C order
+    # (fancy indexing gives columns the kernel sums pairwise); count_nonzero
+    # tests a mask for any True at a third of ndarray.any's cost
+    live, wl, scale, last = np.arange(len(w)), w, 1.0 + np.abs(shift), math.inf
+    poles = lam1[:, np.newaxis] - shift if len(lam1) * len(w) <= _kernels._CHUNK else lam1
     for _ in range(NEWTON_MAX_ITER):
         if not len(live):
             break
-        rows = _kernels.taylor(c1, lam1, wl, order, sl)
+        rows = _kernels.taylor(c1, poles, wl, order, shift[live] if poles.ndim == 1 else 0.0)
         if deriv:
             g, gp = fac * rows[deriv], fac1 * rows[order]
         else:
@@ -519,7 +521,7 @@ def _newton(cf, seeds, order, shift=None):
             diverged = ~(done | (size < 10.0 * (last + 1.0)))
             settle = ~(size < last) & ~(done | diverged)
             if np.count_nonzero(settle):
-                noise = fac * _noise(cf, sl[settle] + start[settle], [deriv])[:, 0]
+                noise = fac * _noise(cf, shift[live[settle]] + start[settle], [deriv])[:, 0]
                 done[settle] = size[settle] <= ROUNDOFF * noise / _modulus(gp[settle])
         last = size
         stop = done if diverged is None else done | diverged
@@ -530,9 +532,10 @@ def _newton(cf, seeds, order, shift=None):
             w[live] = wl  # a point still moving writes its entry again when it stops
             if n_stop == len(live):
                 break
-            # positions index the five arrays at half a mask's cost
+            # positions index the arrays at half a mask's cost
             move = (~stop).nonzero()[0]
-            live, wl, sl, scale, last = live[move], wl[move], sl[move], scale[move], last[move]
+            live, wl, scale, last = live[move], wl[move], scale[move], last[move]
+            poles = poles.take(move, axis=1) if poles.ndim == 2 else poles
     else:  # still moving after NEWTON_MAX_ITER steps
         w[live] = wl
         failed[live] = True
@@ -741,11 +744,13 @@ def _central_rectangle(spec, k_prime, d, lambda_at):
     return Rectangle(lo, hi, h)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _disks(cf, k_prime, window, d):
-    """The disks R_k around the window's outer indices |k| > K' and its
-    central I1 indices, sliced from cf: indices, centres lambda_k,
-    coefficients c_k, Newton seeds w_k about lambda_k, radii rho_k and
-    whether Rouche certifies each disk.
+    """The disks R_k around the window's I1 indices and, with a tail, its
+    outer indices |k| > K' (with none the degree counts, _localize_attempt),
+    sliced from cf: indices, centres lambda_k, coefficients c_k, Newton
+    seeds w_k about lambda_k, radii rho_k, whether Rouche certifies each
+    disk, and the positions of the simple zeros (certified, c_k != 0).
 
     Every disk is checked against its local pole model, in one broadcast
     (_rouche): a certified disk holds one simple zero when c_k != 0 and
@@ -769,7 +774,7 @@ def _disks(cf, k_prime, window, d):
     win = cf.window(window)
     idx, c = cf.idx[win], cf.c[win]
     outer, perturbed = np.abs(idx) > k_prime, c != 0
-    keep = (outer | perturbed).nonzero()[0]
+    keep = (outer | perturbed if cf.has_tail else perturbed).nonzero()[0]
     idx, lam, c, outer, perturbed = idx[keep], cf.lam[win][keep], c[keep], outer[keep], perturbed[keep]
     margin, certified, (beta, slope, rho) = _rouche(cf, idx, lam, c, 0.5 * d, ~outer)
     failed = ~certified & outer
@@ -781,11 +786,10 @@ def _disks(cf, k_prime, window, d):
     w = np.zeros(len(c), dtype=complex)
     simple = (certified & perturbed).nonzero()[0]
     beta, slope, c_k = beta[simple], slope[simple], c[simple]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = np.sqrt(beta * beta + 4.0 * slope * c_k)
-        root[(beta * root.conj()).real < 0.0] *= -1.0  # |beta + root| >= |beta - root|
-        w[simple] = 2.0 * c_k / (beta + root)
-    return idx, lam, c, w, rho, certified
+    root = np.sqrt(beta * beta + 4.0 * slope * c_k)
+    root[(beta * root.conj()).real < 0.0] *= -1.0  # |beta + root| >= |beta - root|
+    w[simple] = 2.0 * c_k / (beta + root)
+    return idx, lam, c, w, rho, certified, simple
 
 
 def localize_spectrum(spec, coeffs, opts=None):
@@ -808,18 +812,19 @@ def localize_spectrum(spec, coeffs, opts=None):
 
 
 def _localize_attempt(cf, k_prime, window, rect, d):
-    """(owned, central) of LocalizationResult from F cut to cf's window."""
-    idx, lam, c, w, rho, certified = _disks(cf, k_prime, window, d)
-    margin, rect_certified = _rouche_rect(cf, rect)
-    if not rect_certified:
-        raise errors.CertificationFailed(
-            f"central rectangle failed to certify (Rouche margin {margin:.3g})"
-        )
+    """(owned, central) of LocalizationResult from F cut to cf's window.  With
+    no tail the owned disks and central circles hold the window's I1 zeros
+    and the enclosure's outer disks one for each I1 index beyond: all |I1|
+    zeros of F, so the rectangle and the c_k = 0 disks hold no other."""
+    idx, lam, c, w, rho, certified, simple = _disks(cf, k_prime, window, d)
+    if cf.has_tail:
+        margin, rect_certified = _rouche_rect(cf, rect)
+        if not rect_certified:
+            raise errors.CertificationFailed(f"central rectangle failed to certify (Rouche margin {margin:.3g})")
     # one Newton pass for every simple zero: each certified disk's from w_k
     # about lambda_k, then the hard zeros' (_hard_seeds), with the disks'
     # zeros divided out at lambda_k + w_k and the terms' beyond the window
     # at lambda_k + c_k
-    simple = (certified & (c != 0)).nonzero()[0]
     m = len(simple)
     n_hard = len(certified) - np.count_nonzero(certified)
     shift, start = lam[simple], w[simple]
@@ -961,13 +966,15 @@ def assemble_spectrum(spec, coeffs, loc):
         mult = np.concatenate([mult[keep], order])
         paired = np.concatenate([idx_all[keep], idx_all[free[first[len(hit):]]]])
         origin = np.concatenate([origin[keep], np.full(len(z), ORIGIN_ZERO)])
-    by_mu = np.lexsort((eig.imag, eig.real))
+    if loc.central or np.count_nonzero(eig.real[1:] <= eig.real[:-1]):  # else in (re, im) order
+        by_mu = np.lexsort((eig.imag, eig.real))
+        eig, mult, paired, origin = eig[by_mu], mult[by_mu], paired[by_mu], origin[by_mu]
     tail_bound = (spec.gap / (2.0 * loc.eps)) * loc.tail_sum_bound
     return PerturbedSpectrum(
-        mu=eig[by_mu],
-        mult=mult[by_mu],
-        paired_index=paired[by_mu],
-        origin=origin[by_mu],
+        mu=eig,
+        mult=mult,
+        paired_index=paired,
+        origin=origin,
         index=idx_all,
         paired_mu=mu,
         offset_sum=float(np.add.reduce(np.abs(mu - lam_all))),

@@ -58,7 +58,7 @@ def build_product(spec, target):
     """
     head = list(target.nu_head)
     off = target.nu_head_offset
-    lam = spec.lambda_range(off, off + len(head) - 1).tolist()
+    lam = spec.lambda_run(off, off + len(head) - 1)[1].tolist()
     # where lambda_m occurs elsewhere in the head, not on its own index, pull
     # it onto index m; a swap never makes an earlier index swappable, so
     # one pass makes them all.  Swaps only permute the head, so a lambda_m
@@ -180,7 +180,7 @@ def check_F_equals_product(coeffs, pf, sample_points):
     spec = pf.spec
     n = max(_deviating_radius(pf) if pf.i1 else 1, coeffs.head_radius()) + TRUNC_MARGIN
     first = spec.first_index(n)
-    k, lam, c = summed_terms(np.arange(first, n + 1), spec.lambda_range(first, n), coeffs.c_range(first, n))
+    k, lam, c = summed_terms(*spec.lambda_run(first, n), coeffs.c_range(first, n))
     z = np.asarray(sample_points, dtype=complex).reshape(-1)
     hit = first_pole_hit(np.concatenate((lam, pf.lam)), z)
     if hit is not None:

@@ -101,6 +101,21 @@ class BaseSpectrum:
         _overlay(out, lo, self.head_offset, self._head)
         return out
 
+    def lambda_run(self, lo, hi):
+        """(indices lo..hi, lambda_n there), read-only slices of one run kept
+        on the spectrum and evaluated again over the union when a request
+        reaches past it: lambda_range is elementwise, so a slice is bitwise
+        a fresh evaluation."""
+        if hi < lo:  # the run stays as it is
+            return np.arange(lo, hi + 1), self.lambda_range(lo, hi)
+        first, idx, lam = self.__dict__.get("_run", (lo, (), ()))
+        if lo < first or hi >= first + len(idx):
+            first, last = min(lo, first), max(hi, first + len(idx) - 1)
+            idx, lam = np.arange(first, last + 1), self.lambda_range(first, last)
+            idx.flags.writeable = lam.flags.writeable = False
+            self.__dict__["_run"] = first, idx, lam  # frozen: past __setattr__
+        return idx[lo - first : hi + 1 - first], lam[lo - first : hi + 1 - first]
+
     def lambda_at(self, n):
         """Eigenvalue at index n (scalar or integer array)."""
         return _at(n, self.lambda_range)

@@ -45,6 +45,18 @@ def finite_coeffs(c_by_index, lo=None, hi=None):
     )
 
 
+def with_tail(coeffs, radius, scale=1e-12):
+    """A zero-tail instance (finite_coeffs, inside |n| <= radius) given a
+    tail: b padded with zeros to |n| <= radius, and power tails beyond, so
+    that c_n = scale |n|^-3 there.  F has a tail, and the window |n| <=
+    radius keeps every c_n of the instance."""
+    lo, b = coeffs.b_head_offset, coeffs.b_head
+    head = [0j] * (2 * radius + 1)
+    head[lo + radius : lo + radius + len(b)] = b
+    a, tail = (1.0 + 0j,) * len(head), PowerTail(2.0, scale, 0.0)
+    return PerturbationCoefficients(-radius, a, PowerTail(1.0, 1.0, 0.0), -radius, tuple(head), tail)
+
+
 def random_finite_instance(rng, radius=40, max_points=8, c_cap=0.3, complex_c=True):
     """Random zero-tail instance: up to max_points nonzero c_n, |c_n| <= c_cap."""
     m = int(rng.integers(2, max_points + 1))

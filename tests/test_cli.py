@@ -10,7 +10,7 @@ import pytest
 from rank1spec import cli, direct, model
 from rank1spec.model import TargetSpectrum
 
-from conftest import finite_coeffs, settling_double_point
+from conftest import finite_coeffs, settling_double_point, with_tail
 
 SRC = str(Path(model.__file__).resolve().parents[1])
 
@@ -112,9 +112,12 @@ def test_quad_option_is_gone(files, capsys):
 
 
 def test_uncertified_direct_exits_two(files, monkeypatch, capsys):
+    # the input has a tail, so that the rectangle is checked (and fails at every n_trunc)
+    coeffs = files["dir"] / "tailed.json"
+    model.dump_json(model.coefficients_to_json(with_tail(finite_coeffs({0: 0.275, 1: 0.075}), 8)), coeffs)
     monkeypatch.setattr(direct, "_rouche_rect", lambda cf, rect: (-1.0, False))
     code = _run(
-        ["direct", "--spec", files["spec"], "--coeffs", files["coeffs"],
+        ["direct", "--spec", files["spec"], "--coeffs", coeffs,
          "--trunc", 30, "--trunc-window", 8]
     )
     assert code == 2

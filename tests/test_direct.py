@@ -31,7 +31,14 @@ from rank1spec.model import (
     validate_coefficients,
 )
 
-from conftest import finite_coeffs, random_base, random_coeffs, random_finite_instance, settling_double_point
+from conftest import (
+    finite_coeffs,
+    random_base,
+    random_coeffs,
+    random_finite_instance,
+    settling_double_point,
+    with_tail,
+)
 import sweep
 
 
@@ -415,12 +422,13 @@ def test_each_reported_residual_is_F_at_the_reported_location(zspec):
 
 def test_localize_raises_when_winding_uncertified(zspec, monkeypatch):
     # the central rectangle [-1.5, 1.5] x [-1.5, 1.5] (K' = 1): S_Q =
-    # 0.275/1.5 + 0.075/0.5, forced to fail with its own margin
+    # 0.275/1.5 + 0.075/0.5 and a tail of 1e-12 |n|^-3 (a zero tail checks
+    # no rectangle), forced to fail with its own margin at every n_trunc
     rouche_rect = direct._rouche_rect
     monkeypatch.setattr(direct, "_rouche_rect", lambda cf, rect: (rouche_rect(cf, rect)[0], False))
-    failed = r"^central rectangle failed to certify \(Rouche margin 0.667\)$"
+    failed = r"^escalation exhausted \(n_trunc 20480\): central rectangle failed to certify \(Rouche margin 0.667\)$"
     with pytest.raises(errors.CertificationFailed, match=failed):
-        localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075}), OPTS)
+        localize_spectrum(zspec, with_tail(finite_coeffs({0: 0.275, 1: 0.075}), 8), OPTS)
 
 
 def test_n_trunc_doubles_only_while_a_tail_is_left_out(zspec, monkeypatch):
@@ -1171,7 +1179,8 @@ def test_newton_settles_only_within_the_roundoff_floor(zspec, monkeypatch):
     points, taylor = [], _kernels.taylor
 
     def spy(c, lam, z, p, shift=0.0, rho=None):
-        points.extend(shift + z)
+        # Newton hands the kernel its poles lambda_n - shift: shift is lambda_n less them
+        points.extend((shift if lam.ndim == 1 else cf.lam1[0] - lam[0]) + z)
         return taylor(c, lam, z, p, shift, rho)
 
     monkeypatch.setattr(_kernels, "taylor", spy)
@@ -1207,6 +1216,33 @@ def test_newton_fails_a_point_still_moving_at_the_iteration_cap(zspec, monkeypat
     z, ok = direct._newton(cf, [0.28], 1)
     assert calls == [1, 1, 1]
     assert not ok[0] and abs(z[0] - zero[0]) < 1e-6
+
+
+def test_newton_gives_each_point_what_it_gives_that_point_alone(zspec, monkeypatch):
+    # no point's steps depend on the others: each point of a pass lands, bit
+    # for bit, where a pass from its seed alone puts it, as the live set
+    # shrinks.  Poles gathered by fancy indexing (poles[:, move], columns in
+    # Fortran order, which numpy sums pairwise) would move 16 of the 247
+    # Newton points of the benchmark's finite_batch seed 1 in the last bit
+    calls, newton = [], direct._newton
+
+    def spy(cf, seeds, order, shift=None):
+        out = newton(cf, seeds, order, shift)
+        calls.append((cf, np.array(seeds, dtype=complex), order, shift, out))
+        return out
+
+    monkeypatch.setattr(direct, "_newton", spy)
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        solve_direct(zspec, random_finite_instance(rng), LocalizeOptions(window=41, n_trunc=49))
+    monkeypatch.undo()
+    points = 0
+    for cf, seeds, order, shift, (z, ok) in calls:
+        for i in range(len(seeds)):
+            one = newton(cf, seeds[i : i + 1], order, None if shift is None else shift[i : i + 1])
+            assert one[0].tobytes() == z[i : i + 1].tobytes() and one[1][0] == ok[i], (seeds, i)
+        points += len(seeds)
+    assert points > 200
 
 
 def test_newton_settles_beside_a_double_point(monkeypatch):
@@ -1274,11 +1310,13 @@ def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
 
 def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, monkeypatch):
     # every disk certifies, so a solve pays for one Newton pass and nothing
-    # else: kernel passes are Newton's steps alone, and the coefficients and
-    # eigenvalues are evaluated once (charfn.Terms: c_range is two _eval
-    # calls, a and b), over the head and the first n_trunc, from one
-    # head_radius; K', the window, the rectangle's ends and the tail sums
-    # are sliced from them
+    # else: kernel passes are Newton's steps alone, and the coefficients are
+    # evaluated once (charfn.Terms: c_range is two _eval calls, a and b),
+    # over the head and the first n_trunc, from one head_radius; K', the
+    # window, the rectangle's ends and the tail sums are sliced from them.
+    # The eigenvalues are sliced from the spectrum's run, evaluated again
+    # only when a solve reaches past it: the batch-shaped solve widens it
+    # (n_trunc 49 against 20), and the same solve again does not
     from rank1spec import _kernels
 
     counts = dict.fromkeys(["sums", "eval", "lambda_range", "head_radius"], 0)
@@ -1301,7 +1339,7 @@ def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, mon
         finite_coeffs({-31: 0.21 - 0.08j, -4: 0.05 + 0.17j, 9: -0.12 + 0.2j, 17: 0.28j, 30: -0.09 - 0.03j}),
         LocalizeOptions(window=41, n_trunc=49),
     )
-    for (coeffs, opts), expected in ((hand, [4, 2, 1, 1]), (batch, [3, 2, 1, 1])):
+    for (coeffs, opts), expected in ((hand, [4, 2, 1, 1]), (batch, [3, 2, 1, 1]), (batch, [3, 2, 0, 1])):
         counts.update(dict.fromkeys(counts, 0))
         ps, loc = solve_direct(zspec, coeffs, opts)
         assert not loc.central and ps.certified
@@ -1318,7 +1356,7 @@ def test_second_order_seeds_start_nearer_the_zero_than_first_order_ones(zspec):
         {-3: 0.2 + 0.1j, 2: -0.15j, 5: 0.05},
     ):
         loc = localize_spectrum(zspec, finite_coeffs(c_by_index), OPTS)
-        idx, lam, c, w, rho, certified = direct._disks(loc.cf, loc.k_prime, loc.window, zspec.gap)
+        idx, lam, c, w, rho, certified, _ = direct._disks(loc.cf, loc.k_prime, loc.window, zspec.gap)
         _, _, (beta, _, _) = direct._rouche(loc.cf, idx, lam, c, 0.5, np.abs(idx) <= loc.k_prime)
         owned_idx, owned_z = loc.owned
         assert sorted(owned_idx.tolist()) == sorted(c_by_index) and not loc.central
@@ -1354,10 +1392,13 @@ def test_assembly_gives_the_same_columns_with_and_without_central_zeros(zspec):
 
 def test_outer_disks_and_assembly_slice_the_window_data(zspec, monkeypatch):
     # neither evaluates lambda_n or c_n again: they slice the window that
-    # CharacteristicFunction.build evaluated
+    # CharacteristicFunction.build evaluated.  With no tail _disks takes the
+    # I1 disks alone; with one (whose tail term reads lambda_n at the two
+    # poles that bound the window) every outer disk of the reports too
     coeffs = finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01})
     loc = localize_spectrum(zspec, coeffs, OPTS)
     ps = assemble_spectrum(zspec, coeffs, loc)
+    tailed = localize_spectrum(zspec, with_tail(coeffs, 8), OPTS)
 
     def refuse(*args):
         raise AssertionError("the model was evaluated again")
@@ -1368,8 +1409,11 @@ def test_outer_disks_and_assembly_slice_the_window_data(zspec, monkeypatch):
     for field in dataclasses.fields(ps):
         assert np.array_equal(getattr(again, field.name), getattr(ps, field.name)), field.name
     idx, lam, c = direct._disks(loc.cf, loc.k_prime, loc.window, zspec.gap)[:3]
-    outer = idx[np.abs(idx) > loc.k_prime]
-    assert outer.tolist() == [r.region_index for r in loc.reports if r.region_index is not None]
+    assert idx.tolist() == lam.tolist() == [0, 1, 6] and c.tolist() == [0.275, 0.075, 0.01]
+    monkeypatch.undo()
+    idx, lam, c = direct._disks(tailed.cf, tailed.k_prime, tailed.window, zspec.gap)[:3]
+    outer = idx[np.abs(idx) > tailed.k_prime]
+    assert outer.tolist() == [r.region_index for r in tailed.reports if r.region_index is not None]
     assert lam.tolist() == idx.tolist() and np.array_equal(c != 0, np.isin(idx, [0, 1, 6]))
 
 
@@ -1584,7 +1628,7 @@ def test_local_pole_model_certifies_a_disk_the_constant_model_left(zspec, monkey
     # The other disk's zero takes a 1 x 1 eigenproblem
     coeffs = finite_coeffs(pinned)
     loc = localize_spectrum(zspec, coeffs, OPTS)
-    idx, _, _, _, rho, got = direct._disks(loc.cf, loc.k_prime, loc.window, zspec.gap)
+    idx, _, _, _, rho, got, _ = direct._disks(loc.cf, loc.k_prime, loc.window, zspec.gap)
     central = np.abs(idx) <= loc.k_prime
     assert idx[central].tolist() == [0, 1] and got[central].tolist() == certified
     assert np.all(rho[central] <= 0.5) and rho[central][certified].min() > 0.0
@@ -1626,7 +1670,7 @@ def test_zero_within_an_ulp_of_its_pole_beside_a_hard_zero_stays_simple(zspec):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         ps, loc = solve_direct(zspec, coeffs, OPTS)
-    idx, _, _, _, rho, certified = direct._disks(loc.cf, loc.k_prime, loc.window, zspec.gap)
+    idx, _, _, _, rho, certified, _ = direct._disks(loc.cf, loc.k_prime, loc.window, zspec.gap)
     assert certified[idx == -3].all() and rho[idx == -3] < 1e-8
     near = sorted((z.real, m) for z, m, _ in loc.all_zeros() if abs(z + 3.0) < 0.5)
     assert np.allclose(near, [(-3.0, 1), (-2.968572, 1)], atol=1e-6)
@@ -1981,8 +2025,9 @@ def test_gamma_at_a_float_equals_the_array_form_to_past_the_cap(two_point_cf, mo
 def test_no_check_passes_at_the_gamma_cap_nor_at_gamma_inf(zspec, monkeypatch):
     # with u = 1/2 every m u is past the cap and gamma = 1: no Rouche disk,
     # no rectangle and no arc passes, with no warning, as with gamma = inf,
-    # which the cap replaced; an outer disk that fails names its margin
-    loc = localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01}), OPTS)
+    # which the cap replaced; an outer disk that fails names its margin.  The
+    # input has a tail, so that _disks checks the c_k = 0 disks too
+    loc = localize_spectrum(zspec, with_tail(finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01}), 8), OPTS)
     cf, d = loc.cf, zspec.gap
     win = cf.window(loc.window)
     idx, lam, c = cf.idx[win], cf.lam[win], cf.c[win]
@@ -2011,7 +2056,7 @@ def _rouche_and_winding_counts(loc):
     """Indices of a localization's disks, whether each is outer, and its
     zeros by Rouche (None where it does not certify) and by the arc walk on
     the same circle |z - lambda_k| = rho_k (None where it does not)."""
-    idx, lam, c, _, rho, certified = direct._disks(loc.cf, loc.k_prime, loc.window, loc.cf.spec.gap)
+    idx, lam, c, _, rho, certified, _ = direct._disks(loc.cf, loc.k_prime, loc.window, loc.cf.spec.gap)
     poles = (c != 0).astype(int)  # lambda_k is a pole of F when c_k != 0
     rouche = [int(p) if ok else None for p, ok in zip(poles, certified)]
     walk = direct._arc_walk(loc.cf, lam.astype(complex), rho, 3)
@@ -2019,17 +2064,41 @@ def _rouche_and_winding_counts(loc):
     return idx, np.abs(idx) > loc.k_prime, rouche, winding, rho
 
 
+def test_a_zero_tail_solve_counts_its_zeros_by_the_degree(zspec, monkeypatch):
+    # with no tail F has |I1| zeros: _rouche checks exactly the I1 indices
+    # in the window (an index beyond it, 45, keeps the enclosure's outer
+    # disk) and the rectangle is not checked.  With a tail every window disk
+    # and the rectangle are
+    checked, rouche, rouche_rect = [], direct._rouche, direct._rouche_rect
+    monkeypatch.setattr(direct, "_rouche", lambda cf, idx, *a: checked.append(idx.tolist()) or rouche(cf, idx, *a))
+    monkeypatch.setattr(direct, "_rouche_rect", lambda cf, rect: checked.append("rect") or rouche_rect(cf, rect))
+    coeffs = finite_coeffs({-30: 0.2, 0: 0.275, 1: 0.075, 6: 0.01, 45: 0.1})
+    ps, loc = solve_direct(zspec, coeffs, LocalizeOptions(window=41, n_trunc=49))
+    assert ps.certified and not loc.cf.has_tail and loc.window == 41
+    assert checked == [[-30, 0, 1, 6]]
+    ref = oracle.dense_eigenvalues(oracle.build_truncation(zspec, coeffs, 60))
+    assert oracle.compare_spectra(ps, ref[np.abs(ref.real) < 41.5], 1e-10)[0]
+    checked.clear()
+    power = validate_coefficients(gallery.power_family(2.0, 50), zspec)
+    loc = localize_spectrum(zspec, power, LocalizeOptions(window=50, n_trunc=60))
+    win = loc.cf.window(loc.window)
+    idx, c = loc.cf.idx[win], loc.cf.c[win]
+    assert loc.cf.has_tail and checked == [idx[(np.abs(idx) > loc.k_prime) | (c != 0)].tolist(), "rect"]
+    assert checked[0] == [k for k in range(-50, 51) if k != 0]
+
+
 def test_rouche_count_equals_the_winding_count(zspec):
     # every outer disk of the power family behind criteria 3 and 4 (windows
     # 50 and 100 share the w = 200 disks: n_trunc is 600 for all three) and
-    # of random finite instances, and every central disk that certifies, at
+    # of random finite instances given a tail past the window (a zero tail
+    # checks only the I1 disks), and every central disk that certifies, at
     # the radius of its own
 
     power = validate_coefficients(gallery.power_family(2.0, 200), zspec)
     cases = [(power, LocalizeOptions(window=200, n_trunc=600))]
     rng = np.random.default_rng(2024)
     finite = LocalizeOptions(window=41, n_trunc=49)
-    cases += [(random_finite_instance(rng, radius=40), finite) for _ in range(12)]
+    cases += [(with_tail(random_finite_instance(rng, radius=40), 41), finite) for _ in range(12)]
     central_radii = []
     for coeffs, opts in cases:
         loc = localize_spectrum(zspec, coeffs, opts)
@@ -2045,8 +2114,9 @@ def test_rouche_count_equals_the_winding_count(zspec):
 
 def test_outer_disk_failure_names_its_rouche_margin(zspec, monkeypatch):
     # the first outer disk, index -8: |G| = |beta| = 1 + 0.275/8 + 0.075/9,
-    # S = 0.275 / (2 * 8 * 7.5) + 0.075 / (2 * 9 * 8.5);
-    # with the tail zero the failure is final, with no n_trunc doubling
+    # S = 0.275 / (2 * 8 * 7.5) + 0.075 / (2 * 9 * 8.5), to three digits
+    # with the tail of 1e-12 |n|^-3 (a zero tail checks no c_k = 0 disk),
+    # which fails at every n_trunc
     rouche = direct._rouche
 
     def reject(cf, idx, lam, c, r, shrink):
@@ -2054,9 +2124,9 @@ def test_outer_disk_failure_names_its_rouche_margin(zspec, monkeypatch):
         return margin, np.zeros(len(idx), dtype=bool), local
 
     monkeypatch.setattr(direct, "_rouche", reject)
-    failed = r"^disk around index -8 failed to certify \(Rouche margin 1.04\)$"
+    failed = r"^escalation exhausted \(n_trunc 20480\): disk around index -8 failed to certify \(Rouche margin 1.04\)$"
     with pytest.raises(errors.CertificationFailed, match=failed):
-        localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075}), OPTS)
+        localize_spectrum(zspec, with_tail(finite_coeffs({0: 0.275, 1: 0.075}), 8), OPTS)
 
 
 def test_outer_disk_newton_failure_names_its_seed(zspec, monkeypatch):

@@ -89,7 +89,8 @@ def test_sums_do_not_depend_on_how_many_points_share_a_call():
 
 def test_per_point_shift_equals_the_scalar_shift_calls():
     # d_kj = (lam_k - s_j) - z_j: each point's sums equal those of a call with
-    # its own shift as one number, for a lone point and across chunks
+    # its own shift as one number, for a lone point, across chunks and from
+    # the poles lam_k - s_j formed by the caller (as Newton hands them)
     for n_terms in (1, 5, 64):
         c, lam, z = _random_inputs(n_terms=n_terms, n_points=17, seed=10 + n_terms)
         shift = np.random.default_rng(n_terms).choice(lam, len(z))
@@ -102,9 +103,11 @@ def test_per_point_shift_equals_the_scalar_shift_calls():
                 chunked = pole_sum(c, lam, z, p, shift)
             finally:
                 _kernels._CHUNK = old
+            formed = pole_sum(c, lam[:, np.newaxis] - shift, z, p)
             lone = pole_sum(c, lam, z[:1], p, shift[:1])
+            lone_formed = pole_sum(c, lam[:, np.newaxis] - shift[:1], z[:1], p)
             for j in range(len(z)):
                 scalar = pole_sum(c, lam, z[j : j + 1], p, shift[j])
-                for a, b, s in zip(per_point, chunked, scalar):
-                    assert a[j] == s[0] and b[j] == s[0]
-            assert all(a[0] == b[0] for a, b in zip(lone, per_point))
+                for a, b, f, s in zip(per_point, chunked, formed, scalar):
+                    assert a[j] == s[0] and b[j] == s[0] and f[j] == s[0]
+            assert all(a[0] == b[0] == f[0] for a, b, f in zip(lone, per_point, lone_formed))

@@ -47,6 +47,35 @@ def test_window_indices_both_index_kinds(zspec):
     np.testing.assert_array_equal(nspec.window_indices(3), [1, 2, 3])
 
 
+def test_the_spectrum_keeps_one_read_only_run_of_lambda():
+    # each request is a read-only slice of the one run, widened over the
+    # union when a request reaches past it: bit for bit slope n + intercept
+    # with the head laid over it, over Z and N, whatever the order of the
+    # requests
+    rng = np.random.default_rng(7)
+    zhead = validate_base(BaseSpectrum("Z", -2, (-2.3, -0.9, 0.1, 1.15, 2.4), AffineTail(1.1, 0.05), 0.9))
+    nhead = validate_base(BaseSpectrum("N", 3, (2.7, 4.1, 5.0), AffineTail(0.7, 3.3), 0.7))
+    for spec, lo in ((zhead, -12), (nhead, 3)):
+        for _ in range(60):
+            a, b = sorted(int(n) for n in rng.integers(lo, 15, size=2))
+            idx, lam = spec.lambda_run(a, b)
+            fresh = spec.tail.slope * np.arange(a, b + 1, dtype=float) + spec.tail.intercept
+            for n, v in zip(range(spec.head_offset, spec.head_offset + len(spec.head)), spec.head):
+                if a <= n <= b:
+                    fresh[n - a] = v
+            assert idx.tolist() == list(range(a, b + 1)) and lam.tobytes() == fresh.tobytes()
+            for x in (idx, lam):
+                with pytest.raises(ValueError, match="read-only"):
+                    x[:1] = 0
+    spec = validate_base(BaseSpectrum("Z", 0, (), AffineTail(1.0, 0.0), 1.0))
+    _, wide = spec.lambda_run(-10, 10)
+    _, narrow = spec.lambda_run(-4, 2)
+    assert narrow.base is wide.base  # both slices of the run
+    _, wider = spec.lambda_run(-20, 5)  # widens the run to -20..10
+    assert wider.base is not wide.base and spec.lambda_run(8, 10)[1].base is wider.base
+    assert spec.lambda_run(3, 2)[1].size == 0
+
+
 def test_validate_base_certifies_smallest_gap():
     spec = validate_base(
         BaseSpectrum("Z", head_offset=0, head=(0.0, 0.7, 2.0), tail=AffineTail(1.0, 0.0), gap=0.5)

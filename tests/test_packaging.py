@@ -14,6 +14,7 @@ try:
 except ModuleNotFoundError:  # Python < 3.11
     tomllib = None
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,3 +87,30 @@ def test_a_solve_loads_no_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=60,
     )  # fmt: skip
     assert proc.returncode == 0, proc.stderr
+
+
+def test_abtree_loads_one_checkout_twice_as_two_packages_sharing_no_module():
+    # tests/abtree.py's A/B imports the base and this checkout side by side:
+    # each load is a package and workloads of its own, which leave
+    # sys.modules as they found it
+    import types
+
+    import abtree
+
+    before = dict(sys.modules)
+    loads = [abtree.load_tree(str(ROOT)) for _ in range(2)]
+    assert sys.modules == before
+
+    def modules(package, workloads):
+        found = [package, workloads] + [m for m in vars(package).values() if isinstance(m, types.ModuleType)]
+        return {id(m) for m in found if m.__name__ == "workloads" or m.__name__.split(".")[0] == "rank1spec"}
+
+    first, second = (modules(*load) for load in loads)
+    assert len(first) == len(second) == 9 and not first & second  # the package, 7 modules, workloads
+    for package, workloads in loads:
+        assert workloads.direct is package.direct and workloads.model is package.model
+    assert loads[0][0].model.BaseSpectrum is not loads[1][0].model.BaseSpectrum
+    # both sides run, and best_times keeps one best time per side and operation
+    ops = [workloads.WORKLOADS["finite_batch"](1, None).ops[:2] for _, workloads in loads]
+    best = abtree.best_times(ops, 2)
+    assert best.shape == (2, 2) and np.all(best > 0.0) and np.all(np.isfinite(best))
