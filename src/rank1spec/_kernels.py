@@ -6,6 +6,8 @@ point's sums run term by term in that order, however many points share a
 call.
 """
 
+import math
+
 import numpy as np
 
 BACKEND = "numpy"
@@ -20,8 +22,14 @@ def _sums(c, lam, z, p, shift, rho):
     # therefore doubled so that its sums take the same order as any other
     # point's.  The reductions are the ufuncs' own, which ndarray.sum and
     # .min call after a Python-level wrapper that costs as much on a few
-    # terms
-    diff = (lam - z) if lam.ndim == 2 else (lam[:, np.newaxis] - shift) - z
+    # terms.  Subtracting +0.0 returns every x to the bit (-0.0 included),
+    # so the default shift skips it
+    if lam.ndim == 2:
+        diff = lam - z
+    elif type(shift) is float and shift == 0.0 and math.copysign(1.0, shift) > 0.0:
+        diff = lam[:, np.newaxis] - z
+    else:
+        diff = (lam[:, np.newaxis] - shift) - z
     lone = len(z) == 1
     if lone:
         diff = np.concatenate((diff, diff), axis=1)

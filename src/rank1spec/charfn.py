@@ -23,13 +23,14 @@ def first_pole_hit(lam, z):
     """(point, pole) positions of the first point z_j with |z_j - lambda_k|
     < POLE_RTOL max(1, |lambda_k|), and of the first such pole; None if none,
     at once when every |Im z_j| reaches the largest tolerance (lambda is real)."""
-    if np.abs(z.imag).min(initial=np.inf) >= POLE_RTOL * max(1.0, np.abs(lam).max(initial=0.0)):
+    reach = POLE_RTOL * max(1.0, np.maximum.reduce(np.abs(lam), initial=0.0))
+    if np.minimum.reduce(np.abs(z.imag), initial=np.inf) >= reach:
         return None
     lam = lam[:, np.newaxis]
     hit = np.abs(lam - z) < POLE_RTOL * np.maximum(1.0, np.abs(lam))
     if not np.count_nonzero(hit):
         return None
-    j = int(np.flatnonzero(hit.any(axis=0))[0])
+    j = int(np.flatnonzero(np.logical_or.reduce(hit, axis=0))[0])
     return j, int(np.argmax(hit[:, j]))
 
 

@@ -14,16 +14,23 @@ from .charfn import TRUNC_MARGIN, first_pole_hit, summed_terms
 from .model import PerturbationCoefficients, PowerTail, validate_coefficients
 
 ROWS = 8  # rows of ratios build_product forms at once, each padded to under 2 |I1|
+A_TAIL = PowerTail(beta=1.0, scale=1.0, phase=0.0)  # a_n = 1/|n| beyond solve_inverse's head
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ProductFunction:
     """F~(z) = prod (nu_n - z)/(lambda_n - z) over the deviating indices,
-    with its residues: c1[j] = -Res F~ at lambda_n, n = i1[j]."""
+    with its residues: c1[j] = -Res F~ at lambda_n, n = i1[j], a tuple for
+    the reader, and the same values as the read-only array c, from which
+    solve_inverse and its fixed-phi variant scatter them.  Not frozen: a
+    frozen dataclass's __init__ sets each field through
+    object.__setattr__, several times the cost of this one, once per
+    product."""
 
     spec: object
     i1: tuple  # indices with nu_n != lambda_n, increasing
     c1: tuple
+    c: np.ndarray  # c1 as an array, read-only
     nu: np.ndarray  # nu_n over i1
     lam: np.ndarray  # lambda_n over i1
 
@@ -56,37 +63,50 @@ def build_product(spec, target):
     stays linear in the deviating indices.  A residue that is not finite (a
     target moved too far for a double) raises NonSummable naming its index.
     """
-    head = list(target.nu_head)
     off = target.nu_head_offset
-    lam = spec.lambda_run(off, off + len(head) - 1)[1].tolist()
+    nu, run = target._nu, spec.lambda_run(off, off + len(target.nu_head) - 1)[1]
+    moved = (nu != run).nonzero()[0]
+    nu, lam = nu[moved], run[moved]
     # where lambda_m occurs elsewhere in the head, not on its own index, pull
     # it onto index m; a swap never makes an earlier index swappable, so
-    # one pass makes them all.  Swaps only permute the head, so a lambda_m
-    # that is none of its values needs no search
-    values = set(head)
-    for j, lam_m in enumerate(lam):
-        if head[j] != lam_m and lam_m in values:
-            k = next((k for k, v in enumerate(head) if v == lam_m and v != lam[k]), None)
-            if k is not None:
-                head[j], head[k] = head[k], head[j]
-    i1 = tuple(off + j for j, (nu_j, lam_j) in enumerate(zip(head, lam)) if nu_j != lam_j)
-    nu, lam = np.array([head[n - off] for n in i1], dtype=complex), np.array([lam[n - off] for n in i1])
+    # one pass makes them all.  Swaps only permute the values of the moved
+    # indices among them, so the pass runs only when some lambda_m of a
+    # moved index is among those values
+    if not set(nu.tolist()).isdisjoint(lam.tolist()):
+        head, run_list = list(target.nu_head), run.tolist()
+        values = set(head)
+        for j in moved.tolist():
+            lam_m = run_list[j]
+            if head[j] != lam_m and lam_m in values:
+                k = next((k for k, v in enumerate(head) if v == lam_m and v != run_list[k]), None)
+                if k is not None:
+                    head[j], head[k] = head[k], head[j]
+        nu = np.array(head, dtype=complex)
+        moved = (nu != run).nonzero()[0]
+        nu, lam = nu[moved], run[moved]
+    i1 = tuple((moved + off).tolist())
     c1 = np.empty(len(lam), dtype=complex)
     width = 1 << max(len(lam) - 1, 0).bit_length()  # a row padded with ones to a power of two
-    for j in range(0, len(lam), ROWS):
-        lam_n = lam[j : j + ROWS, np.newaxis]
-        den = lam - lam_n
-        den.reshape(-1)[j :: len(lam) + 1] = 1.0  # a row's own entry: nu_n - lambda_n
-        r = np.ones((len(lam_n), width), dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _divide_parts(np.subtract(nu, lam_n, out=r[:, : len(lam)]), den)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(0, len(lam), ROWS):
+            lam_n = lam[j : j + ROWS, np.newaxis]
+            den = lam - lam_n
+            den.reshape(-1)[j :: len(lam) + 1] = 1.0  # a row's own entry: nu_n - lambda_n
+            r = np.empty((len(lam_n), width), dtype=complex)
+            r[:, len(lam) :] = 1.0
+            # nu_m - lambda_n by parts (Im nu_m - 0 is Im nu_m), divided by
+            # the real denominators as _divide_parts divides
+            q = r[:, : len(lam)]
+            np.divide(nu.real - lam_n, den, out=q.real)
+            np.divide(nu.imag, den, out=q.imag)
             while r.shape[1] > 1:
                 r = r[:, ::2] * r[:, 1::2]
-        c1[j : j + ROWS] = r[:, 0]
+            c1[j : j + ROWS] = r[:, 0]
     finite = np.isfinite(c1)
-    if not finite.all():
+    if np.count_nonzero(finite) < len(c1):
         raise errors.NonSummable(f"residue c_{i1[finite.argmin()]} overflows: the target moves too far for a double")
-    return ProductFunction(spec=spec, i1=i1, c1=tuple(c1.tolist()), nu=nu, lam=lam)
+    c1.flags.writeable = False
+    return ProductFunction(spec=spec, i1=i1, c1=tuple(c1.tolist()), c=c1, nu=nu, lam=lam)
 
 
 def _deviating_radius(pf):
@@ -97,7 +117,7 @@ def _deviating_radius(pf):
 def _residues(pf, lo, hi):
     """c_n at the indices lo..hi, which cover I1, an array: 0 off I1."""
     c = np.zeros(max(hi - lo + 1, 0), dtype=complex)
-    c[np.array(pf.i1, dtype=int) - lo] = pf.c1
+    c[np.array(pf.i1, dtype=int) - lo] = pf.c
     return c
 
 
@@ -115,17 +135,9 @@ def solve_inverse(spec, target):
     lo = spec.first_index(radius)
     c = _residues(pf, lo, radius)
     a = np.sqrt(np.abs(c))
-    off = c == 0
-    a[off] = 1.0 / (1.0 + np.abs(np.arange(lo, lo + len(c))[off]))
+    np.divide(1.0, 1.0 + np.abs(np.arange(lo, lo + len(c))), out=a, where=c == 0)
     start = lo if len(c) else 0
-    coeffs = PerturbationCoefficients(
-        a_head_offset=start,
-        a_head=tuple(a.astype(complex).tolist()),
-        a_tail=PowerTail(beta=1.0, scale=1.0, phase=0.0),
-        b_head_offset=start,
-        b_head=tuple(_divide_parts(c, a).tolist()),
-        b_tail=None,
-    )
+    coeffs = PerturbationCoefficients.from_arrays(start, a.astype(complex), A_TAIL, _divide_parts(c, a), None)
     return coeffs, pf
 
 
@@ -155,15 +167,25 @@ def solve_inverse_fixed_phi(spec, target, phi_coeffs):
 
 SAMPLE_COUNT = 25
 _SAMPLE_ROWS = 1.0 + np.arange(SAMPLE_COUNT) % 3  # heights 0.4 d, 0.8 d and 1.2 d in turn
+_SAMPLE_RAMP = np.arange(SAMPLE_COUNT, dtype=float)
 
 
 def default_sample_points(spec, pf):
     """Deterministic sample points staying at least d/4 away from all poles
-    (an array)."""
+    (an array): real parts np.linspace(lo - 2 d, hi + 2 d, SAMPLE_COUNT) to
+    the bit, lo and hi the outermost poles, by linspace's own arithmetic
+    (ramp * step + start, the last point stop; ramp / (count - 1) * (stop -
+    start) + start where the step underflows to 0) without its overhead."""
     d = spec.gap
     lo, hi = (pf.lam[0], pf.lam[-1]) if len(pf.lam) else (0.0, 0.0)  # the poles ascend
+    start, stop = lo - 2.0 * d, hi + 2.0 * d
+    step = (stop - start) / (SAMPLE_COUNT - 1)
     z = np.empty(SAMPLE_COUNT, dtype=complex)
-    z.real = np.linspace(lo - 2.0 * d, hi + 2.0 * d, SAMPLE_COUNT)
+    if step != 0.0:
+        z.real = _SAMPLE_RAMP * step + start
+    else:
+        z.real = _SAMPLE_RAMP / (SAMPLE_COUNT - 1) * (stop - start) + start
+    z.real[-1] = stop
     z.imag = 0.4 * d * _SAMPLE_ROWS
     return z
 
@@ -188,4 +210,4 @@ def check_F_equals_product(coeffs, pf, sample_points):
         index = first + k[p] if p < len(k) else pf.i1[p - len(k)]
         raise errors.PoleHit(f"z = {z[j]} coincides with pole lambda at index {index}")
     f = 1.0 + _kernels.taylor(c, lam, z, 0)[0]
-    return float(np.abs(f - pf.values(z)).max(initial=0.0))
+    return float(np.maximum.reduce(np.abs(f - pf.values(z)), initial=0.0))

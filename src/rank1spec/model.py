@@ -185,6 +185,26 @@ class PerturbationCoefficients:
     b_head: tuple
     b_tail: PowerTail
 
+    @classmethod
+    def from_arrays(cls, offset, a, a_tail, b, b_tail):
+        """Coefficients whose heads are the complex arrays a and b, of one
+        length, over the indices offset, offset + 1, ...: a, b and c =
+        conj(a) * b there (_product over the heads, which reads no tail)
+        become the read-only caches _a, _b and _c beside the tuples (and
+        the head radius _radius), so nothing converts the tuples back or
+        evaluates c over them again."""
+        c = np.conj(a) * b
+        a.flags.writeable = b.flags.writeable = c.flags.writeable = False
+        # the fields and the caches set as __init__ and cached_property set
+        # them, past the frozen __setattr__, in one update
+        coeffs = cls.__new__(cls)
+        coeffs.__dict__.update(
+            a_head_offset=offset, a_head=tuple(a.tolist()), a_tail=a_tail,
+            b_head_offset=offset, b_head=tuple(b.tolist()), b_tail=b_tail,
+            _a=a, _b=b, _c=(offset, c), _radius=_head_radius(offset, a),
+        )  # fmt: skip
+        return coeffs
+
     @functools.cached_property
     def _a(self):
         return np.asarray(self.a_head, dtype=complex)
@@ -219,9 +239,9 @@ class PerturbationCoefficients:
         """b_n at the indices lo..hi, an array."""
         return self._eval(lo, hi, self.b_head_offset, self._b, self.b_tail)
 
-    def c_range(self, lo, hi):
-        """c_n = conj(a_n) * b_n at the indices lo..hi, a's power tail
-        evaluated only where b_n != 0: beyond a's head c_n is +0 where b_n = 0
+    def _product(self, lo, hi):
+        """conj(a_n) * b_n at the indices lo..hi, a's power tail evaluated
+        only where b_n != 0: beyond a's head c_n is +0 where b_n = 0
         (conj(a_n) b_n is a zero of either sign there)."""
         b = self.b_range(lo, hi)
         tail, a_off, b_off = self.a_tail, self.a_head_offset, self.b_head_offset
@@ -230,6 +250,29 @@ class PerturbationCoefficients:
             tail = None  # b_n != 0 only on b's head, and a's covers it
         a = self._eval(lo, hi, a_off, self._a, tail, None if tail is None else b != 0)
         return np.conj(a) * b
+
+    @functools.cached_property
+    def _c(self):
+        """(first, c_n over the indices first, first + 1, ... that the heads
+        span): _product there, evaluated once and read-only."""
+        heads = ((self.a_head_offset, self.a_head), (self.b_head_offset, self.b_head))
+        spans = [(off, off + len(head)) for off, head in heads if head]
+        first, stop = (min(s[0] for s in spans), max(s[1] for s in spans)) if spans else (0, 0)
+        c = self._product(first, stop - 1)
+        c.flags.writeable = False
+        return first, c
+
+    def c_range(self, lo, hi):
+        """c_n = conj(a_n) * b_n at the indices lo..hi (_product).  With no
+        b tail, c_n is +0 beyond the span of the heads, and over it a slice
+        of the coefficients' one evaluation there: _product is elementwise,
+        so a slice is bitwise a fresh evaluation."""
+        if self.b_tail is not None:
+            return self._product(lo, hi)
+        first, span = self._c
+        out = np.zeros(max(hi - lo + 1, 0), dtype=complex)
+        _overlay(out, lo, first, span)
+        return out
 
     def a_at(self, n):
         return _at(n, self.a_range)
@@ -253,8 +296,11 @@ class PerturbationCoefficients:
 
     def head_radius(self):
         """Largest |index| covered by either explicit head."""
-        a, b = _head_radius(self.a_head_offset, self.a_head), _head_radius(self.b_head_offset, self.b_head)
-        return max(a, b)
+        return self._radius
+
+    @functools.cached_property
+    def _radius(self):
+        return max(_head_radius(self.a_head_offset, self.a_head), _head_radius(self.b_head_offset, self.b_head))
 
     def power_tail_sum(self, m, index_kind):
         """Certified upper bound on the generated tail's sum of |c_n| over
@@ -281,8 +327,9 @@ class PerturbationCoefficients:
 
 
 def _head_radius(offset, head):
-    """Largest |index| an explicit head covers (0 when it is empty)."""
-    return max(abs(offset), abs(offset + len(head) - 1)) if head else 0
+    """Largest |index| an explicit head (a tuple or an array) covers (0 when
+    it is empty)."""
+    return max(abs(offset), abs(offset + len(head) - 1)) if len(head) else 0
 
 
 def _check_radius(radius, what):
@@ -303,7 +350,7 @@ def validate_coefficients(coeffs, spec):
         (coeffs.a_head_offset, coeffs.a_head, coeffs._a, coeffs.a_tail, "a"),
         (coeffs.b_head_offset, coeffs.b_head, coeffs._b, coeffs.b_tail, "b"),
     ):
-        if arr.size and not np.isfinite(arr).all():
+        if np.count_nonzero(np.isfinite(arr)) < arr.size:
             raise errors.SchemaError(f"{name} head contains non-finite entries")
         if spec.index_kind == INDEX_N and head and off < spec.start:
             raise errors.IndexMismatch(
@@ -324,28 +371,33 @@ def validate_coefficients(coeffs, spec):
                 raise errors.IndexMismatch(f"{name} head must cover index 0 when a tail is set")
     # degenerate indices are only detectable on explicit entries; generator
     # zero-zero tails encode finite-rank data and are accepted as-is
-    head_sum = 0.0  # sum |c_n| over |n| <= h, from the same a_n and b_n
+    head_sum = 0.0  # sum |c_n| over |n| <= h
     if h > 0 or coeffs.a_head or coeffs.b_head:
         lo = spec.first_index(h)
-        a, b = coeffs.a_range(lo, h), coeffs.b_range(lo, h)
-        dead = (a == 0) & (b == 0)
-        if dead.any():
+        a = coeffs.a_range(lo, h)
+        if np.count_nonzero(a) < len(a):  # a degenerate index has a_n = 0
+            dead = (a == 0) & (coeffs.b_range(lo, h) == 0)
             explicit = np.zeros(len(a), dtype=bool)  # in either head
             for off, head in ((coeffs.a_head_offset, coeffs.a_head), (coeffs.b_head_offset, coeffs.b_head)):
                 explicit[max(off - lo, 0) : max(off + len(head) - lo, 0)] = True
             dead &= explicit
-            if dead.any():
+            if np.count_nonzero(dead):
                 raise errors.DegenerateIndex(
                     f"a_n = b_n = 0 at explicit index {lo + int(dead.argmax())}; pre-reduce the input"
                 )
-        # index 0 included, as in K'; an overflowing c_n or sum is not summable
+        # index 0 included, as in K'; an overflowing c_n or sum is not
+        # summable.  |c_range| is |conj(a_n) b_n| of a_range and b_range:
+        # the two differ only in the sign of a zero, where b_n = 0 and
+        # c_range reads no tail of a
         with np.errstate(over="ignore", invalid="ignore"):
-            absc = np.abs(np.conj(a) * b)
-            head_sum = float(absc.sum())
+            absc = np.abs(coeffs.c_range(lo, h))
+            head_sum = float(np.add.reduce(absc))
         # a subnormal c_n puts a zero within it of lambda_n, where the
-        # kernel's division by that offset gives -inf + nan i
-        tiny = (absc > 0.0) & (absc < 2.0**-1022)
-        if tiny.any():
+        # kernel's division by that offset gives -inf + nan i.  The counts
+        # below add up to len(absc) plus the number of such c_n (a NaN
+        # counts once, in the second)
+        if np.count_nonzero(absc < 2.0**-1022) + np.count_nonzero(absc) > len(absc):
+            tiny = (absc > 0.0) & (absc < 2.0**-1022)
             raise errors.DegenerateIndex(
                 f"0 < |c_n| < 2^-1022 at index {lo + int(tiny.argmax())}: set c_n to 0 or rescale the input"
             )

@@ -2,15 +2,16 @@
 
 Run from the root of a checkout (pytest does not collect this file):
 
-    python3 tests/abtree.py BASE_DIR [--repeats 15] [--seeds 1 2]
+    python3 tests/abtree.py BASE_DIR [--repeats 15] [--seeds 1 2] [--workloads roundtrip]
 
 BASE_DIR is the root of another checkout, the base (``git archive`` of the
 parent commit unpacked somewhere, say).  Both checkouts' ``src/rank1spec``
 and ``perfbench/workloads.py`` are imported into one process as two
-separate sets of modules (``load_tree``).  Each operation of
-``finite_batch`` and ``roundtrip`` runs on the base and on this checkout in
-turn, the order swapped from one operation and one round to the next, and
-each side keeps its best time of ``--repeats`` rounds per operation.  Per
+separate sets of modules (``load_tree``).  Each operation of the
+workloads named by ``--workloads`` (``finite_batch`` and ``roundtrip`` by
+default) runs on the base and on this checkout in turn, the order swapped
+from one operation and one round to the next, and each side keeps its
+best time of ``--repeats`` rounds per operation.  Per
 workload and seed it prints the median over the operations of the ratio
 this / base with the ratio's quartiles, and each side's median best time.
 One process and alternation cancel most of the host's drift, which
@@ -76,9 +77,10 @@ def main(argv=None):
     parser.add_argument("base_dir", help="root of the base checkout")
     parser.add_argument("--repeats", type=int, default=15, help="rounds per operation (best taken)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS), metavar="NAME")
     args = parser.parse_args(argv)
     trees = [load_tree(os.path.abspath(args.base_dir))[1], load_tree(ROOT)[1]]
-    for name in WORKLOADS:
+    for name in args.workloads:
         for seed in args.seeds:
             ops = [w.WORKLOADS[name](seed, None).ops for w in trees]
             best = best_times(ops, args.repeats)

@@ -1311,12 +1311,13 @@ def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
 def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, monkeypatch):
     # every disk certifies, so a solve pays for one Newton pass and nothing
     # else: kernel passes are Newton's steps alone, and the coefficients are
-    # evaluated once (charfn.Terms: c_range is two _eval calls, a and b),
-    # over the head and the first n_trunc, from one head_radius; K', the
-    # window, the rectangle's ends and the tail sums are sliced from them.
-    # The eigenvalues are sliced from the spectrum's run, evaluated again
-    # only when a solve reaches past it: the batch-shaped solve widens it
-    # (n_trunc 49 against 20), and the same solve again does not
+    # evaluated once (charfn.Terms: c_range, beyond the heads +0 with no b
+    # tail, and over them one _product kept on the coefficients, two _eval
+    # calls, a and b), from one head_radius; K', the window, the
+    # rectangle's ends and the tail sums are sliced from them.  The
+    # eigenvalues are sliced from the spectrum's run, evaluated again only
+    # when a solve reaches past it: the batch-shaped solve widens it
+    # (n_trunc 49 against 20), and the same solve again evaluates neither
     from rank1spec import _kernels
 
     counts = dict.fromkeys(["sums", "eval", "lambda_range", "head_radius"], 0)
@@ -1339,7 +1340,7 @@ def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, mon
         finite_coeffs({-31: 0.21 - 0.08j, -4: 0.05 + 0.17j, 9: -0.12 + 0.2j, 17: 0.28j, 30: -0.09 - 0.03j}),
         LocalizeOptions(window=41, n_trunc=49),
     )
-    for (coeffs, opts), expected in ((hand, [4, 2, 1, 1]), (batch, [3, 2, 1, 1]), (batch, [3, 2, 0, 1])):
+    for (coeffs, opts), expected in ((hand, [4, 2, 1, 1]), (batch, [3, 2, 1, 1]), (batch, [3, 0, 0, 1])):
         counts.update(dict.fromkeys(counts, 0))
         ps, loc = solve_direct(zspec, coeffs, opts)
         assert not loc.central and ps.certified

@@ -118,6 +118,89 @@ def test_F_equals_product_on_samples(zspec, two_point_target):
     assert disc < 1e-12
 
 
+def test_sample_points_are_linspace_to_the_bit(zspec):
+    # the real parts are np.linspace(lo - 2 d, hi + 2 d, 25) bit for bit, lo
+    # and hi the outermost poles: no moved point (lo = hi = 0), a head
+    # 1801 indices wide, eigenvalues near 1e12, ends whose last ramp point
+    # 24 step + start rounds off stop (linspace sets it to stop), and a gap
+    # so small that (stop - start) / 24 underflows to 0, where linspace
+    # divides the ramp first; the heights are 0.4 d, 0.8 d and 1.2 d in turn
+    far = validate_base(BaseSpectrum("Z", 0, (), AffineTail(3.0, 1e12), 3.0))
+    odd = validate_base(BaseSpectrum("Z", 0, (), AffineTail(0.37, 0.123), 0.37))
+    tiny = validate_base(BaseSpectrum("Z", 0, (), AffineTail(5e-324, 0.0), 5e-324))
+    cases = [
+        (zspec, TargetSpectrum(-1, (-1.0 + 0j, 0j, 1.0 + 0j))),
+        (zspec, TargetSpectrum(-900, (-899.7 + 0.1j,) + tuple(complex(n) for n in range(-899, 900)) + (900.2j,))),
+        (far, TargetSpectrum(-3, tuple((far.lambda_range(-3, -1) + np.array([0.5j, 0.0, -1.1 + 0.2j])).tolist()))),
+        (odd, TargetSpectrum(-40, tuple((odd.lambda_range(-40, 1) + np.r_[0.1j, np.zeros(40), 0.05 - 0.1j]).tolist()))),
+        (tiny, TargetSpectrum(0, (0j,))),
+    ]
+    steps, rounded = [], []
+    for spec, target in cases:
+        pf = inverse.build_product(spec, target)
+        d = spec.gap
+        lo, hi = (pf.lam[0], pf.lam[-1]) if len(pf.lam) else (0.0, 0.0)
+        z = inverse.default_sample_points(spec, pf)
+        expected = np.linspace(lo - 2.0 * d, hi + 2.0 * d, inverse.SAMPLE_COUNT)
+        assert z.dtype == complex and z.real.tobytes() == expected.tobytes()
+        assert z.imag.tobytes() == (0.4 * d * (1.0 + np.arange(inverse.SAMPLE_COUNT) % 3)).tobytes()
+        steps.append(((hi + 2.0 * d) - (lo - 2.0 * d)) / (inverse.SAMPLE_COUNT - 1))
+        rounded.append((inverse.SAMPLE_COUNT - 1) * steps[-1] + (lo - 2.0 * d) != hi + 2.0 * d)
+    assert [len(inverse.build_product(spec, t).i1) for spec, t in cases] == [0, 2, 2, 2, 0]
+    assert steps[-1] == 0.0 and all(step > 0.0 for step in steps[:-1]) and rounded[3]
+
+
+def test_coefficients_handed_on_as_arrays_equal_the_ones_rebuilt_from_their_tuples():
+    # solve_inverse hands its a_n and b_n on as the coefficients' read-only
+    # caches, with c_n = conj(a_n) b_n over the heads and the head radius,
+    # and the product keeps its residues as a read-only array: each equals
+    # what the same coefficients rebuilt from their JSON (the tuples alone)
+    # evaluate, bit for bit, and so do c_range over and beyond the heads,
+    # validation and the check, as do fixed-phi outputs
+    from rank1spec.model import coefficients_from_json, coefficients_to_json
+
+    rng = np.random.default_rng(43)
+    specs = [
+        validate_base(BaseSpectrum("Z", 0, (), AffineTail(1.0, 0.0), 1.0)),
+        validate_base(BaseSpectrum("N", 1, (), AffineTail(1.0, 0.0), 1.0)),
+    ]
+    specs += [random_base(rng) for _ in range(4)]
+    checked = 0
+    for spec in specs:
+        targets = [TargetSpectrum(spec.first_index(0), ())]
+        targets += [_random_target(rng, spec, int(rng.integers(1, 11))) for _ in range(12)]
+        for target in targets:
+            coeffs, pf = inverse.solve_inverse(spec, target)
+            assert not pf.c.flags.writeable and pf.c.tobytes() == np.array(pf.c1, dtype=complex).tobytes()
+            rebuilt = coefficients_from_json(coefficients_to_json(coeffs))
+            assert rebuilt == coeffs and "_a" not in vars(rebuilt)
+            handed = vars(coeffs)
+            for name in ("_a", "_b"):
+                assert not handed[name].flags.writeable
+                assert handed[name].dtype == complex and handed[name].tobytes() == getattr(rebuilt, name).tobytes()
+            assert handed["_c"][0] == rebuilt._c[0] and not handed["_c"][1].flags.writeable
+            assert handed["_c"][1].tobytes() == rebuilt._c[1].tobytes()
+            assert handed["_radius"] == rebuilt.head_radius()
+            h = coeffs.head_radius()
+            samples = inverse.default_sample_points(spec, pf)
+            phi = PerturbationCoefficients(
+                a_head_offset=spec.first_index(h), a_head=tuple(0.5 + 0.1j * n for n in range(spec.first_index(h), 1)),
+                a_tail=PowerTail(1.0, 2.0, 0.3), b_head_offset=spec.first_index(0), b_head=(), b_tail=None,
+            )  # fmt: skip
+            pairs = [(coeffs, rebuilt, pf)]
+            if pf.i1:
+                fixed, fixed_pf = inverse.solve_inverse_fixed_phi(spec, target, phi)
+                pairs.append((fixed, coefficients_from_json(coefficients_to_json(fixed)), fixed_pf))
+            for one, other, product in pairs:
+                for lo, hi in ((spec.first_index(h), h), (spec.first_index(h + 9), h + 9), (h + 1, h + 30)):
+                    assert one.c_range(lo, hi).tobytes() == other.c_range(lo, hi).tobytes()
+                assert validate_coefficients(one, spec) is one and validate_coefficients(other, spec) is other
+                values = [inverse.check_F_equals_product(x, product, samples) for x in (one, other)]
+                assert np.float64(values[0]).tobytes() == np.float64(values[1]).tobytes()
+                checked += 1
+    assert checked > 100
+
+
 def test_fixed_phi_variant(zspec, two_point_target):
     phi = PerturbationCoefficients(
         a_head_offset=0,

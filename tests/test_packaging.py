@@ -114,3 +114,17 @@ def test_abtree_loads_one_checkout_twice_as_two_packages_sharing_no_module():
     ops = [workloads.WORKLOADS["finite_batch"](1, None).ops[:2] for _, workloads in loads]
     best = abtree.best_times(ops, 2)
     assert best.shape == (2, 2) and np.all(best > 0.0) and np.all(np.isfinite(best))
+
+
+def test_abtree_times_the_workloads_it_is_given(capsys):
+    # --workloads picks the declared workloads to time, both by default, so
+    # that a roundtrip-only A/B runs no finite_batch operation
+    import abtree
+
+    assert abtree.WORKLOADS == ("finite_batch", "roundtrip")
+    abtree.main([str(ROOT), "--repeats", "1", "--workloads", "roundtrip"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("roundtrip seed 1: this/base median ")
+    with pytest.raises(SystemExit):
+        abtree.main([str(ROOT), "--workloads", "power_decay"])
+    assert "invalid choice" in capsys.readouterr().err
