@@ -160,10 +160,11 @@ class Terms:
     once for a solve to slice its K_eps, windows and tail sums from, and the
     indices and lambda_n sliced from the spectrum's run.  radius
     reaches the head radius h; lo is -radius over Z, and over N the lower
-    of 1 and the start (a tail sum counts from index 1)."""
+    of 1 and the start (a tail sum counts from index 1).  tail is the c_n
+    generator beyond the heads (coeffs.c_tail), None when they are all."""
 
     def __init__(self, spec, coeffs, radius, h=None):
-        self.spec, self.coeffs = spec, coeffs
+        self.spec, self.coeffs, self.tail = spec, coeffs, coeffs.c_tail
         self.h = coeffs.head_radius() if h is None else h
         self.radius = max(radius, self.h)
         self.lo = -self.radius if spec.index_kind == INDEX_Z else min(1, spec.start)
@@ -176,9 +177,11 @@ class Terms:
 
     def tail_sum(self, radius):
         """Certified upper bound on sum_{|n| > radius} |c_n|: the evaluated
-        |c_n| out to h, and the generator tail's bound beyond."""
-        total = 0.0
-        zero, h = -self.lo, self.h
+        |c_n| out to h, and the generator tail's bound beyond (0 at once
+        from h on with no tail)."""
+        total, zero, h = 0.0, -self.lo, self.h
+        if radius >= h and self.tail is None:
+            return total
         if radius < h:
             part = self.absc[zero + radius + 1 : zero + h + 1]
             if self.spec.index_kind == INDEX_Z:
@@ -197,8 +200,8 @@ class Terms:
         shells = absc[zero + 1 : zero + h + 1]  # |c_k| (+ |c_-k| over Z), k = 1..h
         if spec.index_kind == INDEX_Z:
             shells = absc[zero - h : zero][::-1] + shells
-        tail = self.tail_sum(h)
-        below = (np.add.accumulate(shells[::-1])[::-1] + tail < eps).nonzero()[0]
+        tail, beyond = self.tail_sum(h), np.add.accumulate(shells[::-1])[::-1]
+        below = ((beyond + tail if tail else beyond) < eps).nonzero()[0]  # + 0.0 moves no comparison
         k_eps = int(below[0]) if len(below) else h if tail < eps else None
         if k_eps is None:
             # head exhausted: only the generator tail is left beyond h, and
@@ -241,7 +244,7 @@ def first_cut(spec, coeffs, window, n_trunc, eps):
             f"summation window {n_trunc} (window {window}, K' = {k_prime}) exceeds {TRUNC_CAP}"
         )
     cf = CharacteristicFunction.cut(terms, n_trunc)
-    if coeffs.c_tail is not None:  # the rule validate_coefficients applies to the heads
+    if terms.tail is not None:  # the rule validate_coefficients applies to the heads
         absc = np.abs(cf.c[win := cf.window(window)])
         if (tiny := (absc > 0.0) & (absc < 2.0**-1022)).any():
             n = int(cf.idx[win][tiny.argmax()])

@@ -31,6 +31,7 @@ README times its stages.
 
 import bisect
 from collections import namedtuple
+import contextvars
 from dataclasses import dataclass
 import functools
 import math
@@ -58,6 +59,29 @@ UNIT_ROUNDOFF = float(0.5 * np.finfo(float).eps)
 # (eta_j / |F^(m)/m!|)^(1/(m-j)) set by the noise eta_j of each F^(j)/j!
 ROUNDOFF = 20.0
 NEWTON_MAX_ITER = 80
+# the floating-point state of a solve: a division by zero, an invalid
+# operation or an overflow gives inf or NaN, which the checks read as a
+# failure, with no warning; localize_spectrum enters it once a solve
+FP_STATE = dict(divide="ignore", invalid="ignore", over="ignore")
+_IN_SOLVE = contextvars.ContextVar("in_solve", default=False)
+# the scalar operands of a solve's array arithmetic as 0-d arrays: a ufunc
+# takes one at two thirds of the cost of a Python float, with the same loop
+# and value, so to the bit
+_ZERO, _ONE, _TWO, _FOUR, _TINY, _INF = (np.array(x) for x in (0.0, 1.0, 2.0, 4.0, 1e-16, math.inf))
+
+
+def _quiet(body):
+    """body as a solve's helper: run as it is inside a solve, which is in
+    FP_STATE already, and in FP_STATE when called on its own."""
+
+    @functools.wraps(body)
+    def helper(*args, **kwargs):
+        if _IN_SOLVE.get():
+            return body(*args, **kwargs)
+        with np.errstate(**FP_STATE):
+            return body(*args, **kwargs)
+
+    return helper
 
 
 @dataclass(frozen=True)
@@ -102,7 +126,8 @@ class LocalizationResult:
     owned: the zero of each certified disk with c_k != 0, as (indices k,
     zeros) arrays; the disk pairs its zero with its own index.  central:
     the zeros the disks leave, as (location, order) sorted by location.
-    rect: the central rectangle Q_{K'}.  reports derives the disks around
+    rect, the central rectangle Q_{K'}, is formed on the first read (an
+    easy solve's attempt reads none).  reports derives the disks around
     the window's outer indices |k| > K' from cf: centre lambda_k and the
     enclosure's radius d/2, as _disks takes them; with no tail the degree
     count (_localize_attempt), not Rouche, certifies those with c_k = 0.
@@ -110,12 +135,15 @@ class LocalizationResult:
 
     owned: tuple
     central: list
-    rect: Rectangle
     k_prime: int
     window: int
     eps: float
     tail_sum_bound: float  # sum_{|n|>window} |c_n|
     cf: CharacteristicFunction
+
+    @functools.cached_property
+    def rect(self):
+        return _central_rectangle(self.cf.spec, self.k_prime, self.cf.spec.gap, self.cf.terms.lambda_at)
 
     @functools.cached_property
     @np.errstate(divide="ignore", invalid="ignore")
@@ -178,7 +206,7 @@ def _holds(bound, slack, value, m, kappa, fails=False):
     return lhs >= rhs if fails else lhs < rhs
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+@_quiet
 def _rouche(cf, idx, lam, c, r, shrink):
     """Rouche margins min |G_k| - S_k on the circles |z - lambda_k| = rho_k
     around the indices idx (lambda_k = lam, c_k = c), whether each certifies
@@ -224,14 +252,24 @@ def _rouche(cf, idx, lam, c, r, shrink):
     the preconditions fails whatever its allowance.  kappa_S is looked up,
     not assumed: d-separation would bound it by 2, but floats collapse the
     spacing of lambda_n = n + 1e17, which the validators accept.  The disks
-    are checked in blocks of ROUCHE_BLOCK disks x terms (_rouche_blocks); a
-    call that one block covers takes its arrays as they are.
+    are checked in blocks of ROUCHE_BLOCK disks x terms (_rouche_block); a
+    call that one block covers takes that block's arrays as they are.
     """
     absc, absc_k = np.abs(cf.c1), np.abs(c)
+    # columns Re c_n, Im c_n, |c_n|: beta_k from the first two, beta'_k and
+    # S0_k from one product over all three
+    cols = np.concatenate([cf.c1.view(float).reshape(-1, 2), absc[:, np.newaxis]], axis=1)
     per_block = max(1, ROUCHE_BLOCK // max(1, len(absc)))
-    blocks = _rouche_blocks(cf, idx, lam, absc, absc_k, r, shrink, per_block)
-    beta, slope, rho, size, nearest, s = next(blocks) if len(idx) <= per_block else map(np.concatenate, zip(*blocks))
-    ok = nearest > 0.0
+    work = [None] * 4
+    if len(idx) <= per_block:
+        beta, slope, rho, size, nearest, s = _rouche_block(cf, cols, absc, idx, lam, absc_k, r, shrink, work)
+    else:
+        blocks = [
+            _rouche_block(cf, cols, absc, idx[b], lam[b], absc_k[b], r, shrink[b], work)
+            for b in (slice(i, i + per_block) for i in range(0, len(idx), per_block))
+        ]
+        beta, slope, rho, size, nearest, s = map(np.concatenate, zip(*blocks))
+    ok = nearest > _ZERO
     if cf.has_tail:
         tail = cf.tail_bound_at(lam, rho)
         ok &= tail < math.inf
@@ -239,8 +277,8 @@ def _rouche(cf, idx, lam, c, r, shrink):
     # the largest kappa_S of the disks that pass the preconditions
     kappa_s = 1.0 + float(np.maximum.reduce(rho / nearest, where=ok, initial=0.0))
     pole = absc_k / rho
-    modulus = _modulus(beta)
-    certified = ok & _holds(s + pole, 1.0 + size, modulus, len(absc) + 23.0, kappa_s)
+    modulus = np.hypot(beta.real, beta.imag)  # _modulus
+    certified = ok & _holds(s + pole, _ONE + size, modulus, len(absc) + 23.0, kappa_s)
 
     def margin():
         with np.errstate(invalid="ignore"):
@@ -249,31 +287,30 @@ def _rouche(cf, idx, lam, c, r, shrink):
     return margin, certified, (beta, slope, rho)
 
 
-def _rouche_blocks(cf, idx, lam, absc, absc_k, r, shrink, per_block):
-    """_rouche's sums, per block of per_block disks, one empty block for no
-    disk: (beta_k, beta'_k, rho_k, sum_{n != k} |c_n| / D_n, min_n (D_n -
-    rho_k) and S_k without its tail term).  A generator, so that a block's
-    arrays stay alive until the next block's replace them: freeing them all
-    between blocks made _rouche twice as slow at window 400."""
-    # columns Re c_n, Im c_n, |c_n|: beta_k from the first two, beta'_k and
-    # S0_k from one product over all three
-    cols = np.concatenate([cf.c1.view(float).reshape(-1, 2), absc[:, np.newaxis]], axis=1)
-    for i in range(0, max(1, len(idx)), per_block):
-        b = slice(i, i + per_block)
-        diff = cf.lam1 - lam[b, np.newaxis]
-        diff[cf.idx1 == idx[b, np.newaxis]] = np.inf  # the k-th term is G_k's
-        recip = 1.0 / diff
-        beta = 1.0 + (recip @ cols[:, :2]).view(complex)[:, 0]
-        # the block-sized squares are freed at once: one more block-sized
-        # array alive made _rouche a third slower at window 400
-        second = (recip * recip) @ cols
-        # an S0_k that has nearly underflowed (|c_n| near 2^-1022) gives
-        # |c_k| / S0_k = inf (_rouche ignores the overflow), and fmin(r, inf) = r
-        rho = np.where(shrink[b], np.fmin(r, np.sqrt(absc_k[b] / second[:, 2])), r)
-        inv = np.abs(recip)
-        den = np.abs(diff) - rho[:, np.newaxis]
-        nearest = np.minimum.reduce(den, axis=1, initial=np.inf)
-        yield beta, second[:, :2].view(complex)[:, 0], rho, inv @ absc, nearest, rho * ((inv / den) @ absc)
+def _rouche_block(cf, cols, absc, idx, lam, absc_k, r, shrink, work):
+    """_rouche's sums over one block of disks, cols and absc its columns of
+    c_n and |c_n|: (beta_k, beta'_k, rho_k, sum_{n != k} |c_n| / D_n,
+    min_n (D_n - rho_k) and S_k without its tail term).
+
+    work holds the last block's four block-sized arrays, which this block's
+    replace one by one as it forms them, so that each new array takes the
+    memory the last one freed: formed with all of the last block's alive,
+    or after all were freed, the blocks made _rouche at windows 200 to 400
+    a sixth to a quarter slower."""
+    work[0] = diff = cf.lam1 - lam[:, np.newaxis]
+    diff[cf.idx1 == idx[:, np.newaxis]] = np.inf  # the k-th term is G_k's
+    work[1] = recip = np.reciprocal(diff)  # 1.0 / diff to the bit, with no scalar operand
+    beta = _ONE + (recip @ cols[:, :2]).view(complex)[:, 0]
+    # the block-sized squares are freed at once: one more block-sized
+    # array alive made _rouche a third slower at window 400
+    second = (recip * recip) @ cols
+    # an S0_k that has nearly underflowed (|c_n| near 2^-1022) gives
+    # |c_k| / S0_k = inf (FP_STATE ignores the overflow), and fmin(r, inf) = r
+    rho = np.where(shrink, np.fmin(r, np.sqrt(absc_k / second[:, 2])), r)
+    work[2] = inv = np.abs(recip)
+    work[3] = den = np.abs(diff) - rho[:, np.newaxis]
+    nearest = np.minimum.reduce(den, axis=1, initial=np.inf)
+    return beta, second[:, :2].view(complex)[:, 0], rho, inv @ absc, nearest, rho * ((inv / den) @ absc)
 
 
 def _pole_distance_to_rect(rect, poles):
@@ -318,7 +355,7 @@ def _rouche_rect(cf, rect):
 # verified arc walk: zeros minus poles inside a circle
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@_quiet
 def _arc_test(cf, w, shift, rho, p):
     """Ying & Katz's test of the arcs from the nodes z = shift + w with
     chords rho: (a_0, passed, hopeless), arrays over the arcs.
@@ -462,7 +499,7 @@ def _noise(cf, z, orders):
     return 1e-15 * ((j == 0) + terms.sum(axis=-1))
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@_quiet
 def _newton(cf, seeds, order, shift=None):
     """Newton on F^(order-1) from every seed at once: (locations, converged
     mask), arrays over the seeds, each location where its last step landed.
@@ -481,15 +518,16 @@ def _newton(cf, seeds, order, shift=None):
     did not shrink (or is NaN) can diverge or settle, so an iteration in
     which every step shrank tests neither.  A point still moving after
     NEWTON_MAX_ITER steps fails.  The steps read F and its derivative from
-    the kernel's rows (_kernels.taylor) directly, from poles lambda_n -
-    shift formed once a pass, and no kernel call follows the last step.
+    the kernel's rows directly: from poles lambda_n - shift formed once a
+    pass, with c_n as a column (_kernels.pole_taylor), when one kernel chunk
+    holds them, else through _kernels.taylor.  No kernel call follows the
+    last step.
     """
     w = np.array(seeds, dtype=complex, ndmin=1)  # a copy: the steps write to it
     if shift is None:
         shift = _shift(cf, w)
         w = w - shift
     deriv = order - 1
-    c1, lam1 = cf.c1, cf.lam1
     # F^(deriv) and F^(order) are the kernel's rows deriv and order times
     # the factorials, plus F's leading 1 at deriv 0
     fac, fac1 = math.factorial(deriv), math.factorial(order)
@@ -497,27 +535,32 @@ def _newton(cf, seeds, order, shift=None):
     # the points still moving: positions, offsets w, scales 1 + |shift|, the
     # size of each one's last step (inf before the first) and, when one
     # kernel chunk holds them, their poles lambda_n - shift, taken in C order
-    # (fancy indexing gives columns the kernel sums pairwise); count_nonzero
-    # tests a mask for any True at a third of ndarray.any's cost
-    live, wl, scale, last = np.arange(len(w)), w, 1.0 + np.abs(shift), math.inf
-    poles = lam1[:, np.newaxis] - shift if len(lam1) * len(w) <= _kernels._CHUNK else lam1
+    # (fancy indexing gives columns the kernel sums pairwise).  A mask's
+    # bytes are 0 and 1, so a byte search tests it for a True or a False at
+    # a fifth of the cost of count_nonzero, itself a third of ndarray.any's
+    live, wl, scale, last = np.arange(len(w)), w, _ONE + np.abs(shift), _INF
+    c1, lam1 = cf.c1[:, np.newaxis], cf.lam1
+    poles = lam1[:, np.newaxis] - shift if len(lam1) * len(w) <= _kernels._CHUNK else None
     for _ in range(NEWTON_MAX_ITER):
         if not len(live):
             break
-        rows = _kernels.taylor(c1, poles, wl, order, shift[live] if poles.ndim == 1 else 0.0)
+        if poles is None:
+            rows = _kernels.taylor(cf.c1, lam1, wl, order, shift[live])
+        else:
+            rows = _kernels.pole_taylor(c1, poles, wl, order)
         if deriv:
             g, gp = fac * rows[deriv], fac1 * rows[order]
         else:
-            g, gp = 1.0 + rows[0], rows[1]
+            g, gp = _ONE + rows[0], rows[1]
         step = g / gp
         start, wl = wl, wl - step
-        size = _modulus(step)
-        done = size < 1e-16 * (scale + _modulus(wl))
+        size = np.hypot(step.real, step.imag)  # _modulus
+        done = size < _TINY * (scale + np.hypot(wl.real, wl.imag))
         # only a step that did not shrink (or is NaN) can diverge or settle;
         # a step not below ten times the last plus 1 diverged, an infinite
         # first step too
         diverged = None
-        if np.count_nonzero(size < last) < len(size):
+        if 0 in (size < last).tobytes():
             diverged = ~(done | (size < 10.0 * (last + 1.0)))
             settle = ~(size < last) & ~(done | diverged)
             if np.count_nonzero(settle):
@@ -525,17 +568,18 @@ def _newton(cf, seeds, order, shift=None):
                 done[settle] = size[settle] <= ROUNDOFF * noise / _modulus(gp[settle])
         last = size
         stop = done if diverged is None else done | diverged
-        n_stop = np.count_nonzero(stop)
-        if n_stop:
+        stops = stop.tobytes()
+        if 1 in stops:
             if diverged is not None:
                 failed[live[diverged]] = True
             w[live] = wl  # a point still moving writes its entry again when it stops
-            if n_stop == len(live):
+            if 0 not in stops:
                 break
             # positions index the arrays at half a mask's cost
             move = (~stop).nonzero()[0]
             live, wl, scale, last = live[move], wl[move], scale[move], last[move]
-            poles = poles.take(move, axis=1) if poles.ndim == 2 else poles
+            if poles is not None:
+                poles = poles.take(move, axis=1)
     else:  # still moving after NEWTON_MAX_ITER steps
         w[live] = wl
         failed[live] = True
@@ -744,7 +788,7 @@ def _central_rectangle(spec, k_prime, d, lambda_at):
     return Rectangle(lo, hi, h)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+@_quiet
 def _disks(cf, k_prime, window, d):
     """The disks R_k around the window's I1 indices and, with a tail, its
     outer indices |k| > K' (with none the degree counts, _localize_attempt),
@@ -772,23 +816,32 @@ def _disks(cf, k_prime, window, d):
     + |root|^2, and Rouche holds |c_k| < rho_k |beta_k|, so |w_k| < 2 rho_k.
     """
     win = cf.window(window)
-    idx, c = cf.idx[win], cf.c[win]
-    outer, perturbed = np.abs(idx) > k_prime, c != 0
-    keep = (outer | perturbed if cf.has_tail else perturbed).nonzero()[0]
-    idx, lam, c, outer, perturbed = idx[keep], cf.lam[win][keep], c[keep], outer[keep], perturbed[keep]
-    margin, certified, (beta, slope, rho) = _rouche(cf, idx, lam, c, 0.5 * d, ~outer)
-    failed = ~certified & outer
-    if np.count_nonzero(failed):
+    idx, lam, c = cf.idx[win], cf.lam[win], cf.c[win]
+    # with a tail every outer disk and the central ones with c_k != 0, with
+    # none the nonzero c_k alone
+    has_tail = cf.has_tail
+    keep = ((np.abs(idx) > k_prime) | (c != 0) if has_tail else c).nonzero()[0]
+    idx, lam, c = idx[keep], lam[keep], c[keep]
+    central = np.abs(idx) <= k_prime
+    margin, certified, (beta, slope, rho) = _rouche(cf, idx, lam, c, 0.5 * d, central)
+    # a byte search for a False in the mask (_newton)
+    if 0 in certified.tobytes() and np.count_nonzero(failed := ~(certified | central)):
         j = np.argmax(failed)
         raise errors.CertificationFailed(
             f"disk around index {idx[j]} failed to certify (Rouche margin {margin()[j]:.3g})"
         )
+    simple = (certified & (c != 0) if has_tail else certified).nonzero()[0]
+    every = len(simple) == len(c)  # the positions take every disk: no gather
+    c_k = c if every else c[simple]
+    if not every:
+        beta, slope = beta[simple], slope[simple]
+    root = np.sqrt(beta * beta + _FOUR * slope * c_k)
+    # |beta + root| >= |beta - root|: root[flip] *= -1.0 in one call
+    np.multiply(root, -1.0, out=root, where=(beta * root.conj()).real < _ZERO)
+    if every:
+        return idx, lam, c, _TWO * c_k / (beta + root), rho, certified, simple
     w = np.zeros(len(c), dtype=complex)
-    simple = (certified & perturbed).nonzero()[0]
-    beta, slope, c_k = beta[simple], slope[simple], c[simple]
-    root = np.sqrt(beta * beta + 4.0 * slope * c_k)
-    root[(beta * root.conj()).real < 0.0] *= -1.0  # |beta + root| >= |beta - root|
-    w[simple] = 2.0 * c_k / (beta + root)
+    w[simple] = _TWO * c_k / (beta + root)
     return idx, lam, c, w, rho, certified, simple
 
 
@@ -800,24 +853,38 @@ def localize_spectrum(spec, coeffs, opts=None):
     d = spec.gap
     eps = d / (2.0 + d)
     cf, k_prime, window = first_cut(spec, coeffs, opts.window, opts.n_trunc, eps)
-    # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
-    rect = _central_rectangle(spec, k_prime, d, cf.terms.lambda_at)
-    while True:
+    # the whole solve in FP_STATE, its helpers entering no state of their own
+    with np.errstate(**FP_STATE):
+        solving = _IN_SOLVE.set(True)
         try:
-            found = _localize_attempt(cf, k_prime, window, rect, d)
-        except errors.CertificationFailed as exc:
-            cf = cf.next_cut(exc)
-            continue
-        return LocalizationResult(*found, rect, k_prime, window, eps, cf.terms.tail_sum(window), cf)
+            while True:
+                try:
+                    found = _localize_attempt(cf, k_prime, window, d)
+                    break
+                except errors.CertificationFailed as exc:
+                    cf = cf.next_cut(exc)
+        finally:
+            _IN_SOLVE.reset(solving)
+    return LocalizationResult(*found, k_prime, window, eps, cf.terms.tail_sum(window), cf)
 
 
-def _localize_attempt(cf, k_prime, window, rect, d):
+def _localize_attempt(cf, k_prime, window, d):
     """(owned, central) of LocalizationResult from F cut to cf's window.  With
     no tail the owned disks and central circles hold the window's I1 zeros
     and the enclosure's outer disks one for each I1 index beyond: all |I1|
-    zeros of F, so the rectangle and the c_k = 0 disks hold no other."""
+    zeros of F, so the rectangle and the c_k = 0 disks hold no other, and
+    an attempt whose disks all certify forms no rectangle."""
     idx, lam, c, w, rho, certified, simple = _disks(cf, k_prime, window, d)
-    if cf.has_tail:
+    m = len(simple)
+    # every disk holds a simple zero (the common case): its arrays as they are
+    every = m == len(lam)
+    own, shift, start, rho_k = (idx, lam, w, rho) if every else (idx[simple], lam[simple], w[simple], rho[simple])
+    n_hard = 0 if every else len(certified) - np.count_nonzero(certified)
+    has_tail = cf.has_tail
+    if has_tail or n_hard:
+        # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
+        rect = _central_rectangle(cf.spec, k_prime, d, cf.terms.lambda_at)
+    if has_tail:
         margin, rect_certified = _rouche_rect(cf, rect)
         if not rect_certified:
             raise errors.CertificationFailed(f"central rectangle failed to certify (Rouche margin {margin:.3g})")
@@ -825,9 +892,6 @@ def _localize_attempt(cf, k_prime, window, rect, d):
     # about lambda_k, then the hard zeros' (_hard_seeds), with the disks'
     # zeros divided out at lambda_k + w_k and the terms' beyond the window
     # at lambda_k + c_k
-    m = len(simple)
-    n_hard = len(certified) - np.count_nonzero(certified)
-    shift, start = lam[simple], w[simple]
     if n_hard:
         hard = ~certified
         beyond = np.abs(cf.idx1) > window
@@ -837,8 +901,10 @@ def _localize_attempt(cf, k_prime, window, rect, d):
         near = _shift(cf, seeds)
         shift, start = np.concatenate([shift, near]), np.concatenate([start, seeds - near])
     z, ok = _newton(cf, start, 1, shift)
-    inside = ok[:m] & (np.abs(z[:m] - shift[:m]) < rho[simple])
-    if np.count_nonzero(inside) < m:
+    if n_hard:
+        z, ok, shift, z_hard, ok_hard = z[:m], ok[:m], shift[:m], z[m:], ok[m:]
+    inside = ok & (np.abs(z - shift) < rho_k)
+    if 0 in inside.tobytes():  # a byte search for a False (_newton)
         j = np.argmin(inside)
         raise errors.CertificationFailed(
             f"Newton from {lam[simple[j]] + w[simple[j]]:.6g} found no zero in the disk "
@@ -846,10 +912,10 @@ def _localize_attempt(cf, k_prime, window, rect, d):
         )
     central = []
     if n_hard:
-        inner = simple[np.abs(idx[simple]) <= k_prime]
+        inner = simple[np.abs(own) <= k_prime]
         disks = (lam[inner], rho[inner])
-        central = _central_zeros(cf, rect, seeds, (z[m:], ok[m:]), n_hard, d, disks)
-    return (idx[simple], z[:m]), central
+        central = _central_zeros(cf, rect, seeds, (z_hard, ok_hard), n_hard, d, disks)
+    return (own, z), central
 
 
 # ---------------------------------------------------------------------------
@@ -928,10 +994,11 @@ def assemble_spectrum(spec, coeffs, loc):
     mu = lam_all.astype(complex)
     at = owned_idx - idx_all[0] if len(idx_all) else owned_idx
     mu[at] = owned_z
-    mult = np.ones(len(mu), dtype=int)
+    mult = np.empty(len(mu), dtype=int)
+    mult.fill(1)  # np.ones, less its Python wrapper
     origin = _ORIGIN[in_i0.astype(np.intp)]
-    slots = sum(t[1] for t in loc.central)  # one per unit of order
-    n_free = len(in_i0) - np.count_nonzero(in_i0) - len(owned_idx)  # the I1 indices no disk owns
+    slots = sum(t[1] for t in loc.central) if loc.central else 0  # one per unit of order
+    n_free = in_i0.tobytes().count(0) - len(owned_idx)  # the I1 indices no disk owns (a byte count, _newton)
     if slots != n_free:
         raise errors.CountMismatch(f"{slots} zero slots for {n_free} unowned perturbed indices")
     # one row per eigenvalue: per window index a disk owns or in I0, then
@@ -966,7 +1033,8 @@ def assemble_spectrum(spec, coeffs, loc):
         mult = np.concatenate([mult[keep], order])
         paired = np.concatenate([idx_all[keep], idx_all[free[first[len(hit):]]]])
         origin = np.concatenate([origin[keep], np.full(len(z), ORIGIN_ZERO)])
-    if loc.central or np.count_nonzero(eig.real[1:] <= eig.real[:-1]):  # else in (re, im) order
+    # else in (re, im) order; a byte search for a True (_newton)
+    if loc.central or 1 in ((re := eig.real)[1:] <= re[:-1]).tobytes():
         by_mu = np.lexsort((eig.imag, eig.real))
         eig, mult, paired, origin = eig[by_mu], mult[by_mu], paired[by_mu], origin[by_mu]
     tail_bound = (spec.gap / (2.0 * loc.eps)) * loc.tail_sum_bound

@@ -13,7 +13,10 @@ default) runs on the base and on this checkout in turn, the order swapped
 from one operation and one round to the next, and each side keeps its
 best time of ``--repeats`` rounds per operation.  Per
 workload and seed it prints the median over the operations of the ratio
-this / base with the ratio's quartiles, and each side's median best time.
+this / base with its 95% interval (``median_interval``: a percentile
+bootstrap over the operations, from a fixed seed) and the ratio's
+quartiles, and each side's median best time.  A gain is resolved when the
+interval's upper end is below 1.
 One process and alternation cancel most of the host's drift, which
 separate ``perfbench/run.py`` runs do not.  It compares times only:
 ``tests/hashset.py`` compares the outputs.
@@ -72,6 +75,20 @@ def best_times(ops_by_side, repeats):
     return best
 
 
+def median_interval(ratios, level=0.95, resamples=4000, seed=0):
+    """(low, high): the percentile bootstrap interval at level of the median
+    of ratios, one per operation.  Each of resamples draws as many
+    operations with replacement and takes their median; the interval holds
+    the middle level of those medians.  The draws come from
+    np.random.default_rng(seed), so one set of ratios gives one interval."""
+    ratios = np.asarray(ratios, dtype=float)
+    picks = np.random.default_rng(seed).integers(0, len(ratios), size=(resamples, len(ratios)))
+    medians = np.median(ratios[picks], axis=1)
+    tail = 50.0 * (1.0 - level)
+    low, high = np.percentile(medians, [tail, 100.0 - tail])
+    return float(low), float(high)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_dir", help="root of the base checkout")
@@ -84,11 +101,14 @@ def main(argv=None):
         for seed in args.seeds:
             ops = [w.WORKLOADS[name](seed, None).ops for w in trees]
             best = best_times(ops, args.repeats)
-            q1, med, q3 = np.percentile(best[1] / best[0], [25, 50, 75])
+            ratios = best[1] / best[0]
+            q1, med, q3 = np.percentile(ratios, [25, 50, 75])
+            low, high = median_interval(ratios)
             base_ms, this_ms = 1e3 * np.median(best, axis=1)
             print(
-                f"{name} seed {seed}: this/base median {med:.3f} (quartiles {q1:.3f}-{q3:.3f}) "
-                f"over {best.shape[1]} ops; median best {base_ms:.3f} -> {this_ms:.3f} ms",
+                f"{name} seed {seed}: this/base median {med:.3f} (95% interval {low:.3f}-{high:.3f}, "
+                f"quartiles {q1:.3f}-{q3:.3f}) over {best.shape[1]} ops; "
+                f"median best {base_ms:.3f} -> {this_ms:.3f} ms",
                 flush=True,
             )
 

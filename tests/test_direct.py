@@ -1176,14 +1176,14 @@ def test_newton_settles_only_within_the_roundoff_floor(zspec, monkeypatch):
     from rank1spec import _kernels
 
     cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3, 3: 1e-12}), 20)
-    points, taylor = [], _kernels.taylor
+    points, pole_taylor = [], _kernels.pole_taylor
 
-    def spy(c, lam, z, p, shift=0.0, rho=None):
+    def spy(c, poles, z, p):
         # Newton hands the kernel its poles lambda_n - shift: shift is lambda_n less them
-        points.extend((shift if lam.ndim == 1 else cf.lam1[0] - lam[0]) + z)
-        return taylor(c, lam, z, p, shift, rho)
+        points.extend(cf.lam1[0] - poles[0] + z)
+        return pole_taylor(c, poles, z, p)
 
-    monkeypatch.setattr(_kernels, "taylor", spy)
+    monkeypatch.setattr(_kernels, "pole_taylor", spy)
     _, ok = direct._newton(cf, [0.6], 1)
     monkeypatch.undo()
     assert not ok[0]
@@ -1317,18 +1317,22 @@ def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, mon
     # rectangle's ends and the tail sums are sliced from them.  The
     # eigenvalues are sliced from the spectrum's run, evaluated again only
     # when a solve reaches past it: the batch-shaped solve widens it
-    # (n_trunc 49 against 20), and the same solve again evaluates neither
+    # (n_trunc 49 against 20), and the same solve again evaluates neither.
+    # The solve enters np.errstate once, for all its helpers, and its disks
+    # take one Rouche block
     from rank1spec import _kernels
 
-    counts = dict.fromkeys(["sums", "eval", "lambda_range", "head_radius"], 0)
+    counts = dict.fromkeys(["sums", "eval", "lambda_range", "head_radius", "errstate", "rouche_block"], 0)
 
     def counting(key, f):
-        def spy(*args):
+        def spy(*args, **kwargs):
             counts[key] += 1
-            return f(*args)
+            return f(*args, **kwargs)
 
         return spy
 
+    monkeypatch.setattr(np, "errstate", counting("errstate", np.errstate))
+    monkeypatch.setattr(direct, "_rouche_block", counting("rouche_block", direct._rouche_block))
     monkeypatch.setattr(_kernels, "_sums", counting("sums", _kernels._sums))
     evaluate = counting("eval", PerturbationCoefficients._eval)
     monkeypatch.setattr(PerturbationCoefficients, "_eval", staticmethod(evaluate))
@@ -1340,7 +1344,11 @@ def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, mon
         finite_coeffs({-31: 0.21 - 0.08j, -4: 0.05 + 0.17j, 9: -0.12 + 0.2j, 17: 0.28j, 30: -0.09 - 0.03j}),
         LocalizeOptions(window=41, n_trunc=49),
     )
-    for (coeffs, opts), expected in ((hand, [4, 2, 1, 1]), (batch, [3, 2, 1, 1]), (batch, [3, 0, 0, 1])):
+    for (coeffs, opts), expected in (
+        (hand, [4, 2, 1, 1, 1, 1]),
+        (batch, [3, 2, 1, 1, 1, 1]),
+        (batch, [3, 0, 0, 1, 1, 1]),
+    ):
         counts.update(dict.fromkeys(counts, 0))
         ps, loc = solve_direct(zspec, coeffs, opts)
         assert not loc.central and ps.certified
@@ -1826,8 +1834,8 @@ def _rouche_outputs(result):
 
 def test_a_window_with_no_disk_to_check_solves(zspec):
     # window 1 = K' has no outer index, and c_n = 0 in it: _rouche gets no
-    # disk (once a StopIteration from its block loop), and the spectrum is
-    # lambda_-1, lambda_0 and lambda_1, which c_5 leaves in place
+    # disk (one empty block), and the spectrum is lambda_-1, lambda_0 and
+    # lambda_1, which c_5 leaves in place
     coeffs = validate_coefficients(finite_coeffs({5: 0.01}), zspec)
     ps, loc = solve_direct(zspec, coeffs, LocalizeOptions(window=1, n_trunc=10))
     assert (loc.k_prime, loc.window, loc.owned[0].size) == (1, 1, 0)
@@ -1875,6 +1883,39 @@ def test_rouche_block_loop_gives_the_one_block_path_bit_for_bit(zspec, monkeypat
                 assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
     _, below, above = verdicts  # the edges bracket nearly every disk's flip
     assert np.count_nonzero(below & ~above) > 0.9 * len(idx)
+
+
+@pytest.mark.parametrize("rows", [None, 7, 1])
+def test_a_window_in_several_rouche_blocks_certifies_as_one_block(zspec, monkeypatch, rows):
+    # power_family(2, 50) at window 50 has a tail: 100 disks x 200 terms, one
+    # block by default.  With ROUCHE_BLOCK cut to a third of the disks (or
+    # to 7 or 1 rows) the check runs in 3 blocks or more, each through the
+    # one-block function, with the one block's verdicts, and beta_k, beta'_k
+    # and rho_k within a few ulps of it (a matrix product rounds with the
+    # number of rows a block holds); the solve certifies the same spectrum
+    coeffs = validate_coefficients(gallery.power_family(2.0, 50), zspec)
+    opts = LocalizeOptions(window=50, n_trunc=100)
+    ps, loc = solve_direct(zspec, coeffs, opts)
+    cf, idx, lam, c, r, shrink = _rouche_disks(loc)
+    _, certified, model = direct._rouche(cf, idx, lam, c, r, shrink)
+    assert loc.cf.has_tail and np.count_nonzero(certified) > 0.9 * len(idx)
+    blocks, block = [], direct._rouche_block
+
+    def spy(*args):
+        blocks.append(len(args[3]))
+        return block(*args)
+
+    monkeypatch.setattr(direct, "_rouche_block", spy)
+    monkeypatch.setattr(direct, "ROUCHE_BLOCK", (rows or len(idx) // 3) * len(cf.c1))
+    _, split, split_model = direct._rouche(cf, idx, lam, c, r, shrink)
+    assert len(blocks) >= 3 and sum(blocks) == len(idx)
+    assert split.tobytes() == certified.tobytes()
+    for got, want in zip(split_model, model):
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
+    blocks.clear()
+    split_ps, _ = solve_direct(zspec, coeffs, opts)
+    assert len(blocks) >= 3 and split_ps.certified
+    assert np.allclose(split_ps.mu, ps.mu, rtol=0, atol=1e-14) and split_ps.mult.tolist() == ps.mult.tolist()
 
 
 def test_one_rouche_allowance_covers_every_disk_and_keeps_its_verdicts(zspec, monkeypatch):

@@ -128,3 +128,54 @@ def test_abtree_times_the_workloads_it_is_given(capsys):
     with pytest.raises(SystemExit):
         abtree.main([str(ROOT), "--workloads", "power_decay"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_abtree_interval_holds_the_median_and_resolves_only_a_clear_gain():
+    # the percentile bootstrap of the median ratio over the operations, on
+    # synthetic ratios, with no timing: the same draws each call, the sample
+    # median inside, narrower with more operations, and an upper end above 1
+    # when half the operations are slower
+    import abtree
+
+    assert abtree.median_interval([0.9] * 50) == (0.9, 0.9)
+    rng = np.random.default_rng(7)
+    ratios = 0.9 + 0.02 * rng.standard_normal(50)
+    low, high = abtree.median_interval(ratios)
+    assert low < np.median(ratios) < high < 1.0
+    assert abtree.median_interval(ratios) == (low, high) != abtree.median_interval(ratios, seed=1)
+    many_low, many_high = abtree.median_interval(0.9 + 0.02 * rng.standard_normal(800))
+    assert many_high - many_low < 0.5 * (high - low)
+    assert abtree.median_interval(ratios, level=0.5)[1] < high
+    split = np.concatenate([ratios[:25], 1.1 + 0.02 * rng.standard_normal(25)])
+    assert abtree.median_interval(split)[1] > 1.0
+    # a median's: 15 of 50 operations three times as slow leave it alone
+    assert abtree.median_interval([0.9] * 35 + [3.0] * 15) == (0.9, 0.9)
+
+
+def _private_numpy(source):
+    """The private numpy modules (numpy._*, numpy.core) a module's source
+    imports, or reaches as an attribute of numpy imported as np or numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            found.append(f"numpy.{node.attr}")
+    return sorted({name for name in found if re.match(r"numpy\.(_|core(\.|$))", name)})
+
+
+def test_no_module_reaches_a_private_numpy_module():
+    # pyproject.toml declares numpy >= 1.24, whose private modules move
+    # between versions (numpy.core became numpy._core in 2.0): the C-level
+    # count_nonzero under np.count_nonzero's wrapper is one such shortcut
+    assert _private_numpy("from numpy._core.multiarray import count_nonzero") == [
+        "numpy._core.multiarray",
+        "numpy._core.multiarray.count_nonzero",
+    ]
+    reached = _private_numpy("import numpy.core\nx = np._core.multiarray.count_nonzero(m)")
+    assert reached == ["numpy._core", "numpy.core"]
+    assert _private_numpy("import numpy as np\nfrom numpy import errstate\nnp.add.reduce(x)") == []
+    found = {path.name: _private_numpy(path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))}
+    assert len(found) >= 10 and not any(found.values()), found
