@@ -6,8 +6,6 @@ point's sums run term by term in that order, however many points share a
 call.
 """
 
-import math
-
 import numpy as np
 
 BACKEND = "numpy"
@@ -16,20 +14,18 @@ BACKEND = "numpy"
 _CHUNK = 2**16
 
 
-def _sums(c, lam, z, p, shift, rho):
-    # c a column, terms x 1; terms x points: numpy reduces a wider array
-    # row by row, term by term in input order, but a single column pairwise;
-    # a lone point's column is therefore doubled so that its sums take the
-    # same order as any other point's.  The reductions are the ufuncs' own,
-    # which ndarray.sum and .min call after a Python-level wrapper that costs
-    # as much on a few terms.  Subtracting +0.0 returns every x to the bit
-    # (-0.0 included), so the default shift skips it
-    if lam.ndim == 2:
-        diff = lam - z
-    elif type(shift) is float and shift == 0.0 and math.copysign(1.0, shift) > 0.0:
-        diff = lam[:, np.newaxis] - z
-    else:
-        diff = (lam[:, np.newaxis] - shift) - z
+def pole_taylor(c, poles, z, p, rho=None):
+    """taylor's rows at the points z from poles lam_k - s_j that the caller
+    formed (terms x 1 for one shift, terms x points for one a point, at most
+    _CHUNK terms x points products) and c as a column (terms x 1): taylor's
+    one kernel, and the entry of a caller that steps the same points again
+    and again, with none of taylor's dispatch."""
+    # terms x points: numpy reduces a wider array row by row, term by term
+    # in input order, but a single column pairwise; a lone point's column is
+    # therefore doubled so that its sums take the same order as any other
+    # point's.  The reductions are the ufuncs' own, which ndarray.sum and
+    # .min call after a Python-level wrapper that costs as much on a few terms
+    diff = poles - z
     lone = len(z) == 1
     if lone:
         diff = np.concatenate((diff, diff), axis=1)
@@ -53,14 +49,6 @@ def _sums(c, lam, z, p, shift, rho):
     return [row[:1] for row in rows] if lone else rows
 
 
-def pole_taylor(c, poles, z, p):
-    """taylor's rows S_0..S_p at the points z from the poles lam_k - s_j a
-    caller formed once (terms x points, C order, at most _CHUNK of them) and
-    c as a column (terms x 1): the entry of a caller that steps the same
-    points again and again, with none of taylor's dispatch."""
-    return _sums(c, poles, z, p, None, None)
-
-
 def taylor(c, lam, z, p, shift=0.0, rho=None):
     """Rows S_i = sum_k c_k / d_kj**(i+1), i = 0..p, over the points, with
     d_kj = (lam_k - s_j) - z_j: F^(i)/i! = [i = 0] + S_i at the points s + z.
@@ -71,18 +59,18 @@ def taylor(c, lam, z, p, shift=0.0, rho=None):
     np.errstate.  The terms c/d are F's as written, with no reciprocal's
     extra rounding; the shift is one number or one per point, each d_kj two
     roundings either way, so a point's sums do not depend on the others'.
-    The points go to _sums as they are, in blocks of at most _CHUNK
-    terms x points products when there are more (pole_taylor takes poles
-    a caller keeps).
+    The points go to pole_taylor as they are, with the poles lam_k - s_j
+    formed for them, in blocks of at most _CHUNK terms x points products
+    when there are more.
     """
     z = np.asarray(z, dtype=np.complex128)
-    col = c[:, np.newaxis]
+    col, lam = c[:, np.newaxis], lam[:, np.newaxis]
     step = max(2, _CHUNK // max(1, len(c)))  # two points or more, so a lone point is rare
     if len(z) <= step:
-        return _sums(col, lam, z, p, shift, rho)
+        return pole_taylor(col, lam - shift, z, p, rho)
     shift = np.asarray(shift, dtype=float)
     chunks = [
-        _sums(col, lam, z[b], p, shift[b] if shift.ndim else shift, None if rho is None else rho[b])
+        pole_taylor(col, lam - (shift[b] if shift.ndim else shift), z[b], p, None if rho is None else rho[b])
         for b in (slice(i, i + step) for i in range(0, len(z), step))
     ]
     return [np.concatenate(r) for r in zip(*chunks)]

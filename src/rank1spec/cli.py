@@ -69,7 +69,7 @@ def cmd_inverse(args):
     disc = inverse.check_F_equals_product(coeffs, pf, samples)
     doc = model.coefficients_to_json(coeffs)
     doc["certificate"] = {
-        "residues": [[n, [c.real, c.imag]] for n, c in zip(pf.i1, pf.c1)],
+        "residues": [[n, [c.real, c.imag]] for n, c in zip(pf.i1, pf.c1.tolist())],
         "max_F_vs_product_discrepancy": disc,
     }
     _emit(doc, args.out)

@@ -52,8 +52,6 @@ from .model import (
 
 ARC_START = 32  # equal arcs each circle of the arc walk starts from
 ARC_SPLITS = 16  # bisections of an arc before its circle counts as not certified
-# disks x terms products per block of the Rouche check: 512 KB float temporaries
-ROUCHE_BLOCK = 2**16
 UNIT_ROUNDOFF = float(0.5 * np.finfo(float).eps)
 # round-off scatters an order-m zero's roots within this times the radius
 # (eta_j / |F^(m)/m!|)^(1/(m-j)) set by the noise eta_j of each F^(j)/j!
@@ -177,16 +175,16 @@ class LocalizationResult:
 
 
 def _gamma(m):
-    """Higham's gamma_m = m u / (1 - m u) over an array, or in Python floats
-    at a float, with m u capped at 1/2 (gamma = 1): _holds's allowance."""
-    mu = min(m * UNIT_ROUNDOFF, 0.5) if isinstance(m, float) else np.minimum(m * UNIT_ROUNDOFF, 0.5)
+    """Higham's gamma_m = m u / (1 - m u), with m u capped at 1/2 (gamma =
+    1): _holds's allowance."""
+    mu = np.minimum(m * UNIT_ROUNDOFF, 0.5)
     return mu / (1.0 - mu)
 
 
 def _holds(bound, slack, value, m, kappa, fails=False):
     """Whether (bound + gamma slack) (1 + gamma) < value (1 - gamma), gamma =
-    _gamma(m + ceil(kappa)): every count's certificate, over arrays or in
-    Python floats.  With fails set, whether >= holds (neither, at a NaN).
+    _gamma(m + ceil(kappa)): every count's certificate.  With fails set,
+    whether >= holds (neither, at a NaN).
 
     A check claims B < V: B the exact bound on |F - G| that bound rounds, V
     the exact least |G| that value rounds, G the model F is compared with.
@@ -199,9 +197,8 @@ def _holds(bound, slack, value, m, kappa, fails=False):
     So B <= bound (1 + gamma) + e and V >= value (1 - gamma) - e', and the
     check gives B < V.  At the cap gamma = 1 and no check passes, as
     none does with the true gamma_m >= 1, nor may past m u = 1, where there
-    is none; kappa is capped at 2^53 (m u past 1/2) in floats alone, as
-    math.ceil(inf) raises."""
-    gamma = _gamma(m + math.ceil(min(kappa, 2.0**53)) if isinstance(kappa, float) else m + np.ceil(kappa))
+    is none."""
+    gamma = _gamma(m + np.ceil(kappa))
     lhs, rhs = (bound + gamma * slack) * (1.0 + gamma), value * (1.0 - gamma)
     return lhs >= rhs if fails else lhs < rhs
 
@@ -246,20 +243,21 @@ def _rouche(cf, idx, lam, c, r, shrink):
     kappa_S in floats 2.  The sums over the terms are matrix-vector
     products: the bounds hold in any order of summation.
 
-    One allowance serves every disk of a call, a Python float: kappa_S the
-    largest among the disks that pass the preconditions (1 if none does),
-    so gamma is no smaller than any of those disks' own; a disk that fails
-    the preconditions fails whatever its allowance.  kappa_S is looked up,
-    not assumed: d-separation would bound it by 2, but floats collapse the
+    One allowance serves every disk of a call: kappa_S the largest among
+    the disks that pass the preconditions (1 if none does), so gamma is no
+    smaller than any of those disks' own; a disk that fails the
+    preconditions fails whatever its allowance.  kappa_S is looked up, not
+    assumed: d-separation would bound it by 2, but floats collapse the
     spacing of lambda_n = n + 1e17, which the validators accept.  The disks
-    are checked in blocks of ROUCHE_BLOCK disks x terms (_rouche_block); a
-    call that one block covers takes that block's arrays as they are.
+    are checked in blocks of _kernels._CHUNK disks x terms, the kernel's
+    chunk (_rouche_block); a call that one block covers takes that block's
+    arrays as they are.
     """
     absc, absc_k = np.abs(cf.c1), np.abs(c)
     # columns Re c_n, Im c_n, |c_n|: beta_k from the first two, beta'_k and
     # S0_k from one product over all three
     cols = np.concatenate([cf.c1.view(float).reshape(-1, 2), absc[:, np.newaxis]], axis=1)
-    per_block = max(1, ROUCHE_BLOCK // max(1, len(absc)))
+    per_block = max(1, _kernels._CHUNK // max(1, len(absc)))
     work = [None] * 4
     if len(idx) <= per_block:
         beta, slope, rho, size, nearest, s = _rouche_block(cf, cols, absc, idx, lam, absc_k, r, shrink, work)
@@ -275,7 +273,7 @@ def _rouche(cf, idx, lam, c, r, shrink):
         ok &= tail < math.inf
         s += tail
     # the largest kappa_S of the disks that pass the preconditions
-    kappa_s = 1.0 + float(np.maximum.reduce(rho / nearest, where=ok, initial=0.0))
+    kappa_s = 1.0 + np.maximum.reduce(rho / nearest, where=ok, initial=0.0)
     pole = absc_k / rho
     modulus = np.hypot(beta.real, beta.imag)  # _modulus
     certified = ok & _holds(s + pole, _ONE + size, modulus, len(absc) + 23.0, kappa_s)
@@ -347,8 +345,8 @@ def _rouche_rect(cf, rect):
     if cf.has_tail:
         s += float(max(cf.tail_bound_at(rect.re_lo), cf.tail_bound_at(rect.re_hi)))
     edge = max(abs(rect.re_lo), abs(rect.re_hi))
-    kappa = float(np.maximum.reduce((np.abs(cf.lam1) + edge) / dist, initial=0.0))
-    return 1.0 - s, _holds(s, 0.0, 1.0, len(cf.c1) + 12.0, kappa)
+    kappa = np.maximum.reduce((np.abs(cf.lam1) + edge) / dist, initial=0.0)
+    return 1.0 - s, bool(_holds(s, 0.0, 1.0, len(cf.c1) + 12.0, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -792,9 +790,10 @@ def _central_rectangle(spec, k_prime, d, lambda_at):
 def _disks(cf, k_prime, window, d):
     """The disks R_k around the window's I1 indices and, with a tail, its
     outer indices |k| > K' (with none the degree counts, _localize_attempt),
-    sliced from cf: indices, centres lambda_k, coefficients c_k, Newton
-    seeds w_k about lambda_k, radii rho_k, whether Rouche certifies each
-    disk, and the positions of the simple zeros (certified, c_k != 0).
+    sliced from cf, as two sets: the owned disks, those that hold a simple
+    zero (certified, c_k != 0), as (indices k, centres lambda_k, Newton
+    seeds w_k about lambda_k, radii rho_k), and the hard poles, those whose
+    disk does not certify, as (lambda_k, c_k).
 
     Every disk is checked against its local pole model, in one broadcast
     (_rouche): a certified disk holds one simple zero when c_k != 0 and
@@ -811,9 +810,9 @@ def _disks(cf, k_prime, window, d):
     the root nearest c_k / beta_k, with the square root's sign that gives
     the larger denominator (Re(beta_k conj(root)) >= 0).  The quadratic
     removes the first-order seed's error, about beta'_k c_k^2 / beta_k^3.
-    w_k is formed only where the disk certifies and c_k != 0 (0 elsewhere),
-    and there it is finite: that sign makes |beta_k + root|^2 >= |beta_k|^2
-    + |root|^2, and Rouche holds |c_k| < rho_k |beta_k|, so |w_k| < 2 rho_k.
+    w_k is formed for the owned disks alone, and there it is finite: that
+    sign makes |beta_k + root|^2 >= |beta_k|^2 + |root|^2, and Rouche holds
+    |c_k| < rho_k |beta_k|, so |w_k| < 2 rho_k.
     """
     win = cf.window(window)
     idx, lam, c = cf.idx[win], cf.lam[win], cf.c[win]
@@ -824,25 +823,22 @@ def _disks(cf, k_prime, window, d):
     idx, lam, c = idx[keep], lam[keep], c[keep]
     central = np.abs(idx) <= k_prime
     margin, certified, (beta, slope, rho) = _rouche(cf, idx, lam, c, 0.5 * d, central)
-    # a byte search for a False in the mask (_newton)
-    if 0 in certified.tobytes() and np.count_nonzero(failed := ~(certified | central)):
-        j = np.argmax(failed)
-        raise errors.CertificationFailed(
-            f"disk around index {idx[j]} failed to certify (Rouche margin {margin()[j]:.3g})"
-        )
-    simple = (certified & (c != 0) if has_tail else certified).nonzero()[0]
-    every = len(simple) == len(c)  # the positions take every disk: no gather
-    c_k = c if every else c[simple]
-    if not every:
-        beta, slope = beta[simple], slope[simple]
-    root = np.sqrt(beta * beta + _FOUR * slope * c_k)
+    hard = lam[:0], c[:0]
+    if 0 in certified.tobytes():  # a byte search for a False in the mask (_newton)
+        if np.count_nonzero(failed := ~(certified | central)):
+            j = np.argmax(failed)
+            raise errors.CertificationFailed(
+                f"disk around index {idx[j]} failed to certify (Rouche margin {margin()[j]:.3g})"
+            )
+        hard = lam[~certified], c[~certified]
+    # with no tail and no hard pole every disk is owned (the common case): no gather
+    if has_tail or len(hard[0]):
+        own = (certified & (c != 0)).nonzero()[0]
+        idx, lam, c, beta, slope, rho = (x[own] for x in (idx, lam, c, beta, slope, rho))
+    root = np.sqrt(beta * beta + _FOUR * slope * c)
     # |beta + root| >= |beta - root|: root[flip] *= -1.0 in one call
     np.multiply(root, -1.0, out=root, where=(beta * root.conj()).real < _ZERO)
-    if every:
-        return idx, lam, c, _TWO * c_k / (beta + root), rho, certified, simple
-    w = np.zeros(len(c), dtype=complex)
-    w[simple] = _TWO * c_k / (beta + root)
-    return idx, lam, c, w, rho, certified, simple
+    return (idx, lam, _TWO * c / (beta + root), rho), hard
 
 
 def localize_spectrum(spec, coeffs, opts=None):
@@ -874,12 +870,8 @@ def _localize_attempt(cf, k_prime, window, d):
     and the enclosure's outer disks one for each I1 index beyond: all |I1|
     zeros of F, so the rectangle and the c_k = 0 disks hold no other, and
     an attempt whose disks all certify forms no rectangle."""
-    idx, lam, c, w, rho, certified, simple = _disks(cf, k_prime, window, d)
-    m = len(simple)
-    # every disk holds a simple zero (the common case): its arrays as they are
-    every = m == len(lam)
-    own, shift, start, rho_k = (idx, lam, w, rho) if every else (idx[simple], lam[simple], w[simple], rho[simple])
-    n_hard = 0 if every else len(certified) - np.count_nonzero(certified)
+    (own, lam, w, rho), (lam_h, c_h) = _disks(cf, k_prime, window, d)
+    m, n_hard = len(own), len(lam_h)
     has_tail = cf.has_tail
     if has_tail or n_hard:
         # central rectangle Q_{K'}: as many zeros as poles, the I1 indices |n| <= K'
@@ -892,29 +884,27 @@ def _localize_attempt(cf, k_prime, window, d):
     # about lambda_k, then the hard zeros' (_hard_seeds), with the disks'
     # zeros divided out at lambda_k + w_k and the terms' beyond the window
     # at lambda_k + c_k
+    shift, start = lam, w
     if n_hard:
-        hard = ~certified
         beyond = np.abs(cf.idx1) > window
-        lam_k = np.concatenate([shift, cf.lam1[beyond]])
-        mu_k = np.concatenate([shift + start, cf.lam1[beyond] + cf.c1[beyond]])
-        seeds = _hard_seeds(lam[hard], c[hard], lam_k, mu_k)
+        lam_k = np.concatenate([lam, cf.lam1[beyond]])
+        mu_k = np.concatenate([lam + w, cf.lam1[beyond] + cf.c1[beyond]])
+        seeds = _hard_seeds(lam_h, c_h, lam_k, mu_k)
         near = _shift(cf, seeds)
-        shift, start = np.concatenate([shift, near]), np.concatenate([start, seeds - near])
+        shift, start = np.concatenate([lam, near]), np.concatenate([w, seeds - near])
     z, ok = _newton(cf, start, 1, shift)
     if n_hard:
-        z, ok, shift, z_hard, ok_hard = z[:m], ok[:m], shift[:m], z[m:], ok[m:]
-    inside = ok & (np.abs(z - shift) < rho_k)
+        z, ok, z_hard, ok_hard = z[:m], ok[:m], z[m:], ok[m:]
+    inside = ok & (np.abs(z - lam) < rho)
     if 0 in inside.tobytes():  # a byte search for a False (_newton)
         j = np.argmin(inside)
         raise errors.CertificationFailed(
-            f"Newton from {lam[simple[j]] + w[simple[j]]:.6g} found no zero in the disk "
-            f"around index {idx[simple[j]]}"
+            f"Newton from {lam[j] + w[j]:.6g} found no zero in the disk around index {own[j]}"
         )
     central = []
     if n_hard:
-        inner = simple[np.abs(own) <= k_prime]
-        disks = (lam[inner], rho[inner])
-        central = _central_zeros(cf, rect, seeds, (z_hard, ok_hard), n_hard, d, disks)
+        inner = np.abs(own) <= k_prime
+        central = _central_zeros(cf, rect, seeds, (z_hard, ok_hard), n_hard, d, (lam[inner], rho[inner]))
     return (own, z), central
 
 
@@ -994,8 +984,7 @@ def assemble_spectrum(spec, coeffs, loc):
     mu = lam_all.astype(complex)
     at = owned_idx - idx_all[0] if len(idx_all) else owned_idx
     mu[at] = owned_z
-    mult = np.empty(len(mu), dtype=int)
-    mult.fill(1)  # np.ones, less its Python wrapper
+    mult = np.ones(len(mu), dtype=int)
     origin = _ORIGIN[in_i0.astype(np.intp)]
     slots = sum(t[1] for t in loc.central) if loc.central else 0  # one per unit of order
     n_free = in_i0.tobytes().count(0) - len(owned_idx)  # the I1 indices no disk owns (a byte count, _newton)

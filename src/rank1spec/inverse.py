@@ -20,17 +20,15 @@ A_TAIL = PowerTail(beta=1.0, scale=1.0, phase=0.0)  # a_n = 1/|n| beyond solve_i
 @dataclass(eq=False)
 class ProductFunction:
     """F~(z) = prod (nu_n - z)/(lambda_n - z) over the deviating indices,
-    with its residues: c1[j] = -Res F~ at lambda_n, n = i1[j], a tuple for
-    the reader, and the same values as the read-only array c, from which
-    solve_inverse and its fixed-phi variant scatter them.  Not frozen: a
-    frozen dataclass's __init__ sets each field through
+    with its residues: c1[j] = -Res F~ at lambda_n, n = i1[j], a read-only
+    array, from which solve_inverse and its fixed-phi variant scatter them.
+    Not frozen: a frozen dataclass's __init__ sets each field through
     object.__setattr__, several times the cost of this one, once per
     product."""
 
     spec: object
     i1: tuple  # indices with nu_n != lambda_n, increasing
-    c1: tuple
-    c: np.ndarray  # c1 as an array, read-only
+    c1: np.ndarray  # read-only
     nu: np.ndarray  # nu_n over i1
     lam: np.ndarray  # lambda_n over i1
 
@@ -106,7 +104,7 @@ def build_product(spec, target):
     if np.count_nonzero(finite) < len(c1):
         raise errors.NonSummable(f"residue c_{i1[finite.argmin()]} overflows: the target moves too far for a double")
     c1.flags.writeable = False
-    return ProductFunction(spec=spec, i1=i1, c1=tuple(c1.tolist()), c=c1, nu=nu, lam=lam)
+    return ProductFunction(spec=spec, i1=i1, c1=c1, nu=nu, lam=lam)
 
 
 def _deviating_radius(pf):
@@ -117,7 +115,7 @@ def _deviating_radius(pf):
 def _residues(pf, lo, hi):
     """c_n at the indices lo..hi, which cover I1, an array: 0 off I1."""
     c = np.zeros(max(hi - lo + 1, 0), dtype=complex)
-    c[np.array(pf.i1, dtype=int) - lo] = pf.c
+    c[np.array(pf.i1, dtype=int) - lo] = pf.c1
     return c
 
 

@@ -4,7 +4,10 @@ Infinite sequences are represented by an explicit head array plus a
 parametric tail generator (affine for the base eigenvalues, power law with
 phase or identically zero for the coefficient sequences, equals-lambda for
 targets).  All tail estimates used elsewhere are then available in closed
-form.  Every type is immutable after validation.
+form.  The input types are frozen dataclasses.  The solver's output,
+PerturbedSpectrum, is not frozen, nor is charfn's CharacteristicFunction,
+on purpose: a frozen dataclass's __init__ costs ten times a plain one's,
+once per solve.
 """
 
 from dataclasses import dataclass, replace

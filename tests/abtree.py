@@ -5,18 +5,23 @@ Run from the root of a checkout (pytest does not collect this file):
     python3 tests/abtree.py BASE_DIR [--repeats 15] [--seeds 1 2] [--workloads roundtrip]
 
 BASE_DIR is the root of another checkout, the base (``git archive`` of the
-parent commit unpacked somewhere, say).  Both checkouts' ``src/rank1spec``
-and ``perfbench/workloads.py`` are imported into one process as two
-separate sets of modules (``load_tree``).  Each operation of the
-workloads named by ``--workloads`` (``finite_batch`` and ``roundtrip`` by
-default) runs on the base and on this checkout in turn, the order swapped
-from one operation and one round to the next, and each side keeps its
-best time of ``--repeats`` rounds per operation.  Per
-workload and seed it prints the median over the operations of the ratio
-this / base with its 95% interval (``median_interval``: a percentile
-bootstrap over the operations, from a fixed seed) and the ratio's
-quartiles, and each side's median best time.  A gain is resolved when the
-interval's upper end is below 1.
+parent commit unpacked somewhere, say).  The base is imported twice, as
+base and base', and this checkout once, into one process as three
+separate sets of ``src/rank1spec`` and ``perfbench/workloads.py`` modules
+(``load_tree``).  Each operation of the workloads named by
+``--workloads`` (``finite_batch`` and ``roundtrip`` by default) runs on
+the three sides in turn, in an order that moves through every
+permutation from one operation and one round to the next, and each side
+keeps its best time of ``--repeats`` rounds per operation.  Per workload
+and seed it prints the median over the operations of the ratio this /
+base with its 95% interval (``median_interval``: a percentile bootstrap
+over the operations, from a fixed seed) and the ratio's quartiles; the
+same for the A/A control base' / base, which reads the bias between two
+loads of one tree; the ratio of summed best times of this and of base'
+to base (the benchmark's ``wall_s`` view, where the few slow operations
+weigh most); and each side's median best time.  A ratio is resolved only
+when its interval and the A/A interval do not overlap, and a gain only
+when it is resolved below 1.
 One process and alternation cancel most of the host's drift, which
 separate ``perfbench/run.py`` runs do not.  It compares times only:
 ``tests/hashset.py`` compares the outputs.
@@ -24,6 +29,7 @@ separate ``perfbench/run.py`` runs do not.  It compares times only:
 
 import argparse
 import importlib
+import itertools
 import os
 import sys
 import time
@@ -61,13 +67,14 @@ def load_tree(root):
 
 def best_times(ops_by_side, repeats):
     """Best time of each operation on each side over repeats rounds: a
-    (sides, ops) array, the sides alternating within every operation."""
+    (sides, ops) array, the sides' order within every operation the next of
+    their permutations (of two sides, forward and back in turn)."""
     n_sides, n_ops = len(ops_by_side), len(ops_by_side[0])
+    orders = list(itertools.permutations(range(n_sides)))
     best = np.full((n_sides, n_ops), np.inf)
     for r in range(repeats):
         for i in range(n_ops):
-            order = range(n_sides) if (r + i) % 2 == 0 else reversed(range(n_sides))
-            for side in order:
+            for side in orders[(r + i) % len(orders)]:
                 op = ops_by_side[side][i][1]
                 start = time.perf_counter()
                 op()
@@ -89,6 +96,11 @@ def median_interval(ratios, level=0.95, resamples=4000, seed=0):
     return float(low), float(high)
 
 
+def resolved(interval, control):
+    """Whether a ratio's interval clears the A/A control's: the two do not overlap."""
+    return interval[1] < control[0] or interval[0] > control[1]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_dir", help="root of the base checkout")
@@ -96,18 +108,23 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS), metavar="NAME")
     args = parser.parse_args(argv)
-    trees = [load_tree(os.path.abspath(args.base_dir))[1], load_tree(ROOT)[1]]
+    base = os.path.abspath(args.base_dir)
+    trees = [load_tree(base)[1], load_tree(ROOT)[1], load_tree(base)[1]]  # base, this, base'
     for name in args.workloads:
         for seed in args.seeds:
             ops = [w.WORKLOADS[name](seed, None).ops for w in trees]
             best = best_times(ops, args.repeats)
-            ratios = best[1] / best[0]
+            ratios, control = best[1] / best[0], best[2] / best[0]
             q1, med, q3 = np.percentile(ratios, [25, 50, 75])
-            low, high = median_interval(ratios)
-            base_ms, this_ms = 1e3 * np.median(best, axis=1)
+            interval, aa = median_interval(ratios), median_interval(control)
+            summed = best.sum(axis=1) / best[0].sum()
+            base_ms, this_ms, _ = 1e3 * np.median(best, axis=1)
+            verdict = "resolved" if resolved(interval, aa) else "unresolved"
             print(
-                f"{name} seed {seed}: this/base median {med:.3f} (95% interval {low:.3f}-{high:.3f}, "
-                f"quartiles {q1:.3f}-{q3:.3f}) over {best.shape[1]} ops; "
+                f"{name} seed {seed}: this/base median {med:.3f} (95% interval {interval[0]:.3f}-{interval[1]:.3f}, "
+                f"quartiles {q1:.3f}-{q3:.3f}), A/A base'/base {np.median(control):.3f} "
+                f"({aa[0]:.3f}-{aa[1]:.3f}): {verdict}; summed best this/base {summed[1]:.3f}, "
+                f"base'/base {summed[2]:.3f}; over {best.shape[1]} ops; "
                 f"median best {base_ms:.3f} -> {this_ms:.3f} ms",
                 flush=True,
             )

@@ -42,7 +42,7 @@ def test_build_product_follows_a_chain_of_swaps(zspec):
     # nu = (1, 2, 0): pulling 0 onto index 0 leaves 2 on index 1 and 1 on
     # index 2, and a second swap puts both home, so no index deviates
     pf = inverse.build_product(zspec, TargetSpectrum(0, (1.0 + 0j, 2.0 + 0j, 0j)))
-    assert (pf.i1, pf.c1) == ((), ())
+    assert pf.i1 == () and pf.c1.size == 0
     assert pf.nu.size == pf.lam.size == 0
 
 
@@ -171,7 +171,7 @@ def test_coefficients_handed_on_as_arrays_equal_the_ones_rebuilt_from_their_tupl
         targets += [_random_target(rng, spec, int(rng.integers(1, 11))) for _ in range(12)]
         for target in targets:
             coeffs, pf = inverse.solve_inverse(spec, target)
-            assert not pf.c.flags.writeable and pf.c.tobytes() == np.array(pf.c1, dtype=complex).tobytes()
+            assert not pf.c1.flags.writeable and pf.c1.dtype == complex and len(pf.c1) == len(pf.i1)
             rebuilt = coefficients_from_json(coefficients_to_json(coeffs))
             assert rebuilt == coeffs and "_a" not in vars(rebuilt)
             handed = vars(coeffs)
@@ -330,7 +330,7 @@ def test_roundtrip_of_a_target_with_no_moved_point(zspec):
     unmoved = (zspec, TargetSpectrum(-1, (-1.0 + 0j, 0j, 1.0 + 0j))), (nspec, TargetSpectrum(1, (1.0 + 0j,)))
     for spec, target in unmoved:
         pf, disc, ps, worst = _roundtrip(spec, target, LocalizeOptions(window=6, n_trunc=20))
-        assert pf.i1 == () and pf.c1 == () and disc == 0.0 and worst == 0.0
+        assert pf.i1 == () and pf.c1.size == 0 and disc == 0.0 and worst == 0.0
         assert np.array_equal(np.sort(ps.eigenvalues().real), spec.lambda_at(spec.window_indices(6)))
 
 
@@ -424,7 +424,7 @@ def test_residues_do_not_depend_on_the_block_of_rows(zspec, monkeypatch):
     target = TargetSpectrum(-70, tuple(complex(n, 0.1) for n in range(-70, 71)))
     c1 = inverse.build_product(zspec, target).c1
     monkeypatch.setattr(inverse, "ROWS", 1)
-    assert inverse.build_product(zspec, target).c1 == c1
+    assert inverse.build_product(zspec, target).c1.tobytes() == c1.tobytes()
 
 
 def test_residues_of_2001_moved_points_keep_their_accuracy(zspec):
@@ -493,7 +493,7 @@ def test_a_point_moved_past_709_gaps_keeps_its_exact_residue(zspec):
     # lambda_0 moved to 800.5: the one residue is 800.5 itself, where a cap of
     # exp(sum |nu - lambda| / d) once overflowed a double past 709.8 gaps
     pf = inverse.build_product(zspec, TargetSpectrum(0, (800.5 + 0j,)))
-    assert pf.i1 == (0,) and pf.c1 == (800.5 + 0j,)
+    assert pf.i1 == (0,) and pf.c1.tolist() == [800.5 + 0j]
 
 
 @pytest.mark.parametrize("count, move", [(60, 1e9), (200, 1e7)])

@@ -88,26 +88,35 @@ def test_sums_do_not_depend_on_how_many_points_share_a_call():
 
 
 def test_per_point_shift_equals_the_scalar_shift_calls():
-    # d_kj = (lam_k - s_j) - z_j: each point's sums equal those of a call with
-    # its own shift as one number, for a lone point, across chunks and from
-    # the poles lam_k - s_j formed by the caller (as Newton hands them)
+    # d_kj = (lam_k - s_j) - z_j: each point's rows, taylor's and the three
+    # rho rows alike, equal those of a call with its own shift as one
+    # number, for a lone point, across chunks and from the poles lam_k - s_j
+    # formed by the caller (pole_taylor, as Newton hands them); with the
+    # default shift +0.0, from the poles lam_k as they are
     for n_terms in (1, 5, 64):
         c, lam, z = _random_inputs(n_terms=n_terms, n_points=17, seed=10 + n_terms)
         shift = np.random.default_rng(n_terms).choice(lam, len(z))
         z = z * 1e-3  # points near their shifts, as in Newton's coordinates
+        col, poles = c[:, np.newaxis], lam[:, np.newaxis] - shift
         for p in (1, 2):
-            per_point = pole_sum(c, lam, z, p, shift)
-            old = _kernels._CHUNK
-            try:
-                _kernels._CHUNK = 4 * n_terms  # chunks of 4 points: 17 = 4 * 4 + 1
-                chunked = pole_sum(c, lam, z, p, shift)
-            finally:
-                _kernels._CHUNK = old
-            formed = pole_sum(c, lam[:, np.newaxis] - shift, z, p)
-            lone = pole_sum(c, lam, z[:1], p, shift[:1])
-            lone_formed = pole_sum(c, lam[:, np.newaxis] - shift[:1], z[:1], p)
-            for j in range(len(z)):
-                scalar = pole_sum(c, lam, z[j : j + 1], p, shift[j])
-                for a, b, f, s in zip(per_point, chunked, formed, scalar):
-                    assert a[j] == s[0] and b[j] == s[0] and f[j] == s[0]
-            assert all(a[0] == b[0] == f[0] for a, b, f in zip(lone, per_point, lone_formed))
+            for rho in (None, 0.5 * np.abs(z)):
+                at = (lambda b: None) if rho is None else (lambda b: rho[b])
+                per_point = _kernels.taylor(c, lam, z, p, shift, rho)
+                old = _kernels._CHUNK
+                try:
+                    _kernels._CHUNK = 4 * n_terms  # chunks of 4 points: 17 = 4 * 4 + 1
+                    chunked = _kernels.taylor(c, lam, z, p, shift, rho)
+                finally:
+                    _kernels._CHUNK = old
+                formed = _kernels.pole_taylor(col, poles, z, p, rho)
+                lone = _kernels.taylor(c, lam, z[:1], p, shift[:1], at(slice(1)))
+                lone_formed = _kernels.pole_taylor(col, poles[:, :1], z[:1], p, at(slice(1)))
+                assert len(per_point) == len(chunked) == len(formed) == p + 1 + 3 * (rho is not None)
+                for j in range(len(z)):
+                    scalar = _kernels.taylor(c, lam, z[j : j + 1], p, shift[j], at(slice(j, j + 1)))
+                    for a, b, f, s in zip(per_point, chunked, formed, scalar):
+                        assert a[j] == s[0] and b[j] == s[0] and f[j] == s[0]
+                assert all(a[0] == b[0] == f[0] for a, b, f in zip(lone, per_point, lone_formed))
+                unshifted = _kernels.taylor(c, lam, z, p, rho=rho)
+                for a, f in zip(unshifted, _kernels.pole_taylor(col, lam[:, np.newaxis], z, p, rho)):
+                    assert a.tobytes() == f.tobytes()

@@ -3,6 +3,7 @@ numpy alone, and no solve or comparison needs scipy."""
 
 import ast
 import importlib.util
+import itertools
 import os
 from pathlib import Path
 import re
@@ -114,6 +115,16 @@ def test_abtree_loads_one_checkout_twice_as_two_packages_sharing_no_module():
     ops = [workloads.WORKLOADS["finite_batch"](1, None).ops[:2] for _, workloads in loads]
     best = abtree.best_times(ops, 2)
     assert best.shape == (2, 2) and np.all(best > 0.0) and np.all(np.isfinite(best))
+    # and of three sides (base, this and the A/A control base'), in every order
+    order = []
+
+    def spy(side, op):
+        return lambda: order.append(side) or op()
+
+    three = [[(label, spy(side, op)) for label, op in side_ops] for side, side_ops in enumerate(ops + ops[:1])]
+    best = abtree.best_times(three, 5)
+    assert best.shape == (3, 2) and np.all(np.isfinite(best))
+    assert {tuple(order[i : i + 3]) for i in range(0, len(order), 3)} == set(itertools.permutations(range(3)))
 
 
 def test_abtree_times_the_workloads_it_is_given(capsys):
@@ -125,6 +136,7 @@ def test_abtree_times_the_workloads_it_is_given(capsys):
     abtree.main([str(ROOT), "--repeats", "1", "--workloads", "roundtrip"])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("roundtrip seed 1: this/base median ")
+    assert "A/A base'/base " in lines[0] and "summed best this/base " in lines[0]
     with pytest.raises(SystemExit):
         abtree.main([str(ROOT), "--workloads", "power_decay"])
     assert "invalid choice" in capsys.readouterr().err
@@ -150,6 +162,9 @@ def test_abtree_interval_holds_the_median_and_resolves_only_a_clear_gain():
     assert abtree.median_interval(split)[1] > 1.0
     # a median's: 15 of 50 operations three times as slow leave it alone
     assert abtree.median_interval([0.9] * 35 + [3.0] * 15) == (0.9, 0.9)
+    # a ratio is resolved only when its interval clears the A/A control's
+    assert abtree.resolved((0.95, 0.98), (0.99, 1.01)) and abtree.resolved((1.02, 1.03), (0.99, 1.01))
+    assert not abtree.resolved((0.95, 0.995), (0.99, 1.01)) and not abtree.resolved((1.0, 1.0), (0.99, 1.01))
 
 
 def _private_numpy(source):
