@@ -1,32 +1,30 @@
 """Direct spectral problem: locate all eigenvalues of the perturbation.
 
-Every count of zeros is a proof: the paper's Rouche inequality on the
-per-index disks and the central rectangle (or, with no tail, F's degree),
-and a verified arc walk (Ying & Katz's reliable argument principle) on the
-order circles of the zeros the disks leave; Newton iteration in pole-shifted coordinates polishes the
-zeros.  The localization follows the enclosure sigma(B) subset Q_{K'}
-union (disks of radius d/2 around the outer indices |n| > K').  The disk
-around each perturbed index (and each outer one, with a tail) is checked
-by Rouche against its local pole model G_k = beta_k + c_k / (lambda_k -
-z), F with the other terms expanded to first order about lambda_k, in
-closed form and for all disks in one broadcast; an outer disk keeps radius
-d/2, as in the paper's proof of the enclosure, and a central one takes the
-radius that suits its own model.  With a tail the central rectangle Q_{K'}
-is checked by the same inequality against 1; with none the zeros number
-|I1|, the degree of F prod_{I1} (lambda_n - z).  An outer disk must
-certify; a central one that does not is left to the eigen-seeds.  One
-Newton pass, one kernel call a step, then polishes every simple zero: each
-certified disk's from the root w_k of its local model taken one order
-further, beta_k w + beta'_k w^2 = c_k, about lambda_k; the rest from the
-eigenvalues of one diagonal-plus-rank-one matrix over the uncertified
-indices, with every other zero divided out of F (a deflated secular
-equation).  A disk whose zero fails raises; each zero left in the
-rectangle starts on a small circle of its own, clear of the certified
-disks, all circles walked together, and one whose circle does not count
-its order joins its nearest until every circle certifies: the circles'
-counts alone group the multiple zeros.  A solve whose disks all certify
-(the common case) runs no eigenvalue problem, arc walk or assignment;
-README times its stages.
+Every count of zeros is a proof.  A zero-tail F of 1 to EIGEN_MAX terms,
+all in the window, goes first to _eigen_attempt: its zeros are the
+eigenvalues of diag(lambda) + c 1^T over I1 (Golub's secular equation), and
+one kernel pass at them gives each a Newton step and Rump & Oishi's
+inclusion disc, which F's degree makes the whole count.  It declines to the
+general attempt when two eigenvalues lie within d/4, two share a nearest
+pole, a nearest pole has c_n = 0 or a disc fails.  The general attempt
+follows the enclosure sigma(B) subset Q_{K'} union (disks of radius d/2
+around the outer indices |n| > K').  The disk around each perturbed index
+(and each outer one, with a tail) is checked in one broadcast by the
+paper's Rouche inequality against its local pole model G_k = beta_k + c_k /
+(lambda_k - z), F with the other terms expanded to first order about
+lambda_k: an outer disk keeps radius d/2 and must certify, a central one
+takes its own radius and, failing, leaves its zero to the eigen-seeds.
+With a tail the central rectangle Q_{K'} is checked against 1; with none
+the zeros number |I1|, the degree of F prod_{I1} (lambda_n - z).  One
+Newton pass in pole-shifted coordinates, one kernel call a step, polishes
+every simple zero: each certified disk's from the root w_k of beta_k w +
+beta'_k w^2 = c_k about lambda_k, the rest from the eigenvalues of one
+diagonal-plus-rank-one matrix over the uncertified indices with every
+other zero divided out (a deflated secular equation).  Each zero left in
+the rectangle starts on a small circle of its own, walked by a verified arc
+walk (Ying & Katz's reliable argument principle), and one whose circle does
+not count its order joins its nearest until every circle certifies: the
+counts alone group the multiple zeros.  README times the stages of both.
 """
 
 import bisect
@@ -57,6 +55,9 @@ UNIT_ROUNDOFF = float(0.5 * np.finfo(float).eps)
 # (eta_j / |F^(m)/m!|)^(1/(m-j)) set by the noise eta_j of each F^(j)/j!
 ROUNDOFF = 20.0
 NEWTON_MAX_ITER = 80
+# the most I1 terms of a zero-tail F that _eigen_attempt takes: its
+# eigenproblem's O(|I1|^3) stays below the general attempt's cost there
+EIGEN_MAX = 10
 # the floating-point state of a solve: a division by zero, an invalid
 # operation or an overflow gives inf or NaN, which the checks read as a
 # failure, with no warning; localize_spectrum enters it once a solve
@@ -121,8 +122,8 @@ class LocalizeOptions:
 class LocalizationResult:
     """The zeros of F in the enclosure, each where its certificate puts it.
 
-    owned: the zero of each certified disk with c_k != 0, as (indices k,
-    zeros) arrays; the disk pairs its zero with its own index.  central:
+    owned: the zeros a certified disk or disc pairs with their own index
+    k, c_k != 0, as (indices k, zeros) arrays, k ascending.  central:
     the zeros the disks leave, as (location, order) sorted by location.
     rect, the central rectangle Q_{K'}, is formed on the first read (an
     easy solve's attempt reads none).  reports derives the disks around
@@ -471,15 +472,14 @@ def winding_number(cf, region, quadrature_points):
 
 
 def _nearest(values, z):
-    """The entry of an ascending real array nearest each point (ties to the lower)."""
-    j = np.searchsorted(values, z.real)
-    lo, hi = values[np.maximum(j - 1, 0)], values[np.minimum(j, len(values) - 1)]
-    return np.where(np.abs(hi - z) < np.abs(lo - z), hi, lo)
+    """The position of the entry of an ascending real array nearest each
+    point, by the midpoints between entries (ties to the lower)."""
+    return (0.5 * (values[1:] + values[:-1])).searchsorted(z.real)
 
 
 def _shift(cf, z):
     """The window eigenvalue nearest each point, the shift of Newton's coordinates (0 if none)."""
-    return _nearest(cf.lam, z) if len(cf.lam) else np.zeros(len(z))
+    return cf.lam[_nearest(cf.lam, z)] if len(cf.lam) else np.zeros(len(z))
 
 
 def _modulus(z):
@@ -600,7 +600,7 @@ def _nearest_pole(cf, z):
     poles = cf.lam[cf.c != 0]
     if len(poles) == 0:
         return np.full(len(z), np.inf)
-    return np.abs(_nearest(poles, z) - z)
+    return np.abs(poles[_nearest(poles, z)] - z)
 
 
 def _multiple_to_roundoff(cf, z, m):
@@ -831,7 +831,8 @@ def _disks(cf, k_prime, window, d):
                 f"disk around index {idx[j]} failed to certify (Rouche margin {margin()[j]:.3g})"
             )
         hard = lam[~certified], c[~certified]
-    # with no tail and no hard pole every disk is owned (the common case): no gather
+    # with no tail and no hard pole every disk is owned (an easy solve past
+    # EIGEN_MAX terms): no gather
     if has_tail or len(hard[0]):
         own = (certified & (c != 0)).nonzero()[0]
         idx, lam, c, beta, slope, rho = (x[own] for x in (idx, lam, c, beta, slope, rho))
@@ -841,10 +842,66 @@ def _disks(cf, k_prime, window, d):
     return (idx, lam, _TWO * c / (beta + root), rho), hard
 
 
+@_quiet
+def _discs(cf, z, shift, rho):
+    """Rump & Oishi's inclusion discs |w - z| < rho about the points z = shift
+    + w: (z - a_0 / a_1, a Newton step, and whether each disc holds exactly
+    one simple zero), arrays over the points.  With a_j = F^(j)(z)/j! (F with
+    no tail) and D_n = |lambda_n - z| > rho, |F - a_0 - a_1 (w - z)| <= rem =
+    sum_n |c_n| (rho/D_n)^2 / (D_n - rho) on the disc, so |a_0| + rem < |a_1|
+    rho gives F as many zeros inside as its linear model by Rouche: one, z -
+    a_0 / a_1.  The step must also be below rho: the zero then lies within 2
+    rho of the point reported.  The check is _holds(|a_0| + rem, 1 + B, |a_1|
+    rho, m, kappa), with _arc_test's B, m and kappa at p = 1 (the 1 of a_0
+    adds gamma), one allowance for every disc clear of every pole as in
+    _rouche.  One kernel pass gives the steps and the certificates."""
+    w = z - shift
+    s0, s1, b, rem, nearest = _kernels.pole_taylor(cf.c1[:, np.newaxis], cf.lam1[:, np.newaxis] - shift, w, 1, rho)
+    a0 = _ONE + s0
+    step = a0 / s1
+    ok = nearest > rho
+    r = np.maximum.reduce(rho / nearest, where=ok, initial=0.0)
+    kappa_d = math.ceil(2.0 + np.maximum.reduce(_modulus(w) / nearest, where=ok, initial=0.0))
+    m, kappa = 2 * len(cf.c1) + 4 * (kappa_d + 12) + 12, (1.0 + r) / (1.0 - r) * (kappa_d + 6)
+    ok &= _modulus(step) < rho
+    certified = ok & _holds(_modulus(a0) + rem, _ONE + b, _modulus(s1) * rho, m, kappa)
+    return shift + (w - step), certified
+
+
+def _eigen_attempt(cf, window, d):
+    """(owned, central) of LocalizationResult for F with no tail and 1 to
+    EIGEN_MAX terms, all in the window, or None, which declines the solve to
+    _localize_attempt.  Each eigenvalue of diag(lambda) + c 1^T over I1 (a
+    real matrix for real c_n, so that real zeros stay real) takes the pole
+    nearest it as its shift and index, and the disc of radius 2^-26 (1 + |z|)
+    about it, at most d/16 (_discs).  The attempt declines when two lie
+    within d/4, two share a nearest pole, a nearest pole has c_n = 0 or a
+    disc fails.  Otherwise the discs are disjoint, one simple zero in each,
+    |I1| in all: every zero of F.  Each one's nearest pole is an I1 index of
+    its own, as _localize_attempt's disks and least-cost pairing give it."""
+    c1, n = cf.c1, len(cf.c1)
+    if cf.has_tail or not 0 < n <= EIGEN_MAX or abs(cf.idx1[0]) > window:
+        return None
+    a = np.diag(cf.lam1) + (c1 if np.count_nonzero(c1.imag) else c1.real)[:, np.newaxis]
+    z = np.linalg.eigvals(a).astype(complex, copy=False)
+    if np.count_nonzero(np.abs(z[:, np.newaxis] - z) < 0.25 * d) > n:  # the diagonal's n
+        return None
+    z = z[z.real.argsort()]
+    pos = _nearest(cf.lam, z)  # ascending, as z.real is
+    if np.count_nonzero(cf.c[pos]) < n or 0 in (pos[1:] != pos[:-1]).tobytes():
+        return None
+    rho = np.minimum(2.0**-26 * (1.0 + _modulus(z)), 0.0625 * d)
+    zeros, certified = _discs(cf, z, cf.lam[pos], rho)
+    if 0 in certified.tobytes():  # a byte search for a False (_newton)
+        return None
+    return (cf.idx[pos], zeros), []
+
+
 def localize_spectrum(spec, coeffs, opts=None):
     """Locate all zeros of F in the enclosure Q_{K'} union outer disks:
     K', the window and F's first cut come from charfn.first_cut, and each
-    attempt that fails asks cf.next_cut for the next cut."""
+    attempt that fails asks cf.next_cut for the next cut; a zero-tail F of
+    at most EIGEN_MAX terms goes to _eigen_attempt first."""
     opts = opts or LocalizeOptions()
     d = spec.gap
     eps = d / (2.0 + d)
@@ -853,10 +910,10 @@ def localize_spectrum(spec, coeffs, opts=None):
     with np.errstate(**FP_STATE):
         solving = _IN_SOLVE.set(True)
         try:
-            while True:
+            found = _eigen_attempt(cf, window, d)
+            while found is None:
                 try:
                     found = _localize_attempt(cf, k_prime, window, d)
-                    break
                 except errors.CertificationFailed as exc:
                     cf = cf.next_cut(exc)
         finally:

@@ -3,6 +3,7 @@
 Run from the root of a checkout (pytest does not collect this file):
 
     python3 tests/hashset.py
+    python3 tests/hashset.py --against BASE_DIR
 
 It imports the package from this checkout's ``src/`` and the input
 generators from ``perfbench/workloads.py``, which it only reads, and runs
@@ -19,14 +20,25 @@ hashes its error's class and message.  Two trees whose lines agree give
 bit-identical outputs on the declared workloads and on the tail path.
 
 The last line, ``certificates``, hashes the verdicts of every ``_rouche``
-(``certified``), ``_rouche_rect`` (its bool) and ``_arc_test`` (``passed``
-and ``hopeless``) call over 1200 solves of ``conftest.random_base`` and
+(``certified``), ``_rouche_rect`` (its bool), ``_arc_test`` (``passed``
+and ``hopeless``) and ``_discs`` (``certified``) call over 1200 solves of ``conftest.random_base`` and
 ``random_coeffs`` instances drawn from ``np.random.default_rng(2026)``,
 about half of them with a power tail, at window 20 and n_trunc 30, then
 over ``roundtrip`` at seeds 1-4: no arc of the random solves fails, and
 the round trips' double and triple points form ``hopeless``.
+
+With ``--against BASE_DIR`` (the root of another checkout) it loads both
+trees into one process (``abtree.load_tree``), runs each operation of
+``finite_batch`` and ``roundtrip`` at seeds 1-4 on both, and prints per
+workload and seed whether the columns ``index``, ``paired_index``,
+``mult`` and ``origin`` agree on every operation, and the largest change
+of ``mu`` and of ``paired_mu`` (where both have as many rows) in ulps of the
+base's modulus and relative to it: for a change that moves outputs in
+the last bits on purpose, where the hashes cannot tell a bit from a
+row.
 """
 
+import argparse
 import dataclasses
 import hashlib
 import os
@@ -104,7 +116,12 @@ def certificates_hash():
     import conftest
 
     h = hashlib.sha256()
-    checks = {"_rouche": lambda out: out[1], "_rouche_rect": lambda out: out[1], "_arc_test": lambda out: out[1:]}
+    checks = {
+        "_rouche": lambda out: out[1],
+        "_rouche_rect": lambda out: out[1],
+        "_arc_test": lambda out: out[1:],
+        "_discs": lambda out: out[1],
+    }
     saved = {name: getattr(direct, name) for name in checks}
 
     def spy(name, check, verdict):
@@ -136,7 +153,39 @@ def certificates_hash():
     return h.hexdigest()
 
 
-def main():
+PAIRED = ("index", "paired_index", "mult", "origin")
+
+
+def compare(base_dir):
+    """Lines of the --against comparison, one per workload and seed."""
+    import abtree
+
+    trees = [abtree.load_tree(os.path.abspath(base_dir))[1], abtree.load_tree(ROOT)[1]]
+    for name, seed in (run for run in RUNS if run[0] != "power_decay"):
+        same, change = dict.fromkeys(PAIRED, True), {"mu": [0.0, 0.0], "paired_mu": [0.0, 0.0]}
+        base_ops, ops = (w.WORKLOADS[name](seed, None).ops for w in trees)
+        for (_, base_op), (_, op) in zip(base_ops, ops):
+            base_ps, ps = base_op()[0], op()[0]
+            for col in PAIRED:
+                same[col] &= np.array_equal(getattr(base_ps, col), getattr(ps, col))
+            for col, worst in change.items():
+                old, new = getattr(base_ps, col), getattr(ps, col)
+                if old.shape == new.shape:
+                    moved, size = np.abs(new - old), np.abs(old)
+                    worst[0] = max(worst[0], float(np.max(moved / np.spacing(size))))
+                    worst[1] = max(worst[1], float(np.max(moved / np.maximum(size, np.finfo(float).tiny))))
+        agree = ", ".join(f"{col} {'identical' if ok else 'DIFFERS'}" for col, ok in same.items())
+        moved = "; ".join(f"largest {col} change {u:.3g} ulps ({r:.3g} relative)" for col, (u, r) in change.items())
+        print(f"{name} seed {seed}: {agree}; {moved}", flush=True)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="BASE_DIR", help="compare the outputs with the checkout at BASE_DIR")
+    args = parser.parse_args(argv)
+    if args.against:
+        compare(args.against)
+        return
     for name, seed in RUNS:
         print(f"{name} seed {seed} {workload_hash(name, seed)}", flush=True)
     for name, solve in _tail_solves():

@@ -19,12 +19,18 @@ the moved indices in order, and the rest of the head stays on lambda_n;
 solve_inverse, validate_coefficients and solve_direct follow, and
 oracle.compare_spectra measures the distance to the target.
 
+Each direct solve that direct._eigen_attempt takes is solved again by
+the general attempt alone, and the two must give the same paired_index,
+mult and origin.
+
 It prints the number of instances certified, the failing instances by
-number and kind, and the worst distance to the target per round-trip
-kind; a failure not in EXPECTED_FAILURES, or an expected one that now
-certifies, is marked.  tests/test_direct.py runs the same sweep through
-run() and fails on a failure not in EXPECTED_FAILURES, or on a worst
-distance above the bound it states for the kind.
+number and kind, the worst distance to the target per round-trip kind,
+and how many direct solves the eigenvalue path took and how many of those
+the general attempt pairs otherwise; a failure not in EXPECTED_FAILURES,
+or an expected one that now certifies, is marked.  tests/test_direct.py
+runs the same sweep through run() and fails on a failure not in
+EXPECTED_FAILURES, on a worst distance above the bound it states for the
+kind, or on an eigenvalue-path solve paired otherwise.
 """
 
 import math
@@ -84,18 +90,39 @@ def roundtrip_instance(rng):
     return model.TargetSpectrum(indices[0], head), name
 
 
+def _columns(ps):
+    return [ps.paired_index.tolist(), ps.mult.tolist(), ps.origin.tolist()]
+
+
+def _general(spec, coeffs):
+    """solve_direct by the general attempt alone, _eigen_attempt declining."""
+    eigen = direct._eigen_attempt
+    direct._eigen_attempt = lambda *args: None
+    try:
+        return direct.solve_direct(spec, coeffs, OPTS)
+    finally:
+        direct._eigen_attempt = eigen
+
+
 def run():
-    """The failures as (number, kind, message) and the worst distance to
-    the target per round-trip kind."""
+    """The failures as (number, kind, message), the worst distance to the
+    target per round-trip kind, and the direct instances the eigenvalue
+    path took with those whose columns the general attempt gives otherwise."""
     spec = base()
     rng = np.random.default_rng(2026)
-    failures, worst = [], {}
+    failures, worst, taken, differ = [], {}, [], []
+    eigen = direct._eigen_attempt
     for i in range(COUNT):
         coeffs = model.validate_coefficients(direct_instance(rng), spec)
         try:
-            direct.solve_direct(spec, coeffs, OPTS)
+            ps, loc = direct.solve_direct(spec, coeffs, OPTS)
         except errors.Rank1Error as exc:
             failures.append((i, "direct", f"{type(exc).__name__}: {exc}"))
+            continue
+        if eigen(loc.cf, loc.window, spec.gap) is not None:
+            taken.append(i)
+            if _columns(_general(spec, coeffs)[0]) != _columns(ps):
+                differ.append(i)
     for i in range(COUNT, 2 * COUNT):
         target, name = roundtrip_instance(rng)
         target = model.validate_target(target, spec)
@@ -109,11 +136,11 @@ def run():
         reference = target.nu_at(spec.window_indices(loc.window), spec)
         _, dev = oracle.compare_spectra(ps, np.atleast_1d(reference), 1.0)
         worst[name] = max(worst.get(name, 0.0), dev)
-    return failures, worst
+    return failures, worst, (taken, differ)
 
 
 def main():
-    failures, worst = run()
+    failures, worst, (taken, differ) = run()
     print(f"certified {2 * COUNT - len(failures)} of {2 * COUNT}")
     for i, name, message in failures:
         mark = "" if i in EXPECTED_FAILURES else "  (unexpected)"
@@ -122,6 +149,8 @@ def main():
         print(f"certified {i}, an expected failure")
     for name in sorted(worst):
         print(f"worst distance to the target, {name}: {worst[name]:.3g}")
+    print(f"the eigenvalue path took {len(taken)} of {COUNT} direct solves", end="; ")
+    print(f"the general attempt pairs otherwise: {differ}")
 
 
 if __name__ == "__main__":

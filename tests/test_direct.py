@@ -58,6 +58,18 @@ def double_cf(zspec):
 OPTS = LocalizeOptions(window=8, n_trunc=20)
 
 
+def past_eigen_max(c_by_index, window=8):
+    """finite_coeffs of c_by_index with c_n = 1e-9 added on the free indices
+    from -window up, to EIGEN_MAX + 1 terms: a zero-tail F that
+    _eigen_attempt leaves to _localize_attempt."""
+    c = dict(c_by_index)
+    for n in range(-window, window + 1):
+        if len(c) > direct.EIGEN_MAX:
+            break
+        c.setdefault(n, 1e-9)
+    return finite_coeffs(c)
+
+
 # ---------------------------------------------------------------------------
 # winding numbers
 
@@ -436,7 +448,8 @@ def test_n_trunc_doubles_only_while_a_tail_is_left_out(zspec, monkeypatch):
     # with every nonzero c_n summed, a doubled n_trunc repeats the attempt:
     # a zero-tail failure is final at once, a power-tail one still doubles.
     # Both inputs leave central disks that Rouche does not certify, so the
-    # central step runs
+    # central step runs; the zero-tail one has a double zero at 1/2, which
+    # _eigen_attempt leaves to _localize_attempt
     attempt, tried = direct._localize_attempt, []
 
     def spy(cf, *args):
@@ -450,7 +463,7 @@ def test_n_trunc_doubles_only_while_a_tail_is_left_out(zspec, monkeypatch):
     monkeypatch.setattr(direct, "_central_zeros", fail)
     monkeypatch.setattr(charfn, "TRUNC_CAP", 80)
     with pytest.raises(errors.CertificationFailed, match="^central zeros forced to fail$"):
-        localize_spectrum(zspec, finite_coeffs({0: 0.3, 1: 0.3}), OPTS)
+        localize_spectrum(zspec, finite_coeffs({0: 0.25, 1: -0.25}), OPTS)
     assert tried == [20]
     tried.clear()
     with pytest.raises(errors.CertificationFailed, match=r"^escalation exhausted \(n_trunc 80\)"):
@@ -1078,7 +1091,9 @@ def _zeros_of_F(cf, dps):
         a = mp.matrix([[mp.mpc(complex(c)) for _ in cf.c1] for c in cf.c1])
         for j, lam_n in enumerate(cf.lam1.tolist()):
             a[j, j] += lam_n
-        return np.array([complex(e) for e in mp.eig(a, left=False, right=False)])
+        e = mp.eig(a, left=False, right=False)
+        # mpmath gives a 1 x 1 matrix's eigenvectors too
+        return np.array([complex(x) for x in (e[0] if len(cf.c1) == 1 else e)])
 
 
 @pytest.mark.xfail(
@@ -1279,7 +1294,8 @@ def test_newton_gives_each_point_what_it_gives_that_point_alone(zspec, monkeypat
     # for bit, where a pass from its seed alone puts it, as the live set
     # shrinks.  Poles gathered by fancy indexing (poles[:, move], columns in
     # Fortran order, which numpy sums pairwise) would move 16 of the 247
-    # Newton points of the benchmark's finite_batch seed 1 in the last bit
+    # Newton points of the benchmark's finite_batch seed 1 in the last bit.
+    # The instances take a tail, so that _localize_attempt solves them
     calls, newton = [], direct._newton
 
     def spy(cf, seeds, order, shift=None):
@@ -1290,7 +1306,7 @@ def test_newton_gives_each_point_what_it_gives_that_point_alone(zspec, monkeypat
     monkeypatch.setattr(direct, "_newton", spy)
     rng = np.random.default_rng(1)
     for _ in range(50):
-        solve_direct(zspec, random_finite_instance(rng), LocalizeOptions(window=41, n_trunc=49))
+        solve_direct(zspec, with_tail(random_finite_instance(rng), 41), LocalizeOptions(window=41, n_trunc=49))
     monkeypatch.undo()
     points = 0
     for cf, seeds, order, shift, (z, ok) in calls:
@@ -1344,7 +1360,8 @@ def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
     # seeds lambda_k + w_k, w_k the root of beta_k w + beta'_k w^2 = c_k
     # (about 0.2510, 1.0994 and 6.0106, the zeros 0.2496, 1.0997 and
     # 6.0106), in index order, are polished by one order-1 _newton call, with
-    # no eigen-seed
+    # no eigen-seed.  The tail of 1e-12 |n|^-3 sends the solve to
+    # _localize_attempt
     newton, attempt, calls, attempts = direct._newton, direct._localize_attempt, [], []
 
     def newton_spy(cf, seeds, order, shift=None):
@@ -1358,7 +1375,7 @@ def test_one_order_one_newton_pass_per_localization_attempt(zspec, monkeypatch):
 
     monkeypatch.setattr(direct, "_newton", newton_spy)
     monkeypatch.setattr(direct, "_localize_attempt", attempt_spy)
-    loc = localize_spectrum(zspec, finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01}), OPTS)
+    loc = localize_spectrum(zspec, with_tail(finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01}), 8), OPTS)
     assert len(attempts) == 1 and calls == [(1, [0.25, 1.1, 6.01])]
     zeros = {r.region_index: [round(z.real, 2) for z, _, _ in r.zeros] for r in loc.reports if r.zeros}
     assert zeros == {6: [6.01], None: [0.25, 1.1]}
@@ -1375,7 +1392,8 @@ def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, mon
     # when a solve reaches past it: the batch-shaped solve widens it
     # (n_trunc 49 against 20), and the same solve again evaluates neither.
     # The solve enters np.errstate once, for all its helpers, and its disks
-    # take one Rouche block
+    # take one Rouche block.  Each input pads its terms with c_n = 1e-9 past
+    # EIGEN_MAX, so that _localize_attempt solves it
     counts = dict.fromkeys(["sums", "eval", "lambda_range", "head_radius", "errstate", "rouche_block"], 0)
 
     def counting(key, f):
@@ -1393,9 +1411,9 @@ def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, mon
     monkeypatch.setattr(BaseSpectrum, "lambda_range", counting("lambda_range", BaseSpectrum.lambda_range))
     head_radius = counting("head_radius", PerturbationCoefficients.head_radius)
     monkeypatch.setattr(PerturbationCoefficients, "head_radius", head_radius)
-    hand = (finite_coeffs({0: 0.275, 1: 0.075, 6: 0.01}), OPTS)
+    hand = (past_eigen_max({0: 0.275, 1: 0.075, 6: 0.01}), OPTS)
     batch = (  # shaped like a finite_batch instance: 5 terms on |n| <= 40, window 41
-        finite_coeffs({-31: 0.21 - 0.08j, -4: 0.05 + 0.17j, 9: -0.12 + 0.2j, 17: 0.28j, 30: -0.09 - 0.03j}),
+        past_eigen_max({-31: 0.21 - 0.08j, -4: 0.05 + 0.17j, 9: -0.12 + 0.2j, 17: 0.28j, 30: -0.09 - 0.03j}, 41),
         LocalizeOptions(window=41, n_trunc=49),
     )
     for (coeffs, opts), expected in (
@@ -1573,14 +1591,15 @@ def _dense_coeffs(radius, pinned=()):
 @pytest.mark.parametrize(
     "coeffs, opts",
     [
-        (finite_coeffs({0: 0.05, 3: 0.05}), OPTS),
+        (with_tail(finite_coeffs({0: 0.05, 3: 0.05}), 8), OPTS),
         (_dense_coeffs(100), LocalizeOptions(window=100, n_trunc=108)),
     ],
 )
 def test_certified_central_disks_need_no_eigen_seeds_or_arc_walk(zspec, monkeypatch, coeffs, opts):
     # every central disk certifies by Rouche and holds one simple zero,
     # polished from its seed in the one Newton pass: no eigenvalue solve, no
-    # order circle
+    # order circle.  The first input has a tail, the second 201 terms, so
+    # that _localize_attempt solves both
     def refuse(*args, **kwargs):
         raise AssertionError("called on a solve whose central disks all certify")
 
@@ -1637,7 +1656,8 @@ def test_hard_central_disks_are_seeded_from_their_run(zspec, monkeypatch):
     # c_3 / beta_3, with beta_3 = 1 - 0.45/3 + 0.45/2 and beta'_3 = 0.45/9 -
     # 0.45/4.  That zero divided out, the hard zeros are the eigenvalues of
     # the 2 x 2 matrix diag(0, 1) + c~ 1^T, c~_n = c_n (3 - n) / (mu_3 - n);
-    # all three seeds go into one order-1 Newton pass
+    # all three seeds go into one order-1 Newton pass.  The tail of 1e-30
+    # |n|^-3 sends the solve to _localize_attempt
     newton, calls = direct._newton, []
 
     def newton_spy(cf, seeds, order, shift=None):
@@ -1646,7 +1666,7 @@ def test_hard_central_disks_are_seeded_from_their_run(zspec, monkeypatch):
 
     monkeypatch.setattr(direct, "_newton", newton_spy)
     shapes = _eigvals_shapes(monkeypatch)
-    coeffs = finite_coeffs({0: 0.45, 1: -0.45, 3: 0.05})
+    coeffs = with_tail(finite_coeffs({0: 0.45, 1: -0.45, 3: 0.05}), 8, 1e-30)
     loc = localize_spectrum(zspec, coeffs, OPTS)
     monkeypatch.undo()
     beta, slope = 1.0 - 0.45 / 3.0 + 0.45 / 2.0, 0.45 / 9.0 - 0.45 / 4.0
@@ -1691,8 +1711,9 @@ def test_local_pole_model_certifies_a_disk_the_constant_model_left(zspec, monkey
     # d/2, so the zero 0.8 - 0.34^(1/2) is the disk's.  c_1 = 3e-17 beside
     # c_0 = 1.5: beta_1 = -0.5, and the disk of radius (|c_1| / S0_1)^(1/2)
     # = 4.5e-9 holds the zero c_1 / beta_1 from lambda_1, within an ulp.
-    # The other disk's zero takes a 1 x 1 eigenproblem
-    coeffs = finite_coeffs(pinned)
+    # The other disk's zero takes a 1 x 1 eigenproblem.  The tail of 1e-30
+    # |n|^-3 sends the solve to _localize_attempt
+    coeffs = with_tail(finite_coeffs(pinned), 8, 1e-30)
     loc = localize_spectrum(zspec, coeffs, OPTS)
     (own, _, _, rho), (hard, _) = direct._disks(loc.cf, loc.k_prime, loc.window, zspec.gap)
     central = np.abs(own) <= loc.k_prime
@@ -1877,11 +1898,13 @@ def _finite_batch_seed_1():
 
 
 def _rouche_disks(loc):
-    """The arguments _disks gives _rouche for a localization's window."""
+    """The arguments _disks gives _rouche for a localization's window: with
+    a tail its outer disks and its disks with c_k != 0, with none the latter
+    alone."""
     cf = loc.cf
     win = cf.window(loc.window)
     idx, lam, c = cf.idx[win], cf.lam[win], cf.c[win]
-    keep = (np.abs(idx) > loc.k_prime) | (c != 0)
+    keep = (np.abs(idx) > loc.k_prime) | (c != 0) if cf.has_tail else c != 0
     return cf, idx[keep], lam[keep], c[keep], cf.spec.gap / 2, np.abs(idx[keep]) <= loc.k_prime
 
 
@@ -1911,8 +1934,8 @@ def test_rouche_block_loop_gives_the_one_block_path_bit_for_bit(zspec, monkeypat
     # row blocks), so each block of the loop is compared with the one-block
     # path on that block's disks, and the whole call with the one-block
     # call within 1e-14
-    if case == "finite_batch":
-        coeffs, opts = next(_finite_batch_seed_1()), LocalizeOptions(window=41, n_trunc=49)
+    if case == "finite_batch":  # its first instance of 8 terms: 8 disks, 3 blocks of 3
+        coeffs, opts = list(_finite_batch_seed_1())[6], LocalizeOptions(window=41, n_trunc=49)
     else:  # a power tail: the tail term too
         coeffs = validate_coefficients(gallery.power_family(2.0, 50), zspec)
         opts = LocalizeOptions(window=50, n_trunc=100)
@@ -2232,7 +2255,8 @@ def test_outer_disk_failure_names_its_rouche_margin(zspec, monkeypatch):
 
 def test_outer_disk_newton_failure_names_its_seed(zspec, monkeypatch):
     # c_6 = 0.01 lies beyond K' = 1: its disk is certified, but its Newton
-    # zero, from about 6 + c_6 / (1 - 0.275/6), is forced to fail
+    # zero, from about 6 + c_6 / (1 - 0.275/6), is forced to fail.  The
+    # terms c_n = 1e-9 past EIGEN_MAX send the solve to _localize_attempt
     newton = direct._newton
 
     def fail(cf, seeds, order, shift=None):
@@ -2242,7 +2266,7 @@ def test_outer_disk_newton_failure_names_its_seed(zspec, monkeypatch):
     monkeypatch.setattr(direct, "_newton", fail)
     failed = r"^Newton from 6.01048\+0j found no zero in the disk around index 6$"
     with pytest.raises(errors.CertificationFailed, match=failed):
-        localize_spectrum(zspec, finite_coeffs({0: 0.275, 6: 0.01}), OPTS)
+        localize_spectrum(zspec, past_eigen_max({0: 0.275, 6: 0.01}), OPTS)
 
 
 def test_rouche_margin_exceeds_the_enclosure_bound():
@@ -2282,10 +2306,145 @@ def test_nearest_pole_of_a_function_with_no_poles_is_infinitely_far(zspec):
     np.testing.assert_array_equal(direct._nearest_pole(cf, np.array([0.5 + 0j, 3.0 + 1j])), [np.inf, np.inf])
 
 
+# ---------------------------------------------------------------------------
+# the eigenvalue path of small zero-tail spectra
+
+
+def _roundtrip_seed_1():
+    """The coefficients of the roundtrip benchmark's targets at seed 1 after
+    its double and triple points, drawn as its generator draws them: 1 + j %
+    10 indices of |n| <= 8, each moved by U(-1/4, 1/4) + i U(-1/5, 1/5),
+    through solve_inverse, solved at window 12 and n_trunc 40."""
+    rng, spec = np.random.default_rng(1), sweep.base()
+    for j in range(98):
+        moved = sorted(int(n) for n in rng.choice(np.arange(-8, 9), 1 + j % 10, replace=False))
+        head = [
+            complex(n + rng.uniform(-0.25, 0.25), rng.uniform(-0.2, 0.2)) if n in moved else complex(n)
+            for n in range(moved[0], moved[-1] + 1)
+        ]
+        coeffs, _ = inverse.solve_inverse(spec, validate_target(TargetSpectrum(moved[0], tuple(head)), spec))
+        yield validate_coefficients(coeffs, spec)
+
+
+def test_every_eigenvalue_path_zero_lies_within_2_rho_of_its_40_digit_eigenvalue(zspec, monkeypatch):
+    # the first 10 finite_batch and 10 roundtrip instances of seed 1 (2 to 8
+    # and 1 to 10 terms), all solved by the eigenvalue path: each reported
+    # zero lies within 2 rho of the 40-digit eigenvalue of diag(lambda) + c
+    # 1^T nearest it (mpmath's eig), each of those within rho of the
+    # eigenvalue its disc is centred on
+    discs, check = [], direct._discs
+    monkeypatch.setattr(direct, "_discs", lambda *args: discs.append(args) or check(*args))
+    finite = [(c, LocalizeOptions(window=41, n_trunc=49)) for c in list(_finite_batch_seed_1())[:10]]
+    roundtrip = [(c, sweep.OPTS) for _, c in zip(range(10), _roundtrip_seed_1())]
+    for coeffs, opts in finite + roundtrip:
+        discs.clear()
+        _, loc = solve_direct(zspec, coeffs, opts)
+        ((_, z, _, rho),) = discs
+        zeros, exact = loc.owned[1], _zeros_of_F(loc.cf, 40)
+        assert not loc.central and len(zeros) == len(exact) == len(loc.cf.c1)
+        nearest = np.abs(zeros[:, np.newaxis] - exact).argmin(axis=1)
+        assert sorted(nearest.tolist()) == list(range(len(exact)))
+        assert np.all(np.abs(zeros - exact[nearest]) < 2.0 * rho) and np.all(np.abs(z - exact[nearest]) < rho)
+
+
+def test_discs_without_the_remainder_certify_a_disc_the_zero_misses(zspec, monkeypatch):
+    # the weakened twin of _discs with rem dropped: F = 1 + 0.3 / (0 - z)
+    # has its zero at c_0 = 0.3, and from 0.2 the Newton step lands short of
+    # it, at 0.2 + 1/15.  The disc |w - 0.2| < 0.08 holds that step but not
+    # the zero, 0.1 away: |a_0| = 0.5 < |a_1| rho = 0.6, and only rem = 0.4
+    # refuses it
+    cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.3}), 10)
+    disc = (cf, np.array([0.2 + 0j]), np.array([0.0]), np.array([0.08]))
+    assert direct._discs(*disc)[1].tolist() == [False]
+    kernel = _kernels.pole_taylor
+
+    def no_remainder(*args):
+        rows = kernel(*args)
+        rows[3] = 0.0 * rows[3]
+        return rows
+
+    monkeypatch.setattr(_kernels, "pole_taylor", no_remainder)
+    zero, certified = direct._discs(*disc)
+    assert certified.tolist() == [True] and abs(zero[0] - (0.2 + 1.0 / 15.0)) < 1e-15
+    assert abs(cf.c1[0] - 0.2) > 0.08
+
+
+def test_discs_without_their_allowance_certify_a_disc_the_zero_misses(zspec, monkeypatch):
+    # the weakened twin of _discs with u = 0 (gamma = 0): F of c_0 = 0.275
+    # and c_1 = 0.075 rounds to exactly 0 at 0.25, but in 300-bit
+    # arithmetic on the same floats its zero lies 2.0e-17 above.  The disc of
+    # radius 1e-17 about 0.25 misses it, and the twin, with a_0 = 0,
+    # certifies it; with its allowance the check refuses
+    from mpmath import mp
+
+    cf = CharacteristicFunction.build(zspec, finite_coeffs({0: 0.275, 1: 0.075}), 10)
+    with mp.workprec(300):
+        zero = mp.findroot(lambda z: 1 + mp.mpf(0.275) / (0 - z) + mp.mpf(0.075) / (1 - z), mp.mpf(0.25))
+        assert 1e-17 < zero - 0.25 < 3e-17
+    disc = (cf, np.array([0.25 + 0j]), np.array([0.0]), np.array([1e-17]))
+    assert direct._discs(*disc)[1].tolist() == [False]
+    monkeypatch.setattr(direct, "UNIT_ROUNDOFF", 0.0)
+    zero, certified = direct._discs(*disc)
+    assert certified.tolist() == [True] and zero.tolist() == [0.25]
+
+
+def _declined(zspec, coeffs, monkeypatch):
+    """The verdicts of the _discs calls of a solve of coeffs at OPTS, which
+    _eigen_attempt must decline, giving bit for bit the output of the
+    general attempt alone."""
+    eigen, check, verdicts, discs = direct._eigen_attempt, direct._discs, [], []
+    monkeypatch.setattr(direct, "_eigen_attempt", lambda *args: verdicts.append(eigen(*args)) or verdicts[-1])
+    monkeypatch.setattr(direct, "_discs", lambda *args: discs.append(check(*args)[1].tolist()) or check(*args))
+    ps, loc = solve_direct(zspec, coeffs, OPTS)
+    monkeypatch.setattr(direct, "_eigen_attempt", lambda *args: None)
+    general, general_loc = solve_direct(zspec, coeffs, OPTS)
+    monkeypatch.undo()
+    assert verdicts == [None]
+    for name in ("mu", "mult", "paired_index", "origin", "index", "paired_mu"):
+        assert getattr(ps, name).tobytes() == getattr(general, name).tobytes()
+    assert [x.tobytes() for x in loc.owned] == [x.tobytes() for x in general_loc.owned]
+    assert loc.central == general_loc.central
+    return ps, discs
+
+
+def test_eigenvalues_within_a_quarter_gap_decline_to_the_general_attempt(zspec, monkeypatch):
+    # F = (z - 1/2)^2 / (z (z - 1)): its eigenvalues 1/2, 1/2 to round-off
+    # lie within d/4, so no disc is formed; the general attempt gives the
+    # double zero
+    ps, discs = _declined(zspec, finite_coeffs({0: 0.25, 1: -0.25}), monkeypatch)
+    assert discs == [] and 2 in ps.mult.tolist()
+
+
+def test_zeros_that_share_a_nearest_pole_decline_to_the_general_attempt(zspec, monkeypatch):
+    # c_0 = |mu|^2 and c_1 = -|mu - 1|^2 put F's zeros at mu = 0.2 +- 0.4i,
+    # 0.8 apart, both nearest the pole 0
+    ps, discs = _declined(zspec, finite_coeffs({0: 0.2, 1: -0.8}), monkeypatch)
+    zeros = ps.mu[ps.origin == ORIGIN_ZERO]
+    assert discs == [] and np.allclose(zeros[zeros.imag.argsort()], [0.2 - 0.4j, 0.2 + 0.4j], rtol=0, atol=1e-14)
+
+
+def test_a_zero_whose_nearest_pole_has_c_n_0_declines_to_the_general_attempt(zspec, monkeypatch):
+    # c_0 = mu_1 mu_2 and c_1 = -(mu_1 - 1)(mu_2 - 1) put F's zeros at 0.2 and
+    # 1.9, whose nearest pole 2 has c_2 = 0; the general attempt pairs 1.9
+    # with index 1
+    ps, discs = _declined(zspec, finite_coeffs({0: 0.38, 1: 0.72}), monkeypatch)
+    assert discs == [] and abs(ps.paired_mu[ps.index.tolist().index(1)] - 1.9) < 1e-14
+
+
+def test_a_disc_that_fails_declines_to_the_general_attempt(zspec, monkeypatch):
+    # the zero about 3 + 1e-12 / 0.9 lies nearer its pole than the disc's
+    # radius 2^-26 (1 + 3): that disc fails, the one about 0.3 passes
+    ps, discs = _declined(zspec, finite_coeffs({0: 0.3, 3: 1e-12}), monkeypatch)
+    assert discs == [[True, False]]
+
+
 def test_the_random_sweep_fails_only_where_it_expects_to():
     # tests/sweep.py's 200 direct solves and 200 round trips; an expected
-    # failure that now certifies passes, so that EXPECTED_FAILURES can shrink
-    failures, worst = sweep.run()
+    # failure that now certifies passes, so that EXPECTED_FAILURES can shrink.
+    # Every direct solve the eigenvalue path takes pairs as the general
+    # attempt does
+    failures, worst, (taken, differ) = sweep.run()
+    assert len(taken) > 40 and differ == []
     assert [(i, kind) for i, kind, _ in failures if i not in sweep.EXPECTED_FAILURES] == []
     # about ten times the worst distances measured when this test was written
     bounds = {"double": 1e-11, "triple": 3e-11, "2-point cluster": 1e-9, "3-point cluster": 5e-6}
