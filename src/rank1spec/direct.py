@@ -125,8 +125,8 @@ class LocalizationResult:
     owned: the zeros a certified disk or disc pairs with their own index
     k, c_k != 0, as (indices k, zeros) arrays, k ascending.  central:
     the zeros the disks leave, as (location, order) sorted by location.
-    rect, the central rectangle Q_{K'}, is formed on the first read (an
-    easy solve's attempt reads none).  reports derives the disks around
+    rect, the central rectangle Q_{K'}, is formed on the first read (a
+    solve with no hard pole reads none).  reports derives the disks around
     the window's outer indices |k| > K' from cf: centre lambda_k and the
     enclosure's radius d/2, as _disks takes them; with no tail the degree
     count (_localize_attempt), not Rouche, certifies those with c_k = 0.
@@ -354,6 +354,20 @@ def _rouche_rect(cf, rect):
 # verified arc walk: zeros minus poles inside a circle
 
 
+def _taylor_tally(n, reach, nearest, rho, p):
+    """The rounding tally (m, kappa_g, kappa_0) of a check of F's order-p
+    Taylor model, n terms, about points w (shifted) at radius rho, D_n =
+    nearest and reach = |w| / D_n.  m = 2 n + 2 (p + 1) (kappa_d + 12) + 12
+    counts 12 roundings a complex quotient and ceil(kappa_d) a power for the
+    cancellation in (lambda_n - shift) - w (kappa_d = 2 + reach), two a term
+    for the sums, and 12 for |a_0|, rho^j and the comparison; kappa_g kappa_0
+    counts D_n - rho (kappa_0 = kappa_d + 6, kappa_g = (D + rho) / (D - rho)).
+    It grows with reach and rho / D alone: the largest reach, nearest = 1 and
+    the largest rho / D give one tally for every point (_discs)."""
+    kappa_d = np.ceil(2.0 + reach)
+    return 2 * n + 2 * (p + 1) * (kappa_d + 12) + 12, (nearest + rho) / (nearest - rho), kappa_d + 6
+
+
 @_quiet
 def _arc_test(cf, w, shift, rho, p):
     """Ying & Katz's test of the arcs from the nodes z = shift + w with
@@ -365,14 +379,10 @@ def _arc_test(cf, w, shift, rho, p):
     remainder, the tail term b_rho = T / (delta - rho) =
     cf.tail_bound_at(z, rho)), so S < |a_0| keeps F off 0 there, when D_n
     and delta exceed rho (b_rho is inf otherwise).  The check is _holds(S,
-    B, |a_0|, m, kappa_g (kappa_d + 6)), the a_j's rounding relative to B =
-    sum_n |c_n| / (D_n - rho) (times rho^j it sums to at most gamma B).  m
-    = 2 |I1| + 2 (p + 1) (kappa_d + 12) + 12 counts 12 roundings a complex
-    quotient and ceil(kappa_d) a power for the cancellation in (lambda_n -
-    shift) - w (kappa_d = 2 + |w| / D_n), two a term for the sums, and 12
-    for |a_0|, rho^j and the comparison; kappa_g (kappa_d + 6) counts D_n -
-    rho and delta - rho, kappa_g the larger of (D + rho) / (D - rho) and
-    (delta + rho) / (delta - rho), tail_bound_at's factor.
+    B, |a_0|, m, kappa_g kappa_0), the a_j's rounding relative to B = sum_n
+    |c_n| / (D_n - rho) (times rho^j it sums to at most gamma B), with
+    _taylor_tally's m, kappa_g and kappa_0, kappa_g raised to (delta + rho)
+    / (delta - rho), tail_bound_at's factor, for delta - rho.
 
     hopeless marks a failed arc whose node is at the floor: the check's
     limit as rho -> 0 fails, _holds(b_0, B_0, |a_0|, m, kappa_0, fails=True),
@@ -383,15 +393,13 @@ def _arc_test(cf, w, shift, rho, p):
     """
     a, (b, rem, nearest) = cf.taylor(w, p, shift, rho)
     ok = nearest > rho
-    kappa_g = (nearest + rho) / (nearest - rho)
+    m, kappa_g, kappa_0 = _taylor_tally(len(cf.c1), _modulus(w) / nearest, nearest, rho, p)
     s = (np.abs(a[1:]) * rho ** np.arange(1, p + 1)[:, np.newaxis]).sum(axis=0) + rem
     if cf.has_tail:
         tail, factor = cf.tail_bound_at(shift + w, rho, factor=True)
         ok &= tail < math.inf
         s += tail
         kappa_g = np.maximum(kappa_g, factor)
-    kappa_d = np.ceil(2.0 + _modulus(w) / nearest)
-    m, kappa_0 = 2 * len(cf.c1) + 2 * (p + 1) * (kappa_d + 12) + 12, kappa_d + 6
     a0 = _modulus(a[0])
     passed = ok & _holds(s, b, a0, m, kappa_g * kappa_0)
     hopeless = ~passed
@@ -818,8 +826,7 @@ def _disks(cf, k_prime, window, d):
     idx, lam, c = cf.idx[win], cf.lam[win], cf.c[win]
     # with a tail every outer disk and the central ones with c_k != 0, with
     # none the nonzero c_k alone
-    has_tail = cf.has_tail
-    keep = ((np.abs(idx) > k_prime) | (c != 0) if has_tail else c).nonzero()[0]
+    keep = ((np.abs(idx) > k_prime) | (c != 0) if cf.has_tail else c).nonzero()[0]
     idx, lam, c = idx[keep], lam[keep], c[keep]
     central = np.abs(idx) <= k_prime
     margin, certified, (beta, slope, rho) = _rouche(cf, idx, lam, c, 0.5 * d, central)
@@ -831,11 +838,8 @@ def _disks(cf, k_prime, window, d):
                 f"disk around index {idx[j]} failed to certify (Rouche margin {margin()[j]:.3g})"
             )
         hard = lam[~certified], c[~certified]
-    # with no tail and no hard pole every disk is owned (an easy solve past
-    # EIGEN_MAX terms): no gather
-    if has_tail or len(hard[0]):
-        own = (certified & (c != 0)).nonzero()[0]
-        idx, lam, c, beta, slope, rho = (x[own] for x in (idx, lam, c, beta, slope, rho))
+    own = (certified & (c != 0)).nonzero()[0]
+    idx, lam, c, beta, slope, rho = (x[own] for x in (idx, lam, c, beta, slope, rho))
     root = np.sqrt(beta * beta + _FOUR * slope * c)
     # |beta + root| >= |beta - root|: root[flip] *= -1.0 in one call
     np.multiply(root, -1.0, out=root, where=(beta * root.conj()).real < _ZERO)
@@ -852,7 +856,7 @@ def _discs(cf, z, shift, rho):
     rho gives F as many zeros inside as its linear model by Rouche: one, z -
     a_0 / a_1.  The step must also be below rho: the zero then lies within 2
     rho of the point reported.  The check is _holds(|a_0| + rem, 1 + B, |a_1|
-    rho, m, kappa), with _arc_test's B, m and kappa at p = 1 (the 1 of a_0
+    rho, m, kappa), _arc_test's B and _taylor_tally at p = 1 (the 1 of a_0
     adds gamma), one allowance for every disc clear of every pole as in
     _rouche.  One kernel pass gives the steps and the certificates."""
     w = z - shift
@@ -860,11 +864,10 @@ def _discs(cf, z, shift, rho):
     a0 = _ONE + s0
     step = a0 / s1
     ok = nearest > rho
-    r = np.maximum.reduce(rho / nearest, where=ok, initial=0.0)
-    kappa_d = math.ceil(2.0 + np.maximum.reduce(_modulus(w) / nearest, where=ok, initial=0.0))
-    m, kappa = 2 * len(cf.c1) + 4 * (kappa_d + 12) + 12, (1.0 + r) / (1.0 - r) * (kappa_d + 6)
+    reach, r = (np.maximum.reduce(x / nearest, where=ok, initial=0.0) for x in (_modulus(w), rho))
+    m, kappa_g, kappa_0 = _taylor_tally(len(cf.c1), reach, 1.0, r, 1)
     ok &= _modulus(step) < rho
-    certified = ok & _holds(_modulus(a0) + rem, _ONE + b, _modulus(s1) * rho, m, kappa)
+    certified = ok & _holds(_modulus(a0) + rem, _ONE + b, _modulus(s1) * rho, m, kappa_g * kappa_0)
     return shift + (w - step), certified
 
 

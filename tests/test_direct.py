@@ -1392,9 +1392,12 @@ def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, mon
     # when a solve reaches past it: the batch-shaped solve widens it
     # (n_trunc 49 against 20), and the same solve again evaluates neither.
     # The solve enters np.errstate once, for all its helpers, and its disks
-    # take one Rouche block.  Each input pads its terms with c_n = 1e-9 past
-    # EIGEN_MAX, so that _localize_attempt solves it
-    counts = dict.fromkeys(["sums", "eval", "lambda_range", "head_radius", "errstate", "rouche_block"], 0)
+    # take one Rouche block.  Padded with c_n = 1e-9 past EIGEN_MAX, each
+    # input goes to _localize_attempt and no eigensolver runs; as it is, it
+    # goes to _eigen_attempt: one eigvals, one kernel pass (_discs), no
+    # Rouche block
+    keys = ["sums", "eval", "lambda_range", "head_radius", "errstate", "rouche_block", "eigvals"]
+    counts = dict.fromkeys(keys, 0)
 
     def counting(key, f):
         def spy(*args, **kwargs):
@@ -1405,26 +1408,30 @@ def test_an_easy_solve_makes_a_fixed_number_of_kernel_and_model_calls(zspec, mon
 
     monkeypatch.setattr(np, "errstate", counting("errstate", np.errstate))
     monkeypatch.setattr(direct, "_rouche_block", counting("rouche_block", direct._rouche_block))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
     monkeypatch.setattr(_kernels, "pole_taylor", counting("sums", _kernels.pole_taylor))
     evaluate = counting("eval", PerturbationCoefficients._eval)
     monkeypatch.setattr(PerturbationCoefficients, "_eval", staticmethod(evaluate))
     monkeypatch.setattr(BaseSpectrum, "lambda_range", counting("lambda_range", BaseSpectrum.lambda_range))
     head_radius = counting("head_radius", PerturbationCoefficients.head_radius)
     monkeypatch.setattr(PerturbationCoefficients, "head_radius", head_radius)
-    hand = (past_eigen_max({0: 0.275, 1: 0.075, 6: 0.01}), OPTS)
-    batch = (  # shaped like a finite_batch instance: 5 terms on |n| <= 40, window 41
-        past_eigen_max({-31: 0.21 - 0.08j, -4: 0.05 + 0.17j, 9: -0.12 + 0.2j, 17: 0.28j, 30: -0.09 - 0.03j}, 41),
-        LocalizeOptions(window=41, n_trunc=49),
-    )
-    for (coeffs, opts), expected in (
-        (hand, [4, 2, 1, 1, 1, 1]),
-        (batch, [3, 2, 1, 1, 1, 1]),
-        (batch, [3, 0, 0, 1, 1, 1]),
+    hand_c = {0: 0.275, 1: 0.075, 6: 0.01}
+    # shaped like a finite_batch instance: 5 terms on |n| <= 40, window 41
+    batch_c = {-31: 0.21 - 0.08j, -4: 0.05 + 0.17j, 9: -0.12 + 0.2j, 17: 0.28j, 30: -0.09 - 0.03j}
+    batch_opts = LocalizeOptions(window=41, n_trunc=49)
+    padded, plain = past_eigen_max(batch_c, 41), finite_coeffs(batch_c)
+    for coeffs, opts, expected in (
+        (past_eigen_max(hand_c), OPTS, [4, 2, 1, 1, 1, 1, 0]),
+        (padded, batch_opts, [3, 2, 1, 1, 1, 1, 0]),
+        (padded, batch_opts, [3, 0, 0, 1, 1, 1, 0]),
+        (finite_coeffs(hand_c), OPTS, [1, 2, 0, 1, 1, 0, 1]),
+        (plain, batch_opts, [1, 2, 0, 1, 1, 0, 1]),
+        (plain, batch_opts, [1, 0, 0, 1, 1, 0, 1]),
     ):
         counts.update(dict.fromkeys(counts, 0))
         ps, loc = solve_direct(zspec, coeffs, opts)
         assert not loc.central and ps.certified
-        assert list(counts.values()) == expected
+        assert list(counts.values()) == expected, (list(counts.values()), expected)
 
 
 def test_second_order_seeds_start_nearer_the_zero_than_first_order_ones(zspec):
