@@ -2,30 +2,23 @@
 
 Every count of zeros is a proof.  A zero-tail F of 1 to EIGEN_MAX terms,
 all in the window, goes first to _eigen_attempt: its zeros are the
-eigenvalues of diag(lambda) + c 1^T over I1 (Golub's secular equation), and
-one kernel pass at them gives each a Newton step and Rump & Oishi's
-inclusion disc, which F's degree makes the whole count.  It declines to the
-general attempt when two eigenvalues lie within d/4, two share a nearest
-pole, a nearest pole has c_n = 0 or a disc fails.  The general attempt
-follows the enclosure sigma(B) subset Q_{K'} union (disks of radius d/2
-around the outer indices |n| > K').  The disk around each perturbed index
-(and each outer one, with a tail) is checked in one broadcast by the
+eigenvalues of diag(lambda) + c 1^T over I1 (Golub's secular equation),
+each certified by Rump & Oishi's inclusion disc, and F's degree makes them
+the whole count.  Otherwise, or when the route declines, the general
+attempt follows the enclosure sigma(B) subset Q_{K'} union (disks of radius
+d/2 around the outer indices |n| > K').  The disk around each perturbed
+index (and each outer one, with a tail) is checked in one broadcast by the
 paper's Rouche inequality against its local pole model G_k = beta_k + c_k /
-(lambda_k - z), F with the other terms expanded to first order about
-lambda_k: an outer disk keeps radius d/2 and must certify, a central one
-takes its own radius and, failing, leaves its zero to the eigen-seeds.
+(lambda_k - z): an outer disk keeps radius d/2 and must certify, a central
+one takes its own radius and, failing, leaves its zero to the eigen-seeds.
 With a tail the central rectangle Q_{K'} is checked against 1; with none
 the zeros number |I1|, the degree of F prod_{I1} (lambda_n - z).  One
-Newton pass in pole-shifted coordinates, one kernel call a step, polishes
-every simple zero: each certified disk's from the root w_k of beta_k w +
-beta'_k w^2 = c_k about lambda_k, the rest from the eigenvalues of one
-diagonal-plus-rank-one matrix over the uncertified indices with every
-other zero divided out (a deflated secular equation).  Each zero left in
-the rectangle starts on a small circle of its own, walked by a verified arc
-walk (Ying & Katz's reliable argument principle), and one whose circle does
-not count its order joins its nearest until every circle certifies: the
-counts alone group the multiple zeros.  README times the stages of both.
-"""
+Newton pass in pole-shifted coordinates polishes every simple zero, from
+each certified disk's local root and from a deflated secular equation's
+eigenvalues.  Each zero left in the rectangle starts on a small circle of
+its own, walked by a verified arc walk (Ying & Katz), and one whose circle
+does not count its order joins its nearest until every circle certifies:
+the counts alone group the multiple zeros.  README times the stages."""
 
 import bisect
 from collections import namedtuple
@@ -121,7 +114,6 @@ class LocalizeOptions:
 @dataclass
 class LocalizationResult:
     """The zeros of F in the enclosure, each where its certificate puts it.
-
     owned: the zeros a certified disk or disc pairs with their own index
     k, c_k != 0, as (indices k, zeros) arrays, k ascending.  central:
     the zeros the disks leave, as (location, order) sorted by location.
@@ -129,8 +121,7 @@ class LocalizationResult:
     solve with no hard pole reads none).  reports derives the disks around
     the window's outer indices |k| > K' from cf: centre lambda_k and the
     enclosure's radius d/2, as _disks takes them; with no tail the degree
-    count (_localize_attempt), not Rouche, certifies those with c_k = 0.
-    """
+    count (_localize_attempt), not Rouche, certifies those with c_k = 0."""
 
     owned: tuple
     central: list
@@ -177,16 +168,21 @@ class LocalizationResult:
 
 def _gamma(m):
     """Higham's gamma_m = m u / (1 - m u), with m u capped at 1/2 (gamma =
-    1): _holds's allowance."""
-    mu = np.minimum(m * UNIT_ROUNDOFF, 0.5)
+    1): over an array, else on Python floats."""
+    mu = np.minimum(m * UNIT_ROUNDOFF, 0.5) if isinstance(m, np.ndarray) else min(m * UNIT_ROUNDOFF, 0.5)
     return mu / (1.0 - mu)
 
 
-def _holds(bound, slack, value, m, kappa, fails=False):
-    """Whether (bound + gamma slack) (1 + gamma) < value (1 - gamma), gamma =
-    _gamma(m + ceil(kappa)): every count's certificate.  With fails set,
-    whether >= holds (neither, at a NaN).
+def _ceil(x):
+    """ceil(x) over an array, else on Python floats, inf and NaN kept as np.ceil keeps them."""
+    return np.ceil(x) if isinstance(x, np.ndarray) else math.ceil(x) if x < math.inf else x
 
+
+def _holds(bound, slack, value, gamma, fails=False):
+    """Whether (bound + gamma slack) (1 + gamma) < value (1 - gamma), gamma =
+    _gamma(m + _ceil(kappa)) from a check's tally m and kappa, which its
+    docstring writes _holds(bound, slack, value, m, kappa): every count's
+    certificate.  With fails set, whether >= holds (neither, at a NaN).
     A check claims B < V: B the exact bound on |F - G| that bound rounds, V
     the exact least |G| that value rounds, G the model F is compared with.
     gamma_k bounds the relative error of k roundings (Higham 2002), and a
@@ -198,8 +194,7 @@ def _holds(bound, slack, value, m, kappa, fails=False):
     So B <= bound (1 + gamma) + e and V >= value (1 - gamma) - e', and the
     check gives B < V.  At the cap gamma = 1 and no check passes, as
     none does with the true gamma_m >= 1, nor may past m u = 1, where there
-    is none."""
-    gamma = _gamma(m + np.ceil(kappa))
+    is none.  A check forms gamma once for all it compares."""
     lhs, rhs = (bound + gamma * slack) * (1.0 + gamma), value * (1.0 - gamma)
     return lhs >= rhs if fails else lhs < rhs
 
@@ -211,7 +206,6 @@ def _rouche(cf, idx, lam, c, r, shrink):
     its disk, and the local model (beta_k, beta'_k, rho_k): arrays over the
     disks, the margins from a function that forms them on a call, since
     only a failure message reads them.
-
     G_k = beta_k + c_k / (lambda_k - z) is F with every other term expanded
     to first order about lambda_k: beta_k = 1 + sum_{n != k} c_n / (lambda_n
     - lambda_k).  On the circle min |G_k| = |beta_k| - |c_k| / rho_k, and
@@ -224,17 +218,14 @@ def _rouche(cf, idx, lam, c, r, shrink):
     disk that passes against 1 + c_k / (lambda_k - z) passes here too.  The
     margin is -inf unless |c_k| < rho_k |beta_k| (G_k's zero lies inside),
     every D_n > rho_k for n != k and, with a tail, delta_k > rho_k.
-
     The next order's coefficient, beta'_k = sum_{n != k} c_n / (lambda_n -
     lambda_k)^2, comes from the same reciprocals; it seeds Newton (_disks),
     and the certificate does not use it.
-
     rho_k is r, or where shrink is set min(r, (|c_k| / S0_k)^(1/2)) with
     S0_k = sum_{n != k} |c_n| / D_n^2: the radius that maximises |beta_k| -
     |c_k| / rho - rho S0_k, the margin with S_k cut to its first order in
     rho.  S_k grows at least as fast as rho S0_k, so no radius between that
     one and r has a larger margin.
-
     The check is _holds(S_k + |c_k| / rho_k, 1 + sum_{n != k} |c_n| / D_n,
     |beta_k|, |I1| + 23, kappa_S) (beta_k: 3 roundings a term's component,
     a sum one a term, the 1 one).  Each term of S_k carries 7 roundings and
@@ -243,7 +234,6 @@ def _rouche(cf, idx, lam, c, r, shrink):
     term 3, |c_k| / rho_k 3, |beta_k| 2, the sums and the comparison 5, and
     kappa_S in floats 2.  The sums over the terms are matrix-vector
     products: the bounds hold in any order of summation.
-
     One allowance serves every disk of a call: kappa_S the largest among
     the disks that pass the preconditions (1 if none does), so gamma is no
     smaller than any of those disks' own; a disk that fails the
@@ -252,8 +242,7 @@ def _rouche(cf, idx, lam, c, r, shrink):
     spacing of lambda_n = n + 1e17, which the validators accept.  The disks
     are checked in blocks of _kernels._CHUNK disks x terms, the kernel's
     chunk (_rouche_block); a call that one block covers takes that block's
-    arrays as they are.
-    """
+    arrays as they are."""
     absc, absc_k = np.abs(cf.c1), np.abs(c)
     # columns Re c_n, Im c_n, |c_n|: beta_k from the first two, beta'_k and
     # S0_k from one product over all three
@@ -274,10 +263,10 @@ def _rouche(cf, idx, lam, c, r, shrink):
         ok &= tail < math.inf
         s += tail
     # the largest kappa_S of the disks that pass the preconditions
-    kappa_s = 1.0 + np.maximum.reduce(rho / nearest, where=ok, initial=0.0)
+    kappa_s = 1.0 + np.maximum.reduce(rho / nearest, where=ok, initial=0.0).item()
     pole = absc_k / rho
     modulus = np.hypot(beta.real, beta.imag)  # _modulus
-    certified = ok & _holds(s + pole, _ONE + size, modulus, len(absc) + 23.0, kappa_s)
+    certified = ok & _holds(s + pole, _ONE + size, modulus, _gamma(len(absc) + 23.0 + _ceil(kappa_s)))
 
     def margin():
         with np.errstate(invalid="ignore"):
@@ -290,7 +279,6 @@ def _rouche_block(cf, cols, absc, idx, lam, absc_k, r, shrink, work):
     """_rouche's sums over one block of disks, cols and absc its columns of
     c_n and |c_n|: (beta_k, beta'_k, rho_k, sum_{n != k} |c_n| / D_n,
     min_n (D_n - rho_k) and S_k without its tail term).
-
     work holds the last block's four block-sized arrays, which this block's
     replace one by one as it forms them, so that each new array takes the
     memory the last one freed: formed with all of the last block's alive,
@@ -328,7 +316,6 @@ def _pole_distance_to_rect(rect, poles):
 def _rouche_rect(cf, rect):
     """Rouche margin 1 - S_Q on the boundary of the central rectangle, and
     whether it certifies that F has as many zeros as poles inside.
-
     On the boundary |F - 1| <= S_Q = sum_n |c_n| / dist(lambda_n, boundary)
     + T / delta_Q, the larger cf.tail_bound_at at the two real ends, which
     lie between the poles that bound the window: delta is exact there, and
@@ -337,8 +324,7 @@ def _rouche_rect(cf, rect):
     - S_Q > eps / (2 (K' - K_eps) + 1), as on the outer circles.  The check
     is _holds(S_Q, 0, 1, |I1| + 12, kappa): |G| = 1 is exact, and kappa =
     (|lambda_n| + |edge|) / dist for the cancellation in each pole's
-    distance to the boundary, edge the farther real end.
-    """
+    distance to the boundary, edge the farther real end."""
     dist = _pole_distance_to_rect(rect, cf.lam1)
     if np.count_nonzero(dist) < len(dist):  # a pole on the boundary: S_Q is infinite
         return -math.inf, False
@@ -347,7 +333,7 @@ def _rouche_rect(cf, rect):
         s += float(max(cf.tail_bound_at(rect.re_lo), cf.tail_bound_at(rect.re_hi)))
     edge = max(abs(rect.re_lo), abs(rect.re_hi))
     kappa = np.maximum.reduce((np.abs(cf.lam1) + edge) / dist, initial=0.0)
-    return 1.0 - s, bool(_holds(s, 0.0, 1.0, len(cf.c1) + 12.0, kappa))
+    return 1.0 - s, _holds(s, 0.0, 1.0, _gamma(len(cf.c1) + 12.0 + _ceil(kappa)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +347,9 @@ def _taylor_tally(n, reach, nearest, rho, p):
     counts 12 roundings a complex quotient and ceil(kappa_d) a power for the
     cancellation in (lambda_n - shift) - w (kappa_d = 2 + reach), two a term
     for the sums, and 12 for |a_0|, rho^j and the comparison; kappa_g kappa_0
-    counts D_n - rho (kappa_0 = kappa_d + 6, kappa_g = (D + rho) / (D - rho)).
-    It grows with reach and rho / D alone: the largest reach, nearest = 1 and
-    the largest rho / D give one tally for every point (_discs)."""
-    kappa_d = np.ceil(2.0 + reach)
+    counts D_n - rho (kappa_0 = kappa_d + 6, kappa_g = (D + rho) / (D - rho)),
+    and grows with reach and rho / D alone: bounds on them tally many points."""
+    kappa_d = _ceil(2.0 + reach)
     return 2 * n + 2 * (p + 1) * (kappa_d + 12) + 12, (nearest + rho) / (nearest - rho), kappa_d + 6
 
 
@@ -372,7 +357,6 @@ def _taylor_tally(n, reach, nearest, rho, p):
 def _arc_test(cf, w, shift, rho, p):
     """Ying & Katz's test of the arcs from the nodes z = shift + w with
     chords rho: (a_0, passed, hopeless), arrays over the arcs.
-
     With a_j = F^(j)(z)/j! (F cut to the window) and D_n = |lambda_n - z|,
     |F - a_0| <= S = sum_{1<=j<=p} |a_j| rho^j + sum_n |c_n| (rho/D_n)^(p+1)
     / (D_n - rho) + b_rho within rho of z (Taylor terms, each pole term's
@@ -383,14 +367,12 @@ def _arc_test(cf, w, shift, rho, p):
     |c_n| / (D_n - rho) (times rho^j it sums to at most gamma B), with
     _taylor_tally's m, kappa_g and kappa_0, kappa_g raised to (delta + rho)
     / (delta - rho), tail_bound_at's factor, for delta - rho.
-
     hopeless marks a failed arc whose node is at the floor: the check's
     limit as rho -> 0 fails, _holds(b_0, B_0, |a_0|, m, kappa_0, fails=True),
     with b_0 = T / delta, kappa_0 = kappa_d + 6 (kappa_g = 1) and B_0 =
     sum_n |c_n| / D_n >= B (1 - rho / min D_n).  S exceeds b_0 + gamma B_0
     and kappa_g kappa_0 >= kappa_0 at every chord, so no arc from that node
-    passes, however short.  It is formed only when some arc fails.
-    """
+    passes, however short.  It is formed only when some arc fails."""
     a, (b, rem, nearest) = cf.taylor(w, p, shift, rho)
     ok = nearest > rho
     m, kappa_g, kappa_0 = _taylor_tally(len(cf.c1), _modulus(w) / nearest, nearest, rho, p)
@@ -401,12 +383,12 @@ def _arc_test(cf, w, shift, rho, p):
         s += tail
         kappa_g = np.maximum(kappa_g, factor)
     a0 = _modulus(a[0])
-    passed = ok & _holds(s, b, a0, m, kappa_g * kappa_0)
+    passed = ok & _holds(s, b, a0, _gamma(m + _ceil(kappa_g * kappa_0)))
     hopeless = ~passed
     if hopeless.any():
         size = np.where(ok, b * (1.0 - rho / nearest), 0.0)  # at most B_0
         tail0 = cf.tail_bound_at(shift + w) if cf.has_tail else 0.0  # b_0
-        hopeless &= _holds(tail0, size, a0, m, kappa_0, fails=True)
+        hopeless &= _holds(tail0, size, a0, _gamma(m + _ceil(kappa_0)), fails=True)
     return a[0], passed, hopeless
 
 
@@ -414,7 +396,6 @@ def _arc_walk(cf, centers, radii, p, arcs=ARC_START):
     """Zeros minus poles of F inside each circle |z - center| = radius by
     Ying & Katz's (1988) reliable argument principle: a list of counts,
     None for a circle not certified.
-
     Each circle starts as `arcs` equal arcs, its nodes shifted by the window
     eigenvalue nearest its centre.  An arc passes _arc_test at its first
     node, its chord for rho (the disk of radius rho there holds the arc and
@@ -426,8 +407,7 @@ def _arc_walk(cf, centers, radii, p, arcs=ARC_START):
     real parts, so F's argument changes along each arc by the principal
     arg(a_0_next / a_0): their sum over 2 pi is the count.  One p serves
     every circle, as |a_p| rho^p plus the remainder at p is at most the
-    remainder at p - 1.
-    """
+    remainder at p - 1."""
     centers = np.atleast_1d(np.asarray(centers, dtype=complex))
     radii = np.broadcast_to(np.asarray(radii, dtype=float), centers.shape)
     shift = _shift(cf, centers)
@@ -509,7 +489,6 @@ def _noise(cf, z, orders):
 def _newton(cf, seeds, order, shift=None):
     """Newton on F^(order-1) from every seed at once: (locations, converged
     mask), arrays over the seeds, each location where its last step landed.
-
     Each point runs in coordinates shifted by the window eigenvalue nearest
     its seed, or by shift (one per seed, the seeds then offsets from it),
     and each step makes one kernel call for the points still moving; no
@@ -527,8 +506,7 @@ def _newton(cf, seeds, order, shift=None):
     the kernel's rows directly: from poles lambda_n - shift formed once a
     pass, with c_n as a column (_kernels.pole_taylor), when one kernel chunk
     holds them, else through _kernels.taylor.  No kernel call follows the
-    last step.
-    """
+    last step."""
     w = np.array(seeds, dtype=complex, ndmin=1)  # a copy: the steps write to it
     if shift is None:
         shift = _shift(cf, w)
@@ -644,15 +622,13 @@ def _hard_seeds(lam, c, lam_k, mu_k):
     """Seeds of the zeros of F near the poles lam (coefficients c) whose
     disks Rouche did not certify, with the other terms' zeros mu_k (about
     their poles lam_k) divided out: one seed per pole.
-
     F cut to its terms is the product of (mu_n - z) / (lambda_n - z), so
     dividing out the others' factors leaves 1 + sum c~_n / (lambda_n - z)
     over the poles lam, with the residues c~_n = c_n prod_k (lambda_k -
     lambda_n) / (mu_k - lambda_n).  Its zeros are the eigenvalues of
     diag(lam) + c~ 1^T (Golub's secular equation, deflated as Bunch,
     Nielsen & Sorensen deflate it); with the mu_k only near their zeros,
-    the eigenvalues are near the zeros left.
-    """
+    the eigenvalues are near the zeros left."""
     lam_n = lam[:, np.newaxis]
     c = c * np.prod((lam_k - lam_n) / (mu_k - lam_n), axis=1)
     return np.linalg.eigvals(np.diag(lam.astype(complex)) + c[:, np.newaxis])
@@ -662,7 +638,6 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
     """The zeros of F in the central rectangle outside the certified disks,
     given as (centres, radii), which hold n_zeros of them, as (location,
     order) sorted by location.
-
     polished is _newton's (locations, converged) from the seeds;
     a seed it did not polish (as near a multiple zero) is kept as it is.
     The points inside the rectangle and outside the disks must number
@@ -683,8 +658,7 @@ def _central_zeros(cf, rect, seeds, polished, n_zeros, d, disks):
     join, and a rejected group, raise CertificationFailed, naming after a
     merge the first circle that failed.  Once every circle certifies, an
     order-m zero whose circle holds a retained eigenvalue lambda_n (c_n = 0)
-    moves onto it if _multiple_to_roundoff passes there at order m.
-    """
+    moves onto it if _multiple_to_roundoff passes there at order m."""
     z, ok = polished
     disks = tuple(np.asarray(x, dtype=float) for x in disks)
 
@@ -802,7 +776,6 @@ def _disks(cf, k_prime, window, d):
     zero (certified, c_k != 0), as (indices k, centres lambda_k, Newton
     seeds w_k about lambda_k, radii rho_k), and the hard poles, those whose
     disk does not certify, as (lambda_k, c_k).
-
     Every disk is checked against its local pole model, in one broadcast
     (_rouche): a certified disk holds one simple zero when c_k != 0 and
     none when c_k = 0.  An outer disk keeps radius d/2, the enclosure's;
@@ -820,8 +793,7 @@ def _disks(cf, k_prime, window, d):
     removes the first-order seed's error, about beta'_k c_k^2 / beta_k^3.
     w_k is formed for the owned disks alone, and there it is finite: that
     sign makes |beta_k + root|^2 >= |beta_k|^2 + |root|^2, and Rouche holds
-    |c_k| < rho_k |beta_k|, so |w_k| < 2 rho_k.
-    """
+    |c_k| < rho_k |beta_k|, so |w_k| < 2 rho_k."""
     win = cf.window(window)
     idx, lam, c = cf.idx[win], cf.lam[win], cf.c[win]
     # with a tail every outer disk and the central ones with c_k != 0, with
@@ -847,28 +819,54 @@ def _disks(cf, k_prime, window, d):
 
 
 @_quiet
-def _discs(cf, z, shift, rho):
-    """Rump & Oishi's inclusion discs |w - z| < rho about the points z = shift
-    + w: (z - a_0 / a_1, a Newton step, and whether each disc holds exactly
-    one simple zero), arrays over the points.  With a_j = F^(j)(z)/j! (F with
-    no tail) and D_n = |lambda_n - z| > rho, |F - a_0 - a_1 (w - z)| <= rem =
-    sum_n |c_n| (rho/D_n)^2 / (D_n - rho) on the disc, so |a_0| + rem < |a_1|
-    rho gives F as many zeros inside as its linear model by Rouche: one, z -
-    a_0 / a_1.  The step must also be below rho: the zero then lies within 2
-    rho of the point reported.  The check is _holds(|a_0| + rem, 1 + B, |a_1|
-    rho, m, kappa), _arc_test's B and _taylor_tally at p = 1 (the 1 of a_0
-    adds gamma), one allowance for every disc clear of every pole as in
-    _rouche.  One kernel pass gives the steps and the certificates."""
+def _discs(cf, z, pos, at, c, rho):
+    """Rump & Oishi's inclusion discs |w - z| < rho about the points z, each
+    shifted by its nearest pole lambda_k = cf.lam[pos], an I1 index: (z -
+    a_0 / a_1, a Newton step, and whether each disc holds exactly one simple
+    zero), arrays over the points; at, c and rho give the positions, c_k and
+    radii as lists.  With a_j = F^(j)(z)/j! (F with no tail) and D_n =
+    |lambda_n - z| > rho, |F - a_0 - a_1 (w - z)| <= rem = sum_n |c_n|
+    (rho/D_n)^2 / (D_n - rho) on the disc, so |a_0| + rem < |a_1| rho gives
+    F as many zeros inside as its linear model by Rouche: one, z - a_0 /
+    a_1, within 2 rho of the point reported when the step is below rho.  One
+    kernel pass gives the a_j and the steps, the rest runs on Python floats,
+    O(1) terms a point: no pole but lambda_k lies nearer than D_o, the
+    nearer of its neighbours in the ascending run cf.lam (inf past its
+    ends), so with S = sum_n |c_n| (finite), rem <= |c_k| (rho/D_k)^2 / (D_k
+    - rho) + (S - |c_k|) (rho/D_o)^2 / (D_o - rho) and B = sum_n |c_n| /
+    (D_n - rho) <= |c_k| / (D_k - rho) + (S - |c_k|) / (D_o - rho).  A disc
+    needs 2 rho <= D_k <= D_o, tested before any division: Python floats
+    raise where numpy gave inf.  The check is _holds(|a_0| + rem, 1 + B,
+    |a_1| rho, m, kappa), one gamma for every disc from _arc_test's tally of
+    the same a_j (_taylor_tally, p = 1) at reach 1 (|w| = D_k <= D_n) and
+    rho / D = 1/2: m = 2 |I1| + 72, the a_j's rounding relative to B, and
+    kappa = kappa_g kappa_0 = 3 x 9.  Each D, a subtraction of exact floats
+    and a hypot, lies inside kappa_0 and D - rho inside kappa_g: the bounds
+    hold with D rounded down.  S's 2 |I1| roundings reach S - |c_k| (>= 0 in
+    floats) as at most gamma S / (D_o - rho) <= gamma B in B, gamma rem in
+    rem (D_k <= D_o): S rounded up.  Each bound's quotients, squares and
+    sums add about 12 roundings, inside m."""
+    shift = cf.lam[pos]
     w = z - shift
-    s0, s1, b, rem, nearest = _kernels.pole_taylor(cf.c1[:, np.newaxis], cf.lam1[:, np.newaxis] - shift, w, 1, rho)
+    s0, s1 = _kernels.pole_taylor(cf.c1[:, np.newaxis], cf.lam1[:, np.newaxis] - shift, w, 1)
     a0 = _ONE + s0
     step = a0 / s1
-    ok = nearest > rho
-    reach, r = (np.maximum.reduce(x / nearest, where=ok, initial=0.0) for x in (_modulus(w), rho))
-    m, kappa_g, kappa_0 = _taylor_tally(len(cf.c1), reach, 1.0, r, 1)
-    ok &= _modulus(step) < rho
-    certified = ok & _holds(_modulus(a0) + rem, _ONE + b, _modulus(s1) * rho, m, kappa_g * kappa_0)
-    return shift + (w - step), certified
+    m, kappa_g, kappa_0 = _taylor_tally(len(cf.c1), 1.0, 1.0, 0.5, 1)
+    gamma, hypot = _gamma(m + _ceil(kappa_g * kappa_0)), math.hypot  # inf where abs() would raise
+    lam, total, certified = cf.lam.tolist() + [math.inf], sum(map(abs, cf.c1.tolist())), []
+    for zk, a0k, a1k, sk, j, ck, r in zip(z.tolist(), a0.tolist(), s1.tolist(), step.tolist(), at, c, rho):
+        x, y = zk.real, zk.imag
+        dk, do, left = hypot(x - lam[j], y), hypot(x - lam[j + 1], y), hypot(x - lam[j - 1], y)
+        if left < do:
+            do = left
+        ok = 0.0 < 2.0 * r <= dk <= do and hypot(sk.real, sk.imag) < r
+        if ok:
+            absc, q = abs(ck), r / dk
+            own, rest, qo = absc / (dk - r), (total - absc) / (do - r), r / do
+            rem = own * q * q + rest * qo * qo
+            ok = _holds(hypot(a0k.real, a0k.imag) + rem, 1.0 + own + rest, hypot(a1k.real, a1k.imag) * r, gamma)
+        certified.append(ok)
+    return shift + (w - step), np.array(certified, dtype=bool)
 
 
 def _eigen_attempt(cf, window, d):
@@ -887,14 +885,20 @@ def _eigen_attempt(cf, window, d):
         return None
     a = np.diag(cf.lam1) + (c1 if np.count_nonzero(c1.imag) else c1.real)[:, np.newaxis]
     z = np.linalg.eigvals(a).astype(complex, copy=False)
-    if np.count_nonzero(np.abs(z[:, np.newaxis] - z) < 0.25 * d) > n:  # the diagonal's n
-        return None
     z = z[z.real.argsort()]
+    zs, quarter, hypot = z.tolist(), 0.25 * d, math.hypot
+    for i, zi in enumerate(zs):  # by real part: a pair within d/4 has real parts within d/4
+        for zj in zs[i + 1 :]:
+            if (re := zj.real - zi.real) >= quarter:
+                break
+            if hypot(re, zj.imag - zi.imag) < quarter:
+                return None
     pos = _nearest(cf.lam, z)  # ascending, as z.real is
-    if np.count_nonzero(cf.c[pos]) < n or 0 in (pos[1:] != pos[:-1]).tobytes():
+    at, c = pos.tolist(), cf.c[pos].tolist()
+    if 0 in c or len(set(at)) < n:
         return None
-    rho = np.minimum(2.0**-26 * (1.0 + _modulus(z)), 0.0625 * d)
-    zeros, certified = _discs(cf, z, cf.lam[pos], rho)
+    rho = [min(2.0**-26 * (1.0 + hypot(x.real, x.imag)), 0.0625 * d) for x in zs]
+    zeros, certified = _discs(cf, z, pos, at, c, rho)
     if 0 in certified.tobytes():  # a byte search for a False (_newton)
         return None
     return (cf.idx[pos], zeros), []
@@ -979,15 +983,13 @@ _ORIGIN = np.array([ORIGIN_ZERO, ORIGIN_COMMON])
 def _assign(cost):
     """Least-cost assignment of a square cost matrix, by Kuhn's Hungarian
     method: potentials u, v and one shortest augmenting path per row.
-
     Returns (rows, cols) as scipy.optimize.linear_sum_assignment does.  Two
     callers: assemble_spectrum pairs its central zeros with indices, a few
     rows at most, and oracle.compare_spectra matches the values two spectra
     do not share, at most 10 in the benchmark, whose costs are
     near-diagonal, so that each row's shortest path is about one step of
     O(n) work.  The loops run on Python floats, and the package needs no
-    compiled matching.
-    """
+    compiled matching."""
     a = cost.tolist()
     n = len(a)
     u, v = [0.0] * (n + 1), [0.0] * (n + 1)
@@ -1028,13 +1030,11 @@ def _assign(cost):
 
 def assemble_spectrum(spec, coeffs, loc):
     """Merge located zeros with the common spectrum into a PerturbedSpectrum.
-
     Each certified disk's zero is paired with its own index.  A central zero
     equal to a common eigenvalue lambda_n (as _central_zeros places it)
     raises its multiplicity; the others, one slot per unit of order, go to
     the I1 indices no disk owns by least total distance (Kuhn's Hungarian
-    method, `_assign`), and each entry takes the smallest index it is given.
-    """
+    method, `_assign`), and each entry takes the smallest index it is given."""
     win = loc.cf.window(loc.window)  # the slice _disks took
     idx_all, c_all, lam_all = loc.cf.idx[win], loc.cf.c[win], loc.cf.lam[win]
     in_i0 = c_all == 0

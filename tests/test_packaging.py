@@ -2,6 +2,7 @@
 numpy alone, and no solve or comparison needs scipy."""
 
 import ast
+import collections
 import importlib.util
 import itertools
 import os
@@ -125,6 +126,31 @@ def test_abtree_loads_one_checkout_twice_as_two_packages_sharing_no_module():
     best = abtree.best_times(three, 5)
     assert best.shape == (3, 2) and np.all(np.isfinite(best))
     assert {tuple(order[i : i + 3]) for i in range(0, len(order), 3)} == set(itertools.permutations(range(3)))
+
+
+def test_abtree_swaps_each_trees_two_loads_between_its_roles_every_round(monkeypatch):
+    # over an even number of rounds every load plays each of its tree's two
+    # roles equally often, and each role keeps the best time of the loads
+    # that played it: on a clock that each load's operation moves by its
+    # own cost, base and base' both read the cheaper base load, this and
+    # this' the cheaper this load, once both rounds have run
+    import types
+
+    import abtree
+
+    for rounds in (2, 4, 16):
+        played = collections.Counter((abtree.player(role, r, 4), role) for r in range(rounds) for role in range(4))
+        assert played == {(load, load ^ flip): rounds // 2 for load in range(4) for flip in (0, 1)}
+    assert [abtree.player(2, r, 3) for r in range(4)] == [2, 2, 2, 2]  # an unpaired load keeps its role
+    clock = [0.0]
+    monkeypatch.setattr(abtree, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+
+    def op(cost):
+        return lambda: clock.__setitem__(0, clock[0] + cost)
+
+    ops = [[("i0", op(cost)), ("i1", op(10.0 * cost))] for cost in (2.0, 1.0, 5.0, 3.0)]
+    assert abtree.best_times(ops, 1).tolist() == [[2.0, 20.0], [1.0, 10.0], [5.0, 50.0], [3.0, 30.0]]
+    assert abtree.best_times(ops, 2).tolist() == [[1.0, 10.0], [1.0, 10.0], [3.0, 30.0], [3.0, 30.0]]
 
 
 def test_abtree_times_the_workloads_it_is_given(capsys):
